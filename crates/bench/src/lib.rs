@@ -7,7 +7,14 @@
 //! Each experiment lives in [`experiments`] as a library function
 //! returning a printable report; the `src/bin/*` binaries are thin
 //! wrappers, and `bin/run_all` executes everything and collects output
-//! under `experiments/` for `EXPERIMENTS.md`.
+//! under `experiments/` for `EXPERIMENTS.md`. [`harness`] holds the
+//! dataset suite, method registry and budget gates, [`table`] the report
+//! printer, [`fit`] the log-log slope fits of Figure 5.
+//!
+//! The one binary that is not a paper artifact is `bin/metrics_check`,
+//! the `/metrics` exposition validator `scripts/ci.sh` points at a live
+//! daemon and router. Performance is not measured here: that is
+//! `benchmark/` at the repository root.
 //!
 //! Environment knobs:
 //! * `BEPI_SEEDS` — query seeds per measurement (default 30, as in the
@@ -24,11 +31,7 @@
 pub mod experiments;
 pub mod fit;
 pub mod harness;
-pub mod perf;
-pub mod rebuild;
-pub mod route;
 pub mod table;
-pub mod trace;
 
 pub use harness::{query_seeds, suite, Status};
 pub use table::Table;

@@ -121,23 +121,6 @@ const USAGE: &str = "usage:
                   daemons over the same index and routes across them)
   bepi route      --attach ADDR1,ADDR2,... [front-tier flags]
                   (route over already-running daemons; no spawning)
-  bepi bench      [--quick] [--datasets N] [--seeds N] [--threads-list 1,2,4,8]
-                  [--out PATH]             (thread-scaling benchmark)
-  bepi bench      --route [--quick] [--shards N] [--cache-entries M]
-                  [--datasets N] [--out PATH]
-                  (router-vs-single-daemon throughput: same per-process
-                  response cache, working set sized to thrash one daemon
-                  while each shard's partition fits; writes BENCH_PR7.json)
-  bepi bench      --trace [--quick] [--seeds N] [--datasets N] [--out PATH]
-                  (tracing-overhead benchmark: interleaves plain and
-                  ?trace=1 queries against one daemon; gate is traced p50
-                  within 5% of untraced; writes BENCH_PR8.json)
-  bepi bench      --rebuild [--quick] [--batches K] [--batch-size B]
-                  [--datasets N] [--out PATH]
-                  (full-vs-incremental rebuild latency: small edge batches
-                  through a from-scratch preprocess vs a plan-frozen
-                  refactorization; gate is incremental p50 beating full
-                  p50 on every anchor; writes BENCH_PR10.json)
   bepi help       (aliases: --help, -h)
 
 common flags:
@@ -178,16 +161,6 @@ common flags:
                    map and serve zero-copy from the page cache (instant
                    startup, index pages shared across processes). Pre-v6
                    indexes fall back to a heap load with a warning
-
-bench flags:
-  --quick          smoke preset: smallest anchor graph, threads 1 and 2,
-                   5 seeds (what CI runs)
-  --datasets N     measure the first N anchor graphs (default 3)
-  --seeds N        query seeds per graph (default 10)
-  --threads-list L comma-separated kernel-thread counts to sweep; must
-                   include 1, the speedup base (default 1,2,4,8)
-  --out PATH       where to write the JSON artifact (schema bepi-bench/v1,
-                   default BENCH_PR6.json)
 
 serve daemon flags (with --listen):
   --listen ADDR    bind address, e.g. 127.0.0.1:7462 (port 0 picks an
@@ -388,7 +361,6 @@ fn run() -> Result<(), String> {
             };
             cmd_route(index, flags)
         }
-        "bench" => cmd_bench(rest),
         "help" | "--help" | "-h" => {
             // Tolerate a closed pipe (`bepi help | head`): ignore the
             // write error instead of panicking like `println!` would.
@@ -924,7 +896,7 @@ fn cmd_convert(input: &str, out: &str, o: &Options) -> Result<(), String> {
         if embed {
             ", graph embedded"
         } else {
-            "no embedded graph"
+            ", no embedded graph"
         }
     );
     Ok(())
@@ -954,257 +926,6 @@ fn load_index(index: &str, mmap: bool) -> Result<(BePi, Option<Graph>, bool), St
     }
     let (solver, graph) = persist::load_file_with_graph(index).map_err(|e| e.to_string())?;
     Ok((solver, graph, false))
-}
-
-fn cmd_bench(flags: &[String]) -> Result<(), String> {
-    use bepi_bench::perf;
-
-    if flags.iter().any(|f| f == "--route") {
-        return cmd_bench_route(flags);
-    }
-    if flags.iter().any(|f| f == "--trace") {
-        return cmd_bench_trace(flags);
-    }
-    if flags.iter().any(|f| f == "--rebuild") {
-        return cmd_bench_rebuild(flags);
-    }
-    // --quick is a preset, applied before the other flags so they can
-    // override parts of it regardless of argument order.
-    let mut cfg = if flags.iter().any(|f| f == "--quick") {
-        perf::PerfConfig::quick()
-    } else {
-        perf::PerfConfig::full()
-    };
-    let mut out_path = String::from("BENCH_PR6.json");
-    let mut rest = flags;
-    while let Some((flag, tail)) = rest.split_first() {
-        if flag == "--quick" {
-            rest = tail;
-            continue;
-        }
-        let (value, tail) = tail
-            .split_first()
-            .ok_or_else(|| format!("flag {flag} needs a value"))?;
-        match flag.as_str() {
-            "--out" => out_path = value.clone(),
-            "--seeds" => {
-                cfg.seeds = value.parse().map_err(|_| format!("bad --seeds: {value}"))?;
-                if cfg.seeds == 0 {
-                    return Err("--seeds must be at least 1".into());
-                }
-            }
-            "--datasets" => {
-                let n: usize = value
-                    .parse()
-                    .map_err(|_| format!("bad --datasets: {value}"))?;
-                if n == 0 {
-                    return Err("--datasets must be at least 1".into());
-                }
-                cfg.datasets = bepi_graph::Dataset::all().into_iter().take(n).collect();
-            }
-            "--threads-list" => {
-                cfg.thread_counts = value
-                    .split(',')
-                    .map(|t| t.trim().parse::<usize>())
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|_| format!("bad --threads-list: {value}"))?;
-                if cfg.thread_counts.is_empty() || cfg.thread_counts.contains(&0) {
-                    return Err("--threads-list needs positive thread counts".into());
-                }
-                if !cfg.thread_counts.contains(&1) {
-                    return Err("--threads-list must include 1 (the speedup base)".into());
-                }
-            }
-            f => return Err(format!("unknown bench flag: {f}")),
-        }
-        rest = tail;
-    }
-    let report = perf::run(&cfg).map_err(|e| e.to_string())?;
-    print!("{}", perf::render_table(&report));
-    std::fs::write(&out_path, perf::to_json(&report))
-        .map_err(|e| format!("writing {out_path}: {e}"))?;
-    println!("\nwrote {out_path}");
-    Ok(())
-}
-
-/// `bepi bench --route`: the router-vs-single-daemon throughput
-/// comparison (cache partitioning across shard processes). Spawns the
-/// daemon and router via this same binary, so it needs no extra tools.
-fn cmd_bench_route(flags: &[String]) -> Result<(), String> {
-    use bepi_bench::route;
-
-    let mut cfg = if flags.iter().any(|f| f == "--quick") {
-        route::RouteBenchConfig::quick()
-    } else {
-        route::RouteBenchConfig::full()
-    };
-    let mut out_path = String::from("BENCH_PR7.json");
-    let mut rest = flags;
-    while let Some((flag, tail)) = rest.split_first() {
-        if flag == "--route" || flag == "--quick" {
-            rest = tail;
-            continue;
-        }
-        let (value, tail) = tail
-            .split_first()
-            .ok_or_else(|| format!("flag {flag} needs a value"))?;
-        match flag.as_str() {
-            "--out" => out_path = value.clone(),
-            "--shards" => {
-                cfg.shards = value
-                    .parse()
-                    .map_err(|_| format!("bad --shards: {value}"))?;
-                if cfg.shards < 2 {
-                    return Err("--shards must be at least 2 for the route bench".into());
-                }
-            }
-            "--cache-entries" => {
-                cfg.cache_entries = value
-                    .parse()
-                    .map_err(|_| format!("bad --cache-entries: {value}"))?;
-                if cfg.cache_entries == 0 {
-                    return Err("--cache-entries must be at least 1".into());
-                }
-                // Keep the working set at 1.5x the per-process cache so
-                // the partitioning contrast is preserved at any size.
-                cfg.working_set = cfg.cache_entries * 3 / 2;
-            }
-            "--datasets" => {
-                let n: usize = value
-                    .parse()
-                    .map_err(|_| format!("bad --datasets: {value}"))?;
-                if n == 0 {
-                    return Err("--datasets must be at least 1".into());
-                }
-                cfg.datasets = bepi_graph::Dataset::all().into_iter().take(n).collect();
-            }
-            f => return Err(format!("unknown bench --route flag: {f}")),
-        }
-        rest = tail;
-    }
-    let bin = std::env::current_exe().map_err(|e| format!("locating own binary: {e}"))?;
-    let report = route::run(&cfg, &bin)?;
-    print!("{}", route::render_table(&report));
-    let json = route::to_json(&report);
-    route::validate_json(&json)?;
-    std::fs::write(&out_path, json).map_err(|e| format!("writing {out_path}: {e}"))?;
-    println!("\nwrote {out_path}");
-    Ok(())
-}
-
-/// `bepi bench --trace`: the tracing-overhead benchmark. Boots one
-/// daemon via this binary and interleaves plain and `?trace=1` queries
-/// over the same cache-hot working set; the gate is traced p50 within
-/// 5% of untraced.
-fn cmd_bench_trace(flags: &[String]) -> Result<(), String> {
-    use bepi_bench::trace;
-
-    let mut cfg = if flags.iter().any(|f| f == "--quick") {
-        trace::TraceBenchConfig::quick()
-    } else {
-        trace::TraceBenchConfig::full()
-    };
-    let mut out_path = String::from("BENCH_PR8.json");
-    let mut rest = flags;
-    while let Some((flag, tail)) = rest.split_first() {
-        if flag == "--trace" || flag == "--quick" {
-            rest = tail;
-            continue;
-        }
-        let (value, tail) = tail
-            .split_first()
-            .ok_or_else(|| format!("flag {flag} needs a value"))?;
-        match flag.as_str() {
-            "--out" => out_path = value.clone(),
-            "--seeds" => {
-                cfg.working_set = value.parse().map_err(|_| format!("bad --seeds: {value}"))?;
-                if cfg.working_set == 0 {
-                    return Err("--seeds must be at least 1".into());
-                }
-            }
-            "--datasets" => {
-                let n: usize = value
-                    .parse()
-                    .map_err(|_| format!("bad --datasets: {value}"))?;
-                if n == 0 {
-                    return Err("--datasets must be at least 1".into());
-                }
-                cfg.datasets = bepi_graph::Dataset::all().into_iter().take(n).collect();
-            }
-            f => return Err(format!("unknown bench --trace flag: {f}")),
-        }
-        rest = tail;
-    }
-    let bin = std::env::current_exe().map_err(|e| format!("locating own binary: {e}"))?;
-    let report = trace::run(&cfg, &bin)?;
-    print!("{}", trace::render_table(&report));
-    let json = trace::to_json(&report);
-    trace::validate_json(&json)?;
-    std::fs::write(&out_path, json).map_err(|e| format!("writing {out_path}: {e}"))?;
-    println!("\nwrote {out_path}");
-    Ok(())
-}
-
-/// `bepi bench --rebuild`: the full-vs-incremental rebuild benchmark.
-/// Pushes small numeric-safe edge batches through a from-scratch
-/// preprocess and a plan-frozen refactorization side by side; the gate
-/// is incremental p50 beating full p50 on every anchor graph.
-fn cmd_bench_rebuild(flags: &[String]) -> Result<(), String> {
-    use bepi_bench::rebuild;
-
-    let mut cfg = if flags.iter().any(|f| f == "--quick") {
-        rebuild::RebuildBenchConfig::quick()
-    } else {
-        rebuild::RebuildBenchConfig::full()
-    };
-    let mut out_path = String::from("BENCH_PR10.json");
-    let mut rest = flags;
-    while let Some((flag, tail)) = rest.split_first() {
-        if flag == "--rebuild" || flag == "--quick" {
-            rest = tail;
-            continue;
-        }
-        let (value, tail) = tail
-            .split_first()
-            .ok_or_else(|| format!("flag {flag} needs a value"))?;
-        match flag.as_str() {
-            "--out" => out_path = value.clone(),
-            "--batches" => {
-                cfg.batches = value
-                    .parse()
-                    .map_err(|_| format!("bad --batches: {value}"))?;
-                if cfg.batches < 2 {
-                    return Err("--batches must be at least 2".into());
-                }
-            }
-            "--batch-size" => {
-                cfg.batch_size = value
-                    .parse()
-                    .map_err(|_| format!("bad --batch-size: {value}"))?;
-                if cfg.batch_size == 0 {
-                    return Err("--batch-size must be at least 1".into());
-                }
-            }
-            "--datasets" => {
-                let n: usize = value
-                    .parse()
-                    .map_err(|_| format!("bad --datasets: {value}"))?;
-                if n == 0 {
-                    return Err("--datasets must be at least 1".into());
-                }
-                cfg.datasets = bepi_graph::Dataset::all().into_iter().take(n).collect();
-            }
-            f => return Err(format!("unknown bench --rebuild flag: {f}")),
-        }
-        rest = tail;
-    }
-    let report = rebuild::run(&cfg)?;
-    print!("{}", rebuild::render_table(&report));
-    let json = rebuild::to_json(&report);
-    rebuild::validate_json(&json)?;
-    std::fs::write(&out_path, json).map_err(|e| format!("writing {out_path}: {e}"))?;
-    println!("\nwrote {out_path}");
-    Ok(())
 }
 
 fn cmd_serve_daemon(index: &str, flags: &[String]) -> Result<(), String> {

@@ -3,6 +3,7 @@
 //! destination — the output is staged in a temp file and renamed into
 //! place only when complete.
 
+use bepi_sparse::mem::format_bytes;
 use std::path::Path;
 use std::process::Command;
 
@@ -69,13 +70,39 @@ fn sigkill_during_convert_leaves_source_untouched() {
         }
     }
 
-    // And an uninterrupted convert still succeeds over the same source.
+    // And an uninterrupted convert still succeeds over the same source,
+    // reporting what it wrote. A source without an embedded graph takes
+    // the message's other arm.
     std::fs::remove_file(&out).ok();
+    let plain = dir.join("plain.bepi");
     let status = bepi()
-        .args(["convert", src.to_str().unwrap(), out.to_str().unwrap()])
+        .args([
+            "preprocess",
+            edges.to_str().unwrap(),
+            plain.to_str().unwrap(),
+        ])
         .status()
-        .expect("run bepi convert");
-    assert!(status.success());
+        .expect("run bepi preprocess");
+    assert!(status.success(), "preprocess failed");
+    for (input, version, graph_note) in [
+        (&src, 5, "graph embedded"),
+        (&plain, 4, "no embedded graph"),
+    ] {
+        let output = bepi()
+            .args(["convert", input.to_str().unwrap(), out.to_str().unwrap()])
+            .output()
+            .expect("run bepi convert");
+        assert!(output.status.success());
+        assert_eq!(
+            String::from_utf8(output.stdout).unwrap(),
+            format!(
+                "converted {} (v{version}) -> {} (v6, {}, {graph_note})\n",
+                input.display(),
+                out.display(),
+                format_bytes(read(&out).len())
+            )
+        );
+    }
     assert_eq!(read(&src), src_before);
     std::fs::remove_dir_all(&dir).ok();
 }

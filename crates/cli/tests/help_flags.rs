@@ -47,7 +47,7 @@ fn every_parsed_flag_is_documented_in_help() {
     let after_usage = src.split_once("\";").map(|(_, rest)| rest).unwrap_or(&src);
     let parsed = extract_flags(after_usage);
     assert!(
-        parsed.contains("--threads") && parsed.contains("--quick"),
+        parsed.contains("--threads") && parsed.contains("--listen"),
         "flag extraction looks broken: {parsed:?}"
     );
 
@@ -107,7 +107,7 @@ fn help_lists_every_subcommand_dispatched() {
         "preprocess",
         "convert",
         "serve",
-        "bench",
+        "route",
         "help",
     ] {
         assert!(
@@ -115,4 +115,17 @@ fn help_lists_every_subcommand_dispatched() {
             "subcommand `{sub}` missing from help output"
         );
     }
+
+    // The converse for the one subcommand that was removed: performance
+    // is measured by `benchmark/`, not by the CLI.
+    let out = Command::new(env!("CARGO_BIN_EXE_bepi"))
+        .args(["bench", "--quick"])
+        .output()
+        .expect("run the removed subcommand");
+    assert!(!out.status.success(), "`bench` must be rejected");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown subcommand: bench"),
+        "unexpected stderr: {stderr}"
+    );
 }

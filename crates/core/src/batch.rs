@@ -34,7 +34,7 @@ impl BePi {
     /// one ([`bepi_par::with_kernel_threads`]): the batch fan-out *is*
     /// the parallelism, and letting every worker also fan out the solver
     /// kernels oversubscribes the machine (`threads × kernel-threads`
-    /// runnable threads — the BENCH_PR5 batch slowdown). Pinning changes
+    /// runnable threads, which made batches slower). Pinning changes
     /// nothing about the results: the kernels are bit-identical at any
     /// thread count by construction.
     pub fn query_batch_parallel(&self, seeds: &[usize], threads: usize) -> Result<Vec<RwrScores>> {

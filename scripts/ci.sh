@@ -540,30 +540,16 @@ exec 3>&-
 eval "exec $IR_OFD>&-"
 echo "incremental rebuild: numeric path fired, replay survived SIGKILL byte-for-byte"
 
-# Bench-harness smoke: the quick presets must run end to end and emit
-# schema-valid artifacts — bepi-bench/v1 clearing the approximate-lane
-# quality bar (both engines at precision@20 >= 0.9 on every dataset;
-# deterministic scores, so this gate cannot flake), and the route bench's
-# bepi-route-bench/v1, whose validation also requires the router bodies
-# to be bit-identical to the single-daemon oracle.
-echo "==> bench smoke (bepi bench --quick + bench_check --min-precision 0.9)"
-BENCH_TMP=$(mktemp -d)
-./target/release/bepi bench --quick --out "$BENCH_TMP/BENCH_PR6.json"
-./target/release/bench_check --min-precision 0.9 "$BENCH_TMP/BENCH_PR6.json"
-echo "==> route bench smoke (bepi bench --route --quick)"
-./target/release/bepi bench --route --quick --out "$BENCH_TMP/BENCH_PR7.json"
-./target/release/bench_check "$BENCH_TMP/BENCH_PR7.json"
-# The trace bench's validation is the tracing-overhead gate itself:
-# traced p50 within 5% of untraced, every traced body id-consistent.
-echo "==> trace bench smoke (bepi bench --trace --quick)"
-./target/release/bepi bench --trace --quick --out "$BENCH_TMP/BENCH_PR8.json"
-./target/release/bench_check "$BENCH_TMP/BENCH_PR8.json"
-# The rebuild bench's validation is the incremental gate itself: every
-# batch on the numeric fast path, arms agreeing, incremental p50 beating
-# the from-scratch preprocess.
-echo "==> rebuild bench smoke (bepi bench --rebuild --quick)"
-./target/release/bepi bench --rebuild --quick --out "$BENCH_TMP/BENCH_PR10.json"
-./target/release/bench_check "$BENCH_TMP/BENCH_PR10.json"
-rm -rf "$BENCH_TMP"
+# The one performance instrument (benchmark/, BENCHMARK.json): the smoke
+# preset runs all four workloads on small graphs and exits non-zero on any
+# failed or wrong operation — every answer is checked against a raw-graph
+# oracle. It gates the schema and correctness, not timing. The benchmark
+# crate is a workspace of its own, so its tests are run here explicitly,
+# against the `bepi` binary built above.
+echo "==> benchmark smoke (benchmark/run.sh --smoke)"
+benchmark/run.sh --smoke
+echo "==> benchmark crate tests"
+CARGO_TARGET_DIR="$PWD/target" BEPI_BIN="$PWD/target/release/bepi" \
+  cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 echo "==> ci OK"

@@ -1,0 +1,252 @@
+//! A minimal recursive-descent JSON parser — the reader the integration
+//! tests parse daemon and router bodies with, independent of the code
+//! under test (no serde in the dependency budget).
+
+/// A parsed JSON value.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Value {
+    /// `null`.
+    Null,
+    /// `true` / `false`.
+    Bool(bool),
+    /// Any JSON number (kept as f64).
+    Number(f64),
+    /// A string (escapes decoded).
+    String(String),
+    /// An array.
+    Array(Vec<Value>),
+    /// An object as ordered key/value pairs (duplicate keys kept;
+    /// [`get`] returns the first).
+    Object(Vec<(String, Value)>),
+}
+
+impl Value {
+    /// The object entries, if this is an object.
+    pub fn as_object(&self) -> Option<&[(String, Value)]> {
+        match self {
+            Value::Object(o) => Some(o),
+            _ => None,
+        }
+    }
+
+    /// The elements, if this is an array.
+    pub fn as_array(&self) -> Option<&[Value]> {
+        match self {
+            Value::Array(a) => Some(a),
+            _ => None,
+        }
+    }
+
+    /// The string contents, if this is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Value::String(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The numeric value, if this is a number.
+    pub fn as_f64(&self) -> Option<f64> {
+        match self {
+            Value::Number(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The boolean, if this is a boolean.
+    pub fn as_bool(&self) -> Option<bool> {
+        match self {
+            Value::Bool(b) => Some(*b),
+            _ => None,
+        }
+    }
+}
+
+/// First value under `key` in an object's entries.
+pub fn get<'a>(obj: &'a [(String, Value)], key: &str) -> Option<&'a Value> {
+    obj.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+}
+
+/// Parses a complete JSON document (trailing whitespace allowed,
+/// trailing garbage rejected).
+pub fn parse(text: &str) -> Result<Value, String> {
+    let bytes = text.as_bytes();
+    let mut pos = 0usize;
+    let value = parse_value(bytes, &mut pos)?;
+    skip_ws(bytes, &mut pos);
+    if pos != bytes.len() {
+        return Err(format!("trailing garbage at byte {pos}"));
+    }
+    Ok(value)
+}
+
+fn skip_ws(bytes: &[u8], pos: &mut usize) {
+    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
+        *pos += 1;
+    }
+}
+
+fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
+    if *pos < bytes.len() && bytes[*pos] == b {
+        *pos += 1;
+        Ok(())
+    } else {
+        Err(format!("expected {:?} at byte {}", b as char, *pos))
+    }
+}
+
+fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+    skip_ws(bytes, pos);
+    match bytes.get(*pos) {
+        Some(b'{') => parse_object(bytes, pos),
+        Some(b'[') => parse_array(bytes, pos),
+        Some(b'"') => Ok(Value::String(parse_string(bytes, pos)?)),
+        Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
+        Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
+        Some(b'n') => parse_lit(bytes, pos, "null", Value::Null),
+        Some(_) => parse_number(bytes, pos),
+        None => Err("unexpected end of input".into()),
+    }
+}
+
+fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, v: Value) -> Result<Value, String> {
+    if bytes[*pos..].starts_with(lit.as_bytes()) {
+        *pos += lit.len();
+        Ok(v)
+    } else {
+        Err(format!("invalid literal at byte {}", *pos))
+    }
+}
+
+fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+    let start = *pos;
+    while *pos < bytes.len()
+        && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+    {
+        *pos += 1;
+    }
+    std::str::from_utf8(&bytes[start..*pos])
+        .ok()
+        .and_then(|s| s.parse::<f64>().ok())
+        .map(Value::Number)
+        .ok_or_else(|| format!("invalid number at byte {start}"))
+}
+
+fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+    expect(bytes, pos, b'"')?;
+    let mut out = String::new();
+    loop {
+        match bytes.get(*pos) {
+            None => return Err("unterminated string".into()),
+            Some(b'"') => {
+                *pos += 1;
+                return Ok(out);
+            }
+            Some(b'\\') => {
+                *pos += 1;
+                match bytes.get(*pos) {
+                    Some(b'"') => out.push('"'),
+                    Some(b'\\') => out.push('\\'),
+                    Some(b'/') => out.push('/'),
+                    Some(b'n') => out.push('\n'),
+                    Some(b't') => out.push('\t'),
+                    Some(b'r') => out.push('\r'),
+                    Some(b'b') => out.push('\u{8}'),
+                    Some(b'f') => out.push('\u{c}'),
+                    Some(b'u') => {
+                        let hex = bytes
+                            .get(*pos + 1..*pos + 5)
+                            .and_then(|h| std::str::from_utf8(h).ok())
+                            .and_then(|h| u32::from_str_radix(h, 16).ok())
+                            .ok_or("invalid \\u escape")?;
+                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
+                        *pos += 4;
+                    }
+                    _ => return Err(format!("invalid escape at byte {}", *pos)),
+                }
+                *pos += 1;
+            }
+            Some(&b) => {
+                // Multi-byte UTF-8 passes through unchanged.
+                let len = match b {
+                    0x00..=0x7f => 1,
+                    0xc0..=0xdf => 2,
+                    0xe0..=0xef => 3,
+                    _ => 4,
+                };
+                let chunk = bytes
+                    .get(*pos..*pos + len)
+                    .and_then(|c| std::str::from_utf8(c).ok())
+                    .ok_or("invalid UTF-8 in string")?;
+                out.push_str(chunk);
+                *pos += len;
+            }
+        }
+    }
+}
+
+fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+    expect(bytes, pos, b'[')?;
+    let mut items = Vec::new();
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b']') {
+        *pos += 1;
+        return Ok(Value::Array(items));
+    }
+    loop {
+        items.push(parse_value(bytes, pos)?);
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b']') => {
+                *pos += 1;
+                return Ok(Value::Array(items));
+            }
+            _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
+        }
+    }
+}
+
+fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+    expect(bytes, pos, b'{')?;
+    let mut entries = Vec::new();
+    skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b'}') {
+        *pos += 1;
+        return Ok(Value::Object(entries));
+    }
+    loop {
+        skip_ws(bytes, pos);
+        let key = parse_string(bytes, pos)?;
+        skip_ws(bytes, pos);
+        expect(bytes, pos, b':')?;
+        let value = parse_value(bytes, pos)?;
+        entries.push((key, value));
+        skip_ws(bytes, pos);
+        match bytes.get(*pos) {
+            Some(b',') => *pos += 1,
+            Some(b'}') => {
+                *pos += 1;
+                return Ok(Value::Object(entries));
+            }
+            _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_parser_handles_basics() {
+        let v = parse(r#"{"a": [1, 2.5, -3e2], "b": "x\ny", "c": null, "d": true}"#).unwrap();
+        let obj = v.as_object().unwrap();
+        let arr = get(obj, "a").unwrap().as_array().unwrap();
+        assert_eq!(arr[2].as_f64(), Some(-300.0));
+        assert_eq!(get(obj, "b").unwrap().as_str(), Some("x\ny"));
+        assert_eq!(get(obj, "d").unwrap().as_bool(), Some(true));
+        assert!(parse("[1,]").is_err());
+        assert!(parse("{} garbage").is_err());
+    }
+}

@@ -3,7 +3,10 @@
 //! The actual tests live in `tests/tests/*.rs`; this library crate makes
 //! the workspace-level `tests/` directory a compilable member and hosts
 //! graph fixtures plus a high-precision power-iteration reference used by
-//! every end-to-end agreement test.
+//! every end-to-end agreement test, and the [`json`] reader the HTTP tests
+//! parse response bodies with.
+
+pub mod json;
 
 use bepi_graph::{generators, Graph};
 use bepi_solver::power::{power_iteration, PowerConfig};

@@ -2,15 +2,15 @@
 //! and propagation; the daemon's `?trace=1` body; the router's spliced
 //! `route` block with per-attempt detail; and the `/debug/trace` rings
 //! on both tiers — all driven over real TCP and parsed as full JSON
-//! documents (via the bench crate's in-tree parser), not substring
-//! checks.
+//! documents (via `bepi_tests::json`, a parser independent of the code
+//! under test), not substring checks.
 
-use bepi_bench::perf::json::{self, Value};
 use bepi_core::prelude::*;
 use bepi_route::router::{Router, RouterConfig, RouterHandle};
 use bepi_route::shard::ShardState;
 use bepi_route::supervisor::Supervisor;
 use bepi_server::{Server, ServerConfig, ServerHandle};
+use bepi_tests::json::{self, Value};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Arc, OnceLock};
