@@ -1181,6 +1181,39 @@ mod tests {
     }
 
     #[test]
+    fn chained_refactors_stay_bit_identical_to_plan_frozen_preprocess() {
+        // Each refactor refreshes the ILU(0) of the previous refactor's
+        // output, so the second link runs `refresh_values` on factors
+        // that `refresh_values` itself produced.
+        let g0 = generators::rmat(8, 900, generators::RmatParams::default(), 3).unwrap();
+        let cfg = BePiConfig::default();
+        let mut solver = BePi::preprocess(&g0, &cfg).unwrap();
+        let plan = solver.symbolic_plan();
+        let mut g = g0;
+        for link in 0..3 {
+            let (u, v) = removable_edge(&g);
+            let g_new = without_edge(&g, u, v);
+            let dirty = match bepi_incr::classify(&plan, &g, &g_new, &[u]) {
+                bepi_incr::Classification::NumericOnly(d) => d,
+                bepi_incr::Classification::Structural(why) => panic!("expected numeric: {why}"),
+            };
+            solver = solver.refactor(&g_new, &dirty).unwrap();
+            let frozen = BePi::preprocess_with_plan(&g_new, &cfg, &plan).unwrap();
+            let (got, want) = (solver.ilu_parts().unwrap(), frozen.ilu_parts().unwrap());
+            assert_eq!(got.factors(), want.factors(), "link {link}");
+            assert_eq!(got.diag_pos(), want.diag_pos(), "link {link}");
+            for seed in [0usize, 50, 200] {
+                assert_eq!(
+                    solver.query(seed).unwrap().scores,
+                    frozen.query(seed).unwrap().scores,
+                    "link {link} seed {seed}"
+                );
+            }
+            g = g_new;
+        }
+    }
+
+    #[test]
     fn refactor_over_mapped_storage_matches_owned() {
         let g = generators::rmat(7, 400, generators::RmatParams::default(), 11).unwrap();
         let cfg = BePiConfig::default();

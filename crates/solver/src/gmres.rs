@@ -124,6 +124,11 @@ pub fn gmres<A: LinOp>(
         });
     }
 
+    // Without an initial guess the first cycle's residual
+    // M^{-1}(b − A·0) is `mb` itself: reuse it rather than pay one apply
+    // of `A` and one of `M` to recompute it.
+    let mut first_residual = x0.is_none().then_some(mb);
+
     let m = cfg.restart.max(1);
     let mut iterations = 0usize;
     let mut history = Vec::new();
@@ -132,15 +137,18 @@ pub fn gmres<A: LinOp>(
 
     loop {
         // (Preconditioned) residual r = M^{-1}(b − A x).
-        a.apply(&x, &mut scratch);
-        for (s, bi) in scratch.iter_mut().zip(b) {
-            *s = bi - *s;
-        }
-        let mut r = vec![0.0; n];
-        match precond {
-            Some(mm) => mm.apply(&scratch, &mut r),
-            None => r.copy_from_slice(&scratch),
-        }
+        let mut r = first_residual.take().unwrap_or_else(|| {
+            a.apply(&x, &mut scratch);
+            for (s, bi) in scratch.iter_mut().zip(b) {
+                *s = bi - *s;
+            }
+            let mut r = vec![0.0; n];
+            match precond {
+                Some(mm) => mm.apply(&scratch, &mut r),
+                None => r.copy_from_slice(&scratch),
+            }
+            r
+        });
         let beta = norm2(&r);
         let rel = beta / denom;
         if rel <= cfg.tol {
@@ -417,6 +425,58 @@ mod tests {
         // GMRES residual is non-increasing (up to fp noise) without restart.
         for w in r.residual_history.windows(2) {
             assert!(w[1] <= w[0] * (1.0 + 1e-9), "{} then {}", w[0], w[1]);
+        }
+    }
+
+    /// A `LinOp` that counts its applies.
+    struct Counting<'a> {
+        inner: &'a Csr,
+        applies: std::cell::Cell<usize>,
+    }
+
+    impl LinOp for Counting<'_> {
+        fn nrows(&self) -> usize {
+            self.inner.nrows()
+        }
+        fn ncols(&self) -> usize {
+            self.inner.ncols()
+        }
+        fn apply(&self, x: &[f64], y: &mut [f64]) {
+            self.applies.set(self.applies.get() + 1);
+            self.inner.apply(x, y);
+        }
+    }
+
+    #[test]
+    fn no_initial_guess_equals_zero_guess_bit_for_bit_with_one_apply_less() {
+        let a = dd_matrix(90);
+        let b: Vec<f64> = (0..90).map(|i| ((i * 3 + 1) as f64 * 0.37).sin()).collect();
+        let zeros = vec![0.0; 90];
+        let ilu = Ilu0::factor(&a).unwrap();
+        let restarting = GmresConfig {
+            restart: 4,
+            ..GmresConfig::default()
+        };
+        for cfg in [GmresConfig::default(), restarting] {
+            for precond in [None, Some(&ilu as &dyn Preconditioner)] {
+                let counted = |x0: Option<&[f64]>| {
+                    let op = Counting {
+                        inner: &a,
+                        applies: std::cell::Cell::new(0),
+                    };
+                    let sol = gmres(&op, &b, x0, precond, &cfg).unwrap();
+                    (sol, op.applies.get())
+                };
+                let (none, none_applies) = counted(None);
+                let (zero, zero_applies) = counted(Some(&zeros));
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert!(none.converged && zero.converged);
+                assert_eq!(bits(&none.x), bits(&zero.x));
+                assert_eq!(none.iterations, zero.iterations);
+                assert_eq!(none.residual.to_bits(), zero.residual.to_bits());
+                assert_eq!(bits(&none.residual_history), bits(&zero.residual_history));
+                assert_eq!(none_applies + 1, zero_applies);
+            }
         }
     }
 

@@ -55,60 +55,17 @@ impl Ilu0 {
                 op: "Ilu0::factor (matrix must be square)",
             });
         }
+        // Locate diagonals first: a missing one is rejected before any
+        // arithmetic (and before the value copy below).
+        let diag_pos = (0..n)
+            .map(|i| {
+                let (cols, _) = a.row(i);
+                cols.binary_search(&(i as u32))
+                    .map_err(|_| SparseError::ZeroDiagonal { row: i })
+            })
+            .collect::<Result<Vec<usize>>>()?;
         let mut factors = a.clone();
-        // Locate diagonals first.
-        let mut diag_pos = vec![usize::MAX; n];
-        for i in 0..n {
-            let (cols, _) = factors.row(i);
-            match cols.binary_search(&(i as u32)) {
-                Ok(p) => diag_pos[i] = p,
-                Err(_) => return Err(SparseError::ZeroDiagonal { row: i }),
-            }
-        }
-
-        // IKJ elimination restricted to the original pattern. We work on
-        // the raw arrays to allow updating row i while reading row k < i.
-        let indptr = factors.indptr().to_vec();
-        let indices = factors.indices().to_vec();
-        for i in 0..n {
-            let (ri_start, ri_end) = (indptr[i], indptr[i + 1]);
-            let di = ri_start + diag_pos[i];
-            for ki in ri_start..di {
-                let k = indices[ki] as usize;
-                let dk = indptr[k] + diag_pos[k];
-                let akk = factors.values()[dk];
-                if akk == 0.0 {
-                    return Err(SparseError::ZeroDiagonal { row: k });
-                }
-                let lik = factors.values()[ki] / akk;
-                factors.values_mut()[ki] = lik;
-                if lik == 0.0 {
-                    continue;
-                }
-                // Merge: subtract lik * U(k, j) from A(i, j) for j > k,
-                // only where (i, j) exists. Both rows sorted by column.
-                let mut p = ki + 1; // positions in row i after column k
-                let mut q = dk + 1; // positions in row k after the diagonal
-                let rk_end = indptr[k + 1];
-                while p < ri_end && q < rk_end {
-                    let ci = indices[p];
-                    let ck = indices[q];
-                    match ci.cmp(&ck) {
-                        std::cmp::Ordering::Less => p += 1,
-                        std::cmp::Ordering::Greater => q += 1,
-                        std::cmp::Ordering::Equal => {
-                            let ukj = factors.values()[q];
-                            factors.values_mut()[p] -= lik * ukj;
-                            p += 1;
-                            q += 1;
-                        }
-                    }
-                }
-            }
-            if factors.values()[di] == 0.0 {
-                return Err(SparseError::ZeroDiagonal { row: i });
-            }
-        }
+        eliminate(&mut factors, &diag_pos)?;
         Ok(Self {
             factors,
             diag_pos: diag_pos.into(),
@@ -149,10 +106,17 @@ impl Ilu0 {
         Ok(Self { factors, diag_pos })
     }
 
-    /// Value-only refresh: recomputes the factorization of `a`, which
-    /// must have *exactly* the sparsity pattern of the original input —
-    /// the numeric half of the analyze/factor split, for incremental
-    /// rebuilds where edge weights moved but the Schur pattern did not.
+    /// Value-only refresh: a full numeric refactorization of `a` on this
+    /// factorization's frozen pattern. `a` must have *exactly* the
+    /// sparsity pattern of the original input — the numeric half of the
+    /// analyze/factor split, for incremental rebuilds where edge weights
+    /// moved but the Schur pattern did not.
+    ///
+    /// The symbolic work is reused, not redone: the diagonal positions and
+    /// the pattern come from `self` (shared, not copied, when mapped) and
+    /// only `a`'s values are copied in. Every row is still eliminated — a
+    /// partial refresh of just the rows downstream of the changed ones is
+    /// ROADMAP item 2(b).
     ///
     /// The elimination is deterministic, so the result is bit-identical
     /// to `Ilu0::factor(a)`; the pattern check is what callers rely on
@@ -172,7 +136,12 @@ impl Ilu0 {
                 "ILU(0) refresh requires an unchanged sparsity pattern".into(),
             ));
         }
-        Self::factor(a)
+        let mut factors = self.factors.with_values(a.values().to_vec())?;
+        eliminate(&mut factors, &self.diag_pos)?;
+        Ok(Self {
+            factors,
+            diag_pos: self.diag_pos.clone(),
+        })
     }
 
     /// Dimension.
@@ -241,10 +210,346 @@ impl MemBytes for Ilu0 {
     }
 }
 
+/// In-place ILU(0) elimination of `factors` (holding `A` on entry, `L̂`
+/// and `Û` on return) — the one numeric kernel behind [`Ilu0::factor`]
+/// and [`Ilu0::refresh_values`]. `diag_pos[i]` is the offset of the
+/// diagonal within row `i`.
+///
+/// IKJ order with a column→position scatter of row `i`: for each lower
+/// neighbour `k` (ascending) only `U(k, ·)` is streamed, and an entry is
+/// updated where row `i` stores that column. Cost `Σ_i Σ_{k ∈ L(i)} |U(k)|`
+/// probes plus two passes over the pattern, against the
+/// `Σ_i |row i|·|L(i)|` of merging row `i` against every row `k`. Each
+/// entry still receives its updates in ascending `k`, so the factors are
+/// bit-identical to the merge kernel's.
+fn eliminate(factors: &mut Csr, diag_pos: &[usize]) -> Result<()> {
+    // Row offsets fit u32 because column indices do, and u32::MAX is never
+    // a valid one (a row holds at most `n < u32::MAX` entries).
+    const ABSENT: u32 = u32::MAX;
+    let (indptr, indices, values) = factors.pattern_and_values_mut();
+    let n = diag_pos.len();
+    // pos[j] = offset of (i, j) within row i while row i is active.
+    let mut pos = vec![ABSENT; n];
+    for i in 0..n {
+        let (ri_start, ri_end) = (indptr[i], indptr[i + 1]);
+        // Rows k < i are final and only read; row i is the one written.
+        let (done, rest) = values.split_at_mut(ri_start);
+        let row = &mut rest[..ri_end - ri_start];
+        let row_cols = &indices[ri_start..ri_end];
+        for (p, &j) in (0u32..).zip(row_cols) {
+            pos[j as usize] = p;
+        }
+        for (ki, &k) in row_cols[..diag_pos[i]].iter().enumerate() {
+            let k = k as usize;
+            let (dk, rk_end) = (indptr[k] + diag_pos[k], indptr[k + 1]);
+            let akk = done[dk];
+            if akk == 0.0 {
+                return Err(SparseError::ZeroDiagonal { row: k });
+            }
+            let lik = row[ki] / akk;
+            row[ki] = lik;
+            if lik == 0.0 {
+                continue;
+            }
+            // Subtract lik * U(k, j) from A(i, j) for j > k, only where
+            // (i, j) exists: ABSENT is out of range for every row, so the
+            // bounds check is the membership test.
+            for (&j, &ukj) in indices[dk + 1..rk_end].iter().zip(&done[dk + 1..rk_end]) {
+                if let Some(aij) = row.get_mut(pos[j as usize] as usize) {
+                    *aij -= lik * ukj;
+                }
+            }
+        }
+        if row[diag_pos[i]] == 0.0 {
+            return Err(SparseError::ZeroDiagonal { row: i });
+        }
+        for &j in row_cols {
+            pos[j as usize] = ABSENT;
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use bepi_sparse::Coo;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
+
+    /// The kernel `Ilu0::factor` ran before the scatter kernel, kept as
+    /// the oracle: row `i` is two-pointer-merged against every
+    /// lower-neighbour row `k`. Returns the factor values and `diag_pos`.
+    fn factor_reference(a: &Csr) -> Result<(Vec<f64>, Vec<usize>)> {
+        let n = a.nrows();
+        let mut diag_pos = vec![usize::MAX; n];
+        for i in 0..n {
+            let (cols, _) = a.row(i);
+            match cols.binary_search(&(i as u32)) {
+                Ok(p) => diag_pos[i] = p,
+                Err(_) => return Err(SparseError::ZeroDiagonal { row: i }),
+            }
+        }
+        let (indptr, indices) = (a.indptr(), a.indices());
+        let mut values = a.values().to_vec();
+        for i in 0..n {
+            let (ri_start, ri_end) = (indptr[i], indptr[i + 1]);
+            let di = ri_start + diag_pos[i];
+            for ki in ri_start..di {
+                let k = indices[ki] as usize;
+                let dk = indptr[k] + diag_pos[k];
+                let akk = values[dk];
+                if akk == 0.0 {
+                    return Err(SparseError::ZeroDiagonal { row: k });
+                }
+                let lik = values[ki] / akk;
+                values[ki] = lik;
+                if lik == 0.0 {
+                    continue;
+                }
+                let mut p = ki + 1; // positions in row i after column k
+                let mut q = dk + 1; // positions in row k after the diagonal
+                let rk_end = indptr[k + 1];
+                while p < ri_end && q < rk_end {
+                    match indices[p].cmp(&indices[q]) {
+                        std::cmp::Ordering::Less => p += 1,
+                        std::cmp::Ordering::Greater => q += 1,
+                        std::cmp::Ordering::Equal => {
+                            values[p] -= lik * values[q];
+                            p += 1;
+                            q += 1;
+                        }
+                    }
+                }
+            }
+            if values[di] == 0.0 {
+                return Err(SparseError::ZeroDiagonal { row: i });
+            }
+        }
+        Ok((values, diag_pos))
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Both kernels must agree on `a`: bit-equal factors and `diag_pos`,
+    /// or the same error.
+    fn assert_matches_reference(a: &Csr) {
+        match (Ilu0::factor(a), factor_reference(a)) {
+            (Ok(got), Ok((values, diag_pos))) => {
+                assert_eq!(got.factors().indptr(), a.indptr());
+                assert_eq!(got.factors().indices(), a.indices());
+                assert_eq!(bits(got.factors().values()), bits(&values));
+                assert_eq!(got.diag_pos(), &diag_pos[..]);
+            }
+            (Err(got), Err(want)) => assert_eq!(format!("{got:?}"), format!("{want:?}")),
+            (got, want) => panic!("scatter kernel {got:?}, merge kernel {want:?}"),
+        }
+    }
+
+    /// A random strictly row-diagonally-dominant matrix with negative
+    /// off-diagonals (an M-matrix, so ILU(0) exists), shaped to reach the
+    /// kernel's edges: a sparse background, one heavy row and column
+    /// (about two thirds of the other nodes), one row with no strict-lower
+    /// part, one with no strict-upper part, and one strictly-lower entry
+    /// stored as an explicit `0.0`.
+    fn shaped_dd_matrix(n: usize, rng: &mut TestRng) -> Csr {
+        let pick = |rng: &mut TestRng| rng.below(n as u64) as usize;
+        let weight = |rng: &mut TestRng| -(0.1 + 0.9 * rng.unit_f64());
+        let mut cells: Vec<Vec<Option<f64>>> = vec![vec![None; n]; n];
+        for _ in 0..3 * n {
+            let (r, c) = (pick(rng), pick(rng));
+            cells[r][c] = Some(weight(rng));
+        }
+        let heavy = pick(rng);
+        for j in (0..n).filter(|j| (j + heavy) % 3 != 0) {
+            cells[heavy][j] = Some(weight(rng));
+            cells[j][heavy] = Some(weight(rng));
+        }
+        let (no_lower, no_upper) = (pick(rng), pick(rng));
+        cells[no_lower][..no_lower].fill(None);
+        cells[no_upper][no_upper + 1..].fill(None);
+        let lower: Vec<(usize, usize)> = (0..n)
+            .flat_map(|r| (0..r).map(move |c| (r, c)))
+            .filter(|&(r, c)| cells[r][c].is_some())
+            .collect();
+        if !lower.is_empty() {
+            let (r, c) = lower[rng.below(lower.len() as u64) as usize];
+            cells[r][c] = Some(0.0);
+        }
+        let (mut indptr, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
+        for (i, row) in cells.iter_mut().enumerate() {
+            row[i] = None;
+            let off: f64 = row.iter().flatten().map(|v| v.abs()).sum();
+            row[i] = Some(off + 0.5);
+            for (j, v) in row.iter().enumerate() {
+                if let Some(v) = v {
+                    indices.push(j as u32);
+                    values.push(*v);
+                }
+            }
+            indptr.push(indices.len());
+        }
+        Csr::from_parts(n, n, indptr, indices, values).unwrap()
+    }
+
+    fn shaped_dd_strategy() -> impl Strategy<Value = Csr> {
+        (1usize..48).prop_perturb(|n, mut rng| shaped_dd_matrix(n, &mut rng))
+    }
+
+    /// `a` served from a mapped v6 container: all three arrays are
+    /// `Storage::Mapped`.
+    fn mapped_copy(a: &Csr, tag: &str) -> Csr {
+        use bepi_map::{sections, ContainerWriter, MappedIndex};
+        use std::io::Write as _;
+        let path =
+            std::env::temp_dir().join(format!("bepi_ilu0_{tag}_{}.bepi", std::process::id()));
+        let mut w = ContainerWriter::new(std::fs::File::create(&path).unwrap()).unwrap();
+        w.begin_section(sections::S_INDPTR).unwrap();
+        for &p in a.indptr() {
+            w.write_all(&(p as u64).to_le_bytes()).unwrap();
+        }
+        w.begin_section(sections::S_INDICES).unwrap();
+        for &j in a.indices() {
+            w.write_all(&j.to_le_bytes()).unwrap();
+        }
+        w.begin_section(sections::S_VALUES).unwrap();
+        for &v in a.values() {
+            w.write_all(&v.to_le_bytes()).unwrap();
+        }
+        w.finish().unwrap();
+        let idx = MappedIndex::open(&path).unwrap();
+        // The mapping outlives the directory entry.
+        std::fs::remove_file(&path).unwrap();
+        Csr::from_parts_storage_trusted(
+            a.nrows(),
+            a.ncols(),
+            idx.section::<usize>(sections::S_INDPTR).unwrap().into(),
+            idx.section::<u32>(sections::S_INDICES).unwrap().into(),
+            idx.section::<f64>(sections::S_VALUES).unwrap().into(),
+        )
+        .unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn scatter_kernel_is_bit_identical_to_merge_kernel(a in shaped_dd_strategy()) {
+            assert_matches_reference(&a);
+        }
+
+        #[test]
+        fn refresh_values_is_bit_identical_on_shaped_matrices(a in shaped_dd_strategy(), scale in 0.5f64..2.0) {
+            let ilu = Ilu0::factor(&a).unwrap();
+            let mut b = a.clone();
+            for (p, v) in b.values_mut().iter_mut().enumerate() {
+                *v *= scale + (p % 7) as f64 * 0.01;
+            }
+            // Scaling entries unevenly can break dominance; both paths
+            // must then fail alike.
+            match (ilu.refresh_values(&b), Ilu0::factor(&b)) {
+                (Ok(refreshed), Ok(fresh)) => {
+                    prop_assert_eq!(bits(refreshed.factors().values()), bits(fresh.factors().values()));
+                    prop_assert_eq!(refreshed.factors().indices(), fresh.factors().indices());
+                    prop_assert_eq!(refreshed.diag_pos(), fresh.diag_pos());
+                }
+                (Err(r), Err(f)) => prop_assert_eq!(format!("{r:?}"), format!("{f:?}")),
+                (r, f) => panic!("refresh {r:?}, factor {f:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn shaped_generator_reaches_every_edge() {
+        // The property above is only as good as its inputs: check that
+        // the generator really produces each shape it promises.
+        let mut rng = TestRng::deterministic("shaped_generator_reaches_every_edge");
+        let (mut heavy, mut no_lower, mut no_upper, mut zero_l) = (false, false, false, false);
+        for _ in 0..50 {
+            let a = shaped_dd_matrix(24, &mut rng);
+            let t = a.transpose();
+            for i in 0..24 {
+                let (cols, vals) = a.row(i);
+                let d = cols.binary_search(&(i as u32)).unwrap();
+                heavy |= cols.len() >= 12 && t.row_nnz(i) >= 12;
+                no_lower |= d == 0 && cols.len() > 1;
+                no_upper |= d + 1 == cols.len() && cols.len() > 1;
+                zero_l |= vals[..d].contains(&0.0);
+            }
+        }
+        assert!(heavy && no_lower && no_upper && zero_l);
+    }
+
+    #[test]
+    fn single_row_matrix_matches_reference() {
+        let a = Csr::from_parts(1, 1, vec![0, 1], vec![0], vec![3.0]).unwrap();
+        assert_matches_reference(&a);
+        assert_eq!(Ilu0::factor(&a).unwrap().factors().values(), &[3.0]);
+    }
+
+    #[test]
+    fn mapped_input_is_left_untouched_and_result_is_owned() {
+        let mut rng = TestRng::deterministic("mapped_input");
+        let a = shaped_dd_matrix(40, &mut rng);
+        let mapped = mapped_copy(&a, "factor");
+        assert!(mapped.is_mapped());
+        assert_eq!(mapped.heap_bytes(), 0);
+        let ilu = Ilu0::factor(&mapped).unwrap();
+        let (want, diag_pos) = factor_reference(&a).unwrap();
+        assert_eq!(bits(ilu.factors().values()), bits(&want));
+        assert_eq!(ilu.diag_pos(), &diag_pos[..]);
+        // Copy-on-write: the factor values moved to the heap, the mapped
+        // input still holds A, and the pattern is shared, not copied.
+        assert_eq!(bits(mapped.values()), bits(a.values()));
+        assert_ne!(bits(ilu.factors().values()), bits(a.values()));
+        assert_eq!(ilu.factors().heap_bytes(), a.nnz() * 8);
+        assert_eq!(
+            ilu.factors().mapped_bytes(),
+            mapped.mapped_bytes() - a.nnz() * 8
+        );
+        // A refresh on mapped-pattern factors shares the pattern again.
+        let refreshed = ilu.refresh_values(&mapped).unwrap();
+        assert_eq!(bits(refreshed.factors().values()), bits(&want));
+        assert_eq!(
+            refreshed.factors().mapped_bytes(),
+            ilu.factors().mapped_bytes()
+        );
+    }
+
+    #[test]
+    fn zero_pivot_is_reported_for_the_same_row_by_both_kernels() {
+        // Elimination zeroes the pivot of row 1: a11 − (4/2)·1 = 0.
+        let a = Csr::from_parts(
+            3,
+            3,
+            vec![0, 2, 4, 7],
+            vec![0, 1, 0, 1, 0, 1, 2],
+            vec![2.0, 1.0, 4.0, 2.0, 1.0, 1.0, 1.0],
+        )
+        .unwrap();
+        assert!(matches!(
+            Ilu0::factor(&a),
+            Err(SparseError::ZeroDiagonal { row: 1 })
+        ));
+        assert_matches_reference(&a);
+        // A diagonal stored as an explicit 0.0 fails at its own row,
+        // before any later row divides by it.
+        let b = Csr::from_parts(
+            2,
+            2,
+            vec![0, 2, 4],
+            vec![0, 1, 0, 1],
+            vec![0.0, 1.0, 1.0, 1.0],
+        )
+        .unwrap();
+        assert!(matches!(
+            Ilu0::factor(&b),
+            Err(SparseError::ZeroDiagonal { row: 0 })
+        ));
+        assert_matches_reference(&b);
+    }
 
     fn dd_matrix(n: usize) -> Csr {
         // Deterministic strictly diagonally dominant sparse matrix.
@@ -366,6 +671,25 @@ mod tests {
             Ilu0::factor(&coo.to_csr()),
             Err(SparseError::ZeroDiagonal { .. })
         ));
+    }
+
+    #[test]
+    fn missing_diagonal_is_rejected_before_any_arithmetic() {
+        // Row 1 would hit a zero pivot during elimination, but row 2 has
+        // no diagonal in its pattern: the pattern error wins.
+        let a = Csr::from_parts(
+            3,
+            3,
+            vec![0, 2, 4, 5],
+            vec![0, 1, 0, 1, 0],
+            vec![2.0, 1.0, 4.0, 2.0, 1.0],
+        )
+        .unwrap();
+        assert!(matches!(
+            Ilu0::factor(&a),
+            Err(SparseError::ZeroDiagonal { row: 2 })
+        ));
+        assert_matches_reference(&a);
     }
 
     #[test]

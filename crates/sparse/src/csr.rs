@@ -342,6 +342,36 @@ impl Csr {
         self.values.to_mut()
     }
 
+    /// A matrix with this one's pattern and the given values. A mapped
+    /// pattern is shared (a handle clone, no copy); an owned one is copied.
+    ///
+    /// # Errors
+    /// [`SparseError::VectorLength`] unless `values.len() == self.nnz()`.
+    pub fn with_values(&self, values: Vec<f64>) -> Result<Self> {
+        if values.len() != self.nnz() {
+            return Err(SparseError::VectorLength {
+                expected: self.nnz(),
+                actual: values.len(),
+            });
+        }
+        Ok(Self {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            indptr: self.indptr.clone(),
+            indices: self.indices.clone(),
+            values: values.into(),
+        })
+    }
+
+    /// The pattern (`indptr`, `indices`) beside mutable values, as three
+    /// disjoint slices — for kernels that rewrite values in place while
+    /// reading the structure (e.g. ILU(0)). Copy-on-write for a mapped
+    /// value array, like [`Csr::values_mut`]; the pattern is never copied.
+    #[inline]
+    pub fn pattern_and_values_mut(&mut self) -> (&[usize], &[u32], &mut [f64]) {
+        (&self.indptr, &self.indices, self.values.to_mut())
+    }
+
     /// The column indices and values of row `i`.
     #[inline]
     pub fn row(&self, i: usize) -> (&[u32], &[f64]) {

@@ -11,6 +11,8 @@
 //! disjoint element ranges, which is trivially deterministic.
 
 use bepi_par::DETERMINISTIC_CHUNK;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Minimum vector length before a dense kernel fans out to threads.
 const PAR_VEC_MIN_LEN: usize = 65_536;
@@ -147,20 +149,62 @@ pub fn normalize(x: &mut [f64]) -> f64 {
     n
 }
 
+/// A candidate in [`top_k_indices`], ordered so that `Less` means
+/// "ranks first": score descending (incomparable scores tie), then index
+/// ascending.
+struct Ranked {
+    score: f64,
+    index: usize,
+}
+
+impl Ord for Ranked {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .score
+            .partial_cmp(&self.score)
+            .unwrap_or(Ordering::Equal)
+            .then(self.index.cmp(&other.index))
+    }
+}
+
+impl PartialOrd for Ranked {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Ranked {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Ranked {}
+
 /// Indices of the `k` largest entries, descending, ties broken by index.
 ///
 /// This is the "top-k ranking" operation of Figure 2: turn an RWR score
-/// vector into a ranked node list.
+/// vector into a ranked node list. A bounded selection: one pass keeps
+/// the best `min(k, n)` candidates in a heap whose top is the worst of
+/// them, so a candidate that does not make the cut costs one comparison —
+/// `O(n + k log k)` on typical score vectors, `O(n log k)` at worst, and
+/// `k` slots of memory instead of `n`.
 pub fn top_k_indices(scores: &[f64], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
-    idx.sort_by(|&a, &b| {
-        scores[b]
-            .partial_cmp(&scores[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    idx.truncate(k);
-    idx
+    let mut best = BinaryHeap::with_capacity(k.min(scores.len()));
+    for (index, &score) in scores.iter().enumerate() {
+        let candidate = Ranked { score, index };
+        if best.len() < k {
+            best.push(candidate);
+        } else if let Some(mut worst) = best.peek_mut() {
+            if candidate < *worst {
+                *worst = candidate;
+            }
+        }
+    }
+    best.into_sorted_vec()
+        .into_iter()
+        .map(|r| r.index)
+        .collect()
 }
 
 #[cfg(test)]
@@ -241,5 +285,19 @@ mod tests {
         assert_eq!(top_k_indices(&scores, 3), vec![3, 1, 2]);
         assert_eq!(top_k_indices(&scores, 10), vec![3, 1, 2, 0, 4]);
         assert_eq!(top_k_indices(&scores, 0), Vec::<usize>::new());
+        assert_eq!(top_k_indices(&[], 3), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn top_k_survives_nan_scores() {
+        // NaN compares equal to everything, so no order is promised —
+        // only k distinct in-range indices and no panic.
+        let scores = [0.3, f64::NAN, 0.7, f64::NAN, 0.1];
+        let mut got = top_k_indices(&scores, 3);
+        assert_eq!(got.len(), 3);
+        got.sort_unstable();
+        got.dedup();
+        assert_eq!(got.len(), 3);
+        assert!(got.iter().all(|&i| i < scores.len()));
     }
 }

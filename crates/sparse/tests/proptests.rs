@@ -61,6 +61,20 @@ fn permutation_strategy(n: usize) -> impl Strategy<Value = Permutation> {
     })
 }
 
+/// The full sort `top_k_indices` used before it became a selection, kept
+/// as the oracle: score descending, ties by index ascending.
+fn top_k_by_full_sort(scores: &[f64], k: usize) -> Vec<usize> {
+    let mut idx: Vec<usize> = (0..scores.len()).collect();
+    idx.sort_by(|&a, &b| {
+        scores[b]
+            .partial_cmp(&scores[a])
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then(a.cmp(&b))
+    });
+    idx.truncate(k);
+    idx
+}
+
 proptest! {
     #[test]
     fn coo_csr_dense_roundtrip(coo in coo_strategy(12, 40)) {
@@ -186,6 +200,31 @@ proptest! {
         for (r, c, v) in b21.iter() {
             prop_assert_eq!(a.get(r + s, c), v);
         }
+    }
+
+    // Selection must return exactly the head of the full sort, ties and
+    // duplicates included, for every k.
+    #[test]
+    fn top_k_matches_full_sort_oracle(
+        // Scores drawn from a handful of levels, so ties are the rule;
+        // `levels = 1` is the all-equal vector.
+        (scores, k) in (1usize..6, 0usize..60).prop_flat_map(|(levels, n)| {
+            let score = (0..levels).prop_map(|l| [0.25, -1.0, 0.0, -0.0, 3.5][l]);
+            (proptest::collection::vec(score, n..=n), 0usize..n + 6)
+        }),
+    ) {
+        let n = scores.len();
+        for k in [0, 1, n, n + 5, k] {
+            prop_assert_eq!(vecops::top_k_indices(&scores, k), top_k_by_full_sort(&scores, k), "k = {}", k);
+        }
+    }
+
+    #[test]
+    fn top_k_matches_full_sort_oracle_on_distinct_scores(
+        scores in proptest::collection::vec(-1.0f64..1.0, 0..200),
+        k in 0usize..210,
+    ) {
+        prop_assert_eq!(vecops::top_k_indices(&scores, k), top_k_by_full_sort(&scores, k));
     }
 
     #[test]

@@ -1,0 +1,116 @@
+#!/usr/bin/env bash
+# Alternating parent/change pairs over benchmark/run.sh — the measurement
+# ROADMAP demands of every claimed gain: drift on a shared host is larger
+# than most gains, so the two sides are run back to back, the order
+# flipped every pair, and the verdict read from wins and quartiles.
+#
+#   scripts/bench_pairs.sh <parent-ref> [--workload W] [--pairs N]
+#
+# The change is this working tree; the parent is `git archive <parent-ref>`
+# unpacked under a temp dir with its own target directory. Each pair runs
+#   benchmark/run.sh --workload W --seed <pair> --seconds 16 --trace 0
+# from both trees. Defaults: exact-cold, 10 pairs. Nothing is reported if
+# any run failed or answered wrongly. Not part of ci.sh.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+usage() {
+    echo "usage: scripts/bench_pairs.sh <parent-ref> [--workload W] [--pairs N]" >&2
+    exit 2
+}
+
+[ $# -ge 1 ] || usage
+parent_ref=$1
+shift
+workload=exact-cold
+pairs=10
+while [ $# -gt 0 ]; do
+    case $1 in
+    --workload) workload=${2:?--workload needs a value} ;;
+    --pairs) pairs=${2:?--pairs needs a value} ;;
+    *) usage ;;
+    esac
+    shift 2
+done
+case $pairs in '' | *[!0-9]* | 0) usage ;; esac
+
+# name:direction, in the order BENCHMARK.json declares them.
+metrics="setup_s:lower index_bytes:lower query_p50_ms:lower sat_qps:higher"
+
+change=$(pwd)
+change_target=${CARGO_TARGET_DIR:-$change/target}
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+parent=$tmp/parent
+mkdir "$parent"
+git archive "$parent_ref" | tar -x -C "$parent"
+
+# run_side <tree> <target-dir> <args...>: benchmark/run.sh from that tree.
+run_side() {
+    local tree=$1 target=$2
+    shift 2
+    (cd "$tree" && CARGO_TARGET_DIR=$target benchmark/run.sh "$@")
+}
+
+echo "building parent ($parent_ref) and change" >&2
+run_side "$parent" "$tmp/target" help >/dev/null
+run_side "$change" "$change_target" help >/dev/null
+
+# measure <side> <pair>: one run; appends each metric to $tmp/<metric>.<side>.
+measure() {
+    local side=$1 pair=$2 tree target line
+    case $side in
+    parent) tree=$parent target=$tmp/target ;;
+    change) tree=$change target=$change_target ;;
+    esac
+    if ! line=$(run_side "$tree" "$target" --workload "$workload" --seed "$pair" \
+        --seconds 16 --trace 0 2>"$tmp/stderr" | tail -n 1); then
+        cat "$tmp/stderr" >&2
+        echo "bench_pairs: $side run of pair $pair failed; nothing reported" >&2
+        exit 1
+    fi
+    case $line in
+    '{"correct":true,'*'"failed":0,'*) ;;
+    *)
+        echo "bench_pairs: $side run of pair $pair was not clean; nothing reported: $line" >&2
+        exit 1
+        ;;
+    esac
+    local m name
+    for m in $metrics; do
+        name=${m%%:*}
+        sed -n "s/.*\"$name\":{\"value\":\([^,}]*\).*/\1/p" <<<"$line" >>"$tmp/$name.$side"
+    done
+}
+
+for pair in $(seq 1 "$pairs"); do
+    if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+    for side in $order; do measure "$side" "$pair"; done
+    printf 'pair %2d (%s first)' "$pair" "${order%% *}"
+    for m in $metrics; do
+        name=${m%%:*}
+        printf '  %s %s -> %s' "$name" "$(tail -n 1 "$tmp/$name.parent")" "$(tail -n 1 "$tmp/$name.change")"
+    done
+    printf '\n'
+done
+
+# quartiles <file>: "q1 median q3", linear interpolation between ranks.
+quartiles() {
+    sort -g "$1" | awk '
+        { v[NR] = $1 }
+        function q(p,   h, lo) { h = (NR - 1) * p + 1; lo = int(h); return v[lo] + (h - lo) * (v[lo < NR ? lo + 1 : lo] - v[lo]) }
+        END { printf "%.9g %.9g %.9g\n", q(0.25), q(0.5), q(0.75) }'
+}
+
+echo
+echo "$workload, $pairs pairs, parent $parent_ref -> change (working tree)"
+for m in $metrics; do
+    name=${m%%:*}
+    read -r wins losses < <(paste "$tmp/$name.parent" "$tmp/$name.change" | awk -v dir="${m##*:}" '
+        { d = (dir == "lower") ? $1 - $2 : $2 - $1; if (d > 0) w++; else if (d < 0) l++ }
+        END { print w + 0, l + 0 }')
+    read -r pq1 pmed pq3 < <(quartiles "$tmp/$name.parent")
+    read -r cq1 cmed cq3 < <(quartiles "$tmp/$name.change")
+    printf '%-13s change wins %d/%d (loses %d)  parent %s [%s, %s]  change %s [%s, %s]\n' \
+        "$name" "$wins" "$pairs" "$losses" "$pmed" "$pq1" "$pq3" "$cmed" "$cq1" "$cq3"
+done
