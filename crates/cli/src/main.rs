@@ -39,7 +39,6 @@ struct Options {
     labels: bool,
     embed_graph: bool,
     threads: Option<usize>,
-    format: Option<u32>,
     mmap: bool,
     method: QueryMethod,
     walks: usize,
@@ -61,7 +60,6 @@ impl Default for Options {
             labels: false,
             embed_graph: false,
             threads: None,
-            format: None,
             mmap: false,
             method: QueryMethod::Bepi,
             walks: approx.walks,
@@ -69,15 +67,6 @@ impl Default for Options {
             epsilon: 1e-6,
             epoch: 0,
         }
-    }
-}
-
-fn parse_format(value: &str) -> Result<u32, String> {
-    match value.trim_start_matches('v') {
-        "4" => Ok(4),
-        "5" => Ok(5),
-        "6" => Ok(6),
-        _ => Err(format!("bad --format: {value} (expected v4, v5 or v6)")),
     }
 }
 
@@ -101,9 +90,8 @@ const USAGE: &str = "usage:
   bepi community  <edges.txt> <seed> [--max-size N] [common flags]
   bepi stats      <edges.txt|index.bepi> [--mmap] [common flags]
   bepi select-k   <edges.txt> [--c C]
-  bepi preprocess <edges.txt> <out.bepi> [--embed-graph] [--format V] [common flags]
-  bepi convert    <in.bepi> <out.bepi> [--format V]      (re-encode an index;
-                  default target v6, written atomically via temp + rename)
+  bepi preprocess <edges.txt> <out.bepi> [--embed-graph] [--format v6] [common flags]
+                  (writes a v6 index atomically: temp file, fsync, rename)
   bepi serve      <index.bepi> <seed> [--top K] [--mmap] (one-shot query)
   bepi serve      <index.bepi> --listen ADDR [--mmap] [--threads N]
                   [--cache-entries M]
@@ -152,15 +140,14 @@ common flags:
                    label mapping is not stored in the .bepi index.
   --embed-graph    preprocess: also store the adjacency inside the index,
                    making it live-update capable when served
-  --format V       preprocess/convert: index format version — v4 (streamed),
-                   v5 (streamed + embedded graph), v6 (memory-mappable
-                   section container; persists the ILU factors, supports
-                   --mmap serving). Default: v4, or v5 with --embed-graph;
-                   convert defaults to v6
-  --mmap           serve/stats: open a v6 index as a shared read-only memory
+  --format v6      preprocess: the index format; v6 (the memory-mappable
+                   section container, ILU factors included) is the only
+                   one, so the flag is optional. Indexes written in older
+                   formats are rejected: re-run preprocess to rebuild them
+  --mmap           serve/stats: open the index as a shared read-only memory
                    map and serve zero-copy from the page cache (instant
-                   startup, index pages shared across processes). Pre-v6
-                   indexes fall back to a heap load with a warning
+                   startup, index pages shared across processes); without
+                   it the index is loaded onto the heap
 
 serve daemon flags (with --listen):
   --listen ADDR    bind address, e.g. 127.0.0.1:7462 (port 0 picks an
@@ -334,12 +321,6 @@ fn run() -> Result<(), String> {
             let opts = parse_opts(rest)?;
             cmd_preprocess(path, out, &opts)
         }
-        "convert" => {
-            let (input, rest) = rest.split_first().ok_or("missing input index path")?;
-            let (out, rest) = rest.split_first().ok_or("missing output index path")?;
-            let opts = parse_opts(rest)?;
-            cmd_convert(input, out, &opts)
-        }
         "serve" => {
             let (index, rest) = rest.split_first().ok_or("missing index path")?;
             if rest.first().is_some_and(|a| a.starts_with("--")) {
@@ -405,7 +386,13 @@ fn parse_opts(mut rest: &[String]) -> Result<Options, String> {
                         .map_err(|_| format!("bad --max-size: {value}"))?,
                 )
             }
-            "--format" => o.format = Some(parse_format(value)?),
+            "--format" => {
+                if value.trim_start_matches('v') != "6" {
+                    return Err(format!(
+                        "bad --format: {value} (v6 is the only index format)"
+                    ));
+                }
+            }
             "--method" => {
                 o.method = match value.as_str() {
                     "bepi" => QueryMethod::Bepi,
@@ -702,16 +689,15 @@ fn print_memory_report(solver: &BePi) {
 /// `VmHWM`-style peak counters, which charge every mapped page that was
 /// ever resident.
 fn cmd_index_stats(path: &str, o: &Options) -> Result<(), String> {
-    let version = bepi_core::persist::file_format_version(path).map_err(|e| e.to_string())?;
     let rss_before = resident_bytes();
-    let (solver, graph, mapped) = load_index(path, o.mmap)?;
+    let (solver, graph) = load_index(path, o.mmap)?;
     let rss_after = resident_bytes();
     let s = solver.stats();
     println!("index            {path}");
-    println!("format           v{version}");
+    println!("format           v{}", bepi_core::persist::VERSION_MAPPED);
     println!(
         "backing          {}",
-        if mapped { "memory-mapped" } else { "heap" }
+        if o.mmap { "memory-mapped" } else { "heap" }
     );
     println!("nodes            {}", solver.node_count());
     println!("n1 / n2 / n3     {} / {} / {}", s.n1, s.n2, s.n3);
@@ -800,34 +786,6 @@ fn cmd_select_k(path: &str, o: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Persists `solver` to `out` in the requested format version.
-fn save_index(
-    solver: &BePi,
-    graph: Option<&Graph>,
-    out: &str,
-    format: u32,
-    embed_graph: bool,
-) -> Result<(), String> {
-    use bepi_core::persist;
-    match (format, embed_graph) {
-        (4, false) => persist::save_file(solver, out).map_err(|e| e.to_string()),
-        (4, true) => Err("--format v4 cannot embed the graph (use v5 or v6)".into()),
-        (5, _) => {
-            let g = graph.ok_or("--format v5 always embeds the graph, but none is available")?;
-            persist::save_file_with_graph(solver, g, out).map_err(|e| e.to_string())
-        }
-        (6, embed) => {
-            let g = if embed {
-                Some(graph.ok_or("--embed-graph requested but no graph is available")?)
-            } else {
-                None
-            };
-            persist::save_file_v6(solver, g, out).map_err(|e| e.to_string())
-        }
-        (v, _) => Err(format!("unsupported --format v{v}")),
-    }
-}
-
 fn cmd_preprocess(path: &str, out: &str, o: &Options) -> Result<(), String> {
     if o.labels {
         return Err("preprocess/serve work with integer node ids (the label \
@@ -836,19 +794,10 @@ fn cmd_preprocess(path: &str, out: &str, o: &Options) -> Result<(), String> {
     }
     let loaded = load(path, o)?;
     let solver = preprocess(&loaded.graph, o)?;
-    // Default format: v4, or v5 when the graph rides along.
-    let format = o.format.unwrap_or(if o.embed_graph { 5 } else { 4 });
-    // v5 always embeds; for v6 the graph is optional and follows the flag.
-    let embed = o.embed_graph || format == 5;
-    save_index(
-        &solver,
-        Some(&loaded.graph),
-        out,
-        format,
-        embed && format != 5,
-    )?;
+    let graph = o.embed_graph.then_some(&loaded.graph);
+    bepi_core::persist::save_file_v6(&solver, graph, out).map_err(|e| e.to_string())?;
     println!(
-        "preprocessed {} nodes / {} edges into {out} (format v{format}, {}{})",
+        "preprocessed {} nodes / {} edges into {out} (format v6, {}{})",
         loaded.graph.n(),
         loaded.graph.m(),
         format_bytes(
@@ -856,7 +805,7 @@ fn cmd_preprocess(path: &str, out: &str, o: &Options) -> Result<(), String> {
                 .map(|m| m.len() as usize)
                 .unwrap_or(0)
         ),
-        if embed {
+        if o.embed_graph {
             ", graph embedded: live-update capable"
         } else {
             ""
@@ -866,66 +815,16 @@ fn cmd_preprocess(path: &str, out: &str, o: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// Re-encodes an existing index in another format version (default v6).
-/// The output is written to a temporary file in the destination
-/// directory and atomically renamed into place, so a crash mid-convert
-/// leaves the source untouched and never a half-written destination.
-fn cmd_convert(input: &str, out: &str, o: &Options) -> Result<(), String> {
-    let source_version =
-        bepi_core::persist::file_format_version(input).map_err(|e| e.to_string())?;
-    let (solver, graph) =
-        bepi_core::persist::load_file_with_graph(input).map_err(|e| e.to_string())?;
-    let format = o.format.unwrap_or(6);
-    let tmp = format!("{out}.tmp.{}", std::process::id());
-    let embed = graph.is_some();
-    save_index(&solver, graph.as_ref(), &tmp, format, embed).map_err(|e| {
-        std::fs::remove_file(&tmp).ok();
-        e
-    })?;
-    std::fs::rename(&tmp, out).map_err(|e| {
-        std::fs::remove_file(&tmp).ok();
-        format!("renaming {tmp} into place: {e}")
-    })?;
-    println!(
-        "converted {input} (v{source_version}) -> {out} (v{format}, {}{})",
-        format_bytes(
-            std::fs::metadata(out)
-                .map(|m| m.len() as usize)
-                .unwrap_or(0)
-        ),
-        if embed {
-            ", graph embedded"
-        } else {
-            ", no embedded graph"
-        }
-    );
-    Ok(())
-}
-
-/// Loads an index for serving, honoring `--mmap`: v6 files are opened as
-/// a shared read-only mapping; older formats fall back to a heap load
-/// with a logged warning. Returns whether the mapped path was taken.
-fn load_index(index: &str, mmap: bool) -> Result<(BePi, Option<Graph>, bool), String> {
+/// Loads an index for serving: with `--mmap` as a shared read-only
+/// mapping, otherwise onto the heap.
+fn load_index(index: &str, mmap: bool) -> Result<(BePi, Option<Graph>), String> {
     use bepi_core::persist;
-    if mmap {
-        let version = persist::file_format_version(index).map_err(|e| e.to_string())?;
-        if version >= 6 {
-            let (solver, graph) = persist::load_mapped_file(index).map_err(|e| e.to_string())?;
-            return Ok((solver, graph, true));
-        }
-        bepi_obs::warn!(
-            "index",
-            "non-mappable index format, falling back to heap load",
-            path = index,
-            version = version
-        );
-        eprintln!(
-            "warning: {index} is format v{version}, not mappable; loading on the heap \
-             (convert to v6 for --mmap serving)"
-        );
-    }
-    let (solver, graph) = persist::load_file_with_graph(index).map_err(|e| e.to_string())?;
-    Ok((solver, graph, false))
+    let loaded = if mmap {
+        persist::load_mapped_file(index)
+    } else {
+        persist::load_file_with_graph(index)
+    };
+    loaded.map_err(|e| e.to_string())
 }
 
 fn cmd_serve_daemon(index: &str, flags: &[String]) -> Result<(), String> {
@@ -1021,12 +920,12 @@ fn cmd_serve_daemon(index: &str, flags: &[String]) -> Result<(), String> {
     }
     cfg.listen = listen.ok_or("daemon mode needs --listen ADDR")?;
 
-    let (solver, embedded, mapped) = load_index(index, mmap)?;
+    let (solver, embedded) = load_index(index, mmap)?;
     let nodes = solver.node_count();
     let solver_config = *solver.config();
 
     // The rebuild pipeline needs the original adjacency: either embedded
-    // in a v3 index (`preprocess --embed-graph`) or given via --graph.
+    // in the index (`preprocess --embed-graph`) or given via --graph.
     // The embedded copy wins when both are present: checkpoints embed the
     // graph *with* all applied WAL updates, so restarting on the same
     // flags after a rebuild must not resurrect a stale edge list (the
@@ -1065,8 +964,8 @@ fn cmd_serve_daemon(index: &str, flags: &[String]) -> Result<(), String> {
                     auto_flush_threshold: auto_flush,
                     wal_path: wal.as_ref().map(PathBuf::from),
                     checkpoint_path,
-                    // --mmap also upgrades checkpoints to the mappable
-                    // v6 format and re-maps them after each rebuild.
+                    // --mmap also re-maps each checkpoint and serves
+                    // the mapped copy after every rebuild.
                     mmap_checkpoints: mmap,
                     approx: approx_cfg,
                 },
@@ -1091,7 +990,7 @@ fn cmd_serve_daemon(index: &str, flags: &[String]) -> Result<(), String> {
          queue depth {}, timeout {:?}; {}, graph version {})",
         handle.local_addr(),
         nodes,
-        if mapped { "memory-mapped" } else { "heap" },
+        if mmap { "memory-mapped" } else { "heap" },
         cfg.cache_entries,
         cfg.queue_depth,
         cfg.timeout,
@@ -1302,8 +1201,8 @@ fn cmd_route(index: Option<&str>, flags: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(index: &str, seed_s: &str, o: &Options) -> Result<(), String> {
-    let (solver, _graph, mapped) = load_index(index, o.mmap)?;
-    if mapped {
+    let (solver, _graph) = load_index(index, o.mmap)?;
+    if o.mmap {
         // One-shot queries have no startup-latency story, so run the
         // payload CRC pass the zero-copy open skips: a corrupt section
         // becomes a typed error here instead of a solver panic below.
@@ -1320,7 +1219,7 @@ fn cmd_serve(index: &str, seed_s: &str, o: &Options) -> Result<(), String> {
     println!(
         "# loaded index of {} nodes ({}), seed {}, {} inner iterations",
         solver.node_count(),
-        if mapped { "memory-mapped" } else { "heap" },
+        if o.mmap { "memory-mapped" } else { "heap" },
         seed_s,
         r.iterations
     );

@@ -105,7 +105,6 @@ fn help_lists_every_subcommand_dispatched() {
         "stats",
         "select-k",
         "preprocess",
-        "convert",
         "serve",
         "route",
         "help",
@@ -116,16 +115,20 @@ fn help_lists_every_subcommand_dispatched() {
         );
     }
 
-    // The converse for the one subcommand that was removed: performance
-    // is measured by `benchmark/`, not by the CLI.
-    let out = Command::new(env!("CARGO_BIN_EXE_bepi"))
-        .args(["bench", "--quick"])
-        .output()
-        .expect("run the removed subcommand");
-    assert!(!out.status.success(), "`bench` must be rejected");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains("unknown subcommand: bench"),
-        "unexpected stderr: {stderr}"
-    );
+    // The converse for the subcommands that were removed: performance is
+    // measured by `benchmark/`, not by the CLI, and v6 is the only index
+    // format, so there is nothing to convert.
+    for (sub, args) in [("bench", ["--quick"]), ("convert", ["in.bepi"])] {
+        let out = Command::new(env!("CARGO_BIN_EXE_bepi"))
+            .arg(sub)
+            .args(args)
+            .output()
+            .expect("run the removed subcommand");
+        assert!(!out.status.success(), "`{sub}` must be rejected");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown subcommand: {sub}")),
+            "unexpected stderr: {stderr}"
+        );
+    }
 }

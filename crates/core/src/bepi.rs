@@ -159,8 +159,7 @@ pub struct PreprocessStats {
     pub s_nnz: usize,
     /// Non-zeros of the inverted block factors `|L1^{-1}| + |U1^{-1}|`.
     pub h11_inv_nnz: usize,
-    /// Per-phase wall-time breakdown, in pipeline order (empty when the
-    /// instance was loaded from a pre-v4 index file).
+    /// Per-phase wall-time breakdown, in pipeline order.
     pub phases: Vec<PhaseTiming>,
 }
 
@@ -240,9 +239,9 @@ pub(crate) struct RawParts {
     pub n3: usize,
     pub h11_lu: BlockLu,
     pub s: Csr,
-    /// Pre-built ILU(0) factors, when the index persisted them (format
-    /// v6). `None` means: rebuild whatever preconditioner the config
-    /// calls for from `S`.
+    /// Pre-built ILU(0) factors, when the index persisted them. `None`
+    /// means: rebuild whatever preconditioner the config calls for from
+    /// `S`.
     pub ilu: Option<Ilu0>,
     pub h12: Csr,
     pub h21: Csr,
@@ -305,8 +304,8 @@ impl BePi {
     /// The symbolic plan captured by this instance's preprocessing run —
     /// everything the incremental refactor path needs to rebuild the
     /// numeric factors without re-running the reordering pipeline. Every
-    /// field is persisted by format v4+, so a plan survives a save/load
-    /// round-trip (including mapped loads) for free.
+    /// field is persisted in the index file, so a plan survives a
+    /// save/load round-trip (heap or mapped) for free.
     pub fn symbolic_plan(&self) -> SymbolicPlan {
         SymbolicPlan {
             perm: self.perm.clone(),
@@ -538,90 +537,10 @@ impl BePi {
         (&self.h12, &self.h21, &self.h31, &self.h32)
     }
 
-    /// Serializes everything needed to reconstruct the instance
-    /// (persistence support; see [`crate::persist`]).
-    pub(crate) fn write_parts<W: std::io::Write>(
-        &self,
-        w: &mut W,
-        with_phases: bool,
-    ) -> Result<()> {
-        use crate::persist as p;
-        p::write_config(w, &self.config)?;
-        p::write_permutation(w, &self.perm)?;
-        p::write_u64(w, self.n1 as u64)?;
-        p::write_u64(w, self.n2 as u64)?;
-        p::write_u64(w, self.n3 as u64)?;
-        p::write_usize_slice(w, &self.h11_lu.block_sizes)?;
-        p::write_csr(w, &self.h11_lu.l_inv)?;
-        p::write_csr(w, &self.h11_lu.u_inv)?;
-        p::write_csr(w, &self.s)?;
-        p::write_csr(w, &self.h12)?;
-        p::write_csr(w, &self.h21)?;
-        p::write_csr(w, &self.h31)?;
-        p::write_csr(w, &self.h32)?;
-        // Stats worth persisting (elapsed is a fresh-run property).
-        p::write_u64(w, self.stats.slashburn_iterations as u64)?;
-        if with_phases {
-            // Format v4+: the per-phase preprocessing time breakdown.
-            p::write_f64(w, self.stats.elapsed.as_secs_f64())?;
-            p::write_u64(w, self.stats.phases.len() as u64)?;
-            for phase in &self.stats.phases {
-                let name = phase.name.as_bytes();
-                p::write_u64(w, name.len() as u64)?;
-                w.write_all(name).map_err(bepi_sparse::SparseError::from)?;
-                p::write_f64(w, phase.seconds)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Reconstructs an instance from [`BePi::write_parts`] output. The
-    /// preconditioner is recomputed from `S` (deterministic, cheap).
-    pub(crate) fn read_parts<R: std::io::Read>(r: &mut R, with_phases: bool) -> Result<Self> {
-        use crate::persist as p;
-        let config = p::read_config(r)?;
-        let perm = p::read_permutation(r)?;
-        let n1 = p::read_u64(r)? as usize;
-        let n2 = p::read_u64(r)? as usize;
-        let n3 = p::read_u64(r)? as usize;
-        let block_sizes = p::read_usize_vec(r)?;
-        let l_inv = p::read_csr(r)?;
-        let u_inv = p::read_csr(r)?;
-        let h11_lu = BlockLu::from_inverse_factors(l_inv, u_inv, block_sizes)?;
-        let s = p::read_csr(r)?;
-        let h12 = p::read_csr(r)?;
-        let h21 = p::read_csr(r)?;
-        let h31 = p::read_csr(r)?;
-        let h32 = p::read_csr(r)?;
-        let slashburn_iterations = p::read_u64(r)? as usize;
-        let (elapsed, phases) = if with_phases {
-            p::read_phases(r)?
-        } else {
-            (Duration::ZERO, Vec::new())
-        };
-        Self::from_raw_parts(RawParts {
-            config,
-            perm,
-            n1,
-            n2,
-            n3,
-            h11_lu,
-            s,
-            ilu: None,
-            h12,
-            h21,
-            h31,
-            h32,
-            slashburn_iterations,
-            elapsed,
-            phases,
-        })
-    }
-
     /// Assembles an instance from persisted components. The
     /// preconditioner comes from `parts.ilu` when the index carried the
-    /// factors (format v6); otherwise it is recomputed from `S`
-    /// (deterministic, so both paths yield bit-identical queries).
+    /// factors; otherwise it is recomputed from `S` (deterministic, so
+    /// both paths yield bit-identical queries).
     pub(crate) fn from_raw_parts(parts: RawParts) -> Result<Self> {
         let RawParts {
             config,

@@ -3,34 +3,24 @@
 //! The economics of a preprocessing method (Section 2.3: "preprocessed
 //! matrices need to be computed just once, and then can be reused") only
 //! materialize if the preprocessed data survives the process. This module
-//! serializes a [`BePi`] instance to a compact little-endian binary format
-//! and restores it bit-for-bit.
+//! persists a [`BePi`] instance in the one index format, v6: the
+//! *memory-mappable* section container from `bepi-map` — a section table
+//! with per-section CRC-32s and 64-byte-aligned little-endian payloads.
 //!
-//! Format (v2): magic `BEPI`, a format version, the config scalars, then
-//! each matrix as `(nrows, ncols, indptr, indices, values)`, and finally a
-//! CRC-32 (IEEE, hand-rolled — no external crates) of every payload byte
-//! between the version field and the trailer. Version 1 files (no
-//! checksum trailer) are still readable.
+//! * [`save_file_v6`] writes an index atomically and durably (temp
+//!   sibling, `fsync`, rename, `fsync` of the directory), so a crash
+//!   leaves either the previous file or the complete new one.
+//! * [`load_mapped_file`] maps the index and serves queries zero-copy
+//!   straight out of the kernel page cache — open time is independent of
+//!   index size; [`verify_mapped_file`] runs the payload CRC pass that
+//!   the open skips.
+//! * [`load`] / [`load_with_graph`] (and their `_file` forms) decode the
+//!   same file onto the heap with every section checksum verified.
 //!
-//! Format v3 ([`save_with_graph`]) appends the original adjacency matrix
-//! after the preprocessed parts, inside the same CRC envelope. A v3 index
-//! is *live-capable*: a daemon can re-preprocess after edge updates
-//! because the graph itself survived the round trip. [`load`] reads all
-//! three versions (discarding the graph); [`load_with_graph`] reports
-//! whether one was embedded.
-//!
-//! Format v6 ([`save_v6`]) is the *memory-mappable* container from
-//! `bepi-map`: a section table with per-section CRC-32s and 64-byte
-//! aligned little-endian payloads, so a daemon can [`load_mapped_file`]
-//! the index and serve queries zero-copy straight out of the kernel page
-//! cache — open time is independent of index size. The same file also
-//! loads on the heap ([`load`] / [`load_with_graph`]), with every
-//! section checksum verified, and both paths produce bit-identical
-//! query results.
-//!
-//! Array lengths in the stream are untrusted: readers never preallocate
-//! more than a fixed bound, so a corrupt length field fails with a clean
-//! parse error instead of aborting on an absurd allocation.
+//! Both load paths share one decoder and produce bit-identical query
+//! results. Files written in the earlier streamed formats (v1–v5) are
+//! rejected with an error naming their version: rebuild them from the
+//! edge list with `bepi preprocess`.
 
 use crate::bepi::{BePi, BePiConfig, PhaseTiming, RawParts};
 use crate::rwr::RwrSolver;
@@ -38,26 +28,12 @@ use bepi_graph::Graph;
 use bepi_map::{sections as sec, ContainerWriter, MapError, MappedIndex, SectionEntry};
 use bepi_solver::Ilu0;
 use bepi_sparse::{Csr, Permutation, Result, SparseError, Storage};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 use std::time::Duration;
 
-const MAGIC: &[u8; 4] = b"BEPI";
-const VERSION: u32 = 4;
-/// Format version for indexes with the adjacency matrix embedded.
-const VERSION_WITH_GRAPH: u32 = 5;
-/// Format version for memory-mappable section-table indexes.
+/// The index format version every save writes and every load accepts.
 pub const VERSION_MAPPED: u32 = bepi_map::VERSION;
-/// Oldest format version `load` still understands.
-const MIN_VERSION: u32 = 1;
-/// Newest format version `load` understands.
-const MAX_VERSION: u32 = 6;
-
-/// Upper bound on speculative preallocation for length-prefixed arrays.
-/// Legitimate arrays larger than this still load — the vector grows as
-/// elements are actually read — but a bogus length field from a corrupt
-/// file can no longer trigger a multi-terabyte `with_capacity`.
-const MAX_PREALLOC_BYTES: usize = 1 << 24;
 
 /// Incremental CRC-32 state (IEEE 802.3). Re-exported from `bepi-map`,
 /// which owns the canonical implementation; sibling crates (the
@@ -69,104 +45,16 @@ pub use bepi_map::Crc32;
 #[cfg(test)]
 pub(crate) use bepi_map::crc32;
 
-/// A writer adapter that checksums everything flowing through it.
-struct CrcWriter<W: Write> {
-    inner: W,
-    crc: Crc32,
-}
-
-impl<W: Write> CrcWriter<W> {
-    fn new(inner: W) -> Self {
-        Self {
-            inner,
-            crc: Crc32::new(),
-        }
-    }
-}
-
-impl<W: Write> Write for CrcWriter<W> {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        let n = self.inner.write(buf)?;
-        self.crc.update(&buf[..n]);
-        Ok(n)
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        self.inner.flush()
-    }
-}
-
-/// A reader adapter that checksums everything flowing through it.
-struct CrcReader<R: Read> {
-    inner: R,
-    crc: Crc32,
-}
-
-impl<R: Read> CrcReader<R> {
-    fn new(inner: R) -> Self {
-        Self {
-            inner,
-            crc: Crc32::new(),
-        }
-    }
-}
-
-impl<R: Read> Read for CrcReader<R> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let n = self.inner.read(buf)?;
-        self.crc.update(&buf[..n]);
-        Ok(n)
-    }
-}
-
-/// Writes a preprocessed instance to a stream (format v4: payload —
-/// including the per-phase preprocessing time breakdown — followed by a
-/// CRC-32 trailer).
-pub fn save<W: Write>(bepi: &BePi, writer: W) -> Result<()> {
-    let mut w = BufWriter::new(writer);
-    w.write_all(MAGIC)?;
-    write_u32(&mut w, VERSION)?;
-    let mut cw = CrcWriter::new(w);
-    bepi.write_parts(&mut cw, true)?;
-    let checksum = cw.crc.finalize();
-    let mut w = cw.inner;
-    write_u32(&mut w, checksum)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Writes a *live-capable* instance (format v5): the preprocessed parts
-/// followed by the original adjacency matrix, all inside the CRC-32
-/// envelope. An index saved this way can be re-preprocessed after edge
-/// updates (see `bepi-live`) because the graph itself is durable.
-pub fn save_with_graph<W: Write>(bepi: &BePi, graph: &Graph, writer: W) -> Result<()> {
-    if graph.n() != bepi.node_count() {
-        return Err(SparseError::ShapeMismatch {
-            left: (graph.n(), graph.n()),
-            right: (bepi.node_count(), bepi.node_count()),
-            op: "persist::save_with_graph (graph vs index node count)",
-        });
-    }
-    let mut w = BufWriter::new(writer);
-    w.write_all(MAGIC)?;
-    write_u32(&mut w, VERSION_WITH_GRAPH)?;
-    let mut cw = CrcWriter::new(w);
-    bepi.write_parts(&mut cw, true)?;
-    write_csr(&mut cw, graph.adjacency())?;
-    let checksum = cw.crc.finalize();
-    let mut w = cw.inner;
-    write_u32(&mut w, checksum)?;
-    w.flush()?;
-    Ok(())
-}
-
-// --- format v6: memory-mappable section container ---
-
 /// Converts a `bepi-map` container error into this crate's error type,
-/// preserving the section-naming message.
+/// preserving the section-naming message. A file of any other format
+/// version gets the one error every entry point reports for it.
 fn from_map_err(e: MapError) -> SparseError {
     match e {
         MapError::Io(msg) => SparseError::Io(msg),
+        MapError::BadVersion { found } => SparseError::Parse(format!(
+            "index format v{found} is not supported (v6 is the only index format): \
+             re-run `bepi preprocess` on the edge list to rebuild it"
+        )),
         other => SparseError::Parse(format!("v6 index: {other}")),
     }
 }
@@ -208,9 +96,9 @@ fn write_csr_sections<W: Write>(
     write_f64s_section(cw, ids.2, m.values())
 }
 
-/// Writes a *memory-mappable* index (format v6): the `bepi-map` section
-/// container with 64-byte-aligned little-endian payloads and per-section
-/// CRC-32s. Unlike v4/v5 this format:
+/// Writes an index (format v6): the `bepi-map` section container with
+/// 64-byte-aligned little-endian payloads and per-section CRC-32s. The
+/// file:
 ///
 /// * can be served zero-copy via [`load_mapped_file`] (open time does
 ///   not depend on index size, pages are shared across processes);
@@ -234,8 +122,8 @@ pub fn save_v6<W: Write>(bepi: &BePi, graph: Option<&Graph>, writer: W) -> Resul
     let mut cw = ContainerWriter::new(BufWriter::new(writer))?;
     let stats = bepi.stats();
 
-    // META: config + partition sizes + run statistics, in the v4 stream
-    // encoding. Small, so the mapped loader verifies its CRC eagerly.
+    // META: config + partition sizes + run statistics as little-endian
+    // scalars. Small, so the mapped loader verifies its CRC eagerly.
     cw.begin_section(sec::META)?;
     write_config(&mut cw, bepi.config())?;
     write_u64(&mut cw, stats.n1 as u64)?;
@@ -304,8 +192,8 @@ pub fn save_v6<W: Write>(bepi: &BePi, graph: Option<&Graph>, writer: W) -> Resul
     )?;
 
     // ILU factors, when the instance built them: persisting the factors
-    // (≈ |S| extra bytes) is what makes v6 open time independent of
-    // index size — a v4/v5 load re-runs the whole elimination.
+    // (≈ |S| extra bytes) is what makes open time independent of index
+    // size — a load never re-runs the elimination.
     if let Some(ilu) = bepi.ilu_parts() {
         write_csr_sections(
             &mut cw,
@@ -326,9 +214,47 @@ pub fn save_v6<W: Write>(bepi: &BePi, graph: Option<&Graph>, writer: W) -> Resul
     Ok(())
 }
 
-/// Convenience: saves a v6 index to a file path.
+/// Saves an index to `path` atomically and durably — the one way an
+/// index file is written. The bytes go to a temp sibling
+/// (`<name>.tmp.<pid>`), which is `fsync`ed and renamed over `path`; an
+/// `fsync` of the parent directory then makes the rename itself durable.
+/// A crash at any instant leaves either the previous file or the
+/// complete new one at `path`, never a torn index. On error the temp
+/// file is removed and `path` is left as it was.
 pub fn save_file_v6<P: AsRef<Path>>(bepi: &BePi, graph: Option<&Graph>, path: P) -> Result<()> {
-    save_v6(bepi, graph, std::fs::File::create(path)?)
+    let path = path.as_ref();
+    let mut tmp_name = path
+        .file_name()
+        .ok_or_else(|| SparseError::Io(format!("{} names no file", path.display())))?
+        .to_os_string();
+    tmp_name.push(format!(".tmp.{}", std::process::id()));
+    let tmp = path.with_file_name(tmp_name);
+    if let Err(e) = write_synced_then_rename(bepi, graph, &tmp, path) {
+        std::fs::remove_file(&tmp).ok();
+        return Err(e);
+    }
+    #[cfg(unix)]
+    {
+        let dir = match path.parent() {
+            Some(d) if !d.as_os_str().is_empty() => d,
+            _ => Path::new("."),
+        };
+        std::fs::File::open(dir)?.sync_all()?;
+    }
+    Ok(())
+}
+
+fn write_synced_then_rename(
+    bepi: &BePi,
+    graph: Option<&Graph>,
+    tmp: &Path,
+    path: &Path,
+) -> Result<()> {
+    let mut file = std::fs::File::create(tmp)?;
+    save_v6(bepi, graph, &mut file)?;
+    file.sync_all()?;
+    std::fs::rename(tmp, path)?;
+    Ok(())
 }
 
 /// Where a v6 section's payload comes from: heap copies decoded from an
@@ -472,8 +398,8 @@ impl SectionSource for MappedSource<'_> {
     }
 }
 
-/// Parses the phase-timing block shared by v4+ streams and v6 META.
-pub(crate) fn read_phases<R: Read>(r: &mut R) -> Result<(Duration, Vec<PhaseTiming>)> {
+/// Parses the phase-timing block of the META section.
+fn read_phases<R: Read>(r: &mut R) -> Result<(Duration, Vec<PhaseTiming>)> {
     let elapsed = Duration::from_secs_f64(read_f64(r)?.max(0.0));
     let count = read_u64(r)? as usize;
     let mut phases = Vec::with_capacity(count.min(64));
@@ -494,7 +420,7 @@ pub(crate) fn read_phases<R: Read>(r: &mut R) -> Result<(Duration, Vec<PhaseTimi
     Ok((elapsed, phases))
 }
 
-fn read_csr_sections<S: SectionSource>(
+fn decode_csr_sections<S: SectionSource>(
     src: &S,
     ids: (u32, u32, u32),
     nrows: usize,
@@ -536,39 +462,39 @@ fn decode_v6<S: SectionSource>(src: &S) -> Result<(BePi, Option<Graph>)> {
         )));
     }
     let block_sizes = src.usizes(sec::BLOCK_SIZES)?.to_vec();
-    let l_inv = read_csr_sections(
+    let l_inv = decode_csr_sections(
         src,
         (sec::L_INV_INDPTR, sec::L_INV_INDICES, sec::L_INV_VALUES),
         n1,
         n1,
     )?;
-    let u_inv = read_csr_sections(
+    let u_inv = decode_csr_sections(
         src,
         (sec::U_INV_INDPTR, sec::U_INV_INDICES, sec::U_INV_VALUES),
         n1,
         n1,
     )?;
     let h11_lu = bepi_solver::BlockLu::from_inverse_factors_trusted(l_inv, u_inv, block_sizes)?;
-    let s = read_csr_sections(src, (sec::S_INDPTR, sec::S_INDICES, sec::S_VALUES), n2, n2)?;
-    let h12 = read_csr_sections(
+    let s = decode_csr_sections(src, (sec::S_INDPTR, sec::S_INDICES, sec::S_VALUES), n2, n2)?;
+    let h12 = decode_csr_sections(
         src,
         (sec::H12_INDPTR, sec::H12_INDICES, sec::H12_VALUES),
         n1,
         n2,
     )?;
-    let h21 = read_csr_sections(
+    let h21 = decode_csr_sections(
         src,
         (sec::H21_INDPTR, sec::H21_INDICES, sec::H21_VALUES),
         n2,
         n1,
     )?;
-    let h31 = read_csr_sections(
+    let h31 = decode_csr_sections(
         src,
         (sec::H31_INDPTR, sec::H31_INDICES, sec::H31_VALUES),
         n3,
         n1,
     )?;
-    let h32 = read_csr_sections(
+    let h32 = decode_csr_sections(
         src,
         (sec::H32_INDPTR, sec::H32_INDICES, sec::H32_VALUES),
         n3,
@@ -576,7 +502,7 @@ fn decode_v6<S: SectionSource>(src: &S) -> Result<(BePi, Option<Graph>)> {
     )?;
 
     let ilu = if src.has(sec::ILU_INDPTR) {
-        let factors = read_csr_sections(
+        let factors = decode_csr_sections(
             src,
             (sec::ILU_INDPTR, sec::ILU_INDICES, sec::ILU_VALUES),
             n2,
@@ -587,7 +513,7 @@ fn decode_v6<S: SectionSource>(src: &S) -> Result<(BePi, Option<Graph>)> {
         None
     };
     let graph = if src.has(sec::GRAPH_INDPTR) {
-        let adj = read_csr_sections(
+        let adj = decode_csr_sections(
             src,
             (sec::GRAPH_INDPTR, sec::GRAPH_INDICES, sec::GRAPH_VALUES),
             n,
@@ -626,9 +552,7 @@ fn decode_v6<S: SectionSource>(src: &S) -> Result<(BePi, Option<Graph>)> {
 /// array payloads are faulted in lazily by the page cache as queries
 /// touch them. `MADV_WILLNEED` is issued for the hot sections (the
 /// `H11` inverse factors and ILU factors, which every query walks) so
-/// the kernel starts readahead immediately. Requires format v6 — older
-/// files fail with a version error; use [`file_format_version`] to
-/// decide between this and the heap loader.
+/// the kernel starts readahead immediately.
 pub fn load_mapped_file<P: AsRef<Path>>(path: P) -> Result<(BePi, Option<Graph>)> {
     let idx = MappedIndex::open(path).map_err(from_map_err)?;
     idx.verify(sec::META).map_err(from_map_err)?;
@@ -664,83 +588,19 @@ pub fn verify_mapped_file<P: AsRef<Path>>(path: P) -> Result<()> {
     idx.verify_all().map_err(from_map_err)
 }
 
-/// Reads the format version of an index file from its 8-byte prefix
-/// (shared by every version since v1), without loading anything.
-pub fn file_format_version<P: AsRef<Path>>(path: P) -> Result<u32> {
-    let mut f = std::fs::File::open(path)?;
-    let mut prefix = [0u8; 8];
-    f.read_exact(&mut prefix)?;
-    if &prefix[..4] != MAGIC {
-        return Err(SparseError::Parse(format!(
-            "not a BePI file (magic {:?})",
-            &prefix[..4]
-        )));
-    }
-    Ok(u32::from_le_bytes(prefix[4..8].try_into().unwrap()))
-}
-
-/// Reads a preprocessed instance from a stream. Accepts every format
-/// version back to v1: v4/v5 carry phase timings (v5 also embeds the
-/// graph, discarded here — use [`load_with_graph`] to keep it), v2/v3 are
-/// checksum-verified without timings, and legacy v1 has no trailer.
+/// Reads a preprocessed instance from a v6 byte stream onto the heap,
+/// discarding any embedded graph (use [`load_with_graph`] to keep it).
 pub fn load<R: Read>(reader: R) -> Result<BePi> {
     load_with_graph(reader).map(|(bepi, _)| bepi)
 }
 
 /// Like [`load`], but also returns the embedded adjacency graph when the
-/// file embeds one (v3/v5; `None` otherwise).
-pub fn load_with_graph<R: Read>(reader: R) -> Result<(BePi, Option<Graph>)> {
-    let mut r = BufReader::new(reader);
-    let mut magic = [0u8; 4];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(SparseError::Parse(format!(
-            "not a BePI file (magic {magic:?})"
-        )));
-    }
-    let version = read_u32(&mut r)?;
-    match version {
-        1 => Ok((BePi::read_parts(&mut r, false)?, None)),
-        VERSION_MAPPED => {
-            // Heap load of a mappable container: slurp the file image,
-            // re-prefix the already consumed magic + version, and decode
-            // with every section checksum verified.
-            let mut buf = Vec::with_capacity(64);
-            buf.extend_from_slice(MAGIC);
-            buf.extend_from_slice(&version.to_le_bytes());
-            r.read_to_end(&mut buf)?;
-            decode_v6(&HeapSource::new(&buf)?)
-        }
-        2..=5 => {
-            let with_phases = version >= 4;
-            let with_graph = version == 3 || version == 5;
-            let mut cr = CrcReader::new(r);
-            let bepi = BePi::read_parts(&mut cr, with_phases)?;
-            let graph = if with_graph {
-                Some(Graph::from_adjacency(read_csr(&mut cr)?)?)
-            } else {
-                None
-            };
-            let computed = cr.crc.finalize();
-            let mut r = cr.inner;
-            let stored = read_u32(&mut r)?;
-            if stored != computed {
-                return Err(SparseError::Parse(format!(
-                    "checksum mismatch: stored {stored:#010x}, computed {computed:#010x} \
-                     (file is corrupt)"
-                )));
-            }
-            Ok((bepi, graph))
-        }
-        v => Err(SparseError::Parse(format!(
-            "unsupported BePI format version {v} (expected {MIN_VERSION}..={MAX_VERSION})"
-        ))),
-    }
-}
-
-/// Convenience: saves to a file path.
-pub fn save_file<P: AsRef<Path>>(bepi: &BePi, path: P) -> Result<()> {
-    save(bepi, std::fs::File::create(path)?)
+/// file embeds one. The whole image is read, every section checksum is
+/// verified, then the sections are decoded into owned arrays.
+pub fn load_with_graph<R: Read>(mut reader: R) -> Result<(BePi, Option<Graph>)> {
+    let mut buf = Vec::new();
+    reader.read_to_end(&mut buf)?;
+    decode_v6(&HeapSource::new(&buf)?)
 }
 
 /// Convenience: loads from a file path.
@@ -748,158 +608,47 @@ pub fn load_file<P: AsRef<Path>>(path: P) -> Result<BePi> {
     load(std::fs::File::open(path)?)
 }
 
-/// Convenience: saves a live-capable (v3) index to a file path.
-pub fn save_file_with_graph<P: AsRef<Path>>(bepi: &BePi, graph: &Graph, path: P) -> Result<()> {
-    save_with_graph(bepi, graph, std::fs::File::create(path)?)
-}
-
 /// Convenience: loads index + optional embedded graph from a file path.
 pub fn load_file_with_graph<P: AsRef<Path>>(path: P) -> Result<(BePi, Option<Graph>)> {
     load_with_graph(std::fs::File::open(path)?)
 }
 
-// --- primitive readers/writers (little endian) ---
+// --- scalar readers/writers (little endian) for the META section ---
 
-pub(crate) fn write_u32<W: Write>(w: &mut W, v: u32) -> Result<()> {
+fn write_u32<W: Write>(w: &mut W, v: u32) -> Result<()> {
     w.write_all(&v.to_le_bytes())?;
     Ok(())
 }
 
-pub(crate) fn read_u32<R: Read>(r: &mut R) -> Result<u32> {
+fn read_u32<R: Read>(r: &mut R) -> Result<u32> {
     let mut b = [0u8; 4];
     r.read_exact(&mut b)?;
     Ok(u32::from_le_bytes(b))
 }
 
-pub(crate) fn write_u64<W: Write>(w: &mut W, v: u64) -> Result<()> {
+fn write_u64<W: Write>(w: &mut W, v: u64) -> Result<()> {
     w.write_all(&v.to_le_bytes())?;
     Ok(())
 }
 
-pub(crate) fn read_u64<R: Read>(r: &mut R) -> Result<u64> {
+fn read_u64<R: Read>(r: &mut R) -> Result<u64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(u64::from_le_bytes(b))
 }
 
-pub(crate) fn write_f64<W: Write>(w: &mut W, v: f64) -> Result<()> {
+fn write_f64<W: Write>(w: &mut W, v: f64) -> Result<()> {
     w.write_all(&v.to_le_bytes())?;
     Ok(())
 }
 
-pub(crate) fn read_f64<R: Read>(r: &mut R) -> Result<f64> {
+fn read_f64<R: Read>(r: &mut R) -> Result<f64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(f64::from_le_bytes(b))
 }
 
-pub(crate) fn write_usize_slice<W: Write>(w: &mut W, s: &[usize]) -> Result<()> {
-    write_u64(w, s.len() as u64)?;
-    for &v in s {
-        write_u64(w, v as u64)?;
-    }
-    Ok(())
-}
-
-/// Caps speculative preallocation: trust `len` only up to
-/// [`MAX_PREALLOC_BYTES`]; beyond that the vector grows as elements are
-/// actually read, so a truncated stream errors before memory does.
-fn bounded_capacity(len: usize, elem_size: usize) -> usize {
-    len.min(MAX_PREALLOC_BYTES / elem_size.max(1))
-}
-
-pub(crate) fn read_usize_vec<R: Read>(r: &mut R) -> Result<Vec<usize>> {
-    let len = read_u64(r)? as usize;
-    let mut out = Vec::with_capacity(bounded_capacity(len, size_of::<usize>()));
-    for _ in 0..len {
-        out.push(read_u64(r)? as usize);
-    }
-    Ok(out)
-}
-
-pub(crate) fn write_u32_slice<W: Write>(w: &mut W, s: &[u32]) -> Result<()> {
-    write_u64(w, s.len() as u64)?;
-    for &v in s {
-        write_u32(w, v)?;
-    }
-    Ok(())
-}
-
-pub(crate) fn read_u32_vec<R: Read>(r: &mut R) -> Result<Vec<u32>> {
-    let len = read_u64(r)? as usize;
-    let mut out = Vec::with_capacity(bounded_capacity(len, size_of::<u32>()));
-    for _ in 0..len {
-        out.push(read_u32(r)?);
-    }
-    Ok(out)
-}
-
-pub(crate) fn write_f64_slice<W: Write>(w: &mut W, s: &[f64]) -> Result<()> {
-    write_u64(w, s.len() as u64)?;
-    for &v in s {
-        write_f64(w, v)?;
-    }
-    Ok(())
-}
-
-pub(crate) fn read_f64_vec<R: Read>(r: &mut R) -> Result<Vec<f64>> {
-    let len = read_u64(r)? as usize;
-    let mut out = Vec::with_capacity(bounded_capacity(len, size_of::<f64>()));
-    for _ in 0..len {
-        out.push(read_f64(r)?);
-    }
-    Ok(out)
-}
-
-pub(crate) fn write_csr<W: Write>(w: &mut W, m: &Csr) -> Result<()> {
-    write_u64(w, m.nrows() as u64)?;
-    write_u64(w, m.ncols() as u64)?;
-    write_usize_slice(w, m.indptr())?;
-    write_u32_slice(w, m.indices())?;
-    write_f64_slice(w, m.values())
-}
-
-pub(crate) fn read_csr<R: Read>(r: &mut R) -> Result<Csr> {
-    let nrows = read_u64(r)? as usize;
-    let ncols = read_u64(r)? as usize;
-    let indptr = read_usize_vec(r)?;
-    // Validate array lengths against the header before reading further:
-    // a CSR always has nrows + 1 row pointers, and the last pointer is
-    // the nnz both remaining arrays must match.
-    if indptr.len() != nrows + 1 {
-        return Err(SparseError::Parse(format!(
-            "corrupt CSR header: {nrows} rows but {} row pointers (expected {})",
-            indptr.len(),
-            nrows + 1
-        )));
-    }
-    let nnz = *indptr.last().unwrap_or(&0);
-    let indices = read_u32_vec(r)?;
-    if indices.len() != nnz {
-        return Err(SparseError::Parse(format!(
-            "corrupt CSR: indptr declares {nnz} nonzeros but {} column indices follow",
-            indices.len()
-        )));
-    }
-    let values = read_f64_vec(r)?;
-    if values.len() != nnz {
-        return Err(SparseError::Parse(format!(
-            "corrupt CSR: indptr declares {nnz} nonzeros but {} values follow",
-            values.len()
-        )));
-    }
-    Csr::from_parts(nrows, ncols, indptr, indices, values)
-}
-
-pub(crate) fn write_permutation<W: Write>(w: &mut W, p: &Permutation) -> Result<()> {
-    write_u32_slice(w, p.new_of_old())
-}
-
-pub(crate) fn read_permutation<R: Read>(r: &mut R) -> Result<Permutation> {
-    Permutation::from_new_of_old(read_u32_vec(r)?)
-}
-
-pub(crate) fn write_config<W: Write>(w: &mut W, c: &BePiConfig) -> Result<()> {
+fn write_config<W: Write>(w: &mut W, c: &BePiConfig) -> Result<()> {
     use crate::bepi::{BePiVariant, InnerSolver, PrecondKind};
     write_u32(
         w,
@@ -930,7 +679,7 @@ pub(crate) fn write_config<W: Write>(w: &mut W, c: &BePiConfig) -> Result<()> {
     write_u64(w, order)
 }
 
-pub(crate) fn read_config<R: Read>(r: &mut R) -> Result<BePiConfig> {
+fn read_config<R: Read>(r: &mut R) -> Result<BePiConfig> {
     use crate::bepi::{BePiVariant, InnerSolver, PrecondKind};
     let variant = match read_u32(r)? {
         0 => BePiVariant::Basic,
@@ -972,12 +721,16 @@ mod tests {
     use crate::prelude::*;
     use bepi_graph::generators;
 
+    fn to_bytes(bepi: &BePi, graph: Option<&Graph>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        save_v6(bepi, graph, &mut buf).unwrap();
+        buf
+    }
+
     fn roundtrip(cfg: &BePiConfig) {
         let g = generators::rmat(7, 500, generators::RmatParams::default(), 61).unwrap();
         let original = BePi::preprocess(&g, cfg).unwrap();
-        let mut buf = Vec::new();
-        save(&original, &mut buf).unwrap();
-        let restored = load(&buf[..]).unwrap();
+        let restored = load(&to_bytes(&original, None)[..]).unwrap();
         assert_eq!(restored.preprocessed_bytes(), original.preprocessed_bytes());
         assert_eq!(restored.schur(), original.schur());
         for seed in [0usize, 31, 100] {
@@ -1016,7 +769,7 @@ mod tests {
         let g = generators::erdos_renyi(100, 400, 5).unwrap();
         let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
         let path = std::env::temp_dir().join("bepi_persist_test.bin");
-        save_file(&original, &path).unwrap();
+        save_file_v6(&original, None, &path).unwrap();
         let restored = load_file(&path).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(
@@ -1028,18 +781,18 @@ mod tests {
     #[test]
     fn rejects_bad_magic_and_version() {
         assert!(load(&b"NOPE"[..]).is_err());
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&99u32.to_le_bytes());
-        assert!(load(&buf[..]).is_err());
+        let g = generators::cycle(10);
+        let mut buf = to_bytes(&BePi::preprocess(&g, &BePiConfig::default()).unwrap(), None);
+        buf[4..8].copy_from_slice(&99u32.to_le_bytes());
+        let err = load(&buf[..]).unwrap_err().to_string();
+        assert!(err.contains("v99"), "{err}");
     }
 
     #[test]
     fn rejects_truncated_stream() {
         let g = generators::cycle(10);
         let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
-        let mut buf = Vec::new();
-        save(&original, &mut buf).unwrap();
+        let mut buf = to_bytes(&original, None);
         buf.truncate(buf.len() / 2);
         assert!(load(&buf[..]).is_err());
     }
@@ -1060,18 +813,16 @@ mod tests {
     fn detects_single_byte_corruption() {
         let g = generators::cycle(10);
         let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
-        let mut buf = Vec::new();
-        save(&original, &mut buf).unwrap();
-        // Flip one bit in several payload positions. Every corruption must
-        // be rejected — by a parse error or, where the mangled bytes still
-        // parse, by the checksum trailer.
-        let payload = 8..buf.len() - 4;
-        for pos in [
-            payload.start,
-            payload.start + payload.len() / 3,
-            payload.start + payload.len() / 2,
-            payload.end - 1,
-        ] {
+        let buf = to_bytes(&original, Some(&g));
+        let first = bepi_map::parse_layout(&buf)
+            .unwrap()
+            .into_iter()
+            .find(|e| e.len > 0)
+            .unwrap();
+        // Magic, version, a section payload, the section table and the
+        // footer: a flipped bit in any of them must be rejected.
+        let table_end = buf.len() - bepi_map::FOOTER_LEN as usize;
+        for pos in [0, 4, first.offset as usize, table_end - 1, buf.len() - 1] {
             let mut bad = buf.clone();
             bad[pos] ^= 0x40;
             assert!(load(&bad[..]).is_err(), "corruption at byte {pos} accepted");
@@ -1079,87 +830,12 @@ mod tests {
     }
 
     #[test]
-    fn v3_roundtrips_graph_and_queries() {
-        let g = generators::erdos_renyi(80, 320, 23).unwrap();
-        let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
-        let mut buf = Vec::new();
-        save_with_graph(&original, &g, &mut buf).unwrap();
-        let (restored, graph) = load_with_graph(&buf[..]).unwrap();
-        assert_eq!(graph.as_ref().unwrap().adjacency(), g.adjacency());
-        assert_eq!(
-            original.query(5).unwrap().scores,
-            restored.query(5).unwrap().scores
-        );
-        // Plain load must also accept v3 (ignoring the graph).
-        let plain = load(&buf[..]).unwrap();
-        assert_eq!(
-            original.query(5).unwrap().scores,
-            plain.query(5).unwrap().scores
-        );
-        // A v2 file reports no embedded graph.
-        let mut v2 = Vec::new();
-        save(&original, &mut v2).unwrap();
-        assert!(load_with_graph(&v2[..]).unwrap().1.is_none());
-    }
-
-    #[test]
-    fn v3_detects_corruption_in_graph_section() {
-        let g = generators::cycle(12);
-        let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
-        let mut buf = Vec::new();
-        save_with_graph(&original, &g, &mut buf).unwrap();
-        // Flip a bit near the end of the payload (inside the graph CSR).
-        let pos = buf.len() - 12;
-        buf[pos] ^= 0x01;
-        assert!(load_with_graph(&buf[..]).is_err());
-    }
-
-    #[test]
-    fn save_with_graph_rejects_node_count_mismatch() {
+    fn save_v6_rejects_node_count_mismatch() {
         let g = generators::cycle(10);
         let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
         let other = generators::cycle(11);
         let mut buf = Vec::new();
-        assert!(save_with_graph(&original, &other, &mut buf).is_err());
-    }
-
-    #[test]
-    fn still_reads_v1_files_without_trailer() {
-        let g = generators::cycle(10);
-        let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
-        // Hand-assemble a legacy v1 file: magic, version 1, bare payload.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&1u32.to_le_bytes());
-        original.write_parts(&mut buf, false).unwrap();
-        let restored = load(&buf[..]).unwrap();
-        assert_eq!(
-            original.query(3).unwrap().scores,
-            restored.query(3).unwrap().scores
-        );
-    }
-
-    #[test]
-    fn still_reads_v2_files_without_phase_timings() {
-        let g = generators::cycle(10);
-        let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
-        // Hand-assemble a v2 file: magic, version 2, CRC envelope, no
-        // phase-timing section.
-        let mut payload = Vec::new();
-        original.write_parts(&mut payload, false).unwrap();
-        let mut crc = Crc32::new();
-        crc.update(&payload);
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
-        buf.extend_from_slice(&2u32.to_le_bytes());
-        buf.extend_from_slice(&payload);
-        buf.extend_from_slice(&crc.finalize().to_le_bytes());
-        let restored = load(&buf[..]).unwrap();
-        assert_eq!(
-            original.query(3).unwrap().scores,
-            restored.query(3).unwrap().scores
-        );
-        assert!(restored.stats().phases.is_empty());
+        assert!(save_v6(&original, Some(&other), &mut buf).is_err());
     }
 
     #[test]
@@ -1167,9 +843,7 @@ mod tests {
         let g = generators::cycle(10);
         let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
         assert_eq!(original.stats().phases.len(), 6);
-        let mut buf = Vec::new();
-        save(&original, &mut buf).unwrap();
-        let restored = load(&buf[..]).unwrap();
+        let restored = load(&to_bytes(&original, None)[..]).unwrap();
         assert_eq!(restored.stats().phases, original.stats().phases);
         assert_eq!(restored.stats().elapsed, original.stats().elapsed);
         let names: Vec<&str> = restored
@@ -1189,17 +863,6 @@ mod tests {
                 "precond"
             ]
         );
-    }
-
-    #[test]
-    fn bogus_length_prefix_fails_cleanly() {
-        // A length field claiming 2^60 elements must produce an error, not
-        // an allocation abort.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(1u64 << 60).to_le_bytes());
-        assert!(read_f64_vec(&mut &buf[..]).is_err());
-        assert!(read_u32_vec(&mut &buf[..]).is_err());
-        assert!(read_usize_vec(&mut &buf[..]).is_err());
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -1315,22 +978,85 @@ mod tests {
 
     #[test]
     fn v6_mapped_open_rejects_old_formats_and_corrupt_tables() {
+        // A pre-v6 file (hand-assembled: magic, version 4, junk) fails on
+        // both load paths with the one error naming its version and the
+        // way to rebuild it.
+        let v4 = temp_path("v4");
+        let mut bytes = b"BEPI".to_vec();
+        bytes.extend_from_slice(&4u32.to_le_bytes());
+        bytes.extend_from_slice(&[0xA5; 100]);
+        std::fs::write(&v4, &bytes).unwrap();
+        for err in [
+            load_file(&v4).unwrap_err(),
+            load_mapped_file(&v4).unwrap_err(),
+        ] {
+            let msg = err.to_string();
+            assert!(
+                msg.contains("format v4") && msg.contains("bepi preprocess"),
+                "{msg}"
+            );
+        }
+        // A truncated v6 file loses its footer.
         let g = generators::cycle(15);
         let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
-        // A v4 file is not mappable.
-        let v4 = temp_path("v4");
-        save_file(&original, &v4).unwrap();
-        assert!(load_mapped_file(&v4).is_err());
-        assert_eq!(file_format_version(&v4).unwrap(), 4);
-        // A truncated v6 file loses its footer.
         let v6 = temp_path("trunc");
         save_file_v6(&original, None, &v6).unwrap();
-        assert_eq!(file_format_version(&v6).unwrap(), VERSION_MAPPED);
         let bytes = std::fs::read(&v6).unwrap();
+        assert_eq!(bytes[4..8], VERSION_MAPPED.to_le_bytes());
         std::fs::write(&v6, &bytes[..bytes.len() - 10]).unwrap();
         assert!(load_mapped_file(&v6).is_err());
         std::fs::remove_file(&v4).ok();
         std::fs::remove_file(&v6).ok();
+    }
+
+    /// The file names in `dir`, sorted.
+    fn dir_entries(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn failed_saves_leave_the_destination_untouched() {
+        let g = generators::cycle(12);
+        let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
+        let dir = temp_path("atomic");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let dest = dir.join("idx.bepi");
+        save_file_v6(&original, None, &dest).unwrap();
+        let before = std::fs::read(&dest).unwrap();
+
+        // Target directory missing.
+        assert!(save_file_v6(&original, None, dir.join("missing").join("idx.bepi")).is_err());
+        // A save that fails after the temp file exists (graph of the
+        // wrong size): the temp sibling is cleaned up.
+        assert!(save_file_v6(&original, Some(&generators::cycle(13)), &dest).is_err());
+        // Target directory read-only. A process that bypasses permission
+        // checks (root) can write anyway, so the case is skipped there.
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::PermissionsExt;
+            std::fs::set_permissions(&dir, std::fs::Permissions::from_mode(0o555)).unwrap();
+            let probe = dir.join("probe");
+            if std::fs::File::create(&probe).is_ok() {
+                std::fs::remove_file(&probe).unwrap();
+            } else {
+                assert!(save_file_v6(&original, Some(&g), &dest).is_err());
+            }
+            std::fs::set_permissions(&dir, std::fs::Permissions::from_mode(0o755)).unwrap();
+        }
+        assert_eq!(std::fs::read(&dest).unwrap(), before);
+        assert_eq!(dir_entries(&dir), ["idx.bepi"]);
+
+        // A successful overwrite replaces the file and leaves no temp.
+        save_file_v6(&original, Some(&g), &dest).unwrap();
+        assert_eq!(dir_entries(&dir), ["idx.bepi"]);
+        assert!(load_file_with_graph(&dest).unwrap().1.is_some());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -1360,21 +1086,5 @@ mod tests {
         // Logical accounting is backing-independent.
         assert_eq!(mapped.preprocessed_bytes(), original.preprocessed_bytes());
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn csr_header_mismatch_is_rejected() {
-        let g = generators::cycle(10);
-        let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
-        let mut buf = Vec::new();
-        original.write_parts(&mut buf, false).unwrap();
-        // Corrupt the very first CSR length field we can find by writing a
-        // stream that declares 5 rows but carries 3 row pointers.
-        let mut csr = Vec::new();
-        write_u64(&mut csr, 5).unwrap(); // nrows
-        write_u64(&mut csr, 5).unwrap(); // ncols
-        write_usize_slice(&mut csr, &[0, 1, 2]).unwrap(); // wrong: needs 6
-        let err = read_csr(&mut &csr[..]).unwrap_err();
-        assert!(err.to_string().contains("row pointers"), "{err}");
     }
 }

@@ -1,7 +1,9 @@
-//! Property tests for the v6 mappable index format: save → map → query
-//! must be bit-identical to the v5 streamed heap path on arbitrary
-//! graphs, and on the structural corner cases the section decoder has
-//! to get right (empty H11 blocks, deadend-only graphs, a single hub).
+//! Property tests for the index format: save → load, on the heap and
+//! through the mapping, must answer bit-identically to the in-memory
+//! `BePi::preprocess` result it was saved from — an oracle outside the
+//! persistence code — on arbitrary graphs, and on the structural corner
+//! cases the section decoder has to get right (empty H11 blocks,
+//! deadend-only graphs, a single hub).
 
 use bepi_core::{persist, BePi, BePiConfig, RwrSolver};
 use bepi_graph::{generators, Graph};
@@ -14,40 +16,41 @@ fn tmp(label: &str) -> PathBuf {
     std::env::temp_dir().join(format!("bepi-v6-prop-{}-{label}.bepi", std::process::id()))
 }
 
-/// Round-trips `bepi` through both persistence paths and asserts the
-/// mapped index answers every seed bit-identically to the v5 heap load.
-fn assert_v6_matches_v5(bepi: &BePi, graph: &Graph, label: &str) {
-    let v5_path = tmp(&format!("{label}-v5"));
-    let v6_path = tmp(&format!("{label}-v6"));
-    persist::save_file_with_graph(bepi, graph, &v5_path).unwrap();
-    persist::save_file_v6(bepi, Some(graph), &v6_path).unwrap();
+/// Saves `bepi` (with `graph` embedded), loads it back on the heap and
+/// through the mapping, and asserts both answer every seed exactly like
+/// the instance that was saved.
+fn assert_loads_match_preprocess(bepi: &BePi, graph: &Graph, label: &str) {
+    let path = tmp(label);
+    persist::save_file_v6(bepi, Some(graph), &path).unwrap();
 
-    let (heap, heap_graph) = persist::load_file_with_graph(&v5_path).unwrap();
-    let (mapped, mapped_graph) = persist::load_mapped_file(&v6_path).unwrap();
-    assert!(mapped.is_mapped(), "v6 load must borrow from the file");
+    let (heap, heap_graph) = persist::load_file_with_graph(&path).unwrap();
+    let (mapped, mapped_graph) = persist::load_mapped_file(&path).unwrap();
+    assert!(mapped.is_mapped(), "mapped load must borrow from the file");
     assert!(!heap.is_mapped());
-    assert_eq!(
-        heap_graph.unwrap().adjacency().to_dense(),
-        mapped_graph.unwrap().adjacency().to_dense()
-    );
+    let dense = graph.adjacency().to_dense();
+    assert_eq!(heap_graph.unwrap().adjacency().to_dense(), dense);
+    assert_eq!(mapped_graph.unwrap().adjacency().to_dense(), dense);
 
     for seed in 0..graph.n() {
-        let h = heap.query(seed).unwrap().scores;
-        let m = mapped.query(seed).unwrap().scores;
-        // Bitwise equality, not approximate: both paths must run the
+        let want = bepi.query(seed).unwrap().scores;
+        // Bitwise equality, not approximate: every path must run the
         // same kernels over the same numbers.
-        assert_eq!(h, m, "seed {seed} diverged");
+        assert_eq!(heap.query(seed).unwrap().scores, want, "heap, seed {seed}");
+        assert_eq!(
+            mapped.query(seed).unwrap().scores,
+            want,
+            "mapped, seed {seed}"
+        );
     }
 
-    std::fs::remove_file(&v5_path).ok();
-    std::fs::remove_file(&v6_path).ok();
+    std::fs::remove_file(&path).ok();
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     #[test]
-    fn v6_mapped_queries_match_v5_heap_queries(
+    fn v6_heap_and_mapped_queries_match_preprocess(
         n in 4usize..40,
         pairs in proptest::collection::vec((0usize..40, 0usize..40), 1..120),
         hub_frac in 0.1f64..0.5,
@@ -56,7 +59,7 @@ proptest! {
         let graph = Graph::from_edges(n, &edges).unwrap();
         let cfg = BePiConfig { hub_ratio: Some(hub_frac), ..BePiConfig::default() };
         let bepi = BePi::preprocess(&graph, &cfg).unwrap();
-        assert_v6_matches_v5(&bepi, &graph, "rand");
+        assert_loads_match_preprocess(&bepi, &graph, "rand");
     }
 }
 
@@ -65,7 +68,7 @@ fn v6_roundtrip_deadend_only_graph() {
     // Every node is a deadend: n1 = n2 = 0, all CSR sections empty.
     let graph = Graph::from_edges(5, &[]).unwrap();
     let bepi = BePi::preprocess(&graph, &BePiConfig::default()).unwrap();
-    assert_v6_matches_v5(&bepi, &graph, "deadend");
+    assert_loads_match_preprocess(&bepi, &graph, "deadend");
 }
 
 #[test]
@@ -84,7 +87,7 @@ fn v6_roundtrip_single_hub_star() {
         ..BePiConfig::default()
     };
     let bepi = BePi::preprocess(&graph, &cfg).unwrap();
-    assert_v6_matches_v5(&bepi, &graph, "star");
+    assert_loads_match_preprocess(&bepi, &graph, "star");
 }
 
 #[test]
@@ -106,7 +109,7 @@ fn v6_roundtrip_empty_block_structure() {
         ..BePiConfig::default()
     };
     let bepi = BePi::preprocess(&graph, &cfg).unwrap();
-    assert_v6_matches_v5(&bepi, &graph, "blocks");
+    assert_loads_match_preprocess(&bepi, &graph, "blocks");
 }
 
 #[test]

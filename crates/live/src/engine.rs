@@ -54,12 +54,11 @@ pub struct LiveConfig {
     /// the checkpoint is durable. `None` disables checkpointing — the
     /// WAL then grows until restart and is never compacted.
     pub checkpoint_path: Option<PathBuf>,
-    /// Write checkpoints in the memory-mappable v6 format and, once a
-    /// checkpoint is durable, re-open it as a shared read-only mapping
-    /// and hot-swap the mapped copy in place of the heap-built snapshot
-    /// (the new file is mapped *before* the old snapshot is dropped, so
-    /// serving never gaps). `false` keeps the streamed v5 checkpoint
-    /// format and heap serving.
+    /// Once a checkpoint is durable, re-open it as a shared read-only
+    /// mapping and hot-swap the mapped copy in place of the heap-built
+    /// snapshot (the new file is mapped *before* the old snapshot is
+    /// dropped, so serving never gaps). `false` keeps serving the heap
+    /// snapshot.
     pub mmap_checkpoints: bool,
     /// Tuning for the approximate serving engine built alongside every
     /// snapshot (estimator choice, walks per query, TPA term budget).
@@ -306,8 +305,8 @@ impl LiveEngine {
             if !records.is_empty() {
                 // Recovered updates become visible immediately: the WAL
                 // acknowledged them before the crash. The checkpoint's
-                // symbolic plan survived the save/load round-trip (format
-                // v4+ persists every plan field), so a numeric-only batch
+                // symbolic plan survived the save/load round-trip (the
+                // index persists every plan field), so a numeric-only batch
                 // replays through the cheap refactor path instead of a
                 // full preprocess.
                 let new_graph = apply_updates(&graph, &records)?;
@@ -607,9 +606,10 @@ impl LiveEngine {
     }
 
     /// Checkpoints the *current* snapshot (+ graph) to the configured
-    /// path via a temp-file + atomic-rename, then truncates WAL segments
-    /// `<= upto`. Compaction is skipped unless the checkpoint landed:
-    /// checkpoint + remaining WAL must always reconstruct current state.
+    /// path — atomically and durably, see [`persist::save_file_v6`] —
+    /// then truncates WAL segments `<= upto`. Compaction is skipped
+    /// unless the checkpoint landed: checkpoint + remaining WAL must
+    /// always reconstruct current state.
     fn checkpoint_and_compact(&self, st: &mut MutState, upto: u64) -> Result<()> {
         let Some(path) = &self.checkpoint_path else {
             return Ok(());
@@ -619,13 +619,7 @@ impl LiveEngine {
         };
         let current = self.current();
         let span = bepi_obs::Span::enter("live.checkpoint");
-        let tmp = path.with_extension("bepi.tmp");
-        if self.mmap_checkpoints {
-            persist::save_file_v6(&current.bepi, Some(graph), &tmp)?;
-        } else {
-            persist::save_file_with_graph(&current.bepi, graph, &tmp)?;
-        }
-        std::fs::rename(&tmp, path)?;
+        persist::save_file_v6(&current.bepi, Some(graph), path)?;
         let checkpoint_time = span.exit();
         if let Some(wal) = &mut st.wal {
             wal.compact_through(upto)?;
@@ -1101,9 +1095,9 @@ mod tests {
         let v = engine.rebuild_and_wait().unwrap();
         assert_eq!(v, 2);
 
-        // The checkpoint landed in the mappable format and the served
-        // snapshot was re-pointed at it, same epoch, zero-copy.
-        assert_eq!(persist::file_format_version(&cp).unwrap(), 6);
+        // The checkpoint landed and the served snapshot was re-pointed
+        // at it, same epoch, zero-copy.
+        assert!(persist::verify_mapped_file(&cp).is_ok());
         let served = engine.current();
         assert_eq!(served.version, 2);
         assert!(served.bepi.is_mapped(), "post-rebuild snapshot is mapped");

@@ -396,8 +396,8 @@ const CRC32_TABLE: [u32; 256] = {
 };
 
 /// Incremental CRC-32 state (IEEE 802.3). This is the workspace's one
-/// canonical implementation: the v1–v5 persist envelope and the
-/// `bepi-live` WAL re-export it from `bepi_core::persist`.
+/// canonical implementation: the v6 section checksums use it, and the
+/// `bepi-live` WAL re-exports it from `bepi_core::persist`.
 #[derive(Debug, Clone, Copy)]
 pub struct Crc32 {
     state: u32,

@@ -83,12 +83,11 @@ exec 9>&-   # stdin EOF → graceful shutdown
 wait "$OBS_PID"
 OBS_PID=""
 
-# Memory-mapped serving gate: preprocess to the streamed v5 format,
-# convert to the mappable v6 container, boot one daemon on the heap and
-# one on the mapping, and require byte-identical top-k responses. This
-# is the --mmap acceptance bar run against real HTTP, not just the unit
-# suite.
-echo "==> mmap serving check (convert v5 -> v6 + heap/mmap daemon diff)"
+# Memory-mapped serving gate: preprocess once, boot one daemon that
+# loads the index onto the heap and one that maps the same file, and
+# require byte-identical top-k responses. This is the --mmap acceptance
+# bar run against real HTTP, not just the unit suite.
+echo "==> mmap serving check (one index, heap/mmap daemon diff)"
 MMAP_TMP=$(mktemp -d)
 cleanup_mmap() {
   exec 8>&- 2>/dev/null || true
@@ -106,8 +105,7 @@ with open(sys.argv[1], "w") as f:
         f.write(f"{i} {(i + 1) % n}\n")
         f.write(f"{i} {(i * 5 + 2) % n}\n")
 EOF
-./target/release/bepi preprocess "$MMAP_TMP/edges.txt" "$MMAP_TMP/v5.bepi" --format v5
-./target/release/bepi convert "$MMAP_TMP/v5.bepi" "$MMAP_TMP/v6.bepi"
+./target/release/bepi preprocess "$MMAP_TMP/edges.txt" "$MMAP_TMP/index.bepi"
 # Runs in the *current* shell (no command substitution) so the fifo fd
 # and the daemon pid survive; results land in DAEMON_ADDR / DAEMON_PID.
 start_daemon() { # fifo_fd index log flags...
@@ -128,9 +126,11 @@ start_daemon() { # fifo_fd index log flags...
   done
   [ -n "$DAEMON_ADDR" ] || { echo "daemon never reported its address" >&2; cat "$log" >&2; return 1; }
 }
-start_daemon 7 "$MMAP_TMP/v5.bepi" "$MMAP_TMP/heap.log"
+start_daemon 7 "$MMAP_TMP/index.bepi" "$MMAP_TMP/heap.log"
 HEAP_ADDR=$DAEMON_ADDR HEAP_PID=$DAEMON_PID
-start_daemon 8 "$MMAP_TMP/v6.bepi" "$MMAP_TMP/mmap.log" --mmap
+grep -q "heap index" "$MMAP_TMP/heap.log" \
+  || { echo "daemon without --mmap did not report a heap index"; cat "$MMAP_TMP/heap.log"; exit 1; }
+start_daemon 8 "$MMAP_TMP/index.bepi" "$MMAP_TMP/mmap.log" --mmap
 MMAP_ADDR=$DAEMON_ADDR MMAP_PID=$DAEMON_PID
 grep -q "memory-mapped index" "$MMAP_TMP/mmap.log" \
   || { echo "--mmap daemon did not report a mapped index"; cat "$MMAP_TMP/mmap.log"; exit 1; }

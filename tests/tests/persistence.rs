@@ -1,18 +1,29 @@
 //! Persistence robustness: round-trips across configurations and graphs,
-//! and corruption never panics — it errors.
+//! and corruption never panics — it errors, on the heap loader and on the
+//! mapped open alike.
 
-use bepi_core::persist::{load, save};
+use bepi_core::persist::{load, load_mapped_file, save_v6, verify_mapped_file};
 use bepi_core::prelude::*;
 use bepi_graph::Dataset;
 use bepi_tests::fixture_zoo;
+use std::path::PathBuf;
+
+fn to_bytes(bepi: &BePi) -> Vec<u8> {
+    let mut buf = Vec::new();
+    save_v6(bepi, None, &mut buf).unwrap();
+    buf
+}
+
+/// A per-test scratch file for the mapped-open checks.
+fn temp_file(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("bepi_persistence_{name}_{}", std::process::id()))
+}
 
 #[test]
 fn roundtrip_across_fixture_zoo() {
     for fx in fixture_zoo().into_iter().take(6) {
         let original = BePi::preprocess(&fx.graph, &BePiConfig::default()).unwrap();
-        let mut buf = Vec::new();
-        save(&original, &mut buf).unwrap();
-        let restored = load(&buf[..]).unwrap();
+        let restored = load(&to_bytes(&original)[..]).unwrap();
         let seed = fx.graph.n() / 2;
         if fx.graph.n() == 0 {
             continue;
@@ -30,9 +41,9 @@ fn roundtrip_across_fixture_zoo() {
 fn roundtrip_on_dataset_scale_instance() {
     let g = Dataset::Slashdot.generate();
     let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
-    let mut buf = Vec::new();
-    save(&original, &mut buf).unwrap();
-    // Serialized size is the same order as the reported logical memory.
+    let buf = to_bytes(&original);
+    // Serialized size is the same order as the reported logical memory
+    // (the file also carries the ILU factors, about |S| more).
     let logical = original.preprocessed_bytes();
     assert!(
         buf.len() < logical * 2 + 4096,
@@ -52,45 +63,76 @@ fn roundtrip_on_dataset_scale_instance() {
 fn truncation_at_any_cut_point_errors_not_panics() {
     let g = bepi_graph::generators::erdos_renyi(60, 250, 3).unwrap();
     let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
-    let mut buf = Vec::new();
-    save(&original, &mut buf).unwrap();
+    let buf = to_bytes(&original);
+    let path = temp_file("trunc");
     // Sweep truncation points (coarse grid + the first 64 bytes densely).
     let mut cuts: Vec<usize> = (0..64.min(buf.len())).collect();
     cuts.extend((64..buf.len()).step_by(97));
     for cut in cuts {
-        let r = load(&buf[..cut]);
-        assert!(r.is_err(), "truncation at {cut} must error");
+        assert!(load(&buf[..cut]).is_err(), "truncation at {cut} must error");
+        std::fs::write(&path, &buf[..cut]).unwrap();
+        assert!(
+            load_mapped_file(&path).is_err(),
+            "mapped open of a file truncated at {cut} must error"
+        );
     }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn bitflip_in_header_errors() {
     let g = bepi_graph::generators::cycle(12);
     let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
-    let mut buf = Vec::new();
-    save(&original, &mut buf).unwrap();
-    // Corrupt magic.
-    let mut bad = buf.clone();
-    bad[0] ^= 0xFF;
-    assert!(load(&bad[..]).is_err());
-    // Corrupt version.
-    let mut bad = buf.clone();
-    bad[4] ^= 0xFF;
-    assert!(load(&bad[..]).is_err());
+    let buf = to_bytes(&original);
+    let path = temp_file("header");
+    // Corrupt magic, then version.
+    for pos in [0, 4] {
+        let mut bad = buf.clone();
+        bad[pos] ^= 0xFF;
+        assert!(load(&bad[..]).is_err(), "flip at byte {pos}");
+        std::fs::write(&path, &bad).unwrap();
+        assert!(
+            load_mapped_file(&path).is_err(),
+            "mapped flip at byte {pos}"
+        );
+    }
+    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn garbage_payload_is_rejected_or_roundtrips_consistently() {
-    // Flipping bytes in the payload may corrupt values (undetectable
-    // without checksums) or break structure (must error). Either way:
-    // no panic, and structural validation rejects malformed CSR.
+    // A flipped byte inside any section is caught by its CRC: the heap
+    // loader rejects it, and so does `verify_mapped_file` (the mapped
+    // open checks only the table and META eagerly). A flip that lands in
+    // alignment padding or the reserved header bytes is covered by no
+    // checksum, so the load may succeed — but then it must answer
+    // exactly like the original. Never a panic either way.
     let g = bepi_graph::generators::erdos_renyi(40, 160, 5).unwrap();
     let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
-    let mut buf = Vec::new();
-    save(&original, &mut buf).unwrap();
+    let expected = original.query(7).unwrap().scores;
+    let buf = to_bytes(&original);
+    let table = bepi_map::parse_layout(&buf).unwrap();
+    let in_section = |pos: usize| {
+        table
+            .iter()
+            .any(|e| (e.offset..e.offset + e.len).contains(&(pos as u64)))
+    };
+    let path = temp_file("garbage");
+    let mut flipped_sections = 0;
     for pos in (8..buf.len()).step_by(131) {
         let mut bad = buf.clone();
         bad[pos] = bad[pos].wrapping_add(0x5B);
-        let _ = load(&bad[..]); // must not panic
+        let heap = load(&bad[..]);
+        std::fs::write(&path, &bad).unwrap();
+        let verified = verify_mapped_file(&path);
+        if in_section(pos) {
+            flipped_sections += 1;
+            assert!(heap.is_err(), "heap load accepted a flip at {pos}");
+            assert!(verified.is_err(), "verify accepted a flip at {pos}");
+        } else if let Ok(restored) = heap {
+            assert_eq!(restored.query(7).unwrap().scores, expected, "flip at {pos}");
+        }
     }
+    assert!(flipped_sections > 0, "the sweep never hit a section");
+    std::fs::remove_file(&path).ok();
 }
