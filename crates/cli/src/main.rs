@@ -14,8 +14,8 @@ use bepi_sparse::io::read_edge_list_file;
 use bepi_sparse::mem::format_bytes;
 use std::process::ExitCode;
 
-/// How `bepi query` computes its scores: the exact BePI solve or one of
-/// the approximate engines the daemon's degraded lane uses.
+/// How `bepi query` computes its scores: the exact BePI solve or an
+/// approximate estimator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum QueryMethod {
     /// Exact: full BePI preprocessing + Schur/GMRES solve (default).
@@ -23,9 +23,8 @@ enum QueryMethod {
     /// Forward push (`bepi_core::approx::forward_push`), the classic
     /// local-push estimator.
     Push,
-    /// Step-interleaved batch random walks (`bepi_walk::walk_scores`).
-    Walk,
-    /// Truncated cumulative power iteration (`bepi_walk::tpa_scores`).
+    /// Truncated cumulative power iteration (`bepi_walk::tpa_scores`),
+    /// the engine behind the daemon's approximate lane.
     Tpa,
 }
 
@@ -41,15 +40,12 @@ struct Options {
     threads: Option<usize>,
     mmap: bool,
     method: QueryMethod,
-    walks: usize,
     terms: usize,
     epsilon: f64,
-    epoch: u64,
 }
 
 impl Default for Options {
     fn default() -> Self {
-        let approx = bepi_walk::ApproxConfig::default();
         Self {
             c: bepi_core::DEFAULT_RESTART_PROB,
             tol: bepi_core::DEFAULT_TOLERANCE,
@@ -62,10 +58,8 @@ impl Default for Options {
             threads: None,
             mmap: false,
             method: QueryMethod::Bepi,
-            walks: approx.walks,
-            terms: approx.max_terms,
+            terms: bepi_walk::ApproxConfig::default().max_terms,
             epsilon: 1e-6,
-            epoch: 0,
         }
     }
 }
@@ -96,7 +90,7 @@ const USAGE: &str = "usage:
   bepi serve      <index.bepi> --listen ADDR [--mmap] [--threads N]
                   [--cache-entries M]
                   [--queue-depth Q] [--timeout-ms T] [--slow-query-ms S]
-                  [--pressure F] [--approx-engine E] [--trace-export PATH]
+                  [--pressure F] [--trace-export PATH]
                   [--wal PATH] [--auto-flush N] [--graph edges.txt]
                   [--checkpoint PATH]
                   (HTTP daemon)
@@ -123,16 +117,11 @@ common flags:
   --variant V      full | sparse | basic (default full)
   --top K          ranking rows to print (default 10)
   --method M       query: scoring engine — bepi (exact, default), push
-                   (forward push), walk (step-interleaved batch random
-                   walks), tpa (truncated cumulative power iteration).
-                   walk and tpa are the deterministic approximate engines
-                   the daemon's degraded lane serves
-  --walks N        query --method walk: walks to run (default 20000)
-  --terms N        query --method tpa: max series terms (default 64)
+                   (forward push), tpa (truncated cumulative power
+                   iteration, the deterministic approximate engine the
+                   daemon's degraded lane serves)
+  --terms N        query --method tpa: max series terms (default 4)
   --epsilon E      query --method push: push tolerance (default 1e-6)
-  --epoch N        query --method walk: RNG epoch selecting the random
-                   replicate; same (seed, epoch) is bit-identical at any
-                   thread count (default 0)
   --max-size N     community: cap the sweep-cut size
   --labels         treat node ids as arbitrary strings instead of 0-indexed
                    integers. Only for commands that read an edge list;
@@ -167,10 +156,8 @@ serve daemon flags (with --listen):
   --pressure F     fraction of the admission queue at which mode=auto
                    queries start getting approximate answers instead of
                    queueing for the exact solver (default 0.75; 0 serves
-                   every auto query approximately, useful for drills)
-  --approx-engine E  engine behind approximate answers: tpa (truncated
-                   cumulative power iteration, default) or walk
-                   (batch random walks). Needs a graph (embedded or
+                   every auto query approximately, useful for drills).
+                   Approximate answers need the graph (embedded or
                    --graph); without one, approx/auto degrade paths 400/shed
   --wal PATH       durable write-ahead log of live edge updates: every
                    accepted POST /edges batch is fsynced here and replayed
@@ -234,7 +221,7 @@ router endpoints: GET /query (proxied with failover + hedging; trace=1
                   GET /debug/slow   GET /debug/trace (per-attempt
                   slowlog / traced-request ring)
 
-daemon endpoints: GET /query?seed=S&top=K[&mode=M][&epoch=N][&trace=1]
+daemon endpoints: GET /query?seed=S&top=K[&mode=M][&trace=1]
                   GET /healthz   GET /metrics   GET /version
                   GET /debug/slow   GET /debug/trace
                   POST /edges   POST /rebuild
@@ -243,8 +230,8 @@ auto answers exactly until the admission queue crosses the --pressure
 threshold, then serves deterministic approximate scores (tagged
 X-Approx: 1) instead of shedding 503 — including on the overflow lane
 once the queue is full; mode=exact keeps strict answers and sheds under
-overload; approximate responses are cached per (seed, top, version,
-mode, epoch) and byte-identical across repeats.
+overload; responses are cached per (seed, top, version, exact|approx)
+and byte-identical across repeats.
 observability: every request gets a 128-bit correlation id, minted at
 ingress (or adopted from a valid X-Request-Id header), echoed on the
 response, forwarded router->shard on every attempt, and stamped into
@@ -397,15 +384,8 @@ fn parse_opts(mut rest: &[String]) -> Result<Options, String> {
                 o.method = match value.as_str() {
                     "bepi" => QueryMethod::Bepi,
                     "push" => QueryMethod::Push,
-                    "walk" => QueryMethod::Walk,
                     "tpa" => QueryMethod::Tpa,
-                    m => return Err(format!("bad --method: {m} (try bepi|push|walk|tpa)")),
-                }
-            }
-            "--walks" => {
-                o.walks = value.parse().map_err(|_| format!("bad --walks: {value}"))?;
-                if o.walks == 0 {
-                    return Err("--walks must be at least 1".into());
+                    m => return Err(format!("bad --method: {m} (try bepi|push|tpa)")),
                 }
             }
             "--terms" => {
@@ -422,7 +402,6 @@ fn parse_opts(mut rest: &[String]) -> Result<Options, String> {
                     return Err("--epsilon must be positive".into());
                 }
             }
-            "--epoch" => o.epoch = value.parse().map_err(|_| format!("bad --epoch: {value}"))?,
             "--variant" => {
                 o.variant = match value.as_str() {
                     "full" => BePiVariant::Full,
@@ -538,31 +517,15 @@ fn cmd_query(path: &str, seed_s: &str, o: &Options) -> Result<(), String> {
                 out.scores,
             )
         }
-        QueryMethod::Walk | QueryMethod::Tpa => {
-            let method = if o.method == QueryMethod::Walk {
-                bepi_walk::ApproxMethod::Walk
-            } else {
-                bepi_walk::ApproxMethod::Tpa
-            };
+        QueryMethod::Tpa => {
             let engine = bepi_walk::ApproxEngine::new(
-                std::sync::Arc::new(loaded.graph.clone()),
+                &loaded.graph,
                 o.c,
-                bepi_walk::ApproxConfig {
-                    method,
-                    walks: o.walks,
-                    max_terms: o.terms,
-                    ..bepi_walk::ApproxConfig::default()
-                },
+                bepi_walk::ApproxConfig { max_terms: o.terms },
             )
             .map_err(|e| e.to_string())?;
-            let r = engine.query(seed, o.epoch).map_err(|e| e.to_string())?;
-            let label = match method {
-                bepi_walk::ApproxMethod::Walk => {
-                    format!("walk ({} walks, epoch {})", o.walks, o.epoch)
-                }
-                bepi_walk::ApproxMethod::Tpa => format!("tpa (max {} terms)", o.terms),
-            };
-            (label, r)
+            let r = engine.query(seed, 0).map_err(|e| e.to_string())?;
+            (format!("tpa (max {} terms)", o.terms), r)
         }
     };
     println!(
@@ -839,7 +802,6 @@ fn cmd_serve_daemon(index: &str, flags: &[String]) -> Result<(), String> {
     let mut checkpoint: Option<String> = None;
     let mut auto_flush: usize = 0;
     let mut mmap = false;
-    let mut approx_cfg = bepi_walk::ApproxConfig::default();
     let mut rest = flags;
     while let Some((flag, tail)) = rest.split_first() {
         if flag == "--mmap" {
@@ -902,10 +864,6 @@ fn cmd_serve_daemon(index: &str, flags: &[String]) -> Result<(), String> {
                 }
                 cfg.pressure = p;
             }
-            "--approx-engine" => {
-                approx_cfg.method = bepi_walk::ApproxMethod::parse(value)
-                    .ok_or_else(|| format!("bad --approx-engine: {value} (try tpa|walk)"))?;
-            }
             "--shard-id" => {
                 cfg.shard_id = Some(
                     value
@@ -914,7 +872,7 @@ fn cmd_serve_daemon(index: &str, flags: &[String]) -> Result<(), String> {
                 )
             }
             "--trace-export" => cfg.trace_export = Some(PathBuf::from(value)),
-            f => return Err(format!("unknown serve flag: {f}")),
+            f => return Err(format!("unknown flag: {f}")),
         }
         rest = tail;
     }
@@ -967,7 +925,6 @@ fn cmd_serve_daemon(index: &str, flags: &[String]) -> Result<(), String> {
                     // --mmap also re-maps each checkpoint and serves
                     // the mapped copy after every rebuild.
                     mmap_checkpoints: mmap,
-                    approx: approx_cfg,
                 },
             )
             .map_err(|e| e.to_string())?
@@ -1012,9 +969,9 @@ fn cmd_serve_daemon(index: &str, flags: &[String]) -> Result<(), String> {
     let _ = daemon_println(&format!(
         "approximate lane: {} (mode=auto degrades at {:.0}% queue pressure)",
         if live {
-            format!("{} engine", approx_cfg.method.name())
+            "tpa engine"
         } else {
-            "unavailable (no graph)".to_string()
+            "unavailable (no graph)"
         },
         cfg.pressure * 100.0,
     ));

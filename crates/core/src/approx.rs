@@ -17,12 +17,12 @@
 //! (`Σ r ≤ 1`, `= 1` on deadend-free graphs), so they are directly
 //! comparable against [`crate::BePi`] in the tests.
 //!
-//! For *serving*, the `bepi-walk` crate supersedes [`monte_carlo`]: its
-//! step-interleaved batch walk engine and truncated cumulative power
-//! iteration are deterministic per `(seed, epoch)` at any thread count,
-//! which the daemon's response cache requires. The implementations here
-//! remain the readable reference versions (and [`forward_push`] backs
-//! `bepi query --method push`, which has no `bepi-walk` counterpart).
+//! Neither serves queries in the daemon: its approximate lane is the
+//! `bepi-walk` crate's truncated cumulative power iteration, which draws
+//! no random numbers and is deterministic per seed at any thread count.
+//! [`monte_carlo`] stays as the readable reference estimator the ranking
+//! tests and the `approx_comparison` experiment measure against, and
+//! [`forward_push`] backs `bepi query --method push`.
 
 use crate::rwr::{check_restart_prob, check_seed, RwrScores};
 use bepi_graph::Graph;

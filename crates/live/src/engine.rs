@@ -60,9 +60,6 @@ pub struct LiveConfig {
     /// dropped, so serving never gaps). `false` keeps serving the heap
     /// snapshot.
     pub mmap_checkpoints: bool,
-    /// Tuning for the approximate serving engine built alongside every
-    /// snapshot (estimator choice, walks per query, TPA term budget).
-    pub approx: ApproxConfig,
 }
 
 /// What [`LiveEngine::submit`] did with a batch.
@@ -161,7 +158,6 @@ pub struct LiveEngine {
     shutdown: AtomicBool,
     worker: Mutex<Option<JoinHandle<()>>>,
     solver_config: BePiConfig,
-    approx_config: ApproxConfig,
     auto_flush_threshold: usize,
     checkpoint_path: Option<PathBuf>,
     mmap_checkpoints: bool,
@@ -218,27 +214,19 @@ impl LiveEngine {
     /// approximate lane needs the graph, so it is unavailable here —
     /// use [`LiveEngine::frozen_with_graph`] when the graph is on hand.
     pub fn frozen(bepi: Arc<BePi>) -> Arc<Self> {
-        Self::frozen_inner(bepi, None, ApproxConfig::default())
+        Self::frozen_inner(bepi, None)
     }
 
     /// Wraps an index *with* its graph, still frozen (updates are
     /// rejected), but with the approximate serving lane enabled: the
     /// snapshot carries an [`ApproxEngine`] built from the graph with
     /// the index's own restart probability.
-    pub fn frozen_with_graph(
-        bepi: Arc<BePi>,
-        graph: Graph,
-        approx_config: ApproxConfig,
-    ) -> Arc<Self> {
-        let approx = build_approx(&bepi, &Arc::new(graph), approx_config);
-        Self::frozen_inner(bepi, approx, approx_config)
+    pub fn frozen_with_graph(bepi: Arc<BePi>, graph: &Graph) -> Arc<Self> {
+        let approx = build_approx(&bepi, graph);
+        Self::frozen_inner(bepi, approx)
     }
 
-    fn frozen_inner(
-        bepi: Arc<BePi>,
-        approx: Option<Arc<ApproxEngine>>,
-        approx_config: ApproxConfig,
-    ) -> Arc<Self> {
+    fn frozen_inner(bepi: Arc<BePi>, approx: Option<Arc<ApproxEngine>>) -> Arc<Self> {
         Arc::new(Self {
             current: Mutex::new(Arc::new(VersionedIndex {
                 version: 1,
@@ -260,7 +248,6 @@ impl LiveEngine {
             shutdown: AtomicBool::new(false),
             worker: Mutex::new(None),
             solver_config: BePiConfig::default(),
-            approx_config,
             auto_flush_threshold: 0,
             checkpoint_path: None,
             mmap_checkpoints: false,
@@ -348,7 +335,7 @@ impl LiveEngine {
             wal = Some(w);
         }
 
-        let approx = build_approx(&bepi, &Arc::new(graph.clone()), config.approx);
+        let approx = build_approx(&bepi, &graph);
         let engine = Arc::new(Self {
             current: Mutex::new(Arc::new(VersionedIndex {
                 version: 1,
@@ -370,7 +357,6 @@ impl LiveEngine {
             shutdown: AtomicBool::new(false),
             worker: Mutex::new(None),
             solver_config,
-            approx_config: config.approx,
             auto_flush_threshold: config.auto_flush_threshold,
             checkpoint_path: config.checkpoint_path,
             mmap_checkpoints: config.mmap_checkpoints,
@@ -646,8 +632,8 @@ impl LiveEngine {
     /// Failures are logged and leave the heap snapshot serving — the
     /// checkpoint itself already landed.
     fn remap_from_checkpoint(&self, path: &std::path::Path, expected: &VersionedIndex) {
-        let (mapped, mapped_graph) = match persist::load_mapped_file(path) {
-            Ok((bepi, graph)) => (Arc::new(bepi), graph),
+        let mapped = match persist::load_mapped_file(path) {
+            Ok((bepi, _)) => Arc::new(bepi),
             Err(e) => {
                 bepi_obs::warn!(
                     "live",
@@ -657,14 +643,6 @@ impl LiveEngine {
                 return;
             }
         };
-        // Same graph state, new backing: rebuild the approximate engine
-        // over the *mapped* adjacency when the checkpoint embeds it (its
-        // pages are then shared with the exact index), else keep the
-        // heap-built engine — the scores are bit-identical either way.
-        let approx = match mapped_graph {
-            Some(g) => build_approx(&mapped, &Arc::new(g), self.approx_config),
-            None => expected.approx.clone(),
-        };
         let mut current = self.current.lock().unwrap_or_else(|e| e.into_inner());
         if current.version != expected.version {
             return;
@@ -672,7 +650,9 @@ impl LiveEngine {
         *current = Arc::new(VersionedIndex {
             version: expected.version,
             bepi: mapped,
-            approx,
+            // Same graph state, so the same approximate engine: it owns
+            // its operator and never reads the adjacency again.
+            approx: expected.approx.clone(),
         });
         bepi_obs::debug!(
             "live",
@@ -686,7 +666,7 @@ impl LiveEngine {
 /// is an optional lane: any failure (or a graph that does not match the
 /// index) degrades to exact-only serving with a logged warning instead
 /// of failing the snapshot.
-fn build_approx(bepi: &BePi, graph: &Arc<Graph>, cfg: ApproxConfig) -> Option<Arc<ApproxEngine>> {
+fn build_approx(bepi: &BePi, graph: &Graph) -> Option<Arc<ApproxEngine>> {
     if graph.n() != bepi.node_count() {
         bepi_obs::warn!(
             "live",
@@ -696,7 +676,7 @@ fn build_approx(bepi: &BePi, graph: &Arc<Graph>, cfg: ApproxConfig) -> Option<Ar
         );
         return None;
     }
-    match ApproxEngine::new(Arc::clone(graph), bepi.config().c, cfg) {
+    match ApproxEngine::new(graph, bepi.config().c, ApproxConfig::default()) {
         Ok(engine) => Some(Arc::new(engine)),
         Err(e) => {
             bepi_obs::warn!(
@@ -833,8 +813,7 @@ fn worker_loop(engine: &LiveEngine) {
                 // epochs with a mode=exact one. Built before the swap
                 // lock, off the serving path.
                 let bepi = Arc::new(bepi);
-                let approx =
-                    build_approx(&bepi, &Arc::new(new_graph.clone()), engine.approx_config);
+                let approx = build_approx(&bepi, &new_graph);
                 // Phase 3: the hot-swap. One pointer exchange; queries
                 // already holding the old Arc finish on the old snapshot.
                 let new_version = {

@@ -176,6 +176,11 @@ macro_rules! trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// The level is process-wide and `cargo test` runs tests on parallel
+    /// threads: every test that sets it holds this lock.
+    static LEVEL_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn parse_accepts_known_names() {
@@ -189,6 +194,7 @@ mod tests {
 
     #[test]
     fn level_filtering_is_ordered() {
+        let _guard = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let prev = level();
         set_level(Level::Warn);
         assert!(enabled(Level::Error));
@@ -202,6 +208,7 @@ mod tests {
 
     #[test]
     fn macros_compile_with_and_without_kvs() {
+        let _guard = LEVEL_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let prev = level();
         set_level(Level::Error);
         // Disabled level: the $v expressions must not be evaluated.

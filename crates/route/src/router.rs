@@ -368,7 +368,7 @@ fn shard_query_path(request: &Request) -> Result<(u64, String), String> {
         .parse()
         .map_err(|_| format!("bad seed: {seed_s:?}"))?;
     let mut path = format!("/query?seed={seed}");
-    for key in ["top", "mode", "epoch", "trace"] {
+    for key in ["top", "mode", "trace"] {
         if let Some(v) = request.params.get(key) {
             path.push_str(&format!("&{key}={v}"));
         }
@@ -729,7 +729,7 @@ fn attempt_json(a: &AttemptDetail, seed: Option<u64>) -> String {
     )
 }
 
-/// `GET /batch?seeds=a,b,c[&top=K][&mode=M][&epoch=N][&merge=1]`:
+/// `GET /batch?seeds=a,b,c[&top=K][&mode=M][&merge=1]`:
 /// scatter per-seed queries across the fleet, gather in seed order.
 fn route_batch(stream: &TcpStream, request: &Request, ctx: &RouteContext) {
     let started = Instant::now();
@@ -796,7 +796,7 @@ fn route_batch(stream: &TcpStream, request: &Request, ctx: &RouteContext) {
                 for &pos in positions {
                     let seed = seeds[pos];
                     let mut path = format!("/query?seed={seed}");
-                    for key in ["top", "mode", "epoch", "trace"] {
+                    for key in ["top", "mode", "trace"] {
                         if let Some(v) = request.params.get(key) {
                             path.push_str(&format!("&{key}={v}"));
                         }

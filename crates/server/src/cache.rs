@@ -21,25 +21,19 @@ use std::sync::{Arc, Mutex};
 /// versa. The key always holds the *resolved* mode: a `mode=auto` request
 /// that resolves to the exact lane shares cache entries with explicit
 /// `mode=exact` (they are byte-identical), and one that degrades to the
-/// approximate lane shares entries with explicit `mode=approx` at the
-/// same epoch.
+/// approximate lane shares entries with explicit `mode=approx`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ResponseMode {
     /// The exact BePI solve (Schur complement + GMRES).
     Exact,
-    /// The deterministic approximate engine (`bepi-walk`). `epoch`
-    /// selects the walk engine's random replicate and is part of the
-    /// response identity — different epochs are different bodies.
-    Approx {
-        /// RNG epoch the approximate answer was computed under.
-        epoch: u64,
-    },
+    /// The deterministic approximate engine (`bepi-walk`).
+    Approx,
 }
 
 /// Cache key: the query endpoint's full identity. Two requests with the
 /// same key produce byte-identical responses — each served snapshot is
 /// immutable, `version` names the snapshot, and `mode` names the lane
-/// (both engines are deterministic per key), so entries rendered from a
+/// (both lanes are deterministic per key), so entries rendered from a
 /// pre-hot-swap index or from the other lane can never answer this
 /// request. Stale versions age out through normal LRU eviction.
 ///
@@ -54,7 +48,7 @@ pub struct QueryKey {
     pub top_k: usize,
     /// Graph snapshot version the response was rendered from.
     pub version: u64,
-    /// Resolved serving lane (exact vs approximate + epoch).
+    /// Resolved serving lane (exact vs approximate).
     pub mode: ResponseMode,
 }
 
@@ -293,8 +287,7 @@ mod tests {
     fn stale_lane_entries_never_cross() {
         // Regression test for the cache-key contract: an entry rendered
         // by one lane must never answer a request for the other, for any
-        // overlap of seed/top_k/version — and approximate entries are
-        // further isolated per epoch.
+        // overlap of seed/top_k/version.
         let c = ResponseCache::new(16, 2);
         let key = |mode| QueryKey {
             seed: 7,
@@ -303,21 +296,18 @@ mod tests {
             mode,
         };
         c.insert(key(ResponseMode::Exact), v("exact-body"));
-        assert_eq!(c.get(&key(ResponseMode::Approx { epoch: 0 })), None);
-        assert_eq!(c.get(&key(ResponseMode::Approx { epoch: 1 })), None);
+        assert_eq!(c.get(&key(ResponseMode::Approx)), None);
 
-        c.insert(key(ResponseMode::Approx { epoch: 0 }), v("approx-e0"));
+        c.insert(key(ResponseMode::Approx), v("approx-body"));
         // The approx insert must not clobber or shadow the exact entry.
         assert_eq!(
             c.get(&key(ResponseMode::Exact)).as_deref(),
             Some("exact-body")
         );
         assert_eq!(
-            c.get(&key(ResponseMode::Approx { epoch: 0 })).as_deref(),
-            Some("approx-e0")
+            c.get(&key(ResponseMode::Approx)).as_deref(),
+            Some("approx-body")
         );
-        // A different epoch is a different replicate: still a miss.
-        assert_eq!(c.get(&key(ResponseMode::Approx { epoch: 1 })), None);
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! * a bounded admission queue, plus a degraded overflow lane: when the
 //!   main queue is full, connections route to a dedicated worker that
 //!   answers `mode=auto` / `mode=approx` queries from the deterministic
-//!   approximate engine (`bepi-walk`, responses tagged `X-Approx: 1`)
-//!   and sheds everything else with `503 Retry-After`,
+//!   TPA engine (`bepi-walk`, responses tagged `X-Approx: 1`) and sheds
+//!   everything else with `503 Retry-After`,
 //! * a per-request deadline stamped at admission (queue wait counts),
 //! * a sharded LRU cache over rendered responses keyed
-//!   `(seed, top_k, graph_version, resolved mode)`, so hot seeds skip
+//!   `(seed, top_k, graph_version, exact|approx)`, so hot seeds skip
 //!   the solve entirely, hot-swaps can never serve stale bodies, and
 //!   exact/approximate answers never cross lanes,
 //! * `GET /query?seed=S&top=K&mode=exact|approx|auto`, `GET /healthz`,

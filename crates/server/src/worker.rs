@@ -546,9 +546,7 @@ fn handle_query(
             ResponseMode::Exact
         }
         RequestMode::Approx => match approx_engine {
-            Some(_) => ResponseMode::Approx {
-                epoch: parsed.epoch,
-            },
+            Some(_) => ResponseMode::Approx,
             None => {
                 Metrics::inc(&ctx.metrics.client_errors_total);
                 respond(
@@ -568,9 +566,7 @@ fn handle_query(
             let pressured = lane == Lane::Degraded
                 || ctx.metrics.queue_depth.load(Ordering::Relaxed) >= ctx.pressure_slots;
             match approx_engine {
-                Some(_) if pressured => ResponseMode::Approx {
-                    epoch: parsed.epoch,
-                },
+                Some(_) if pressured => ResponseMode::Approx,
                 None if lane == Lane::Degraded => {
                     // Nothing to degrade to: shed like a full queue would.
                     Metrics::inc(&ctx.metrics.rejected_total);
@@ -593,7 +589,7 @@ fn handle_query(
         version: snapshot.version,
         mode,
     };
-    let approx = matches!(mode, ResponseMode::Approx { .. });
+    let approx = mode == ResponseMode::Approx;
     let mut headers: Vec<(&str, &str)> = Vec::with_capacity(5);
     headers.push(("X-Graph-Version", &version_header));
     headers.push(("X-Request-Id", &rid_hex));
@@ -683,9 +679,9 @@ fn handle_query(
         ResponseMode::Exact => snapshot.bepi.query(key.seed),
         // `approx_engine` is always Some here: every path that resolves
         // to Approx checked it above.
-        ResponseMode::Approx { epoch } => approx_engine
+        ResponseMode::Approx => approx_engine
             .expect("approx mode resolved without an engine")
-            .query(key.seed, epoch),
+            .query(key.seed, 0),
     };
     let scores = match solved {
         Ok(s) => s,
@@ -1106,7 +1102,6 @@ struct ParsedQuery {
     seed: usize,
     top_k: usize,
     mode: RequestMode,
-    epoch: u64,
 }
 
 fn parse_query_params(request: &Request, node_count: usize) -> Result<ParsedQuery, String> {
@@ -1132,15 +1127,10 @@ fn parse_query_params(request: &Request, node_count: usize) -> Result<ParsedQuer
         Some("approx") => RequestMode::Approx,
         Some(m) => return Err(format!("bad mode: {m:?} (expected exact, approx, or auto)")),
     };
-    let epoch = match request.params.get("epoch") {
-        None => 0,
-        Some(e) => e.parse().map_err(|_| format!("bad epoch: {e:?}"))?,
-    };
     Ok(ParsedQuery {
         seed,
         top_k: top_k.min(node_count),
         mode,
-        epoch,
     })
 }
 
@@ -1161,15 +1151,15 @@ fn render_query_body_timed(
     let ranked = scores.top_k(key.top_k);
     let topk_time = topk_start.elapsed();
     let serialize_start = Instant::now();
-    let mode_json = match key.mode {
-        ResponseMode::Exact => "\"mode\":\"exact\"".to_string(),
-        ResponseMode::Approx { epoch } => format!("\"mode\":\"approx\",\"epoch\":{epoch}"),
+    let mode = match key.mode {
+        ResponseMode::Exact => "exact",
+        ResponseMode::Approx => "approx",
     };
     let mut body = format!(
-        "{{\"seed\":{},\"top\":{},{},\"iterations\":{},\"residual\":{},\"results\":[",
+        "{{\"seed\":{},\"top\":{},\"mode\":\"{}\",\"iterations\":{},\"residual\":{},\"results\":[",
         key.seed,
         key.top_k,
-        mode_json,
+        mode,
         scores.iterations,
         fmt_f64(scores.residual)
     );
@@ -1305,7 +1295,6 @@ mod tests {
                 seed: 3,
                 top_k: 4,
                 mode: RequestMode::Auto,
-                epoch: 0
             }
         );
         // Defaults and clamping.
@@ -1322,7 +1311,7 @@ mod tests {
     }
 
     #[test]
-    fn param_parsing_validates_mode_and_epoch() {
+    fn param_parsing_validates_mode() {
         let req = |q: &str| Request {
             method: "GET".into(),
             path: "/query".into(),
@@ -1344,18 +1333,13 @@ mod tests {
         assert_eq!(mode("seed=1&mode=exact"), RequestMode::Exact);
         assert_eq!(mode("seed=1&mode=approx"), RequestMode::Approx);
         assert!(parse_query_params(&req("seed=1&mode=fast"), 10).is_err());
-        assert_eq!(
-            parse_query_params(&req("seed=1&epoch=42"), 10)
-                .unwrap()
-                .epoch,
-            42
-        );
-        assert!(parse_query_params(&req("seed=1&epoch=x"), 10).is_err());
-        assert!(parse_query_params(&req("seed=1&epoch=-1"), 10).is_err());
+        // Parameters the endpoint does not know are ignored, like any
+        // other unknown query parameter.
+        assert_eq!(mode("seed=1&mode=approx&epoch=x"), RequestMode::Approx);
     }
 
     #[test]
-    fn approx_body_carries_mode_and_epoch() {
+    fn approx_body_carries_mode() {
         let g = generators::erdos_renyi(20, 80, 5).unwrap();
         let bepi = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
         let scores = bepi.query(2).unwrap();
@@ -1363,11 +1347,11 @@ mod tests {
             seed: 2,
             top_k: 3,
             version: 9,
-            mode: ResponseMode::Approx { epoch: 7 },
+            mode: ResponseMode::Approx,
         };
         let body = render_query_body(key, &scores);
         assert!(
-            body.starts_with("{\"seed\":2,\"top\":3,\"mode\":\"approx\",\"epoch\":7,"),
+            body.starts_with("{\"seed\":2,\"top\":3,\"mode\":\"approx\",\"iterations\":"),
             "{body}"
         );
     }

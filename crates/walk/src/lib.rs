@@ -3,122 +3,58 @@
 //! The approximate-RWR serving tier: fast, *deterministic* score
 //! estimates that back the daemon's graceful-degradation lane
 //! (`/query?mode=approx` / `mode=auto` under admission pressure) and the
-//! offline `bepi query --method walk|tpa` commands.
+//! offline `bepi query --method tpa` command.
 //!
-//! Two engines, both bit-identical for a fixed
-//! `(query seed, rng epoch, graph version)` at any thread count and over
+//! One estimator, [`tpa_scores`]: a TPA-style truncated cumulative power
+//! iteration (see [`tpa`]) with the truncated tail accounted in closed
+//! form. It draws no random numbers, so its scores are bit-identical for
+//! a fixed `(query seed, graph version)` at any thread count and over
 //! both owned and memory-mapped CSR storage — the property that keeps
-//! approximate responses cacheable byte-for-byte:
+//! approximate responses cacheable byte-for-byte.
 //!
-//! * [`walk_scores`] — a ThunderRW-style step-interleaved batch walk
-//!   engine (see [`walker`]): Monte-Carlo with restart, but walks are
-//!   batched and re-grouped per CSR block between rounds so the gathers
-//!   that dominate random walks hit warm cache lines. Randomness comes
-//!   from per-walk counter-based streams ([`rng`]), so scheduling never
-//!   touches a draw. This replaces `bepi_core::approx::monte_carlo`
-//!   (kept as the readable reference implementation) for serving.
-//! * [`tpa_scores`] — a TPA-style truncated cumulative power iteration
-//!   (see [`tpa`]): no sampling noise at all, tail mass accounted in
-//!   closed form. The serving default.
-//!
-//! [`ApproxEngine`] packages either engine with the precomputed operator
-//! it needs, built once per graph snapshot and shared read-only across
-//! the daemon's workers.
+//! [`ApproxEngine`] packages it with the precomputed `Ã^T` operator,
+//! built once per graph snapshot and shared read-only across the
+//! daemon's workers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod rng;
 pub mod tpa;
-pub mod walker;
 
-pub use tpa::{tpa_scores, tpa_scores_stable};
-pub use walker::walk_scores;
+pub use tpa::tpa_scores;
 
 use bepi_core::RwrScores;
 use bepi_graph::Graph;
 use bepi_sparse::{Csr, Result, SparseError};
-use std::sync::Arc;
+use std::borrow::Borrow;
 
-/// Which estimator an [`ApproxEngine`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ApproxMethod {
-    /// Truncated cumulative power iteration ([`tpa_scores`]). The
-    /// default: deterministic without any RNG, tight latency envelope.
-    Tpa,
-    /// Step-interleaved batch random walks ([`walk_scores`]).
-    Walk,
-}
-
-impl ApproxMethod {
-    /// Stable lowercase name (CLI flag values, metrics labels).
-    pub fn name(self) -> &'static str {
-        match self {
-            ApproxMethod::Tpa => "tpa",
-            ApproxMethod::Walk => "walk",
-        }
-    }
-
-    /// Parses a CLI flag value.
-    pub fn parse(s: &str) -> Option<ApproxMethod> {
-        match s {
-            "tpa" => Some(ApproxMethod::Tpa),
-            "walk" => Some(ApproxMethod::Walk),
-            _ => None,
-        }
-    }
-}
+/// Early-stop tail tolerance: the series stops once the undelivered mass
+/// bound `(1-c)^{S+1}` drops below this.
+const TAIL_TOL: f64 = 1e-4;
 
 /// Tuning for [`ApproxEngine`].
 #[derive(Debug, Clone, Copy)]
 pub struct ApproxConfig {
-    /// Which estimator serves approximate queries.
-    pub method: ApproxMethod,
-    /// Walks per query for [`ApproxMethod::Walk`].
-    pub walks: usize,
-    /// Maximum series terms for [`ApproxMethod::Tpa`]. The default is
-    /// deliberately shallow: the survival-scaled tail correction (see
-    /// [`tpa_scores_stable`]) recovers the truncated mass in closed
-    /// form, so a handful of matrix products already ranks top-20 with
-    /// ≥ 0.97 precision on the anchor graphs while undercutting the
-    /// exact solver's p50.
+    /// Maximum series terms. The default is deliberately shallow: the
+    /// survival-scaled tail correction (see [`tpa_scores`]) recovers the
+    /// truncated mass in closed form, so a handful of matrix products
+    /// already ranks top-20 with ≥ 0.97 precision on the anchor graphs
+    /// while undercutting the exact solver's p50.
     pub max_terms: usize,
-    /// Early-stop tail tolerance for [`ApproxMethod::Tpa`]: iteration
-    /// stops once the undelivered mass bound drops below this.
-    pub tail_tol: f64,
-    /// Optional ranking-stability early stop for [`ApproxMethod::Tpa`]:
-    /// stop once the top-`stable_k` node set is unchanged for
-    /// [`stable_rounds`](Self::stable_rounds) consecutive terms
-    /// (0 disables — the default, since at the default `max_terms` the
-    /// per-term top-k selection costs more than it saves; useful when
-    /// running the series deep with a large term budget).
-    pub stable_k: usize,
-    /// Consecutive unchanged-top-k terms required before the stability
-    /// stop fires.
-    pub stable_rounds: usize,
 }
 
 impl Default for ApproxConfig {
     fn default() -> Self {
-        Self {
-            method: ApproxMethod::Tpa,
-            walks: 100_000,
-            max_terms: 4,
-            tail_tol: 1e-4,
-            stable_k: 0,
-            stable_rounds: 2,
-        }
+        Self { max_terms: 4 }
     }
 }
 
 /// A ready-to-serve approximate engine over one immutable graph
-/// snapshot: the graph (for the walk engine's gathers) plus the
-/// precomputed `Ã^T` operator (for TPA), built once per snapshot.
+/// snapshot: the precomputed `Ã^T` operator, built once per snapshot.
 ///
 /// Shared read-only across the daemon's worker pool exactly like the
 /// exact index; queries take `&self`.
 pub struct ApproxEngine {
-    graph: Arc<Graph>,
     /// Transpose of the row-normalized adjacency, the TPA operator.
     at: Csr,
     c: f64,
@@ -128,7 +64,7 @@ pub struct ApproxEngine {
 impl std::fmt::Debug for ApproxEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ApproxEngine")
-            .field("nodes", &self.graph.n())
+            .field("nodes", &self.at.nrows())
             .field("c", &self.c)
             .field("cfg", &self.cfg)
             .finish()
@@ -139,67 +75,30 @@ impl ApproxEngine {
     /// Builds the engine for one graph snapshot: validates `c`, and
     /// precomputes the `Ã^T` operator (one transpose — cheap next to the
     /// exact index's full preprocessing, timed under the
-    /// `approx.build` phase span).
-    pub fn new(graph: Arc<Graph>, c: f64, cfg: ApproxConfig) -> Result<ApproxEngine> {
+    /// `approx.build` phase span). The graph is only read, never kept.
+    pub fn new(graph: impl Borrow<Graph>, c: f64, cfg: ApproxConfig) -> Result<ApproxEngine> {
         if !(c > 0.0 && c < 1.0) {
             return Err(SparseError::Numerical(format!(
                 "restart probability must be in (0, 1), got {c}"
             )));
         }
-        if cfg.walks == 0 || cfg.max_terms == 0 {
+        if cfg.max_terms == 0 {
             return Err(SparseError::Numerical(
-                "ApproxConfig needs walks >= 1 and max_terms >= 1".into(),
+                "ApproxConfig needs max_terms >= 1".into(),
             ));
         }
         let span = bepi_obs::Span::enter("approx.build");
-        let at = graph.row_normalized().transpose();
+        let at = graph.borrow().row_normalized().transpose();
         span.exit();
-        Ok(ApproxEngine { graph, at, c, cfg })
+        Ok(ApproxEngine { at, c, cfg })
     }
 
-    /// Approximate RWR scores for `seed`. `epoch` selects the walk
-    /// engine's random replicate (ignored by TPA, but always part of the
-    /// response identity so cache keys stay uniform across methods).
-    /// Deterministic per `(seed, epoch)` — see the crate docs.
-    pub fn query(&self, seed: usize, epoch: u64) -> Result<RwrScores> {
-        match self.cfg.method {
-            ApproxMethod::Tpa => {
-                let _span = bepi_obs::Span::enter("approx.tpa");
-                tpa::tpa_scores_stable(
-                    &self.at,
-                    self.c,
-                    seed,
-                    self.cfg.max_terms,
-                    self.cfg.tail_tol,
-                    self.cfg.stable_k,
-                    self.cfg.stable_rounds,
-                )
-            }
-            ApproxMethod::Walk => {
-                let _span = bepi_obs::Span::enter("approx.walk");
-                walk_scores(self.graph.adjacency(), self.c, seed, self.cfg.walks, epoch)
-            }
-        }
-    }
-
-    /// Nodes in the served snapshot.
-    pub fn node_count(&self) -> usize {
-        self.graph.n()
-    }
-
-    /// The restart probability the engine was built with.
-    pub fn restart_prob(&self) -> f64 {
-        self.c
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &ApproxConfig {
-        &self.cfg
-    }
-
-    /// The graph snapshot the engine serves.
-    pub fn graph(&self) -> &Arc<Graph> {
-        &self.graph
+    /// Approximate RWR scores for `seed`, deterministic per seed — see
+    /// the crate docs. The second argument is ignored; it stays only
+    /// because the benchmark still passes it.
+    pub fn query(&self, seed: usize, _ignored: u64) -> Result<RwrScores> {
+        let _span = bepi_obs::Span::enter("approx.tpa");
+        tpa_scores(&self.at, self.c, seed, self.cfg.max_terms, TAIL_TOL)
     }
 }
 
@@ -207,23 +106,17 @@ impl ApproxEngine {
 mod tests {
     use super::*;
     use bepi_graph::generators;
+    use std::sync::Arc;
 
     #[test]
-    fn engine_dispatches_both_methods_deterministically() {
-        let g = Arc::new(generators::rmat(7, 500, Default::default(), 61).unwrap());
-        for method in [ApproxMethod::Tpa, ApproxMethod::Walk] {
-            let cfg = ApproxConfig {
-                method,
-                walks: 3_000,
-                ..ApproxConfig::default()
-            };
-            let engine = ApproxEngine::new(Arc::clone(&g), 0.05, cfg).unwrap();
-            let a = engine.query(5, 2).unwrap();
-            let b = engine.query(5, 2).unwrap();
-            assert_eq!(a.scores, b.scores, "{method:?} must be deterministic");
-            let total: f64 = a.scores.iter().sum();
-            assert!(total > 0.0 && total <= 1.0 + 1e-9, "{method:?}: {total}");
-        }
+    fn engine_queries_are_deterministic() {
+        let g = generators::rmat(7, 500, Default::default(), 61).unwrap();
+        let engine = ApproxEngine::new(&g, 0.05, ApproxConfig::default()).unwrap();
+        let a = engine.query(5, 0).unwrap();
+        let b = engine.query(5, 2).unwrap();
+        assert_eq!(a.scores, b.scores);
+        let total: f64 = a.scores.iter().sum();
+        assert!(total > 0.0 && total <= 1.0 + 1e-9, "{total}");
     }
 
     #[test]
@@ -233,18 +126,7 @@ mod tests {
             .unwrap()
             .query(3, 0)
             .unwrap();
-        let walk = ApproxEngine::new(
-            Arc::clone(&g),
-            0.1,
-            ApproxConfig {
-                method: ApproxMethod::Walk,
-                walks: 50_000,
-                ..ApproxConfig::default()
-            },
-        )
-        .unwrap()
-        .query(3, 0)
-        .unwrap();
+        let walk = bepi_core::approx::monte_carlo(&g, 0.1, 3, 50_000, 7).unwrap();
         let top = |r: &RwrScores| {
             let mut t = r.top_k(5);
             t.sort_unstable();
@@ -252,29 +134,13 @@ mod tests {
         };
         let (t1, t2) = (top(&tpa), top(&walk));
         let overlap = t1.iter().filter(|n| t2.contains(n)).count();
-        assert!(overlap >= 3, "tpa {t1:?} vs walk {t2:?}");
+        assert!(overlap >= 3, "tpa {t1:?} vs monte carlo {t2:?}");
     }
 
     #[test]
     fn invalid_config_is_rejected() {
-        let g = Arc::new(generators::erdos_renyi(10, 20, 1).unwrap());
-        assert!(ApproxEngine::new(Arc::clone(&g), 0.0, ApproxConfig::default()).is_err());
-        assert!(ApproxEngine::new(
-            Arc::clone(&g),
-            0.1,
-            ApproxConfig {
-                walks: 0,
-                ..ApproxConfig::default()
-            }
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn method_names_round_trip() {
-        for m in [ApproxMethod::Tpa, ApproxMethod::Walk] {
-            assert_eq!(ApproxMethod::parse(m.name()), Some(m));
-        }
-        assert_eq!(ApproxMethod::parse("exact"), None);
+        let g = generators::erdos_renyi(10, 20, 1).unwrap();
+        assert!(ApproxEngine::new(&g, 0.0, ApproxConfig::default()).is_err());
+        assert!(ApproxEngine::new(&g, 0.1, ApproxConfig { max_terms: 0 }).is_err());
     }
 }

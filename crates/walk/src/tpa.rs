@@ -25,34 +25,6 @@ use bepi_sparse::{Csr, Result, SparseError};
 /// with fixed per-row dot products, so the scores are bit-identical to
 /// the serial loop at any thread count.
 pub fn tpa_scores(at: &Csr, c: f64, seed: usize, terms: usize, tail_tol: f64) -> Result<RwrScores> {
-    tpa_scores_stable(at, c, seed, terms, tail_tol, 0, 0)
-}
-
-/// [`tpa_scores`] with an additional *ranking-stability* early stop:
-/// besides the tail-mass tolerance, iteration also stops once the
-/// top-`stable_k` node set has not changed for `stable_rounds`
-/// consecutive terms (`stable_k = 0` disables this).
-///
-/// At serving restart probabilities (`c = 0.05`) the tail bound decays
-/// slowly — `(1-c)^{S+1}` needs ~180 terms to reach 1e-4 — but the
-/// top-k *ranking* typically freezes after a handful of terms because
-/// later terms spread mass almost uniformly. The stability stop cuts
-/// deep term budgets down to that freeze point; the survival-scaled
-/// tail correction applied on exit (see the in-function comment) then
-/// recovers most of the truncated mass, which is what lets a very
-/// shallow series still rank top-20 accurately. Both are pure
-/// functions of the score vector (score-descending, node-index
-/// tie-break), so determinism is preserved; the reported `residual` is
-/// still the honest tail bound at whatever term iteration stopped.
-pub fn tpa_scores_stable(
-    at: &Csr,
-    c: f64,
-    seed: usize,
-    terms: usize,
-    tail_tol: f64,
-    stable_k: usize,
-    stable_rounds: usize,
-) -> Result<RwrScores> {
     if at.nrows() != at.ncols() {
         return Err(SparseError::ShapeMismatch {
             left: at.shape(),
@@ -86,8 +58,6 @@ pub fn tpa_scores_stable(
     r[seed] = c;
     let mut weight = 1.0f64; // (1-c)^i
     let mut ran = 0usize;
-    let mut prev_top: Vec<usize> = Vec::new();
-    let mut stable = 0usize;
     let mut mass_prev = 1.0f64; // ‖x_{i-1}‖₁ (walk survival, ≤ 1)
     let mut mass = 1.0f64; // ‖x_i‖₁
     for _ in 1..=terms {
@@ -105,18 +75,6 @@ pub fn tpa_scores_stable(
         // Tail bound after i terms: Σ_{j>i} c(1-c)^j = (1-c)^{i+1}.
         if weight * (1.0 - c) < tail_tol {
             break;
-        }
-        if stable_k > 0 {
-            let top = top_set(&r, stable_k);
-            if top == prev_top {
-                stable += 1;
-                if stable >= stable_rounds {
-                    break;
-                }
-            } else {
-                stable = 0;
-                prev_top = top;
-            }
         }
     }
     // Closed-form tail estimate: the truncated series Σ_{j>S} c(1-c)^j
@@ -144,23 +102,6 @@ pub fn tpa_scores_stable(
         iterations: ran,
         residual: weight * (1.0 - c),
     })
-}
-
-/// The top-`k` node ids of `scores` (score descending, node-index
-/// tie-break), returned sorted by id so two calls compare as sets.
-fn top_set(scores: &[f64], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..scores.len()).collect();
-    if k < idx.len() {
-        idx.select_nth_unstable_by(k, |&a, &b| {
-            scores[b]
-                .partial_cmp(&scores[a])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.cmp(&b))
-        });
-        idx.truncate(k);
-    }
-    idx.sort_unstable();
-    idx
 }
 
 #[cfg(test)]
@@ -231,37 +172,6 @@ mod tests {
             assert_eq!(r.scores, base.scores, "thread count {t}");
         }
         bepi_par::set_threads(1);
-    }
-
-    #[test]
-    fn stability_stop_freezes_top_k_early() {
-        let g = generators::rmat(9, 4_000, Default::default(), 17).unwrap();
-        let at = operator(&g);
-        let c = 0.05;
-        let full = tpa_scores(&at, c, 3, 64, 0.0).unwrap();
-        let stopped = tpa_scores_stable(&at, c, 3, 64, 0.0, 20, 2).unwrap();
-        assert!(
-            stopped.iterations < full.iterations,
-            "stability stop must cut terms ({} vs {})",
-            stopped.iterations,
-            full.iterations
-        );
-        // The stop fires only once the top-20 set stopped moving; ranks
-        // can still drift slightly afterwards, but the stopped run must
-        // recover nearly all of the deep run's top-20.
-        let deep = super::top_set(&full.scores, 20);
-        let overlap = super::top_set(&stopped.scores, 20)
-            .iter()
-            .filter(|n| deep.contains(n))
-            .count();
-        assert!(overlap >= 18, "only {overlap}/20 of the deep top-20 kept");
-        // Residual stays the honest tail bound for the terms actually run.
-        let expected = (1.0 - c).powi(stopped.iterations as i32 + 1);
-        assert!((stopped.residual - expected).abs() < 1e-15);
-        // stable_k = 0 disables the stop entirely.
-        let off = tpa_scores_stable(&at, c, 3, 64, 0.0, 0, 2).unwrap();
-        assert_eq!(off.iterations, full.iterations);
-        assert_eq!(off.scores, full.scores);
     }
 
     #[test]

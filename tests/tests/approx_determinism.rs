@@ -1,7 +1,7 @@
 //! Determinism guarantees of the approximate serving tier (`bepi-walk`):
-//! for a fixed `(query seed, rng epoch, graph version)` both estimators
-//! must return *bit-identical* scores at any kernel thread count and
-//! over both owned and memory-mapped CSR storage. The daemon's response
+//! for a fixed `(query seed, graph version)` the TPA engine must return
+//! *bit-identical* scores at any kernel thread count and over both owned
+//! and memory-mapped CSR storage. The daemon's response
 //! cache and the `X-Approx` contract lean on exactly this — a cached
 //! approximate body must be byte-for-byte what a fresh solve would
 //! produce, no matter which worker or storage backing answered.
@@ -9,10 +9,10 @@
 use bepi_core::prelude::*;
 use bepi_graph::Graph;
 use bepi_sparse::vecops::top_k_indices;
-use bepi_walk::{ApproxConfig, ApproxEngine, ApproxMethod};
+use bepi_walk::{ApproxConfig, ApproxEngine};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// `bepi_par::set_threads` is a process-wide override; serialize every
 /// test that flips it so concurrent test threads never observe a
@@ -21,15 +21,8 @@ use std::sync::{Arc, Mutex};
 /// base-vs-variant bookkeeping coherent.)
 static THREADS: Mutex<()> = Mutex::new(());
 
-fn engine(g: &Arc<Graph>, method: ApproxMethod) -> ApproxEngine {
-    let cfg = ApproxConfig {
-        method,
-        // Small budgets keep proptest cases fast; determinism must hold
-        // at any budget.
-        walks: 2_000,
-        ..ApproxConfig::default()
-    };
-    ApproxEngine::new(Arc::clone(g), 0.05, cfg).expect("engine build")
+fn engine(g: &Graph) -> ApproxEngine {
+    ApproxEngine::new(g, 0.05, ApproxConfig::default()).expect("engine build")
 }
 
 /// Round-trips `g` through the v6 on-disk format and returns the graph
@@ -49,38 +42,32 @@ fn mmap_round_trip(g: &Graph) -> Graph {
     mapped.expect("v6 file saved with graph must reload it")
 }
 
-/// The full determinism matrix for one graph: each method × thread
-/// count × storage backing must reproduce the thread-1 owned-storage
-/// scores bit-for-bit at a fixed `(seed, epoch)`.
-fn assert_bit_identical_everywhere(g: &Graph, seed: usize, epoch: u64) {
+/// The full determinism matrix for one graph: each thread count ×
+/// storage backing must reproduce the thread-1 owned-storage scores
+/// bit-for-bit for `seed`.
+fn assert_bit_identical_everywhere(g: &Graph, seed: usize) {
     let _guard = THREADS.lock().unwrap();
-    let owned = Arc::new(g.clone());
-    let mapped = Arc::new(mmap_round_trip(g));
-    for method in [ApproxMethod::Tpa, ApproxMethod::Walk] {
-        bepi_par::set_threads(1);
-        let base = engine(&owned, method).query(seed, epoch).unwrap();
-        // Sanity on the base itself: a probability-mass vector.
-        let total: f64 = base.scores.iter().sum();
-        assert!(
-            (0.0..=1.0 + 1e-9).contains(&total),
-            "{method:?}: mass {total}"
+    let mapped = mmap_round_trip(g);
+    bepi_par::set_threads(1);
+    let base = engine(g).query(seed, 0).unwrap();
+    // Sanity on the base itself: a probability-mass vector.
+    let total: f64 = base.scores.iter().sum();
+    assert!((0.0..=1.0 + 1e-9).contains(&total), "mass {total}");
+    assert!(base.scores[seed] > 0.0, "seed got no mass");
+    for threads in [1usize, 2, 4, 8] {
+        bepi_par::set_threads(threads);
+        let o = engine(g).query(seed, 0).unwrap();
+        assert_eq!(
+            o.scores, base.scores,
+            "owned storage drifted at {threads} threads"
         );
-        assert!(base.scores[seed] > 0.0, "{method:?}: seed got no mass");
-        for threads in [1usize, 2, 4, 8] {
-            bepi_par::set_threads(threads);
-            let o = engine(&owned, method).query(seed, epoch).unwrap();
-            assert_eq!(
-                o.scores, base.scores,
-                "{method:?} owned storage drifted at {threads} threads"
-            );
-            let m = engine(&mapped, method).query(seed, epoch).unwrap();
-            assert_eq!(
-                m.scores, base.scores,
-                "{method:?} mapped storage drifted at {threads} threads"
-            );
-        }
-        bepi_par::set_threads(1);
+        let m = engine(&mapped).query(seed, 0).unwrap();
+        assert_eq!(
+            m.scores, base.scores,
+            "mapped storage drifted at {threads} threads"
+        );
     }
+    bepi_par::set_threads(1);
 }
 
 /// Random directed graphs with deadends allowed (self-loop-free, like
@@ -102,28 +89,27 @@ proptest! {
     fn approx_scores_identical_across_threads_and_storage(
         g in graph_strategy(),
         seed_frac in 0.0f64..1.0,
-        epoch in 0u64..4,
     ) {
         let seed = ((g.n() - 1) as f64 * seed_frac) as usize;
-        assert_bit_identical_everywhere(&g, seed, epoch);
+        assert_bit_identical_everywhere(&g, seed);
     }
 }
 
 /// Every walk dies on its first step: the seed's only neighbors are
-/// deadends, so the walk engine's surviving-walk batches empty out
-/// immediately and TPA's iterate loses all mass after two products.
-/// The degenerate schedule must still be deterministic everywhere.
+/// deadends, so TPA's iterate loses all mass after two products and the
+/// survival ratio of its tail correction hits zero. The degenerate case
+/// must still be deterministic everywhere.
 #[test]
 fn deadend_only_neighborhood_is_deterministic() {
     let g = Graph::from_edges(6, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]).unwrap();
-    assert_bit_identical_everywhere(&g, 0, 0);
+    assert_bit_identical_everywhere(&g, 0);
     // Starting *on* a deadend: all mass stays at the seed.
-    assert_bit_identical_everywhere(&g, 3, 1);
+    assert_bit_identical_everywhere(&g, 3);
 }
 
-/// A single hub both emits and absorbs every edge: the walk engine's
-/// block re-grouping funnels every surviving walk into one CSR block,
-/// the worst case for its scheduling to leak into the tallies.
+/// A single hub both emits and absorbs every edge: `Ã^T` has one dense
+/// row and one dense column, and no mass leaks, so the tail correction
+/// runs at survival ρ = 1.
 #[test]
 fn single_hub_star_is_deterministic() {
     let n = 32;
@@ -133,42 +119,16 @@ fn single_hub_star_is_deterministic() {
         edges.push((v, 0));
     }
     let g = Graph::from_edges(n, &edges).unwrap();
-    assert_bit_identical_everywhere(&g, 0, 0);
-    assert_bit_identical_everywhere(&g, 7, 3);
-}
-
-/// Distinct epochs must *change* the walk engine's replicate (different
-/// RNG streams) while TPA — which has no sampling — ignores the epoch.
-/// Guards against the epoch being dropped somewhere in the plumbing,
-/// which would make `approx` cache entries collide across epochs.
-#[test]
-fn epoch_selects_the_walk_replicate() {
-    let g = Arc::new(
-        bepi_graph::generators::rmat(7, 500, bepi_graph::generators::RmatParams::default(), 61)
-            .unwrap(),
-    );
-    let walk = engine(&g, ApproxMethod::Walk);
-    let e0 = walk.query(5, 0).unwrap();
-    let e1 = walk.query(5, 1).unwrap();
-    assert_ne!(
-        e0.scores, e1.scores,
-        "different epochs must draw different walk replicates"
-    );
-    let tpa = engine(&g, ApproxMethod::Tpa);
-    assert_eq!(
-        tpa.query(5, 0).unwrap().scores,
-        tpa.query(5, 1).unwrap().scores,
-        "TPA has no sampling; the epoch must not perturb it"
-    );
+    assert_bit_identical_everywhere(&g, 0);
+    assert_bit_identical_everywhere(&g, 7);
 }
 
 /// The approximate lane's quality gate: on the slashdot-like anchor,
-/// the top-20 (score desc, id asc) of each default-configured engine
-/// must overlap the exact solver's top-20 by at least 0.9 on average (the precision TPA is
-/// deployed for — Yoon et al., PAPERS.md). Both engines are thread-count
-/// deterministic (above), so the measured value is one fixed number per
-/// engine — 0.97 for TPA, 0.90 for the walker on these five seeds — and
-/// the gate cannot flake.
+/// the top-20 (score desc, id asc) of the default-configured TPA engine
+/// must overlap the exact solver's top-20 by at least 0.9 on average (the
+/// precision TPA is deployed for — Yoon et al., PAPERS.md). The engine is
+/// thread-count deterministic (above), so the measured value is one fixed
+/// number — 0.97 on these five seeds — and the gate cannot flake.
 #[test]
 fn default_engines_reach_precision_at_20_on_the_slashdot_anchor() {
     use rand::rngs::StdRng;
@@ -176,7 +136,7 @@ fn default_engines_reach_precision_at_20_on_the_slashdot_anchor() {
 
     const K: usize = 20;
     let spec = bepi_graph::Dataset::Slashdot.spec();
-    let g = Arc::new(spec.generate());
+    let g = spec.generate();
     let mut rng = StdRng::seed_from_u64(0xBE9C4);
     let seeds: Vec<usize> = (0..5).map(|_| rng.random_range(0..g.n())).collect();
     let cfg = BePiConfig {
@@ -189,24 +149,18 @@ fn default_engines_reach_precision_at_20_on_the_slashdot_anchor() {
         .map(|&s| top_k_indices(&exact.query(s).unwrap().scores, K))
         .collect();
 
-    for method in [ApproxMethod::Tpa, ApproxMethod::Walk] {
-        let approx = ApproxConfig {
-            method,
-            ..ApproxConfig::default()
-        };
-        let engine = ApproxEngine::new(Arc::clone(&g), cfg.c, approx).unwrap();
-        let hits: usize = seeds
-            .iter()
-            .zip(&exact_tops)
-            .map(|(&s, want)| {
-                let got = top_k_indices(&engine.query(s, 0).unwrap().scores, K);
-                got.iter().filter(|n| want.contains(n)).count()
-            })
-            .sum();
-        let precision = hits as f64 / (K * seeds.len()) as f64;
-        assert!(
-            precision >= 0.9,
-            "{method:?}: precision@{K} {precision:.3} below the 0.9 gate"
-        );
-    }
+    let engine = ApproxEngine::new(&g, cfg.c, ApproxConfig::default()).unwrap();
+    let hits: usize = seeds
+        .iter()
+        .zip(&exact_tops)
+        .map(|(&s, want)| {
+            let got = top_k_indices(&engine.query(s, 0).unwrap().scores, K);
+            got.iter().filter(|n| want.contains(n)).count()
+        })
+        .sum();
+    let precision = hits as f64 / (K * seeds.len()) as f64;
+    assert!(
+        precision >= 0.9,
+        "precision@{K} {precision:.3} below the 0.9 gate"
+    );
 }

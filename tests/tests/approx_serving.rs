@@ -31,11 +31,7 @@ fn solver() -> Arc<BePi> {
 
 /// A frozen snapshot *with* its graph, so the approximate lane is live.
 fn start(config: &ServerConfig) -> ServerHandle {
-    let engine = bepi_live::LiveEngine::frozen_with_graph(
-        solver(),
-        graph().clone(),
-        ApproxConfig::default(),
-    );
+    let engine = bepi_live::LiveEngine::frozen_with_graph(solver(), graph());
     Server::start_live(engine, config).expect("server must bind an ephemeral port")
 }
 
@@ -101,20 +97,16 @@ fn exact_body(seed: usize, top_k: usize) -> String {
 
 /// What the daemon must serve for `mode=approx`: the default-config
 /// engine's deterministic scores, rendered with the approx cache key.
-fn approx_body(seed: usize, top_k: usize, epoch: u64) -> String {
-    let engine = ApproxEngine::new(
-        Arc::new(graph().clone()),
-        BePiConfig::default().c,
-        ApproxConfig::default(),
-    )
-    .unwrap();
-    let scores = engine.query(seed, epoch).unwrap();
+fn approx_body(seed: usize, top_k: usize) -> String {
+    let engine =
+        ApproxEngine::new(graph(), BePiConfig::default().c, ApproxConfig::default()).unwrap();
+    let scores = engine.query(seed, 0).unwrap();
     render_query_body(
         QueryKey {
             seed,
             top_k,
             version: 1,
-            mode: ResponseMode::Approx { epoch },
+            mode: ResponseMode::Approx,
         },
         &scores,
     )
@@ -138,15 +130,21 @@ fn mode_routing_and_x_approx_header() {
     let r = get(addr, "/query?seed=5&top=8&mode=approx");
     assert_eq!(r.status, 200);
     assert_eq!(r.header("x-approx"), Some("1"));
-    assert_eq!(r.body, approx_body(5, 8, 0));
+    assert_eq!(r.body, approx_body(5, 8));
     assert_ne!(r.body, exact_body(5, 8), "approx must not equal exact");
 
-    // The epoch is part of the response identity even for the default
-    // (TPA) engine, which ignores it numerically.
-    let r = get(addr, "/query?seed=5&top=8&mode=approx&epoch=3");
-    assert_eq!(r.status, 200);
-    assert_eq!(r.header("x-approx"), Some("1"));
-    assert_eq!(r.body, approx_body(5, 8, 3));
+    // There is one approximate answer per (seed, top, version): an
+    // `epoch` parameter is ignored like any unknown one, so the request
+    // without it hits the entry the request with it rendered.
+    let with = get(addr, "/query?seed=6&top=8&mode=approx&epoch=3");
+    assert_eq!(with.status, 200);
+    assert_eq!(with.header("x-approx"), Some("1"));
+    assert_eq!(with.header("x-cache"), Some("miss"));
+    let without = get(addr, "/query?seed=6&top=8&mode=approx");
+    assert_eq!(without.header("x-cache"), Some("hit"));
+    assert_eq!(without.body, with.body);
+    assert_eq!(without.body, approx_body(6, 8));
+    assert!(!without.body.contains("\"epoch\""), "{}", without.body);
 
     // Unknown modes are client errors, not silent fallbacks.
     let r = get(addr, "/query?seed=5&mode=fast");
@@ -179,7 +177,7 @@ fn cache_never_crosses_exact_and_approx_lanes() {
         approx.body, first.body,
         "a stale exact entry must never answer an approx query"
     );
-    assert_eq!(approx.body, approx_body(9, 6, 0));
+    assert_eq!(approx.body, approx_body(9, 6));
 
     // And vice versa: with the approx entry now cached, exact still gets
     // the exact body.
@@ -206,7 +204,7 @@ fn pressure_zero_degrades_every_auto_query() {
     let auto = get(addr, "/query?seed=3&top=5&mode=auto");
     assert_eq!(auto.status, 200);
     assert_eq!(auto.header("x-approx"), Some("1"));
-    assert_eq!(auto.body, approx_body(3, 5, 0));
+    assert_eq!(auto.body, approx_body(3, 5));
 
     // Explicit exact is still honored: pressure only redirects `auto`.
     let exact = get(addr, "/query?seed=3&top=5&mode=exact");
@@ -238,7 +236,7 @@ fn saturated_queue_degrades_auto_and_sheds_exact() {
     let auto = get(addr, "/query?seed=4&top=5&mode=auto");
     assert_eq!(auto.status, 200, "auto must degrade, not shed");
     assert_eq!(auto.header("x-approx"), Some("1"));
-    assert_eq!(auto.body, approx_body(4, 5, 0));
+    assert_eq!(auto.body, approx_body(4, 5));
 
     // Explicit exact cannot be downgraded, so under saturation it sheds.
     let exact = get(addr, "/query?seed=4&top=5&mode=exact");
