@@ -37,7 +37,6 @@ struct Options {
     variant: BePiVariant,
     labels: bool,
     embed_graph: bool,
-    threads: Option<usize>,
     mmap: bool,
     method: QueryMethod,
     terms: usize,
@@ -55,7 +54,6 @@ impl Default for Options {
             variant: BePiVariant::Full,
             labels: false,
             embed_graph: false,
-            threads: None,
             mmap: false,
             method: QueryMethod::Bepi,
             terms: bepi_walk::ApproxConfig::default().max_terms,
@@ -108,9 +106,6 @@ const USAGE: &str = "usage:
 common flags:
   --log-level L    stderr log verbosity: error|warn|info|debug|trace
                    (default warn; BEPI_LOG env var sets the same thing)
-  --threads N      kernel threads for the parallel SpMV/SpGEMM/block-LU
-                   kernels (default: available parallelism; the
-                   BEPI_THREADS env var sets the same thing)
   --c C            restart probability (default 0.05)
   --tol EPS        solver tolerance (default 1e-9)
   --k RATIO        SlashBurn hub ratio (default: chosen automatically)
@@ -141,9 +136,7 @@ common flags:
 serve daemon flags (with --listen):
   --listen ADDR    bind address, e.g. 127.0.0.1:7462 (port 0 picks an
                    ephemeral port; the bound address is printed on startup)
-  --threads N      worker threads (default: available parallelism). Each
-                   worker's solver kernels then default to their share of
-                   the remaining cores (override with BEPI_THREADS)
+  --threads N      worker threads (default: available parallelism)
   --cache-entries M  response-cache capacity in entries (default 4096;
                    0 disables caching)
   --queue-depth Q  admission-queue depth; connections beyond it are shed
@@ -410,23 +403,9 @@ fn parse_opts(mut rest: &[String]) -> Result<Options, String> {
                     v => return Err(format!("bad --variant: {v}")),
                 }
             }
-            "--threads" => {
-                let t: usize = value
-                    .parse()
-                    .map_err(|_| format!("bad --threads: {value}"))?;
-                if t == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                o.threads = Some(t);
-            }
             f => return Err(format!("unknown flag: {f}")),
         }
         rest = tail;
-    }
-    // The kernel-thread knob is process-global (SpMV/SpGEMM/block-LU all
-    // read it); install it as soon as it is parsed.
-    if let Some(t) = o.threads {
-        bepi_par::set_threads(t);
     }
     Ok(o)
 }

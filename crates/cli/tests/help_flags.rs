@@ -155,6 +155,20 @@ fn help_documents_every_query_method_and_serving_mode() {
             "unexpected stderr: {stderr}"
         );
     }
+
+    // `--threads` sets daemon and router workers only: a query solve is
+    // single-threaded and preprocessing uses every core, so the one-shot
+    // commands have no thread count to take.
+    for args in [
+        ["query", "g.txt", "0", "--threads", "2"].as_slice(),
+        ["preprocess", "g.txt", "out.bepi", "--threads", "2"].as_slice(),
+    ] {
+        let stderr = rejected(args);
+        assert!(
+            stderr.contains("unknown flag: --threads"),
+            "unexpected stderr: {stderr}"
+        );
+    }
 }
 
 #[test]

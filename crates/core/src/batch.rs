@@ -29,14 +29,6 @@ impl BePi {
     /// lowest-indexed failure wins. A failure also cancels the remaining
     /// work — workers check a shared flag between queries — so a batch
     /// with an early error does not pay for the rest of the batch.
-    ///
-    /// Each worker runs its solves with the kernel thread count pinned to
-    /// one ([`bepi_par::with_kernel_threads`]): the batch fan-out *is*
-    /// the parallelism, and letting every worker also fan out the solver
-    /// kernels oversubscribes the machine (`threads × kernel-threads`
-    /// runnable threads, which made batches slower). Pinning changes
-    /// nothing about the results: the kernels are bit-identical at any
-    /// thread count by construction.
     pub fn query_batch_parallel(&self, seeds: &[usize], threads: usize) -> Result<Vec<RwrScores>> {
         let n = self.node_count();
         for &s in seeds {
@@ -63,28 +55,25 @@ impl BePi {
                 let first_error = &first_error;
                 let base = chunk_no * chunk;
                 scope.spawn(move |_| {
-                    // Single-pool guard: this worker's kernels run serial.
-                    bepi_par::with_kernel_threads(1, || {
-                        for (offset, (s, slot)) in
-                            seed_chunk.iter().zip(result_chunk.iter_mut()).enumerate()
-                        {
-                            if cancelled.load(Ordering::Relaxed) {
-                                return;
-                            }
-                            match self.query_with_stats(*s) {
-                                Ok(scores) => *slot = Some(scores),
-                                Err(e) => {
-                                    let idx = base + offset;
-                                    let mut guard =
-                                        first_error.lock().unwrap_or_else(|p| p.into_inner());
-                                    if guard.as_ref().map_or(true, |(i, _)| idx < *i) {
-                                        *guard = Some((idx, e));
-                                    }
-                                    cancelled.store(true, Ordering::Relaxed);
+                    for (offset, (s, slot)) in
+                        seed_chunk.iter().zip(result_chunk.iter_mut()).enumerate()
+                    {
+                        if cancelled.load(Ordering::Relaxed) {
+                            return;
+                        }
+                        match self.query_with_stats(*s) {
+                            Ok(scores) => *slot = Some(scores),
+                            Err(e) => {
+                                let idx = base + offset;
+                                let mut guard =
+                                    first_error.lock().unwrap_or_else(|p| p.into_inner());
+                                if guard.as_ref().map_or(true, |(i, _)| idx < *i) {
+                                    *guard = Some((idx, e));
                                 }
+                                cancelled.store(true, Ordering::Relaxed);
                             }
                         }
-                    });
+                    }
                 });
             }
         })

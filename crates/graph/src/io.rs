@@ -67,7 +67,8 @@ impl NodeIndexer {
 
 /// Reads a labeled edge list (`src dst [weight]` per line, labels are
 /// arbitrary whitespace-free strings, `#`/`%` comments) and returns the
-/// graph plus the label mapping.
+/// graph plus the label mapping. A weight must be finite and positive;
+/// any other line is a parse error that quotes it.
 pub fn read_labeled_edge_list<R: Read>(reader: R) -> Result<(Graph, NodeIndexer)> {
     let mut indexer = NodeIndexer::new();
     let mut edges: Vec<(u32, u32, f64)> = Vec::new();
@@ -90,6 +91,7 @@ pub fn read_labeled_edge_list<R: Read>(reader: R) -> Result<(Graph, NodeIndexer)
                 .map_err(|_| SparseError::Parse(format!("invalid weight {f:?}")))?,
             None => 1.0,
         };
+        bepi_sparse::io::check_weight(w, trimmed)?;
         let si = indexer.intern(s) as u32;
         let di = indexer.intern(d) as u32;
         edges.push((si, di, w));
@@ -162,6 +164,17 @@ mod tests {
     fn malformed_lines_rejected() {
         assert!(read_labeled_edge_list("only_one_token\n".as_bytes()).is_err());
         assert!(read_labeled_edge_list("a b not_a_number\n".as_bytes()).is_err());
+    }
+
+    #[test]
+    fn non_finite_and_non_positive_weights_rejected() {
+        for line in ["a b NaN", "a b inf", "a b -inf", "a b 0", "a b -1"] {
+            let err = read_labeled_edge_list(format!("x y\n{line}\n").as_bytes()).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("{line:?}")),
+                "{line}: {err}"
+            );
+        }
     }
 
     #[test]

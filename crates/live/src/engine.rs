@@ -381,9 +381,11 @@ impl LiveEngine {
 
         let worker = {
             let engine = Arc::clone(&engine);
+            // Rebuilds run beside the serving workers, so their
+            // preprocessing kernels stay on this one thread.
             std::thread::Builder::new()
                 .name("bepi-rebuild".to_string())
-                .spawn(move || worker_loop(&engine))?
+                .spawn(move || bepi_par::with_kernel_threads(1, || worker_loop(&engine)))?
         };
         *engine.worker.lock().unwrap_or_else(|e| e.into_inner()) = Some(worker);
         Ok(engine)

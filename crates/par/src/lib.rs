@@ -1,7 +1,10 @@
 //! # bepi-par
 //!
-//! A tiny std-only fork/join layer for the BePI kernels, built on the
-//! vendored crossbeam shim (which itself is `std::thread::scope`).
+//! A tiny std-only fork/join layer for BePI's preprocessing kernels
+//! (block-LU factorisation and SpGEMM), built on the vendored crossbeam
+//! shim (which itself is `std::thread::scope`). Queries do not use it:
+//! each solve runs single-threaded, and a multi-query caller
+//! parallelises across queries instead.
 //!
 //! Design constraints, in order:
 //!
@@ -9,24 +12,16 @@
 //!    serial code at any thread count. Everything here is therefore
 //!    *partition-and-concatenate*: work is split into ordered ranges,
 //!    each range is computed exactly as the serial loop would compute
-//!    it, and results are written to (or collected into) positions
-//!    fixed by the range order — never by completion order. Floating
-//!    point reductions go through fixed-size chunk partials
-//!    ([`DETERMINISTIC_CHUNK`]) summed in index order, so the grouping
-//!    of additions does not depend on how many threads ran.
+//!    it, and results are collected into positions fixed by the range
+//!    order — never by completion order.
 //! 2. **Graceful degradation.** At one thread (the default on a
 //!    single-core box) every helper runs inline on the caller with no
-//!    spawns, no allocation beyond the serial path, and no atomics in
-//!    the hot loop.
+//!    spawns and no allocation beyond the serial path.
 //! 3. **No pool state.** Threads are scoped and joined before each call
 //!    returns; there is no persistent pool to configure, leak, or poison.
-//!    The only global state is the thread-count knob.
 //!
-//! The effective thread count is resolved as: explicit
-//! [`set_threads`] override → `BEPI_THREADS` environment variable →
-//! process-wide soft default ([`set_default_threads`], used by the
-//! daemon to split cores between its worker pool and the kernels) →
-//! available parallelism.
+//! The fan-out width is the calling thread's pin
+//! ([`with_kernel_threads`]) if one is set, else available parallelism.
 //!
 //! ```
 //! // Ordered fork/join: results come back in task order, not
@@ -34,57 +29,20 @@
 //! let squares = bepi_par::par_join((0..4).map(|i| move || i * i).collect::<Vec<_>>());
 //! assert_eq!(squares, vec![0, 1, 4, 9]);
 //!
-//! // Disjoint mutable chunks: each range of `y` is handed to exactly
-//! // one task together with its starting offset.
-//! let mut y = vec![0usize; 6];
-//! let ranges = bepi_par::even_ranges(y.len(), 3);
-//! bepi_par::par_chunks_mut(&mut y, &ranges, |_, start, chunk| {
-//!     for (k, slot) in chunk.iter_mut().enumerate() {
-//!         *slot = start + k;
-//!     }
-//! });
-//! assert_eq!(y, vec![0, 1, 2, 3, 4, 5]);
+//! // Weight-balanced partitions: a CSR `indptr` splits rows by nnz.
+//! let ranges = bepi_par::balanced_ranges(&[0, 100, 101, 102, 103], 2);
+//! assert_eq!(ranges, vec![0..1, 1..4]);
 //! ```
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
-
-/// Fixed chunk length for deterministic floating-point reductions.
-///
-/// A reduction (dot product, norm) over `n > DETERMINISTIC_CHUNK`
-/// elements is computed as per-chunk partial sums — chunk `i` covers
-/// `[i * DETERMINISTIC_CHUNK, (i + 1) * DETERMINISTIC_CHUNK)` — summed in
-/// chunk order. The grouping depends only on `n`, never on the thread
-/// count, so serial and parallel runs produce bit-identical floats.
-pub const DETERMINISTIC_CHUNK: usize = 8192;
-
-/// Explicit override installed by [`set_threads`]; `0` = unset.
-static EXPLICIT_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
-    /// Per-thread override installed by [`with_kernel_threads`]; `0` =
-    /// unset. Checked before every process-wide knob so a batch worker
-    /// can pin the kernels it calls to one thread without perturbing
-    /// concurrent requests on other threads.
+    /// Per-thread fan-out width installed by [`with_kernel_threads`];
+    /// `0` = unset.
     static LOCAL_THREADS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
-}
-
-/// Soft default installed by [`set_default_threads`]; `0` = unset.
-static DEFAULT_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// `BEPI_THREADS` parsed once; `0` = absent or unparseable.
-fn env_threads() -> usize {
-    static ENV: OnceLock<usize> = OnceLock::new();
-    *ENV.get_or_init(|| {
-        std::env::var("BEPI_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or(0)
-    })
 }
 
 /// Available parallelism as reported by the OS (at least 1).
@@ -94,31 +52,15 @@ pub fn available() -> usize {
         .unwrap_or(1)
 }
 
-/// Installs an explicit process-wide kernel thread count (the CLI's
-/// `--threads N`). `0` clears the override, falling back to
-/// `BEPI_THREADS` / the soft default / available parallelism.
-pub fn set_threads(n: usize) {
-    EXPLICIT_THREADS.store(n, Ordering::SeqCst);
-}
-
-/// Installs a *soft* default used only when neither [`set_threads`] nor
-/// `BEPI_THREADS` is set. The daemon uses this to hand each of its `w`
-/// workers `available() / w` kernel threads so worker × kernel
-/// parallelism never oversubscribes the machine. `0` clears it.
-pub fn set_default_threads(n: usize) {
-    DEFAULT_THREADS.store(n, Ordering::SeqCst);
-}
-
-/// Runs `f` with this thread's kernel thread count pinned to `n`
-/// (restored on exit, even on panic). The pin applies only to the
-/// calling thread — kernels invoked from *inside* `f` see
-/// `get_threads() == n` while every other thread resolves the knobs as
-/// usual. `bepi_core::batch` uses this to run each batch worker's
-/// kernels single-threaded, so batch × kernel parallelism never
-/// oversubscribes the machine (the nested-pool guard).
+/// Runs `f` with this thread's fan-out width pinned to `n` (restored on
+/// exit, even on panic). The pin applies only to the calling thread —
+/// kernels invoked from *inside* `f` see `get_threads() == n` while
+/// every other thread keeps its own setting. This bounds a preprocessing
+/// fan-out that runs beside other work, such as a live daemon's rebuild
+/// thread next to its query workers.
 ///
-/// `n == 0` is treated as "unset" (the process-wide resolution applies
-/// inside `f` too).
+/// `n == 0` is treated as "unset" (`get_threads()` is then
+/// [`available`] inside `f` too).
 pub fn with_kernel_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     struct Restore(usize);
     impl Drop for Restore {
@@ -130,56 +72,20 @@ pub fn with_kernel_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
     f()
 }
 
-/// The effective kernel thread count (always ≥ 1): per-thread pin
-/// ([`with_kernel_threads`]) → explicit override → `BEPI_THREADS` →
-/// soft default → available parallelism.
+/// The fan-out width for preprocessing kernels (always ≥ 1): the calling
+/// thread's pin ([`with_kernel_threads`]), else [`available`].
 pub fn get_threads() -> usize {
-    let local = LOCAL_THREADS.with(|c| c.get());
-    if local > 0 {
-        return local;
+    match LOCAL_THREADS.with(|c| c.get()) {
+        0 => available(),
+        pinned => pinned,
     }
-    let explicit = EXPLICIT_THREADS.load(Ordering::SeqCst);
-    if explicit > 0 {
-        return explicit;
-    }
-    let env = env_threads();
-    if env > 0 {
-        return env;
-    }
-    let default = DEFAULT_THREADS.load(Ordering::SeqCst);
-    if default > 0 {
-        return default;
-    }
-    available()
-}
-
-/// Splits `0..len` into at most `parts` contiguous ranges of
-/// near-equal *length*. Returns fewer ranges when `len < parts`; returns
-/// a single empty range for `len == 0`.
-// single_range_in_vec_init guards against `vec![0..n]` meaning
-// `(0..n).collect()`; here a one-element Vec<Range> is exactly the intent
-// (the degenerate single-partition case).
-#[allow(clippy::single_range_in_vec_init)]
-pub fn even_ranges(len: usize, parts: usize) -> Vec<Range<usize>> {
-    if parts <= 1 || len <= 1 {
-        return vec![0..len];
-    }
-    let parts = parts.min(len);
-    let mut out = Vec::with_capacity(parts);
-    let mut start = 0usize;
-    for p in 1..=parts {
-        let end = len * p / parts;
-        out.push(start..end);
-        start = end;
-    }
-    out
 }
 
 /// Splits `0..prefix.len()-1` items into at most `parts` contiguous
 /// ranges of near-equal *weight*, where `prefix` is a non-decreasing
 /// prefix-sum of per-item weights (`prefix[i+1] - prefix[i]` = weight of
 /// item `i`). A CSR `indptr` array is exactly such a prefix sum over row
-/// nnz, which is what makes SpMV row partitions nnz-balanced rather than
+/// nnz, which is what makes SpGEMM row partitions nnz-balanced rather than
 /// row-count-balanced.
 ///
 /// Every range is non-empty and the ranges cover all items in order.
@@ -244,72 +150,9 @@ where
     }
 }
 
-/// Hands each `ranges[i]` window of `data` to one task as
-/// `f(i, range.start, &mut data[range])`, running the tasks on scoped
-/// threads. Ranges must be sorted, non-overlapping, and in-bounds
-/// (gaps are allowed; those elements are simply not visited). With one
-/// range the closure runs inline on the caller.
-///
-/// This is the write side of partition-and-concatenate: because each
-/// output window has a fixed position, the result is independent of
-/// scheduling.
-///
-/// # Panics
-///
-/// Panics if the ranges overlap, are unsorted, or exceed `data.len()`.
-pub fn par_chunks_mut<T, F>(data: &mut [T], ranges: &[Range<usize>], f: F)
-where
-    T: Send,
-    F: Fn(usize, usize, &mut [T]) + Sync,
-{
-    if ranges.len() <= 1 {
-        if let Some(r) = ranges.first() {
-            assert!(
-                r.start <= r.end && r.end <= data.len(),
-                "range out of bounds"
-            );
-            f(0, r.start, &mut data[r.clone()]);
-        }
-        return;
-    }
-    let result = crossbeam::thread::scope(|scope| {
-        let mut rest = data;
-        let mut consumed = 0usize;
-        let f = &f;
-        for (i, r) in ranges.iter().enumerate() {
-            assert!(
-                r.start >= consumed && r.start <= r.end,
-                "ranges must be sorted and non-overlapping"
-            );
-            let skip = r.start - consumed;
-            let len = r.end - r.start;
-            assert!(skip + len <= rest.len(), "range out of bounds");
-            let (_, tail) = rest.split_at_mut(skip);
-            let (chunk, tail) = tail.split_at_mut(len);
-            rest = tail;
-            consumed = r.end;
-            let start = r.start;
-            scope.spawn(move |_| f(i, start, chunk));
-        }
-    });
-    if let Err(payload) = result {
-        std::panic::resume_unwind(payload);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn even_ranges_cover_and_balance() {
-        assert_eq!(even_ranges(0, 4), vec![0..0]);
-        assert_eq!(even_ranges(10, 1), vec![0..10]);
-        let r = even_ranges(10, 3);
-        assert_eq!(r, vec![0..3, 3..6, 6..10]);
-        let r = even_ranges(2, 8);
-        assert_eq!(r, vec![0..1, 1..2]);
-    }
 
     #[test]
     fn balanced_ranges_follow_weight_not_count() {
@@ -357,36 +200,6 @@ mod tests {
     }
 
     #[test]
-    fn par_chunks_mut_writes_disjoint_windows() {
-        let mut data = vec![0usize; 100];
-        let ranges = even_ranges(100, 7);
-        par_chunks_mut(&mut data, &ranges, |_, start, chunk| {
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                *slot = start + k;
-            }
-        });
-        assert_eq!(data, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn par_chunks_mut_allows_gaps() {
-        let mut data = vec![9usize; 10];
-        par_chunks_mut(&mut data, &[1..3, 5..6, 8..10], |i, _, chunk| {
-            for slot in chunk.iter_mut() {
-                *slot = i;
-            }
-        });
-        assert_eq!(data, vec![9, 0, 0, 9, 9, 1, 9, 9, 2, 2]);
-    }
-
-    #[test]
-    #[should_panic(expected = "sorted and non-overlapping")]
-    fn par_chunks_mut_rejects_overlap() {
-        let mut data = vec![0usize; 10];
-        par_chunks_mut(&mut data, &[0..5, 4..10], |_, _, _| {});
-    }
-
-    #[test]
     fn par_join_propagates_panics() {
         let caught = std::panic::catch_unwind(|| {
             par_join(vec![
@@ -397,44 +210,31 @@ mod tests {
         assert!(caught.is_err());
     }
 
-    /// The knob tests mutate process-wide state; serialize them.
-    static KNOB_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn thread_knob_resolution_order() {
-        let _guard = KNOB_LOCK.lock().unwrap();
-        set_threads(3);
-        assert_eq!(get_threads(), 3);
-        set_threads(0);
-        set_default_threads(2);
-        // BEPI_THREADS is unset in the test environment, so the soft
-        // default wins over available parallelism.
-        if env_threads() == 0 {
-            assert_eq!(get_threads(), 2);
-        }
-        set_default_threads(0);
-        assert!(get_threads() >= 1);
+        // The calling thread's pin, else the machine's width; a zero pin
+        // means "unset".
+        assert_eq!(get_threads(), available());
+        assert_eq!(with_kernel_threads(3, get_threads), 3);
+        assert_eq!(with_kernel_threads(0, get_threads), available());
     }
 
     #[test]
     fn thread_local_pin_beats_globals_and_restores() {
-        let _guard = KNOB_LOCK.lock().unwrap();
-        set_threads(4);
-        assert_eq!(get_threads(), 4);
-        let inside = with_kernel_threads(1, get_threads);
-        assert_eq!(inside, 1);
+        // Nested pins restore the outer one.
+        assert_eq!(
+            with_kernel_threads(4, || (with_kernel_threads(1, get_threads), get_threads())),
+            (1, 4)
+        );
         // Restored after the closure, including across a panic.
-        assert_eq!(get_threads(), 4);
+        assert_eq!(get_threads(), available());
         let caught = std::panic::catch_unwind(|| {
             with_kernel_threads(2, || panic!("boom"));
         });
         assert!(caught.is_err());
-        assert_eq!(get_threads(), 4);
-        // The pin is per-thread: a sibling thread still sees the global.
+        assert_eq!(get_threads(), available());
+        // The pin is per-thread: a sibling thread still sees the default.
         let sibling = with_kernel_threads(1, || std::thread::spawn(get_threads).join().unwrap());
-        assert_eq!(sibling, 4);
-        // Zero means "unset", falling through to the globals.
-        assert_eq!(with_kernel_threads(0, get_threads), 4);
-        set_threads(0);
+        assert_eq!(sibling, available());
     }
 }

@@ -199,13 +199,6 @@ impl Server {
     ) -> std::io::Result<ServerHandle> {
         let addr = listener.local_addr()?;
         let threads = config.effective_threads();
-        // Compose worker × kernel parallelism: each of the `threads`
-        // workers runs solver kernels, so unless the operator pinned the
-        // kernel count explicitly (BEPI_THREADS / --threads on the CLI's
-        // query commands), default each worker's kernels to its share of
-        // the machine. On a 8-core box with 4 workers that is 2 kernel
-        // threads per query — never 4 × 8 oversubscription.
-        bepi_par::set_default_threads((bepi_par::available() / threads).max(1));
         let metrics = Arc::new(Metrics::default());
         let cache = Arc::new(ResponseCache::new(
             config.cache_entries,

@@ -20,9 +20,8 @@ const DENSE_BLOCK_THRESHOLD: usize = 128;
 
 /// Inverted LU factors of a block-diagonal matrix.
 ///
-/// Applying the factors ([`BlockLu::solve_vec`]) is two SpMVs whose row
-/// partitions respect the block structure, so the forward/backward solves
-/// parallelize per block through the row-partitioned SpMV kernel.
+/// Applying the factors ([`BlockLu::solve_vec`]) is two SpMVs; the
+/// factorisation itself fans out per block ([`BlockLu::factor_parallel`]).
 ///
 /// ```
 /// use bepi_solver::BlockLu;

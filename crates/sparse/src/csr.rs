@@ -15,10 +15,6 @@ use crate::mem::MemBytes;
 use crate::storage::Storage;
 use crate::{Coo, Dense, Result};
 
-/// Minimum nnz before [`Csr::mul_vec_into`] fans out to threads: below
-/// this the spawn/join cost of scoped threads exceeds the multiply.
-const PAR_SPMV_MIN_NNZ: usize = 16_384;
-
 /// A sparse matrix in compressed sparse row format.
 ///
 /// ```
@@ -413,24 +409,7 @@ impl Csr {
     }
 
     /// `y = A x` into a caller-provided buffer (overwrites `y`).
-    ///
-    /// Runs on [`bepi_par::get_threads`] threads when the matrix is large
-    /// enough to amortize the spawns; each thread owns a contiguous range
-    /// of rows balanced by nnz (via the `indptr` prefix sums), so the
-    /// result is byte-identical to the serial loop at any thread count.
     pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
-        let threads = if self.nnz() < PAR_SPMV_MIN_NNZ {
-            1
-        } else {
-            bepi_par::get_threads()
-        };
-        self.mul_vec_into_threads(x, y, threads)
-    }
-
-    /// [`Csr::mul_vec_into`] with an explicit thread count, bypassing both
-    /// the global knob and the size threshold (tests and benchmarks pin
-    /// thread counts through this; `threads <= 1` is the serial loop).
-    pub fn mul_vec_into_threads(&self, x: &[f64], y: &mut [f64], threads: usize) -> Result<()> {
         if x.len() != self.ncols {
             return Err(SparseError::VectorLength {
                 expected: self.ncols,
@@ -443,31 +422,21 @@ impl Csr {
                 actual: y.len(),
             });
         }
-        if threads <= 1 || self.nrows <= 1 {
-            self.spmv_rows(x, 0, y);
-            return Ok(());
-        }
-        let ranges = bepi_par::balanced_ranges(&self.indptr, threads);
-        bepi_par::par_chunks_mut(y, &ranges, |_, first_row, chunk| {
-            self.spmv_rows(x, first_row, chunk)
-        });
-        Ok(())
-    }
-
-    /// The serial SpMV row body over rows `first_row..first_row + y.len()`.
-    /// Both the serial and every parallel path go through this, which is
-    /// what makes the parallel result bit-identical by construction.
-    #[inline]
-    fn spmv_rows(&self, x: &[f64], first_row: usize, y: &mut [f64]) {
-        for (offset, yi) in y.iter_mut().enumerate() {
-            let row = first_row + offset;
-            let (s, e) = (self.indptr[row], self.indptr[row + 1]);
+        // Borrow the arrays once: indexing a `Storage` per entry re-checks
+        // whether it is owned or mapped.
+        let (indices, values) = (self.indices.as_slice(), self.values.as_slice());
+        for (yi, bounds) in y.iter_mut().zip(self.indptr.windows(2)) {
+            let (cols, vals) = (
+                &indices[bounds[0]..bounds[1]],
+                &values[bounds[0]..bounds[1]],
+            );
             let mut acc = 0.0;
-            for k in s..e {
-                acc += self.values[k] * x[self.indices[k] as usize];
+            for (&c, &v) in cols.iter().zip(vals) {
+                acc += v * x[c as usize];
             }
             *yi = acc;
         }
+        Ok(())
     }
 
     /// Dense `y = A^T x` without materializing the transpose.

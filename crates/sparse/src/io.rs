@@ -103,6 +103,9 @@ pub fn write_matrix_market<W: Write>(writer: W, a: &Csr) -> Result<()> {
 /// Reads a whitespace-separated edge list (`src dst` or `src dst weight`
 /// per line, `#`/`%` comments) into COO; unweighted lines get value 1.0.
 /// Node count is `max(id) + 1` unless `n` is given.
+///
+/// A node id must be below `u32::MAX` and a weight must be finite and
+/// positive; any other line is a parse error that quotes it.
 pub fn read_edge_list<R: Read>(reader: R, n: Option<usize>) -> Result<Coo> {
     let mut edges: Vec<(u32, u32, f64)> = Vec::new();
     let mut max_id = 0usize;
@@ -121,6 +124,12 @@ pub fn read_edge_list<R: Read>(reader: R, n: Option<usize>) -> Result<Coo> {
                 .map_err(|_| SparseError::Parse(format!("invalid weight: {field:?}")))?,
             None => 1.0,
         };
+        if s.max(d) >= u32::MAX as usize {
+            return Err(SparseError::Parse(format!(
+                "node id does not fit the u32 index space in line {trimmed:?}"
+            )));
+        }
+        check_weight(w, trimmed)?;
         max_id = max_id.max(s).max(d);
         edges.push((s as u32, d as u32, w));
     }
@@ -130,6 +139,18 @@ pub fn read_edge_list<R: Read>(reader: R, n: Option<usize>) -> Result<Coo> {
         coo.push(s as usize, d as usize, w)?;
     }
     Ok(coo)
+}
+
+/// Rejects an edge-list weight that is not finite and positive, quoting
+/// its `line`. Such a weight would turn scores into NaN, leave a row
+/// passing on no mass, or flip its sign under row normalisation.
+pub fn check_weight(weight: f64, line: &str) -> Result<()> {
+    if weight.is_finite() && weight > 0.0 {
+        return Ok(());
+    }
+    Err(SparseError::Parse(format!(
+        "weight {weight} is not finite and positive in line {line:?}"
+    )))
 }
 
 /// Writes a graph adjacency matrix as a whitespace edge list (`src dst`
@@ -236,6 +257,29 @@ mod tests {
         assert!(read_edge_list("0\n".as_bytes(), None).is_err());
         assert!(read_edge_list("a b\n".as_bytes(), None).is_err());
         assert!(read_edge_list("0 1 abc\n".as_bytes(), None).is_err());
+    }
+
+    #[test]
+    fn edge_list_rejects_wide_ids_and_bad_weights() {
+        for line in [
+            "4294967301 0",
+            "0 4294967295",
+            "0 1 NaN",
+            "0 1 inf",
+            "0 1 -inf",
+            "0 1 0",
+            "0 1 -1",
+        ] {
+            for n in [None, Some(6)] {
+                let err = read_edge_list(format!("{line}\n").as_bytes(), n).unwrap_err();
+                assert!(
+                    err.to_string().contains(&format!("{line:?}")),
+                    "{line}: {err}"
+                );
+            }
+        }
+        // Tiny and huge weights are still finite and positive.
+        assert!(read_edge_list("0 1 1e-300\n2 0 1e300\n".as_bytes(), None).is_ok());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! Every array inside [`crate::Csr`] and [`crate::Permutation`] is a
 //! [`Storage<T>`]. On the owned path nothing changes: storage derefs to
 //! the same slices as before, so every kernel (`mul_vec_into`, the
-//! triangular solves, the `bepi-par` partitioned paths) runs unchanged
+//! triangular solves, the `bepi-par` partitioned SpGEMM) runs unchanged
 //! and stays bit-identical. On the mapped path the storage borrows a
 //! 64-byte-aligned section of a v6 index file through a
 //! [`bepi_map::Section`] handle, which keeps the whole file mapping

@@ -3,65 +3,36 @@
 //! GMRES, power iteration, and the accuracy experiments all operate on
 //! dense vectors; these free functions keep those hot loops allocation-free.
 //!
-//! Reductions ([`dot`], [`norm2`]) are *chunk-deterministic*: vectors
-//! longer than [`bepi_par::DETERMINISTIC_CHUNK`] are summed as fixed-size
-//! chunk partials combined in index order, so the floating-point grouping
-//! depends only on the length — never on the thread count — and parallel
-//! runs are bit-identical to serial ones. [`axpy`] parallelizes over
-//! disjoint element ranges, which is trivially deterministic.
+//! Reductions ([`dot`], [`norm2`]) sum vectors longer than
+//! `DETERMINISTIC_CHUNK` as fixed-size chunk partials combined in index
+//! order. The floating-point grouping depends only on the length, so a
+//! change in how the chunks are computed (say, concurrently) cannot move
+//! a score's bits.
 
-use bepi_par::DETERMINISTIC_CHUNK;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Minimum vector length before a dense kernel fans out to threads.
-const PAR_VEC_MIN_LEN: usize = 65_536;
+/// Chunk length of the fixed summation order in [`dot`].
+const DETERMINISTIC_CHUNK: usize = 8192;
 
 /// Dot product. Panics in debug builds on length mismatch.
 ///
-/// Chunk-deterministic and parallel for long vectors (see module docs).
+/// Sums `DETERMINISTIC_CHUNK`-element partials, each a left-to-right
+/// fold, then the partials in index order (see module docs).
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    let threads = if a.len() >= PAR_VEC_MIN_LEN {
-        bepi_par::get_threads()
-    } else {
-        1
-    };
-    dot_threads(a, b, threads)
-}
-
-/// [`dot`] with an explicit thread count, bypassing the global knob and
-/// the size threshold. Bit-identical to `dot_threads(a, b, 1)` for every
-/// `threads` because the chunk grouping is fixed by the length.
-pub fn dot_threads(a: &[f64], b: &[f64], threads: usize) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    let n = a.len();
-    if n <= DETERMINISTIC_CHUNK {
-        return dot_serial(a, b);
+    if a.len() <= DETERMINISTIC_CHUNK {
+        return dot_chunk(a, b);
     }
-    let nchunks = n.div_ceil(DETERMINISTIC_CHUNK);
-    let mut partials = vec![0.0f64; nchunks];
-    let threads = threads.min(nchunks);
-    let fill = |first_chunk: usize, out: &mut [f64]| {
-        for (k, p) in out.iter_mut().enumerate() {
-            let s = (first_chunk + k) * DETERMINISTIC_CHUNK;
-            let e = (s + DETERMINISTIC_CHUNK).min(n);
-            *p = dot_serial(&a[s..e], &b[s..e]);
-        }
-    };
-    if threads <= 1 {
-        fill(0, &mut partials);
-    } else {
-        let ranges = bepi_par::even_ranges(nchunks, threads);
-        bepi_par::par_chunks_mut(&mut partials, &ranges, |_, first, out| fill(first, out));
-    }
-    // Combine in chunk order: grouping depends only on n.
-    partials.iter().sum()
+    a.chunks(DETERMINISTIC_CHUNK)
+        .zip(b.chunks(DETERMINISTIC_CHUNK))
+        .map(|(a, b)| dot_chunk(a, b))
+        .sum()
 }
 
-/// The single-chunk dot body; every path (serial, each parallel chunk)
-/// reduces through this exact left-to-right fold.
+/// One chunk of [`dot`]: a left-to-right fold.
 #[inline]
-fn dot_serial(a: &[f64], b: &[f64]) -> f64 {
+fn dot_chunk(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
@@ -83,34 +54,10 @@ pub fn norm_inf(a: &[f64]) -> f64 {
     a.iter().fold(0.0, |m, x| m.max(x.abs()))
 }
 
-/// `y += alpha * x`. Parallel over disjoint element ranges for long
-/// vectors; elementwise, so the result is identical at any thread count.
-pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    let threads = if y.len() >= PAR_VEC_MIN_LEN {
-        bepi_par::get_threads()
-    } else {
-        1
-    };
-    axpy_threads(alpha, x, y, threads);
-}
-
-/// [`axpy`] with an explicit thread count, bypassing the global knob and
-/// the size threshold. Elementwise, hence identical at any count.
-pub fn axpy_threads(alpha: f64, x: &[f64], y: &mut [f64], threads: usize) {
-    debug_assert_eq!(x.len(), y.len());
-    if threads <= 1 || y.is_empty() {
-        axpy_serial(alpha, x, y);
-        return;
-    }
-    let ranges = bepi_par::even_ranges(y.len(), threads);
-    bepi_par::par_chunks_mut(y, &ranges, |_, start, chunk| {
-        axpy_serial(alpha, &x[start..start + chunk.len()], chunk)
-    });
-}
-
-/// The serial axpy body shared by both paths.
+/// `y += alpha * x`.
 #[inline]
-fn axpy_serial(alpha: f64, x: &[f64], y: &mut [f64]) {
+pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
+    debug_assert_eq!(x.len(), y.len());
     for (yi, xi) in y.iter_mut().zip(x) {
         *yi += alpha * xi;
     }
@@ -250,8 +197,8 @@ mod tests {
     }
 
     #[test]
-    fn dot_is_bit_identical_across_thread_counts() {
-        // Long enough for several chunks, awkward tail included.
+    fn dot_sums_fixed_chunks_in_index_order() {
+        // Several full chunks and an awkward tail.
         let n = DETERMINISTIC_CHUNK * 3 + 1234;
         let a: Vec<f64> = (0..n)
             .map(|i| ((i * 2654435761) % 1000) as f64 * 1e-3 - 0.5)
@@ -259,24 +206,15 @@ mod tests {
         let b: Vec<f64> = (0..n)
             .map(|i| ((i * 40503) % 997) as f64 * 1e-3 - 0.25)
             .collect();
-        let serial = dot_threads(&a, &b, 1);
-        for t in [2, 3, 8] {
-            assert_eq!(dot_threads(&a, &b, t).to_bits(), serial.to_bits());
+        let mut partials = [0.0f64; 4];
+        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
+            partials[i / DETERMINISTIC_CHUNK] += x * y;
         }
-    }
-
-    #[test]
-    fn axpy_is_bit_identical_across_thread_counts() {
-        let n = 100_001;
-        let x: Vec<f64> = (0..n).map(|i| (i % 113) as f64 * 0.017 - 1.0).collect();
-        let mut serial: Vec<f64> = (0..n).map(|i| (i % 57) as f64 * 0.031).collect();
-        let base = serial.clone();
-        axpy_threads(0.37, &x, &mut serial, 1);
-        for t in [2, 3, 8] {
-            let mut y = base.clone();
-            axpy_threads(0.37, &x, &mut y, t);
-            assert_eq!(y, serial);
+        let mut expected = 0.0f64;
+        for p in partials {
+            expected += p;
         }
+        assert_eq!(dot(&a, &b).to_bits(), expected.to_bits());
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! One estimator, [`tpa_scores`]: a TPA-style truncated cumulative power
 //! iteration (see [`tpa`]) with the truncated tail accounted in closed
 //! form. It draws no random numbers, so its scores are bit-identical for
-//! a fixed `(query seed, graph version)` at any thread count and over
-//! both owned and memory-mapped CSR storage — the property that keeps
+//! a fixed `(query seed, graph version)` on any worker and over both
+//! owned and memory-mapped CSR storage — the property that keeps
 //! approximate responses cacheable byte-for-byte.
 //!
 //! [`ApproxEngine`] packages it with the precomputed `Ã^T` operator,

@@ -11,6 +11,12 @@
 #   benchmark/run.sh --workload W --seed <pair> --seconds 16 --trace 0
 # from both trees. Defaults: exact-cold, 10 pairs. Nothing is reported if
 # any run failed or answered wrongly. Not part of ci.sh.
+#
+# Right after each run, a traced exact-cold smoke run from the same tree
+# reads bench.host_triad_gbps, the memory bandwidth the shared host gives
+# at that moment (an untraced run does not report it). It is printed per
+# pair and as a median per side so a pair run on a drifted host shows; it
+# is not part of the verdict.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,31 +62,44 @@ echo "building parent ($parent_ref) and change" >&2
 run_side "$parent" "$tmp/target" help >/dev/null
 run_side "$change" "$change_target" help >/dev/null
 
-# measure <side> <pair>: one run; appends each metric to $tmp/<metric>.<side>.
-measure() {
+# contract_line <side> <pair> <args...>: the last stdout line of one clean
+# run of that side's tree; exits the script if the run failed or was wrong.
+contract_line() {
     local side=$1 pair=$2 tree target line
+    shift 2
     case $side in
     parent) tree=$parent target=$tmp/target ;;
     change) tree=$change target=$change_target ;;
     esac
-    if ! line=$(run_side "$tree" "$target" --workload "$workload" --seed "$pair" \
-        --seconds 16 --trace 0 2>"$tmp/stderr" | tail -n 1); then
+    if ! line=$(run_side "$tree" "$target" --seed "$pair" "$@" 2>"$tmp/stderr" | tail -n 1); then
         cat "$tmp/stderr" >&2
         echo "bench_pairs: $side run of pair $pair failed; nothing reported" >&2
         exit 1
     fi
     case $line in
-    '{"correct":true,'*'"failed":0,'*) ;;
+    '{"correct":true,'*'"failed":0,'*) echo "$line" ;;
     *)
         echo "bench_pairs: $side run of pair $pair was not clean; nothing reported: $line" >&2
         exit 1
         ;;
     esac
-    local m name
+}
+
+# value <metric>: that metric's value in the contract line on stdin.
+value() {
+    sed -n "s/.*\"$1\":{\"value\":\([^,}]*\).*/\1/p"
+}
+
+# measure <side> <pair>: one run, then the host triad; appends each metric
+# to $tmp/<metric>.<side> and the triad to $tmp/triad.<side>.
+measure() {
+    local side=$1 pair=$2 line m
+    line=$(contract_line "$side" "$pair" --workload "$workload" --seconds 16 --trace 0)
     for m in $metrics; do
-        name=${m%%:*}
-        sed -n "s/.*\"$name\":{\"value\":\([^,}]*\).*/\1/p" <<<"$line" >>"$tmp/$name.$side"
+        value "${m%%:*}" <<<"$line" >>"$tmp/${m%%:*}.$side"
     done
+    contract_line "$side" "$pair" --workload exact-cold --smoke --trace 1 --out "$tmp/triad" |
+        value bench.host_triad_gbps >>"$tmp/triad.$side"
 }
 
 for pair in $(seq 1 "$pairs"); do
@@ -91,7 +110,7 @@ for pair in $(seq 1 "$pairs"); do
         name=${m%%:*}
         printf '  %s %s -> %s' "$name" "$(tail -n 1 "$tmp/$name.parent")" "$(tail -n 1 "$tmp/$name.change")"
     done
-    printf '\n'
+    printf '  host_triad_gbps %s -> %s\n' "$(tail -n 1 "$tmp/triad.parent")" "$(tail -n 1 "$tmp/triad.change")"
 done
 
 # quartiles <file>: "q1 median q3", linear interpolation between ranks.
@@ -114,3 +133,6 @@ for m in $metrics; do
     printf '%-13s change wins %d/%d (loses %d)  parent %s [%s, %s]  change %s [%s, %s]\n' \
         "$name" "$wins" "$pairs" "$losses" "$pmed" "$pq1" "$pq3" "$cmed" "$cq1" "$cq3"
 done
+read -r _ pmed _ < <(quartiles "$tmp/triad.parent")
+read -r _ cmed _ < <(quartiles "$tmp/triad.change")
+printf 'bench.host_triad_gbps (host drift, not a verdict)  parent %s  change %s\n' "$pmed" "$cmed"

@@ -1,7 +1,7 @@
 //! Determinism guarantees of the approximate serving tier (`bepi-walk`):
 //! for a fixed `(query seed, graph version)` the TPA engine must return
-//! *bit-identical* scores at any kernel thread count and over both owned
-//! and memory-mapped CSR storage. The daemon's response
+//! *bit-identical* scores over both owned and memory-mapped CSR storage,
+//! and across rebuilds of the engine. The daemon's response
 //! cache and the `X-Approx` contract lean on exactly this — a cached
 //! approximate body must be byte-for-byte what a fresh solve would
 //! produce, no matter which worker or storage backing answered.
@@ -12,14 +12,6 @@ use bepi_sparse::vecops::top_k_indices;
 use bepi_walk::{ApproxConfig, ApproxEngine};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// `bepi_par::set_threads` is a process-wide override; serialize every
-/// test that flips it so concurrent test threads never observe a
-/// mid-flight value. (The determinism property itself makes the thread
-/// count invisible in the *scores* — the lock only keeps the tests'
-/// base-vs-variant bookkeeping coherent.)
-static THREADS: Mutex<()> = Mutex::new(());
 
 fn engine(g: &Graph) -> ApproxEngine {
     ApproxEngine::new(g, 0.05, ApproxConfig::default()).expect("engine build")
@@ -42,32 +34,20 @@ fn mmap_round_trip(g: &Graph) -> Graph {
     mapped.expect("v6 file saved with graph must reload it")
 }
 
-/// The full determinism matrix for one graph: each thread count ×
-/// storage backing must reproduce the thread-1 owned-storage scores
-/// bit-for-bit for `seed`.
+/// The determinism check for one graph: a rebuilt engine over owned
+/// storage and one over mapped storage must each reproduce the first
+/// owned-storage scores bit-for-bit for `seed`.
 fn assert_bit_identical_everywhere(g: &Graph, seed: usize) {
-    let _guard = THREADS.lock().unwrap();
     let mapped = mmap_round_trip(g);
-    bepi_par::set_threads(1);
     let base = engine(g).query(seed, 0).unwrap();
     // Sanity on the base itself: a probability-mass vector.
     let total: f64 = base.scores.iter().sum();
     assert!((0.0..=1.0 + 1e-9).contains(&total), "mass {total}");
     assert!(base.scores[seed] > 0.0, "seed got no mass");
-    for threads in [1usize, 2, 4, 8] {
-        bepi_par::set_threads(threads);
-        let o = engine(g).query(seed, 0).unwrap();
-        assert_eq!(
-            o.scores, base.scores,
-            "owned storage drifted at {threads} threads"
-        );
-        let m = engine(&mapped).query(seed, 0).unwrap();
-        assert_eq!(
-            m.scores, base.scores,
-            "mapped storage drifted at {threads} threads"
-        );
-    }
-    bepi_par::set_threads(1);
+    let o = engine(g).query(seed, 0).unwrap();
+    assert_eq!(o.scores, base.scores, "owned storage drifted");
+    let m = engine(&mapped).query(seed, 0).unwrap();
+    assert_eq!(m.scores, base.scores, "mapped storage drifted");
 }
 
 /// Random directed graphs with deadends allowed (self-loop-free, like
@@ -86,7 +66,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     #[test]
-    fn approx_scores_identical_across_threads_and_storage(
+    fn approx_scores_identical_across_storage(
         g in graph_strategy(),
         seed_frac in 0.0f64..1.0,
     ) {
@@ -127,8 +107,8 @@ fn single_hub_star_is_deterministic() {
 /// the top-20 (score desc, id asc) of the default-configured TPA engine
 /// must overlap the exact solver's top-20 by at least 0.9 on average (the
 /// precision TPA is deployed for — Yoon et al., PAPERS.md). The engine is
-/// thread-count deterministic (above), so the measured value is one fixed
-/// number — 0.97 on these five seeds — and the gate cannot flake.
+/// deterministic (above), so the measured value is one fixed number —
+/// 0.97 on these five seeds — and the gate cannot flake.
 #[test]
 fn default_engines_reach_precision_at_20_on_the_slashdot_anchor() {
     use rand::rngs::StdRng;
