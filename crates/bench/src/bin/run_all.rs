@@ -26,7 +26,6 @@ fn main() -> std::io::Result<()> {
         ("fig5_scalability", ex::fig5::run),
         ("fig1_overall", ex::fig1::run),
         ("fig12_total_time", ex::fig12::run),
-        ("ablation_solvers", ex::ablation::run),
         ("approx_comparison", ex::approx_comparison::run),
     ];
     let total = Instant::now();

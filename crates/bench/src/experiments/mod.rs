@@ -2,7 +2,6 @@
 //! `run()` returning a printable report; binaries and `run_all` wrap
 //! these.
 
-pub mod ablation;
 pub mod approx_comparison;
 pub mod fig1;
 pub mod fig10;

@@ -173,3 +173,38 @@ fn format_flag_accepts_only_v6() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn out_of_range_config_values_exit_cleanly_naming_the_field() {
+    let dir = temp_dir("config");
+    let edges = dir.join("edges.txt");
+    std::fs::write(&edges, "0 1\n1 2\n2 0\n2 3\n3 1\n").unwrap();
+    let index = dir.join("index.bepi");
+    let cases: [(&str, &str, &str); 6] = [
+        ("--k", "2", "hub ratio"),
+        ("--k", "0", "hub ratio"),
+        ("--k", "nan", "hub ratio"),
+        ("--tol", "0", "tol"),
+        ("--tol", "-1", "tol"),
+        ("--tol", "nan", "tol"),
+    ];
+    for (flag, value, field) in cases {
+        let output = bepi()
+            .args(["preprocess", path_str(&edges), path_str(&index)])
+            .args([flag, value])
+            .output()
+            .expect("run bepi preprocess");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(1), "{flag} {value}:\n{stderr}");
+        assert!(
+            !stderr.contains("panicked"),
+            "{flag} {value} panicked:\n{stderr}"
+        );
+        assert!(
+            stderr.lines().next().is_some_and(|l| l.contains(field)),
+            "{flag} {value} must name {field}:\n{stderr}"
+        );
+    }
+    assert!(!index.exists(), "a rejected config must write no index");
+    std::fs::remove_dir_all(&dir).ok();
+}

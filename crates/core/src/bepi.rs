@@ -10,6 +10,10 @@
 //! * **BePI** — additionally precomputes ILU(0) factors of `S` and runs
 //!   *preconditioned* GMRES (Section 3.5), cutting iteration counts
 //!   several-fold (Table 4).
+//!
+//! Every variant solves `S` with restarted GMRES; ILU(0) is the one
+//! preconditioner, and only the full variant builds it. A solve that does
+//! not reach the tolerance is an error, never an answer.
 
 use crate::hmatrix::HPartition;
 use crate::rwr::{check_restart_prob, check_seed, RwrScores, RwrSolver};
@@ -17,11 +21,8 @@ use crate::schur::schur_complement;
 use crate::{DEFAULT_RESTART_PROB, DEFAULT_TOLERANCE};
 use bepi_graph::Graph;
 use bepi_incr::{DirtySet, SymbolicPlan};
-use bepi_solver::{
-    bicgstab, gmres, BiCgStabConfig, BlockLu, GmresConfig, Ilu0, JacobiPrecond, NeumannPrecond,
-    Preconditioner,
-};
-use bepi_sparse::{Csr, MemBytes, Permutation, Result};
+use bepi_solver::{gmres, BlockLu, GmresConfig, Ilu0, Preconditioner};
+use bepi_sparse::{Csr, MemBytes, Permutation, Result, SparseError};
 use std::time::{Duration, Instant};
 
 /// Which of the three BePI variants to run.
@@ -46,32 +47,14 @@ impl BePiVariant {
     }
 }
 
-/// Which Krylov method solves the Schur system at query time.
-///
-/// The paper uses GMRES but notes (Section 2.2) that any Krylov method
-/// for non-symmetric systems applies; BiCGSTAB is the short-recurrence
-/// alternative, compared in the ablation benches.
+/// Which Krylov method solves the Schur system at query time: restarted
+/// GMRES (Algorithm 4, Appendix B), the only one. The index format keeps
+/// a tag for it, always 0.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InnerSolver {
     /// Restarted GMRES (the paper's choice).
     #[default]
     Gmres,
-    /// BiCGSTAB.
-    BiCgStab,
-}
-
-/// Which preconditioner the full BePI variant builds for the Schur system
-/// (Section 3.5 discusses ILU vs SPAI-style alternatives).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PrecondKind {
-    /// ILU(0) — the paper's choice.
-    #[default]
-    Ilu0,
-    /// Diagonal (Jacobi) scaling.
-    Jacobi,
-    /// Truncated Neumann series of the given order (SPAI-style explicit
-    /// approximate inverse; applications are pure SpMVs).
-    Neumann(usize),
 }
 
 /// Configuration of a BePI preprocessing run.
@@ -92,9 +75,6 @@ pub struct BePiConfig {
     pub max_iters: usize,
     /// Krylov method for the Schur solve.
     pub inner: InnerSolver,
-    /// Preconditioner built by the full variant (ignored by BePI-B/-S,
-    /// which run unpreconditioned as in the paper).
-    pub precond: PrecondKind,
 }
 
 impl Default for BePiConfig {
@@ -107,7 +87,6 @@ impl Default for BePiConfig {
             gmres_restart: 100,
             max_iters: 10_000,
             inner: InnerSolver::Gmres,
-            precond: PrecondKind::Ilu0,
         }
     }
 }
@@ -127,6 +106,33 @@ impl BePiConfig {
             BePiVariant::Basic => 0.001,
             BePiVariant::Sparse | BePiVariant::Full => 0.2,
         })
+    }
+
+    /// Checks every value preprocessing and querying rely on: `0 < c < 1`,
+    /// an effective hub ratio in `(0, 1)`, a finite `tol` in `(0, 1)`, and
+    /// a GMRES restart length and iteration cap of at least 1. The error
+    /// names the offending field.
+    pub fn validate(&self) -> Result<()> {
+        check_restart_prob(self.c)?;
+        let k = self.effective_hub_ratio();
+        if !(k > 0.0 && k < 1.0) {
+            return Err(SparseError::Numerical(format!(
+                "hub ratio k must satisfy 0 < k < 1, got {k}"
+            )));
+        }
+        if !(self.tol > 0.0 && self.tol < 1.0) {
+            return Err(SparseError::Numerical(format!(
+                "tolerance tol must satisfy 0 < tol < 1, got {}",
+                self.tol
+            )));
+        }
+        if self.gmres_restart == 0 || self.max_iters == 0 {
+            return Err(SparseError::Numerical(format!(
+                "gmres_restart and max_iters must be at least 1, got {} and {}",
+                self.gmres_restart, self.max_iters
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -163,58 +169,6 @@ pub struct PreprocessStats {
     pub phases: Vec<PhaseTiming>,
 }
 
-/// A preprocessed BePI instance, ready to answer RWR queries
-/// (Algorithm 2 / 4).
-/// The preconditioner actually built at preprocessing time.
-#[derive(Debug, Clone)]
-enum BuiltPrecond {
-    None,
-    Ilu(Ilu0),
-    Jacobi(JacobiPrecond),
-    Neumann(NeumannPrecond),
-}
-
-impl BuiltPrecond {
-    fn as_dyn(&self) -> Option<&dyn Preconditioner> {
-        match self {
-            BuiltPrecond::None => None,
-            BuiltPrecond::Ilu(m) => Some(m),
-            BuiltPrecond::Jacobi(m) => Some(m),
-            BuiltPrecond::Neumann(m) => Some(m),
-        }
-    }
-}
-
-impl BuiltPrecond {
-    fn heap_bytes(&self) -> usize {
-        match self {
-            BuiltPrecond::None => 0,
-            BuiltPrecond::Ilu(m) => m.heap_bytes(),
-            // Jacobi / Neumann are always recomputed on load, never mapped.
-            BuiltPrecond::Jacobi(m) => m.mem_bytes(),
-            BuiltPrecond::Neumann(m) => m.mem_bytes(),
-        }
-    }
-
-    fn mapped_bytes(&self) -> usize {
-        match self {
-            BuiltPrecond::Ilu(m) => m.mapped_bytes(),
-            _ => 0,
-        }
-    }
-}
-
-impl MemBytes for BuiltPrecond {
-    fn mem_bytes(&self) -> usize {
-        match self {
-            BuiltPrecond::None => 0,
-            BuiltPrecond::Ilu(m) => m.mem_bytes(),
-            BuiltPrecond::Jacobi(m) => m.mem_bytes(),
-            BuiltPrecond::Neumann(m) => m.mem_bytes(),
-        }
-    }
-}
-
 /// One component of an index's physical memory split
 /// (see [`BePi::memory_report`]).
 #[derive(Debug, Clone)]
@@ -239,9 +193,8 @@ pub(crate) struct RawParts {
     pub n3: usize,
     pub h11_lu: BlockLu,
     pub s: Csr,
-    /// Pre-built ILU(0) factors, when the index persisted them. `None`
-    /// means: rebuild whatever preconditioner the config calls for from
-    /// `S`.
+    /// Pre-built ILU(0) factors, when the index persisted them. A full
+    /// variant without them re-factors `S`.
     pub ilu: Option<Ilu0>,
     pub h12: Csr,
     pub h21: Csr,
@@ -263,7 +216,8 @@ pub struct BePi {
     n3: usize,
     h11_lu: BlockLu,
     s: Csr,
-    precond: BuiltPrecond,
+    /// ILU(0) factors of `S`: `Some` exactly for the full variant.
+    ilu: Option<Ilu0>,
     h12: Csr,
     h21: Csr,
     h31: Csr,
@@ -275,7 +229,7 @@ impl BePi {
     /// Runs the preprocessing phase (Algorithm 1 for BePI-B/-S,
     /// Algorithm 3 for full BePI).
     pub fn preprocess(g: &Graph, config: &BePiConfig) -> Result<Self> {
-        check_restart_prob(config.c)?;
+        config.validate()?;
         let start = Instant::now();
         let k = config.effective_hub_ratio();
         let part = HPartition::build(g, config.c, k)?;
@@ -295,7 +249,7 @@ impl BePi {
         config: &BePiConfig,
         plan: &SymbolicPlan,
     ) -> Result<Self> {
-        check_restart_prob(config.c)?;
+        config.validate()?;
         let start = Instant::now();
         let part = HPartition::from_plan(g, config.c, plan)?;
         Self::factor_partition(part, config, start)
@@ -347,17 +301,13 @@ impl BePi {
         let t_precond = Instant::now();
         // Refresh ILU(0) values on the old pattern when it still matches;
         // fall back to a fresh factorization otherwise (both paths are
-        // bit-identical to `Ilu0::factor(&s)`). Jacobi/Neumann are cheap
-        // and deterministic, so `from_raw_parts` recomputes them.
-        let ilu = match (config.variant, config.precond) {
-            (BePiVariant::Full, PrecondKind::Ilu0) => {
+        // bit-identical to `Ilu0::factor(&s)`).
+        let ilu = match &self.ilu {
+            Some(old) => {
                 let _span = bepi_obs::Span::enter("refactor.precond");
-                Some(match self.ilu_parts() {
-                    Some(old) => old.refresh_values(&s).or_else(|_| Ilu0::factor(&s))?,
-                    None => Ilu0::factor(&s)?,
-                })
+                Some(old.refresh_values(&s).or_else(|_| Ilu0::factor(&s))?)
             }
-            _ => None,
+            None => None,
         };
         let precond_time = t_precond.elapsed();
         let phases = [
@@ -418,17 +368,11 @@ impl BePi {
         };
         let schur_time = t_schur.elapsed();
         let t_precond = Instant::now();
-        let precond = {
+        let ilu = {
             let _span = bepi_obs::Span::enter("preprocess.precond");
             match config.variant {
-                BePiVariant::Full => match config.precond {
-                    PrecondKind::Ilu0 => BuiltPrecond::Ilu(Ilu0::factor(&s)?),
-                    PrecondKind::Jacobi => BuiltPrecond::Jacobi(JacobiPrecond::new(&s)?),
-                    PrecondKind::Neumann(order) => {
-                        BuiltPrecond::Neumann(NeumannPrecond::new(&s, order)?)
-                    }
-                },
-                _ => BuiltPrecond::None,
+                BePiVariant::Full => Some(Ilu0::factor(&s)?),
+                _ => None,
             }
         };
         let precond_time = t_precond.elapsed();
@@ -476,7 +420,7 @@ impl BePi {
             n3,
             h11_lu,
             s,
-            precond,
+            ilu,
             h12,
             h21,
             h31,
@@ -501,19 +445,16 @@ impl BePi {
         &self.s
     }
 
-    /// The ILU(0) preconditioner, when the variant computed one (used by
-    /// the eigenvalue experiment of Figure 7).
+    /// The ILU(0) factors of `S` (None for BePI-B/-S): the query's
+    /// preconditioner, the factors an index file persists, and the `M` of
+    /// the eigenvalue experiment of Figure 7.
     pub fn preconditioner(&self) -> Option<&Ilu0> {
-        match &self.precond {
-            BuiltPrecond::Ilu(m) => Some(m),
-            _ => None,
-        }
+        self.ilu.as_ref()
     }
 
-    /// The preconditioner of whatever kind was configured, as a trait
-    /// object (None for BePI-B/-S).
+    /// [`BePi::preconditioner`] as the trait object GMRES takes.
     pub fn preconditioner_dyn(&self) -> Option<&dyn Preconditioner> {
-        self.precond.as_dyn()
+        self.ilu.as_ref().map(|m| m as &dyn Preconditioner)
     }
 
     /// The composite node permutation (original → reordered).
@@ -537,10 +478,10 @@ impl BePi {
         (&self.h12, &self.h21, &self.h31, &self.h32)
     }
 
-    /// Assembles an instance from persisted components. The
-    /// preconditioner comes from `parts.ilu` when the index carried the
-    /// factors; otherwise it is recomputed from `S` (deterministic, so
-    /// both paths yield bit-identical queries).
+    /// Assembles an instance from persisted components. A full variant
+    /// takes its ILU(0) factors from `parts.ilu` when the index carried
+    /// them and re-factors `S` otherwise (deterministic, so both paths
+    /// yield bit-identical queries).
     pub(crate) fn from_raw_parts(parts: RawParts) -> Result<Self> {
         let RawParts {
             config,
@@ -559,16 +500,10 @@ impl BePi {
             elapsed,
             phases,
         } = parts;
-        let precond = match config.variant {
-            BePiVariant::Full => match (config.precond, ilu) {
-                (PrecondKind::Ilu0, Some(ilu)) => BuiltPrecond::Ilu(ilu),
-                (PrecondKind::Ilu0, None) => BuiltPrecond::Ilu(Ilu0::factor(&s)?),
-                (PrecondKind::Jacobi, _) => BuiltPrecond::Jacobi(JacobiPrecond::new(&s)?),
-                (PrecondKind::Neumann(order), _) => {
-                    BuiltPrecond::Neumann(NeumannPrecond::new(&s, order)?)
-                }
-            },
-            _ => BuiltPrecond::None,
+        let ilu = match (config.variant, ilu) {
+            (BePiVariant::Full, Some(ilu)) => Some(ilu),
+            (BePiVariant::Full, None) => Some(Ilu0::factor(&s)?),
+            _ => None,
         };
         let stats = PreprocessStats {
             elapsed,
@@ -589,23 +524,13 @@ impl BePi {
             n3,
             h11_lu,
             s,
-            precond,
+            ilu,
             h12,
             h21,
             h31,
             h32,
             stats,
         })
-    }
-
-    /// The persisted ILU(0) factors and diagonal offsets, when the full
-    /// variant built an ILU preconditioner (persistence support: format
-    /// v6 stores the factors so loads never re-run the elimination).
-    pub(crate) fn ilu_parts(&self) -> Option<&Ilu0> {
-        match &self.precond {
-            BuiltPrecond::Ilu(m) => Some(m),
-            _ => None,
-        }
     }
 
     /// True when any component is served zero-copy from a mapped index.
@@ -646,8 +571,8 @@ impl BePi {
             csr("schur", &self.s),
             MemorySection {
                 name: "precond",
-                heap_bytes: self.precond.heap_bytes(),
-                mapped_bytes: self.precond.mapped_bytes(),
+                heap_bytes: self.ilu.as_ref().map_or(0, Ilu0::heap_bytes),
+                mapped_bytes: self.ilu.as_ref().map_or(0, Ilu0::mapped_bytes),
             },
             csr("h12", &self.h12),
             csr("h21", &self.h21),
@@ -672,7 +597,7 @@ impl BePi {
     pub fn query_vector(&self, q: &[f64]) -> Result<RwrScores> {
         let n = self.node_count();
         if q.len() != n {
-            return Err(bepi_sparse::SparseError::VectorLength {
+            return Err(SparseError::VectorLength {
                 expected: n,
                 actual: q.len(),
             });
@@ -692,29 +617,27 @@ impl BePi {
         let h21t = self.h21.mul_vec(&t)?;
         let q2_hat: Vec<f64> = q2.iter().zip(&h21t).map(|(qv, hv)| c * qv - hv).collect();
 
-        // Line 4: solve S r2 = q̂2 (preconditioned for the full variant).
-        let (r2, inner_iterations, inner_residual) = match self.config.inner {
-            InnerSolver::Gmres => {
-                let cfg = GmresConfig {
-                    tol: self.config.tol,
-                    restart: self.config.gmres_restart,
-                    max_iters: self.config.max_iters,
-                };
-                let gm = gmres(&self.s, &q2_hat, None, self.precond.as_dyn(), &cfg)?;
-                (gm.x, gm.iterations, gm.residual)
-            }
-            InnerSolver::BiCgStab => {
-                let cfg = BiCgStabConfig {
-                    tol: self.config.tol,
-                    max_iters: self.config.max_iters,
-                };
-                let bi = bicgstab(&self.s, &q2_hat, self.precond.as_dyn(), &cfg)?;
-                (bi.x, bi.iterations, bi.residual)
-            }
+        // Line 4: solve S r2 = q̂2 (ILU(0)-preconditioned for the full
+        // variant).
+        let cfg = GmresConfig {
+            tol: self.config.tol,
+            restart: self.config.gmres_restart,
+            max_iters: self.config.max_iters,
         };
+        let gm = gmres(&self.s, &q2_hat, None, self.preconditioner_dyn(), &cfg)?;
         // Per-query solver telemetry: every solve is accounted here, so the
         // serve path, batch queries, and the CLI share one registry.
-        bepi_obs::telemetry::record_solve(inner_iterations, inner_residual);
+        bepi_obs::telemetry::record_solve(gm.iterations, gm.residual);
+        // An unconverged solve (iteration cap hit, or a NaN residual that
+        // never passes the test) is an error, not a less accurate answer.
+        if !gm.converged {
+            return Err(SparseError::Numerical(format!(
+                "GMRES on the Schur system did not converge: relative residual {:e} \
+                 after {} iterations, tol {:e}",
+                gm.residual, gm.iterations, self.config.tol
+            )));
+        }
+        let r2 = gm.x;
 
         // Line 5: r1 = U1^{-1}(L1^{-1}(c q1 − H12 r2)).
         let h12r2 = self.h12.mul_vec(&r2)?;
@@ -738,8 +661,8 @@ impl BePi {
         let scores = self.perm.unpermute_vec(&r)?;
         Ok(RwrScores {
             scores,
-            iterations: inner_iterations,
-            residual: inner_residual,
+            iterations: gm.iterations,
+            residual: gm.residual,
         })
     }
 }
@@ -762,7 +685,7 @@ impl RwrSolver for BePi {
         // H12, H21, H31, H32 — plus the node relabeling.
         self.h11_lu.mem_bytes()
             + self.s.mem_bytes()
-            + self.precond.mem_bytes()
+            + self.ilu.mem_bytes()
             + self.h12.mem_bytes()
             + self.h21.mem_bytes()
             + self.h31.mem_bytes()
@@ -897,65 +820,61 @@ mod tests {
     }
 
     #[test]
-    fn bicgstab_inner_solver_matches_gmres() {
-        let g = generators::rmat(8, 800, generators::RmatParams::default(), 51).unwrap();
-        let gm = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
-        let bi = BePi::preprocess(
-            &g,
-            &BePiConfig {
-                inner: InnerSolver::BiCgStab,
-                ..BePiConfig::default()
-            },
-        )
-        .unwrap();
-        for seed in [0usize, 99, 201] {
-            let a = gm.query(seed).unwrap();
-            let b = bi.query(seed).unwrap();
-            for (x, y) in a.scores.iter().zip(&b.scores) {
-                assert!((x - y).abs() < 1e-6);
-            }
-        }
-    }
-
-    #[test]
-    fn alternative_preconditioners_match_ilu() {
-        let g = generators::erdos_renyi(250, 1500, 33).unwrap();
-        let reference = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
-        let want = reference.query(7).unwrap();
-        for precond in [PrecondKind::Jacobi, PrecondKind::Neumann(3)] {
-            let solver = BePi::preprocess(
-                &g,
-                &BePiConfig {
-                    precond,
-                    ..BePiConfig::default()
-                },
-            )
-            .unwrap();
-            let got = solver.query(7).unwrap();
-            for (x, y) in got.scores.iter().zip(&want.scores) {
-                assert!((x - y).abs() < 1e-6, "{precond:?}");
-            }
-        }
-    }
-
-    #[test]
     fn preconditioner_accessors_reflect_config() {
         let g = generators::erdos_renyi(100, 400, 3).unwrap();
         let ilu = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
         assert!(ilu.preconditioner().is_some());
         assert!(ilu.preconditioner_dyn().is_some());
-        let jac = BePi::preprocess(
+        let plain = BePi::preprocess(&g, &BePiConfig::for_variant(BePiVariant::Sparse)).unwrap();
+        assert!(plain.preconditioner().is_none());
+        assert!(plain.preconditioner_dyn().is_none());
+    }
+
+    #[test]
+    fn unconverged_solve_is_an_error() {
+        let g = generators::rmat(8, 900, generators::RmatParams::default(), 3).unwrap();
+        let seed = 7;
+        let default = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
+        assert!(default.query(seed).unwrap().iterations > 1);
+        let capped = BePi::preprocess(
             &g,
             &BePiConfig {
-                precond: PrecondKind::Jacobi,
+                max_iters: 1,
                 ..BePiConfig::default()
             },
         )
         .unwrap();
-        assert!(jac.preconditioner().is_none()); // ILU accessor is ILU-only
-        assert!(jac.preconditioner_dyn().is_some());
-        let plain = BePi::preprocess(&g, &BePiConfig::for_variant(BePiVariant::Sparse)).unwrap();
-        assert!(plain.preconditioner_dyn().is_none());
+        let err = capped.query(seed).unwrap_err().to_string();
+        assert!(err.contains("did not converge"), "{err}");
+        assert!(err.contains("after 1 iterations"), "{err}");
+        assert!(err.contains("tol 1e-9"), "{err}");
+    }
+
+    #[test]
+    fn validate_rejects_out_of_range_fields() {
+        assert!(BePiConfig::default().validate().is_ok());
+        type Edit = fn(&mut BePiConfig);
+        let bad: [(&str, Edit); 10] = [
+            ("restart probability", |c| c.c = 1.0),
+            ("hub ratio", |c| c.hub_ratio = Some(0.0)),
+            ("hub ratio", |c| c.hub_ratio = Some(2.0)),
+            ("hub ratio", |c| c.hub_ratio = Some(f64::NAN)),
+            ("tol", |c| c.tol = 0.0),
+            ("tol", |c| c.tol = -1.0),
+            ("tol", |c| c.tol = f64::NAN),
+            ("tol", |c| c.tol = f64::INFINITY),
+            ("gmres_restart", |c| c.gmres_restart = 0),
+            ("max_iters", |c| c.max_iters = 0),
+        ];
+        let g = generators::cycle(10);
+        for (field, edit) in bad {
+            let mut cfg = BePiConfig::default();
+            edit(&mut cfg);
+            let err = cfg.validate().unwrap_err().to_string();
+            assert!(err.contains(field), "{field}: {err}");
+            // Preprocessing reports the same error instead of panicking.
+            assert_eq!(BePi::preprocess(&g, &cfg).unwrap_err().to_string(), err);
+        }
     }
 
     #[test]
@@ -1118,7 +1037,10 @@ mod tests {
             };
             solver = solver.refactor(&g_new, &dirty).unwrap();
             let frozen = BePi::preprocess_with_plan(&g_new, &cfg, &plan).unwrap();
-            let (got, want) = (solver.ilu_parts().unwrap(), frozen.ilu_parts().unwrap());
+            let (got, want) = (
+                solver.preconditioner().unwrap(),
+                frozen.preconditioner().unwrap(),
+            );
             assert_eq!(got.factors(), want.factors(), "link {link}");
             assert_eq!(got.diag_pos(), want.diag_pos(), "link {link}");
             for seed in [0usize, 50, 200] {

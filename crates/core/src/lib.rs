@@ -17,6 +17,9 @@
 //! 4. a hub ratio chosen to *sparsify* the Schur complement (`BePI-S`),
 //! 5. an ILU(0) preconditioner on the Schur system (full `BePI`).
 //!
+//! GMRES is the one Schur solver and ILU(0) the one preconditioner; a
+//! query whose solve stops short of the tolerance returns an error.
+//!
 //! The crate also implements every baseline of the paper's evaluation:
 //! [`bear`] (block elimination with explicit `S^{-1}`), [`lu_method`]
 //! (Fujiwara-style inverted sparse LU factors), [`iterative`] (power
@@ -60,9 +63,7 @@ pub mod rwr;
 pub mod schur;
 
 pub use bear::Bear;
-pub use bepi::{
-    BePi, BePiConfig, BePiVariant, InnerSolver, MemorySection, PhaseTiming, PrecondKind,
-};
+pub use bepi::{BePi, BePiConfig, BePiVariant, InnerSolver, MemorySection, PhaseTiming};
 pub use bepi_incr::{classify, Classification, DirtySet, SymbolicPlan};
 pub use dynamic::{DynamicBePi, EdgeUpdate, RebuildKind};
 pub use exact::DenseExact;
@@ -74,7 +75,7 @@ pub use rwr::{RwrScores, RwrSolver};
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::bear::Bear;
-    pub use crate::bepi::{BePi, BePiConfig, BePiVariant, InnerSolver, PhaseTiming, PrecondKind};
+    pub use crate::bepi::{BePi, BePiConfig, BePiVariant, InnerSolver, PhaseTiming};
     pub use crate::exact::DenseExact;
     pub use crate::iterative::{GmresSolver, PowerSolver};
     pub use crate::lu_method::LuDecomp;

@@ -194,7 +194,7 @@ pub fn save_v6<W: Write>(bepi: &BePi, graph: Option<&Graph>, writer: W) -> Resul
     // ILU factors, when the instance built them: persisting the factors
     // (≈ |S| extra bytes) is what makes open time independent of index
     // size — a load never re-runs the elimination.
-    if let Some(ilu) = bepi.ilu_parts() {
+    if let Some(ilu) = bepi.preconditioner() {
         write_csr_sections(
             &mut cw,
             (sec::ILU_INDPTR, sec::ILU_INDICES, sec::ILU_VALUES),
@@ -648,8 +648,12 @@ fn read_f64<R: Read>(r: &mut R) -> Result<f64> {
     Ok(f64::from_le_bytes(b))
 }
 
+/// META's config record. The inner-solver tag (u32) and the
+/// preconditioner tag + order (u32 + u64) are always written as zeros:
+/// GMRES and ILU(0) are the only choices, and the record keeps its byte
+/// layout.
 fn write_config<W: Write>(w: &mut W, c: &BePiConfig) -> Result<()> {
-    use crate::bepi::{BePiVariant, InnerSolver, PrecondKind};
+    use crate::bepi::BePiVariant;
     write_u32(
         w,
         match c.variant {
@@ -663,24 +667,17 @@ fn write_config<W: Write>(w: &mut W, c: &BePiConfig) -> Result<()> {
     write_f64(w, c.hub_ratio.unwrap_or(f64::NAN))?;
     write_u64(w, c.gmres_restart as u64)?;
     write_u64(w, c.max_iters as u64)?;
-    write_u32(
-        w,
-        match c.inner {
-            InnerSolver::Gmres => 0,
-            InnerSolver::BiCgStab => 1,
-        },
-    )?;
-    let (pk, order) = match c.precond {
-        PrecondKind::Ilu0 => (0u32, 0u64),
-        PrecondKind::Jacobi => (1, 0),
-        PrecondKind::Neumann(t) => (2, t as u64),
-    };
-    write_u32(w, pk)?;
-    write_u64(w, order)
+    write_u32(w, 0)?;
+    write_u32(w, 0)?;
+    write_u64(w, 0)
 }
 
+/// Reads [`write_config`]'s record and validates it, so a hand-edited
+/// META fails the load instead of panicking a later preprocess. A
+/// non-zero solver or preconditioner tag names a solver this build no
+/// longer has.
 fn read_config<R: Read>(r: &mut R) -> Result<BePiConfig> {
-    use crate::bepi::{BePiVariant, InnerSolver, PrecondKind};
+    use crate::bepi::{BePiVariant, InnerSolver};
     let variant = match read_u32(r)? {
         0 => BePiVariant::Basic,
         1 => BePiVariant::Sparse,
@@ -692,27 +689,25 @@ fn read_config<R: Read>(r: &mut R) -> Result<BePiConfig> {
     let hub = read_f64(r)?;
     let gmres_restart = read_u64(r)? as usize;
     let max_iters = read_u64(r)? as usize;
-    let inner = match read_u32(r)? {
-        0 => InnerSolver::Gmres,
-        1 => InnerSolver::BiCgStab,
-        v => return Err(SparseError::Parse(format!("bad inner-solver tag {v}"))),
-    };
-    let precond = match (read_u32(r)?, read_u64(r)?) {
-        (0, _) => PrecondKind::Ilu0,
-        (1, _) => PrecondKind::Jacobi,
-        (2, t) => PrecondKind::Neumann(t as usize),
-        (v, _) => return Err(SparseError::Parse(format!("bad precond tag {v}"))),
-    };
-    Ok(BePiConfig {
+    let (inner, precond, order) = (read_u32(r)?, read_u32(r)?, read_u64(r)?);
+    if (inner, precond, order) != (0, 0, 0) {
+        return Err(SparseError::Parse(format!(
+            "index was built with a solver this build no longer has (inner-solver tag \
+             {inner}, preconditioner tag {precond}, order {order}; only GMRES with ILU(0) \
+             is supported): re-run `bepi preprocess` on the edge list to rebuild it"
+        )));
+    }
+    let config = BePiConfig {
         variant,
         c,
         tol,
         hub_ratio: if hub.is_nan() { None } else { Some(hub) },
         gmres_restart,
         max_iters,
-        inner,
-        precond,
-    })
+        inner: InnerSolver::Gmres,
+    };
+    config.validate()?;
+    Ok(config)
 }
 
 #[cfg(test)]
@@ -751,17 +746,88 @@ mod tests {
         roundtrip(&BePiConfig::for_variant(BePiVariant::Basic));
     }
 
+    /// Byte offsets of config fields inside META (see [`write_config`]).
+    const META_HUB_RATIO: usize = 20;
+    const META_INNER_TAG: usize = 44;
+    const META_PRECOND_TAG: usize = 48;
+
+    /// `buf` with `bytes` written at offset `at` of the META payload, and
+    /// META's CRC and the table CRC re-stamped, so the edit reaches the
+    /// config decoder on both load paths.
+    fn patch_meta(buf: &[u8], at: usize, bytes: &[u8]) -> Vec<u8> {
+        let mut buf = buf.to_vec();
+        let table = bepi_map::parse_layout(&buf).unwrap();
+        let i = table
+            .iter()
+            .position(|e| e.id == bepi_map::sections::META)
+            .unwrap();
+        let (start, len) = (table[i].offset as usize, table[i].len as usize);
+        buf[start + at..start + at + bytes.len()].copy_from_slice(bytes);
+        let meta_crc = crc32(&buf[start..start + len]);
+        let foot = buf.len() - bepi_map::FOOTER_LEN as usize;
+        let table_offset = u64::from_le_bytes(buf[foot..foot + 8].try_into().unwrap()) as usize;
+        let entry = table_offset + i * bepi_map::TABLE_ENTRY_LEN as usize;
+        buf[entry + 4..entry + 8].copy_from_slice(&meta_crc.to_le_bytes());
+        let table_crc = crc32(&buf[table_offset..foot]);
+        buf[foot + 16..foot + 20].copy_from_slice(&table_crc.to_le_bytes());
+        buf
+    }
+
+    /// The errors of the heap and the mapped load of `buf`.
+    fn load_errors(buf: &[u8], name: &str) -> [String; 2] {
+        let path = temp_path(name);
+        std::fs::write(&path, buf).unwrap();
+        let heap = load(buf).unwrap_err().to_string();
+        let mapped = load_mapped_file(&path).unwrap_err().to_string();
+        std::fs::remove_file(&path).ok();
+        [heap, mapped]
+    }
+
     #[test]
-    fn roundtrip_jacobi_and_neumann_preconds() {
-        roundtrip(&BePiConfig {
-            precond: PrecondKind::Jacobi,
-            ..BePiConfig::default()
-        });
-        roundtrip(&BePiConfig {
-            precond: PrecondKind::Neumann(3),
-            inner: InnerSolver::BiCgStab,
-            ..BePiConfig::default()
-        });
+    fn removed_solver_tags_fail_both_loads() {
+        let g = generators::cycle(10);
+        let buf = to_bytes(&BePi::preprocess(&g, &BePiConfig::default()).unwrap(), None);
+        // Inner tag 1 was BiCGSTAB; preconditioner tags 1 and 2 were
+        // Jacobi and Neumann.
+        for (at, tag) in [
+            (META_INNER_TAG, 1u32),
+            (META_PRECOND_TAG, 1),
+            (META_PRECOND_TAG, 2),
+        ] {
+            let bad = patch_meta(&buf, at, &tag.to_le_bytes());
+            for err in load_errors(&bad, "solver_tag") {
+                assert!(
+                    err.contains("solver this build no longer has")
+                        && err.contains("re-run `bepi preprocess`"),
+                    "{err}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn all_zero_solver_tags_read_back_as_the_default_config() {
+        let mut meta = Vec::new();
+        write_config(&mut meta, &BePiConfig::default()).unwrap();
+        assert_eq!(meta.len(), 60);
+        assert!(meta[META_INNER_TAG..].iter().all(|&b| b == 0));
+        assert_eq!(read_config(&mut &meta[..]).unwrap(), BePiConfig::default());
+    }
+
+    #[test]
+    fn out_of_range_hub_ratio_fails_read_config_and_both_loads() {
+        let mut meta = Vec::new();
+        write_config(&mut meta, &BePiConfig::default()).unwrap();
+        meta[META_HUB_RATIO..META_HUB_RATIO + 8].copy_from_slice(&1.5f64.to_le_bytes());
+        let err = read_config(&mut &meta[..]).unwrap_err().to_string();
+        assert!(err.contains("hub ratio"), "{err}");
+
+        let g = generators::cycle(10);
+        let buf = to_bytes(&BePi::preprocess(&g, &BePiConfig::default()).unwrap(), None);
+        let bad = patch_meta(&buf, META_HUB_RATIO, &1.5f64.to_le_bytes());
+        for err in load_errors(&bad, "hub_ratio") {
+            assert!(err.contains("hub ratio"), "{err}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!
 //! The pieces:
 //!
-//! - [`log`]: leveled `target=... key=value` line logger writing to stderr,
+//! - [`mod@log`]: leveled `target=... key=value` line logger writing to stderr,
 //!   level set programmatically, via `--log-level`, or the `BEPI_LOG`
 //!   environment variable.
 //! - [`span`]: [`Span::enter`] records wall-time into a process-global
@@ -18,7 +18,7 @@
 //!   process-global solver/WAL instruments shared by the server and CLI.
 //! - [`ring`]: a seqlock ring buffer of fixed-width records used for the
 //!   slow-query log and the trace rings.
-//! - [`trace`]: 128-bit request ids for fleet-wide correlation, the
+//! - [`mod@trace`]: 128-bit request ids for fleet-wide correlation, the
 //!   process trace clock, and the Chrome trace-event exporter behind
 //!   `--trace-export`.
 

@@ -1136,7 +1136,7 @@ fn parse_query_params(request: &Request, node_count: usize) -> Result<ParsedQuer
 
 /// Renders the `/query` response body. Scores use Rust's shortest
 /// round-trip float formatting, so parsing them back yields bit-identical
-/// `f64`s to what [`BePi::query`] produced.
+/// `f64`s to what [`bepi_core::RwrSolver::query`] produced.
 pub fn render_query_body(key: QueryKey, scores: &bepi_core::RwrScores) -> String {
     render_query_body_timed(key, scores).0
 }

@@ -14,17 +14,15 @@
 //! * [`block_lu`] — per-block factorization/inversion of the block-diagonal
 //!   `H11` produced by SlashBurn.
 //! * [`ilu0`] — incomplete LU with zero fill, the preconditioner of
-//!   Section 3.5.
+//!   Section 3.5 and the only one here.
 //! * [`mod@gmres`] — restarted GMRES with modified Gram–Schmidt and Givens
-//!   rotations, with optional left preconditioning (Appendix B).
+//!   rotations, with optional left preconditioning (Appendix B): the one
+//!   Krylov solver.
 //! * [`power`] — power iteration for RWR (Section 2.2).
-//! * [`jacobi`] — Jacobi iteration (extra iterative baseline).
 //! * [`arnoldi`] / [`eig`] — Arnoldi process and Hessenberg-QR eigensolver
 //!   for the Ritz-value experiment of Figure 7.
 //! * [`norm_est`] — power-method estimates of `‖A‖₂` and `σ_min`, plus a
 //!   Hager 1-norm condition estimator (Theorem 4's accuracy bound).
-//! * [`mod@bicgstab`] / [`precond`] — alternative Krylov solver and
-//!   preconditioners for the ablation studies.
 //!
 //! ```
 //! use bepi_solver::{gmres, GmresConfig, Ilu0, Preconditioner};
@@ -54,26 +52,20 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod arnoldi;
-pub mod bicgstab;
 pub mod block_lu;
 pub mod dense_lu;
 pub mod eig;
 pub mod gmres;
 pub mod ilu0;
-pub mod jacobi;
 pub mod linop;
 pub mod norm_est;
 pub mod power;
-pub mod precond;
-pub mod sor;
 pub mod sparse_lu;
 pub mod triangular;
 
-pub use bicgstab::{bicgstab, BiCgStabConfig, BiCgStabResult};
 pub use block_lu::BlockLu;
 pub use dense_lu::DenseLu;
 pub use gmres::{gmres, GmresConfig, GmresResult};
 pub use ilu0::Ilu0;
-pub use linop::{IdentityPrecond, LinOp, Preconditioner};
-pub use precond::{JacobiPrecond, NeumannPrecond};
+pub use linop::{LinOp, Preconditioner};
 pub use sparse_lu::SparseLu;

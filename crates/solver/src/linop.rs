@@ -39,16 +39,6 @@ pub trait Preconditioner {
     fn apply(&self, r: &[f64], z: &mut [f64]);
 }
 
-/// The trivial preconditioner `M = I`.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IdentityPrecond;
-
-impl Preconditioner for IdentityPrecond {
-    fn apply(&self, r: &[f64], z: &mut [f64]) {
-        z.copy_from_slice(r);
-    }
-}
-
 /// The preconditioned operator `M^{-1} A` as a [`LinOp`] — what GMRES
 /// actually Arnoldi-izes, and what Figure 7 takes eigenvalues of.
 pub struct PrecondOp<'a, A: LinOp, M: Preconditioner> {
@@ -140,23 +130,26 @@ mod tests {
         assert_eq!(y.to_vec(), a.mul_vec(&x).unwrap());
     }
 
-    #[test]
-    fn identity_precond_copies() {
-        let r = [1.0, -2.0];
-        let mut z = [0.0; 2];
-        IdentityPrecond.apply(&r, &mut z);
-        assert_eq!(z, r);
+    /// `M = 2I`: `M^{-1}` halves its input.
+    struct Double;
+
+    impl Preconditioner for Double {
+        fn apply(&self, r: &[f64], z: &mut [f64]) {
+            for (zi, ri) in z.iter_mut().zip(r) {
+                *zi = 0.5 * ri;
+            }
+        }
     }
 
     #[test]
     fn precond_op_composes() {
         let a = sample();
-        let m = IdentityPrecond;
-        let op = PrecondOp::new(&a, &m);
+        let op = PrecondOp::new(&a, &Double);
         let x = [1.0, 1.0];
         let mut y = [0.0; 2];
         op.apply(&x, &mut y);
-        assert_eq!(y, [3.0, 3.0]);
+        // M^{-1} A [1, 1] = [3, 3] / 2
+        assert_eq!(y, [1.5, 1.5]);
         assert_eq!(op.nrows(), 2);
     }
 

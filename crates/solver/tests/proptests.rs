@@ -3,7 +3,6 @@
 //! systems (the class every BePI matrix belongs to).
 
 use bepi_solver::dense_lu::DenseLu;
-use bepi_solver::jacobi::{jacobi, JacobiConfig};
 use bepi_solver::{gmres, GmresConfig, Ilu0, Preconditioner, SparseLu};
 use bepi_sparse::{Coo, Csc, Csr};
 use proptest::prelude::*;
@@ -77,16 +76,6 @@ proptest! {
         let via_inv = uinv.mul_vec(&linv.mul_vec(&b).unwrap()).unwrap();
         for (x, y) in via_inv.iter().zip(&direct) {
             prop_assert!((x - y).abs() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn jacobi_matches_dense_lu((a, b) in dd_system()) {
-        let want = dense_solve(&a, &b);
-        let got = jacobi(&a, &b, &JacobiConfig { tol: 1e-12, max_iters: 100_000 }).unwrap();
-        prop_assert!(got.converged);
-        for (x, y) in got.x.iter().zip(&want) {
-            prop_assert!((x - y).abs() < 1e-6);
         }
     }
 

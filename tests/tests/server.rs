@@ -307,3 +307,31 @@ fn healthz_and_metrics_endpoints_answer() {
     }
     handle.shutdown();
 }
+
+#[test]
+fn unconverged_solve_is_a_500_not_an_answer() {
+    // An iteration cap of 1 stops GMRES before it reaches the tolerance:
+    // the daemon must report the failure, never serve the partial answer.
+    let g = bepi_graph::generators::rmat(7, 500, bepi_graph::generators::RmatParams::default(), 61)
+        .unwrap();
+    let capped = BePi::preprocess(
+        &g,
+        &BePiConfig {
+            max_iters: 1,
+            ..BePiConfig::default()
+        },
+    )
+    .unwrap();
+    let seed = (0..g.n())
+        .find(|&s| solver().query(s).unwrap().iterations > 1)
+        .expect("some seed needs more than one GMRES iteration");
+    let handle = Server::start(Arc::new(capped), &ServerConfig::default()).unwrap();
+    let addr = handle.local_addr();
+    let errors = |addr| parse_metric(&get(addr, "/metrics").body, "bepi_server_errors_total");
+    let before = errors(addr).unwrap();
+    let resp = get(addr, &format!("/query?seed={seed}&top=5&mode=exact"));
+    assert_eq!(resp.status, 500, "{}", resp.body);
+    assert!(resp.body.contains("did not converge"), "{}", resp.body);
+    assert_eq!(errors(addr).unwrap(), before + 1.0);
+    handle.shutdown();
+}
