@@ -412,6 +412,7 @@ impl BePi {
             h32,
             ..
         } = part;
+        debug_assert!(ilu.as_ref().map_or(true, |m| m.shares_pattern(&s)));
         Ok(Self {
             config: *config,
             perm,
@@ -505,6 +506,8 @@ impl BePi {
             (BePiVariant::Full, None) => Some(Ilu0::factor(&s)?),
             _ => None,
         };
+        // The factors read `S`'s pattern; they never hold a copy of it.
+        debug_assert!(ilu.as_ref().map_or(true, |m| m.shares_pattern(&s)));
         let stats = PreprocessStats {
             elapsed,
             n1,
@@ -695,7 +698,7 @@ impl RwrSolver for BePi {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bepi_graph::generators;
     use bepi_solver::power::{power_iteration, PowerConfig};
@@ -814,9 +817,33 @@ mod tests {
             s.preprocessed_bytes(),
             b.preprocessed_bytes()
         );
-        // Full adds the ILU factors (≈ |S| more).
-        assert!(f.preprocessed_bytes() > s.preprocessed_bytes());
+        // Full adds the ILU factors: f32 values in S's pattern plus one
+        // diagonal position per row, and no second copy of the pattern.
+        assert_eq!(
+            f.preprocessed_bytes() - s.preprocessed_bytes(),
+            4 * f.stats().s_nnz + 8 * f.stats().n2
+        );
         assert_eq!(f.stats().s_nnz, s.stats().s_nnz);
+        assert_precond_bytes(&f);
+    }
+
+    pub(crate) fn bits32(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The `precond` entry of `b`'s memory report, as (heap, mapped).
+    pub(crate) fn precond_bytes(b: &BePi) -> (usize, usize) {
+        let report = b.memory_report();
+        let c = report.iter().find(|c| c.name == "precond").unwrap();
+        (c.heap_bytes, c.mapped_bytes)
+    }
+
+    /// The memory invariant of the ILU(0) preconditioner: it holds its
+    /// f32 values and diagonal positions, `4·nnz(S) + 8·n2` bytes, and
+    /// shares `S`'s pattern instead of copying it.
+    pub(crate) fn assert_precond_bytes(b: &BePi) {
+        let (heap, mapped) = precond_bytes(b);
+        assert_eq!(heap + mapped, 4 * b.schur().nnz() + 8 * b.stats().n2);
     }
 
     #[test]
@@ -1041,8 +1068,9 @@ mod tests {
                 solver.preconditioner().unwrap(),
                 frozen.preconditioner().unwrap(),
             );
-            assert_eq!(got.factors(), want.factors(), "link {link}");
+            assert_eq!(bits32(got.values()), bits32(want.values()), "link {link}");
             assert_eq!(got.diag_pos(), want.diag_pos(), "link {link}");
+            assert_precond_bytes(&solver);
             for seed in [0usize, 50, 200] {
                 assert_eq!(
                     solver.query(seed).unwrap().scores,
@@ -1075,6 +1103,8 @@ mod tests {
         };
         let from_owned = owned.refactor(&g_new, &dirty).unwrap();
         let from_mapped = mapped.refactor(&g_new, &dirty).unwrap();
+        assert_precond_bytes(&from_owned);
+        assert_precond_bytes(&from_mapped);
         for seed in [0usize, 17, 99] {
             assert_eq!(
                 from_owned.query(seed).unwrap().scores,

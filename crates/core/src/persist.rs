@@ -75,6 +75,14 @@ fn write_u64s_section<W: Write>(cw: &mut ContainerWriter<W>, id: u32, s: &[usize
     Ok(())
 }
 
+fn write_f32s_section<W: Write>(cw: &mut ContainerWriter<W>, id: u32, s: &[f32]) -> Result<()> {
+    cw.begin_section(id)?;
+    for &v in s {
+        cw.write_all(&v.to_le_bytes())?;
+    }
+    Ok(())
+}
+
 fn write_f64s_section<W: Write>(cw: &mut ContainerWriter<W>, id: u32, s: &[f64]) -> Result<()> {
     cw.begin_section(id)?;
     for &v in s {
@@ -102,8 +110,8 @@ fn write_csr_sections<W: Write>(
 ///
 /// * can be served zero-copy via [`load_mapped_file`] (open time does
 ///   not depend on index size, pages are shared across processes);
-/// * persists the ILU(0) factors, so loads never re-run the
-///   factorization;
+/// * persists the ILU(0) factor values (f32, in `S`'s pattern, which is
+///   stored once), so loads never re-run the factorization;
 /// * embeds the adjacency graph only when `graph` is `Some` (the
 ///   live-update daemon needs it; query-only serving does not).
 ///
@@ -191,15 +199,12 @@ pub fn save_v6<W: Write>(bepi: &BePi, graph: Option<&Graph>, writer: W) -> Resul
         h32,
     )?;
 
-    // ILU factors, when the instance built them: persisting the factors
-    // (≈ |S| extra bytes) is what makes open time independent of index
-    // size — a load never re-runs the elimination.
+    // ILU factors, when the instance built them: their values (f32, in
+    // `S`'s pattern: 4 bytes per non-zero of `S`) and diagonal positions
+    // (8 bytes per row). Persisting them is what makes open time
+    // independent of index size — a load never re-runs the elimination.
     if let Some(ilu) = bepi.preconditioner() {
-        write_csr_sections(
-            &mut cw,
-            (sec::ILU_INDPTR, sec::ILU_INDICES, sec::ILU_VALUES),
-            ilu.factors(),
-        )?;
+        write_f32s_section(&mut cw, sec::ILU_VALUES_F32, ilu.values())?;
         write_u64s_section(&mut cw, sec::ILU_DIAG, ilu.diag_pos())?;
     }
 
@@ -267,6 +272,7 @@ trait SectionSource {
     fn meta_bytes(&self, id: u32) -> Result<Vec<u8>>;
     fn u32s(&self, id: u32) -> Result<Storage<u32>>;
     fn usizes(&self, id: u32) -> Result<Storage<usize>>;
+    fn f32s(&self, id: u32) -> Result<Storage<f32>>;
     fn f64s(&self, id: u32) -> Result<Storage<f64>>;
 }
 
@@ -351,6 +357,12 @@ impl SectionSource for HeapSource<'_> {
         Ok(out.into())
     }
 
+    fn f32s(&self, id: u32) -> Result<Storage<f32>> {
+        Ok(self
+            .elems(id, 4, |b| f32::from_le_bytes(b.try_into().unwrap()))?
+            .into())
+    }
+
     fn f64s(&self, id: u32) -> Result<Storage<f64>> {
         Ok(self
             .elems(id, 8, |b| f64::from_le_bytes(b.try_into().unwrap()))?
@@ -391,6 +403,10 @@ impl SectionSource for MappedSource<'_> {
         Err(from_map_err(MapError::Unsupported(
             "mapped indexes require a 64-bit host (use the heap loader)",
         )))
+    }
+
+    fn f32s(&self, id: u32) -> Result<Storage<f32>> {
+        Ok(self.idx.section::<f32>(id).map_err(from_map_err)?.into())
     }
 
     fn f64s(&self, id: u32) -> Result<Storage<f64>> {
@@ -501,14 +517,15 @@ fn decode_v6<S: SectionSource>(src: &S) -> Result<(BePi, Option<Graph>)> {
         n2,
     )?;
 
-    let ilu = if src.has(sec::ILU_INDPTR) {
-        let factors = decode_csr_sections(
-            src,
-            (sec::ILU_INDPTR, sec::ILU_INDICES, sec::ILU_VALUES),
-            n2,
-            n2,
-        )?;
-        Some(Ilu0::from_parts(factors, src.usizes(sec::ILU_DIAG)?)?)
+    // A file without f32 factor values (BePI-B/-S, or one written with
+    // the earlier f64 factor sections) leaves `ilu` to `from_raw_parts`,
+    // which re-factors `S` for the full variant.
+    let ilu = if src.has(sec::ILU_VALUES_F32) {
+        Some(Ilu0::from_parts(
+            &s,
+            src.f32s(sec::ILU_VALUES_F32)?,
+            src.usizes(sec::ILU_DIAG)?,
+        )?)
     } else {
         None
     };
@@ -551,8 +568,10 @@ fn decode_v6<S: SectionSource>(src: &S) -> Result<(BePi, Option<Graph>)> {
 /// table (plus the small META section) are CRC-verified eagerly, while
 /// array payloads are faulted in lazily by the page cache as queries
 /// touch them. `MADV_WILLNEED` is issued for the hot sections (the
-/// `H11` inverse factors and ILU factors, which every query walks) so
-/// the kernel starts readahead immediately.
+/// `H11` inverse factors, `S` and the ILU factor values, which every
+/// query walks — every GMRES iteration streams `S`'s arrays twice, once
+/// for the SpMV and once for the ILU apply) so the kernel starts
+/// readahead immediately.
 pub fn load_mapped_file<P: AsRef<Path>>(path: P) -> Result<(BePi, Option<Graph>)> {
     let idx = MappedIndex::open(path).map_err(from_map_err)?;
     idx.verify(sec::META).map_err(from_map_err)?;
@@ -563,9 +582,10 @@ pub fn load_mapped_file<P: AsRef<Path>>(path: P) -> Result<(BePi, Option<Graph>)
         sec::U_INV_INDPTR,
         sec::U_INV_INDICES,
         sec::U_INV_VALUES,
-        sec::ILU_INDPTR,
-        sec::ILU_INDICES,
-        sec::ILU_VALUES,
+        sec::S_INDPTR,
+        sec::S_INDICES,
+        sec::S_VALUES,
+        sec::ILU_VALUES_F32,
         sec::ILU_DIAG,
     ] {
         idx.advise_willneed(id);
@@ -713,6 +733,7 @@ fn read_config<R: Read>(r: &mut R) -> Result<BePiConfig> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bepi::tests::{assert_precond_bytes, bits32, precond_bytes};
     use crate::prelude::*;
     use bepi_graph::generators;
 
@@ -990,8 +1011,9 @@ mod tests {
         save_v6(&original, None, &mut buf).unwrap();
         let table = bepi_map::parse_layout(&buf).unwrap();
         use bepi_map::sections as s;
-        assert!(!table.iter().any(|e| e.id == s::ILU_INDPTR));
-        assert!(!table.iter().any(|e| e.id == s::GRAPH_INDPTR));
+        for id in [s::ILU_VALUES_F32, s::ILU_DIAG, s::GRAPH_INDPTR] {
+            assert!(!table.iter().any(|e| e.id == id), "{}", s::name(id));
+        }
         let (restored, graph) = load_with_graph(&buf[..]).unwrap();
         assert!(graph.is_none());
         assert_eq!(
@@ -1008,14 +1030,80 @@ mod tests {
         save_v6(&original, None, &mut buf).unwrap();
         let table = bepi_map::parse_layout(&buf).unwrap();
         use bepi_map::sections as s;
-        for id in [s::ILU_INDPTR, s::ILU_INDICES, s::ILU_VALUES, s::ILU_DIAG] {
+        for id in [s::ILU_VALUES_F32, s::ILU_DIAG] {
             assert!(table.iter().any(|e| e.id == id), "missing {}", s::name(id));
         }
+        // The factors carry no pattern of their own: S's is written once.
+        for id in [0x80, 0x81, 0x82] {
+            assert!(!table.iter().any(|e| e.id == id), "section {id:#x} written");
+        }
         let restored = load(&buf[..]).unwrap();
-        assert_eq!(
-            restored.preconditioner().unwrap().factors(),
-            original.preconditioner().unwrap().factors()
+        let (got, want) = (
+            restored.preconditioner().unwrap(),
+            original.preconditioner().unwrap(),
         );
+        assert_eq!(bits32(got.values()), bits32(want.values()));
+        assert_eq!(got.diag_pos(), want.diag_pos());
+    }
+
+    /// `bepi`'s index `buf` in the layout of the earlier f64 factor
+    /// sections: a second copy of `S`'s pattern (0x80, 0x81), f64 factor
+    /// values (0x82) and `ILU_DIAG`, but no `ILU_VALUES_F32`. Every other
+    /// section is copied as written.
+    fn with_f64_factor_sections(buf: &[u8], bepi: &BePi) -> Vec<u8> {
+        let s = bepi.schur();
+        // The loader must ignore these sections: NaN factor values would
+        // poison every query that used them.
+        let values = vec![f64::NAN; s.nnz()];
+        let mut cw = ContainerWriter::new(Vec::new()).unwrap();
+        for e in bepi_map::parse_layout(buf).unwrap() {
+            let payload = &buf[e.offset as usize..(e.offset + e.len) as usize];
+            match e.id {
+                sec::ILU_VALUES_F32 => {
+                    write_u64s_section(&mut cw, 0x80, s.indptr()).unwrap();
+                    write_u32s_section(&mut cw, 0x81, s.indices()).unwrap();
+                    write_f64s_section(&mut cw, 0x82, &values).unwrap();
+                }
+                id => cw.section_bytes(id, payload).unwrap(),
+            }
+        }
+        cw.finish().unwrap()
+    }
+
+    #[test]
+    fn v6_with_f64_factor_sections_loads_by_refactoring() {
+        let g = generators::rmat(7, 500, generators::RmatParams::default(), 23).unwrap();
+        let fresh = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
+        let old = with_f64_factor_sections(&to_bytes(&fresh, Some(&g)), &fresh);
+        let table = bepi_map::parse_layout(&old).unwrap();
+        assert!(table.iter().any(|e| e.id == 0x80));
+        assert!(!table.iter().any(|e| e.id == sec::ILU_VALUES_F32));
+        let path = temp_path("f64_factors");
+        std::fs::write(&path, &old).unwrap();
+        let (heap, heap_graph) = load_with_graph(&old[..]).unwrap();
+        let (mapped, _) = load_mapped_file(&path).unwrap();
+        verify_mapped_file(&path).unwrap();
+        assert_eq!(heap_graph.unwrap().adjacency(), g.adjacency());
+        for b in [&heap, &mapped] {
+            assert_precond_bytes(b);
+            assert_eq!(
+                bits32(b.preconditioner().unwrap().values()),
+                bits32(fresh.preconditioner().unwrap().values())
+            );
+        }
+        for seed in [0usize, 31, 100] {
+            let want = fresh.query(seed).unwrap();
+            for b in [&heap, &mapped] {
+                let got = b.query(seed).unwrap();
+                assert_eq!(
+                    got.scores.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    want.scores.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    "seed {seed}"
+                );
+                assert_eq!(got.iterations, want.iterations);
+            }
+        }
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -1132,6 +1220,15 @@ mod tests {
         let path = temp_path("report");
         save_file_v6(&original, None, &path).unwrap();
         let (mapped, _) = load_mapped_file(&path).unwrap();
+        // The preconditioner holds f32 values and diagonal positions only
+        // (`4·nnz(S) + 8·n2`), after preprocess and after either load; on
+        // the mapped load all of it is served from the file.
+        let heap = load_file(&path).unwrap();
+        for b in [&original, &heap, &mapped] {
+            assert_precond_bytes(b);
+        }
+        assert_eq!(precond_bytes(&heap).1, 0);
+        assert_eq!(precond_bytes(&mapped).0, 0);
         let report = mapped.memory_report();
         let names: Vec<&str> = report.iter().map(|c| c.name).collect();
         assert_eq!(

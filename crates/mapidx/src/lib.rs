@@ -112,14 +112,12 @@ pub mod sections {
     pub const H32_INDICES: u32 = 0x71;
     /// `H32` values (`f64`).
     pub const H32_VALUES: u32 = 0x72;
-    /// ILU(0) factor row pointers (`u64`).
-    pub const ILU_INDPTR: u32 = 0x80;
-    /// ILU(0) factor column indices (`u32`).
-    pub const ILU_INDICES: u32 = 0x81;
-    /// ILU(0) factor values (`f64`).
-    pub const ILU_VALUES: u32 = 0x82;
     /// ILU(0) per-row diagonal positions (`u64`).
     pub const ILU_DIAG: u32 = 0x83;
+    /// ILU(0) factor values in `S`'s pattern (`f32`, the diagonal slots
+    /// holding `1 / u_ii`). Ids 0x80–0x82 are retired: a full-variant
+    /// file without this section re-factors `S` on load.
+    pub const ILU_VALUES_F32: u32 = 0x84;
     /// Embedded adjacency row pointers (`u64`, live-capable indexes).
     pub const GRAPH_INDPTR: u32 = 0x90;
     /// Embedded adjacency column indices (`u32`).
@@ -156,10 +154,8 @@ pub mod sections {
             H32_INDPTR => "h32.indptr",
             H32_INDICES => "h32.indices",
             H32_VALUES => "h32.values",
-            ILU_INDPTR => "ilu.indptr",
-            ILU_INDICES => "ilu.indices",
-            ILU_VALUES => "ilu.values",
             ILU_DIAG => "ilu.diag_pos",
+            ILU_VALUES_F32 => "ilu.values_f32",
             GRAPH_INDPTR => "graph.indptr",
             GRAPH_INDICES => "graph.indices",
             GRAPH_VALUES => "graph.values",
@@ -454,6 +450,9 @@ mod tests {
     fn section_names_cover_known_ids() {
         assert_eq!(sections::name(sections::META), "meta");
         assert_eq!(sections::name(sections::ILU_DIAG), "ilu.diag_pos");
+        assert_eq!(sections::name(sections::ILU_VALUES_F32), "ilu.values_f32");
+        // The ids of the retired f64 ILU factor sections name nothing.
+        assert_eq!(sections::name(0x80), "unknown");
         assert_eq!(sections::name(0xdead), "unknown");
     }
 

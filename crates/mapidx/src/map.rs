@@ -189,7 +189,7 @@ macro_rules! impl_pod {
     )*};
 }
 
-impl_pod!(u8, u32, u64, f64);
+impl_pod!(u8, u32, u64, f32, f64);
 
 // `usize` sections are stored as u64 on disk; aliasing them as usize is
 // only valid where the two types agree.
@@ -491,6 +491,30 @@ mod tests {
         // META is 3 bytes — not a multiple of 8.
         match idx.section::<u64>(sections::META) {
             Err(MapError::BadElementSize { section, .. }) => assert_eq!(section, "meta"),
+            other => panic!("expected BadElementSize, got {other:?}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn f32_sections_alias_and_check_their_length() {
+        let path = temp_path("f32");
+        let file = File::create(&path).unwrap();
+        let mut w = ContainerWriter::new(std::io::BufWriter::new(file)).unwrap();
+        w.begin_section(sections::ILU_VALUES_F32).unwrap();
+        for v in [0.5f32, -2.0, 1.25] {
+            w.write_all(&v.to_le_bytes()).unwrap();
+        }
+        w.end_section().unwrap();
+        w.section_bytes(sections::META, b"cfg").unwrap();
+        w.finish().unwrap().into_inner().unwrap();
+        let idx = MappedIndex::open(&path).unwrap();
+        let vals: Section<f32> = idx.section(sections::ILU_VALUES_F32).unwrap();
+        assert_eq!(&*vals, &[0.5, -2.0, 1.25]);
+        assert_eq!(vals.byte_len(), 12);
+        // META is 3 bytes — not a multiple of 4.
+        match idx.section::<f32>(sections::META) {
+            Err(MapError::BadElementSize { elem, .. }) => assert_eq!(elem, 4),
             other => panic!("expected BadElementSize, got {other:?}"),
         }
         std::fs::remove_file(&path).ok();

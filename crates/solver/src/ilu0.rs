@@ -2,9 +2,14 @@
 //!
 //! BePI's preconditioner (Section 3.5): `S ≈ L̂2 Û2` where the factors
 //! keep exactly the sparsity pattern of `S`'s lower/upper parts, so "the
-//! storage cost of L̂2 and Û2 is the same as that of S". Applying the
-//! preconditioner is one forward and one backward substitution
-//! (Appendix B), with the same complexity as an SpMV.
+//! storage cost of L̂2 and Û2 is the same as that of S". Here it costs
+//! less: the factors hold no pattern of their own — they share `S`'s
+//! `indptr`/`indices` — and store one f32 per non-zero, plus one diagonal
+//! position per row. The elimination runs in f64 and rounds once; the
+//! solves accumulate in f64. A preconditioner need not be exact: GMRES
+//! still converges on the f64 `S`. Applying the preconditioner is one
+//! forward and one backward substitution (Appendix B), with the same
+//! complexity as an SpMV.
 
 use crate::linop::Preconditioner;
 use bepi_sparse::{Csr, MemBytes, Result, SparseError, Storage};
@@ -31,21 +36,28 @@ use bepi_sparse::{Csr, MemBytes, Result, SparseError, Storage};
 /// ```
 #[derive(Debug, Clone)]
 pub struct Ilu0 {
-    /// Combined factors in CSR: entries left of the diagonal form the
-    /// strictly-lower part of `L̂` (unit diagonal implicit), the diagonal
-    /// and right of it form `Û`.
-    factors: Csr,
-    /// Position of the diagonal entry within each row's value slice.
+    /// The factored matrix's row pointers and column indices, shared
+    /// with it (owned or mapped), never copied: the pattern belongs to
+    /// `S`, and no byte count here includes it.
+    indptr: Storage<usize>,
+    indices: Storage<u32>,
+    /// Combined factors, one per pattern entry: left of the diagonal the
+    /// strictly-lower part of `L̂` (unit diagonal implicit), right of it
+    /// the strictly-upper part of `Û`, and on the diagonal `1 / u_ii`, so
+    /// the backward sweep multiplies instead of dividing.
+    lu: Storage<f32>,
+    /// Position of the diagonal entry within each row.
     diag_pos: Storage<usize>,
 }
 
 impl Ilu0 {
-    /// Computes the ILU(0) factorization.
+    /// Computes the ILU(0) factorization of `a`, sharing `a`'s pattern.
     ///
     /// # Errors
     /// [`SparseError::ZeroDiagonal`] if some diagonal entry is absent from
-    /// the pattern or becomes zero during elimination. (Never happens for
-    /// the diagonally dominant systems BePI produces.)
+    /// the pattern or becomes zero during elimination, or its reciprocal
+    /// overflows f32. (Never happens for the diagonally dominant systems
+    /// BePI produces.)
     pub fn factor(a: &Csr) -> Result<Self> {
         let n = a.nrows();
         if a.ncols() != n {
@@ -56,7 +68,7 @@ impl Ilu0 {
             });
         }
         // Locate diagonals first: a missing one is rejected before any
-        // arithmetic (and before the value copy below).
+        // arithmetic (and before the values are copied).
         let diag_pos = (0..n)
             .map(|i| {
                 let (cols, _) = a.row(i);
@@ -64,46 +76,57 @@ impl Ilu0 {
                     .map_err(|_| SparseError::ZeroDiagonal { row: i })
             })
             .collect::<Result<Vec<usize>>>()?;
-        let mut factors = a.clone();
-        eliminate(&mut factors, &diag_pos)?;
-        Ok(Self {
-            factors,
-            diag_pos: diag_pos.into(),
-        })
+        Self::numeric(a, diag_pos.into())
+    }
+
+    /// Eliminates `a`'s values on the known diagonal positions and rounds
+    /// the factors to f32 — the numeric half shared by [`Ilu0::factor`]
+    /// and [`Ilu0::refresh_values`].
+    fn numeric(a: &Csr, diag_pos: Storage<usize>) -> Result<Self> {
+        let values = eliminate(a, &diag_pos)?;
+        let lu = round_factors(&values, a.indptr(), &diag_pos)?;
+        Self::from_parts(a, lu.into(), diag_pos)
     }
 
     /// Reassembles a factorization from previously computed parts — the
-    /// load path for persisted indexes, which store the factors so the
-    /// `O(nnz)` elimination of [`Ilu0::factor`] is never re-run at open
-    /// time. Only `O(n)` shape checks are performed; the entries are
-    /// trusted because persisted sections are covered by CRCs. Debug
-    /// builds re-verify every diagonal position.
+    /// load path for persisted indexes, which store the factor values so
+    /// the `O(nnz)` elimination of [`Ilu0::factor`] is never re-run at
+    /// open time. The pattern is `pattern`'s (the loaded `S`), shared.
+    /// Only `O(1)` length checks are performed; the entries are trusted
+    /// because persisted sections are covered by CRCs. Debug builds
+    /// re-verify every diagonal position.
     ///
     /// # Errors
-    /// [`SparseError::ShapeMismatch`] if `factors` is not square or
-    /// `diag_pos` does not have one entry per row.
-    pub fn from_parts(factors: Csr, diag_pos: Storage<usize>) -> Result<Self> {
-        if factors.ncols() != factors.nrows() {
+    /// [`SparseError::ShapeMismatch`] if `pattern` is not square;
+    /// [`SparseError::VectorLength`] unless `lu` has one entry per
+    /// non-zero of `pattern` and `diag_pos` one per row.
+    pub fn from_parts(pattern: &Csr, lu: Storage<f32>, diag_pos: Storage<usize>) -> Result<Self> {
+        if pattern.ncols() != pattern.nrows() {
             return Err(SparseError::ShapeMismatch {
-                left: factors.shape(),
-                right: factors.shape(),
+                left: pattern.shape(),
+                right: pattern.shape(),
                 op: "Ilu0::from_parts (matrix must be square)",
             });
         }
-        if diag_pos.len() != factors.nrows() {
-            return Err(SparseError::VectorLength {
-                expected: factors.nrows(),
-                actual: diag_pos.len(),
-            });
+        for (expected, actual) in [(pattern.nnz(), lu.len()), (pattern.nrows(), diag_pos.len())] {
+            if expected != actual {
+                return Err(SparseError::VectorLength { expected, actual });
+            }
         }
         debug_assert!(
-            (0..factors.nrows()).all(|i| {
-                let (cols, _) = factors.row(i);
+            (0..pattern.nrows()).all(|i| {
+                let (cols, _) = pattern.row(i);
                 diag_pos[i] < cols.len() && cols[diag_pos[i]] == i as u32
             }),
             "diag_pos does not point at the diagonal entries"
         );
-        Ok(Self { factors, diag_pos })
+        let (indptr, indices) = pattern.pattern_storage();
+        Ok(Self {
+            indptr,
+            indices,
+            lu,
+            diag_pos,
+        })
     }
 
     /// Value-only refresh: a full numeric refactorization of `a` on this
@@ -112,11 +135,11 @@ impl Ilu0 {
     /// analyze/factor split, for incremental rebuilds where edge weights
     /// moved but the Schur pattern did not.
     ///
-    /// The symbolic work is reused, not redone: the diagonal positions and
-    /// the pattern come from `self` (shared, not copied, when mapped) and
-    /// only `a`'s values are copied in. Every row is still eliminated — a
-    /// partial refresh of just the rows downstream of the changed ones is
-    /// ROADMAP item 2(b).
+    /// The symbolic work is reused, not redone: the diagonal positions
+    /// come from `self` (shared, not copied), the pattern is `a`'s
+    /// (shared), and only `a`'s values are copied in. Every row is still
+    /// eliminated — a partial refresh of just the rows downstream of the
+    /// changed ones is ROADMAP item 2(e).
     ///
     /// The elimination is deterministic, so the result is bit-identical
     /// to `Ilu0::factor(a)`; the pattern check is what callers rely on
@@ -128,72 +151,79 @@ impl Ilu0 {
     /// these factors were built on; [`SparseError::ZeroDiagonal`] as in
     /// [`Ilu0::factor`].
     pub fn refresh_values(&self, a: &Csr) -> Result<Self> {
-        if a.shape() != self.factors.shape()
-            || a.indptr() != self.factors.indptr()
-            || a.indices() != self.factors.indices()
+        if a.shape() != (self.n(), self.n())
+            || a.indptr() != &*self.indptr
+            || a.indices() != &*self.indices
         {
             return Err(SparseError::Parse(
                 "ILU(0) refresh requires an unchanged sparsity pattern".into(),
             ));
         }
-        let mut factors = self.factors.with_values(a.values().to_vec())?;
-        eliminate(&mut factors, &self.diag_pos)?;
-        Ok(Self {
-            factors,
-            diag_pos: self.diag_pos.clone(),
-        })
+        Self::numeric(a, self.diag_pos.clone())
     }
 
     /// Dimension.
     pub fn n(&self) -> usize {
-        self.factors.nrows()
+        self.diag_pos.len()
     }
 
-    /// The combined-factor matrix (pattern identical to the input).
-    pub fn factors(&self) -> &Csr {
-        &self.factors
+    /// The combined factor values in the pattern of the factored matrix
+    /// (the diagonal slots hold `1 / u_ii`).
+    pub fn values(&self) -> &[f32] {
+        &self.lu
     }
 
-    /// Diagonal offsets within each row of [`Ilu0::factors`].
+    /// Diagonal offsets within each row of the pattern.
     pub fn diag_pos(&self) -> &[usize] {
         &self.diag_pos
     }
 
-    /// Bytes of heap memory held by the factorization.
+    /// True when these factors read `a`'s own pattern arrays, not a copy
+    /// of them — the invariant that keeps them at `4·nnz + 8·n` bytes.
+    pub fn shares_pattern(&self, a: &Csr) -> bool {
+        std::ptr::eq(self.indptr.as_slice(), a.indptr())
+            && std::ptr::eq(self.indices.as_slice(), a.indices())
+    }
+
+    /// Bytes of heap memory held by the factorization (values and
+    /// diagonal positions; the pattern is the factored matrix's).
     pub fn heap_bytes(&self) -> usize {
-        self.factors.heap_bytes() + self.diag_pos.heap_bytes()
+        self.lu.heap_bytes() + self.diag_pos.heap_bytes()
     }
 
-    /// Bytes served zero-copy from a mapped index file.
+    /// Bytes served zero-copy from a mapped index file (values and
+    /// diagonal positions; the pattern is the factored matrix's).
     pub fn mapped_bytes(&self) -> usize {
-        self.factors.mapped_bytes() + self.diag_pos.mapped_bytes()
+        self.lu.mapped_bytes() + self.diag_pos.mapped_bytes()
     }
 
-    /// Solves `L̂ Û z = r` by forward then backward substitution into `z`.
+    /// Solves `L̂ Û z = r` by forward then backward substitution into `z`,
+    /// accumulating in f64.
     pub fn solve_into(&self, r: &[f64], z: &mut [f64]) {
         debug_assert_eq!(r.len(), self.n());
         debug_assert_eq!(z.len(), self.n());
         let n = self.n();
-        let indptr = self.factors.indptr();
-        let indices = self.factors.indices();
-        let values = self.factors.values();
+        // Borrow the arrays once: indexing a `Storage` per entry re-checks
+        // its backing in the inner loop.
+        let (indptr, indices, lu, diag_pos) =
+            (&*self.indptr, &*self.indices, &*self.lu, &*self.diag_pos);
         // Forward: L̂ y = r (unit diagonal).
         for i in 0..n {
-            let (s, d) = (indptr[i], indptr[i] + self.diag_pos[i]);
+            let (s, d) = (indptr[i], indptr[i] + diag_pos[i]);
             let mut acc = r[i];
             for p in s..d {
-                acc -= values[p] * z[indices[p] as usize];
+                acc -= f64::from(lu[p]) * z[indices[p] as usize];
             }
             z[i] = acc;
         }
         // Backward: Û z = y.
         for i in (0..n).rev() {
-            let (d, e) = (indptr[i] + self.diag_pos[i], indptr[i + 1]);
+            let (d, e) = (indptr[i] + diag_pos[i], indptr[i + 1]);
             let mut acc = z[i];
             for p in d + 1..e {
-                acc -= values[p] * z[indices[p] as usize];
+                acc -= f64::from(lu[p]) * z[indices[p] as usize];
             }
-            z[i] = acc / values[d];
+            z[i] = acc * f64::from(lu[d]);
         }
     }
 }
@@ -205,15 +235,16 @@ impl Preconditioner for Ilu0 {
 }
 
 impl MemBytes for Ilu0 {
+    /// Values and diagonal positions: `4·nnz + 8·n` bytes.
     fn mem_bytes(&self) -> usize {
-        self.factors.mem_bytes() + self.diag_pos.mem_bytes()
+        self.lu.mem_bytes() + self.diag_pos.mem_bytes()
     }
 }
 
-/// In-place ILU(0) elimination of `factors` (holding `A` on entry, `L̂`
-/// and `Û` on return) — the one numeric kernel behind [`Ilu0::factor`]
-/// and [`Ilu0::refresh_values`]. `diag_pos[i]` is the offset of the
-/// diagonal within row `i`.
+/// ILU(0) elimination of `a` in f64: returns the combined factors `L̂`
+/// and `Û` in `a`'s pattern — the one numeric kernel behind
+/// [`Ilu0::factor`] and [`Ilu0::refresh_values`]. `diag_pos[i]` is the
+/// offset of the diagonal within row `i`.
 ///
 /// IKJ order with a column→position scatter of row `i`: for each lower
 /// neighbour `k` (ascending) only `U(k, ·)` is streamed, and an entry is
@@ -222,11 +253,12 @@ impl MemBytes for Ilu0 {
 /// `Σ_i |row i|·|L(i)|` of merging row `i` against every row `k`. Each
 /// entry still receives its updates in ascending `k`, so the factors are
 /// bit-identical to the merge kernel's.
-fn eliminate(factors: &mut Csr, diag_pos: &[usize]) -> Result<()> {
+fn eliminate(a: &Csr, diag_pos: &[usize]) -> Result<Vec<f64>> {
     // Row offsets fit u32 because column indices do, and u32::MAX is never
     // a valid one (a row holds at most `n < u32::MAX` entries).
     const ABSENT: u32 = u32::MAX;
-    let (indptr, indices, values) = factors.pattern_and_values_mut();
+    let (indptr, indices) = (a.indptr(), a.indices());
+    let mut values = a.values().to_vec();
     let n = diag_pos.len();
     // pos[j] = offset of (i, j) within row i while row i is active.
     let mut pos = vec![ABSENT; n];
@@ -267,12 +299,32 @@ fn eliminate(factors: &mut Csr, diag_pos: &[usize]) -> Result<()> {
             pos[j as usize] = ABSENT;
         }
     }
-    Ok(())
+    Ok(values)
+}
+
+/// Rounds the f64 factors to their stored f32 form, once: every entry to
+/// its nearest f32, except each diagonal, which becomes `(1 / u_ii) as
+/// f32`.
+///
+/// # Errors
+/// [`SparseError::ZeroDiagonal`] for a pivot whose f32 reciprocal is not
+/// finite.
+fn round_factors(values: &[f64], indptr: &[usize], diag_pos: &[usize]) -> Result<Vec<f32>> {
+    let mut lu: Vec<f32> = values.iter().map(|&v| v as f32).collect();
+    for (i, (&start, &d)) in indptr.iter().zip(diag_pos).enumerate() {
+        let inv = (1.0 / values[start + d]) as f32;
+        if !inv.is_finite() {
+            return Err(SparseError::ZeroDiagonal { row: i });
+        }
+        lu[start + d] = inv;
+    }
+    Ok(lu)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{gmres, GmresConfig};
     use bepi_sparse::Coo;
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
@@ -333,14 +385,37 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Both kernels must agree on `a`: bit-equal factors and `diag_pos`,
-    /// or the same error.
+    fn bits32(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The stored form of f64 factors, spelled out entry by entry: `v as
+    /// f32` off the diagonal, `(1 / v) as f32` on it.
+    fn rounded(values: &[f64], a: &Csr, diag_pos: &[usize]) -> Vec<u32> {
+        let mut out = Vec::with_capacity(values.len());
+        for (i, &d) in diag_pos.iter().enumerate() {
+            for p in a.indptr()[i]..a.indptr()[i + 1] {
+                let v = values[p];
+                let stored = if p == a.indptr()[i] + d {
+                    (1.0 / v) as f32
+                } else {
+                    v as f32
+                };
+                out.push(stored.to_bits());
+            }
+        }
+        out
+    }
+
+    /// Both kernels must agree on `a`: the f64 elimination bit-equal to
+    /// the merge kernel's, the stored f32 factors its one rounding, equal
+    /// `diag_pos` and a shared pattern — or the same error.
     fn assert_matches_reference(a: &Csr) {
         match (Ilu0::factor(a), factor_reference(a)) {
             (Ok(got), Ok((values, diag_pos))) => {
-                assert_eq!(got.factors().indptr(), a.indptr());
-                assert_eq!(got.factors().indices(), a.indices());
-                assert_eq!(bits(got.factors().values()), bits(&values));
+                assert!(got.shares_pattern(a));
+                assert_eq!(bits(&eliminate(a, got.diag_pos()).unwrap()), bits(&values));
+                assert_eq!(bits32(got.values()), rounded(&values, a, &diag_pos));
                 assert_eq!(got.diag_pos(), &diag_pos[..]);
             }
             (Err(got), Err(want)) => assert_eq!(format!("{got:?}"), format!("{want:?}")),
@@ -451,12 +526,64 @@ mod tests {
             // must then fail alike.
             match (ilu.refresh_values(&b), Ilu0::factor(&b)) {
                 (Ok(refreshed), Ok(fresh)) => {
-                    prop_assert_eq!(bits(refreshed.factors().values()), bits(fresh.factors().values()));
-                    prop_assert_eq!(refreshed.factors().indices(), fresh.factors().indices());
+                    prop_assert_eq!(bits32(refreshed.values()), bits32(fresh.values()));
+                    prop_assert!(refreshed.shares_pattern(&b));
                     prop_assert_eq!(refreshed.diag_pos(), fresh.diag_pos());
                 }
                 (Err(r), Err(f)) => prop_assert_eq!(format!("{r:?}"), format!("{f:?}")),
                 (r, f) => panic!("refresh {r:?}, factor {f:?}"),
+            }
+        }
+
+        #[test]
+        fn f32_factors_cost_no_gmres_iterations(a in shaped_dd_strategy()) {
+            let ilu = Ilu0::factor(&a).unwrap();
+            let (values, diag_pos) = factor_reference(&a).unwrap();
+            let reference = ReferenceIlu { a: &a, values, diag_pos };
+            let b: Vec<f64> = (0..a.nrows()).map(|i| ((i * 7 % 11) as f64 - 5.0) / 3.0).collect();
+            // The paper's tolerance, 1e-9 (the default).
+            let cfg = GmresConfig::default();
+            let got = gmres(&a, &b, None, Some(&ilu as &dyn Preconditioner), &cfg).unwrap();
+            let want = gmres(&a, &b, None, Some(&reference as &dyn Preconditioner), &cfg).unwrap();
+            prop_assert!(got.converged && want.converged);
+            // Where ILU(0) approximates `a`, the f32 rounding (~1e-7) is
+            // far below the dropped fill and costs no iteration. Where it
+            // drops no fill, the f64 apply is a direct solve (one or two
+            // iterations), and the rounding may cost one more.
+            if want.iterations > 2 {
+                prop_assert_eq!(got.iterations, want.iterations);
+            } else {
+                prop_assert!(got.iterations <= want.iterations + 1);
+            }
+        }
+    }
+
+    /// The f64 preconditioner the stored f32 factors replace: the merge
+    /// kernel's factors, applied with a division by each pivot.
+    struct ReferenceIlu<'a> {
+        a: &'a Csr,
+        values: Vec<f64>,
+        diag_pos: Vec<usize>,
+    }
+
+    impl Preconditioner for ReferenceIlu<'_> {
+        fn apply(&self, r: &[f64], z: &mut [f64]) {
+            let (indptr, indices, v) = (self.a.indptr(), self.a.indices(), &self.values);
+            let n = self.diag_pos.len();
+            for i in 0..n {
+                let mut acc = r[i];
+                for p in indptr[i]..indptr[i] + self.diag_pos[i] {
+                    acc -= v[p] * z[indices[p] as usize];
+                }
+                z[i] = acc;
+            }
+            for i in (0..n).rev() {
+                let d = indptr[i] + self.diag_pos[i];
+                let mut acc = z[i];
+                for p in d + 1..indptr[i + 1] {
+                    acc -= v[p] * z[indices[p] as usize];
+                }
+                z[i] = acc / v[d];
             }
         }
     }
@@ -486,7 +613,7 @@ mod tests {
     fn single_row_matrix_matches_reference() {
         let a = Csr::from_parts(1, 1, vec![0, 1], vec![0], vec![3.0]).unwrap();
         assert_matches_reference(&a);
-        assert_eq!(Ilu0::factor(&a).unwrap().factors().values(), &[3.0]);
+        assert_eq!(Ilu0::factor(&a).unwrap().values(), &[(1.0f64 / 3.0) as f32]);
     }
 
     #[test]
@@ -498,24 +625,20 @@ mod tests {
         assert_eq!(mapped.heap_bytes(), 0);
         let ilu = Ilu0::factor(&mapped).unwrap();
         let (want, diag_pos) = factor_reference(&a).unwrap();
-        assert_eq!(bits(ilu.factors().values()), bits(&want));
+        assert_eq!(bits32(ilu.values()), rounded(&want, &a, &diag_pos));
         assert_eq!(ilu.diag_pos(), &diag_pos[..]);
-        // Copy-on-write: the factor values moved to the heap, the mapped
-        // input still holds A, and the pattern is shared, not copied.
+        // The factor values and diagonal positions live on the heap, the
+        // mapped input still holds A, and the pattern is the mapped one.
         assert_eq!(bits(mapped.values()), bits(a.values()));
-        assert_ne!(bits(ilu.factors().values()), bits(a.values()));
-        assert_eq!(ilu.factors().heap_bytes(), a.nnz() * 8);
-        assert_eq!(
-            ilu.factors().mapped_bytes(),
-            mapped.mapped_bytes() - a.nnz() * 8
-        );
-        // A refresh on mapped-pattern factors shares the pattern again.
-        let refreshed = ilu.refresh_values(&mapped).unwrap();
-        assert_eq!(bits(refreshed.factors().values()), bits(&want));
-        assert_eq!(
-            refreshed.factors().mapped_bytes(),
-            ilu.factors().mapped_bytes()
-        );
+        assert!(ilu.shares_pattern(&mapped));
+        assert_eq!(ilu.heap_bytes(), a.nnz() * 4 + a.nrows() * 8);
+        assert_eq!(ilu.mapped_bytes(), 0);
+        // A refresh shares the pattern of the matrix it refreshes from:
+        // here the heap copy, not the mapped one it was built on.
+        let refreshed = ilu.refresh_values(&a).unwrap();
+        assert_eq!(bits32(refreshed.values()), bits32(ilu.values()));
+        assert!(refreshed.shares_pattern(&a));
+        assert!(!refreshed.shares_pattern(&mapped));
     }
 
     #[test]
@@ -573,9 +696,24 @@ mod tests {
     fn pattern_is_preserved() {
         let a = dd_matrix(20);
         let ilu = Ilu0::factor(&a).unwrap();
-        assert_eq!(ilu.factors().nnz(), a.nnz());
-        assert_eq!(ilu.factors().indices(), a.indices());
-        assert!(ilu.mem_bytes() > 0);
+        assert_eq!(ilu.values().len(), a.nnz());
+        assert!(ilu.shares_pattern(&a));
+        // The pattern is `a`'s: only values and diagonal positions count.
+        assert_eq!(ilu.mem_bytes(), a.nnz() * 4 + a.nrows() * 8);
+        assert_eq!(ilu.heap_bytes(), ilu.mem_bytes());
+        assert_eq!(ilu.mapped_bytes(), 0);
+        // Reassembling persisted parts shares the pattern it is given.
+        let rebuilt = Ilu0::from_parts(&a, ilu.lu.clone(), ilu.diag_pos.clone()).unwrap();
+        assert!(rebuilt.shares_pattern(&a));
+        let copy = Csr::from_parts(
+            a.nrows(),
+            a.ncols(),
+            a.indptr().to_vec(),
+            a.indices().to_vec(),
+            a.values().to_vec(),
+        )
+        .unwrap();
+        assert!(!rebuilt.shares_pattern(&copy));
     }
 
     #[test]
@@ -597,8 +735,10 @@ mod tests {
         let b = a.mul_vec(&x_true).unwrap();
         let mut z = vec![0.0; n];
         ilu.solve_into(&b, &mut z);
+        // Exact up to the f32 rounding of the stored factors (the worst
+        // entry is off by ~5e-8).
         for (g, w) in z.iter().zip(&x_true) {
-            assert!((g - w).abs() < 1e-12, "{g} vs {w}");
+            assert!((g - w).abs() < 1e-6, "{g} vs {w}");
         }
     }
 
@@ -632,8 +772,8 @@ mod tests {
         }
         let refreshed = ilu.refresh_values(&b).unwrap();
         let fresh = Ilu0::factor(&b).unwrap();
-        assert_eq!(refreshed.factors().indices(), fresh.factors().indices());
-        assert_eq!(refreshed.factors().values(), fresh.factors().values());
+        assert!(refreshed.shares_pattern(&b));
+        assert_eq!(bits32(refreshed.values()), bits32(fresh.values()));
         assert_eq!(refreshed.diag_pos(), fresh.diag_pos());
     }
 

@@ -338,8 +338,8 @@ impl Csr {
         self.values.to_mut()
     }
 
-    /// A matrix with this one's pattern and the given values. A mapped
-    /// pattern is shared (a handle clone, no copy); an owned one is copied.
+    /// A matrix with this one's pattern and the given values. The pattern
+    /// is shared (an `Arc` bump, owned or mapped), never copied.
     ///
     /// # Errors
     /// [`SparseError::VectorLength`] unless `values.len() == self.nnz()`.
@@ -357,6 +357,13 @@ impl Csr {
             indices: self.indices.clone(),
             values: values.into(),
         })
+    }
+
+    /// Handles on the pattern (`indptr`, `indices`) that share it, owned
+    /// or mapped, never copy it — for structures stored in this matrix's
+    /// pattern, such as its ILU(0) factors.
+    pub fn pattern_storage(&self) -> (Storage<usize>, Storage<u32>) {
+        (self.indptr.clone(), self.indices.clone())
     }
 
     /// The pattern (`indptr`, `indices`) beside mutable values, as three

@@ -10,19 +10,23 @@
 //! [`bepi_map::Section`] handle, which keeps the whole file mapping
 //! alive and costs no copy.
 //!
-//! Mutation goes through [`Storage::to_mut`], which is copy-on-write: a
-//! mapped array is copied to the heap the first time something writes to
-//! it (e.g. [`crate::Csr::row_normalize`]). Read-mostly serving never
-//! triggers the copy.
+//! Cloning shares on both backings (an `Arc` bump), and mutation goes
+//! through [`Storage::to_mut`], which is copy-on-write: a mapped array,
+//! or an owned one some clone still shares, is copied the first time
+//! something writes to it (e.g. [`crate::Csr::row_normalize`]).
+//! Read-mostly serving never triggers the copy, and two matrices built
+//! on one pattern (`S` and its ILU(0) factors) hold it once.
 
 use crate::mem::MemBytes;
 use bepi_map::{Pod, Section};
+use std::sync::Arc;
 
 /// An immutable-by-default array that is either heap-owned or a
 /// zero-copy view of a mapped index section.
 pub enum Storage<T: Pod> {
-    /// A heap-owned vector (the default everywhere data is computed).
-    Owned(Vec<T>),
+    /// A heap-owned vector (the default everywhere data is computed),
+    /// shared between clones until one of them writes.
+    Owned(Arc<Vec<T>>),
     /// A borrowed slice of a memory-mapped v6 index section.
     Mapped(Section<T>),
 }
@@ -55,14 +59,15 @@ impl<T: Pod> Storage<T> {
         matches!(self, Storage::Mapped(_))
     }
 
-    /// Mutable access, copying mapped data to the heap first
-    /// (copy-on-write). After this call the storage is `Owned`.
+    /// Mutable access, copying mapped or shared data to the heap first
+    /// (copy-on-write). After this call the storage is `Owned` and
+    /// unshared.
     pub fn to_mut(&mut self) -> &mut Vec<T> {
         if let Storage::Mapped(s) = self {
-            *self = Storage::Owned(s.as_slice().to_vec());
+            *self = Storage::Owned(Arc::new(s.as_slice().to_vec()));
         }
         match self {
-            Storage::Owned(v) => v,
+            Storage::Owned(v) => Arc::make_mut(v),
             Storage::Mapped(_) => unreachable!("converted to Owned above"),
         }
     }
@@ -72,7 +77,9 @@ impl<T: Pod> Storage<T> {
         self.as_slice().to_vec()
     }
 
-    /// Bytes of heap memory held (zero for mapped storage).
+    /// Bytes of heap memory held (zero for mapped storage). A clone that
+    /// shares the array reports it too: an owner that shares another's
+    /// pattern leaves it out of its own count.
     pub fn heap_bytes(&self) -> usize {
         match self {
             Storage::Owned(v) => std::mem::size_of_val(v.as_slice()),
@@ -100,7 +107,7 @@ impl<T: Pod> std::ops::Deref for Storage<T> {
 
 impl<T: Pod> From<Vec<T>> for Storage<T> {
     fn from(v: Vec<T>) -> Self {
-        Storage::Owned(v)
+        Storage::Owned(Arc::new(v))
     }
 }
 
@@ -113,9 +120,8 @@ impl<T: Pod> From<Section<T>> for Storage<T> {
 impl<T: Pod> Clone for Storage<T> {
     fn clone(&self) -> Self {
         match self {
-            Storage::Owned(v) => Storage::Owned(v.clone()),
-            // Cloning a mapped storage clones the cheap section handle
-            // (an Arc bump), not the data.
+            // Either way an Arc bump, not a copy of the data.
+            Storage::Owned(v) => Storage::Owned(Arc::clone(v)),
             Storage::Mapped(s) => Storage::Mapped(s.clone()),
         }
     }
@@ -161,6 +167,21 @@ mod tests {
         s.to_mut().push(4);
         assert_eq!(s.len(), 4);
         assert_eq!(s.to_vec(), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn owned_clone_shares_until_written() {
+        let a: Storage<u32> = vec![1, 2, 3].into();
+        let mut b = a.clone();
+        assert_eq!(a.as_slice().as_ptr(), b.as_slice().as_ptr());
+        b.to_mut()[0] = 9;
+        assert_ne!(a.as_slice().as_ptr(), b.as_slice().as_ptr());
+        assert_eq!(&*a, &[1, 2, 3]);
+        assert_eq!(&*b, &[9, 2, 3]);
+        // An unshared array is written in place.
+        let p = b.as_slice().as_ptr();
+        b.to_mut()[1] = 8;
+        assert_eq!(b.as_slice().as_ptr(), p);
     }
 
     #[test]

@@ -42,14 +42,28 @@ fn roundtrip_on_dataset_scale_instance() {
     let g = Dataset::Slashdot.generate();
     let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
     let buf = to_bytes(&original);
-    // Serialized size is the same order as the reported logical memory
-    // (the file also carries the ILU factors, about |S| more).
-    let logical = original.preprocessed_bytes();
+    // The file is the logical arrays and container overhead, nothing
+    // else: the header, META and the H11 block sizes (which the logical
+    // count leaves out), at most one alignment's padding and one table
+    // entry per section, and the footer. An array written twice (say a
+    // second copy of S's pattern) breaks the bound.
+    use bepi_map::{sections, ALIGN, FOOTER_LEN, HEADER_LEN, TABLE_ENTRY_LEN};
+    let table = bepi_map::parse_layout(&buf).unwrap();
+    let uncounted: u64 = table
+        .iter()
+        .filter(|e| e.id == sections::META || e.id == sections::BLOCK_SIZES)
+        .map(|e| e.len)
+        .sum();
+    let logical = original.preprocessed_bytes() as u64;
+    let bound = logical
+        + uncounted
+        + table.len() as u64 * (ALIGN + TABLE_ENTRY_LEN)
+        + HEADER_LEN
+        + FOOTER_LEN;
     assert!(
-        buf.len() < logical * 2 + 4096,
-        "file {} vs logical {}",
-        buf.len(),
-        logical
+        buf.len() as u64 <= bound,
+        "file {} vs bound {bound} (logical {logical})",
+        buf.len()
     );
     let restored = load(&buf[..]).unwrap();
     assert_eq!(restored.node_count(), g.n());
