@@ -31,7 +31,7 @@ pub fn run() -> String {
         &g,
         &BePiConfig {
             hub_ratio: Some(spec.hub_ratio),
-            ..BePiConfig::default()
+            ..BePiConfig::for_variant(BePiVariant::Full)
         },
     )
     .expect("preprocess");

@@ -79,7 +79,7 @@ pub fn run() -> String {
                     &g,
                     &BePiConfig {
                         tol,
-                        ..BePiConfig::default()
+                        ..BePiConfig::for_variant(BePiVariant::Full)
                     },
                 )
                 .expect("preprocess");

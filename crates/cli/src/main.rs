@@ -18,7 +18,7 @@ use std::process::ExitCode;
 /// approximate estimator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum QueryMethod {
-    /// Exact: full BePI preprocessing + Schur/GMRES solve (default).
+    /// Exact: BePI preprocessing + Schur/GMRES solve (default).
     Bepi,
     /// Forward push (`bepi_core::approx::forward_push`), the classic
     /// local-push estimator.
@@ -51,7 +51,7 @@ impl Default for Options {
             k: None,
             top: 10,
             max_size: None,
-            variant: BePiVariant::Full,
+            variant: BePiConfig::default().variant,
             labels: false,
             embed_graph: false,
             mmap: false,
@@ -109,7 +109,7 @@ common flags:
   --c C            restart probability (default 0.05)
   --tol EPS        solver tolerance (default 1e-9)
   --k RATIO        SlashBurn hub ratio (default: chosen automatically)
-  --variant V      full | sparse | basic (default full)
+  --variant V      sparse | full | basic (default sparse)
   --top K          ranking rows to print (default 10)
   --method M       query: scoring engine — bepi (exact, default), push
                    (forward push), tpa (truncated cumulative power

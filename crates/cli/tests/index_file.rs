@@ -34,7 +34,7 @@ fn sigkill_during_preprocess_leaves_old_or_new_index() {
     let index = dir.join("index.bepi");
 
     // A graph big enough that preprocessing and writing take a while
-    // (about 65 ms and a 6.5 MB index on a 2-core x86 host).
+    // (about 80 ms and a 3 MB index on a 2-core x86 host).
     let n = 30_000u32;
     let mut text = String::new();
     for v in 0..n {
@@ -168,6 +168,39 @@ fn format_flag_accepts_only_v6() {
             assert!(
                 stderr.contains("v6 is the only index format"),
                 "--format {format}: {stderr}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn default_index_is_bepi_s_without_ilu_and_full_writes_its_factors() {
+    use bepi_map::sections::{ILU_DIAG, ILU_VALUES_F32};
+    let dir = temp_dir("variant");
+    let edges = dir.join("edges.txt");
+    let mut text = String::new();
+    for v in 0..120u32 {
+        text.push_str(&format!("{} {}\n", v, (v + 1) % 120));
+        text.push_str(&format!("{} {}\n", v, (v * 7 + 3) % 120));
+    }
+    std::fs::write(&edges, text).unwrap();
+    for (variant, has_ilu) in [(None, false), (Some("full"), true)] {
+        let index = dir.join("index.bepi");
+        let mut cmd = bepi();
+        cmd.args(["preprocess", path_str(&edges), path_str(&index)]);
+        if let Some(v) = variant {
+            cmd.args(["--variant", v]);
+        }
+        let output = cmd.output().expect("run bepi preprocess");
+        assert!(output.status.success(), "preprocess --variant {variant:?}");
+        let table = bepi_map::parse_layout(&read(&index)).unwrap();
+        for id in [ILU_VALUES_F32, ILU_DIAG] {
+            assert_eq!(
+                table.iter().any(|e| e.id == id),
+                has_ilu,
+                "--variant {variant:?}: section {}",
+                bepi_map::sections::name(id)
             );
         }
     }

@@ -36,11 +36,17 @@ fn one_shot_mmap_query_rejects_corrupt_payload_without_panicking() {
         .expect("run bepi preprocess");
     assert!(status.success(), "preprocess failed");
 
-    // Flip one byte in the middle of the file: the section table lives
-    // at the end, so this lands in a payload the mapped open does not
-    // CRC eagerly.
+    // Flip the middle byte of the largest payload section: the mapped
+    // open does not CRC payloads eagerly. (A byte in alignment padding is
+    // covered by no CRC, so the target comes from the section table, not
+    // from the file length.)
     let mut data = std::fs::read(&good).unwrap();
-    let mid = data.len() / 2;
+    let largest = bepi_map::parse_layout(&data)
+        .unwrap()
+        .into_iter()
+        .max_by_key(|e| e.len)
+        .unwrap();
+    let mid = (largest.offset + largest.len / 2) as usize;
     data[mid] ^= 0x40;
     std::fs::write(&bad, &data).unwrap();
 

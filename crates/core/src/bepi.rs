@@ -14,6 +14,13 @@
 //! Every variant solves `S` with restarted GMRES; ILU(0) is the one
 //! preconditioner, and only the full variant builds it. A solve that does
 //! not reach the tolerance is an error, never an answer.
+//!
+//! The default ([`BePiConfig::default`]) is **BePI-S**: at the scales this
+//! crate is measured on (up to 2²⁰ nodes) plain GMRES converges in 5–8
+//! iterations, and the ILU(0) factors cost more per query, per index byte
+//! and per preprocess second than the iterations they save. `Full` is the
+//! paper's configuration; every paper figure names it explicitly, and an
+//! index preprocessed as `Full` keeps its factors when loaded.
 
 use crate::hmatrix::HPartition;
 use crate::rwr::{check_restart_prob, check_seed, RwrScores, RwrSolver};
@@ -78,9 +85,10 @@ pub struct BePiConfig {
 }
 
 impl Default for BePiConfig {
+    /// BePI-S (see the module doc for why not the paper's full BePI).
     fn default() -> Self {
         Self {
-            variant: BePiVariant::Full,
+            variant: BePiVariant::Sparse,
             c: DEFAULT_RESTART_PROB,
             tol: DEFAULT_TOLERANCE,
             hub_ratio: None,
@@ -739,7 +747,11 @@ pub(crate) mod tests {
     fn full_variant_matches_power_iteration() {
         let g = generators::rmat(8, 900, generators::RmatParams::default(), 3).unwrap();
         let g = generators::inject_deadends(&g, 0.2, 1).unwrap();
-        assert_matches_power(&g, &BePiConfig::default(), &[0, 7, 100, 255]);
+        assert_matches_power(
+            &g,
+            &BePiConfig::for_variant(BePiVariant::Full),
+            &[0, 7, 100, 255],
+        );
     }
 
     #[test]
@@ -849,7 +861,7 @@ pub(crate) mod tests {
     #[test]
     fn preconditioner_accessors_reflect_config() {
         let g = generators::erdos_renyi(100, 400, 3).unwrap();
-        let ilu = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
+        let ilu = BePi::preprocess(&g, &BePiConfig::for_variant(BePiVariant::Full)).unwrap();
         assert!(ilu.preconditioner().is_some());
         assert!(ilu.preconditioner_dyn().is_some());
         let plain = BePi::preprocess(&g, &BePiConfig::for_variant(BePiVariant::Sparse)).unwrap();
@@ -875,6 +887,45 @@ pub(crate) mod tests {
         assert!(err.contains("did not converge"), "{err}");
         assert!(err.contains("after 1 iterations"), "{err}");
         assert!(err.contains("tol 1e-9"), "{err}");
+    }
+
+    #[test]
+    fn default_config_is_bepi_s() {
+        let cfg = BePiConfig::default();
+        assert_eq!(cfg.variant, BePiVariant::Sparse);
+        assert_eq!(cfg.effective_hub_ratio(), 0.2);
+        let g = generators::erdos_renyi(100, 400, 3).unwrap();
+        assert!(BePi::preprocess(&g, &cfg)
+            .unwrap()
+            .preconditioner()
+            .is_none());
+    }
+
+    /// BePI-S and BePI solve the same system to the same tolerance: a
+    /// default index answers within `tol` of a full one and of the dense
+    /// `H⁻¹`.
+    #[test]
+    fn default_answers_within_tol_of_full_and_dense_exact() {
+        let g = generators::rmat(7, 500, generators::RmatParams::default(), 5).unwrap();
+        let g = generators::inject_deadends(&g, 0.05, 2).unwrap();
+        let default = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
+        let full = BePi::preprocess(&g, &BePiConfig::for_variant(BePiVariant::Full)).unwrap();
+        let dense = crate::exact::DenseExact::with_defaults(&g).unwrap();
+        let tol = BePiConfig::default().tol;
+        for seed in [0usize, 40, 101] {
+            let got = default.query(seed).unwrap().scores;
+            for (name, want) in [
+                ("BePI", full.query(seed).unwrap().scores),
+                ("dense H^-1", dense.query(seed).unwrap().scores),
+            ] {
+                let gap = got
+                    .iter()
+                    .zip(&want)
+                    .map(|(a, b)| (a - b).abs())
+                    .fold(0.0, f64::max);
+                assert!(gap <= tol, "seed {seed}: |BePI-S - {name}| = {gap:e}");
+            }
+        }
     }
 
     #[test]
@@ -984,7 +1035,7 @@ pub(crate) mod tests {
     }
 
     /// The graph with one adjacency entry removed (same node count).
-    fn without_edge(g: &Graph, u: usize, v: usize) -> Graph {
+    pub(crate) fn without_edge(g: &Graph, u: usize, v: usize) -> Graph {
         let mut coo = bepi_sparse::Coo::new(g.n(), g.n()).unwrap();
         for (r, c, w) in g.adjacency().iter() {
             if !(r == u && c == v) {
@@ -996,7 +1047,7 @@ pub(crate) mod tests {
 
     /// An edge whose removal is numeric-only: the source keeps at least
     /// one other out-edge, so no deadend flip and no block crossing.
-    fn removable_edge(g: &Graph) -> (usize, usize) {
+    pub(crate) fn removable_edge(g: &Graph) -> (usize, usize) {
         let u = (0..g.n()).find(|&u| g.out_degree(u) >= 2).unwrap();
         (u, g.out_neighbors(u).next().unwrap())
     }
@@ -1005,42 +1056,50 @@ pub(crate) mod tests {
     fn preprocess_with_plan_is_bit_identical_to_preprocess() {
         let g = generators::rmat(8, 900, generators::RmatParams::default(), 3).unwrap();
         let g = generators::inject_deadends(&g, 0.2, 1).unwrap();
-        let cfg = BePiConfig::default();
-        let full = BePi::preprocess(&g, &cfg).unwrap();
-        let frozen = BePi::preprocess_with_plan(&g, &cfg, &full.symbolic_plan()).unwrap();
-        for seed in [0usize, 7, 100, 255] {
-            assert_eq!(
-                full.query(seed).unwrap().scores,
-                frozen.query(seed).unwrap().scores,
-                "seed {seed}"
-            );
+        for variant in [BePiVariant::Sparse, BePiVariant::Full] {
+            let cfg = BePiConfig::for_variant(variant);
+            let fresh = BePi::preprocess(&g, &cfg).unwrap();
+            let frozen = BePi::preprocess_with_plan(&g, &cfg, &fresh.symbolic_plan()).unwrap();
+            for seed in [0usize, 7, 100, 255] {
+                assert_eq!(
+                    fresh.query(seed).unwrap().scores,
+                    frozen.query(seed).unwrap().scores,
+                    "{} seed {seed}",
+                    variant.name()
+                );
+            }
         }
     }
 
     #[test]
     fn refactor_is_bit_identical_to_plan_frozen_preprocess() {
         let g = generators::rmat(8, 900, generators::RmatParams::default(), 3).unwrap();
-        let cfg = BePiConfig::default();
-        let solver = BePi::preprocess(&g, &cfg).unwrap();
-        let plan = solver.symbolic_plan();
         let (u, v) = removable_edge(&g);
         let g_new = without_edge(&g, u, v);
-        let dirty = match bepi_incr::classify(&plan, &g, &g_new, &[u]) {
-            bepi_incr::Classification::NumericOnly(d) => d,
-            bepi_incr::Classification::Structural(why) => panic!("expected numeric: {why}"),
-        };
-        // The refactor must be bit-exact at every kernel thread count,
-        // including against a differently-threaded from-scratch factor.
-        for threads in [1usize, 2, 8] {
-            let refac =
-                bepi_par::with_kernel_threads(threads, || solver.refactor(&g_new, &dirty).unwrap());
-            let frozen = BePi::preprocess_with_plan(&g_new, &cfg, &plan).unwrap();
-            for seed in [0usize, 50, 200] {
-                assert_eq!(
-                    refac.query(seed).unwrap().scores,
-                    frozen.query(seed).unwrap().scores,
-                    "threads {threads} seed {seed}"
-                );
+        // The default (no ILU) and the paper's full BePI (ILU refresh).
+        for variant in [BePiVariant::Sparse, BePiVariant::Full] {
+            let cfg = BePiConfig::for_variant(variant);
+            let solver = BePi::preprocess(&g, &cfg).unwrap();
+            let plan = solver.symbolic_plan();
+            let dirty = match bepi_incr::classify(&plan, &g, &g_new, &[u]) {
+                bepi_incr::Classification::NumericOnly(d) => d,
+                bepi_incr::Classification::Structural(why) => panic!("expected numeric: {why}"),
+            };
+            // The refactor must be bit-exact at every kernel thread count,
+            // including against a differently-threaded from-scratch factor.
+            for threads in [1usize, 2, 8] {
+                let refac = bepi_par::with_kernel_threads(threads, || {
+                    solver.refactor(&g_new, &dirty).unwrap()
+                });
+                let frozen = BePi::preprocess_with_plan(&g_new, &cfg, &plan).unwrap();
+                for seed in [0usize, 50, 200] {
+                    assert_eq!(
+                        refac.query(seed).unwrap().scores,
+                        frozen.query(seed).unwrap().scores,
+                        "{} threads {threads} seed {seed}",
+                        variant.name()
+                    );
+                }
             }
         }
     }
@@ -1051,7 +1110,7 @@ pub(crate) mod tests {
         // output, so the second link runs `refresh_values` on factors
         // that `refresh_values` itself produced.
         let g0 = generators::rmat(8, 900, generators::RmatParams::default(), 3).unwrap();
-        let cfg = BePiConfig::default();
+        let cfg = BePiConfig::for_variant(BePiVariant::Full);
         let mut solver = BePi::preprocess(&g0, &cfg).unwrap();
         let plan = solver.symbolic_plan();
         let mut g = g0;
@@ -1085,7 +1144,7 @@ pub(crate) mod tests {
     #[test]
     fn refactor_over_mapped_storage_matches_owned() {
         let g = generators::rmat(7, 400, generators::RmatParams::default(), 11).unwrap();
-        let cfg = BePiConfig::default();
+        let cfg = BePiConfig::for_variant(BePiVariant::Full);
         let owned = BePi::preprocess(&g, &cfg).unwrap();
         let dir = std::env::temp_dir().join(format!("bepi-refactor-mmap-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();

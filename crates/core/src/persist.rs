@@ -759,7 +759,7 @@ mod tests {
 
     #[test]
     fn roundtrip_full_variant() {
-        roundtrip(&BePiConfig::default());
+        roundtrip(&BePiConfig::for_variant(BePiVariant::Full));
     }
 
     #[test]
@@ -1025,7 +1025,7 @@ mod tests {
     #[test]
     fn v6_persists_ilu_factors() {
         let g = generators::rmat(7, 500, generators::RmatParams::default(), 41).unwrap();
-        let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
+        let original = BePi::preprocess(&g, &BePiConfig::for_variant(BePiVariant::Full)).unwrap();
         let mut buf = Vec::new();
         save_v6(&original, None, &mut buf).unwrap();
         let table = bepi_map::parse_layout(&buf).unwrap();
@@ -1044,6 +1044,61 @@ mod tests {
         );
         assert_eq!(bits32(got.values()), bits32(want.values()));
         assert_eq!(got.diag_pos(), want.diag_pos());
+    }
+
+    /// An index preprocessed as the paper's full BePI keeps its ILU(0)
+    /// although new indexes default to BePI-S: META records the variant,
+    /// so the heap and the mapped load both bring the factors back, a
+    /// numeric refactor refreshes them, and every answer is bit-identical
+    /// to a fresh `Full` preprocess of the same graph.
+    #[test]
+    fn full_index_keeps_its_ilu_on_load_and_refactor() {
+        use crate::bepi::tests::{removable_edge, without_edge};
+        let g = generators::rmat(7, 500, generators::RmatParams::default(), 61).unwrap();
+        let cfg = BePiConfig::for_variant(BePiVariant::Full);
+        let path = temp_path("full_index");
+        save_file_v6(&BePi::preprocess(&g, &cfg).unwrap(), Some(&g), &path).unwrap();
+        let heap = load_file(&path).unwrap();
+        let (mapped, _) = load_mapped_file(&path).unwrap();
+        let fresh = BePi::preprocess(&g, &cfg).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let assert_same = |got: &BePi, want: &BePi, what: &str| {
+            assert_eq!(got.config().variant, BePiVariant::Full, "{what}");
+            assert_precond_bytes(got);
+            assert_eq!(
+                bits32(got.preconditioner().unwrap().values()),
+                bits32(want.preconditioner().unwrap().values()),
+                "{what}"
+            );
+            for seed in [0usize, 31, 100] {
+                let (a, b) = (got.query(seed).unwrap(), want.query(seed).unwrap());
+                assert_eq!(bits(&a.scores), bits(&b.scores), "{what} seed {seed}");
+                assert_eq!(a.iterations, b.iterations, "{what} seed {seed}");
+            }
+        };
+        assert_same(&heap, &fresh, "heap load");
+        assert_same(&mapped, &fresh, "mapped load");
+
+        let (u, v) = removable_edge(&g);
+        let g_new = without_edge(&g, u, v);
+        let plan = fresh.symbolic_plan();
+        let dirty = match crate::classify(&plan, &g, &g_new, &[u]) {
+            crate::Classification::NumericOnly(d) => d,
+            crate::Classification::Structural(why) => panic!("expected numeric: {why}"),
+        };
+        let frozen = BePi::preprocess_with_plan(&g_new, &cfg, &plan).unwrap();
+        assert_same(
+            &heap.refactor(&g_new, &dirty).unwrap(),
+            &frozen,
+            "heap refactor",
+        );
+        assert_same(
+            &mapped.refactor(&g_new, &dirty).unwrap(),
+            &frozen,
+            "mapped refactor",
+        );
+        drop(mapped);
+        std::fs::remove_file(&path).ok();
     }
 
     /// `bepi`'s index `buf` in the layout of the earlier f64 factor
@@ -1073,7 +1128,7 @@ mod tests {
     #[test]
     fn v6_with_f64_factor_sections_loads_by_refactoring() {
         let g = generators::rmat(7, 500, generators::RmatParams::default(), 23).unwrap();
-        let fresh = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
+        let fresh = BePi::preprocess(&g, &BePiConfig::for_variant(BePiVariant::Full)).unwrap();
         let old = with_f64_factor_sections(&to_bytes(&fresh, Some(&g)), &fresh);
         let table = bepi_map::parse_layout(&old).unwrap();
         assert!(table.iter().any(|e| e.id == 0x80));
@@ -1216,7 +1271,7 @@ mod tests {
     #[test]
     fn v6_memory_report_accounts_every_component() {
         let g = generators::rmat(7, 400, generators::RmatParams::default(), 3).unwrap();
-        let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
+        let original = BePi::preprocess(&g, &BePiConfig::for_variant(BePiVariant::Full)).unwrap();
         let path = temp_path("report");
         save_file_v6(&original, None, &path).unwrap();
         let (mapped, _) = load_mapped_file(&path).unwrap();

@@ -105,6 +105,10 @@ pub struct VersionInfo {
     pub version: u64,
     /// Nodes in the served index.
     pub nodes: usize,
+    /// The served index's BePI variant (`BePI-S`, `BePI` or `BePI-B`,
+    /// from [`bepi_core::BePiVariant::name`]): whether queries pay for
+    /// ILU(0).
+    pub variant: &'static str,
     /// Buffered, not-yet-visible updates.
     pub pending: usize,
     /// Background rebuilds completed since startup.
@@ -473,6 +477,7 @@ impl LiveEngine {
         VersionInfo {
             version: current.version,
             nodes: current.bepi.node_count(),
+            variant: current.bepi.config().variant.name(),
             pending: st.pending.len(),
             rebuilds: self.rebuilds(),
             live: st.graph.is_some(),

@@ -47,6 +47,16 @@ impl HttpResponse {
     pub fn graph_version(&self) -> Option<u64> {
         self.header("x-graph-version")?.trim().parse().ok()
     }
+
+    /// The string value of a top-level `"key":"value"` pair in a JSON
+    /// body, for flat bodies like `/version`'s whose values carry no
+    /// escaped quotes.
+    pub fn json_str(&self, key: &str) -> Option<&str> {
+        let needle = format!("\"{key}\":\"");
+        let start = self.body.find(&needle)? + needle.len();
+        let len = self.body[start..].find('"')?;
+        Some(&self.body[start..start + len])
+    }
 }
 
 /// Phase timings of one shard attempt, for per-attempt trace records.
@@ -239,6 +249,18 @@ mod tests {
         assert_eq!(resp.header("content-type"), Some("application/json"));
         assert_eq!(resp.header("X-Graph-Version"), Some("7"));
         assert_eq!(resp.graph_version(), Some(7));
+    }
+
+    #[test]
+    fn json_str_reads_a_flat_string_field() {
+        let resp = HttpResponse {
+            status: 200,
+            headers: Vec::new(),
+            body: r#"{"version":1,"variant":"BePI-S","live":false,"last_error":null}"#.into(),
+        };
+        assert_eq!(resp.json_str("variant"), Some("BePI-S"));
+        assert_eq!(resp.json_str("version"), None, "not a string");
+        assert_eq!(resp.json_str("missing"), None);
     }
 
     #[test]

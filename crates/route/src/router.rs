@@ -27,7 +27,7 @@
 use crate::client::{AttemptTiming, HttpResponse};
 use crate::metrics::{merge_expositions, render, RouteMetrics};
 use crate::ring::SeedRing;
-use crate::shard::{quorum_version, ShardState};
+use crate::shard::{fleet_variant, quorum_version, ShardState};
 use crate::supervisor::Supervisor;
 use crate::trace::{AttemptEntry, AttemptKind, AttemptLog, AttemptOutcome};
 use bepi_obs::trace::{clock_us, RequestId, TraceEvent, TraceExporter, ROUTER_PID};
@@ -318,9 +318,11 @@ fn handle_connection(stream: TcpStream, ctx: &RouteContext) {
 fn route_version(stream: &TcpStream, ctx: &RouteContext) {
     let advertised = quorum_version(&ctx.shards);
     let healthy = ctx.shards.iter().filter(|s| s.is_healthy()).count();
+    let variant = fleet_variant(&ctx.shards).map_or("null".to_string(), |v| http::json_string(&v));
     let body = format!(
-        "{{\"version\":{},\"shards\":{},\"healthy\":{},\"expected_epoch\":{}}}",
+        "{{\"version\":{},\"variant\":{},\"shards\":{},\"healthy\":{},\"expected_epoch\":{}}}",
         advertised,
+        variant,
         ctx.shards.len(),
         healthy,
         ctx.supervisor.expected_epoch()

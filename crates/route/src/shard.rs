@@ -14,11 +14,13 @@ pub const LATENCY_BOUNDS: &[f64] = &[
 ];
 
 /// The mutable part of a shard that changes when its process is
-/// replaced: the address (respawned shards bind a fresh ephemeral port)
-/// and the connection pool pointing at it.
+/// replaced: the address (respawned shards bind a fresh ephemeral port),
+/// the connection pool pointing at it, and the BePI variant its
+/// `/version` last reported.
 struct ShardRuntime {
     addr: String,
     client: Arc<ShardClient>,
+    variant: Option<String>,
 }
 
 /// One shard as the router sees it.
@@ -55,7 +57,11 @@ impl ShardState {
         let client = Arc::new(ShardClient::new(addr.clone(), per_request_timeout));
         ShardState {
             id,
-            runtime: Mutex::new(ShardRuntime { addr, client }),
+            runtime: Mutex::new(ShardRuntime {
+                addr,
+                client,
+                variant: None,
+            }),
             healthy: AtomicBool::new(false),
             version: AtomicU64::new(0),
             generation: AtomicU64::new(0),
@@ -88,6 +94,7 @@ impl ShardState {
         rt.client.clear();
         rt.addr = addr;
         rt.client = client;
+        rt.variant = None;
         drop(rt);
         self.generation.fetch_add(1, Ordering::SeqCst);
         self.healthy.store(false, Ordering::SeqCst);
@@ -112,6 +119,18 @@ impl ShardState {
     /// response from before a rollout cannot roll the shard back).
     pub fn observe_version(&self, v: u64) {
         self.version.fetch_max(v, Ordering::SeqCst);
+    }
+
+    /// The BePI variant (`BePI-S`, `BePI`, `BePI-B`) the shard's index
+    /// runs, as its last `/version` reported; `None` before the first
+    /// probe of the current process.
+    pub fn variant(&self) -> Option<String> {
+        self.lock().variant.clone()
+    }
+
+    /// Records the variant a `/version` probe reported.
+    pub fn observe_variant(&self, variant: &str) {
+        self.lock().variant = Some(variant.to_string());
     }
 
     /// Process generation (0 = the original process).
@@ -147,6 +166,15 @@ pub fn quorum_version(shards: &[Arc<ShardState>]) -> u64 {
     versions.sort_unstable_by(|a, b| b.cmp(a));
     let quorum = shards.len() / 2 + 1;
     versions.get(quorum - 1).copied().unwrap_or(0)
+}
+
+/// The fleet's BePI variant: the one every shard that has reported a
+/// variant agrees on, or `None` if none has reported or two disagree
+/// (an `--attach` fleet may mix indexes).
+pub fn fleet_variant(shards: &[Arc<ShardState>]) -> Option<String> {
+    let mut reported = shards.iter().filter_map(|s| s.variant());
+    let first = reported.next()?;
+    reported.all(|v| v == first).then_some(first)
 }
 
 #[cfg(test)]
@@ -200,6 +228,22 @@ mod tests {
         // A straggler cannot drag the version back down.
         assert_eq!(shards[2].version(), 0);
         assert_eq!(quorum_version(&shards), 2);
+    }
+
+    #[test]
+    fn fleet_variant_is_reported_only_where_shards_agree() {
+        let shards: Vec<Arc<ShardState>> = (0..3).map(shard).collect();
+        assert_eq!(fleet_variant(&shards), None);
+        // Shards not yet probed do not veto the ones that were.
+        shards[0].observe_variant("BePI-S");
+        shards[1].observe_variant("BePI-S");
+        assert_eq!(fleet_variant(&shards).as_deref(), Some("BePI-S"));
+        shards[2].observe_variant("BePI");
+        assert_eq!(fleet_variant(&shards), None);
+        // A respawned process has not reported yet.
+        shards[2].replace_process("127.0.0.1:2");
+        assert_eq!(shards[2].variant(), None);
+        assert_eq!(fleet_variant(&shards).as_deref(), Some("BePI-S"));
     }
 
     #[test]

@@ -146,6 +146,9 @@ impl Supervisor {
                 if let Some(v) = resp.graph_version() {
                     shard.observe_version(v);
                 }
+                if let Some(v) = resp.json_str("variant") {
+                    shard.observe_variant(v);
+                }
                 shard.mark(shard.version() >= self.expected_epoch());
             }
             Ok(_) | Err(_) => shard.mark(false),

@@ -898,10 +898,11 @@ fn handle_version(stream: &TcpStream, ctx: &WorkerContext, keep_alive: bool) -> 
         None => "null".to_string(),
     };
     let body = format!(
-        "{{\"version\":{},\"nodes\":{},\"pending\":{},\"rebuilds\":{},\"live\":{},\
-         \"rebuild_kind\":\"{}\",\"rebuild_trigger\":\"{}\",\"last_error\":{}}}",
+        "{{\"version\":{},\"nodes\":{},\"variant\":\"{}\",\"pending\":{},\"rebuilds\":{},\
+         \"live\":{},\"rebuild_kind\":\"{}\",\"rebuild_trigger\":\"{}\",\"last_error\":{}}}",
         info.version,
         info.nodes,
+        info.variant,
         info.pending,
         info.rebuilds,
         info.live,

@@ -1,6 +1,7 @@
 //! Quickstart: the worked example of Figure 2 in the BePI paper.
 //!
-//! Builds the 8-node example graph, preprocesses it with full BePI, runs
+//! Builds the 8-node example graph, preprocesses it with BePI-S (the default
+//! configuration; `BePiVariant::Full` is the paper's, which adds ILU(0)), runs
 //! one RWR query from node u1, and prints the personalized ranking table.
 //!
 //! Run with: `cargo run -p bepi-core --example quickstart`
@@ -19,8 +20,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Preprocessing phase (Algorithm 3): reorder, block-eliminate,
-    // sparsify the Schur complement, compute the ILU(0) preconditioner.
-    let config = BePiConfig::default(); // c = 0.05, ε = 1e-9, full BePI
+    // sparsify the Schur complement (the paper's full BePI would also
+    // compute the ILU(0) preconditioner).
+    let config = BePiConfig::default(); // c = 0.05, ε = 1e-9, BePI-S
     let solver = BePi::preprocess(&graph, &config)?;
     let stats = solver.stats();
     println!(

@@ -88,8 +88,10 @@ OBS_PID=""
 # Memory-mapped serving gate: preprocess once, boot one daemon that
 # loads the index onto the heap and one that maps the same file, and
 # require byte-identical top-k responses. This is the --mmap acceptance
-# bar run against real HTTP, not just the unit suite.
-echo "==> mmap serving check (one index, heap/mmap daemon diff)"
+# bar run against real HTTP, not just the unit suite. It runs twice: on
+# the default (BePI-S) index, and on a `--variant full` index, whose
+# mapped ILU(0) sections have no other end-to-end gate.
+echo "==> mmap serving check (heap/mmap daemon diff, default and --variant full index)"
 MMAP_TMP=$(mktemp -d)
 cleanup_mmap() {
   exec 8>&- 2>/dev/null || true
@@ -107,11 +109,11 @@ with open(sys.argv[1], "w") as f:
         f.write(f"{i} {(i + 1) % n}\n")
         f.write(f"{i} {(i * 5 + 2) % n}\n")
 EOF
-./target/release/bepi preprocess "$MMAP_TMP/edges.txt" "$MMAP_TMP/index.bepi"
 # Runs in the *current* shell (no command substitution) so the fifo fd
 # and the daemon pid survive; results land in DAEMON_ADDR / DAEMON_PID.
 start_daemon() { # fifo_fd index log flags...
   local fd=$1 index=$2 log=$3; shift 3
+  rm -f "$MMAP_TMP/fifo$fd"
   mkfifo "$MMAP_TMP/fifo$fd"
   eval "exec $fd<> '$MMAP_TMP/fifo$fd'"
   # 7>&- 8>&- 9>&-: a daemon must not inherit any fifo write end, its
@@ -128,25 +130,36 @@ start_daemon() { # fifo_fd index log flags...
   done
   [ -n "$DAEMON_ADDR" ] || { echo "daemon never reported its address" >&2; cat "$log" >&2; return 1; }
 }
-start_daemon 7 "$MMAP_TMP/index.bepi" "$MMAP_TMP/heap.log"
-HEAP_ADDR=$DAEMON_ADDR HEAP_PID=$DAEMON_PID
-grep -q "heap index" "$MMAP_TMP/heap.log" \
-  || { echo "daemon without --mmap did not report a heap index"; cat "$MMAP_TMP/heap.log"; exit 1; }
-start_daemon 8 "$MMAP_TMP/index.bepi" "$MMAP_TMP/mmap.log" --mmap
-MMAP_ADDR=$DAEMON_ADDR MMAP_PID=$DAEMON_PID
-grep -q "memory-mapped index" "$MMAP_TMP/mmap.log" \
-  || { echo "--mmap daemon did not report a mapped index"; cat "$MMAP_TMP/mmap.log"; exit 1; }
-for seed in 0 17 42 95; do
-  curl -sf "http://$HEAP_ADDR/query?seed=$seed&top=10" > "$MMAP_TMP/heap.json"
-  curl -sf "http://$MMAP_ADDR/query?seed=$seed&top=10" > "$MMAP_TMP/mmap.json"
-  cmp "$MMAP_TMP/heap.json" "$MMAP_TMP/mmap.json" \
-    || { echo "seed $seed: mmap daemon response differs from heap daemon"; exit 1; }
+# "<--variant value, empty for the default>:<name /version reports>"
+for case in ":BePI-S" "full:BePI"; do
+  VARIANT_FLAG=${case%%:*} VARIANT_NAME=${case#*:}
+  INDEX="$MMAP_TMP/index-$VARIANT_NAME.bepi"
+  ./target/release/bepi preprocess "$MMAP_TMP/edges.txt" "$INDEX" \
+    ${VARIANT_FLAG:+--variant "$VARIANT_FLAG"}
+  start_daemon 7 "$INDEX" "$MMAP_TMP/heap.log"
+  HEAP_ADDR=$DAEMON_ADDR HEAP_PID=$DAEMON_PID
+  grep -q "heap index" "$MMAP_TMP/heap.log" \
+    || { echo "daemon without --mmap did not report a heap index"; cat "$MMAP_TMP/heap.log"; exit 1; }
+  start_daemon 8 "$INDEX" "$MMAP_TMP/mmap.log" --mmap
+  MMAP_ADDR=$DAEMON_ADDR MMAP_PID=$DAEMON_PID
+  grep -q "memory-mapped index" "$MMAP_TMP/mmap.log" \
+    || { echo "--mmap daemon did not report a mapped index"; cat "$MMAP_TMP/mmap.log"; exit 1; }
+  for addr in "$HEAP_ADDR" "$MMAP_ADDR"; do
+    curl -sf "http://$addr/version" | grep -q "\"variant\":\"$VARIANT_NAME\"" \
+      || { echo "$addr: /version does not report variant $VARIANT_NAME"; exit 1; }
+  done
+  for seed in 0 17 42 95; do
+    curl -sf "http://$HEAP_ADDR/query?seed=$seed&top=10" > "$MMAP_TMP/heap.json"
+    curl -sf "http://$MMAP_ADDR/query?seed=$seed&top=10" > "$MMAP_TMP/mmap.json"
+    cmp "$MMAP_TMP/heap.json" "$MMAP_TMP/mmap.json" \
+      || { echo "$VARIANT_NAME seed $seed: mmap daemon response differs from heap daemon"; exit 1; }
+  done
+  exec 7>&-
+  exec 8>&-
+  wait "$HEAP_PID" "$MMAP_PID"
+  HEAP_PID=""; MMAP_PID=""
+  echo "$VARIANT_NAME: mmap responses byte-identical to heap responses"
 done
-exec 7>&-
-exec 8>&-
-wait "$HEAP_PID" "$MMAP_PID"
-HEAP_PID=""; MMAP_PID=""
-echo "mmap responses byte-identical to heap responses"
 
 # Approximate-serving degradation gate: boot a daemon whose index embeds
 # its graph (so the approximate lane is live), saturate the admission

@@ -291,6 +291,7 @@ fn queries_serve_last_completed_rebuild_not_wal_tip() {
     assert!(v.body.contains("\"version\":1"), "{}", v.body);
     assert!(v.body.contains("\"pending\":1"), "{}", v.body);
     assert!(v.body.contains("\"live\":true"), "{}", v.body);
+    assert!(v.body.contains("\"variant\":\"BePI-S\""), "{}", v.body);
 
     let r = post(addr, "/rebuild", "");
     assert_eq!(r.status, 200, "{}", r.body);

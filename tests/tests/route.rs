@@ -332,6 +332,11 @@ fn health_version_and_metrics_endpoints_describe_the_fleet() {
     assert_eq!(version.status, 200);
     assert_eq!(version.header("x-graph-version"), Some("1"));
     assert!(version.body.contains("\"shards\":3"), "{}", version.body);
+    assert!(
+        version.body.contains("\"variant\":\"BePI-S\""),
+        "{}",
+        version.body
+    );
 
     // Drive a few queries so counters move, then check the metric set.
     for seed in 0..8 {
