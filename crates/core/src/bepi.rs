@@ -28,7 +28,7 @@ use crate::schur::schur_complement;
 use crate::{DEFAULT_RESTART_PROB, DEFAULT_TOLERANCE};
 use bepi_graph::Graph;
 use bepi_incr::{DirtySet, SymbolicPlan};
-use bepi_solver::{gmres, BlockLu, GmresConfig, Ilu0, Preconditioner};
+use bepi_solver::{gmres_block, BlockLu, GmresConfig, Ilu0, Preconditioner};
 use bepi_sparse::{Csr, MemBytes, Permutation, Result, SparseError};
 use std::time::{Duration, Instant};
 
@@ -606,75 +606,102 @@ impl BePi {
     /// case of an indicator `q`; the paper notes PPR "sets multiple seed
     /// nodes in the starting vector", Section 2.1).
     pub fn query_vector(&self, q: &[f64]) -> Result<RwrScores> {
+        let mut answers = self.query_block(&[q])?;
+        Ok(answers.pop().expect("one vector in, one answer out"))
+    }
+
+    /// The query phase (Algorithm 4) over a block of preference vectors:
+    /// the forward stages per vector, one lock-step GMRES solve of `S`
+    /// for all of them ([`gmres_block`]), then back-substitution and
+    /// unpermute per vector. Every answer is bit-identical to answering
+    /// its vector alone.
+    ///
+    /// Answers come back in input order. On failure the first failing
+    /// vector's error is returned, and solver telemetry has recorded each
+    /// solve up to and including it — exactly what answering the vectors
+    /// one by one would have recorded before stopping.
+    pub(crate) fn query_block(&self, qs: &[&[f64]]) -> Result<Vec<RwrScores>> {
         let n = self.node_count();
-        if q.len() != n {
-            return Err(SparseError::VectorLength {
-                expected: n,
-                actual: q.len(),
-            });
-        }
         let c = self.config.c;
         let l = self.n1 + self.n2;
 
-        // Partitioned starting vector in the reordered space (lines 1–2).
-        let qr = self.perm.permute_vec(q)?;
-        let q1 = &qr[..self.n1];
-        let q2 = &qr[self.n1..l];
-        let q3 = &qr[l..];
+        // Lines 1–3 per vector: the partitioned starting vector in the
+        // reordered space, then q̂2 = c q2 − H21 (U1^{-1}(L1^{-1}(c q1))).
+        let mut forward = Vec::with_capacity(qs.len());
+        for q in qs {
+            if q.len() != n {
+                return Err(SparseError::VectorLength {
+                    expected: n,
+                    actual: q.len(),
+                });
+            }
+            let qr = self.perm.permute_vec(q)?;
+            let cq1: Vec<f64> = qr[..self.n1].iter().map(|v| c * v).collect();
+            let t = self.h11_lu.solve_vec(&cq1)?;
+            let h21t = self.h21.mul_vec(&t)?;
+            let q2_hat: Vec<f64> = qr[self.n1..l]
+                .iter()
+                .zip(&h21t)
+                .map(|(qv, hv)| c * qv - hv)
+                .collect();
+            forward.push((qr, cq1, q2_hat));
+        }
 
-        // Line 3: q̂2 = c q2 − H21 (U1^{-1}(L1^{-1}(c q1))).
-        let cq1: Vec<f64> = q1.iter().map(|v| c * v).collect();
-        let t = self.h11_lu.solve_vec(&cq1)?;
-        let h21t = self.h21.mul_vec(&t)?;
-        let q2_hat: Vec<f64> = q2.iter().zip(&h21t).map(|(qv, hv)| c * qv - hv).collect();
-
-        // Line 4: solve S r2 = q̂2 (ILU(0)-preconditioned for the full
-        // variant).
+        // Line 4: solve S r2 = q̂2 for every vector in lock step
+        // (ILU(0)-preconditioned for the full variant).
         let cfg = GmresConfig {
             tol: self.config.tol,
             restart: self.config.gmres_restart,
             max_iters: self.config.max_iters,
         };
-        let gm = gmres(&self.s, &q2_hat, None, self.preconditioner_dyn(), &cfg)?;
-        // Per-query solver telemetry: every solve is accounted here, so the
-        // serve path, batch queries, and the CLI share one registry.
-        bepi_obs::telemetry::record_solve(gm.iterations, gm.residual);
-        // An unconverged solve (iteration cap hit, or a NaN residual that
-        // never passes the test) is an error, not a less accurate answer.
-        if !gm.converged {
-            return Err(SparseError::Numerical(format!(
-                "GMRES on the Schur system did not converge: relative residual {:e} \
-                 after {} iterations, tol {:e}",
-                gm.residual, gm.iterations, self.config.tol
-            )));
+        let rhs: Vec<&[f64]> = forward.iter().map(|(_, _, q2_hat)| &q2_hat[..]).collect();
+        let solves = gmres_block(&self.s, &rhs, self.preconditioner_dyn(), &cfg)?;
+        for gm in &solves {
+            // Per-query solver telemetry: every solve is accounted here, so
+            // the serve path, batch queries, and the CLI share one registry.
+            bepi_obs::telemetry::record_solve(gm.iterations, gm.residual);
+            // An unconverged solve (iteration cap hit, or a NaN residual
+            // that never passes the test) is an error, not a less accurate
+            // answer.
+            if !gm.converged {
+                return Err(SparseError::Numerical(format!(
+                    "GMRES on the Schur system did not converge: relative residual {:e} \
+                     after {} iterations, tol {:e}",
+                    gm.residual, gm.iterations, self.config.tol
+                )));
+            }
         }
-        let r2 = gm.x;
 
-        // Line 5: r1 = U1^{-1}(L1^{-1}(c q1 − H12 r2)).
-        let h12r2 = self.h12.mul_vec(&r2)?;
-        let rhs1: Vec<f64> = cq1.iter().zip(&h12r2).map(|(a, b)| a - b).collect();
-        let r1 = self.h11_lu.solve_vec(&rhs1)?;
+        forward
+            .into_iter()
+            .zip(solves)
+            .map(|((qr, cq1, _), gm)| {
+                let r2 = gm.x;
+                // Line 5: r1 = U1^{-1}(L1^{-1}(c q1 − H12 r2)).
+                let h12r2 = self.h12.mul_vec(&r2)?;
+                let rhs1: Vec<f64> = cq1.iter().zip(&h12r2).map(|(a, b)| a - b).collect();
+                let r1 = self.h11_lu.solve_vec(&rhs1)?;
 
-        // Line 6: r3 = c q3 − H31 r1 − H32 r2.
-        let h31r1 = self.h31.mul_vec(&r1)?;
-        let h32r2 = self.h32.mul_vec(&r2)?;
-        let r3: Vec<f64> = q3
-            .iter()
-            .zip(h31r1.iter().zip(&h32r2))
-            .map(|(qv, (a, b))| c * qv - a - b)
-            .collect();
+                // Line 6: r3 = c q3 − H31 r1 − H32 r2.
+                let h31r1 = self.h31.mul_vec(&r1)?;
+                let h32r2 = self.h32.mul_vec(&r2)?;
+                let r3 = qr[l..]
+                    .iter()
+                    .zip(h31r1.iter().zip(&h32r2))
+                    .map(|(qv, (a, b))| c * qv - a - b);
 
-        // Line 7: concatenate and map back to original node ids.
-        let mut r = Vec::with_capacity(n);
-        r.extend_from_slice(&r1);
-        r.extend_from_slice(&r2);
-        r.extend_from_slice(&r3);
-        let scores = self.perm.unpermute_vec(&r)?;
-        Ok(RwrScores {
-            scores,
-            iterations: gm.iterations,
-            residual: gm.residual,
-        })
+                // Line 7: concatenate and map back to original node ids.
+                let mut r = Vec::with_capacity(n);
+                r.extend_from_slice(&r1);
+                r.extend_from_slice(&r2);
+                r.extend(r3);
+                Ok(RwrScores {
+                    scores: self.perm.unpermute_vec(&r)?,
+                    iterations: gm.iterations,
+                    residual: gm.residual,
+                })
+            })
+            .collect()
     }
 }
 

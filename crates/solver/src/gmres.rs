@@ -1,4 +1,5 @@
-//! Restarted GMRES with optional left preconditioning.
+//! Restarted GMRES with optional left preconditioning, for one
+//! right-hand side or a block of them solved in lock step.
 //!
 //! GMRES (Saad & Schultz 1986) is the paper's iterative engine: plain on
 //! the full system `H r = c q` as a baseline (Section 2.2), and
@@ -10,11 +11,31 @@
 //! steps. With a preconditioner `M`, the iteration runs on `M^{-1}A` /
 //! `M^{-1}b` and convergence is declared on the preconditioned relative
 //! residual — exactly the quantity Algorithm 5 of the paper monitors
-//! (`‖H̄y − ‖t‖e₁‖ < ε`).
+//! (`‖H̄y − ‖t‖e₁‖ < ε`). A step whose new basis direction vanishes
+//! against `‖A v_j‖` (happy breakdown) ends the cycle; the test is
+//! relative to the new Hessenberg column, so it does not depend on the
+//! scale of `b`.
+//!
+//! **Lock step.** [`gmres_block`] runs up to [`BLOCK_WIDTH`] right-hand
+//! sides together. Each column keeps its own solution, Arnoldi basis,
+//! Hessenberg, Givens and restart state and drops out when it is done;
+//! the only thing the columns share is the operator apply, which
+//! [`LinOp::apply_block`] makes one pass over `A` for all active columns.
+//! A column's next apply is either its Arnoldi vector or, at a restart,
+//! its current solution — columns at different stages still share the
+//! pass. The block kernel accumulates every lane in the non-zero order of
+//! the single-vector SpMV, the preconditioner is applied per column, and
+//! orthogonalisation never mixes columns, so each column's result is
+//! bit-identical to [`gmres`] on that right-hand side alone. [`gmres`] is
+//! the one-column case of the same engine and applies `A` directly, with
+//! no packing. The width is a constant, not a setting: eight `f64` lanes
+//! are one cache line per non-zero of `A`, and SpMV over BePI's `S` is
+//! bandwidth-bound, so one pass costs about what a single-vector pass
+//! costs while serving eight solves.
 
 use crate::linop::{LinOp, Preconditioner};
 use bepi_sparse::vecops::{axpy, dot, norm2};
-use bepi_sparse::{Result, SparseError};
+use bepi_sparse::{Result, SparseError, BLOCK_WIDTH};
 
 /// GMRES configuration.
 ///
@@ -80,203 +101,367 @@ pub fn gmres<A: LinOp>(
     precond: Option<&dyn Preconditioner>,
     cfg: &GmresConfig,
 ) -> Result<GmresResult> {
-    let n = a.nrows();
-    if a.ncols() != n {
+    check_square(a)?;
+    check_len(b, a.nrows())?;
+    if let Some(x0) = x0 {
+        check_len(x0, a.nrows())?;
+    }
+    let column = Column::start(b, x0, precond, cfg);
+    Ok(lockstep(a, vec![column], precond, cfg)
+        .pop()
+        .expect("one column in, one result out"))
+}
+
+/// Solves `A x_l = b_l` (preconditioned as in [`gmres`]) for every
+/// right-hand side of `bs` from a zero initial guess, [`BLOCK_WIDTH`]
+/// columns at a time in lock step (see the module docs). Results come
+/// back in input order, each bit-identical to `gmres(a, b_l, None,
+/// precond, cfg)`.
+///
+/// ```
+/// use bepi_solver::{gmres, gmres_block, GmresConfig};
+/// use bepi_sparse::Coo;
+///
+/// let mut coo = Coo::new(2, 2).unwrap();
+/// coo.push(0, 0, 4.0).unwrap();
+/// coo.push(0, 1, 1.0).unwrap();
+/// coo.push(1, 0, 1.0).unwrap();
+/// coo.push(1, 1, 3.0).unwrap();
+/// let a = coo.to_csr();
+///
+/// let cfg = GmresConfig::default();
+/// let (b0, b1) = ([1.0, 2.0], [0.0, -5.0]);
+/// let both = gmres_block(&a, &[&b0[..], &b1[..]], None, &cfg).unwrap();
+/// assert_eq!(both[1].x, gmres(&a, &b1, None, None, &cfg).unwrap().x);
+/// ```
+pub fn gmres_block<A: LinOp>(
+    a: &A,
+    bs: &[&[f64]],
+    precond: Option<&dyn Preconditioner>,
+    cfg: &GmresConfig,
+) -> Result<Vec<GmresResult>> {
+    check_square(a)?;
+    for b in bs {
+        check_len(b, a.nrows())?;
+    }
+    let mut results = Vec::with_capacity(bs.len());
+    for block in bs.chunks(BLOCK_WIDTH) {
+        let columns = block
+            .iter()
+            .map(|b| Column::start(b, None, precond, cfg))
+            .collect();
+        results.extend(lockstep(a, columns, precond, cfg));
+    }
+    Ok(results)
+}
+
+fn check_square<A: LinOp>(a: &A) -> Result<()> {
+    if a.ncols() != a.nrows() {
         return Err(SparseError::ShapeMismatch {
             left: (a.nrows(), a.ncols()),
-            right: (n, n),
+            right: (a.nrows(), a.nrows()),
             op: "gmres (operator must be square)",
         });
     }
-    if b.len() != n {
+    Ok(())
+}
+
+fn check_len(v: &[f64], n: usize) -> Result<()> {
+    if v.len() != n {
         return Err(SparseError::VectorLength {
             expected: n,
-            actual: b.len(),
+            actual: v.len(),
         });
     }
-    let mut x = match x0 {
-        Some(x0) => {
-            if x0.len() != n {
-                return Err(SparseError::VectorLength {
-                    expected: n,
-                    actual: x0.len(),
-                });
-            }
-            x0.to_vec()
-        }
-        None => vec![0.0; n],
+    Ok(())
+}
+
+/// Advances every column until all are done. Each round gives every
+/// running column one apply of `A`: directly when one column is left,
+/// else through one [`LinOp::apply_block`] over the packed operands.
+fn lockstep<A: LinOp>(
+    a: &A,
+    mut columns: Vec<Column<'_>>,
+    precond: Option<&dyn Preconditioner>,
+    cfg: &GmresConfig,
+) -> Vec<GmresResult> {
+    let n = a.nrows();
+    let mut lane = vec![0.0; n];
+    // Output of the preconditioner in an Arnoldi step.
+    let mut spare = if precond.is_some() {
+        vec![0.0; n]
+    } else {
+        Vec::new()
     };
-
-    // Reference norm: ‖M^{-1} b‖ (or ‖b‖ unpreconditioned).
-    let mut mb = vec![0.0; n];
-    match precond {
-        Some(m) => m.apply(b, &mut mb),
-        None => mb.copy_from_slice(b),
-    }
-    let denom = norm2(&mb);
-    if denom == 0.0 {
-        return Ok(GmresResult {
-            x: vec![0.0; n],
-            iterations: 0,
-            residual: 0.0,
-            converged: true,
-            residual_history: Vec::new(),
-        });
-    }
-
-    // Without an initial guess the first cycle's residual
-    // M^{-1}(b − A·0) is `mb` itself: reuse it rather than pay one apply
-    // of `A` and one of `M` to recompute it.
-    let mut first_residual = x0.is_none().then_some(mb);
-
-    let m = cfg.restart.max(1);
-    let mut iterations = 0usize;
-    let mut history = Vec::new();
-    let mut scratch = vec![0.0; n];
-    let mut w = vec![0.0; n];
-
+    let (mut x_block, mut y_block) = (Vec::new(), Vec::new());
+    let mut running = Vec::with_capacity(columns.len());
     loop {
-        // (Preconditioned) residual r = M^{-1}(b − A x).
-        let mut r = first_residual.take().unwrap_or_else(|| {
-            a.apply(&x, &mut scratch);
-            for (s, bi) in scratch.iter_mut().zip(b) {
-                *s = bi - *s;
+        running.clear();
+        running.extend((0..columns.len()).filter(|&i| !columns[i].is_done()));
+        match running.len() {
+            0 => break,
+            1 => {
+                let column = &mut columns[running[0]];
+                a.apply(column.operand(), &mut lane);
+                column.advance(&mut lane, &mut spare, precond, cfg);
             }
-            let mut r = vec![0.0; n];
-            match precond {
-                Some(mm) => mm.apply(&scratch, &mut r),
-                None => r.copy_from_slice(&scratch),
+            width => {
+                x_block.resize(n * width, 0.0);
+                y_block.resize(n * width, 0.0);
+                for (l, &i) in running.iter().enumerate() {
+                    let operand = columns[i].operand();
+                    for (dst, &v) in x_block[l..].iter_mut().step_by(width).zip(operand) {
+                        *dst = v;
+                    }
+                }
+                a.apply_block(&x_block, &mut y_block, width);
+                for (l, &i) in running.iter().enumerate() {
+                    for (dst, &v) in lane.iter_mut().zip(y_block[l..].iter().step_by(width)) {
+                        *dst = v;
+                    }
+                    columns[i].advance(&mut lane, &mut spare, precond, cfg);
+                }
             }
-            r
-        });
-        let beta = norm2(&r);
-        let rel = beta / denom;
-        if rel <= cfg.tol {
-            return Ok(GmresResult {
-                x,
-                iterations,
-                residual: rel,
-                converged: true,
-                residual_history: history,
-            });
         }
-        if iterations >= cfg.max_iters {
-            return Ok(GmresResult {
-                x,
-                iterations,
-                residual: rel,
-                converged: false,
-                residual_history: history,
-            });
-        }
+    }
+    columns.into_iter().map(Column::into_result).collect()
+}
 
-        // Arnoldi basis and Hessenberg columns for this cycle.
-        let mut basis: Vec<Vec<f64>> = Vec::with_capacity(m + 1);
+/// What a column's next apply of `A` is for.
+#[derive(Debug, Clone, Copy)]
+enum Phase {
+    /// `A x`, for the residual that opens a (re)start cycle.
+    Residual,
+    /// `A v_j`, for the next Arnoldi step.
+    Arnoldi,
+    /// Finished: `residual` is the final relative residual.
+    Done { residual: f64, converged: bool },
+}
+
+/// The Arnoldi basis, Hessenberg columns, Givens rotations and rotated
+/// right-hand side of one restart cycle.
+#[derive(Default)]
+struct Cycle {
+    basis: Vec<Vec<f64>>,
+    h_cols: Vec<Vec<f64>>,
+    cs: Vec<f64>,
+    sn: Vec<f64>,
+    g: Vec<f64>,
+}
+
+/// One right-hand side's complete GMRES state.
+struct Column<'a> {
+    b: &'a [f64],
+    /// Reference norm: ‖M^{-1} b‖ (or ‖b‖ unpreconditioned).
+    denom: f64,
+    x: Vec<f64>,
+    iterations: usize,
+    history: Vec<f64>,
+    cycle: Cycle,
+    phase: Phase,
+}
+
+impl<'a> Column<'a> {
+    fn start(
+        b: &'a [f64],
+        x0: Option<&[f64]>,
+        precond: Option<&dyn Preconditioner>,
+        cfg: &GmresConfig,
+    ) -> Self {
+        let n = b.len();
+        let mut mb = vec![0.0; n];
+        match precond {
+            Some(m) => m.apply(b, &mut mb),
+            None => mb.copy_from_slice(b),
+        }
+        let denom = norm2(&mb);
+        let mut column = Column {
+            b,
+            denom,
+            x: x0.map_or_else(|| vec![0.0; n], <[f64]>::to_vec),
+            iterations: 0,
+            history: Vec::new(),
+            cycle: Cycle::default(),
+            phase: Phase::Residual,
+        };
+        if denom == 0.0 {
+            column.x = vec![0.0; n];
+            column.phase = Phase::Done {
+                residual: 0.0,
+                converged: true,
+            };
+        } else if x0.is_none() {
+            // Without an initial guess the first cycle's residual
+            // M^{-1}(b − A·0) is `mb` itself: reuse it rather than pay one
+            // apply of `A` and one of `M` to recompute it.
+            column.start_cycle(mb, cfg);
+        }
+        column
+    }
+
+    fn is_done(&self) -> bool {
+        matches!(self.phase, Phase::Done { .. })
+    }
+
+    /// The vector this column needs `A` applied to next.
+    fn operand(&self) -> &[f64] {
+        match self.phase {
+            Phase::Residual => &self.x,
+            Phase::Arnoldi => self.cycle.basis.last().expect("a cycle has a basis"),
+            Phase::Done { .. } => unreachable!("a finished column takes no applies"),
+        }
+    }
+
+    /// Consumes `av = A · operand()`; `av` and `spare` are scratch.
+    fn advance(
+        &mut self,
+        av: &mut [f64],
+        spare: &mut [f64],
+        precond: Option<&dyn Preconditioner>,
+        cfg: &GmresConfig,
+    ) {
+        match self.phase {
+            Phase::Residual => {
+                // (Preconditioned) residual r = M^{-1}(b − A x).
+                for (s, bi) in av.iter_mut().zip(self.b) {
+                    *s = bi - *s;
+                }
+                let r = match precond {
+                    Some(mm) => {
+                        let mut r = vec![0.0; av.len()];
+                        mm.apply(av, &mut r);
+                        r
+                    }
+                    None => av.to_vec(),
+                };
+                self.start_cycle(r, cfg);
+            }
+            Phase::Arnoldi => {
+                // w = M^{-1} A v_j
+                let w = match precond {
+                    Some(mm) => {
+                        mm.apply(av, spare);
+                        spare
+                    }
+                    None => av,
+                };
+                self.arnoldi_step(w, cfg);
+            }
+            Phase::Done { .. } => unreachable!("a finished column takes no applies"),
+        }
+    }
+
+    /// Opens a cycle on the residual `r`, or finishes the column if `r`
+    /// meets the tolerance or the iteration cap is spent.
+    fn start_cycle(&mut self, mut r: Vec<f64>, cfg: &GmresConfig) {
+        let beta = norm2(&r);
+        let rel = beta / self.denom;
+        if rel <= cfg.tol || self.iterations >= cfg.max_iters {
+            self.phase = Phase::Done {
+                residual: rel,
+                converged: rel <= cfg.tol,
+            };
+            return;
+        }
+        let m = cfg.restart.max(1);
         for v in &mut r {
             *v /= beta;
         }
+        let mut basis = Vec::with_capacity(m + 1);
         basis.push(r);
-        let mut h_cols: Vec<Vec<f64>> = Vec::with_capacity(m);
-        let mut cs: Vec<f64> = Vec::with_capacity(m);
-        let mut sn: Vec<f64> = Vec::with_capacity(m);
         let mut g = vec![0.0; m + 1];
         g[0] = beta;
-        let mut k_used = 0usize;
-        let mut cycle_converged = false;
+        self.cycle = Cycle {
+            basis,
+            h_cols: Vec::with_capacity(m),
+            cs: Vec::with_capacity(m),
+            sn: Vec::with_capacity(m),
+            g,
+        };
+        self.phase = Phase::Arnoldi;
+    }
 
-        for j in 0..m {
-            if iterations >= cfg.max_iters {
-                break;
-            }
-            // w = M^{-1} A v_j
-            a.apply(&basis[j], &mut scratch);
-            match precond {
-                Some(mm) => mm.apply(&scratch, &mut w),
-                None => w.copy_from_slice(&scratch),
-            }
-            // Modified Gram–Schmidt.
-            let mut h = vec![0.0; j + 2];
-            for (i, v) in basis.iter().enumerate().take(j + 1) {
-                let hij = dot(&w, v);
-                h[i] = hij;
-                axpy(-hij, v, &mut w);
-            }
-            let hnext = norm2(&w);
-            h[j + 1] = hnext;
-
-            // Apply accumulated Givens rotations to the new column.
-            for i in 0..j {
-                let t = cs[i] * h[i] + sn[i] * h[i + 1];
-                h[i + 1] = -sn[i] * h[i] + cs[i] * h[i + 1];
-                h[i] = t;
-            }
-            // New rotation annihilating h[j+1].
-            let (c, s) = givens(h[j], h[j + 1]);
-            cs.push(c);
-            sn.push(s);
-            h[j] = c * h[j] + s * h[j + 1];
-            h[j + 1] = 0.0;
-            let gj = g[j];
-            g[j] = c * gj;
-            g[j + 1] = -s * gj;
-
-            h_cols.push(h);
-            iterations += 1;
-            k_used = j + 1;
-            let rel = g[j + 1].abs() / denom;
-            history.push(rel);
-
-            let happy = hnext <= 1e-14 * denom.max(1.0);
-            if rel <= cfg.tol || happy {
-                cycle_converged = true;
-                break;
-            }
-            // Extend the basis.
-            let mut v = w.clone();
-            for vi in &mut v {
-                *vi /= hnext;
-            }
-            basis.push(v);
+    /// Step `j` of the cycle on `w = M^{-1} A v_j`.
+    fn arnoldi_step(&mut self, w: &mut [f64], cfg: &GmresConfig) {
+        let c = &mut self.cycle;
+        let j = c.h_cols.len();
+        // Modified Gram–Schmidt.
+        let mut h = vec![0.0; j + 2];
+        for (i, v) in c.basis.iter().enumerate() {
+            let hij = dot(w, v);
+            h[i] = hij;
+            axpy(-hij, v, w);
         }
+        let hnext = norm2(w);
+        h[j + 1] = hnext;
+        // ‖M^{-1} A v_j‖, since Gram–Schmidt only splits it into parts.
+        let column_norm = norm2(&h);
 
-        // Solve the small triangular system R y = g and update x.
-        if k_used > 0 {
-            let mut y = vec![0.0; k_used];
-            for i in (0..k_used).rev() {
-                let mut acc = g[i];
-                for (jj, yj) in y.iter().enumerate().take(k_used).skip(i + 1) {
-                    acc -= h_cols[jj][i] * yj;
-                }
-                y[i] = acc / h_cols[i][i];
-            }
-            for (jj, yj) in y.iter().enumerate() {
-                axpy(*yj, &basis[jj], &mut x);
-            }
+        // Apply accumulated Givens rotations to the new column.
+        for i in 0..j {
+            let t = c.cs[i] * h[i] + c.sn[i] * h[i + 1];
+            h[i + 1] = -c.sn[i] * h[i] + c.cs[i] * h[i + 1];
+            h[i] = t;
         }
+        // New rotation annihilating h[j+1].
+        let (cj, sj) = givens(h[j], h[j + 1]);
+        c.cs.push(cj);
+        c.sn.push(sj);
+        h[j] = cj * h[j] + sj * h[j + 1];
+        h[j + 1] = 0.0;
+        let gj = c.g[j];
+        c.g[j] = cj * gj;
+        c.g[j + 1] = -sj * gj;
+        c.h_cols.push(h);
+        self.iterations += 1;
+        let rel = c.g[j + 1].abs() / self.denom;
+        self.history.push(rel);
 
-        if cycle_converged {
-            // Re-enter the loop once more; the residual check at the top
-            // confirms convergence (and returns the true final residual).
-            continue;
+        let happy = hnext <= 1e-14 * column_norm;
+        let cycle_full = j + 1 == cfg.restart.max(1);
+        if rel <= cfg.tol || happy || cycle_full || self.iterations >= cfg.max_iters {
+            // The next apply computes the true residual, which confirms
+            // convergence, restarts, or reports the capped result.
+            self.finish_cycle();
+            self.phase = Phase::Residual;
+        } else {
+            c.basis.push(w.iter().map(|wi| wi / hnext).collect());
         }
-        if iterations >= cfg.max_iters {
-            a.apply(&x, &mut scratch);
-            for (s, bi) in scratch.iter_mut().zip(b) {
-                *s = bi - *s;
+    }
+
+    /// Solves the small triangular system `R y = g` and updates `x`.
+    fn finish_cycle(&mut self) {
+        let Cycle {
+            basis, h_cols, g, ..
+        } = std::mem::take(&mut self.cycle);
+        let k_used = h_cols.len();
+        let mut y = vec![0.0; k_used];
+        for i in (0..k_used).rev() {
+            let mut acc = g[i];
+            for (jj, yj) in y.iter().enumerate().skip(i + 1) {
+                acc -= h_cols[jj][i] * yj;
             }
-            let mut r = vec![0.0; n];
-            match precond {
-                Some(mm) => mm.apply(&scratch, &mut r),
-                None => r.copy_from_slice(&scratch),
-            }
-            let rel = norm2(&r) / denom;
-            return Ok(GmresResult {
-                x,
-                iterations,
-                residual: rel,
-                converged: rel <= cfg.tol,
-                residual_history: history,
-            });
+            y[i] = acc / h_cols[i][i];
+        }
+        for (jj, yj) in y.iter().enumerate() {
+            axpy(*yj, &basis[jj], &mut self.x);
+        }
+    }
+
+    fn into_result(self) -> GmresResult {
+        let Phase::Done {
+            residual,
+            converged,
+        } = self.phase
+        else {
+            unreachable!("lockstep runs every column to completion")
+        };
+        GmresResult {
+            x: self.x,
+            iterations: self.iterations,
+            residual,
+            converged,
+            residual_history: self.history,
         }
     }
 }
@@ -426,6 +611,22 @@ mod tests {
         for w in r.residual_history.windows(2) {
             assert!(w[1] <= w[0] * (1.0 + 1e-9), "{} then {}", w[0], w[1]);
         }
+    }
+
+    #[test]
+    fn iteration_count_does_not_depend_on_the_scale_of_b() {
+        let a = dd_matrix(120);
+        let b: Vec<f64> = (0..120).map(|i| ((i + 1) as f64).recip()).collect();
+        let runs: Vec<(usize, bool)> = [1e-20, 1e-10, 1.0, 1e12, 1e14, 1e16]
+            .iter()
+            .map(|scale| {
+                let scaled: Vec<f64> = b.iter().map(|v| v * scale).collect();
+                let r = gmres(&a, &scaled, None, None, &GmresConfig::default()).unwrap();
+                (r.iterations, r.converged)
+            })
+            .collect();
+        assert!(runs[0].1, "{runs:?}");
+        assert!(runs.iter().all(|r| *r == runs[0]), "{runs:?}");
     }
 
     /// A `LinOp` that counts its applies.

@@ -65,7 +65,7 @@ pub mod triangular;
 
 pub use block_lu::BlockLu;
 pub use dense_lu::DenseLu;
-pub use gmres::{gmres, GmresConfig, GmresResult};
+pub use gmres::{gmres, gmres_block, GmresConfig, GmresResult};
 pub use ilu0::Ilu0;
 pub use linop::{LinOp, Preconditioner};
 pub use sparse_lu::SparseLu;

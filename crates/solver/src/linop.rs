@@ -16,6 +16,26 @@ pub trait LinOp {
     /// Computes `y = A x` (overwrites `y`; `x.len() == ncols`,
     /// `y.len() == nrows`).
     fn apply(&self, x: &[f64], y: &mut [f64]);
+
+    /// Computes `Y = A X` for `width` vectors stored row-interleaved
+    /// (lane `l` of entry `i` at `x[i * width + l]`; `x.len() ==
+    /// ncols · width`, `y.len() == nrows · width`). Each lane must equal
+    /// [`LinOp::apply`] on that lane bit for bit. The default applies the
+    /// lanes one at a time; [`Csr`] overrides it with one pass over the
+    /// matrix for all lanes.
+    fn apply_block(&self, x: &[f64], y: &mut [f64], width: usize) {
+        let mut xl = vec![0.0; self.ncols()];
+        let mut yl = vec![0.0; self.nrows()];
+        for l in 0..width {
+            for (dst, &v) in xl.iter_mut().zip(x[l..].iter().step_by(width)) {
+                *dst = v;
+            }
+            self.apply(&xl, &mut yl);
+            for (dst, &v) in y[l..].iter_mut().step_by(width).zip(&yl) {
+                *dst = v;
+            }
+        }
+    }
 }
 
 impl LinOp for Csr {
@@ -29,6 +49,11 @@ impl LinOp for Csr {
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         self.mul_vec_into(x, y)
+            .expect("dimension checked by caller");
+    }
+
+    fn apply_block(&self, x: &[f64], y: &mut [f64], width: usize) {
+        self.mul_block_into(x, y, width)
             .expect("dimension checked by caller");
     }
 }
@@ -151,6 +176,21 @@ mod tests {
         // M^{-1} A [1, 1] = [3, 3] / 2
         assert_eq!(y, [1.5, 1.5]);
         assert_eq!(op.nrows(), 2);
+    }
+
+    #[test]
+    fn lockstep_default_apply_block_matches_apply_per_lane() {
+        let a = sample();
+        let op = PrecondOp::new(&a, &Double);
+        // Lanes [1, 2], [3, -1], [0.5, 4], interleaved.
+        let x = [1.0, 3.0, 0.5, 2.0, -1.0, 4.0];
+        let mut y = [f64::NAN; 6];
+        op.apply_block(&x, &mut y, 3);
+        for l in 0..3 {
+            let mut want = [0.0; 2];
+            op.apply(&[x[l], x[3 + l]], &mut want);
+            assert_eq!([y[l], y[3 + l]], want, "lane {l}");
+        }
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! systems (the class every BePI matrix belongs to).
 
 use bepi_solver::dense_lu::DenseLu;
-use bepi_solver::{gmres, GmresConfig, Ilu0, Preconditioner, SparseLu};
+use bepi_solver::{gmres, gmres_block, GmresConfig, GmresResult, Ilu0, Preconditioner, SparseLu};
 use bepi_sparse::{Coo, Csc, Csr};
 use proptest::prelude::*;
 
@@ -28,6 +28,57 @@ fn dd_system() -> impl Strategy<Value = (Csr, Vec<f64>)> {
             (coo.to_csr(), b)
         })
     })
+}
+
+/// Strategy: a `dd_system` matrix and a block of 1–8 right-hand sides of
+/// mixed kinds — dense, one-hot, a few scattered entries, the system's
+/// own RHS — so the columns need different iteration counts; blocks of
+/// two or more hold one zero column.
+fn dd_block() -> impl Strategy<Value = (Csr, Vec<Vec<f64>>)> {
+    (dd_system(), 1usize..9, 0u64..u64::MAX).prop_map(|((a, b), width, seed)| {
+        let n = a.nrows();
+        let mut state = seed | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut cols: Vec<Vec<f64>> = (0..width)
+            .map(|_| match next() % 4 {
+                0 => (0..n)
+                    .map(|_| (next() % 4001) as f64 / 1000.0 - 2.0)
+                    .collect(),
+                1 => {
+                    let mut e = vec![0.0; n];
+                    e[(next() % n as u64) as usize] = 1.0;
+                    e
+                }
+                2 => {
+                    let mut v = vec![0.0; n];
+                    for _ in 0..3 {
+                        v[(next() % n as u64) as usize] += (next() % 1000) as f64 * 1e-3 - 0.5;
+                    }
+                    v
+                }
+                _ => b.clone(),
+            })
+            .collect();
+        if width >= 2 {
+            let zero = (next() % width as u64) as usize;
+            cols[zero] = vec![0.0; n];
+        }
+        (a, cols)
+    })
+}
+
+fn assert_same_solve(got: &GmresResult, want: &GmresResult) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&got.x), bits(&want.x));
+    assert_eq!(got.iterations, want.iterations);
+    assert_eq!(got.residual.to_bits(), want.residual.to_bits());
+    assert_eq!(bits(&got.residual_history), bits(&want.residual_history));
+    assert_eq!(got.converged, want.converged);
 }
 
 fn dense_solve(a: &Csr, b: &[f64]) -> Vec<f64> {
@@ -102,5 +153,28 @@ proptest! {
         let res: f64 = az.iter().zip(&b).map(|(x, y)| (x - y).powi(2)).sum::<f64>().sqrt();
         let nb: f64 = b.iter().map(|x| x * x).sum::<f64>().sqrt();
         prop_assert!(res <= nb * 0.9 + 1e-12, "residual {res} vs rhs norm {nb}");
+    }
+
+    #[test]
+    fn lockstep_block_gmres_is_bit_identical_to_single_solves((a, cols) in dd_block()) {
+        let ilu = Ilu0::factor(&a).unwrap();
+        let configs = [
+            GmresConfig::default(),
+            GmresConfig { restart: 4, ..GmresConfig::default() },
+            // Unreachable tolerance under a cap: columns stop unconverged
+            // at the cap, or earlier where a cycle breaks down.
+            GmresConfig { tol: 1e-30, restart: 4, max_iters: 6 },
+        ];
+        let rhs: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
+        for cfg in &configs {
+            for precond in [None, Some(&ilu as &dyn Preconditioner)] {
+                let block = gmres_block(&a, &rhs, precond, cfg).unwrap();
+                prop_assert_eq!(block.len(), rhs.len());
+                for (got, b) in block.iter().zip(&rhs) {
+                    let want = gmres(&a, b, None, precond, cfg).unwrap();
+                    assert_same_solve(got, &want);
+                }
+            }
+        }
     }
 }

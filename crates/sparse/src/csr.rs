@@ -15,6 +15,13 @@ use crate::mem::MemBytes;
 use crate::storage::Storage;
 use crate::{Coo, Dense, Result};
 
+/// The widest block [`Csr::mul_block_into`] multiplies in one pass.
+///
+/// Eight `f64` lanes are one 64-byte cache line, so each non-zero of the
+/// matrix reads exactly one line of the block; at BePI's Schur sizes an
+/// `n2 × 8` block (1 MB at `n2` = 16 k) still fits a per-core L2.
+pub const BLOCK_WIDTH: usize = 8;
+
 /// A sparse matrix in compressed sparse row format.
 ///
 /// ```
@@ -446,6 +453,71 @@ impl Csr {
         Ok(())
     }
 
+    /// `Y = A X` for a block of `width` dense vectors stored row-interleaved:
+    /// lane `l` of row `i` is `x[i * width + l]` (and `y[i * width + l]`),
+    /// so each non-zero reads one contiguous run of `width` values.
+    ///
+    /// Every lane accumulates in exactly the order of
+    /// [`Csr::mul_vec_into`] — the row's non-zeros left to right from
+    /// `0.0` — so lane `l` of `Y` is bit-identical to `mul_vec_into` on
+    /// lane `l` of `X`. One pass over the matrix serves all lanes, which
+    /// is what the lock-step GMRES of `bepi-solver` amortises.
+    /// `width` must be `1..=`[`BLOCK_WIDTH`].
+    pub fn mul_block_into(&self, x: &[f64], y: &mut [f64], width: usize) -> Result<()> {
+        if width == 0 || width > BLOCK_WIDTH {
+            return Err(SparseError::ShapeMismatch {
+                left: (self.nrows, self.ncols),
+                right: (self.ncols, width),
+                op: "mul_block_into (block width must be 1..=8)",
+            });
+        }
+        if x.len() != self.ncols * width {
+            return Err(SparseError::VectorLength {
+                expected: self.ncols * width,
+                actual: x.len(),
+            });
+        }
+        if y.len() != self.nrows * width {
+            return Err(SparseError::VectorLength {
+                expected: self.nrows * width,
+                actual: y.len(),
+            });
+        }
+        match width {
+            1 => self.mul_block_fixed::<1>(x, y),
+            2 => self.mul_block_fixed::<2>(x, y),
+            3 => self.mul_block_fixed::<3>(x, y),
+            4 => self.mul_block_fixed::<4>(x, y),
+            5 => self.mul_block_fixed::<5>(x, y),
+            6 => self.mul_block_fixed::<6>(x, y),
+            7 => self.mul_block_fixed::<7>(x, y),
+            _ => self.mul_block_fixed::<8>(x, y),
+        }
+        Ok(())
+    }
+
+    /// [`Csr::mul_block_into`] at a compile-time width: the lanes of a row
+    /// live in a `[f64; B]` register block, and each non-zero reads its
+    /// `B` lanes of `x` as one `[f64; B]` behind a single bounds check.
+    fn mul_block_fixed<const B: usize>(&self, x: &[f64], y: &mut [f64]) {
+        let (indices, values) = (self.indices.as_slice(), self.values.as_slice());
+        for (yi, bounds) in y.chunks_exact_mut(B).zip(self.indptr.windows(2)) {
+            let (cols, vals) = (
+                &indices[bounds[0]..bounds[1]],
+                &values[bounds[0]..bounds[1]],
+            );
+            let mut acc = [0.0; B];
+            for (&c, &v) in cols.iter().zip(vals) {
+                let at = c as usize * B;
+                let xc: &[f64; B] = x[at..at + B].try_into().expect("B lanes");
+                for l in 0..B {
+                    acc[l] += v * xc[l];
+                }
+            }
+            yi.copy_from_slice(&acc);
+        }
+    }
+
     /// Dense `y = A^T x` without materializing the transpose.
     pub fn mul_vec_transposed(&self, x: &[f64]) -> Result<Vec<f64>> {
         let mut y = vec![0.0; self.ncols];
@@ -468,14 +540,18 @@ impl Csr {
             });
         }
         y.fill(0.0);
-        for row in 0..self.nrows {
-            let xr = x[row];
+        // Borrow the arrays once, as `mul_vec_into` does.
+        let (indices, values) = (self.indices.as_slice(), self.values.as_slice());
+        for (&xr, bounds) in x.iter().zip(self.indptr.windows(2)) {
             if xr == 0.0 {
                 continue;
             }
-            let (s, e) = (self.indptr[row], self.indptr[row + 1]);
-            for k in s..e {
-                y[self.indices[k] as usize] += self.values[k] * xr;
+            let (cols, vals) = (
+                &indices[bounds[0]..bounds[1]],
+                &values[bounds[0]..bounds[1]],
+            );
+            for (&c, &v) in cols.iter().zip(vals) {
+                y[c as usize] += v * xr;
             }
         }
         Ok(())
@@ -834,6 +910,116 @@ mod tests {
     fn mem_bytes_exact() {
         let m = sample(); // 5 nnz, 4 indptr entries
         assert_eq!(m.mem_bytes(), 4 * 8 + 5 * 4 + 5 * 8);
+    }
+
+    /// A rectangular matrix with a spread of row lengths, every third
+    /// row empty, and values of mixed sign and magnitude so that the
+    /// summation order shows in the low bits.
+    fn ragged(nrows: usize, ncols: usize) -> Csr {
+        let mut coo = Coo::new(nrows, ncols).unwrap();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for r in (0..nrows).filter(|r| r % 3 != 1) {
+            for _ in 0..(next() % 9) {
+                let c = (next() % ncols as u64) as usize;
+                let v = (next() % 2001) as f64 / 1000.0 - 1.0;
+                coo.push(r, c, v * 10f64.powi((next() % 7) as i32 - 3))
+                    .unwrap();
+            }
+        }
+        coo.to_csr()
+    }
+
+    /// `a` served from a mapped v6 container: all three arrays are
+    /// `Storage::Mapped`.
+    fn mapped_copy(a: &Csr, tag: &str) -> Csr {
+        use bepi_map::{sections, ContainerWriter, MappedIndex};
+        use std::io::Write as _;
+        let path = std::env::temp_dir().join(format!("bepi_csr_{tag}_{}.bepi", std::process::id()));
+        let mut w = ContainerWriter::new(std::fs::File::create(&path).unwrap()).unwrap();
+        w.begin_section(sections::S_INDPTR).unwrap();
+        for &p in a.indptr() {
+            w.write_all(&(p as u64).to_le_bytes()).unwrap();
+        }
+        w.begin_section(sections::S_INDICES).unwrap();
+        for &j in a.indices() {
+            w.write_all(&j.to_le_bytes()).unwrap();
+        }
+        w.begin_section(sections::S_VALUES).unwrap();
+        for &v in a.values() {
+            w.write_all(&v.to_le_bytes()).unwrap();
+        }
+        w.finish().unwrap();
+        let idx = MappedIndex::open(&path).unwrap();
+        // The mapping outlives the directory entry.
+        std::fs::remove_file(&path).unwrap();
+        Csr::from_parts_storage_trusted(
+            a.nrows(),
+            a.ncols(),
+            idx.section::<usize>(sections::S_INDPTR).unwrap().into(),
+            idx.section::<u32>(sections::S_INDICES).unwrap().into(),
+            idx.section::<f64>(sections::S_VALUES).unwrap().into(),
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn lockstep_block_spmv_is_bit_identical_to_mul_vec_per_lane() {
+        let owned = ragged(57, 43);
+        let mapped = mapped_copy(&owned, "block_spmv");
+        assert!(mapped.is_mapped() && !owned.is_mapped());
+        assert!((0..57).any(|r| owned.row_nnz(r) == 0));
+        for a in [&owned, &mapped] {
+            for width in 1..=BLOCK_WIDTH {
+                let lanes: Vec<Vec<f64>> = (0..width)
+                    .map(|l| {
+                        (0..43)
+                            .map(|i| ((i * 31 + l * 17) as f64 * 0.37).sin() * 10f64.powi(l as i32))
+                            .collect()
+                    })
+                    .collect();
+                let mut x = vec![0.0; 43 * width];
+                for (l, lane) in lanes.iter().enumerate() {
+                    for (i, v) in lane.iter().enumerate() {
+                        x[i * width + l] = *v;
+                    }
+                }
+                let mut y = vec![f64::NAN; 57 * width];
+                a.mul_block_into(&x, &mut y, width).unwrap();
+                for (l, lane) in lanes.iter().enumerate() {
+                    let want = owned.mul_vec(lane).unwrap();
+                    for (i, w) in want.iter().enumerate() {
+                        assert_eq!(
+                            y[i * width + l].to_bits(),
+                            w.to_bits(),
+                            "width {width} lane {l} row {i}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lockstep_block_spmv_rejects_bad_widths_and_lengths() {
+        let a = ragged(6, 4);
+        assert!(a.mul_block_into(&[], &mut [], 0).is_err());
+        let mut y = vec![0.0; 6 * 9];
+        assert!(a.mul_block_into(&[0.0; 4 * 9], &mut y, 9).is_err());
+        assert!(a
+            .mul_block_into(&[0.0; 4 * 2], &mut [0.0; 6 * 3], 2)
+            .is_err());
+        assert!(a
+            .mul_block_into(&[0.0; 4 * 3], &mut [0.0; 6 * 2], 2)
+            .is_err());
+        assert!(a
+            .mul_block_into(&[0.0; 4 * 2], &mut [0.0; 6 * 2], 2)
+            .is_ok());
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub mod vecops;
 
 pub use coo::Coo;
 pub use csc::Csc;
-pub use csr::Csr;
+pub use csr::{Csr, BLOCK_WIDTH};
 pub use dense::Dense;
 pub use error::SparseError;
 pub use mem::MemBytes;

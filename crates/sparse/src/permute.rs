@@ -175,22 +175,12 @@ impl Permutation {
 
     /// Applies the permutation to a dense vector: `out[new] = v[old]`.
     pub fn permute_vec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        if v.len() != self.len() {
-            return Err(SparseError::VectorLength {
-                expected: self.len(),
-                actual: v.len(),
-            });
-        }
-        let mut out = vec![0.0; v.len()];
-        for (old, &x) in v.iter().enumerate() {
-            out[self.new_of_old[old] as usize] = x;
-        }
-        Ok(out)
+        gather(v, &self.old_of_new)
     }
 
     /// Inverse application to a dense vector: `out[old] = v[new]`.
     pub fn unpermute_vec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        self.inverse().permute_vec(v)
+        gather(v, &self.new_of_old)
     }
 
     /// Symmetric application to a square CSR matrix:
@@ -233,6 +223,18 @@ impl Permutation {
         }
         Ok(Csr::from_parts_unchecked(n, n, indptr, indices, values))
     }
+}
+
+/// `out[i] = v[from[i]]`. Taking the map as a slice borrows its
+/// `Storage` once rather than per entry.
+fn gather(v: &[f64], from: &[u32]) -> Result<Vec<f64>> {
+    if v.len() != from.len() {
+        return Err(SparseError::VectorLength {
+            expected: from.len(),
+            actual: v.len(),
+        });
+    }
+    Ok(from.iter().map(|&i| v[i as usize]).collect())
 }
 
 impl MemBytes for Permutation {

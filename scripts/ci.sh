@@ -39,6 +39,17 @@ cargo test --offline --workspace --doc -q
 echo "==> crash-recovery tests (bepi serve --wal)"
 cargo test --offline -p bepi-cli --test live_recovery -q
 
+# Batched queries solve up to eight seeds per pass over S in lock step,
+# and their throughput is only worth having because every seed's answer
+# stays bit-identical to its single solve. The tests that pin that
+# contract (block SpMV per lane, block GMRES per column, batch vs
+# query_with_stats, first-error order, one telemetry solve per seed) run
+# here by name, in release codegen, so a break fails loudly and
+# attributably.
+echo "==> lock-step batch bit-identity"
+cargo test --offline --release -q -p bepi-sparse -p bepi-solver -p bepi-core -- \
+  lockstep parallel_batch_aggregates_into_shared_telemetry
+
 # Observability end-to-end gate: start a real daemon, drive traced
 # queries through it, and validate the /metrics exposition with the
 # in-tree checker (the wire format an external Prometheus scraper sees).
