@@ -3,14 +3,16 @@
 
 use crate::hmatrix::HPartition;
 use bepi_solver::BlockLu;
-use bepi_sparse::{ops, spgemm, Csr, Result};
+use bepi_sparse::{ops, spgemm, sub_spgemm, Csr, Result};
 
 /// Computes the Schur complement
 /// `S = H22 − H21 (U1^{-1} (L1^{-1} H12))` (Algorithm 1, line 6).
+///
+/// The subtraction happens inside the `H21 X` product's row pass
+/// ([`sub_spgemm`]), so the product is never stored.
 pub fn schur_complement(p: &HPartition, h11_lu: &BlockLu) -> Result<Csr> {
     let x = h11_lu.solve_matrix(&p.h12)?; // H11^{-1} H12
-    let prod = spgemm(&p.h21, &x)?;
-    ops::sub(&p.h22, &prod)
+    sub_spgemm(&p.h22, &p.h21, &x)
 }
 
 /// Non-zero accounting behind Figure 4's trade-off: for a given partition,
@@ -84,6 +86,22 @@ mod tests {
         let s = schur_complement(&p, &lu).unwrap();
         let s_ref = dense_schur(&p);
         assert!(s.to_dense().max_abs_diff(&s_ref).unwrap() < 1e-10);
+    }
+
+    #[test]
+    fn schur_complement_is_bit_identical_to_sub_of_product() {
+        let g = generators::rmat(9, 2600, generators::RmatParams::default(), 19).unwrap();
+        let g = generators::inject_deadends(&g, 0.1, 4).unwrap();
+        let p = HPartition::build(&g, 0.05, 0.2).unwrap();
+        let lu = BlockLu::factor(&p.h11, &p.block_sizes).unwrap();
+        let x = lu.solve_matrix(&p.h12).unwrap();
+        let want = ops::sub(&p.h22, &spgemm(&p.h21, &x).unwrap()).unwrap();
+        let got = schur_complement(&p, &lu).unwrap();
+        let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert!(want.nnz() > 1000, "a nontrivial S");
+        assert_eq!(got.indptr(), want.indptr());
+        assert_eq!(got.indices(), want.indices());
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

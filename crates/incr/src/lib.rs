@@ -36,7 +36,7 @@
 use bepi_graph::Graph;
 use bepi_reorder::{reorder_deadends, slashburn, SlashBurnConfig};
 use bepi_solver::BlockLu;
-use bepi_sparse::{ops, spgemm, Coo, Csr, Permutation, Result, SparseError};
+use bepi_sparse::{spgemm, sub_spgemm, Coo, Csr, Permutation, Result, SparseError};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
@@ -118,15 +118,13 @@ pub fn analyze(g: &Graph, k: f64) -> Result<Analysis> {
     let dr = reorder_deadends(g);
     let l = dr.n_non_deadend;
     let n3 = dr.n_deadend;
-    let a1 = dr.perm.permute_symmetric(g.adjacency())?;
     let deadend_time = t0.elapsed();
     bepi_obs::record_duration("preprocess.deadend", deadend_time);
 
     // 2. Hub-and-spoke reordering of Ann (Figure 3(c)); SlashBurn works
     //    on the symmetrized structure of the non-deadend block.
     let t1 = Instant::now();
-    let ann = a1.slice_block(0..l, 0..l)?;
-    let sym = symmetrize(&ann);
+    let sym = slashburn_input(g, &dr.perm, l)?;
     let sb = slashburn(&sym, &SlashBurnConfig::with_ratio(k));
     let (n1, n2) = (sb.n_spokes, sb.n_hubs);
     let slashburn_time = t1.elapsed();
@@ -186,6 +184,17 @@ fn structural_error(reason: &str) -> SparseError {
 /// the numeric half of what `HPartition::build` does, against a
 /// previously captured ordering.
 ///
+/// After one counting pass, `H` is scattered straight from the graph
+/// into its six blocks: column `j` of `H` holds source `j`'s out-edges,
+/// so visiting sources in new-label order fills every row in column
+/// order, the identity diagonal included. A pass over the filled blocks
+/// then takes each source's weight sum in the order of its permuted row
+/// — the order `Csr::row_normalize` sums in — and a last pass normalises
+/// in place and drops entries that round to exactly zero, as
+/// `ops::add_scaled` does. The result is bit-identical to permuting,
+/// row-normalising, transposing, forming `I − (1−c)·` and slicing the
+/// full matrix, without building any of those intermediates.
+///
 /// The structural invariants the plan promises (zero upper-right block,
 /// block-diagonal `H11`, identity deadend corner) are *validated at
 /// runtime* here, not just debug-asserted: this is the safety backstop
@@ -201,29 +210,127 @@ pub fn assemble(g: &Graph, c: f64, plan: &SymbolicPlan) -> Result<HBlocks> {
     if n != plan.n() {
         return Err(structural_error("node count changed"));
     }
+    let adj = g.adjacency();
+    if plan.perm.len() != n {
+        return Err(SparseError::ShapeMismatch {
+            left: adj.shape(),
+            right: (plan.perm.len(), plan.perm.len()),
+            op: "assemble",
+        });
+    }
     let (n1, n2) = (plan.n1, plan.n2);
     let l = n1 + n2;
 
     let t0 = Instant::now();
-    let a = plan.perm.permute_symmetric(g.adjacency())?;
-    let mut a_norm = a;
-    a_norm.row_normalize();
-    let at = a_norm.transpose();
-    let h = ops::identity_minus_scaled(1.0 - c, &at)?;
+    // H = I + beta·Ã^T, the coefficient `ops::identity_minus_scaled(1 − c, ·)`
+    // applies.
+    let beta = -(1.0 - c);
+    check_deadend_sources(adj, &plan.perm, l, beta)?;
+    let new_of_old = plan.perm.new_of_old();
+    let old_of_new = plan.perm.old_of_new();
 
-    let h11 = h.slice_block(0..n1, 0..n1)?;
-    let h12 = h.slice_block(0..n1, n1..l)?;
-    let h21 = h.slice_block(n1..l, 0..n1)?;
-    let h22 = h.slice_block(n1..l, n1..l)?;
-    let h31 = h.slice_block(l..n, 0..n1)?;
-    let h32 = h.slice_block(l..n, n1..l)?;
+    // Row bands of H (spokes, hubs, deadends); the first two are also its
+    // column bands — deadend columns hold only the identity corner.
+    let bands = [(0, n1), (n1, n2), (l, n - l)];
+    let band_of = |k: usize| usize::from(k >= n1) + usize::from(k >= l);
 
-    if h.slice_block(0..l, l..n)?.nnz() != 0 {
-        return Err(structural_error("deadend gained out-edges"));
+    // Pass 1: entries per row and column band. Every non-deadend row has
+    // an identity diagonal; a self-loop merges into it.
+    let mut next = [vec![0usize; n], vec![0usize; n]];
+    let mut has_loop = vec![false; l];
+    for k in 0..l {
+        next[band_of(k)][k] = 1;
     }
-    if h.slice_block(l..n, l..n)? != Csr::identity(n - l) {
-        return Err(structural_error("deadend corner is not the identity"));
+    for (u, &j) in new_of_old.iter().enumerate() {
+        let j = j as usize;
+        if j >= l {
+            continue;
+        }
+        let cb = band_of(j);
+        for &v in adj.row(u).0 {
+            let k = new_of_old[v as usize] as usize;
+            if k == j {
+                has_loop[j] = true;
+            } else {
+                next[cb][k] += 1;
+            }
+        }
     }
+    // Blocks in `[H11, H12, H21, H22, H31, H32]` order; `next[cb][k]`
+    // becomes row k's write cursor in its block of column band `cb`.
+    let mut blocks: Vec<BlockFill> = Vec::with_capacity(6);
+    for &(row0, nrows) in &bands {
+        for (cb, &(col0, ncols)) in bands[..2].iter().enumerate() {
+            let mut indptr = Vec::with_capacity(nrows + 1);
+            indptr.push(0usize);
+            let mut acc = 0usize;
+            for cursor in &mut next[cb][row0..row0 + nrows] {
+                let count = *cursor;
+                *cursor = acc;
+                acc += count;
+                indptr.push(acc);
+            }
+            blocks.push(BlockFill {
+                row0,
+                col0,
+                ncols,
+                indptr,
+                indices: vec![0; acc],
+                values: vec![0.0; acc],
+            });
+        }
+    }
+
+    // Pass 2: raw weights, sources in new-label order.
+    for (j, &u) in old_of_new[..l].iter().enumerate() {
+        let cb = band_of(j);
+        let col = (j - bands[cb].0) as u32;
+        // Every earlier source has written its entries of row j and no
+        // later one has: the diagonal goes here.
+        let diag_block = 3 * cb; // block (cb, cb): H11 or H22
+        let diag = next[cb][j];
+        blocks[diag_block].indices[diag] = col;
+        next[cb][j] += 1;
+        let (cols, weights) = adj.row(u as usize);
+        for (&v, &w) in cols.iter().zip(weights) {
+            let k = new_of_old[v as usize] as usize;
+            if k == j {
+                blocks[diag_block].values[diag] = w;
+                continue;
+            }
+            let b = &mut blocks[2 * band_of(k) + cb];
+            let p = next[cb][k];
+            b.indices[p] = col;
+            b.values[p] = w;
+            next[cb][k] += 1;
+        }
+    }
+    drop(next);
+
+    // Pass 3: each source's weight sum, adding its entries in ascending
+    // target label — the order of its row in the permuted adjacency.
+    let mut sum = vec![0.0f64; l];
+    for (rb, &(row0, nrows)) in bands.iter().enumerate() {
+        for r in 0..nrows {
+            let k = row0 + r;
+            for b in &blocks[2 * rb..2 * rb + 2] {
+                for p in b.indptr[r]..b.indptr[r + 1] {
+                    let j = b.col0 + b.indices[p] as usize;
+                    if j != k || has_loop[j] {
+                        sum[j] += b.values[p];
+                    }
+                }
+            }
+        }
+    }
+
+    // Pass 4: normalise, scale, add the identity and drop exact zeros.
+    let finished = blocks
+        .into_iter()
+        .map(|b| b.finish(&sum, &has_loop, beta))
+        .collect::<Result<Vec<Csr>>>()?;
+    let [h11, h12, h21, h22, h31, h32]: [Csr; 6] = finished.try_into().expect("six blocks");
+
     if !bepi_reorder::blocks::is_block_diagonal(&h11, &plan.block_sizes) {
         return Err(structural_error("H11 is no longer block diagonal"));
     }
@@ -240,6 +347,96 @@ pub fn assemble(g: &Graph, c: f64, plan: &SymbolicPlan) -> Result<HBlocks> {
         h32,
         assemble_time,
     })
+}
+
+/// One block of `H` being filled in place: rows `row0..` of `H`, columns
+/// `col0..col0 + ncols`. Until [`BlockFill::finish`] the values are raw
+/// edge weights (a diagonal slot holds its self-loop weight, or nothing).
+struct BlockFill {
+    row0: usize,
+    col0: usize,
+    ncols: usize,
+    indptr: Vec<usize>,
+    indices: Vec<u32>,
+    values: Vec<f64>,
+}
+
+impl BlockFill {
+    /// Turns raw weights into `H` entries and compacts out exact zeros.
+    /// Each value is computed as the reference chain computes it:
+    /// `a = w / sum` (or `w` when the sum is zero), then `beta·a` off the
+    /// diagonal and `1.0 + beta·a` (or `1.0` without a self-loop) on it.
+    fn finish(mut self, sum: &[f64], has_loop: &[bool], beta: f64) -> Result<Csr> {
+        let nrows = self.indptr.len() - 1;
+        let mut kept = 0usize;
+        let mut start = 0usize;
+        for r in 0..nrows {
+            let k = self.row0 + r;
+            let end = self.indptr[r + 1];
+            for p in start..end {
+                let j = self.col0 + self.indices[p] as usize;
+                let normalised = |w: f64| if sum[j] != 0.0 { w / sum[j] } else { w };
+                let v = if j != k {
+                    beta * normalised(self.values[p])
+                } else if has_loop[j] {
+                    1.0 + beta * normalised(self.values[p])
+                } else {
+                    1.0
+                };
+                if v != 0.0 {
+                    self.indices[kept] = self.indices[p];
+                    self.values[kept] = v;
+                    kept += 1;
+                }
+            }
+            start = end;
+            self.indptr[r + 1] = kept;
+        }
+        self.indices.truncate(kept);
+        self.values.truncate(kept);
+        Csr::from_parts(nrows, self.ncols, self.indptr, self.indices, self.values)
+    }
+}
+
+/// A source the plan labels as a deadend may put nothing into `H` but its
+/// identity diagonal. For such sources only — none, unless the plan no
+/// longer fits — this computes their entries the way [`assemble`] would
+/// and reports the same structural errors, upper-right block first.
+fn check_deadend_sources(adj: &Csr, perm: &Permutation, l: usize, beta: f64) -> Result<()> {
+    let mut upper_right = false;
+    let mut corner = false;
+    for (j, &u) in perm.old_of_new().iter().enumerate().skip(l) {
+        let (cols, weights) = adj.row(u as usize);
+        if cols.is_empty() {
+            continue;
+        }
+        let mut row: Vec<(usize, f64)> = cols
+            .iter()
+            .zip(weights)
+            .map(|(&v, &w)| (perm.apply(v as usize), w))
+            .collect();
+        row.sort_unstable_by_key(|&(k, _)| k);
+        let sum: f64 = row.iter().map(|&(_, w)| w).sum();
+        for (k, w) in row {
+            let a = if sum != 0.0 { w / sum } else { w };
+            if k == j {
+                corner |= 1.0 + beta * a != 1.0;
+            } else if beta * a != 0.0 {
+                if k < l {
+                    upper_right = true;
+                } else {
+                    corner = true;
+                }
+            }
+        }
+    }
+    if upper_right {
+        Err(structural_error("deadend gained out-edges"))
+    } else if corner {
+        Err(structural_error("deadend corner is not the identity"))
+    } else {
+        Ok(())
+    }
 }
 
 /// What a numeric-only batch invalidates: which `H11` diagonal blocks
@@ -373,8 +570,7 @@ pub fn refactor_schur(
         // S in full (the block LU above is still reused — that and the
         // reordering are the dominant preprocessing costs).
         let x = lu_new.solve_matrix(&blocks.h12)?;
-        let prod = spgemm(&blocks.h21, &x)?;
-        return ops::sub(&blocks.h22, &prod);
+        return sub_spgemm(&blocks.h22, &blocks.h21, &x);
     }
     if dirty.blocks.is_empty() {
         return Ok(old_s.clone());
@@ -451,8 +647,7 @@ pub fn refactor_schur(
             h22_d.push(di, c, v)?;
         }
     }
-    let prod_d = spgemm(&h21_d.to_csr(), &x)?;
-    let s_d = ops::sub(&h22_d.to_csr(), &prod_d)?;
+    let s_d = sub_spgemm(&h22_d.to_csr(), &h21_d.to_csr(), &x)?;
 
     let mut out = Coo::with_capacity(n2, n2, old_s.nnz() + s_d.nnz())?;
     let mut next_dirty = 0usize;
@@ -471,27 +666,80 @@ pub fn refactor_schur(
     Ok(out.to_csr())
 }
 
-/// Symmetrized 0/1 structure of a square sparse matrix (SlashBurn input).
-fn symmetrize(a: &Csr) -> Csr {
-    let mut b = a.clone();
-    for v in b.values_mut() {
-        *v = 1.0;
+/// SlashBurn's input: the 0/1 pattern of `Ann ∨ Annᵀ`, where `Ann` is
+/// the graph restricted to its `l` non-deadends in the deadend labels
+/// `perm`. That relabelling keeps the non-deadends in their original
+/// order, so row `i` of `Ann` is the `i`-th non-deadend's graph row with
+/// its deadend targets dropped, already sorted. `Annᵀ` is one counting
+/// sort over the graph's rows, and each output row is the merge of the
+/// two sorted rows without duplicates.
+fn slashburn_input(g: &Graph, perm: &Permutation, l: usize) -> Result<Csr> {
+    let adj = g.adjacency();
+    let new_of_old = perm.new_of_old();
+    // Live sources in ascending original id, which is ascending label.
+    let live = || {
+        new_of_old
+            .iter()
+            .enumerate()
+            .filter(move |&(_, &i)| (i as usize) < l)
+            .map(|(u, &i)| (adj.row(u).0, i))
+    };
+    let live_target = |v: &u32| {
+        let j = new_of_old[*v as usize];
+        ((j as usize) < l).then_some(j)
+    };
+
+    let mut t_ptr = vec![0usize; l + 1];
+    for (cols, _) in live() {
+        for j in cols.iter().filter_map(live_target) {
+            t_ptr[j as usize + 1] += 1;
+        }
     }
-    let mut t = a.transpose();
-    for v in t.values_mut() {
-        *v = 1.0;
+    for i in 0..l {
+        t_ptr[i + 1] += t_ptr[i];
     }
-    let mut s = ops::add(&b, &t).expect("same shape");
-    for v in s.values_mut() {
-        *v = 1.0;
+    let mut t_idx = vec![0u32; t_ptr[l]];
+    let mut next = t_ptr[..l].to_vec();
+    for (cols, i) in live() {
+        for j in cols.iter().filter_map(live_target) {
+            t_idx[next[j as usize]] = i;
+            next[j as usize] += 1;
+        }
     }
-    s
+
+    let mut indptr = Vec::with_capacity(l + 1);
+    indptr.push(0usize);
+    let mut indices: Vec<u32> = Vec::with_capacity(2 * t_idx.len());
+    for (cols, i) in live() {
+        let mut fwd = cols.iter().filter_map(live_target).peekable();
+        let mut bwd = t_idx[t_ptr[i as usize]..t_ptr[i as usize + 1]]
+            .iter()
+            .copied()
+            .peekable();
+        loop {
+            let col = match (fwd.peek(), bwd.peek()) {
+                (None, None) => break,
+                (Some(&a), Some(&b)) if a == b => {
+                    bwd.next();
+                    fwd.next()
+                }
+                (Some(&a), Some(&b)) if a > b => bwd.next(),
+                (Some(_), _) => fwd.next(),
+                (None, Some(_)) => bwd.next(),
+            };
+            indices.extend(col);
+        }
+        indptr.push(indices.len());
+    }
+    let values = vec![1.0; indices.len()];
+    Csr::from_parts(l, l, indptr, indices, values)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bepi_graph::generators;
+    use proptest::prelude::*;
 
     const C: f64 = 0.05;
     const K: f64 = 0.2;
@@ -505,7 +753,7 @@ mod tests {
     fn full_schur(blocks: &HBlocks, lu: &BlockLu) -> Csr {
         let x = lu.solve_matrix(&blocks.h12).unwrap();
         let prod = spgemm(&blocks.h21, &x).unwrap();
-        ops::sub(&blocks.h22, &prod).unwrap()
+        bepi_sparse::ops::sub(&blocks.h22, &prod).unwrap()
     }
 
     /// A numeric-safe update: remove an existing edge whose source keeps
@@ -658,5 +906,311 @@ mod tests {
         };
         let got = refactor_schur(&s, &blocks, &blocks.h21, &lu, &plan, &dirty).unwrap();
         assert_eq!(got, s);
+    }
+
+    /// The chain the fused builders replaced, kept as their oracle: every
+    /// intermediate matrix materialised, exactly as preprocessing ran it.
+    mod reference {
+        use super::*;
+        use bepi_sparse::ops;
+
+        /// Deadend permute → slice → symmetrize.
+        pub fn slashburn_input(g: &Graph) -> Csr {
+            let dr = reorder_deadends(g);
+            let l = dr.n_non_deadend;
+            let a1 = dr.perm.permute_symmetric(g.adjacency()).unwrap();
+            symmetrize(&a1.slice_block(0..l, 0..l).unwrap())
+        }
+
+        fn symmetrize(a: &Csr) -> Csr {
+            let mut b = a.clone();
+            b.values_mut().fill(1.0);
+            let mut t = a.transpose();
+            t.values_mut().fill(1.0);
+            let mut s = ops::add(&b, &t).unwrap();
+            s.values_mut().fill(1.0);
+            s
+        }
+
+        pub fn analyze(g: &Graph, k: f64) -> SymbolicPlan {
+            let dr = reorder_deadends(g);
+            let l = dr.n_non_deadend;
+            let sb = slashburn(&slashburn_input(g), &SlashBurnConfig::with_ratio(k));
+            let ext = (0..g.n())
+                .map(|old| if old < l { sb.perm.apply(old) } else { old } as u32)
+                .collect();
+            let perm = dr
+                .perm
+                .then(&Permutation::from_new_of_old(ext).unwrap())
+                .unwrap();
+            SymbolicPlan {
+                perm,
+                n1: sb.n_spokes,
+                n2: sb.n_hubs,
+                n3: dr.n_deadend,
+                block_sizes: sb.block_sizes,
+                slashburn_iterations: sb.iterations,
+            }
+        }
+
+        /// `permute_symmetric` → `row_normalize` → `transpose` →
+        /// `identity_minus_scaled` → `slice_block`, then the three
+        /// structural checks.
+        pub fn assemble(g: &Graph, c: f64, plan: &SymbolicPlan) -> Result<[Csr; 6]> {
+            let n = g.n();
+            let (n1, l) = (plan.n1, plan.n1 + plan.n2);
+            let mut a = plan.perm.permute_symmetric(g.adjacency())?;
+            a.row_normalize();
+            let h = ops::identity_minus_scaled(1.0 - c, &a.transpose())?;
+            let blocks = [
+                h.slice_block(0..n1, 0..n1)?,
+                h.slice_block(0..n1, n1..l)?,
+                h.slice_block(n1..l, 0..n1)?,
+                h.slice_block(n1..l, n1..l)?,
+                h.slice_block(l..n, 0..n1)?,
+                h.slice_block(l..n, n1..l)?,
+            ];
+            if h.slice_block(0..l, l..n)?.nnz() != 0 {
+                return Err(structural_error("deadend gained out-edges"));
+            }
+            if h.slice_block(l..n, l..n)? != Csr::identity(n - l) {
+                return Err(structural_error("deadend corner is not the identity"));
+            }
+            if !bepi_reorder::blocks::is_block_diagonal(&blocks[0], &plan.block_sizes) {
+                return Err(structural_error("H11 is no longer block diagonal"));
+            }
+            Ok(blocks)
+        }
+    }
+
+    fn assert_bits_eq(got: &Csr, want: &Csr, what: &str) {
+        let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.shape(), want.shape(), "{what}: shape");
+        assert_eq!(got.indptr(), want.indptr(), "{what}: indptr");
+        assert_eq!(got.indices(), want.indices(), "{what}: indices");
+        assert_eq!(bits(got), bits(want), "{what}: value bits");
+    }
+
+    /// Fused SlashBurn input, plan and `H` blocks against the reference
+    /// chain, bit for bit. Returns the plan for follow-up checks.
+    fn assert_matches_reference(g: &Graph, k: f64, c: f64) -> SymbolicPlan {
+        let dr = reorder_deadends(g);
+        let sym = slashburn_input(g, &dr.perm, dr.n_non_deadend).unwrap();
+        assert_bits_eq(&sym, &reference::slashburn_input(g), "slashburn input");
+        let plan = analyze(g, k).unwrap().plan;
+        let want = reference::analyze(g, k);
+        assert_eq!(plan.perm, want.perm, "perm");
+        assert_eq!(
+            (plan.n1, plan.n2, plan.n3, plan.slashburn_iterations),
+            (want.n1, want.n2, want.n3, want.slashburn_iterations)
+        );
+        assert_eq!(plan.block_sizes, want.block_sizes, "block sizes");
+        let got = assemble(g, c, &plan).unwrap();
+        let want = reference::assemble(g, c, &plan).unwrap();
+        let got = [&got.h11, &got.h12, &got.h21, &got.h22, &got.h31, &got.h32];
+        for (name, (g, w)) in ["h11", "h12", "h21", "h22", "h31", "h32"]
+            .iter()
+            .zip(got.into_iter().zip(&want))
+        {
+            assert_bits_eq(g, w, name);
+        }
+        plan
+    }
+
+    /// Both builders must agree on success and on every error message.
+    fn assert_same_outcome(g: &Graph, plan: &SymbolicPlan) {
+        match (assemble(g, C, plan), reference::assemble(g, C, plan)) {
+            (Ok(_), Ok(_)) => {}
+            (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string()),
+            (got, want) => panic!("fused {:?}, reference {:?}", got.err(), want.err()),
+        }
+    }
+
+    fn weighted(n: usize, edges: &[(usize, usize, f64)]) -> Graph {
+        let mut coo = Coo::new(n, n).unwrap();
+        for &(u, v, w) in edges {
+            coo.push(u, v, w).unwrap();
+        }
+        Graph::from_adjacency(coo.to_csr()).unwrap()
+    }
+
+    /// `g`'s edges re-weighted by `weight(edge index)`, on `extra` more
+    /// (isolated) nodes, plus `more` edges.
+    fn reweighted(
+        g: &Graph,
+        extra: usize,
+        weight: impl Fn(usize) -> f64,
+        more: &[(usize, usize, f64)],
+    ) -> Graph {
+        let mut edges: Vec<(usize, usize, f64)> = g
+            .adjacency()
+            .iter()
+            .enumerate()
+            .map(|(i, (u, v, _))| (u, v, weight(i)))
+            .collect();
+        edges.extend_from_slice(more);
+        weighted(g.n() + extra, &edges)
+    }
+
+    fn rmat_with_deadends() -> Graph {
+        let g = generators::rmat(8, 1400, generators::RmatParams::default(), 41).unwrap();
+        generators::inject_deadends(&g, 0.15, 2).unwrap()
+    }
+
+    #[test]
+    fn fused_builders_match_reference_chain_on_rmat_with_deadends_isolated_nodes_and_loops() {
+        let g = rmat_with_deadends();
+        let n = g.n();
+        // Self-loops on every 9th node, and two nodes whose only edge is
+        // a self-loop (isolated nodes follow at n..n + 5).
+        let mut loops: Vec<(usize, usize, f64)> = (0..n).step_by(9).map(|u| (u, u, 1.0)).collect();
+        loops.extend([(n, n, 2.0), (n + 1, n + 1, 0.5)]);
+        let g = reweighted(&g, 5, |_| 1.0, &loops);
+        assert!(g.deadend_count() > 3);
+        for (k, c) in [(0.2, C), (0.05, 0.5), (0.5, 0.85)] {
+            assert_matches_reference(&g, k, c);
+        }
+    }
+
+    #[test]
+    fn fused_builders_match_reference_chain_on_merged_duplicate_edges() {
+        let base = generators::rmat(7, 500, generators::RmatParams::default(), 8).unwrap();
+        let mut edges: Vec<(usize, usize)> =
+            base.adjacency().iter().map(|(u, v, _)| (u, v)).collect();
+        // Every 3rd edge twice more, every 7th once more.
+        let dups: Vec<(usize, usize)> = (edges.iter().step_by(3))
+            .chain(edges.iter().step_by(3))
+            .chain(edges.iter().step_by(7))
+            .copied()
+            .collect();
+        edges.extend(dups);
+        let g = Graph::from_edges(base.n(), &edges).unwrap();
+        assert!(g.adjacency().values().iter().any(|&w| w >= 3.0));
+        assert_matches_reference(&g, K, C);
+    }
+
+    #[test]
+    fn fused_builders_match_reference_chain_on_weights_spanning_24_decades() {
+        let g = rmat_with_deadends();
+        // Weights 10^e, e ∈ [−12, 12], scattered by a multiplicative hash:
+        // sums depend on summation order, so only the reference order
+        // reproduces them.
+        let g = reweighted(
+            &g,
+            0,
+            |i| {
+                10f64.powi((i.wrapping_mul(2_654_435_761) % 25) as i32 - 12)
+                    * (1.0 + (i % 7) as f64 / 7.0)
+            },
+            &[],
+        );
+        assert_matches_reference(&g, K, C);
+        assert_matches_reference(&g, 0.05, 0.3);
+    }
+
+    #[test]
+    fn fused_builders_match_reference_chain_when_normalised_weights_underflow() {
+        let g = rmat_with_deadends();
+        let n = g.n();
+        let busy = (0..n).max_by_key(|&u| g.out_degree(u)).unwrap();
+        // Every edge of the busiest node is 1e-300 except one of 1e300:
+        // the small ones normalise to exactly zero and must be dropped
+        // from H, like a 1e-300 self-loop whose diagonal stays exactly 1.
+        let (cols, _) = g.adjacency().row(busy);
+        let heavy = cols
+            .iter()
+            .map(|&v| v as usize)
+            .find(|&v| v != busy)
+            .unwrap();
+        let mut edges: Vec<(usize, usize, f64)> = g
+            .adjacency()
+            .iter()
+            .filter(|&(u, v, _)| !(u == busy && v == busy))
+            .map(|(u, v, _)| {
+                let w = match (u == busy, v == heavy) {
+                    (false, _) => 1.0,
+                    (true, true) => 1e300,
+                    (true, false) => 1e-300,
+                };
+                (u, v, w)
+            })
+            .collect();
+        edges.push((busy, busy, 1e-300));
+        let g = weighted(n, &edges);
+        let plan = assert_matches_reference(&g, K, C);
+        // Column p(busy) of H keeps exactly the heavy edge and the diagonal.
+        let blocks = assemble(&g, C, &plan).unwrap();
+        let pb = plan.perm.apply(busy);
+        let in_column = |m: &Csr, col0: usize| {
+            m.indices()
+                .iter()
+                .filter(|&&c| col0 + c as usize == pb)
+                .count()
+        };
+        let spoke_cols = [&blocks.h11, &blocks.h21, &blocks.h31];
+        let hub_cols = [&blocks.h12, &blocks.h22, &blocks.h32];
+        let kept: usize = spoke_cols.iter().map(|m| in_column(m, 0)).sum::<usize>()
+            + hub_cols
+                .iter()
+                .map(|m| in_column(m, plan.n1))
+                .sum::<usize>();
+        assert!(g.out_degree(busy) > 3);
+        assert_eq!(kept, 2, "underflowed entries are dropped");
+    }
+
+    #[test]
+    fn fused_builders_report_the_reference_structural_errors() {
+        let g = rmat_with_deadends();
+        let plan = analyze(&g, K).unwrap().plan;
+        let n = g.n();
+        let l = plan.n1 + plan.n2;
+        let dead: Vec<usize> = (l..n).map(|j| plan.perm.apply_inverse(j)).collect();
+        let live = plan.perm.apply_inverse(0);
+        let spokes: Vec<usize> = (0..plan.n1).map(|j| plan.perm.apply_inverse(j)).collect();
+        let with = |more: &[(usize, usize, f64)]| reweighted(&g, 0, |_| 1.0, more);
+        let cases = [
+            // A deadend gains an edge into the non-deadend block.
+            with(&[(dead[0], live, 1.0)]),
+            // ... a self-loop only, or an edge to another deadend.
+            with(&[(dead[0], dead[0], 1.0)]),
+            with(&[(dead[0], dead[1], 1.0)]),
+            // ... both: the upper-right error wins.
+            with(&[(dead[0], dead[1], 1.0), (dead[0], live, 1.0)]),
+            // ... an upper-right edge that normalises to zero beside a
+            // corner edge: only the corner breaks.
+            with(&[(dead[0], dead[1], 1e300), (dead[0], live, 1e-300)]),
+            // A spoke edge across two H11 blocks.
+            with(&[(spokes[0], *spokes.last().unwrap(), 1.0)]),
+        ];
+        for g in &cases {
+            assert_same_outcome(g, &plan);
+        }
+        assert!(assemble(&cases[0], C, &plan).is_err());
+    }
+
+    fn random_graph() -> impl Strategy<Value = Graph> {
+        (2usize..40).prop_flat_map(|n| {
+            proptest::collection::vec((0..n, 0..n, 0usize..6), 0..(n * 4)).prop_map(move |edges| {
+                const WEIGHTS: [f64; 6] = [1.0, 0.5, 3.0, 1e-300, 1e300, 7e-3];
+                let edges: Vec<(usize, usize, f64)> = edges
+                    .into_iter()
+                    .map(|(u, v, w)| (u, v, WEIGHTS[w]))
+                    .collect();
+                weighted(n, &edges)
+            })
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn fused_builders_match_reference_chain_on_random_graphs(
+            g in random_graph(),
+            k_idx in 0usize..3,
+            c_idx in 0usize..3,
+        ) {
+            assert_matches_reference(&g, [0.05, 0.2, 0.5][k_idx], [0.05, 0.5, 0.9][c_idx]);
+        }
     }
 }

@@ -95,9 +95,12 @@ pub fn slashburn(adj: &Csr, cfg: &SlashBurnConfig) -> SlashBurnResult {
     let mut hub_order: Vec<u32> = Vec::new();
     let mut iterations = 0usize;
 
-    // BFS scratch.
+    // Components of one iteration, each a contiguous run of
+    // `comp_nodes` in BFS order ending at its `comp_ends` entry; the
+    // buffer doubles as the BFS queue.
     let mut visited = vec![false; n];
-    let mut queue: Vec<u32> = Vec::new();
+    let mut comp_nodes: Vec<u32> = Vec::with_capacity(n);
+    let mut comp_ends: Vec<usize> = Vec::new();
 
     loop {
         if active_nodes.is_empty() {
@@ -106,10 +109,9 @@ pub fn slashburn(adj: &Csr, cfg: &SlashBurnConfig) -> SlashBurnResult {
         if active_nodes.len() <= hubs_per_iter || iterations >= cfg.max_iterations {
             // Final GCC becomes one spoke block (ascending ids for
             // determinism; it is connected so it is a valid block).
-            let mut rest = active_nodes.clone();
-            rest.sort_unstable();
-            block_sizes.push(rest.len());
-            spoke_order.extend_from_slice(&rest);
+            active_nodes.sort_unstable();
+            block_sizes.push(active_nodes.len());
+            spoke_order.extend_from_slice(&active_nodes);
             break;
         }
         iterations += 1;
@@ -133,61 +135,58 @@ pub fn slashburn(adj: &Csr, cfg: &SlashBurnConfig) -> SlashBurnResult {
         hub_order.extend_from_slice(&hubs);
 
         // Connected components of the surviving active nodes.
-        let survivors: Vec<u32> = active_nodes
-            .iter()
-            .copied()
-            .filter(|&u| active[u as usize])
-            .collect();
-        for &u in &survivors {
+        active_nodes.retain(|&u| active[u as usize]);
+        for &u in &active_nodes {
             visited[u as usize] = false;
         }
-        let mut components: Vec<Vec<u32>> = Vec::new();
-        for &start in &survivors {
+        comp_nodes.clear();
+        comp_ends.clear();
+        for &start in &active_nodes {
             if visited[start as usize] {
                 continue;
             }
             visited[start as usize] = true;
-            queue.clear();
-            queue.push(start);
-            let mut comp = Vec::new();
-            let mut head = 0usize;
-            while head < queue.len() {
-                let u = queue[head];
+            let mut head = comp_nodes.len();
+            comp_nodes.push(start);
+            while head < comp_nodes.len() {
+                let u = comp_nodes[head];
                 head += 1;
-                comp.push(u);
                 for (v, _) in adj.row_iter(u as usize) {
                     if active[v] && !visited[v] {
                         visited[v] = true;
-                        queue.push(v as u32);
+                        comp_nodes.push(v as u32);
                     }
                 }
             }
-            components.push(comp);
+            comp_ends.push(comp_nodes.len());
         }
 
         // Largest component stays active; ties break toward the earlier-
         // discovered (lowest min-id) component.
-        let gcc_idx = components
-            .iter()
-            .enumerate()
-            .max_by(|(ia, a), (ib, b)| a.len().cmp(&b.len()).then(ib.cmp(ia)))
-            .map(|(i, _)| i);
+        let comp_range = |i: usize| (if i == 0 { 0 } else { comp_ends[i - 1] })..comp_ends[i];
+        let gcc_idx = (0..comp_ends.len()).max_by(|&ia, &ib| {
+            comp_range(ia)
+                .len()
+                .cmp(&comp_range(ib).len())
+                .then(ib.cmp(&ia))
+        });
         let Some(gcc_idx) = gcc_idx else {
             break; // every active node became a hub; nothing left
         };
-        for (i, comp) in components.iter().enumerate() {
+        for i in 0..comp_ends.len() {
             if i == gcc_idx {
                 continue;
             }
-            let mut comp = comp.clone();
+            let comp = &mut comp_nodes[comp_range(i)];
             comp.sort_unstable();
             block_sizes.push(comp.len());
-            spoke_order.extend_from_slice(&comp);
-            for &u in &comp {
+            spoke_order.extend_from_slice(comp);
+            for &u in comp.iter() {
                 active[u as usize] = false;
             }
         }
-        active_nodes = components.swap_remove(gcc_idx);
+        active_nodes.clear();
+        active_nodes.extend_from_slice(&comp_nodes[comp_range(gcc_idx)]);
         active_nodes.sort_unstable();
     }
 
@@ -338,5 +337,49 @@ mod tests {
     #[should_panic(expected = "hub ratio")]
     fn rejects_bad_ratio() {
         let _ = SlashBurnConfig::with_ratio(1.5);
+    }
+
+    /// FNV-1a over the labels, block sizes and iteration count.
+    fn fingerprint(r: &SlashBurnResult) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let labels = (0..r.perm.len()).map(|u| r.perm.apply(u));
+        for x in labels
+            .chain(r.block_sizes.iter().copied())
+            .chain([r.iterations])
+        {
+            for b in (x as u64).to_le_bytes() {
+                h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn labels_and_blocks_are_pinned() {
+        // Recorded from the per-component-Vec implementation: the flat
+        // component buffer must not move a single label.
+        let cases = [
+            (
+                generators::rmat(10, 6000, generators::RmatParams::default(), 9).unwrap(),
+                0.02,
+            ),
+            (
+                generators::rmat(9, 2500, generators::RmatParams::default(), 5).unwrap(),
+                0.2,
+            ),
+            (generators::erdos_renyi(300, 900, 23).unwrap(), 0.1),
+        ];
+        let got: Vec<u64> = cases
+            .iter()
+            .map(|(g, k)| fingerprint(&run(g, *k)))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                0x2ad4_411e_baaf_d9a5,
+                0xa52d_9b0f_1912_fce1,
+                0xc807_866b_fa66_f3f2
+            ]
+        );
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::dense_lu::{invert_unit_lower, invert_upper, lu_nopivot};
 use crate::sparse_lu::SparseLu;
-use bepi_sparse::{Coo, Csr, MemBytes, Result, SparseError};
+use bepi_sparse::{Csr, Dense, MemBytes, Result, SparseError};
 
 /// Block size at or below which the dense per-block path is used.
 const DENSE_BLOCK_THRESHOLD: usize = 128;
@@ -57,75 +57,7 @@ impl BlockLu {
     /// in the caller and are rejected via per-block extraction checks in
     /// debug builds).
     pub fn factor(a: &Csr, block_sizes: &[usize]) -> Result<Self> {
-        let n = a.nrows();
-        if a.ncols() != n {
-            return Err(SparseError::ShapeMismatch {
-                left: a.shape(),
-                right: a.shape(),
-                op: "BlockLu::factor (matrix must be square)",
-            });
-        }
-        if block_sizes.iter().sum::<usize>() != n {
-            return Err(SparseError::VectorLength {
-                expected: n,
-                actual: block_sizes.iter().sum(),
-            });
-        }
-        debug_assert!(
-            bepi_reorder_check(a, block_sizes),
-            "matrix entries cross declared diagonal blocks"
-        );
-
-        // Estimate capacity: inverse factors are at least as dense as the
-        // original blocks.
-        let mut l_coo = Coo::with_capacity(n, n, a.nnz() + n)?;
-        let mut u_coo = Coo::with_capacity(n, n, a.nnz() + n)?;
-        let mut start = 0usize;
-        for &size in block_sizes {
-            let range = start..start + size;
-            if size == 1 {
-                // 1×1 block: L^{-1} = [1], U^{-1} = [1/a].
-                let d = a.get(start, start);
-                if d == 0.0 {
-                    return Err(SparseError::ZeroDiagonal { row: start });
-                }
-                l_coo.push(start, start, 1.0)?;
-                u_coo.push(start, start, 1.0 / d)?;
-            } else if size <= DENSE_BLOCK_THRESHOLD {
-                let block = a.slice_block(range.clone(), range.clone())?.to_dense();
-                let (l, u) = lu_nopivot(&block)?;
-                let li = invert_unit_lower(&l);
-                let ui = invert_upper(&u)?;
-                for i in 0..size {
-                    for j in 0..size {
-                        let lv = li[(i, j)];
-                        if lv != 0.0 {
-                            l_coo.push(start + i, start + j, lv)?;
-                        }
-                        let uv = ui[(i, j)];
-                        if uv != 0.0 {
-                            u_coo.push(start + i, start + j, uv)?;
-                        }
-                    }
-                }
-            } else {
-                let block = a.slice_block(range.clone(), range.clone())?;
-                let lu = SparseLu::factor(&bepi_sparse::Csc::from_csr(&block))?;
-                let (linv, uinv) = lu.invert_factors();
-                for (r, c, v) in linv.to_csr().iter() {
-                    l_coo.push(start + r, start + c, v)?;
-                }
-                for (r, c, v) in uinv.to_csr().iter() {
-                    u_coo.push(start + r, start + c, v)?;
-                }
-            }
-            start += size;
-        }
-        Ok(Self {
-            l_inv: l_coo.to_csr(),
-            u_inv: u_coo.to_csr(),
-            block_sizes: block_sizes.to_vec(),
-        })
+        Self::factor_parallel(a, block_sizes, 1)
     }
 
     /// Dimension of the factored matrix.
@@ -155,18 +87,18 @@ impl BlockLu {
 
     /// Parallel variant of [`BlockLu::factor`]: the diagonal blocks are
     /// independent, so they are factored and inverted across `threads`
-    /// worker threads. Produces bit-identical output to the serial path
-    /// (each block's computation is unchanged; assembly order is fixed).
+    /// worker threads. Each thread takes a contiguous, cost-balanced run
+    /// of blocks and writes its rows of both factors straight into CSR
+    /// parts; the factors are block diagonal, so the parts concatenate in
+    /// block order. Every block runs the same kernel at any thread count,
+    /// so the output is bit-identical to the serial path.
     pub fn factor_parallel(a: &Csr, block_sizes: &[usize], threads: usize) -> Result<Self> {
-        if threads <= 1 || block_sizes.len() <= 1 {
-            return Self::factor(a, block_sizes);
-        }
         let n = a.nrows();
         if a.ncols() != n {
             return Err(SparseError::ShapeMismatch {
                 left: a.shape(),
                 right: a.shape(),
-                op: "BlockLu::factor_parallel (matrix must be square)",
+                op: "BlockLu::factor (matrix must be square)",
             });
         }
         if block_sizes.iter().sum::<usize>() != n {
@@ -175,8 +107,11 @@ impl BlockLu {
                 actual: block_sizes.iter().sum(),
             });
         }
-        // Block start offsets, plus a cumulative cost proxy (size³, the
-        // per-block factor cost of Theorems 1–3) for load balancing.
+        debug_assert!(
+            bepi_reorder_check(a, block_sizes),
+            "matrix entries cross declared diagonal blocks"
+        );
+        // Block start offsets, plus a cumulative cost for load balancing.
         let mut starts = Vec::with_capacity(block_sizes.len());
         let mut cost_prefix = Vec::with_capacity(block_sizes.len() + 1);
         cost_prefix.push(0usize);
@@ -185,50 +120,37 @@ impl BlockLu {
         for &s in block_sizes {
             starts.push(acc);
             acc += s;
-            cost = cost.saturating_add(s.saturating_mul(s).saturating_mul(s));
+            cost = cost.saturating_add(block_cost(s));
             cost_prefix.push(cost);
         }
-        // Hand each thread a contiguous, cost-balanced run of blocks; each
-        // returns per-block factor matrices in block order.
-        let ranges = bepi_par::balanced_ranges(&cost_prefix, threads.min(block_sizes.len()));
-        type BlockOut = Result<Vec<(usize, Csr, Csr)>>;
-        let results: Vec<BlockOut> = bepi_par::par_join(
+        // Each thread gets a contiguous, cost-balanced run of blocks and
+        // at least PAR_BLOCK_LU_MIN_COST of work; one run is the serial
+        // path, on the calling thread.
+        let threads = threads.min(cost / PAR_BLOCK_LU_MIN_COST).max(1);
+        let ranges = bepi_par::balanced_ranges(&cost_prefix, threads);
+        let parts = bepi_par::par_join(
             ranges
-                .iter()
-                .map(|r| {
-                    let r = r.clone();
+                .into_iter()
+                .map(|run| {
                     let starts = &starts;
-                    move || -> BlockOut {
-                        let mut out = Vec::with_capacity(r.len());
-                        for bi in r {
-                            let start = starts[bi];
-                            let size = block_sizes[bi];
-                            let range = start..start + size;
-                            let block = a.slice_block(range.clone(), range)?;
-                            let single = Self::factor(&block, &[size])?;
-                            out.push((start, single.l_inv, single.u_inv));
+                    move || -> Result<(FactorRows, FactorRows)> {
+                        let sizes = &block_sizes[run.clone()];
+                        let mut l = FactorRows::for_blocks(sizes);
+                        let mut u = FactorRows::for_blocks(sizes);
+                        for bi in run {
+                            factor_block(a, starts[bi], block_sizes[bi], &mut l, &mut u)?;
                         }
-                        Ok(out)
+                        Ok((l, u))
                     }
                 })
                 .collect(),
-        );
-
-        let mut l_coo = bepi_sparse::Coo::with_capacity(n, n, a.nnz() + n)?;
-        let mut u_coo = bepi_sparse::Coo::with_capacity(n, n, a.nnz() + n)?;
-        for chunk_result in results {
-            for (start, l_inv, u_inv) in chunk_result? {
-                for (r, c, v) in l_inv.iter() {
-                    l_coo.push(start + r, start + c, v)?;
-                }
-                for (r, c, v) in u_inv.iter() {
-                    u_coo.push(start + r, start + c, v)?;
-                }
-            }
-        }
+        )
+        .into_iter()
+        .collect::<Result<Vec<_>>>()?;
+        let (l_parts, u_parts): (Vec<_>, Vec<_>) = parts.into_iter().unzip();
         Ok(Self {
-            l_inv: l_coo.to_csr(),
-            u_inv: u_coo.to_csr(),
+            l_inv: FactorRows::concat(n, l_parts)?,
+            u_inv: FactorRows::concat(n, u_parts)?,
             block_sizes: block_sizes.to_vec(),
         })
     }
@@ -266,37 +188,23 @@ impl BlockLu {
             bepi_reorder_check(a_new, &self.block_sizes),
             "matrix entries cross declared diagonal blocks"
         );
-        let mut l_coo = Coo::with_capacity(n, n, a_new.nnz() + n)?;
-        let mut u_coo = Coo::with_capacity(n, n, a_new.nnz() + n)?;
+        let mut l = FactorRows::for_blocks(&self.block_sizes);
+        let mut u = FactorRows::for_blocks(&self.block_sizes);
         let mut start = 0usize;
         for (bi, &size) in self.block_sizes.iter().enumerate() {
             if dirty[bi] {
-                let range = start..start + size;
-                let block = a_new.slice_block(range.clone(), range)?;
-                let single = Self::factor(&block, &[size])?;
-                for (r, c, v) in single.l_inv.iter() {
-                    l_coo.push(start + r, start + c, v)?;
-                }
-                for (r, c, v) in single.u_inv.iter() {
-                    u_coo.push(start + r, start + c, v)?;
-                }
+                factor_block(a_new, start, size, &mut l, &mut u)?;
             } else {
                 for i in start..start + size {
-                    let (cols, vals) = self.l_inv.row(i);
-                    for (p, &c) in cols.iter().enumerate() {
-                        l_coo.push(i, c as usize, vals[p])?;
-                    }
-                    let (cols, vals) = self.u_inv.row(i);
-                    for (p, &c) in cols.iter().enumerate() {
-                        u_coo.push(i, c as usize, vals[p])?;
-                    }
+                    l.copy_row(self.l_inv.row(i));
+                    u.copy_row(self.u_inv.row(i));
                 }
             }
             start += size;
         }
         Ok(Self {
-            l_inv: l_coo.to_csr(),
-            u_inv: u_coo.to_csr(),
+            l_inv: FactorRows::concat(n, vec![l])?,
+            u_inv: FactorRows::concat(n, vec![u])?,
             block_sizes: self.block_sizes.clone(),
         })
     }
@@ -390,6 +298,154 @@ impl MemBytes for BlockLu {
     }
 }
 
+/// Minimum [`block_cost`] total per thread before
+/// [`BlockLu::factor_parallel`] fans out: below it a spawned thread
+/// costs more than the blocks it would take.
+const PAR_BLOCK_LU_MIN_COST: usize = 8_192;
+
+/// Load-balancing weight of one diagonal block: a 1×1 block is one unit;
+/// a larger block pays about a dozen units of allocation before its
+/// `O(size³)` factorisation and inversion (Theorems 1–3).
+fn block_cost(size: usize) -> usize {
+    if size == 1 {
+        1
+    } else {
+        12usize.saturating_add(size.saturating_pow(3) / 8)
+    }
+}
+
+/// Rows of an inverse factor for a run of consecutive diagonal blocks,
+/// written in row order with global column ids. Exact zeros are never
+/// stored.
+struct FactorRows {
+    /// Cumulative entry count at the end of each written row.
+    row_ends: Vec<usize>,
+    indices: Vec<u32>,
+    values: Vec<f64>,
+}
+
+impl FactorRows {
+    /// Room for the rows of `block_sizes`: a dense-path block's
+    /// triangular inverse holds at most `s(s+1)/2` entries; a sparse-path
+    /// block reserves only its diagonal and grows as needed.
+    fn for_blocks(block_sizes: &[usize]) -> Self {
+        let rows = block_sizes.iter().sum();
+        let entries = block_sizes
+            .iter()
+            .map(|&s| {
+                if s <= DENSE_BLOCK_THRESHOLD {
+                    s * (s + 1) / 2
+                } else {
+                    s
+                }
+            })
+            .sum();
+        Self {
+            row_ends: Vec::with_capacity(rows),
+            indices: Vec::with_capacity(entries),
+            values: Vec::with_capacity(entries),
+        }
+    }
+
+    fn push(&mut self, col: usize, v: f64) {
+        if v != 0.0 {
+            self.indices.push(col as u32);
+            self.values.push(v);
+        }
+    }
+
+    fn end_row(&mut self) {
+        self.row_ends.push(self.indices.len());
+    }
+
+    /// Appends a row of an existing factor verbatim (its columns are
+    /// sorted and it stores no zeros).
+    fn copy_row(&mut self, (cols, vals): (&[u32], &[f64])) {
+        self.indices.extend_from_slice(cols);
+        self.values.extend_from_slice(vals);
+        self.end_row();
+    }
+
+    /// Concatenates parts that cover rows `0..n` in order.
+    fn concat(n: usize, mut parts: Vec<FactorRows>) -> Result<Csr> {
+        if parts.len() == 1 {
+            let part = parts.pop().expect("one part");
+            let mut indptr = Vec::with_capacity(n + 1);
+            indptr.push(0usize);
+            indptr.extend(part.row_ends);
+            return Csr::from_parts(n, n, indptr, part.indices, part.values);
+        }
+        let total: usize = parts.iter().map(|p| p.indices.len()).sum();
+        let mut indptr = Vec::with_capacity(n + 1);
+        indptr.push(0usize);
+        let mut indices = Vec::with_capacity(total);
+        let mut values = Vec::with_capacity(total);
+        for part in parts {
+            let base = indices.len();
+            indptr.extend(part.row_ends.iter().map(|e| base + e));
+            indices.extend_from_slice(&part.indices);
+            values.extend_from_slice(&part.values);
+        }
+        Csr::from_parts(n, n, indptr, indices, values)
+    }
+}
+
+/// Factors and inverts the diagonal block `a[start.., start..]` of
+/// `size` rows, appending its rows of `L^{-1}` and `U^{-1}`.
+fn factor_block(
+    a: &Csr,
+    start: usize,
+    size: usize,
+    l: &mut FactorRows,
+    u: &mut FactorRows,
+) -> Result<()> {
+    let range = start..start + size;
+    if size == 1 {
+        // 1×1 block: L^{-1} = [1], U^{-1} = [1/a].
+        let d = a.get(start, start);
+        if d == 0.0 {
+            return Err(SparseError::ZeroDiagonal { row: start });
+        }
+        l.push(start, 1.0);
+        u.push(start, 1.0 / d);
+        l.end_row();
+        u.end_row();
+    } else if size <= DENSE_BLOCK_THRESHOLD {
+        let mut block = Dense::zeros(size, size);
+        for i in 0..size {
+            for (c, v) in a.row_iter(start + i) {
+                if range.contains(&c) {
+                    block[(i, c - start)] = v;
+                }
+            }
+        }
+        let (lf, uf) = lu_nopivot(&block)?;
+        let li = invert_unit_lower(&lf);
+        let ui = invert_upper(&uf)?;
+        for i in 0..size {
+            for j in 0..size {
+                l.push(start + j, li[(i, j)]);
+                u.push(start + j, ui[(i, j)]);
+            }
+            l.end_row();
+            u.end_row();
+        }
+    } else {
+        let block = a.slice_block(range.clone(), range)?;
+        let lu = SparseLu::factor(&bepi_sparse::Csc::from_csr(&block))?;
+        let (linv, uinv) = lu.invert_factors();
+        for (factor, rows) in [(linv.to_csr(), &mut *l), (uinv.to_csr(), &mut *u)] {
+            for i in 0..size {
+                for (c, v) in factor.row_iter(i) {
+                    rows.push(start + c, v);
+                }
+                rows.end_row();
+            }
+        }
+    }
+    Ok(())
+}
+
 fn bepi_reorder_check(a: &Csr, block_sizes: &[usize]) -> bool {
     let mut block_of = vec![0u32; a.nrows()];
     let mut start = 0usize;
@@ -405,7 +461,7 @@ fn bepi_reorder_check(a: &Csr, block_sizes: &[usize]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bepi_sparse::{Coo, Dense};
+    use bepi_sparse::Coo;
 
     /// Block-diagonal, diagonally dominant test matrix:
     /// blocks of sizes [2, 1, 3].
@@ -513,37 +569,101 @@ mod tests {
         assert_eq!(got, vec![2.0, 1.0, 1.0]);
     }
 
+    /// The Coo-assembled serial factorisation the row-ordered writer
+    /// replaced, kept as its oracle: each block factored on its own slice
+    /// and every entry pushed through one `Coo` per factor.
+    fn factor_reference(a: &Csr, block_sizes: &[usize]) -> (Csr, Csr) {
+        let n = a.nrows();
+        let mut l_coo = Coo::new(n, n).unwrap();
+        let mut u_coo = Coo::new(n, n).unwrap();
+        let mut start = 0usize;
+        for &size in block_sizes {
+            let range = start..start + size;
+            let block = a.slice_block(range.clone(), range).unwrap();
+            let (li, ui) = if size <= DENSE_BLOCK_THRESHOLD {
+                let (l, u) = lu_nopivot(&block.to_dense()).unwrap();
+                let (li, ui) = (invert_unit_lower(&l), invert_upper(&u).unwrap());
+                let to_csr = |d: &Dense| {
+                    let mut coo = Coo::new(size, size).unwrap();
+                    for i in 0..size {
+                        for j in 0..size {
+                            coo.push(i, j, d[(i, j)]).unwrap();
+                        }
+                    }
+                    coo.to_csr()
+                };
+                (to_csr(&li), to_csr(&ui))
+            } else {
+                let lu = SparseLu::factor(&bepi_sparse::Csc::from_csr(&block)).unwrap();
+                let (li, ui) = lu.invert_factors();
+                (li.to_csr(), ui.to_csr())
+            };
+            for (r, c, v) in li.iter() {
+                l_coo.push(start + r, start + c, v).unwrap();
+            }
+            for (r, c, v) in ui.iter() {
+                u_coo.push(start + r, start + c, v).unwrap();
+            }
+            start += size;
+        }
+        (l_coo.to_csr(), u_coo.to_csr())
+    }
+
+    fn assert_bits_eq(got: &Csr, want: &Csr, what: &str) {
+        let bits = |m: &Csr| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(got.indptr(), want.indptr(), "{what}: indptr");
+        assert_eq!(got.indices(), want.indices(), "{what}: indices");
+        assert_eq!(bits(got), bits(want), "{what}: value bits");
+    }
+
+    /// Appends a diagonally dominant block of `size` rows at `at`: dense
+    /// below 8 rows, otherwise banded with a few long-range couplings.
+    fn push_block(coo: &mut Coo, at: usize, size: usize, salt: usize) {
+        for r in 0..size {
+            let cols: Vec<usize> = if size < 8 {
+                (0..size).filter(|&c| c != r).collect()
+            } else {
+                [r.wrapping_sub(1), r + 1, (r * 7 + salt) % size]
+                    .into_iter()
+                    .filter(|&c| c < size && c != r)
+                    .collect()
+            };
+            let mut off = 0.0;
+            for c in cols {
+                let v = 0.1 + ((salt + r + c) % 4) as f64 * 0.05;
+                coo.push(at + r, at + c, -v).unwrap();
+                off += v;
+            }
+            coo.push(at + r, at + r, off + 1.0 + (r % 3) as f64)
+                .unwrap();
+        }
+    }
+
     #[test]
     fn parallel_factor_is_bit_identical_to_serial() {
-        // Many independent blocks of mixed sizes.
-        let mut coo = Coo::new(60, 60).unwrap();
-        let mut sizes = Vec::new();
+        // Mixed dense blocks, a 200-row block on the sparse-LU path and
+        // 1 200 singletons.
+        let mut sizes: Vec<usize> = vec![1, 3, 2, 5, 1, 4, 6, 2, 3, 5, 7, 1, 4, 6, 10];
+        sizes.push(200);
+        sizes.extend([1; 700]);
+        sizes.extend([2, 9, 128, 3]);
+        sizes.extend([1; 500]);
+        let n: usize = sizes.iter().sum();
+        let mut coo = Coo::new(n, n).unwrap();
         let mut at = 0usize;
-        for (i, size) in [1usize, 3, 2, 5, 1, 4, 6, 2, 3, 5, 7, 1, 4, 6, 10]
-            .iter()
-            .enumerate()
-        {
-            let size = *size;
-            for r in 0..size {
-                let mut off = 0.0;
-                for c in 0..size {
-                    if r != c {
-                        let v = 0.1 + ((i + r + c) % 4) as f64 * 0.05;
-                        coo.push(at + r, at + c, -v).unwrap();
-                        off += v;
-                    }
-                }
-                coo.push(at + r, at + r, off + 1.0).unwrap();
-            }
-            sizes.push(size);
+        for (i, &size) in sizes.iter().enumerate() {
+            push_block(&mut coo, at, size, i);
             at += size;
         }
         let a = coo.to_csr();
+        let (l_ref, u_ref) = factor_reference(&a, &sizes);
         let serial = BlockLu::factor(&a, &sizes).unwrap();
-        for threads in [2usize, 3, 8, 64] {
+        assert_bits_eq(&serial.l_inv, &l_ref, "serial L^-1");
+        assert_bits_eq(&serial.u_inv, &u_ref, "serial U^-1");
+        for threads in [1usize, 2, 3, 8, 64] {
             let par = BlockLu::factor_parallel(&a, &sizes, threads).unwrap();
-            assert_eq!(par.l_inv, serial.l_inv, "threads {threads}");
-            assert_eq!(par.u_inv, serial.u_inv, "threads {threads}");
+            assert_bits_eq(&par.l_inv, &l_ref, &format!("L^-1 at {threads} threads"));
+            assert_bits_eq(&par.u_inv, &u_ref, &format!("U^-1 at {threads} threads"));
         }
     }
 

@@ -67,7 +67,7 @@ pub use dense::Dense;
 pub use error::SparseError;
 pub use mem::MemBytes;
 pub use permute::Permutation;
-pub use spgemm::spgemm;
+pub use spgemm::{spgemm, sub_spgemm};
 pub use storage::Storage;
 
 /// Crate-wide result alias.

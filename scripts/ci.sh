@@ -50,6 +50,19 @@ echo "==> lock-step batch bit-identity"
 cargo test --offline --release -q -p bepi-sparse -p bepi-solver -p bepi-core -- \
   lockstep parallel_batch_aggregates_into_shared_telemetry
 
+# Preprocessing builds SlashBurn's input and H's six blocks straight from
+# the graph, writes each block-LU thread's rows straight into CSR parts,
+# and forms S = H22 - H21 X inside the product's row pass. Each is worth
+# having only because its output is bit-identical to the materialised
+# chain it replaced. The tests that pin that contract (the reference-chain
+# oracle and its random-graph proptest, the pinned SlashBurn labels, block
+# LU against its Coo-assembled reference at 1-64 threads, refactor_blocks,
+# the fused Schur product) run here by name, in release codegen.
+echo "==> preprocess bit-identity"
+cargo test --offline --release -q -p bepi-incr -p bepi-reorder -p bepi-solver -p bepi-sparse \
+  -p bepi-core -- fused_builders labels_and_blocks_are_pinned parallel_factor_is_bit_identical \
+  refactor_blocks_is_bit_identical sub_spgemm_is_bit_identical schur_complement_is_bit_identical
+
 # Observability end-to-end gate: start a real daemon, drive traced
 # queries through it, and validate the /metrics exposition with the
 # in-tree checker (the wire format an external Prometheus scraper sees).
