@@ -625,8 +625,8 @@ fn print_memory_report(solver: &BePi) {
     );
 }
 
-/// `bepi stats` on a saved index: format, backing, and the memory
-/// report. The resident estimate is the RSS delta across the load, so
+/// `bepi stats` on a saved index: format, backing, the memory report
+/// and the file's sections. The resident estimate is the RSS delta across the load, so
 /// a mapped index shows only the pages actually touched — unlike
 /// `VmHWM`-style peak counters, which charge every mapped page that was
 /// ever resident.
@@ -653,6 +653,10 @@ fn cmd_index_stats(path: &str, o: &Options) -> Result<(), String> {
         }
     );
     print_memory_report(&solver);
+    println!("--- index file sections ---");
+    for (name, len) in bepi_core::persist::list_sections(path).map_err(|e| e.to_string())? {
+        println!("{name:<16} {:>12}", format_bytes(len as usize));
+    }
     if let (Some(before), Some(after)) = (rss_before, rss_after) {
         println!(
             "resident (load delta)  {}",
@@ -1137,13 +1141,14 @@ fn cmd_route(index: Option<&str>, flags: &[String]) -> Result<(), String> {
 }
 
 fn cmd_serve(index: &str, seed_s: &str, o: &Options) -> Result<(), String> {
-    let (solver, _graph) = load_index(index, o.mmap)?;
     if o.mmap {
         // One-shot queries have no startup-latency story, so run the
-        // payload CRC pass the zero-copy open skips: a corrupt section
-        // becomes a typed error here instead of a solver panic below.
+        // payload CRC pass the zero-copy open skips, before anything reads
+        // the payloads: a corrupt section becomes a typed error here
+        // instead of a panic in the decoder's debug checks or the solver.
         bepi_core::persist::verify_mapped_file(index).map_err(|e| e.to_string())?;
     }
+    let (solver, _graph) = load_index(index, o.mmap)?;
     let seed: usize = seed_s
         .parse()
         .map_err(|_| format!("bad node id: {seed_s}"))?;

@@ -89,7 +89,7 @@ pub fn theorem4_bound(bepi: &BePi) -> Result<Theorem4Bound> {
 
     // σ_min(S) via GMRES solves on S and S^T.
     let s = bepi.schur();
-    let st = s.transpose();
+    let st = s.to_csr().transpose();
     let cfg = GmresConfig {
         tol: 1e-10,
         ..GmresConfig::default()

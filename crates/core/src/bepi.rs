@@ -29,7 +29,7 @@ use crate::{DEFAULT_RESTART_PROB, DEFAULT_TOLERANCE};
 use bepi_graph::Graph;
 use bepi_incr::{DirtySet, SymbolicPlan};
 use bepi_solver::{gmres_block, BlockLu, GmresConfig, Ilu0, Preconditioner};
-use bepi_sparse::{Csr, MemBytes, Permutation, Result, SparseError};
+use bepi_sparse::{CodedCsr, Csr, MemBytes, Permutation, Result, SparseError};
 use std::time::{Duration, Instant};
 
 /// Which of the three BePI variants to run.
@@ -200,7 +200,7 @@ pub(crate) struct RawParts {
     pub n2: usize,
     pub n3: usize,
     pub h11_lu: BlockLu,
-    pub s: Csr,
+    pub s: CodedCsr,
     /// Pre-built ILU(0) factors, when the index persisted them. A full
     /// variant without them re-factors `S`.
     pub ilu: Option<Ilu0>,
@@ -223,7 +223,9 @@ pub struct BePi {
     n2: usize,
     n3: usize,
     h11_lu: BlockLu,
-    s: Csr,
+    /// The Schur complement, value-coded when it has at most 2¹⁶ distinct
+    /// values ([`CodedCsr`]).
+    s: CodedCsr,
     /// ILU(0) factors of `S`: `Some` exactly for the full variant.
     ilu: Option<Ilu0>,
     h12: Csr,
@@ -301,9 +303,11 @@ impl BePi {
         };
         let block_lu_time = t_lu.elapsed();
         let t_schur = Instant::now();
-        let s = {
+        let (s_csr, s) = {
             let _span = bepi_obs::Span::enter("refactor.schur");
-            bepi_incr::refactor_schur(&self.s, &blocks, &self.h21, &h11_lu, &plan, dirty)?
+            let s = bepi_incr::refactor_schur(&self.s, &blocks, &self.h21, &h11_lu, &plan, dirty)?;
+            let coded = CodedCsr::encode(&s);
+            (s, coded)
         };
         let schur_time = t_schur.elapsed();
         let t_precond = Instant::now();
@@ -313,10 +317,14 @@ impl BePi {
         let ilu = match &self.ilu {
             Some(old) => {
                 let _span = bepi_obs::Span::enter("refactor.precond");
-                Some(old.refresh_values(&s).or_else(|_| Ilu0::factor(&s))?)
+                Some(
+                    old.refresh_values(&s_csr)
+                        .or_else(|_| Ilu0::factor(&s_csr))?,
+                )
             }
             None => None,
         };
+        drop(s_csr);
         let precond_time = t_precond.elapsed();
         let phases = [
             ("assemble", blocks.assemble_time),
@@ -370,19 +378,22 @@ impl BePi {
         };
         let block_lu_time = t_lu.elapsed();
         let t_schur = Instant::now();
-        let s = {
+        let (s_csr, s) = {
             let _span = bepi_obs::Span::enter("preprocess.schur");
-            schur_complement(&part, &h11_lu)?
+            let s = schur_complement(&part, &h11_lu)?;
+            let coded = CodedCsr::encode(&s);
+            (s, coded)
         };
         let schur_time = t_schur.elapsed();
         let t_precond = Instant::now();
         let ilu = {
             let _span = bepi_obs::Span::enter("preprocess.precond");
             match config.variant {
-                BePiVariant::Full => Some(Ilu0::factor(&s)?),
+                BePiVariant::Full => Some(Ilu0::factor(&s_csr)?),
                 _ => None,
             }
         };
+        drop(s_csr);
         let precond_time = t_precond.elapsed();
         let phases = [
             ("deadend", part.deadend_time),
@@ -420,7 +431,7 @@ impl BePi {
             h32,
             ..
         } = part;
-        debug_assert!(ilu.as_ref().map_or(true, |m| m.shares_pattern(&s)));
+        debug_assert!(ilu.as_ref().map_or(true, |m| m.shares_pattern(&s.to_csr())));
         Ok(Self {
             config: *config,
             perm,
@@ -448,9 +459,10 @@ impl BePi {
         &self.config
     }
 
-    /// The Schur complement (exposed for the eigenvalue and accuracy
-    /// experiments of Figures 7 and 10).
-    pub fn schur(&self) -> &Csr {
+    /// The Schur complement as stored (exposed for the eigenvalue and
+    /// accuracy experiments of Figures 7 and 10; [`CodedCsr::to_csr`]
+    /// gives it as a [`Csr`]).
+    pub fn schur(&self) -> &CodedCsr {
         &self.s
     }
 
@@ -511,11 +523,11 @@ impl BePi {
         } = parts;
         let ilu = match (config.variant, ilu) {
             (BePiVariant::Full, Some(ilu)) => Some(ilu),
-            (BePiVariant::Full, None) => Some(Ilu0::factor(&s)?),
+            (BePiVariant::Full, None) => Some(Ilu0::factor(&s.to_csr())?),
             _ => None,
         };
         // The factors read `S`'s pattern; they never hold a copy of it.
-        debug_assert!(ilu.as_ref().map_or(true, |m| m.shares_pattern(&s)));
+        debug_assert!(ilu.as_ref().map_or(true, |m| m.shares_pattern(&s.to_csr())));
         let stats = PreprocessStats {
             elapsed,
             n1,
@@ -579,7 +591,11 @@ impl BePi {
             },
             csr("l1_inv", &self.h11_lu.l_inv),
             csr("u1_inv", &self.h11_lu.u_inv),
-            csr("schur", &self.s),
+            MemorySection {
+                name: "schur",
+                heap_bytes: self.s.heap_bytes(),
+                mapped_bytes: self.s.mapped_bytes(),
+            },
             MemorySection {
                 name: "precond",
                 heap_bytes: self.ilu.as_ref().map_or(0, Ilu0::heap_bytes),

@@ -27,7 +27,7 @@ use crate::rwr::RwrSolver;
 use bepi_graph::Graph;
 use bepi_map::{sections as sec, ContainerWriter, MapError, MappedIndex, SectionEntry};
 use bepi_solver::Ilu0;
-use bepi_sparse::{Csr, Permutation, Result, SparseError, Storage};
+use bepi_sparse::{CodedCsr, CodedValues, Csr, Permutation, Result, SparseError, Storage};
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 use std::time::Duration;
@@ -60,6 +60,14 @@ fn from_map_err(e: MapError) -> SparseError {
 }
 
 fn write_u32s_section<W: Write>(cw: &mut ContainerWriter<W>, id: u32, s: &[u32]) -> Result<()> {
+    cw.begin_section(id)?;
+    for &v in s {
+        cw.write_all(&v.to_le_bytes())?;
+    }
+    Ok(())
+}
+
+fn write_u16s_section<W: Write>(cw: &mut ContainerWriter<W>, id: u32, s: &[u16]) -> Result<()> {
     cw.begin_section(id)?;
     for &v in s {
         cw.write_all(&v.to_le_bytes())?;
@@ -104,12 +112,29 @@ fn write_csr_sections<W: Write>(
     write_f64s_section(cw, ids.2, m.values())
 }
 
+/// Writes `S`: its pattern, then its values plain ([`sec::S_VALUES`]) or
+/// as the value table and codes ([`sec::S_VALUE_TABLE`],
+/// [`sec::S_VALUE_CODES`]).
+fn write_schur_sections<W: Write>(cw: &mut ContainerWriter<W>, s: &CodedCsr) -> Result<()> {
+    write_u64s_section(cw, sec::S_INDPTR, s.indptr())?;
+    write_u32s_section(cw, sec::S_INDICES, s.indices())?;
+    match s.values() {
+        CodedValues::Plain(values) => write_f64s_section(cw, sec::S_VALUES, values),
+        CodedValues::Coded { table, codes } => {
+            write_f64s_section(cw, sec::S_VALUE_TABLE, table)?;
+            write_u16s_section(cw, sec::S_VALUE_CODES, codes)
+        }
+    }
+}
+
 /// Writes an index (format v6): the `bepi-map` section container with
 /// 64-byte-aligned little-endian payloads and per-section CRC-32s. The
 /// file:
 ///
 /// * can be served zero-copy via [`load_mapped_file`] (open time does
 ///   not depend on index size, pages are shared across processes);
+/// * stores `S` the way it is held: value-coded (a table of its distinct
+///   values plus a `u16` code per non-zero) or plain;
 /// * persists the ILU(0) factor values (f32, in `S`'s pattern, which is
 ///   stored once), so loads never re-run the factorization;
 /// * embeds the adjacency graph only when `graph` is `Some` (the
@@ -172,11 +197,7 @@ pub fn save_v6<W: Write>(bepi: &BePi, graph: Option<&Graph>, writer: W) -> Resul
         (sec::U_INV_INDPTR, sec::U_INV_INDICES, sec::U_INV_VALUES),
         &lu.u_inv,
     )?;
-    write_csr_sections(
-        &mut cw,
-        (sec::S_INDPTR, sec::S_INDICES, sec::S_VALUES),
-        bepi.schur(),
-    )?;
+    write_schur_sections(&mut cw, bepi.schur())?;
     let (h12, h21, h31, h32) = bepi.coupling_blocks();
     write_csr_sections(
         &mut cw,
@@ -267,9 +288,14 @@ fn write_synced_then_rename(
 /// mapping. One decoder ([`decode_v6`]) serves both, which is how the
 /// two paths stay bit-identical by construction.
 trait SectionSource {
+    /// True when every payload byte was read and CRC-checked before
+    /// decoding, so content checks that read every element cost no extra
+    /// pass over the file.
+    const READS_PAYLOADS: bool;
     fn has(&self, id: u32) -> bool;
     /// Raw payload bytes, copied (used only for the small META section).
     fn meta_bytes(&self, id: u32) -> Result<Vec<u8>>;
+    fn u16s(&self, id: u32) -> Result<Storage<u16>>;
     fn u32s(&self, id: u32) -> Result<Storage<u32>>;
     fn usizes(&self, id: u32) -> Result<Storage<usize>>;
     fn f32s(&self, id: u32) -> Result<Storage<f32>>;
@@ -329,12 +355,20 @@ impl<'a> HeapSource<'a> {
 }
 
 impl SectionSource for HeapSource<'_> {
+    const READS_PAYLOADS: bool = true;
+
     fn has(&self, id: u32) -> bool {
         self.table.iter().any(|e| e.id == id)
     }
 
     fn meta_bytes(&self, id: u32) -> Result<Vec<u8>> {
         Ok(self.payload(id)?.to_vec())
+    }
+
+    fn u16s(&self, id: u32) -> Result<Storage<u16>> {
+        Ok(self
+            .elems(id, 2, |b| u16::from_le_bytes(b.try_into().unwrap()))?
+            .into())
     }
 
     fn u32s(&self, id: u32) -> Result<Storage<u32>> {
@@ -380,12 +414,18 @@ struct MappedSource<'a> {
 }
 
 impl SectionSource for MappedSource<'_> {
+    const READS_PAYLOADS: bool = false;
+
     fn has(&self, id: u32) -> bool {
         self.idx.has(id)
     }
 
     fn meta_bytes(&self, id: u32) -> Result<Vec<u8>> {
         Ok(self.idx.bytes(id).map_err(from_map_err)?.to_vec())
+    }
+
+    fn u16s(&self, id: u32) -> Result<Storage<u16>> {
+        Ok(self.idx.section::<u16>(id).map_err(from_map_err)?.into())
     }
 
     fn u32s(&self, id: u32) -> Result<Storage<u32>> {
@@ -454,6 +494,49 @@ fn decode_csr_sections<S: SectionSource>(
     )
 }
 
+/// Decodes `S` (`n2 × n2`) from its pattern sections and exactly one
+/// value encoding: [`sec::S_VALUES`] (plain, as every file written before
+/// the coded form existed) or the pair [`sec::S_VALUE_TABLE`] +
+/// [`sec::S_VALUE_CODES`]. Both backings get the `O(1)` shape checks of
+/// [`CodedCsr::from_parts_storage_trusted`]; a source that has read every
+/// payload byte also checks each code against the table.
+fn decode_schur_sections<S: SectionSource>(src: &S, n2: usize) -> Result<CodedCsr> {
+    let in_s = |e: SparseError| {
+        SparseError::Parse(match e {
+            SparseError::Parse(msg) => format!("v6 index: S: {msg}"),
+            other => format!("v6 index: S: {other}"),
+        })
+    };
+    let coded = src.has(sec::S_VALUE_TABLE) || src.has(sec::S_VALUE_CODES);
+    let values = if coded {
+        if src.has(sec::S_VALUES) {
+            return Err(SparseError::Parse(format!(
+                "v6 index: S carries both plain values ({}) and a value table ({})",
+                sec::name(sec::S_VALUES),
+                sec::name(sec::S_VALUE_TABLE)
+            )));
+        }
+        let values = CodedValues::Coded {
+            table: src.f64s(sec::S_VALUE_TABLE)?,
+            codes: src.u16s(sec::S_VALUE_CODES)?,
+        };
+        if S::READS_PAYLOADS {
+            values.check_codes().map_err(in_s)?;
+        }
+        values
+    } else {
+        CodedValues::Plain(src.f64s(sec::S_VALUES)?)
+    };
+    CodedCsr::from_parts_storage_trusted(
+        n2,
+        n2,
+        src.usizes(sec::S_INDPTR)?,
+        src.u32s(sec::S_INDICES)?,
+        values,
+    )
+    .map_err(in_s)
+}
+
 /// Decodes a v6 container from either backing into an instance plus the
 /// embedded graph, if any.
 fn decode_v6<S: SectionSource>(src: &S) -> Result<(BePi, Option<Graph>)> {
@@ -491,7 +574,7 @@ fn decode_v6<S: SectionSource>(src: &S) -> Result<(BePi, Option<Graph>)> {
         n1,
     )?;
     let h11_lu = bepi_solver::BlockLu::from_inverse_factors_trusted(l_inv, u_inv, block_sizes)?;
-    let s = decode_csr_sections(src, (sec::S_INDPTR, sec::S_INDICES, sec::S_VALUES), n2, n2)?;
+    let s = decode_schur_sections(src, n2)?;
     let h12 = decode_csr_sections(
         src,
         (sec::H12_INDPTR, sec::H12_INDICES, sec::H12_VALUES),
@@ -585,6 +668,8 @@ pub fn load_mapped_file<P: AsRef<Path>>(path: P) -> Result<(BePi, Option<Graph>)
         sec::S_INDPTR,
         sec::S_INDICES,
         sec::S_VALUES,
+        sec::S_VALUE_TABLE,
+        sec::S_VALUE_CODES,
         sec::ILU_VALUES_F32,
         sec::ILU_DIAG,
     ] {
@@ -606,6 +691,18 @@ pub fn load_mapped_file<P: AsRef<Path>>(path: P) -> Result<(BePi, Option<Graph>)
 pub fn verify_mapped_file<P: AsRef<Path>>(path: P) -> Result<()> {
     let idx = MappedIndex::open(path).map_err(from_map_err)?;
     idx.verify_all().map_err(from_map_err)
+}
+
+/// The sections of a v6 index file in file order, as (display name,
+/// payload bytes). Reads the section table only (`O(#sections)`), so it
+/// costs the same for any index size.
+pub fn list_sections<P: AsRef<Path>>(path: P) -> Result<Vec<(&'static str, u64)>> {
+    let idx = MappedIndex::open(path).map_err(from_map_err)?;
+    Ok(idx
+        .entries()
+        .iter()
+        .map(|e| (sec::name(e.id), e.len))
+        .collect())
 }
 
 /// Reads a preprocessed instance from a v6 byte stream onto the heap,
@@ -1101,6 +1198,24 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// `buf` re-assembled section by section: `edit` writes whatever
+    /// stands in for each section, so every edit carries valid CRCs and
+    /// reaches the decoder.
+    fn rewrite_sections(
+        buf: &[u8],
+        mut edit: impl FnMut(&mut ContainerWriter<Vec<u8>>, u32, &[u8]),
+    ) -> Vec<u8> {
+        let mut cw = ContainerWriter::new(Vec::new()).unwrap();
+        for e in bepi_map::parse_layout(buf).unwrap() {
+            edit(
+                &mut cw,
+                e.id,
+                &buf[e.offset as usize..(e.offset + e.len) as usize],
+            );
+        }
+        cw.finish().unwrap()
+    }
+
     /// `bepi`'s index `buf` in the layout of the earlier f64 factor
     /// sections: a second copy of `S`'s pattern (0x80, 0x81), f64 factor
     /// values (0x82) and `ILU_DIAG`, but no `ILU_VALUES_F32`. Every other
@@ -1110,19 +1225,14 @@ mod tests {
         // The loader must ignore these sections: NaN factor values would
         // poison every query that used them.
         let values = vec![f64::NAN; s.nnz()];
-        let mut cw = ContainerWriter::new(Vec::new()).unwrap();
-        for e in bepi_map::parse_layout(buf).unwrap() {
-            let payload = &buf[e.offset as usize..(e.offset + e.len) as usize];
-            match e.id {
-                sec::ILU_VALUES_F32 => {
-                    write_u64s_section(&mut cw, 0x80, s.indptr()).unwrap();
-                    write_u32s_section(&mut cw, 0x81, s.indices()).unwrap();
-                    write_f64s_section(&mut cw, 0x82, &values).unwrap();
-                }
-                id => cw.section_bytes(id, payload).unwrap(),
+        rewrite_sections(buf, |cw, id, payload| match id {
+            sec::ILU_VALUES_F32 => {
+                write_u64s_section(cw, 0x80, s.indptr()).unwrap();
+                write_u32s_section(cw, 0x81, s.indices()).unwrap();
+                write_f64s_section(cw, 0x82, &values).unwrap();
             }
-        }
-        cw.finish().unwrap()
+            id => cw.section_bytes(id, payload).unwrap(),
+        })
     }
 
     #[test]
@@ -1304,5 +1414,237 @@ mod tests {
         // Logical accounting is backing-independent.
         assert_eq!(mapped.preprocessed_bytes(), original.preprocessed_bytes());
         std::fs::remove_file(&path).ok();
+    }
+
+    /// `S`'s value table and codes; panics unless `S` is value-coded.
+    fn coded_parts(s: &CodedCsr) -> (&[f64], &[u16]) {
+        match s.values() {
+            CodedValues::Coded { table, codes } => (table, codes),
+            CodedValues::Plain(_) => panic!("S is stored plain"),
+        }
+    }
+
+    /// `buf` as an index written before `S` could be value-coded: one f64
+    /// per non-zero in `S_VALUES`, where the table and codes were.
+    fn with_plain_s_values(buf: &[u8], s: &CodedCsr) -> Vec<u8> {
+        let values = s.to_csr().values().to_vec();
+        rewrite_sections(buf, |cw, id, payload| match id {
+            sec::S_VALUE_TABLE => write_f64s_section(cw, sec::S_VALUES, &values).unwrap(),
+            sec::S_VALUE_CODES => {}
+            id => cw.section_bytes(id, payload).unwrap(),
+        })
+    }
+
+    /// An index that stores `S` plain, as every file written before the
+    /// coded form did, still loads — on the heap and mapped, for the
+    /// default and the full variant — keeps `S` plain, accounts it at
+    /// 8 bytes per value, and answers bit for bit like a fresh index
+    /// (whose coded `S` multiplies exactly as the plain one does). Saved
+    /// again, it writes the same bytes.
+    #[test]
+    fn coded_s_plain_values_file_loads_bit_identical() {
+        let g = generators::rmat(7, 500, generators::RmatParams::default(), 61).unwrap();
+        for variant in [BePiVariant::Sparse, BePiVariant::Full] {
+            let fresh = BePi::preprocess(&g, &BePiConfig::for_variant(variant)).unwrap();
+            let s = fresh.schur();
+            let (table, codes) = coded_parts(s);
+            let old = with_plain_s_values(&to_bytes(&fresh, Some(&g)), s);
+            let ids: Vec<u32> = bepi_map::parse_layout(&old)
+                .unwrap()
+                .iter()
+                .map(|e| e.id)
+                .collect();
+            assert!(ids.contains(&sec::S_VALUES));
+            assert!(!ids.contains(&sec::S_VALUE_TABLE) && !ids.contains(&sec::S_VALUE_CODES));
+
+            let path = temp_path("plain_s");
+            std::fs::write(&path, &old).unwrap();
+            let (heap, _) = load_with_graph(&old[..]).unwrap();
+            let (mapped, _) = load_mapped_file(&path).unwrap();
+            verify_mapped_file(&path).unwrap();
+            // Plain values cost 8 bytes per non-zero; codes cost 2, plus
+            // the table.
+            let plain_extra = 8 * s.nnz() - (8 * table.len() + 2 * codes.len());
+            for (b, what) in [(&heap, "heap"), (&mapped, "mapped")] {
+                assert!(!b.schur().is_coded(), "{what}");
+                assert_eq!(b.schur(), s, "{what}");
+                assert_eq!(
+                    b.preprocessed_bytes(),
+                    fresh.preprocessed_bytes() + plain_extra,
+                    "{what}"
+                );
+                if variant == BePiVariant::Full {
+                    assert_precond_bytes(b);
+                    assert_eq!(
+                        bits32(b.preconditioner().unwrap().values()),
+                        bits32(fresh.preconditioner().unwrap().values())
+                    );
+                }
+                for seed in [0usize, 31, 100] {
+                    let (got, want) = (b.query(seed).unwrap(), fresh.query(seed).unwrap());
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got.scores), bits(&want.scores), "{what} seed {seed}");
+                    assert_eq!(got.iterations, want.iterations);
+                    assert_eq!(got.residual.to_bits(), want.residual.to_bits());
+                }
+            }
+            assert_eq!(to_bytes(&heap, Some(&g)), old);
+            drop(mapped);
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// A coded `S` costs its pattern, 8 bytes per distinct value and 2 per
+    /// non-zero — in the file, in `preprocessed_bytes()` and in the memory
+    /// report, after preprocess and after either load.
+    #[test]
+    fn coded_s_is_accounted_exactly() {
+        let g = generators::rmat(8, 900, generators::RmatParams::default(), 3).unwrap();
+        let fresh = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
+        let s = fresh.schur();
+        let (table, codes) = coded_parts(s);
+        assert_eq!(codes.len(), s.nnz());
+        assert!(table.len() < s.nnz());
+        let n2 = fresh.stats().n2;
+        let want = 8 * (n2 + 1) + 4 * s.nnz() + 8 * table.len() + 2 * s.nnz();
+        assert_eq!(bepi_sparse::MemBytes::mem_bytes(s), want);
+
+        let path = temp_path("coded_bytes");
+        save_file_v6(&fresh, None, &path).unwrap();
+        let layout = bepi_map::parse_layout(&std::fs::read(&path).unwrap()).unwrap();
+        let len_of = |id| layout.iter().find(|e| e.id == id).map(|e| e.len as usize);
+        assert_eq!(len_of(sec::S_VALUE_TABLE), Some(8 * table.len()));
+        assert_eq!(len_of(sec::S_VALUE_CODES), Some(2 * s.nnz()));
+        assert_eq!(len_of(sec::S_VALUES), None);
+        let heap = load_file(&path).unwrap();
+        let (mapped, _) = load_mapped_file(&path).unwrap();
+        for (b, heap_bytes, mapped_bytes) in
+            [(&fresh, want, 0), (&heap, want, 0), (&mapped, 0, want)]
+        {
+            assert_eq!(coded_parts(b.schur()).0.len(), table.len());
+            let report = b.memory_report();
+            let schur = report.iter().find(|c| c.name == "schur").unwrap();
+            assert_eq!(
+                (schur.heap_bytes, schur.mapped_bytes),
+                (heap_bytes, mapped_bytes)
+            );
+            assert_eq!(b.preprocessed_bytes(), fresh.preprocessed_bytes());
+        }
+        drop(mapped);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Hostile `S` sections with valid CRCs: both value encodings, neither,
+    /// half of the coded pair, a table too large for `u16` codes, a code
+    /// count that is not `nnz(S)` and a torn code. Every one fails both
+    /// loads with an error naming the problem, never a panic. A code past
+    /// the end of the table fails the heap load, which reads every byte
+    /// anyway; the mapped open checks shapes only.
+    #[test]
+    fn coded_s_hostile_sections_fail_both_loads_cleanly() {
+        let g = generators::rmat(7, 500, generators::RmatParams::default(), 61).unwrap();
+        let fresh = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
+        let s = fresh.schur();
+        let (table, codes) = coded_parts(s);
+        let buf = to_bytes(&fresh, None);
+        let plain = s.to_csr().values().to_vec();
+        let oversized = vec![0.5; bepi_sparse::coded::MAX_TABLE_LEN + 1];
+        type Edit<'a> = Box<dyn Fn(&mut ContainerWriter<Vec<u8>>, u32, &[u8]) + 'a>;
+        let keep = |cw: &mut ContainerWriter<Vec<u8>>, id, payload: &[u8]| {
+            cw.section_bytes(id, payload).unwrap()
+        };
+        let cases: Vec<(&str, Edit, String)> = vec![
+            (
+                "both encodings",
+                Box::new(|cw, id, p| {
+                    if id == sec::S_VALUE_TABLE {
+                        write_f64s_section(cw, sec::S_VALUES, &plain).unwrap();
+                    }
+                    keep(cw, id, p)
+                }),
+                "both plain values (s.values) and a value table (s.value_table)".into(),
+            ),
+            (
+                "neither encoding",
+                Box::new(|cw, id, p| {
+                    if id != sec::S_VALUE_TABLE && id != sec::S_VALUE_CODES {
+                        keep(cw, id, p)
+                    }
+                }),
+                "s.values".into(),
+            ),
+            (
+                "table only",
+                Box::new(|cw, id, p| {
+                    if id != sec::S_VALUE_CODES {
+                        keep(cw, id, p)
+                    }
+                }),
+                "s.value_codes".into(),
+            ),
+            (
+                "codes only",
+                Box::new(|cw, id, p| {
+                    if id != sec::S_VALUE_TABLE {
+                        keep(cw, id, p)
+                    }
+                }),
+                "s.value_table".into(),
+            ),
+            (
+                "oversized table",
+                Box::new(|cw, id, p| match id {
+                    sec::S_VALUE_TABLE => {
+                        write_f64s_section(cw, id, &oversized).unwrap();
+                    }
+                    _ => keep(cw, id, p),
+                }),
+                "value table holds 65537 entries".into(),
+            ),
+            (
+                "short codes",
+                Box::new(|cw, id, p| match id {
+                    sec::S_VALUE_CODES => {
+                        write_u16s_section(cw, id, &codes[..codes.len() - 1]).unwrap();
+                    }
+                    _ => keep(cw, id, p),
+                }),
+                format!(
+                    "vector length {}, expected {}",
+                    codes.len() - 1,
+                    codes.len()
+                ),
+            ),
+            (
+                "torn code",
+                Box::new(|cw, id, p| match id {
+                    sec::S_VALUE_CODES => cw.section_bytes(id, &p[..p.len() - 1]).unwrap(),
+                    _ => keep(cw, id, p),
+                }),
+                "s.value_codes".into(),
+            ),
+        ];
+        for (name, edit, want) in cases {
+            let bad = rewrite_sections(&buf, edit);
+            for err in load_errors(&bad, "hostile_s") {
+                assert!(err.contains(&want), "{name}: {err}");
+            }
+        }
+
+        let mut past_end = codes.to_vec();
+        past_end[codes.len() / 2] = table.len() as u16;
+        let bad = rewrite_sections(&buf, |cw, id, p| match id {
+            sec::S_VALUE_CODES => write_u16s_section(cw, id, &past_end).unwrap(),
+            _ => keep(cw, id, p),
+        });
+        let err = load(&bad[..]).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!(
+                "v6 index: S: value code {} at non-zero {}",
+                table.len(),
+                codes.len() / 2
+            )),
+            "{err}"
+        );
     }
 }

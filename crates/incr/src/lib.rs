@@ -36,7 +36,7 @@
 use bepi_graph::Graph;
 use bepi_reorder::{reorder_deadends, slashburn, SlashBurnConfig};
 use bepi_solver::BlockLu;
-use bepi_sparse::{spgemm, sub_spgemm, Coo, Csr, Permutation, Result, SparseError};
+use bepi_sparse::{spgemm, sub_spgemm, CodedCsr, Coo, Csr, Permutation, Result, SparseError};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
@@ -555,9 +555,11 @@ pub fn classify(
 /// entries (old or new) touch a dirty `H11` block; every other row of
 /// `S = H22 − H21 (U1^{-1}(L1^{-1} H12))` is unchanged term-for-term and
 /// is copied verbatim, so the result is bit-identical to a full Schur
-/// recompute under the same plan.
+/// recompute under the same plan. `old_s` is read as stored (plain or
+/// value-coded); the result is a plain [`Csr`], which the caller codes
+/// once its ILU(0) refresh has read it.
 pub fn refactor_schur(
-    old_s: &Csr,
+    old_s: &CodedCsr,
     blocks: &HBlocks,
     h21_old: &Csr,
     lu_new: &BlockLu,
@@ -573,7 +575,7 @@ pub fn refactor_schur(
         return sub_spgemm(&blocks.h22, &blocks.h21, &x);
     }
     if dirty.blocks.is_empty() {
-        return Ok(old_s.clone());
+        return Ok(old_s.to_csr());
     }
 
     // Spoke slots covered by dirty blocks.
@@ -602,7 +604,7 @@ pub fn refactor_schur(
         .filter(|&i| row_touches_dirty(h21_old, i) || row_touches_dirty(&blocks.h21, i))
         .collect();
     if dirty_rows.is_empty() {
-        return Ok(old_s.clone());
+        return Ok(old_s.to_csr());
     }
 
     // Blocks whose X rows the dirty H21 rows reference (a superset of the
@@ -878,8 +880,15 @@ mod tests {
         assert_eq!(lu_new.l_inv, lu_ref.l_inv);
         assert_eq!(lu_new.u_inv, lu_ref.u_inv);
         let s_ref = full_schur(&new_blocks, &lu_ref);
-        let s_got =
-            refactor_schur(&old_s, &new_blocks, &blocks.h21, &lu_new, &plan, &dirty).unwrap();
+        let s_got = refactor_schur(
+            &CodedCsr::encode(&old_s),
+            &new_blocks,
+            &blocks.h21,
+            &lu_new,
+            &plan,
+            &dirty,
+        )
+        .unwrap();
         assert_eq!(s_got, s_ref);
     }
 
@@ -889,8 +898,16 @@ mod tests {
         let (plan, blocks) = plan_and_blocks(&g);
         let lu = BlockLu::factor(&blocks.h11, &plan.block_sizes).unwrap();
         let s = full_schur(&blocks, &lu);
-        let got =
-            refactor_schur(&s, &blocks, &blocks.h21, &lu, &plan, &DirtySet::default()).unwrap();
+        let coded = CodedCsr::encode(&s);
+        let got = refactor_schur(
+            &coded,
+            &blocks,
+            &blocks.h21,
+            &lu,
+            &plan,
+            &DirtySet::default(),
+        )
+        .unwrap();
         assert_eq!(got, s);
     }
 
@@ -904,7 +921,8 @@ mod tests {
             blocks: Vec::new(),
             hub_columns: true,
         };
-        let got = refactor_schur(&s, &blocks, &blocks.h21, &lu, &plan, &dirty).unwrap();
+        let coded = CodedCsr::encode(&s);
+        let got = refactor_schur(&coded, &blocks, &blocks.h21, &lu, &plan, &dirty).unwrap();
         assert_eq!(got, s);
     }
 

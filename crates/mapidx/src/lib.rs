@@ -86,8 +86,16 @@ pub mod sections {
     pub const S_INDPTR: u32 = 0x30;
     /// Schur complement `S` column indices (`u32`).
     pub const S_INDICES: u32 = 0x31;
-    /// Schur complement `S` values (`f64`).
+    /// Schur complement `S` values (`f64`, one per non-zero), for an `S`
+    /// with more than 2¹⁶ distinct values. An index carries either this or
+    /// the coded pair below, never both.
     pub const S_VALUES: u32 = 0x32;
+    /// `S`'s distinct values in first-occurrence order (`f64`, at most
+    /// 2¹⁶ entries).
+    pub const S_VALUE_TABLE: u32 = 0x33;
+    /// `S`'s values as one index into [`S_VALUE_TABLE`] per non-zero
+    /// (`u16`).
+    pub const S_VALUE_CODES: u32 = 0x34;
     /// `H12` row pointers (`u64`).
     pub const H12_INDPTR: u32 = 0x40;
     /// `H12` column indices (`u32`).
@@ -142,6 +150,8 @@ pub mod sections {
             S_INDPTR => "s.indptr",
             S_INDICES => "s.indices",
             S_VALUES => "s.values",
+            S_VALUE_TABLE => "s.value_table",
+            S_VALUE_CODES => "s.value_codes",
             H12_INDPTR => "h12.indptr",
             H12_INDICES => "h12.indices",
             H12_VALUES => "h12.values",

@@ -189,7 +189,7 @@ macro_rules! impl_pod {
     )*};
 }
 
-impl_pod!(u8, u32, u64, f32, f64);
+impl_pod!(u8, u16, u32, u64, f32, f64);
 
 // `usize` sections are stored as u64 on disk; aliasing them as usize is
 // only valid where the two types agree.

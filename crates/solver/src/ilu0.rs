@@ -12,7 +12,7 @@
 //! complexity as an SpMV.
 
 use crate::linop::Preconditioner;
-use bepi_sparse::{Csr, MemBytes, Result, SparseError, Storage};
+use bepi_sparse::{CodedCsr, Csr, MemBytes, Result, SparseError, Storage};
 
 /// An ILU(0) factorization stored in the pattern of the input matrix.
 ///
@@ -85,7 +85,8 @@ impl Ilu0 {
     fn numeric(a: &Csr, diag_pos: Storage<usize>) -> Result<Self> {
         let values = eliminate(a, &diag_pos)?;
         let lu = round_factors(&values, a.indptr(), &diag_pos)?;
-        Self::from_parts(a, lu.into(), diag_pos)
+        let (indptr, indices) = a.pattern_storage();
+        Self::from_pattern(a.shape(), indptr, indices, lu.into(), diag_pos)
     }
 
     /// Reassembles a factorization from previously computed parts — the
@@ -100,27 +101,42 @@ impl Ilu0 {
     /// [`SparseError::ShapeMismatch`] if `pattern` is not square;
     /// [`SparseError::VectorLength`] unless `lu` has one entry per
     /// non-zero of `pattern` and `diag_pos` one per row.
-    pub fn from_parts(pattern: &Csr, lu: Storage<f32>, diag_pos: Storage<usize>) -> Result<Self> {
-        if pattern.ncols() != pattern.nrows() {
+    pub fn from_parts(
+        pattern: &CodedCsr,
+        lu: Storage<f32>,
+        diag_pos: Storage<usize>,
+    ) -> Result<Self> {
+        let (indptr, indices) = pattern.pattern_storage();
+        Self::from_pattern(pattern.shape(), indptr, indices, lu, diag_pos)
+    }
+
+    /// [`Ilu0::from_parts`] over the pattern arrays of a `shape` matrix.
+    fn from_pattern(
+        shape: (usize, usize),
+        indptr: Storage<usize>,
+        indices: Storage<u32>,
+        lu: Storage<f32>,
+        diag_pos: Storage<usize>,
+    ) -> Result<Self> {
+        if shape.0 != shape.1 {
             return Err(SparseError::ShapeMismatch {
-                left: pattern.shape(),
-                right: pattern.shape(),
+                left: shape,
+                right: shape,
                 op: "Ilu0::from_parts (matrix must be square)",
             });
         }
-        for (expected, actual) in [(pattern.nnz(), lu.len()), (pattern.nrows(), diag_pos.len())] {
+        for (expected, actual) in [(indices.len(), lu.len()), (shape.0, diag_pos.len())] {
             if expected != actual {
                 return Err(SparseError::VectorLength { expected, actual });
             }
         }
         debug_assert!(
-            (0..pattern.nrows()).all(|i| {
-                let (cols, _) = pattern.row(i);
+            (0..shape.0).all(|i| {
+                let cols = &indices[indptr[i]..indptr[i + 1]];
                 diag_pos[i] < cols.len() && cols[diag_pos[i]] == i as u32
             }),
             "diag_pos does not point at the diagonal entries"
         );
-        let (indptr, indices) = pattern.pattern_storage();
         Ok(Self {
             indptr,
             indices,
@@ -703,7 +719,8 @@ mod tests {
         assert_eq!(ilu.heap_bytes(), ilu.mem_bytes());
         assert_eq!(ilu.mapped_bytes(), 0);
         // Reassembling persisted parts shares the pattern it is given.
-        let rebuilt = Ilu0::from_parts(&a, ilu.lu.clone(), ilu.diag_pos.clone()).unwrap();
+        let rebuilt =
+            Ilu0::from_parts(&CodedCsr::encode(&a), ilu.lu.clone(), ilu.diag_pos.clone()).unwrap();
         assert!(rebuilt.shares_pattern(&a));
         let copy = Csr::from_parts(
             a.nrows(),

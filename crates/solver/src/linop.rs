@@ -5,7 +5,7 @@
 //! Schur complement) and on matrix-free compositions (`M^{-1}A` for the
 //! eigenvalue study of Figure 7).
 
-use bepi_sparse::Csr;
+use bepi_sparse::{CodedCsr, Csr};
 
 /// A real linear operator `R^ncols → R^nrows`.
 pub trait LinOp {
@@ -21,8 +21,8 @@ pub trait LinOp {
     /// (lane `l` of entry `i` at `x[i * width + l]`; `x.len() ==
     /// ncols · width`, `y.len() == nrows · width`). Each lane must equal
     /// [`LinOp::apply`] on that lane bit for bit. The default applies the
-    /// lanes one at a time; [`Csr`] overrides it with one pass over the
-    /// matrix for all lanes.
+    /// lanes one at a time; [`Csr`] and [`CodedCsr`] override it with one
+    /// pass over the matrix for all lanes.
     fn apply_block(&self, x: &[f64], y: &mut [f64], width: usize) {
         let mut xl = vec![0.0; self.ncols()];
         let mut yl = vec![0.0; self.nrows()];
@@ -45,6 +45,26 @@ impl LinOp for Csr {
 
     fn ncols(&self) -> usize {
         Csr::ncols(self)
+    }
+
+    fn apply(&self, x: &[f64], y: &mut [f64]) {
+        self.mul_vec_into(x, y)
+            .expect("dimension checked by caller");
+    }
+
+    fn apply_block(&self, x: &[f64], y: &mut [f64], width: usize) {
+        self.mul_block_into(x, y, width)
+            .expect("dimension checked by caller");
+    }
+}
+
+impl LinOp for CodedCsr {
+    fn nrows(&self) -> usize {
+        CodedCsr::nrows(self)
+    }
+
+    fn ncols(&self) -> usize {
+        CodedCsr::ncols(self)
     }
 
     fn apply(&self, x: &[f64], y: &mut [f64]) {

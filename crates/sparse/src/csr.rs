@@ -373,6 +373,11 @@ impl Csr {
         (self.indptr.clone(), self.indices.clone())
     }
 
+    /// A handle on the value array that shares it, owned or mapped.
+    pub(crate) fn value_storage(&self) -> Storage<f64> {
+        self.values.clone()
+    }
+
     /// The pattern (`indptr`, `indices`) beside mutable values, as three
     /// disjoint slices — for kernels that rewrite values in place while
     /// reading the structure (e.g. ILU(0)). Copy-on-write for a mapped
@@ -424,32 +429,8 @@ impl Csr {
 
     /// `y = A x` into a caller-provided buffer (overwrites `y`).
     pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
-        if x.len() != self.ncols {
-            return Err(SparseError::VectorLength {
-                expected: self.ncols,
-                actual: x.len(),
-            });
-        }
-        if y.len() != self.nrows {
-            return Err(SparseError::VectorLength {
-                expected: self.nrows,
-                actual: y.len(),
-            });
-        }
-        // Borrow the arrays once: indexing a `Storage` per entry re-checks
-        // whether it is owned or mapped.
-        let (indices, values) = (self.indices.as_slice(), self.values.as_slice());
-        for (yi, bounds) in y.iter_mut().zip(self.indptr.windows(2)) {
-            let (cols, vals) = (
-                &indices[bounds[0]..bounds[1]],
-                &values[bounds[0]..bounds[1]],
-            );
-            let mut acc = 0.0;
-            for (&c, &v) in cols.iter().zip(vals) {
-                acc += v * x[c as usize];
-            }
-            *yi = acc;
-        }
+        check_vec_dims((self.nrows, self.ncols), x, y)?;
+        spmv_rows(&self.indptr, &self.indices, &self.values, |v| v, x, y);
         Ok(())
     }
 
@@ -464,58 +445,17 @@ impl Csr {
     /// is what the lock-step GMRES of `bepi-solver` amortises.
     /// `width` must be `1..=`[`BLOCK_WIDTH`].
     pub fn mul_block_into(&self, x: &[f64], y: &mut [f64], width: usize) -> Result<()> {
-        if width == 0 || width > BLOCK_WIDTH {
-            return Err(SparseError::ShapeMismatch {
-                left: (self.nrows, self.ncols),
-                right: (self.ncols, width),
-                op: "mul_block_into (block width must be 1..=8)",
-            });
-        }
-        if x.len() != self.ncols * width {
-            return Err(SparseError::VectorLength {
-                expected: self.ncols * width,
-                actual: x.len(),
-            });
-        }
-        if y.len() != self.nrows * width {
-            return Err(SparseError::VectorLength {
-                expected: self.nrows * width,
-                actual: y.len(),
-            });
-        }
-        match width {
-            1 => self.mul_block_fixed::<1>(x, y),
-            2 => self.mul_block_fixed::<2>(x, y),
-            3 => self.mul_block_fixed::<3>(x, y),
-            4 => self.mul_block_fixed::<4>(x, y),
-            5 => self.mul_block_fixed::<5>(x, y),
-            6 => self.mul_block_fixed::<6>(x, y),
-            7 => self.mul_block_fixed::<7>(x, y),
-            _ => self.mul_block_fixed::<8>(x, y),
-        }
+        check_block_dims((self.nrows, self.ncols), x, y, width)?;
+        spmv_block(
+            &self.indptr,
+            &self.indices,
+            &self.values,
+            |v| v,
+            x,
+            y,
+            width,
+        );
         Ok(())
-    }
-
-    /// [`Csr::mul_block_into`] at a compile-time width: the lanes of a row
-    /// live in a `[f64; B]` register block, and each non-zero reads its
-    /// `B` lanes of `x` as one `[f64; B]` behind a single bounds check.
-    fn mul_block_fixed<const B: usize>(&self, x: &[f64], y: &mut [f64]) {
-        let (indices, values) = (self.indices.as_slice(), self.values.as_slice());
-        for (yi, bounds) in y.chunks_exact_mut(B).zip(self.indptr.windows(2)) {
-            let (cols, vals) = (
-                &indices[bounds[0]..bounds[1]],
-                &values[bounds[0]..bounds[1]],
-            );
-            let mut acc = [0.0; B];
-            for (&c, &v) in cols.iter().zip(vals) {
-                let at = c as usize * B;
-                let xc: &[f64; B] = x[at..at + B].try_into().expect("B lanes");
-                for l in 0..B {
-                    acc[l] += v * xc[l];
-                }
-            }
-            yi.copy_from_slice(&acc);
-        }
     }
 
     /// Dense `y = A^T x` without materializing the transpose.
@@ -707,6 +647,114 @@ impl Csr {
             }
         }
         diag.iter().zip(&off).all(|(d, o)| d > o)
+    }
+}
+
+/// Checks `y = A x`'s vector lengths against `A`'s `shape`.
+pub(crate) fn check_vec_dims(shape: (usize, usize), x: &[f64], y: &[f64]) -> Result<()> {
+    for (expected, actual) in [(shape.1, x.len()), (shape.0, y.len())] {
+        if expected != actual {
+            return Err(SparseError::VectorLength { expected, actual });
+        }
+    }
+    Ok(())
+}
+
+/// Checks a `width`-lane block product's width and lengths against `A`'s
+/// `shape`.
+pub(crate) fn check_block_dims(
+    shape: (usize, usize),
+    x: &[f64],
+    y: &[f64],
+    width: usize,
+) -> Result<()> {
+    if width == 0 || width > BLOCK_WIDTH {
+        return Err(SparseError::ShapeMismatch {
+            left: shape,
+            right: (shape.1, width),
+            op: "mul_block_into (block width must be 1..=8)",
+        });
+    }
+    for (expected, actual) in [(shape.1 * width, x.len()), (shape.0 * width, y.len())] {
+        if expected != actual {
+            return Err(SparseError::VectorLength { expected, actual });
+        }
+    }
+    Ok(())
+}
+
+/// The one SpMV body, `y = A x`, over CSR arrays whose `k`-th value is
+/// `value(vals[k])`: the value array itself (`|v| v`) or codes into a
+/// value table. Each row accumulates its non-zeros left to right from
+/// `0.0`, so any two value encodings of one matrix give bit-identical
+/// results. The arrays are borrowed as slices once: indexing a `Storage`
+/// per entry re-checks whether it is owned or mapped.
+#[inline]
+pub(crate) fn spmv_rows<V: Copy>(
+    indptr: &[usize],
+    indices: &[u32],
+    vals: &[V],
+    value: impl Fn(V) -> f64,
+    x: &[f64],
+    y: &mut [f64],
+) {
+    for (yi, bounds) in y.iter_mut().zip(indptr.windows(2)) {
+        let (cols, vals) = (&indices[bounds[0]..bounds[1]], &vals[bounds[0]..bounds[1]]);
+        let mut acc = 0.0;
+        for (&c, &v) in cols.iter().zip(vals) {
+            acc += value(v) * x[c as usize];
+        }
+        *yi = acc;
+    }
+}
+
+/// [`spmv_rows`] for `width` row-interleaved vectors (see
+/// [`Csr::mul_block_into`]), dispatched to a compile-time width.
+#[inline]
+pub(crate) fn spmv_block<V: Copy>(
+    indptr: &[usize],
+    indices: &[u32],
+    vals: &[V],
+    value: impl Fn(V) -> f64,
+    x: &[f64],
+    y: &mut [f64],
+    width: usize,
+) {
+    match width {
+        1 => spmv_block_fixed::<V, 1>(indptr, indices, vals, value, x, y),
+        2 => spmv_block_fixed::<V, 2>(indptr, indices, vals, value, x, y),
+        3 => spmv_block_fixed::<V, 3>(indptr, indices, vals, value, x, y),
+        4 => spmv_block_fixed::<V, 4>(indptr, indices, vals, value, x, y),
+        5 => spmv_block_fixed::<V, 5>(indptr, indices, vals, value, x, y),
+        6 => spmv_block_fixed::<V, 6>(indptr, indices, vals, value, x, y),
+        7 => spmv_block_fixed::<V, 7>(indptr, indices, vals, value, x, y),
+        _ => spmv_block_fixed::<V, 8>(indptr, indices, vals, value, x, y),
+    }
+}
+
+/// [`spmv_block`] at a compile-time width: the lanes of a row live in a
+/// `[f64; B]` register block, and each non-zero reads its `B` lanes of
+/// `x` as one `[f64; B]` behind a single bounds check.
+fn spmv_block_fixed<V: Copy, const B: usize>(
+    indptr: &[usize],
+    indices: &[u32],
+    vals: &[V],
+    value: impl Fn(V) -> f64,
+    x: &[f64],
+    y: &mut [f64],
+) {
+    for (yi, bounds) in y.chunks_exact_mut(B).zip(indptr.windows(2)) {
+        let (cols, vals) = (&indices[bounds[0]..bounds[1]], &vals[bounds[0]..bounds[1]]);
+        let mut acc = [0.0; B];
+        for (&c, &v) in cols.iter().zip(vals) {
+            let v = value(v);
+            let at = c as usize * B;
+            let xc: &[f64; B] = x[at..at + B].try_into().expect("B lanes");
+            for l in 0..B {
+                acc[l] += v * xc[l];
+            }
+        }
+        yi.copy_from_slice(&acc);
     }
 }
 

@@ -10,6 +10,8 @@
 //!
 //! * [`Coo`] — coordinate (triplet) format, the assembly format.
 //! * [`Csr`] — compressed sparse row, the workhorse for SpMV and SpGEMM.
+//! * [`CodedCsr`] — a read-only CSR that stores each distinct value once
+//!   plus a `u16` code per non-zero; BePI's stored Schur complement.
 //! * [`Csc`] — compressed sparse column, used by the LU/triangular kernels.
 //! * [`Dense`] — row-major dense matrix, used for exact small-graph solves
 //!   and for the Bear baseline's explicit `S^{-1}`.
@@ -46,6 +48,7 @@
 // rewrites clippy suggests obscure the subscript structure of the math.
 #![allow(clippy::needless_range_loop)]
 
+pub mod coded;
 pub mod coo;
 pub mod csc;
 pub mod csr;
@@ -60,6 +63,7 @@ pub mod spgemm;
 pub mod storage;
 pub mod vecops;
 
+pub use coded::{CodedCsr, CodedValues};
 pub use coo::Coo;
 pub use csc::Csc;
 pub use csr::{Csr, BLOCK_WIDTH};

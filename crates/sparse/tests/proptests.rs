@@ -1,7 +1,10 @@
 //! Property-based tests for the sparse substrate: format round-trips,
 //! kernel agreement with dense references, permutation algebra.
 
-use bepi_sparse::{ops, spgemm, vecops, Coo, Csc, Csr, Dense, Permutation};
+use bepi_sparse::coded::MAX_TABLE_LEN;
+use bepi_sparse::{
+    ops, spgemm, vecops, CodedCsr, CodedValues, Coo, Csc, Csr, Dense, Permutation, BLOCK_WIDTH,
+};
 use proptest::prelude::*;
 
 /// Strategy: a random sparse matrix as (nrows, ncols, triplets).
@@ -287,4 +290,159 @@ fn parallel_kernels_bit_identical_on_skewed_shapes() {
             );
         }
     }
+}
+
+/// Values the value-coded kernels must carry bit for bit: both zeros,
+/// subnormals, magnitudes near the ends of the f64 range, and ordinary
+/// fractions. Drawn from a pool so that values repeat, as in BePI's `S`.
+const CODED_POOL: [f64; 10] = [
+    -0.0,
+    0.0,
+    5e-324,
+    -2.225e-308,
+    1e300,
+    -1e-300,
+    1e-300,
+    0.5,
+    -0.25,
+    -0.047_5,
+];
+
+/// Strategy: a CSR built straight from parts (so stored `-0.0`s and
+/// `0.0`s survive, which `Coo` compression would drop), with empty rows,
+/// and values mostly from [`CODED_POOL`] and otherwise arbitrary.
+fn coded_source_strategy(max_dim: usize) -> impl Strategy<Value = Csr> {
+    (1..=max_dim, 1..=max_dim).prop_flat_map(|(nr, nc)| {
+        // (column, pool slot or none, arbitrary value) per entry: three in
+        // four entries take their value from the pool.
+        let entry = (0..nc as u32, 0..4 * CODED_POOL.len() / 3, -1e3f64..1e3);
+        let row = proptest::collection::vec(entry, 0..=nc.min(6));
+        proptest::collection::vec(row, nr).prop_map(move |rows| {
+            let (mut indptr, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
+            for mut row in rows {
+                row.sort_by_key(|e| e.0);
+                row.dedup_by_key(|e| e.0);
+                for (c, slot, v) in row {
+                    indices.push(c);
+                    values.push(CODED_POOL.get(slot).copied().unwrap_or(v));
+                }
+                indptr.push(indices.len());
+            }
+            Csr::from_parts(nr, nc, indptr, indices, values).unwrap()
+        })
+    })
+}
+
+fn to_bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// `width` row-interleaved lanes of `ncols` entries each, with the
+/// specials of [`CODED_POOL`] mixed in.
+fn coded_lanes(ncols: usize, width: usize, seed: u64) -> Vec<f64> {
+    (0..ncols * width)
+        .map(|i| {
+            let h = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ seed;
+            if h % 5 == 0 {
+                CODED_POOL[(h >> 8) as usize % CODED_POOL.len()]
+            } else {
+                ((h >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 1e3
+            }
+        })
+        .collect()
+}
+
+proptest! {
+    /// The value-coded SpMV reads `table[code]` where `Csr` reads the
+    /// value, and sums in the same order: every output bit matches.
+    #[test]
+    fn coded_spmv_is_bit_identical_to_csr(a in coded_source_strategy(14), seed in 0u64..1000) {
+        let s = CodedCsr::encode(&a);
+        prop_assert!(s.is_coded());
+        let x = coded_lanes(a.ncols(), 1, seed);
+        let (mut want, mut got) = (vec![0.0; a.nrows()], vec![f64::NAN; a.nrows()]);
+        a.mul_vec_into(&x, &mut want).unwrap();
+        s.mul_vec_into(&x, &mut got).unwrap();
+        prop_assert_eq!(to_bits(&got), to_bits(&want));
+    }
+
+    /// The same for the lock-step kernel at every width.
+    #[test]
+    fn coded_block_spmv_is_bit_identical_to_csr(a in coded_source_strategy(14), seed in 0u64..1000) {
+        let s = CodedCsr::encode(&a);
+        for width in 1..=BLOCK_WIDTH {
+            let x = coded_lanes(a.ncols(), width, seed);
+            let mut want = vec![0.0; a.nrows() * width];
+            let mut got = vec![f64::NAN; a.nrows() * width];
+            a.mul_block_into(&x, &mut want, width).unwrap();
+            s.mul_block_into(&x, &mut got, width).unwrap();
+            prop_assert_eq!(to_bits(&got), to_bits(&want), "width {}", width);
+        }
+    }
+
+    /// Decoding gives back the source matrix bit for bit, on its own
+    /// pattern arrays.
+    #[test]
+    fn coded_to_csr_roundtrips_bit_for_bit(a in coded_source_strategy(14)) {
+        let s = CodedCsr::encode(&a);
+        let back = s.to_csr();
+        prop_assert_eq!(back.indptr(), a.indptr());
+        prop_assert_eq!(back.indices(), a.indices());
+        prop_assert_eq!(to_bits(back.values()), to_bits(a.values()));
+        prop_assert!(std::ptr::eq(back.indices(), a.indices()));
+        for i in 0..a.nrows() {
+            let got: Vec<(usize, u64)> = s.row_iter(i).map(|(c, v)| (c, v.to_bits())).collect();
+            let want: Vec<(usize, u64)> = a.row_iter(i).map(|(c, v)| (c, v.to_bits())).collect();
+            prop_assert_eq!(got, want);
+        }
+    }
+
+    /// The table lists values in first-occurrence order, so two encodes of
+    /// one matrix (or of an equal copy) are the same bytes.
+    #[test]
+    fn coded_encode_is_deterministic(a in coded_source_strategy(14)) {
+        let copy = Csr::from_parts(
+            a.nrows(), a.ncols(), a.indptr().to_vec(), a.indices().to_vec(), a.values().to_vec(),
+        ).unwrap();
+        let parts = |m: &Csr| match CodedCsr::encode(m).values() {
+            CodedValues::Coded { table, codes } => (to_bits(table), codes.to_vec()),
+            CodedValues::Plain(_) => panic!("a small matrix must code"),
+        };
+        let (table, codes) = parts(&a);
+        prop_assert_eq!(&(table.clone(), codes.clone()), &parts(&copy));
+        let mut seen = Vec::new();
+        for &c in &codes {
+            if c as usize == seen.len() {
+                seen.push(c);
+            }
+            prop_assert!((c as usize) < seen.len(), "code {} before its first use", c);
+        }
+        prop_assert_eq!(seen.len(), table.len());
+    }
+}
+
+/// One distinct value past what a `u16` code indexes keeps `S` plain, on
+/// its own value array; one fewer codes it.
+#[test]
+fn coded_selects_plain_past_65536_distinct_values() {
+    let csr = |distinct: usize| {
+        let n = distinct;
+        let values: Vec<f64> = (0..n).map(|i| 1.0 + i as f64 * 1e-6).collect();
+        Csr::from_parts(1, n, vec![0, n], (0..n as u32).collect(), values).unwrap()
+    };
+    let over = csr(MAX_TABLE_LEN + 1);
+    let s = CodedCsr::encode(&over);
+    assert!(!s.is_coded());
+    match s.values() {
+        CodedValues::Plain(v) => assert!(std::ptr::eq(v.as_slice(), over.values())),
+        CodedValues::Coded { .. } => unreachable!(),
+    }
+    assert_eq!(s.to_csr(), over);
+    let at = CodedCsr::encode(&csr(MAX_TABLE_LEN));
+    assert!(at.is_coded());
+    let x = vec![1.0; MAX_TABLE_LEN];
+    assert_eq!(
+        to_bits(&at.mul_vec(&x).unwrap()),
+        to_bits(&csr(MAX_TABLE_LEN).mul_vec(&x).unwrap())
+    );
 }

@@ -109,12 +109,25 @@ exec 9>&-   # stdin EOF → graceful shutdown
 wait "$OBS_PID"
 OBS_PID=""
 
+# S is stored as a table of its distinct values plus a u16 code per
+# non-zero whenever it has at most 2^16 of them, and that form is only
+# worth having because every product it feeds is bit-identical to the
+# plain CSR's. The tests that pin that contract (single and 8-wide SpMV
+# against Csr on -0.0/subnormal/1e±300 values, the per-thread widened
+# table, GMRES on a coded operator, to_csr round trip, deterministic
+# encode, the 65 537-value fallback, plain-S back-compat files on heap and
+# mmap, exact byte accounting, hostile coded sections) all carry "coded"
+# in their names and run here in release codegen.
+echo "==> coded-S bit-identity"
+cargo test --offline --release -q -p bepi-sparse -p bepi-solver -p bepi-core -- coded
+
 # Memory-mapped serving gate: preprocess once, boot one daemon that
 # loads the index onto the heap and one that maps the same file, and
 # require byte-identical top-k responses. This is the --mmap acceptance
 # bar run against real HTTP, not just the unit suite. It runs twice: on
 # the default (BePI-S) index, and on a `--variant full` index, whose
-# mapped ILU(0) sections have no other end-to-end gate.
+# mapped ILU(0) sections have no other end-to-end gate. Each index must
+# also list its value-coded S sections in `bepi stats --mmap`.
 echo "==> mmap serving check (heap/mmap daemon diff, default and --variant full index)"
 MMAP_TMP=$(mktemp -d)
 cleanup_mmap() {
@@ -160,6 +173,12 @@ for case in ":BePI-S" "full:BePI"; do
   INDEX="$MMAP_TMP/index-$VARIANT_NAME.bepi"
   ./target/release/bepi preprocess "$MMAP_TMP/edges.txt" "$INDEX" \
     ${VARIANT_FLAG:+--variant "$VARIANT_FLAG"}
+  # The index stores S value-coded: both sections are in the file.
+  ./target/release/bepi stats "$INDEX" --mmap > "$MMAP_TMP/stats.txt"
+  for section in s.value_table s.value_codes; do
+    grep -q "^$section " "$MMAP_TMP/stats.txt" \
+      || { echo "$VARIANT_NAME: bepi stats --mmap lists no $section section"; cat "$MMAP_TMP/stats.txt"; exit 1; }
+  done
   start_daemon 7 "$INDEX" "$MMAP_TMP/heap.log"
   HEAP_ADDR=$DAEMON_ADDR HEAP_PID=$DAEMON_PID
   grep -q "heap index" "$MMAP_TMP/heap.log" \
