@@ -224,7 +224,8 @@ pub struct BePi {
     n3: usize,
     h11_lu: BlockLu,
     /// The Schur complement, value-coded when it has at most 2¹⁶ distinct
-    /// values ([`CodedCsr`]).
+    /// values and on a narrow pattern when it has at most 2¹⁶ columns
+    /// ([`CodedCsr`]).
     s: CodedCsr,
     /// ILU(0) factors of `S`: `Some` exactly for the full variant.
     ilu: Option<Ilu0>,
@@ -313,14 +314,15 @@ impl BePi {
         let t_precond = Instant::now();
         // Refresh ILU(0) values on the old pattern when it still matches;
         // fall back to a fresh factorization otherwise (both paths are
-        // bit-identical to `Ilu0::factor(&s)`).
+        // bit-identical to `Ilu0::factor(&s)`). Either way the factors then
+        // read the stored `S`'s pattern.
         let ilu = match &self.ilu {
             Some(old) => {
                 let _span = bepi_obs::Span::enter("refactor.precond");
-                Some(
-                    old.refresh_values(&s_csr)
-                        .or_else(|_| Ilu0::factor(&s_csr))?,
-                )
+                let ilu = old
+                    .refresh_values(&s_csr)
+                    .or_else(|_| Ilu0::factor(&s_csr))?;
+                Some(ilu.rebind(&s)?)
             }
             None => None,
         };
@@ -389,7 +391,7 @@ impl BePi {
         let ilu = {
             let _span = bepi_obs::Span::enter("preprocess.precond");
             match config.variant {
-                BePiVariant::Full => Some(Ilu0::factor(&s_csr)?),
+                BePiVariant::Full => Some(Ilu0::factor(&s_csr)?.rebind(&s)?),
                 _ => None,
             }
         };
@@ -431,7 +433,7 @@ impl BePi {
             h32,
             ..
         } = part;
-        debug_assert!(ilu.as_ref().map_or(true, |m| m.shares_pattern(&s.to_csr())));
+        debug_assert!(ilu.as_ref().map_or(true, |m| m.shares_pattern(s.pattern())));
         Ok(Self {
             config: *config,
             perm,
@@ -523,11 +525,11 @@ impl BePi {
         } = parts;
         let ilu = match (config.variant, ilu) {
             (BePiVariant::Full, Some(ilu)) => Some(ilu),
-            (BePiVariant::Full, None) => Some(Ilu0::factor(&s.to_csr())?),
+            (BePiVariant::Full, None) => Some(Ilu0::factor(&s.to_csr())?.rebind(&s)?),
             _ => None,
         };
         // The factors read `S`'s pattern; they never hold a copy of it.
-        debug_assert!(ilu.as_ref().map_or(true, |m| m.shares_pattern(&s.to_csr())));
+        debug_assert!(ilu.as_ref().map_or(true, |m| m.shares_pattern(s.pattern())));
         let stats = PreprocessStats {
             elapsed,
             n1,
@@ -1143,6 +1145,43 @@ pub(crate) mod tests {
                         variant.name()
                     );
                 }
+            }
+        }
+    }
+
+    /// Preprocessing narrows `S` inside its Schur phase, and a refactor
+    /// (ILU refresh included) does the same: the refactored `S` is narrow,
+    /// equals the plan-frozen preprocess's, and the factors read it.
+    #[test]
+    fn narrow_s_survives_refactor_bit_identically() {
+        let g = generators::rmat(8, 900, generators::RmatParams::default(), 5).unwrap();
+        let (u, v) = removable_edge(&g);
+        let g_new = without_edge(&g, u, v);
+        for variant in [BePiVariant::Sparse, BePiVariant::Full] {
+            let cfg = BePiConfig::for_variant(variant);
+            let solver = BePi::preprocess(&g, &cfg).unwrap();
+            assert!(solver.schur().pattern().is_narrow());
+            let plan = solver.symbolic_plan();
+            let dirty = match bepi_incr::classify(&plan, &g, &g_new, &[u]) {
+                bepi_incr::Classification::NumericOnly(d) => d,
+                bepi_incr::Classification::Structural(why) => panic!("expected numeric: {why}"),
+            };
+            let refac = solver.refactor(&g_new, &dirty).unwrap();
+            let frozen = BePi::preprocess_with_plan(&g_new, &cfg, &plan).unwrap();
+            for b in [&refac, &frozen] {
+                assert!(b.schur().pattern().is_narrow());
+                if let Some(ilu) = b.preconditioner() {
+                    assert!(ilu.shares_pattern(b.schur().pattern()));
+                    assert_precond_bytes(b);
+                }
+            }
+            assert_eq!(refac.schur(), frozen.schur());
+            for seed in [0usize, 50, 200] {
+                let (got, want) = (refac.query(seed).unwrap(), frozen.query(seed).unwrap());
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got.scores), bits(&want.scores), "seed {seed}");
+                assert_eq!(got.iterations, want.iterations);
+                assert_eq!(got.residual.to_bits(), want.residual.to_bits());
             }
         }
     }

@@ -27,7 +27,7 @@ use crate::rwr::RwrSolver;
 use bepi_graph::Graph;
 use bepi_map::{sections as sec, ContainerWriter, MapError, MappedIndex, SectionEntry};
 use bepi_solver::Ilu0;
-use bepi_sparse::{CodedCsr, CodedValues, Csr, Permutation, Result, SparseError, Storage};
+use bepi_sparse::{CodedCsr, CodedValues, Csr, Pattern, Permutation, Result, SparseError, Storage};
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 use std::time::Duration;
@@ -112,12 +112,21 @@ fn write_csr_sections<W: Write>(
     write_f64s_section(cw, ids.2, m.values())
 }
 
-/// Writes `S`: its pattern, then its values plain ([`sec::S_VALUES`]) or
-/// as the value table and codes ([`sec::S_VALUE_TABLE`],
-/// [`sec::S_VALUE_CODES`]).
+/// Writes `S`: its pattern wide ([`sec::S_INDPTR`], [`sec::S_INDICES`])
+/// or narrow ([`sec::S_INDPTR32`], [`sec::S_INDICES16`]), then its values
+/// plain ([`sec::S_VALUES`]) or as the value table and codes
+/// ([`sec::S_VALUE_TABLE`], [`sec::S_VALUE_CODES`]).
 fn write_schur_sections<W: Write>(cw: &mut ContainerWriter<W>, s: &CodedCsr) -> Result<()> {
-    write_u64s_section(cw, sec::S_INDPTR, s.indptr())?;
-    write_u32s_section(cw, sec::S_INDICES, s.indices())?;
+    match s.pattern() {
+        Pattern::Wide { indptr, indices } => {
+            write_u64s_section(cw, sec::S_INDPTR, indptr)?;
+            write_u32s_section(cw, sec::S_INDICES, indices)?;
+        }
+        Pattern::Narrow { indptr, indices } => {
+            write_u32s_section(cw, sec::S_INDPTR32, indptr)?;
+            write_u16s_section(cw, sec::S_INDICES16, indices)?;
+        }
+    }
     match s.values() {
         CodedValues::Plain(values) => write_f64s_section(cw, sec::S_VALUES, values),
         CodedValues::Coded { table, codes } => {
@@ -134,7 +143,8 @@ fn write_schur_sections<W: Write>(cw: &mut ContainerWriter<W>, s: &CodedCsr) -> 
 /// * can be served zero-copy via [`load_mapped_file`] (open time does
 ///   not depend on index size, pages are shared across processes);
 /// * stores `S` the way it is held: value-coded (a table of its distinct
-///   values plus a `u16` code per non-zero) or plain;
+///   values plus a `u16` code per non-zero) or plain, on a narrow pattern
+///   (`u32` row pointers, `u16` column indices) or a wide one;
 /// * persists the ILU(0) factor values (f32, in `S`'s pattern, which is
 ///   stored once), so loads never re-run the factorization;
 /// * embeds the adjacency graph only when `graph` is `Some` (the
@@ -476,30 +486,58 @@ fn read_phases<R: Read>(r: &mut R) -> Result<(Duration, Vec<PhaseTiming>)> {
     Ok((elapsed, phases))
 }
 
+/// Checks a decoded pattern whose row pointers and column indices came
+/// from sections `ids`: the row pointers start at 0, never decrease and
+/// end at nnz, and every column is below `ncols`. `O(nnz)`, so only a
+/// source that has read every payload byte runs it: a file with valid
+/// CRCs but a crafted pattern then fails to load instead of panicking
+/// the first query.
+///
+/// # Errors
+/// [`SparseError::Parse`] naming the section and the bad entry.
+fn check_pattern(pattern: &Pattern, ncols: usize, ids: (u32, u32)) -> Result<()> {
+    let in_section = |id| {
+        move |e: SparseError| {
+            SparseError::Parse(match e {
+                SparseError::Parse(msg) => format!("v6 index: section {}: {msg}", sec::name(id)),
+                other => format!("v6 index: section {}: {other}", sec::name(id)),
+            })
+        }
+    };
+    pattern.check_indptr().map_err(in_section(ids.0))?;
+    pattern.check_indices(ncols).map_err(in_section(ids.1))
+}
+
 fn decode_csr_sections<S: SectionSource>(
     src: &S,
     ids: (u32, u32, u32),
     nrows: usize,
     ncols: usize,
 ) -> Result<Csr> {
-    // O(1) structural checks only: the entries were validated when the
-    // index was written and are covered by section CRCs (verified
-    // eagerly on the heap path, on demand on the mapped path).
-    Csr::from_parts_storage_trusted(
-        nrows,
-        ncols,
-        src.usizes(ids.0)?,
-        src.u32s(ids.1)?,
-        src.f64s(ids.2)?,
-    )
+    let (indptr, indices) = (src.usizes(ids.0)?, src.u32s(ids.1)?);
+    // Both backings get the O(1) shape checks of the constructor; the
+    // heap path, which has read every byte for its CRCs, also checks
+    // every entry of the pattern.
+    if S::READS_PAYLOADS {
+        let pattern = Pattern::Wide {
+            indptr: indptr.clone(),
+            indices: indices.clone(),
+        };
+        check_pattern(&pattern, ncols, (ids.0, ids.1))?;
+    }
+    Csr::from_parts_storage_trusted(nrows, ncols, indptr, indices, src.f64s(ids.2)?)
 }
 
-/// Decodes `S` (`n2 × n2`) from its pattern sections and exactly one
-/// value encoding: [`sec::S_VALUES`] (plain, as every file written before
-/// the coded form existed) or the pair [`sec::S_VALUE_TABLE`] +
+/// Decodes `S` (`n2 × n2`) from exactly one pattern encoding — the wide
+/// pair [`sec::S_INDPTR`] and [`sec::S_INDICES`] (as every file written
+/// before the narrow form existed) or the narrow pair
+/// [`sec::S_INDPTR32`] and [`sec::S_INDICES16`] — and exactly one value
+/// encoding: [`sec::S_VALUES`] (plain, as every file written before the
+/// coded form existed) or the pair [`sec::S_VALUE_TABLE`] +
 /// [`sec::S_VALUE_CODES`]. Both backings get the `O(1)` shape checks of
 /// [`CodedCsr::from_parts_storage_trusted`]; a source that has read every
-/// payload byte also checks each code against the table.
+/// payload byte also checks the pattern ([`check_pattern`]) and each code
+/// against the table.
 fn decode_schur_sections<S: SectionSource>(src: &S, n2: usize) -> Result<CodedCsr> {
     let in_s = |e: SparseError| {
         SparseError::Parse(match e {
@@ -507,6 +545,30 @@ fn decode_schur_sections<S: SectionSource>(src: &S, n2: usize) -> Result<CodedCs
             other => format!("v6 index: S: {other}"),
         })
     };
+    let narrow = src.has(sec::S_INDPTR32) || src.has(sec::S_INDICES16);
+    let (pattern, ids) = if narrow {
+        if src.has(sec::S_INDPTR) || src.has(sec::S_INDICES) {
+            return Err(SparseError::Parse(format!(
+                "v6 index: S carries both a wide pattern ({}) and a narrow one ({})",
+                sec::name(sec::S_INDPTR),
+                sec::name(sec::S_INDPTR32)
+            )));
+        }
+        let pattern = Pattern::Narrow {
+            indptr: src.u32s(sec::S_INDPTR32)?,
+            indices: src.u16s(sec::S_INDICES16)?,
+        };
+        (pattern, (sec::S_INDPTR32, sec::S_INDICES16))
+    } else {
+        let pattern = Pattern::Wide {
+            indptr: src.usizes(sec::S_INDPTR)?,
+            indices: src.u32s(sec::S_INDICES)?,
+        };
+        (pattern, (sec::S_INDPTR, sec::S_INDICES))
+    };
+    if S::READS_PAYLOADS {
+        check_pattern(&pattern, n2, ids)?;
+    }
     let coded = src.has(sec::S_VALUE_TABLE) || src.has(sec::S_VALUE_CODES);
     let values = if coded {
         if src.has(sec::S_VALUES) {
@@ -527,14 +589,7 @@ fn decode_schur_sections<S: SectionSource>(src: &S, n2: usize) -> Result<CodedCs
     } else {
         CodedValues::Plain(src.f64s(sec::S_VALUES)?)
     };
-    CodedCsr::from_parts_storage_trusted(
-        n2,
-        n2,
-        src.usizes(sec::S_INDPTR)?,
-        src.u32s(sec::S_INDICES)?,
-        values,
-    )
-    .map_err(in_s)
+    CodedCsr::from_parts_storage_trusted(n2, n2, pattern, values).map_err(in_s)
 }
 
 /// Decodes a v6 container from either backing into an instance plus the
@@ -667,6 +722,8 @@ pub fn load_mapped_file<P: AsRef<Path>>(path: P) -> Result<(BePi, Option<Graph>)
         sec::U_INV_VALUES,
         sec::S_INDPTR,
         sec::S_INDICES,
+        sec::S_INDPTR32,
+        sec::S_INDICES16,
         sec::S_VALUES,
         sec::S_VALUE_TABLE,
         sec::S_VALUE_CODES,
@@ -1221,7 +1278,7 @@ mod tests {
     /// values (0x82) and `ILU_DIAG`, but no `ILU_VALUES_F32`. Every other
     /// section is copied as written.
     fn with_f64_factor_sections(buf: &[u8], bepi: &BePi) -> Vec<u8> {
-        let s = bepi.schur();
+        let s = bepi.schur().to_csr();
         // The loader must ignore these sections: NaN factor values would
         // poison every query that used them.
         let values = vec![f64::NAN; s.nnz()];
@@ -1506,7 +1563,8 @@ mod tests {
         assert_eq!(codes.len(), s.nnz());
         assert!(table.len() < s.nnz());
         let n2 = fresh.stats().n2;
-        let want = 8 * (n2 + 1) + 4 * s.nnz() + 8 * table.len() + 2 * s.nnz();
+        // The narrow pattern, then the table and one code per non-zero.
+        let want = 4 * (n2 + 1) + 2 * s.nnz() + 8 * table.len() + 2 * s.nnz();
         assert_eq!(bepi_sparse::MemBytes::mem_bytes(s), want);
 
         let path = temp_path("coded_bytes");
@@ -1646,5 +1704,212 @@ mod tests {
             )),
             "{err}"
         );
+    }
+
+    /// `buf` as an index written before `S`'s pattern could be narrow: the
+    /// wide `S_INDPTR` (u64) and `S_INDICES` (u32) where the narrow
+    /// sections were, every other section copied as written.
+    fn with_wide_s_pattern(buf: &[u8], s: &CodedCsr) -> Vec<u8> {
+        let wide = s.to_csr();
+        rewrite_sections(buf, |cw, id, payload| match id {
+            sec::S_INDPTR32 => write_u64s_section(cw, sec::S_INDPTR, wide.indptr()).unwrap(),
+            sec::S_INDICES16 => write_u32s_section(cw, sec::S_INDICES, wide.indices()).unwrap(),
+            id => cw.section_bytes(id, payload).unwrap(),
+        })
+    }
+
+    /// An index that stores `S`'s pattern wide, as every file written
+    /// before the narrow form did, still loads — on the heap and mapped,
+    /// for the default and the full variant — keeps the pattern wide,
+    /// accounts it at 8 bytes per row pointer and 4 per column, and
+    /// answers bit for bit like a fresh index, with equal iterations and
+    /// residuals. Saved again, it writes the same bytes.
+    #[test]
+    fn narrow_s_wide_pattern_file_loads_bit_identical() {
+        let g = generators::rmat(7, 500, generators::RmatParams::default(), 61).unwrap();
+        for variant in [BePiVariant::Sparse, BePiVariant::Full] {
+            let fresh = BePi::preprocess(&g, &BePiConfig::for_variant(variant)).unwrap();
+            let s = fresh.schur();
+            assert!(s.pattern().is_narrow());
+            let old = with_wide_s_pattern(&to_bytes(&fresh, Some(&g)), s);
+            let ids: Vec<u32> = bepi_map::parse_layout(&old)
+                .unwrap()
+                .iter()
+                .map(|e| e.id)
+                .collect();
+            assert!(ids.contains(&sec::S_INDPTR) && ids.contains(&sec::S_INDICES));
+            assert!(!ids.contains(&sec::S_INDPTR32) && !ids.contains(&sec::S_INDICES16));
+
+            let path = temp_path("wide_s");
+            std::fs::write(&path, &old).unwrap();
+            let (heap, _) = load_with_graph(&old[..]).unwrap();
+            let (mapped, mapped_graph) = load_mapped_file(&path).unwrap();
+            verify_mapped_file(&path).unwrap();
+            let (n2, nnz) = (fresh.stats().n2, s.nnz());
+            let wide_extra = 4 * (n2 + 1) + 2 * nnz;
+            for (b, what) in [(&heap, "heap"), (&mapped, "mapped")] {
+                assert!(!b.schur().pattern().is_narrow(), "{what}");
+                assert_eq!(b.schur(), s, "{what}");
+                assert_eq!(
+                    b.preprocessed_bytes(),
+                    fresh.preprocessed_bytes() + wide_extra,
+                    "{what}"
+                );
+                if variant == BePiVariant::Full {
+                    assert_precond_bytes(b);
+                    let ilu = b.preconditioner().unwrap();
+                    assert!(ilu.shares_pattern(b.schur().pattern()), "{what}");
+                    assert_eq!(
+                        bits32(ilu.values()),
+                        bits32(fresh.preconditioner().unwrap().values())
+                    );
+                }
+                for seed in [0usize, 31, 100] {
+                    let (got, want) = (b.query(seed).unwrap(), fresh.query(seed).unwrap());
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&got.scores), bits(&want.scores), "{what} seed {seed}");
+                    assert_eq!(got.iterations, want.iterations);
+                    assert_eq!(got.residual.to_bits(), want.residual.to_bits());
+                }
+            }
+            assert_eq!(to_bytes(&heap, Some(&g)), old);
+            assert_eq!(to_bytes(&mapped, mapped_graph.as_ref()), old);
+            drop(mapped);
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// A narrow `S` pattern costs `4·(n2+1) + 2·nnz` bytes — in the file's
+    /// two sections, and in the memory report after preprocess and after
+    /// either load.
+    #[test]
+    fn narrow_s_pattern_is_accounted_exactly() {
+        let g = generators::rmat(8, 900, generators::RmatParams::default(), 3).unwrap();
+        let fresh = BePi::preprocess(&g, &BePiConfig::for_variant(BePiVariant::Full)).unwrap();
+        let s = fresh.schur();
+        let (n2, nnz) = (fresh.stats().n2, s.nnz());
+        let want = 4 * (n2 + 1) + 2 * nnz;
+        assert!(s.pattern().is_narrow());
+        assert_eq!(bepi_sparse::MemBytes::mem_bytes(s.pattern()), want);
+
+        let path = temp_path("narrow_bytes");
+        save_file_v6(&fresh, None, &path).unwrap();
+        let layout = bepi_map::parse_layout(&std::fs::read(&path).unwrap()).unwrap();
+        let len_of = |id| layout.iter().find(|e| e.id == id).map(|e| e.len as usize);
+        assert_eq!(len_of(sec::S_INDPTR32), Some(4 * (n2 + 1)));
+        assert_eq!(len_of(sec::S_INDICES16), Some(2 * nnz));
+        assert_eq!(
+            (len_of(sec::S_INDPTR), len_of(sec::S_INDICES)),
+            (None, None)
+        );
+        let heap = load_file(&path).unwrap();
+        let (mapped, _) = load_mapped_file(&path).unwrap();
+        for (b, heap_bytes, mapped_bytes) in
+            [(&fresh, want, 0), (&heap, want, 0), (&mapped, 0, want)]
+        {
+            let p = b.schur().pattern();
+            assert!(p.is_narrow());
+            assert_eq!(
+                (p.heap_bytes(), p.mapped_bytes()),
+                (heap_bytes, mapped_bytes)
+            );
+            let values = bepi_sparse::MemBytes::mem_bytes(b.schur().values());
+            let report = b.memory_report();
+            let schur = report.iter().find(|c| c.name == "schur").unwrap();
+            assert_eq!(schur.heap_bytes + schur.mapped_bytes, want + values);
+            // The factors share the narrow pattern: 4 bytes per non-zero
+            // and 8 per row, nothing for the pattern.
+            assert_precond_bytes(b);
+            assert!(b.preconditioner().unwrap().shares_pattern(p));
+        }
+        drop(mapped);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Crafted patterns with valid CRCs: a column past the matrix and a
+    /// decreasing row pointer, in `S`'s wide sections (as a file from
+    /// before the narrow form stores them), in its narrow sections (a
+    /// column in `n2..2¹⁶`, which a `u16` holds), and in an `H` block. The
+    /// heap load, which reads every byte for its CRCs, fails each one with
+    /// an error naming the section, where the first query used to panic.
+    #[test]
+    fn narrow_and_wide_crafted_patterns_fail_the_heap_load() {
+        let g = generators::rmat(7, 500, generators::RmatParams::default(), 61).unwrap();
+        let fresh = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
+        let n2 = fresh.stats().n2;
+        let narrow = to_bytes(&fresh, None);
+        let wide = with_wide_s_pattern(&narrow, fresh.schur());
+        let s = fresh.schur().to_csr();
+        let h21 = fresh.coupling_blocks().1.clone();
+        assert!(h21.nnz() > 0 && s.nnz() > 2 && n2 + 1000 < 1 << 16);
+        let far = |cols: &[u32], past: usize| {
+            let mut cols = cols.to_vec();
+            let mid = cols.len() / 2;
+            cols[mid] = past as u32;
+            cols
+        };
+        let dip = |ptr: &[usize]| {
+            let mut ptr = ptr.to_vec();
+            let i = ptr.iter().position(|&p| p > 0).unwrap();
+            ptr[i] = ptr[i + 1] + 1;
+            ptr
+        };
+        let (s_cols, s_ptr) = (far(s.indices(), n2 + 1000), dip(s.indptr()));
+        let h21_cols = far(h21.indices(), fresh.stats().n1 + 7);
+        let narrow16 = |v: &[u32]| v.iter().map(|&c| c as u16).collect::<Vec<u16>>();
+        let narrow32 = |v: &[usize]| v.iter().map(|&p| p as u32).collect::<Vec<u32>>();
+        type Edit<'a> = Box<dyn Fn(&mut ContainerWriter<Vec<u8>>, u32, &[u8]) -> bool + 'a>;
+        let cases: Vec<(&str, &[u8], Edit, &str)> = vec![
+            (
+                "wide S column",
+                &wide,
+                Box::new(|cw, id, _| {
+                    id == sec::S_INDICES && write_u32s_section(cw, id, &s_cols).is_ok()
+                }),
+                "section s.indices: column",
+            ),
+            (
+                "wide S row pointer",
+                &wide,
+                Box::new(|cw, id, _| {
+                    id == sec::S_INDPTR && write_u64s_section(cw, id, &s_ptr).is_ok()
+                }),
+                "section s.indptr: row pointers decrease",
+            ),
+            (
+                "narrow S column",
+                &narrow,
+                Box::new(|cw, id, _| {
+                    id == sec::S_INDICES16 && write_u16s_section(cw, id, &narrow16(&s_cols)).is_ok()
+                }),
+                "section s.indices16: column",
+            ),
+            (
+                "narrow S row pointer",
+                &narrow,
+                Box::new(|cw, id, _| {
+                    id == sec::S_INDPTR32 && write_u32s_section(cw, id, &narrow32(&s_ptr)).is_ok()
+                }),
+                "section s.indptr32: row pointers decrease",
+            ),
+            (
+                "H21 column",
+                &narrow,
+                Box::new(|cw, id, _| {
+                    id == sec::H21_INDICES && write_u32s_section(cw, id, &h21_cols).is_ok()
+                }),
+                "section h21.indices: column",
+            ),
+        ];
+        for (name, buf, edit, want) in cases {
+            let bad = rewrite_sections(buf, |cw, id, payload| {
+                if !edit(cw, id, payload) {
+                    cw.section_bytes(id, payload).unwrap();
+                }
+            });
+            assert_ne!(bad, *buf, "{name}: the edit must land");
+            let err = load(&bad[..]).unwrap_err().to_string();
+            assert!(err.contains(want), "{name}: {err}");
+        }
     }
 }

@@ -892,6 +892,47 @@ mod tests {
         assert_eq!(s_got, s_ref);
     }
 
+    /// `refactor_schur` reads the old `S` through `row_iter`, so a narrow
+    /// old `S` (as preprocessing stores it) and the same `S` on a wide
+    /// pattern (as a file from before the narrow form loads it) splice to
+    /// the same result: the full recompute's.
+    #[test]
+    fn narrow_refactor_schur_matches_wide() {
+        let g = generators::rmat(8, 900, generators::RmatParams::default(), 17).unwrap();
+        let (plan, blocks) = plan_and_blocks(&g);
+        let lu = BlockLu::factor(&blocks.h11, &plan.block_sizes).unwrap();
+        let old_s = full_schur(&blocks, &lu);
+        let narrow = CodedCsr::encode(&old_s);
+        assert!(narrow.pattern().is_narrow());
+        let wide = CodedCsr::from_parts_storage_trusted(
+            old_s.nrows(),
+            old_s.ncols(),
+            old_s.pattern(),
+            narrow.values().clone(),
+        )
+        .unwrap();
+        assert!(!wide.pattern().is_narrow());
+
+        let (u, v) = removable_edge(&g);
+        let g_new = without_edge(&g, u, v);
+        let dirty = match classify(&plan, &g, &g_new, &[u]) {
+            Classification::NumericOnly(d) => d,
+            c => panic!("expected numeric, got {c:?}"),
+        };
+        let new_blocks = assemble(&g_new, C, &plan).unwrap();
+        let lu_new = lu.refactor_blocks(&new_blocks.h11, &dirty.blocks).unwrap();
+        let splice = |old: &CodedCsr, dirty: &DirtySet| {
+            refactor_schur(old, &new_blocks, &blocks.h21, &lu_new, &plan, dirty).unwrap()
+        };
+        let got = splice(&narrow, &dirty);
+        assert_eq!(got, splice(&wide, &dirty));
+        assert_eq!(got, full_schur(&new_blocks, &lu_new));
+        // With nothing dirty, both copy the old S.
+        let clean = DirtySet::default();
+        assert_eq!(splice(&narrow, &clean), old_s);
+        assert_eq!(splice(&wide, &clean), old_s);
+    }
+
     #[test]
     fn refactor_schur_empty_dirty_set_copies_s() {
         let g = generators::rmat(7, 500, generators::RmatParams::default(), 23).unwrap();

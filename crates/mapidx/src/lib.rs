@@ -82,7 +82,9 @@ pub mod sections {
     pub const U_INV_INDICES: u32 = 0x21;
     /// `U1^{-1}` values (`f64`).
     pub const U_INV_VALUES: u32 = 0x22;
-    /// Schur complement `S` row pointers (`u64`).
+    /// Schur complement `S` row pointers (`u64`), for an `S` with more
+    /// than 2¹⁶ columns. An index carries either this pair or the narrow
+    /// pair [`S_INDPTR32`] + [`S_INDICES16`], never both.
     pub const S_INDPTR: u32 = 0x30;
     /// Schur complement `S` column indices (`u32`).
     pub const S_INDICES: u32 = 0x31;
@@ -96,6 +98,11 @@ pub mod sections {
     /// `S`'s values as one index into [`S_VALUE_TABLE`] per non-zero
     /// (`u16`).
     pub const S_VALUE_CODES: u32 = 0x34;
+    /// `S`'s row pointers in the narrow pattern (`u32`), for an `S` with
+    /// at most 2¹⁶ columns and `u32::MAX` non-zeros.
+    pub const S_INDPTR32: u32 = 0x35;
+    /// `S`'s column indices in the narrow pattern (`u16`).
+    pub const S_INDICES16: u32 = 0x36;
     /// `H12` row pointers (`u64`).
     pub const H12_INDPTR: u32 = 0x40;
     /// `H12` column indices (`u32`).
@@ -152,6 +159,8 @@ pub mod sections {
             S_VALUES => "s.values",
             S_VALUE_TABLE => "s.value_table",
             S_VALUE_CODES => "s.value_codes",
+            S_INDPTR32 => "s.indptr32",
+            S_INDICES16 => "s.indices16",
             H12_INDPTR => "h12.indptr",
             H12_INDICES => "h12.indices",
             H12_VALUES => "h12.values",
@@ -461,6 +470,8 @@ mod tests {
         assert_eq!(sections::name(sections::META), "meta");
         assert_eq!(sections::name(sections::ILU_DIAG), "ilu.diag_pos");
         assert_eq!(sections::name(sections::ILU_VALUES_F32), "ilu.values_f32");
+        assert_eq!(sections::name(sections::S_INDPTR32), "s.indptr32");
+        assert_eq!(sections::name(sections::S_INDICES16), "s.indices16");
         // The ids of the retired f64 ILU factor sections name nothing.
         assert_eq!(sections::name(0x80), "unknown");
         assert_eq!(sections::name(0xdead), "unknown");

@@ -4,15 +4,16 @@
 //! keep exactly the sparsity pattern of `S`'s lower/upper parts, so "the
 //! storage cost of L̂2 and Û2 is the same as that of S". Here it costs
 //! less: the factors hold no pattern of their own — they share `S`'s
-//! `indptr`/`indices` — and store one f32 per non-zero, plus one diagonal
-//! position per row. The elimination runs in f64 and rounds once; the
-//! solves accumulate in f64. A preconditioner need not be exact: GMRES
-//! still converges on the f64 `S`. Applying the preconditioner is one
-//! forward and one backward substitution (Appendix B), with the same
-//! complexity as an SpMV.
+//! row pointers and column indices, wide or narrow ([`Pattern`]) — and
+//! store one f32 per non-zero, plus one diagonal position per row. The
+//! elimination runs in f64 and rounds once; the solves accumulate in
+//! f64. A preconditioner need not be exact: GMRES still converges on the
+//! f64 `S`. Applying the preconditioner is one forward and one backward
+//! substitution (Appendix B), with the same complexity as an SpMV.
 
 use crate::linop::Preconditioner;
-use bepi_sparse::{CodedCsr, Csr, MemBytes, Result, SparseError, Storage};
+use bepi_sparse::pattern::Idx;
+use bepi_sparse::{CodedCsr, Csr, MemBytes, Pattern, Result, SparseError, Storage};
 
 /// An ILU(0) factorization stored in the pattern of the input matrix.
 ///
@@ -37,10 +38,9 @@ use bepi_sparse::{CodedCsr, Csr, MemBytes, Result, SparseError, Storage};
 #[derive(Debug, Clone)]
 pub struct Ilu0 {
     /// The factored matrix's row pointers and column indices, shared
-    /// with it (owned or mapped), never copied: the pattern belongs to
-    /// `S`, and no byte count here includes it.
-    indptr: Storage<usize>,
-    indices: Storage<u32>,
+    /// with it (owned or mapped, wide or narrow), never copied: the
+    /// pattern belongs to `S`, and no byte count here includes it.
+    pattern: Pattern,
     /// Combined factors, one per pattern entry: left of the diagonal the
     /// strictly-lower part of `L̂` (unit diagonal implicit), right of it
     /// the strictly-upper part of `Û`, and on the diagonal `1 / u_ii`, so
@@ -85,17 +85,16 @@ impl Ilu0 {
     fn numeric(a: &Csr, diag_pos: Storage<usize>) -> Result<Self> {
         let values = eliminate(a, &diag_pos)?;
         let lu = round_factors(&values, a.indptr(), &diag_pos)?;
-        let (indptr, indices) = a.pattern_storage();
-        Self::from_pattern(a.shape(), indptr, indices, lu.into(), diag_pos)
+        Self::from_pattern(a.shape(), a.pattern(), lu.into(), diag_pos)
     }
 
     /// Reassembles a factorization from previously computed parts — the
     /// load path for persisted indexes, which store the factor values so
     /// the `O(nnz)` elimination of [`Ilu0::factor`] is never re-run at
-    /// open time. The pattern is `pattern`'s (the loaded `S`), shared.
-    /// Only `O(1)` length checks are performed; the entries are trusted
-    /// because persisted sections are covered by CRCs. Debug builds
-    /// re-verify every diagonal position.
+    /// open time. The pattern is `pattern`'s (the loaded `S`), shared, in
+    /// whichever form it has. Only `O(1)` length checks are performed;
+    /// the entries are trusted because persisted sections are covered by
+    /// CRCs. Debug builds re-verify every diagonal position.
     ///
     /// # Errors
     /// [`SparseError::ShapeMismatch`] if `pattern` is not square;
@@ -106,15 +105,26 @@ impl Ilu0 {
         lu: Storage<f32>,
         diag_pos: Storage<usize>,
     ) -> Result<Self> {
-        let (indptr, indices) = pattern.pattern_storage();
-        Self::from_pattern(pattern.shape(), indptr, indices, lu, diag_pos)
+        Self::from_pattern(pattern.shape(), pattern.pattern().clone(), lu, diag_pos)
     }
 
-    /// [`Ilu0::from_parts`] over the pattern arrays of a `shape` matrix.
+    /// These factors on `s`'s pattern instead of their own: `s` must have
+    /// the pattern they were computed on, at either width (checked in
+    /// debug builds only). How preprocessing hands factors computed from
+    /// `S` as a [`Csr`] to the stored [`CodedCsr`], whose pattern may be
+    /// narrow, so that one copy of the pattern serves both.
+    ///
+    /// # Errors
+    /// As [`Ilu0::from_parts`].
+    pub fn rebind(self, s: &CodedCsr) -> Result<Self> {
+        debug_assert!(self.pattern == *s.pattern(), "rebind onto another pattern");
+        Self::from_parts(s, self.lu, self.diag_pos)
+    }
+
+    /// [`Ilu0::from_parts`] over the pattern of a `shape` matrix.
     fn from_pattern(
         shape: (usize, usize),
-        indptr: Storage<usize>,
-        indices: Storage<u32>,
+        pattern: Pattern,
         lu: Storage<f32>,
         diag_pos: Storage<usize>,
     ) -> Result<Self> {
@@ -125,21 +135,20 @@ impl Ilu0 {
                 op: "Ilu0::from_parts (matrix must be square)",
             });
         }
-        for (expected, actual) in [(indices.len(), lu.len()), (shape.0, diag_pos.len())] {
+        for (expected, actual) in [(pattern.nnz(), lu.len()), (shape.0, diag_pos.len())] {
             if expected != actual {
                 return Err(SparseError::VectorLength { expected, actual });
             }
         }
         debug_assert!(
             (0..shape.0).all(|i| {
-                let cols = &indices[indptr[i]..indptr[i + 1]];
-                diag_pos[i] < cols.len() && cols[diag_pos[i]] == i as u32
+                let row = pattern.row_range(i);
+                diag_pos[i] < row.len() && pattern.col(row.start + diag_pos[i]) == i
             }),
             "diag_pos does not point at the diagonal entries"
         );
         Ok(Self {
-            indptr,
-            indices,
+            pattern,
             lu,
             diag_pos,
         })
@@ -164,13 +173,10 @@ impl Ilu0 {
     ///
     /// # Errors
     /// [`SparseError::Parse`] if `a`'s pattern differs from the pattern
-    /// these factors were built on; [`SparseError::ZeroDiagonal`] as in
-    /// [`Ilu0::factor`].
+    /// these factors were built on (at either width);
+    /// [`SparseError::ZeroDiagonal`] as in [`Ilu0::factor`].
     pub fn refresh_values(&self, a: &Csr) -> Result<Self> {
-        if a.shape() != (self.n(), self.n())
-            || a.indptr() != &*self.indptr
-            || a.indices() != &*self.indices
-        {
+        if a.shape() != (self.n(), self.n()) || a.pattern() != self.pattern {
             return Err(SparseError::Parse(
                 "ILU(0) refresh requires an unchanged sparsity pattern".into(),
             ));
@@ -194,11 +200,10 @@ impl Ilu0 {
         &self.diag_pos
     }
 
-    /// True when these factors read `a`'s own pattern arrays, not a copy
-    /// of them — the invariant that keeps them at `4·nnz + 8·n` bytes.
-    pub fn shares_pattern(&self, a: &Csr) -> bool {
-        std::ptr::eq(self.indptr.as_slice(), a.indptr())
-            && std::ptr::eq(self.indices.as_slice(), a.indices())
+    /// True when these factors read `pattern`'s own arrays, not a copy of
+    /// them — the invariant that keeps them at `4·nnz + 8·n` bytes.
+    pub fn shares_pattern(&self, pattern: &Pattern) -> bool {
+        self.pattern.shares(pattern)
     }
 
     /// Bytes of heap memory held by the factorization (values and
@@ -218,29 +223,43 @@ impl Ilu0 {
     pub fn solve_into(&self, r: &[f64], z: &mut [f64]) {
         debug_assert_eq!(r.len(), self.n());
         debug_assert_eq!(z.len(), self.n());
-        let n = self.n();
-        // Borrow the arrays once: indexing a `Storage` per entry re-checks
-        // its backing in the inner loop.
-        let (indptr, indices, lu, diag_pos) =
-            (&*self.indptr, &*self.indices, &*self.lu, &*self.diag_pos);
-        // Forward: L̂ y = r (unit diagonal).
-        for i in 0..n {
-            let (s, d) = (indptr[i], indptr[i] + diag_pos[i]);
-            let mut acc = r[i];
-            for p in s..d {
-                acc -= f64::from(lu[p]) * z[indices[p] as usize];
-            }
-            z[i] = acc;
+        let (lu, diag_pos) = (&*self.lu, &*self.diag_pos);
+        match &self.pattern {
+            Pattern::Wide { indptr, indices } => sweeps(indptr, indices, lu, diag_pos, r, z),
+            Pattern::Narrow { indptr, indices } => sweeps(indptr, indices, lu, diag_pos, r, z),
         }
-        // Backward: Û z = y.
-        for i in (0..n).rev() {
-            let (d, e) = (indptr[i] + diag_pos[i], indptr[i + 1]);
-            let mut acc = z[i];
-            for p in d + 1..e {
-                acc -= f64::from(lu[p]) * z[indices[p] as usize];
-            }
-            z[i] = acc * f64::from(lu[d]);
+    }
+}
+
+/// [`Ilu0::solve_into`] on one pattern form. The arrays are borrowed as
+/// slices once: indexing a `Storage` per entry re-checks its backing in
+/// the inner loop.
+fn sweeps<P: Idx, C: Idx>(
+    indptr: &[P],
+    indices: &[C],
+    lu: &[f32],
+    diag_pos: &[usize],
+    r: &[f64],
+    z: &mut [f64],
+) {
+    let n = diag_pos.len();
+    // Forward: L̂ y = r (unit diagonal).
+    for i in 0..n {
+        let s = indptr[i].ix();
+        let mut acc = r[i];
+        for p in s..s + diag_pos[i] {
+            acc -= f64::from(lu[p]) * z[indices[p].ix()];
         }
+        z[i] = acc;
+    }
+    // Backward: Û z = y.
+    for i in (0..n).rev() {
+        let (d, e) = (indptr[i].ix() + diag_pos[i], indptr[i + 1].ix());
+        let mut acc = z[i];
+        for p in d + 1..e {
+            acc -= f64::from(lu[p]) * z[indices[p].ix()];
+        }
+        z[i] = acc * f64::from(lu[d]);
     }
 }
 
@@ -429,7 +448,7 @@ mod tests {
     fn assert_matches_reference(a: &Csr) {
         match (Ilu0::factor(a), factor_reference(a)) {
             (Ok(got), Ok((values, diag_pos))) => {
-                assert!(got.shares_pattern(a));
+                assert!(got.shares_pattern(&a.pattern()));
                 assert_eq!(bits(&eliminate(a, got.diag_pos()).unwrap()), bits(&values));
                 assert_eq!(bits32(got.values()), rounded(&values, a, &diag_pos));
                 assert_eq!(got.diag_pos(), &diag_pos[..]);
@@ -543,7 +562,7 @@ mod tests {
             match (ilu.refresh_values(&b), Ilu0::factor(&b)) {
                 (Ok(refreshed), Ok(fresh)) => {
                     prop_assert_eq!(bits32(refreshed.values()), bits32(fresh.values()));
-                    prop_assert!(refreshed.shares_pattern(&b));
+                    prop_assert!(refreshed.shares_pattern(&b.pattern()));
                     prop_assert_eq!(refreshed.diag_pos(), fresh.diag_pos());
                 }
                 (Err(r), Err(f)) => prop_assert_eq!(format!("{r:?}"), format!("{f:?}")),
@@ -646,15 +665,15 @@ mod tests {
         // The factor values and diagonal positions live on the heap, the
         // mapped input still holds A, and the pattern is the mapped one.
         assert_eq!(bits(mapped.values()), bits(a.values()));
-        assert!(ilu.shares_pattern(&mapped));
+        assert!(ilu.shares_pattern(&mapped.pattern()));
         assert_eq!(ilu.heap_bytes(), a.nnz() * 4 + a.nrows() * 8);
         assert_eq!(ilu.mapped_bytes(), 0);
         // A refresh shares the pattern of the matrix it refreshes from:
         // here the heap copy, not the mapped one it was built on.
         let refreshed = ilu.refresh_values(&a).unwrap();
         assert_eq!(bits32(refreshed.values()), bits32(ilu.values()));
-        assert!(refreshed.shares_pattern(&a));
-        assert!(!refreshed.shares_pattern(&mapped));
+        assert!(refreshed.shares_pattern(&a.pattern()));
+        assert!(!refreshed.shares_pattern(&mapped.pattern()));
     }
 
     #[test]
@@ -708,20 +727,52 @@ mod tests {
         coo.to_csr()
     }
 
+    /// `a` as a [`CodedCsr`] on `a`'s own wide pattern, as an index file
+    /// that stores the pattern wide loads it.
+    fn wide_coded(a: &Csr) -> CodedCsr {
+        let values = CodedCsr::encode(a).values().clone();
+        CodedCsr::from_parts_storage_trusted(a.nrows(), a.ncols(), a.pattern(), values).unwrap()
+    }
+
+    /// Factors rebound onto a narrow `S` read its pattern, not a copy, and
+    /// solve bit for bit as the wide factors do.
+    #[test]
+    fn narrow_factors_share_s_and_solve_bit_identically() {
+        let mut rng = TestRng::deterministic("narrow_factors");
+        for n in [1, 7, 40] {
+            let a = shaped_dd_matrix(n, &mut rng);
+            let wide = Ilu0::factor(&a).unwrap();
+            let s = CodedCsr::encode(&a);
+            assert!(s.pattern().is_narrow());
+            let narrow = wide.clone().rebind(&s).unwrap();
+            assert!(narrow.shares_pattern(s.pattern()));
+            assert!(!narrow.shares_pattern(&a.pattern()));
+            assert_eq!(narrow.mem_bytes(), wide.mem_bytes());
+            let r: Vec<f64> = (0..n).map(|i| ((i * 5 % 9) as f64 - 4.0) / 3.0).collect();
+            let (mut zw, mut zn) = (vec![0.0; n], vec![f64::NAN; n]);
+            wide.solve_into(&r, &mut zw);
+            narrow.solve_into(&r, &mut zn);
+            assert_eq!(bits(&zn), bits(&zw), "n = {n}");
+            // A refresh compares the pattern at either width.
+            let refreshed = narrow.refresh_values(&a).unwrap();
+            assert_eq!(bits32(refreshed.values()), bits32(wide.values()));
+        }
+    }
+
     #[test]
     fn pattern_is_preserved() {
         let a = dd_matrix(20);
         let ilu = Ilu0::factor(&a).unwrap();
         assert_eq!(ilu.values().len(), a.nnz());
-        assert!(ilu.shares_pattern(&a));
+        assert!(ilu.shares_pattern(&a.pattern()));
         // The pattern is `a`'s: only values and diagonal positions count.
         assert_eq!(ilu.mem_bytes(), a.nnz() * 4 + a.nrows() * 8);
         assert_eq!(ilu.heap_bytes(), ilu.mem_bytes());
         assert_eq!(ilu.mapped_bytes(), 0);
         // Reassembling persisted parts shares the pattern it is given.
         let rebuilt =
-            Ilu0::from_parts(&CodedCsr::encode(&a), ilu.lu.clone(), ilu.diag_pos.clone()).unwrap();
-        assert!(rebuilt.shares_pattern(&a));
+            Ilu0::from_parts(&wide_coded(&a), ilu.lu.clone(), ilu.diag_pos.clone()).unwrap();
+        assert!(rebuilt.shares_pattern(&a.pattern()));
         let copy = Csr::from_parts(
             a.nrows(),
             a.ncols(),
@@ -730,7 +781,7 @@ mod tests {
             a.values().to_vec(),
         )
         .unwrap();
-        assert!(!rebuilt.shares_pattern(&copy));
+        assert!(!rebuilt.shares_pattern(&copy.pattern()));
     }
 
     #[test]
@@ -789,7 +840,7 @@ mod tests {
         }
         let refreshed = ilu.refresh_values(&b).unwrap();
         let fresh = Ilu0::factor(&b).unwrap();
-        assert!(refreshed.shares_pattern(&b));
+        assert!(refreshed.shares_pattern(&b.pattern()));
         assert_eq!(bits32(refreshed.values()), bits32(fresh.values()));
         assert_eq!(refreshed.diag_pos(), fresh.diag_pos());
     }

@@ -15,13 +15,17 @@
 //! ([`CodedCsr::encode`]): whenever the table has at most
 //! [`MAX_TABLE_LEN`] entries. Otherwise the matrix keeps plain `f64`
 //! values ([`CodedValues::Plain`]), as does one decoded from an index file
-//! that stores them that way.
+//! that stores them that way. The pattern is chosen the same way: narrow
+//! (`u32` row pointers, `u16` column indices) whenever the matrix has at
+//! most 2¹⁶ columns, wide otherwise or when a file stores it wide (see
+//! [`Pattern`]).
 //!
-//! Both forms run one SpMV body (`csr::spmv_rows`), which reads the value
-//! of non-zero `k` as `table[codes[k]]` or `values[k]` and sums each row
-//! in the order [`Csr::mul_vec_into`] does. `table[code] * x[c]` is the
-//! same product as `value * x[c]`, so every output is bit-identical to the
-//! [`Csr`] the matrix was encoded from.
+//! Every form runs one SpMV body (`csr::spmv_rows`), which reads the value
+//! of non-zero `k` as `table[codes[k]]` or `values[k]`, its column at
+//! either width, and sums each row in the order [`Csr::mul_vec_into`]
+//! does. `table[code] * x[c]` is the same product as `value * x[c]`, so
+//! every output is bit-identical to the [`Csr`] the matrix was encoded
+//! from.
 //!
 //! The SpMV reads the table through a per-thread copy widened to one entry
 //! per `u16` code ([`MAX_TABLE_LEN`], 512 KB), so a code indexes it with
@@ -36,6 +40,7 @@
 use crate::csr::{check_block_dims, check_vec_dims, spmv_block, spmv_rows};
 use crate::error::SparseError;
 use crate::mem::MemBytes;
+use crate::pattern::{Idx, Pattern};
 use crate::storage::Storage;
 use crate::{Csr, Result};
 use std::cell::RefCell;
@@ -119,8 +124,7 @@ impl MemBytes for CodedValues {
 }
 
 /// A read-only CSR matrix whose values are stored plain or value-coded
-/// (see the module doc). Its pattern is a [`Csr`]'s `indptr`/`indices`
-/// storage, shared, never copied.
+/// and whose pattern is stored wide or narrow (see the module doc).
 ///
 /// ```
 /// use bepi_sparse::{CodedCsr, Coo};
@@ -133,6 +137,7 @@ impl MemBytes for CodedValues {
 /// let s = CodedCsr::encode(&a);
 ///
 /// assert!(s.is_coded());
+/// assert!(s.pattern().is_narrow());
 /// let x = [1.0, 2.0, 4.0];
 /// assert_eq!(s.mul_vec(&x).unwrap(), a.mul_vec(&x).unwrap());
 /// assert_eq!(s.to_csr(), a);
@@ -141,18 +146,18 @@ impl MemBytes for CodedValues {
 pub struct CodedCsr {
     nrows: usize,
     ncols: usize,
-    indptr: Storage<usize>,
-    indices: Storage<u32>,
+    pattern: Pattern,
     values: CodedValues,
 }
 
 impl CodedCsr {
     /// Stores `a` value-coded when its distinct values (by bit pattern, so
     /// `0.0` and `-0.0`, and NaNs with different payloads, stay apart)
-    /// number at most [`MAX_TABLE_LEN`], and plain otherwise. The pattern,
-    /// and in the plain case the values, are `a`'s arrays, shared.
+    /// number at most [`MAX_TABLE_LEN`], and plain otherwise; and its
+    /// pattern narrow when it fits one ([`Pattern::narrowed`]). A wide
+    /// pattern, and plain values, are `a`'s arrays, shared.
     pub fn encode(a: &Csr) -> Self {
-        let (indptr, indices) = a.pattern_storage();
+        let pattern = a.pattern().narrowed(a.ncols());
         let values = match encode_values(a.values()) {
             Some((table, codes)) => CodedValues::Coded {
                 table: table.into(),
@@ -163,21 +168,22 @@ impl CodedCsr {
         Self {
             nrows: a.nrows(),
             ncols: a.ncols(),
-            indptr,
-            indices,
+            pattern,
             values,
         }
     }
 
-    /// Builds a matrix from [`Storage`]-backed parts — the constructor for
-    /// matrices decoded from an index file — with `O(1)` shape checks
-    /// only: the row-pointer length and end points, one value (or code)
-    /// per non-zero, and a table of at most [`MAX_TABLE_LEN`] entries.
+    /// Builds a matrix from [`Storage`]-backed parts, in either pattern
+    /// form — the constructor for matrices decoded from an index file —
+    /// with `O(1)` shape checks only: the row-pointer length and end
+    /// points, one value (or code) per non-zero, and a table of at most
+    /// [`MAX_TABLE_LEN`] entries.
     ///
     /// As for [`Csr::from_parts_storage_trusted`], the entries are
-    /// trusted: a code past the end of the table surfaces as a clean
+    /// trusted: a column or row pointer out of range surfaces as a clean
     /// panic on use, never undefined behaviour. A loader that reads every
-    /// byte anyway calls [`CodedValues::check_codes`] first.
+    /// byte anyway calls [`Pattern::check_indptr`],
+    /// [`Pattern::check_indices`] and [`CodedValues::check_codes`] first.
     ///
     /// # Errors
     /// [`SparseError::VectorLength`] or [`SparseError::Parse`] naming the
@@ -185,18 +191,17 @@ impl CodedCsr {
     pub fn from_parts_storage_trusted(
         nrows: usize,
         ncols: usize,
-        indptr: Storage<usize>,
-        indices: Storage<u32>,
+        pattern: Pattern,
         values: CodedValues,
     ) -> Result<Self> {
         crate::coo::check_dims(nrows, ncols)?;
-        if indptr.len() != nrows + 1 {
+        if pattern.indptr_len() != nrows + 1 {
             return Err(SparseError::VectorLength {
                 expected: nrows + 1,
-                actual: indptr.len(),
+                actual: pattern.indptr_len(),
             });
         }
-        let nnz = indices.len();
+        let nnz = pattern.nnz();
         if values.len() != nnz {
             return Err(SparseError::VectorLength {
                 expected: nnz,
@@ -212,7 +217,7 @@ impl CodedCsr {
                 )));
             }
         }
-        if indptr[0] != 0 || indptr[nrows] != nnz {
+        if pattern.row_ptr(0) != 0 || pattern.row_ptr(nrows) != nnz {
             return Err(SparseError::Parse(format!(
                 "indptr must start at 0 and end at nnz={nnz}"
             )));
@@ -220,8 +225,7 @@ impl CodedCsr {
         let m = Self {
             nrows,
             ncols,
-            indptr,
-            indices,
+            pattern,
             values,
         };
         debug_assert!(m.values.check_codes().is_ok(), "value code out of range");
@@ -253,19 +257,14 @@ impl CodedCsr {
     /// Number of stored non-zero entries.
     #[inline]
     pub fn nnz(&self) -> usize {
-        self.indices.len()
+        self.pattern.nnz()
     }
 
-    /// The row-pointer array (`nrows + 1` entries).
+    /// The row pointers and column indices, wide or narrow. Clone it to
+    /// share it (as the ILU(0) factors do).
     #[inline]
-    pub fn indptr(&self) -> &[usize] {
-        &self.indptr
-    }
-
-    /// The column-index array.
-    #[inline]
-    pub fn indices(&self) -> &[u32] {
-        &self.indices
+    pub fn pattern(&self) -> &Pattern {
+        &self.pattern
     }
 
     /// How the values are stored.
@@ -280,20 +279,15 @@ impl CodedCsr {
         matches!(self.values, CodedValues::Coded { .. })
     }
 
-    /// Handles on the pattern (`indptr`, `indices`) that share it, as
-    /// [`Csr::pattern_storage`] does.
-    pub fn pattern_storage(&self) -> (Storage<usize>, Storage<u32>) {
-        (self.indptr.clone(), self.indices.clone())
-    }
-
     /// Iterates over the `(col, value)` pairs of row `i`.
     pub fn row_iter(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        (self.indptr[i]..self.indptr[i + 1])
-            .map(move |k| (self.indices[k] as usize, self.values.get(k)))
+        self.pattern
+            .row_range(i)
+            .map(move |k| (self.pattern.col(k), self.values.get(k)))
     }
 
-    /// The matrix as a [`Csr`] with the same pattern storage, shared, and
-    /// the values decoded (plain values are shared too).
+    /// The matrix as a [`Csr`]: a wide pattern and plain values are
+    /// shared, a narrow pattern is widened and codes are decoded.
     pub fn to_csr(&self) -> Csr {
         let values = match &self.values {
             CodedValues::Plain(v) => v.clone(),
@@ -306,14 +300,9 @@ impl CodedCsr {
                     .into()
             }
         };
-        Csr::from_parts_storage_trusted(
-            self.nrows,
-            self.ncols,
-            self.indptr.clone(),
-            self.indices.clone(),
-            values,
-        )
-        .expect("a CodedCsr has a valid CSR shape")
+        let (indptr, indices) = self.pattern.to_wide();
+        Csr::from_parts_storage_trusted(self.nrows, self.ncols, indptr, indices, values)
+            .expect("a CodedCsr has a valid CSR shape")
     }
 
     /// Dense `y = A x`.
@@ -327,12 +316,9 @@ impl CodedCsr {
     /// bit-identical to [`Csr::mul_vec_into`] on [`CodedCsr::to_csr`].
     pub fn mul_vec_into(&self, x: &[f64], y: &mut [f64]) -> Result<()> {
         check_vec_dims(self.shape(), x, y)?;
-        let (indptr, indices) = (&self.indptr, &self.indices);
-        match &self.values {
-            CodedValues::Plain(v) => spmv_rows(indptr, indices, v, |v| v, x, y),
-            CodedValues::Coded { table, codes } => with_wide_table(table, |wide| {
-                spmv_rows(indptr, indices, codes, |c| wide[c as usize], x, y)
-            }),
+        match &self.pattern {
+            Pattern::Wide { indptr, indices } => spmv(indptr, indices, &self.values, x, y),
+            Pattern::Narrow { indptr, indices } => spmv(indptr, indices, &self.values, x, y),
         }
         Ok(())
     }
@@ -341,24 +327,60 @@ impl CodedCsr {
     /// lane to [`CodedCsr::mul_vec_into`] (see [`Csr::mul_block_into`]).
     pub fn mul_block_into(&self, x: &[f64], y: &mut [f64], width: usize) -> Result<()> {
         check_block_dims(self.shape(), x, y, width)?;
-        let (indptr, indices) = (&self.indptr, &self.indices);
-        match &self.values {
-            CodedValues::Plain(v) => spmv_block(indptr, indices, v, |v| v, x, y, width),
-            CodedValues::Coded { table, codes } => with_wide_table(table, |wide| {
-                spmv_block(indptr, indices, codes, |c| wide[c as usize], x, y, width)
-            }),
+        match &self.pattern {
+            Pattern::Wide { indptr, indices } => {
+                block_spmv(indptr, indices, &self.values, x, y, width)
+            }
+            Pattern::Narrow { indptr, indices } => {
+                block_spmv(indptr, indices, &self.values, x, y, width)
+            }
         }
         Ok(())
     }
 
     /// Bytes of heap memory held.
     pub fn heap_bytes(&self) -> usize {
-        self.indptr.heap_bytes() + self.indices.heap_bytes() + self.values.heap_bytes()
+        self.pattern.heap_bytes() + self.values.heap_bytes()
     }
 
     /// Bytes served zero-copy from a mapped index file.
     pub fn mapped_bytes(&self) -> usize {
-        self.indptr.mapped_bytes() + self.indices.mapped_bytes() + self.values.mapped_bytes()
+        self.pattern.mapped_bytes() + self.values.mapped_bytes()
+    }
+}
+
+/// [`CodedCsr::mul_vec_into`] on one pattern form: [`spmv_rows`] reading
+/// `values` as stored.
+fn spmv<P: Idx, C: Idx>(
+    indptr: &[P],
+    indices: &[C],
+    values: &CodedValues,
+    x: &[f64],
+    y: &mut [f64],
+) {
+    match values {
+        CodedValues::Plain(v) => spmv_rows(indptr, indices, v, |v| v, x, y),
+        CodedValues::Coded { table, codes } => with_wide_table(table, |wide| {
+            spmv_rows(indptr, indices, codes, |c| wide[c as usize], x, y)
+        }),
+    }
+}
+
+/// [`CodedCsr::mul_block_into`] on one pattern form: [`spmv_block`]
+/// reading `values` as stored.
+fn block_spmv<P: Idx, C: Idx>(
+    indptr: &[P],
+    indices: &[C],
+    values: &CodedValues,
+    x: &[f64],
+    y: &mut [f64],
+    width: usize,
+) {
+    match values {
+        CodedValues::Plain(v) => spmv_block(indptr, indices, v, |v| v, x, y, width),
+        CodedValues::Coded { table, codes } => with_wide_table(table, |wide| {
+            spmv_block(indptr, indices, codes, |c| wide[c as usize], x, y, width)
+        }),
     }
 }
 
@@ -404,21 +426,21 @@ fn with_wide_table<R>(table: &Storage<f64>, f: impl FnOnce(&[f64; MAX_TABLE_LEN]
 }
 
 impl MemBytes for CodedCsr {
-    /// Pattern plus values: `8·(nrows+1) + 4·nnz` and then `8·nnz` plain,
-    /// or `8·|table| + 2·nnz` coded.
+    /// Pattern plus values: `8·(nrows+1) + 4·nnz` wide or
+    /// `4·(nrows+1) + 2·nnz` narrow, and then `8·nnz` plain or
+    /// `8·|table| + 2·nnz` coded.
     fn mem_bytes(&self) -> usize {
-        self.indptr.mem_bytes() + self.indices.mem_bytes() + self.values.mem_bytes()
+        self.pattern.mem_bytes() + self.values.mem_bytes()
     }
 }
 
 impl PartialEq for CodedCsr {
-    /// The same matrix, however its values are stored: equal shapes and
-    /// patterns, and equal values entry by entry (as `f64`s, like
+    /// The same matrix, however it is stored: equal shapes and patterns
+    /// (at either width), and equal values entry by entry (as `f64`s, like
     /// [`Csr`]'s equality).
     fn eq(&self, other: &Self) -> bool {
         self.shape() == other.shape()
-            && self.indptr == other.indptr
-            && self.indices == other.indices
+            && self.pattern == other.pattern
             && (0..self.nnz()).all(|k| self.values.get(k) == other.values.get(k))
     }
 }
@@ -502,13 +524,11 @@ mod tests {
         coo.push(0, 0, 1.0).unwrap();
         coo.push(1, 1, 2.0).unwrap();
         let a = CodedCsr::encode(&coo.to_csr());
-        let (indptr, indices) = a.pattern_storage();
         let part = |table: Vec<f64>, codes: Vec<u16>| {
             CodedCsr::from_parts_storage_trusted(
                 2,
                 2,
-                indptr.clone(),
-                indices.clone(),
+                a.pattern().clone(),
                 CodedValues::Coded {
                     table: table.into(),
                     codes: codes.into(),
@@ -541,8 +561,8 @@ mod tests {
         }
         let a = coo.to_csr();
         let s = CodedCsr::encode(&a);
-        // Pattern as in `Csr`, then two table entries and five codes.
-        assert_eq!(s.mem_bytes(), 4 * 8 + 5 * 4 + 2 * 8 + 5 * 2);
+        // A narrow pattern, then two table entries and five codes.
+        assert_eq!(s.mem_bytes(), 4 * 4 + 5 * 2 + 2 * 8 + 5 * 2);
         assert_eq!(s.heap_bytes(), s.mem_bytes());
         assert_eq!(s.mapped_bytes(), 0);
         let row: Vec<_> = s.row_iter(2).collect();

@@ -12,6 +12,7 @@
 use crate::coo::check_dims;
 use crate::error::SparseError;
 use crate::mem::MemBytes;
+use crate::pattern::{Idx, Pattern};
 use crate::storage::Storage;
 use crate::{Coo, Dense, Result};
 
@@ -366,11 +367,15 @@ impl Csr {
         })
     }
 
-    /// Handles on the pattern (`indptr`, `indices`) that share it, owned
-    /// or mapped, never copy it — for structures stored in this matrix's
-    /// pattern, such as its ILU(0) factors.
-    pub fn pattern_storage(&self) -> (Storage<usize>, Storage<u32>) {
-        (self.indptr.clone(), self.indices.clone())
+    /// The pattern (`indptr`, `indices`) in its wide form, sharing this
+    /// matrix's arrays, owned or mapped, never copying them — for
+    /// structures stored in this matrix's pattern, such as its ILU(0)
+    /// factors.
+    pub fn pattern(&self) -> Pattern {
+        Pattern::Wide {
+            indptr: self.indptr.clone(),
+            indices: self.indices.clone(),
+        }
     }
 
     /// A handle on the value array that shares it, owned or mapped.
@@ -685,24 +690,26 @@ pub(crate) fn check_block_dims(
 
 /// The one SpMV body, `y = A x`, over CSR arrays whose `k`-th value is
 /// `value(vals[k])`: the value array itself (`|v| v`) or codes into a
-/// value table. Each row accumulates its non-zeros left to right from
-/// `0.0`, so any two value encodings of one matrix give bit-identical
+/// value table. The row pointers and column indices may be either
+/// [`Pattern`] width. Each row accumulates its non-zeros left to right
+/// from `0.0`, so any two encodings of one matrix give bit-identical
 /// results. The arrays are borrowed as slices once: indexing a `Storage`
 /// per entry re-checks whether it is owned or mapped.
 #[inline]
-pub(crate) fn spmv_rows<V: Copy>(
-    indptr: &[usize],
-    indices: &[u32],
+pub(crate) fn spmv_rows<P: Idx, C: Idx, V: Copy>(
+    indptr: &[P],
+    indices: &[C],
     vals: &[V],
     value: impl Fn(V) -> f64,
     x: &[f64],
     y: &mut [f64],
 ) {
     for (yi, bounds) in y.iter_mut().zip(indptr.windows(2)) {
-        let (cols, vals) = (&indices[bounds[0]..bounds[1]], &vals[bounds[0]..bounds[1]]);
+        let (s, e) = (bounds[0].ix(), bounds[1].ix());
+        let (cols, vals) = (&indices[s..e], &vals[s..e]);
         let mut acc = 0.0;
         for (&c, &v) in cols.iter().zip(vals) {
-            acc += value(v) * x[c as usize];
+            acc += value(v) * x[c.ix()];
         }
         *yi = acc;
     }
@@ -711,9 +718,9 @@ pub(crate) fn spmv_rows<V: Copy>(
 /// [`spmv_rows`] for `width` row-interleaved vectors (see
 /// [`Csr::mul_block_into`]), dispatched to a compile-time width.
 #[inline]
-pub(crate) fn spmv_block<V: Copy>(
-    indptr: &[usize],
-    indices: &[u32],
+pub(crate) fn spmv_block<P: Idx, C: Idx, V: Copy>(
+    indptr: &[P],
+    indices: &[C],
     vals: &[V],
     value: impl Fn(V) -> f64,
     x: &[f64],
@@ -721,34 +728,35 @@ pub(crate) fn spmv_block<V: Copy>(
     width: usize,
 ) {
     match width {
-        1 => spmv_block_fixed::<V, 1>(indptr, indices, vals, value, x, y),
-        2 => spmv_block_fixed::<V, 2>(indptr, indices, vals, value, x, y),
-        3 => spmv_block_fixed::<V, 3>(indptr, indices, vals, value, x, y),
-        4 => spmv_block_fixed::<V, 4>(indptr, indices, vals, value, x, y),
-        5 => spmv_block_fixed::<V, 5>(indptr, indices, vals, value, x, y),
-        6 => spmv_block_fixed::<V, 6>(indptr, indices, vals, value, x, y),
-        7 => spmv_block_fixed::<V, 7>(indptr, indices, vals, value, x, y),
-        _ => spmv_block_fixed::<V, 8>(indptr, indices, vals, value, x, y),
+        1 => spmv_block_fixed::<P, C, V, 1>(indptr, indices, vals, value, x, y),
+        2 => spmv_block_fixed::<P, C, V, 2>(indptr, indices, vals, value, x, y),
+        3 => spmv_block_fixed::<P, C, V, 3>(indptr, indices, vals, value, x, y),
+        4 => spmv_block_fixed::<P, C, V, 4>(indptr, indices, vals, value, x, y),
+        5 => spmv_block_fixed::<P, C, V, 5>(indptr, indices, vals, value, x, y),
+        6 => spmv_block_fixed::<P, C, V, 6>(indptr, indices, vals, value, x, y),
+        7 => spmv_block_fixed::<P, C, V, 7>(indptr, indices, vals, value, x, y),
+        _ => spmv_block_fixed::<P, C, V, 8>(indptr, indices, vals, value, x, y),
     }
 }
 
 /// [`spmv_block`] at a compile-time width: the lanes of a row live in a
 /// `[f64; B]` register block, and each non-zero reads its `B` lanes of
 /// `x` as one `[f64; B]` behind a single bounds check.
-fn spmv_block_fixed<V: Copy, const B: usize>(
-    indptr: &[usize],
-    indices: &[u32],
+fn spmv_block_fixed<P: Idx, C: Idx, V: Copy, const B: usize>(
+    indptr: &[P],
+    indices: &[C],
     vals: &[V],
     value: impl Fn(V) -> f64,
     x: &[f64],
     y: &mut [f64],
 ) {
     for (yi, bounds) in y.chunks_exact_mut(B).zip(indptr.windows(2)) {
-        let (cols, vals) = (&indices[bounds[0]..bounds[1]], &vals[bounds[0]..bounds[1]]);
+        let (s, e) = (bounds[0].ix(), bounds[1].ix());
+        let (cols, vals) = (&indices[s..e], &vals[s..e]);
         let mut acc = [0.0; B];
         for (&c, &v) in cols.iter().zip(vals) {
             let v = value(v);
-            let at = c as usize * B;
+            let at = c.ix() * B;
             let xc: &[f64; B] = x[at..at + B].try_into().expect("B lanes");
             for l in 0..B {
                 acc[l] += v * xc[l];

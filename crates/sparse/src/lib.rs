@@ -11,7 +11,9 @@
 //! * [`Coo`] — coordinate (triplet) format, the assembly format.
 //! * [`Csr`] — compressed sparse row, the workhorse for SpMV and SpGEMM.
 //! * [`CodedCsr`] — a read-only CSR that stores each distinct value once
-//!   plus a `u16` code per non-zero; BePI's stored Schur complement.
+//!   plus a `u16` code per non-zero, on a [`Pattern`] narrowed to `u32`
+//!   row pointers and `u16` column indices when it has at most 2¹⁶
+//!   columns; BePI's stored Schur complement.
 //! * [`Csc`] — compressed sparse column, used by the LU/triangular kernels.
 //! * [`Dense`] — row-major dense matrix, used for exact small-graph solves
 //!   and for the Bear baseline's explicit `S^{-1}`.
@@ -21,11 +23,13 @@
 //!   ([`mod@spgemm`]), element-wise ops ([`ops`]), norms ([`norms`]),
 //!   Matrix Market / edge-list IO ([`io`]).
 //!
-//! All index arrays use `u32` (graphs up to 4.29 B nodes would need more,
-//! but every dataset in the paper has `n < 2^32`); this halves index memory
-//! relative to `usize` on 64-bit targets, which matters because the paper's
-//! headline metric is memory for preprocessed data. Exact logical memory of
-//! every structure is reported through [`MemBytes`].
+//! All column indices use `u32` (graphs up to 4.29 B nodes would need
+//! more, but every dataset in the paper has `n < 2^32`); this halves index
+//! memory relative to `usize` on 64-bit targets, which matters because the
+//! paper's headline metric is memory for preprocessed data. A narrow
+//! [`Pattern`] halves it again, to `u16`, for a matrix with at most 2¹⁶
+//! columns. Exact logical memory of every structure is reported through
+//! [`MemBytes`].
 //!
 //! ```
 //! use bepi_sparse::{Coo, MemBytes};
@@ -58,6 +62,7 @@ pub mod io;
 pub mod mem;
 pub mod norms;
 pub mod ops;
+pub mod pattern;
 pub mod permute;
 pub mod spgemm;
 pub mod storage;
@@ -70,6 +75,7 @@ pub use csr::{Csr, BLOCK_WIDTH};
 pub use dense::Dense;
 pub use error::SparseError;
 pub use mem::MemBytes;
+pub use pattern::Pattern;
 pub use permute::Permutation;
 pub use spgemm::{spgemm, sub_spgemm};
 pub use storage::Storage;

@@ -2,8 +2,10 @@
 //! kernel agreement with dense references, permutation algebra.
 
 use bepi_sparse::coded::MAX_TABLE_LEN;
+use bepi_sparse::pattern::MAX_NARROW_COLS;
 use bepi_sparse::{
-    ops, spgemm, vecops, CodedCsr, CodedValues, Coo, Csc, Csr, Dense, Permutation, BLOCK_WIDTH,
+    ops, spgemm, vecops, CodedCsr, CodedValues, Coo, Csc, Csr, Dense, Pattern, Permutation,
+    BLOCK_WIDTH,
 };
 use proptest::prelude::*;
 
@@ -295,12 +297,13 @@ fn parallel_kernels_bit_identical_on_skewed_shapes() {
 /// Values the value-coded kernels must carry bit for bit: both zeros,
 /// subnormals, magnitudes near the ends of the f64 range, and ordinary
 /// fractions. Drawn from a pool so that values repeat, as in BePI's `S`.
-const CODED_POOL: [f64; 10] = [
+const CODED_POOL: [f64; 11] = [
     -0.0,
     0.0,
     5e-324,
     -2.225e-308,
     1e300,
+    -1e300,
     -1e-300,
     1e-300,
     0.5,
@@ -380,16 +383,17 @@ proptest! {
         }
     }
 
-    /// Decoding gives back the source matrix bit for bit, on its own
-    /// pattern arrays.
+    /// Decoding gives back the source matrix bit for bit. Its pattern,
+    /// narrow at this size, is widened into new arrays.
     #[test]
     fn coded_to_csr_roundtrips_bit_for_bit(a in coded_source_strategy(14)) {
         let s = CodedCsr::encode(&a);
+        prop_assert!(s.pattern().is_narrow());
         let back = s.to_csr();
         prop_assert_eq!(back.indptr(), a.indptr());
         prop_assert_eq!(back.indices(), a.indices());
         prop_assert_eq!(to_bits(back.values()), to_bits(a.values()));
-        prop_assert!(std::ptr::eq(back.indices(), a.indices()));
+        prop_assert!(!std::ptr::eq(back.indices(), a.indices()));
         for i in 0..a.nrows() {
             let got: Vec<(usize, u64)> = s.row_iter(i).map(|(c, v)| (c, v.to_bits())).collect();
             let want: Vec<(usize, u64)> = a.row_iter(i).map(|(c, v)| (c, v.to_bits())).collect();
@@ -418,6 +422,96 @@ proptest! {
             prop_assert!((c as usize) < seen.len(), "code {} before its first use", c);
         }
         prop_assert_eq!(seen.len(), table.len());
+    }
+}
+
+/// `a` in all four stored forms: wide or narrow pattern, plain or coded
+/// values.
+fn stored_forms(a: &Csr) -> Vec<(&'static str, CodedCsr)> {
+    let coded = CodedCsr::encode(a).values().clone();
+    let plain = CodedValues::Plain(a.values().to_vec().into());
+    let narrow = a.pattern().narrowed(a.ncols());
+    let form = |pattern: &Pattern, values: &CodedValues| {
+        CodedCsr::from_parts_storage_trusted(a.nrows(), a.ncols(), pattern.clone(), values.clone())
+            .unwrap()
+    };
+    vec![
+        ("wide plain", form(&a.pattern(), &plain)),
+        ("wide coded", form(&a.pattern(), &coded)),
+        ("narrow plain", form(&narrow, &plain)),
+        ("narrow coded", form(&narrow, &coded)),
+    ]
+}
+
+proptest! {
+    /// A narrow pattern reads each column as the same `usize` the wide one
+    /// does, in the same order: with plain or coded values, the single
+    /// and every lock-step width are bit-identical to `Csr`'s.
+    #[test]
+    fn narrow_spmv_is_bit_identical_to_csr(a in coded_source_strategy(14), seed in 0u64..1000) {
+        for (what, s) in stored_forms(&a) {
+            let x = coded_lanes(a.ncols(), 1, seed);
+            let (mut want, mut got) = (vec![0.0; a.nrows()], vec![f64::NAN; a.nrows()]);
+            a.mul_vec_into(&x, &mut want).unwrap();
+            s.mul_vec_into(&x, &mut got).unwrap();
+            prop_assert_eq!(to_bits(&got), to_bits(&want), "{}", what);
+            for width in 1..=BLOCK_WIDTH {
+                let x = coded_lanes(a.ncols(), width, seed);
+                let mut want = vec![0.0; a.nrows() * width];
+                let mut got = vec![f64::NAN; a.nrows() * width];
+                a.mul_block_into(&x, &mut want, width).unwrap();
+                s.mul_block_into(&x, &mut got, width).unwrap();
+                prop_assert_eq!(to_bits(&got), to_bits(&want), "{} width {}", what, width);
+            }
+        }
+    }
+
+    /// Every form decodes to the source matrix bit for bit, through
+    /// `to_csr` and row by row, and equals every other form.
+    #[test]
+    fn narrow_to_csr_and_row_iter_round_trip(a in coded_source_strategy(14)) {
+        let forms = stored_forms(&a);
+        for (what, s) in &forms {
+            let back = s.to_csr();
+            prop_assert_eq!(back.indptr(), a.indptr(), "{}", what);
+            prop_assert_eq!(back.indices(), a.indices(), "{}", what);
+            prop_assert_eq!(to_bits(back.values()), to_bits(a.values()), "{}", what);
+            for i in 0..a.nrows() {
+                let got: Vec<(usize, u64)> = s.row_iter(i).map(|(c, v)| (c, v.to_bits())).collect();
+                let want: Vec<(usize, u64)> = a.row_iter(i).map(|(c, v)| (c, v.to_bits())).collect();
+                prop_assert_eq!(got, want, "{} row {}", what, i);
+            }
+            prop_assert!(forms.iter().all(|(_, t)| t == s), "{}", what);
+        }
+    }
+}
+
+/// The pattern narrows up to and including 2¹⁶ columns and stays wide
+/// (on the source's own arrays) one column past that; both multiply bit
+/// for bit like the source.
+#[test]
+fn narrow_selected_at_65536_columns_wide_at_65537() {
+    for (ncols, narrow) in [(MAX_NARROW_COLS, true), (MAX_NARROW_COLS + 1, false)] {
+        let last = ncols as u32 - 1;
+        let a = Csr::from_parts(
+            3,
+            ncols,
+            vec![0, 2, 2, 4],
+            vec![0, last, 1, last],
+            vec![0.5, -1e300, 5e-324, -0.0],
+        )
+        .unwrap();
+        let s = CodedCsr::encode(&a);
+        assert_eq!(s.pattern().is_narrow(), narrow, "{ncols} columns");
+        assert_eq!(s.pattern().shares(&a.pattern()), !narrow, "{ncols} columns");
+        let mem = if narrow { 4 * 4 + 2 * 4 } else { 8 * 4 + 4 * 4 };
+        assert_eq!(bepi_sparse::MemBytes::mem_bytes(s.pattern()), mem);
+        let x = coded_lanes(ncols, 1, 7);
+        assert_eq!(
+            to_bits(&s.mul_vec(&x).unwrap()),
+            to_bits(&a.mul_vec(&x).unwrap())
+        );
+        assert_eq!(s.to_csr(), a);
     }
 }
 

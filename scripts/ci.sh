@@ -121,13 +121,26 @@ OBS_PID=""
 echo "==> coded-S bit-identity"
 cargo test --offline --release -q -p bepi-sparse -p bepi-solver -p bepi-core -- coded
 
+# S's pattern is stored narrow (u32 row pointers, u16 column indices)
+# whenever it has at most 2^16 columns, and that form too is only worth
+# having because every answer it feeds is bit-identical to the wide one's.
+# The tests that pin that contract (single and 8-wide SpMV on both pattern
+# widths with plain and coded values, to_csr/row_iter round trips, the
+# 65 536/65 537-column selection, ILU(0) factors on a narrow S, refactor
+# over a narrow old S, wide-pattern back-compat files on heap and mmap,
+# exact byte accounting, crafted patterns failing the heap load) all carry
+# "narrow" in their names and run here in release codegen.
+echo "==> narrow-S bit-identity"
+cargo test --offline --release -q -p bepi-sparse -p bepi-solver -p bepi-core -p bepi-incr -- narrow
+
 # Memory-mapped serving gate: preprocess once, boot one daemon that
 # loads the index onto the heap and one that maps the same file, and
 # require byte-identical top-k responses. This is the --mmap acceptance
 # bar run against real HTTP, not just the unit suite. It runs twice: on
 # the default (BePI-S) index, and on a `--variant full` index, whose
 # mapped ILU(0) sections have no other end-to-end gate. Each index must
-# also list its value-coded S sections in `bepi stats --mmap`.
+# also list its value-coded S sections and its narrow S pattern sections in
+# `bepi stats --mmap`.
 echo "==> mmap serving check (heap/mmap daemon diff, default and --variant full index)"
 MMAP_TMP=$(mktemp -d)
 cleanup_mmap() {
@@ -173,9 +186,10 @@ for case in ":BePI-S" "full:BePI"; do
   INDEX="$MMAP_TMP/index-$VARIANT_NAME.bepi"
   ./target/release/bepi preprocess "$MMAP_TMP/edges.txt" "$INDEX" \
     ${VARIANT_FLAG:+--variant "$VARIANT_FLAG"}
-  # The index stores S value-coded: both sections are in the file.
+  # The index stores S value-coded on a narrow pattern: all four sections
+  # are in the file.
   ./target/release/bepi stats "$INDEX" --mmap > "$MMAP_TMP/stats.txt"
-  for section in s.value_table s.value_codes; do
+  for section in s.value_table s.value_codes s.indptr32 s.indices16; do
     grep -q "^$section " "$MMAP_TMP/stats.txt" \
       || { echo "$VARIANT_NAME: bepi stats --mmap lists no $section section"; cat "$MMAP_TMP/stats.txt"; exit 1; }
   done
