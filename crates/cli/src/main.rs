@@ -863,7 +863,6 @@ fn cmd_serve_daemon(index: &str, flags: &[String]) -> Result<(), String> {
 
     let (solver, embedded) = load_index(index, mmap)?;
     let nodes = solver.node_count();
-    let solver_config = *solver.config();
 
     // The rebuild pipeline needs the original adjacency: either embedded
     // in the index (`preprocess --embed-graph`) or given via --graph.
@@ -900,7 +899,6 @@ fn cmd_serve_daemon(index: &str, flags: &[String]) -> Result<(), String> {
             LiveEngine::start(
                 std::sync::Arc::new(solver),
                 g,
-                solver_config,
                 LiveConfig {
                     auto_flush_threshold: auto_flush,
                     wal_path: wal.as_ref().map(PathBuf::from),

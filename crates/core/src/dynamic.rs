@@ -5,26 +5,28 @@
 //! information such as edge insertions for one day, and re-preprocesses
 //! the changed graph at midnight. Note that our method is desirable for
 //! this case since our method is efficient in terms of preprocessing
-//! time." This module implements exactly that strategy: edge updates are
-//! buffered and the BePI instance is rebuilt either on demand or
-//! automatically once the buffer exceeds a threshold.
+//! time." [`BePi::rebuild`] is that re-preprocess, for one batch of
+//! [`EdgeUpdate`]s against the graph an index was built from. Buffering
+//! the batch (and deciding when to rebuild) is the caller's business —
+//! `bepi-live` buffers behind a write-ahead log and rebuilds on a
+//! background thread.
 //!
-//! On top of the paper's batch strategy, the rebuild itself picks between
-//! two paths (the symbolic/numeric split of [`bepi_incr`]): a batch that
-//! provably preserves the frozen [`bepi_incr::SymbolicPlan`] takes a
-//! KLU-style numeric-only refactorization ([`BePi::refactor`] — only the
-//! touched `H11` blocks, Schur rows, and ILU values are recomputed),
-//! while a structural batch falls back to the full preprocessing
-//! pipeline. Both paths serve exactly the same answers; the numeric path
-//! is bit-identical to a plan-frozen full factor.
+//! On top of the paper's strategy, the rebuild picks between two paths
+//! (the symbolic/numeric split of [`bepi_incr`]): a batch that provably
+//! preserves the frozen [`bepi_incr::SymbolicPlan`] takes a KLU-style
+//! numeric-only refactorization ([`BePi::refactor`] — only the touched
+//! `H11` blocks, Schur rows, and ILU values are recomputed), while a
+//! structural batch — or a refactor that fails — runs the full
+//! preprocessing pipeline. Both paths serve the same answers: the numeric
+//! path is bit-identical to a plan-frozen full factor, the full path to a
+//! from-scratch preprocess of the new graph.
 
-use crate::bepi::{BePi, BePiConfig};
-use crate::rwr::{RwrScores, RwrSolver};
+use crate::bepi::BePi;
 use bepi_graph::Graph;
 use bepi_incr::{classify, Classification};
-use bepi_sparse::{Coo, Csr, Result};
+use bepi_sparse::{Coo, Csr, Result, SparseError};
 
-/// Which rebuild path produced the currently served index.
+/// Which rebuild path produced a served index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RebuildKind {
     /// The initial preprocess at construction (or load) time.
@@ -47,7 +49,7 @@ impl RebuildKind {
     }
 }
 
-/// A buffered graph mutation.
+/// One edge mutation of a batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EdgeUpdate {
     /// Insert the edge `u → v` with weight 1 (no-op if already present —
@@ -58,209 +60,78 @@ pub enum EdgeUpdate {
     Remove(usize, usize),
 }
 
-/// A BePI instance over a mutable graph with batch re-preprocessing.
-///
-/// Queries are answered from the last preprocessed snapshot; buffered
-/// updates become visible after [`DynamicBePi::flush`] (called
-/// automatically when the buffer reaches `auto_flush_threshold`).
-#[derive(Debug, Clone)]
-pub struct DynamicBePi {
-    graph: Graph,
-    solver: BePi,
-    config: BePiConfig,
-    pending: Vec<EdgeUpdate>,
-    /// Buffer size at which updates trigger an automatic rebuild.
-    pub auto_flush_threshold: usize,
-    rebuilds: usize,
-    numeric_rebuilds: usize,
-    full_rebuilds: usize,
-    last_rebuild_kind: RebuildKind,
+/// The outcome of [`BePi::rebuild`].
+#[derive(Debug)]
+pub struct Rebuilt {
+    /// The graph with the batch applied.
+    pub graph: Graph,
+    /// The index over [`Rebuilt::graph`].
+    pub index: BePi,
+    /// Which path built [`Rebuilt::index`]: `Numeric` or `Full`.
+    pub kind: RebuildKind,
+    /// Why the rebuild was full: the classifier's structural reason, or
+    /// the refactor error that forced the fallback. `None` for `Numeric`.
+    pub reason: Option<String>,
 }
 
-impl DynamicBePi {
-    /// Preprocesses the initial graph.
-    pub fn new(graph: Graph, config: BePiConfig) -> Result<Self> {
-        let solver = BePi::preprocess(&graph, &config)?;
-        Ok(Self {
-            graph,
-            solver,
-            config,
-            pending: Vec::new(),
-            auto_flush_threshold: 10_000,
-            rebuilds: 0,
-            numeric_rebuilds: 0,
-            full_rebuilds: 0,
-            last_rebuild_kind: RebuildKind::Initial,
+impl BePi {
+    /// Applies `updates` to `graph` — the graph this index was built
+    /// from — and rebuilds the index over the result, picking the
+    /// cheapest legal path: a numeric-only refactorization when
+    /// [`bepi_incr::classify`] proves the batch preserves this index's
+    /// symbolic plan, a full [`BePi::preprocess`] with this index's own
+    /// config otherwise. A refactor error never drops the batch; it
+    /// falls back to the full pipeline. An out-of-range update fails the
+    /// whole batch before anything is built.
+    pub fn rebuild(&self, graph: &Graph, updates: &[EdgeUpdate]) -> Result<Rebuilt> {
+        let new_graph = apply_updates(graph, updates)?;
+        let sources: Vec<usize> = updates
+            .iter()
+            .map(|&(EdgeUpdate::Insert(u, _) | EdgeUpdate::Remove(u, _))| u)
+            .collect();
+        let reason = match classify(&self.symbolic_plan(), graph, &new_graph, &sources) {
+            Classification::NumericOnly(dirty) => match self.refactor(&new_graph, &dirty) {
+                Ok(index) => {
+                    return Ok(Rebuilt {
+                        graph: new_graph,
+                        index,
+                        kind: RebuildKind::Numeric,
+                        reason: None,
+                    })
+                }
+                Err(e) => {
+                    bepi_obs::warn!(
+                        "rebuild",
+                        "numeric refactor failed; falling back to full preprocess",
+                        error = e
+                    );
+                    format!("numeric refactor failed: {e}")
+                }
+            },
+            Classification::Structural(why) => why,
+        };
+        let index = BePi::preprocess(&new_graph, self.config())?;
+        Ok(Rebuilt {
+            graph: new_graph,
+            index,
+            kind: RebuildKind::Full,
+            reason: Some(reason),
         })
     }
+}
 
-    /// Wraps an already-preprocessed solver (e.g. loaded from an index
-    /// file) without paying a fresh preprocess. The solver must have been
-    /// built from exactly `graph`.
-    pub fn from_parts(graph: Graph, solver: BePi, config: BePiConfig) -> Self {
-        Self {
-            graph,
-            solver,
-            config,
-            pending: Vec::new(),
-            auto_flush_threshold: 10_000,
-            rebuilds: 0,
-            numeric_rebuilds: 0,
-            full_rebuilds: 0,
-            last_rebuild_kind: RebuildKind::Initial,
-        }
-    }
-
-    /// Buffers an update; rebuilds if the buffer hit the threshold.
-    /// Returns `true` when a rebuild happened.
-    pub fn apply(&mut self, update: EdgeUpdate) -> Result<bool> {
-        let n = self.graph.n();
-        let (u, v) = match update {
-            EdgeUpdate::Insert(u, v) | EdgeUpdate::Remove(u, v) => (u, v),
-        };
+/// Fails with [`SparseError::IndexOutOfBounds`] on the first update whose
+/// endpoint is not a node of an `n`-node graph.
+pub fn check_in_range(n: usize, updates: &[EdgeUpdate]) -> Result<()> {
+    for &(EdgeUpdate::Insert(u, v) | EdgeUpdate::Remove(u, v)) in updates {
         if u >= n || v >= n {
-            return Err(bepi_sparse::SparseError::IndexOutOfBounds {
+            return Err(SparseError::IndexOutOfBounds {
                 index: (u, v),
                 shape: (n, n),
             });
         }
-        self.pending.push(update);
-        if self.pending.len() >= self.auto_flush_threshold {
-            self.flush()?;
-            return Ok(true);
-        }
-        Ok(false)
     }
-
-    /// Buffers a whole batch of updates at once, rebuilding **at most
-    /// once** (callers that loop over [`DynamicBePi::apply`] can trigger
-    /// an expensive rebuild mid-batch every time the buffer crosses the
-    /// threshold). The batch is validated up front — an out-of-range
-    /// update rejects the whole batch without buffering anything — and
-    /// the buffer is deduplicated: an insert later cancelled by a remove
-    /// of the same `(u, v)` never reaches the rebuild. Returns `true`
-    /// when a rebuild happened.
-    pub fn apply_batch(&mut self, updates: &[EdgeUpdate]) -> Result<bool> {
-        let n = self.graph.n();
-        for update in updates {
-            let (EdgeUpdate::Insert(u, v) | EdgeUpdate::Remove(u, v)) = *update;
-            if u >= n || v >= n {
-                return Err(bepi_sparse::SparseError::IndexOutOfBounds {
-                    index: (u, v),
-                    shape: (n, n),
-                });
-            }
-        }
-        self.pending.extend_from_slice(updates);
-        self.pending = dedup_opposing(&self.pending);
-        if self.pending.len() >= self.auto_flush_threshold {
-            self.flush()?;
-            return Ok(true);
-        }
-        Ok(false)
-    }
-
-    /// Buffers an edge insertion (`u → v`).
-    pub fn insert_edge(&mut self, u: usize, v: usize) -> Result<bool> {
-        self.apply(EdgeUpdate::Insert(u, v))
-    }
-
-    /// Buffers an edge removal.
-    pub fn remove_edge(&mut self, u: usize, v: usize) -> Result<bool> {
-        self.apply(EdgeUpdate::Remove(u, v))
-    }
-
-    /// Applies all buffered updates to the graph and rebuilds the index,
-    /// picking the cheapest legal path: a numeric-only refactorization
-    /// when [`bepi_incr::classify`] proves the batch preserves the frozen
-    /// symbolic plan, a full re-preprocess otherwise. A refactor error
-    /// never drops the batch — it falls back to the full pipeline.
-    pub fn flush(&mut self) -> Result<()> {
-        if self.pending.is_empty() {
-            return Ok(());
-        }
-        let new_graph = apply_updates(&self.graph, &self.pending)?;
-        let sources: Vec<usize> = self
-            .pending
-            .iter()
-            .map(|u| match *u {
-                EdgeUpdate::Insert(a, _) | EdgeUpdate::Remove(a, _) => a,
-            })
-            .collect();
-        let plan = self.solver.symbolic_plan();
-        let kind = match classify(&plan, &self.graph, &new_graph, &sources) {
-            Classification::NumericOnly(dirty) => match self.solver.refactor(&new_graph, &dirty) {
-                Ok(refactored) => {
-                    self.solver = refactored;
-                    RebuildKind::Numeric
-                }
-                Err(_) => {
-                    self.solver = BePi::preprocess(&new_graph, &self.config)?;
-                    RebuildKind::Full
-                }
-            },
-            Classification::Structural(_) => {
-                self.solver = BePi::preprocess(&new_graph, &self.config)?;
-                RebuildKind::Full
-            }
-        };
-        self.graph = new_graph;
-        self.pending.clear();
-        self.rebuilds += 1;
-        match kind {
-            RebuildKind::Numeric => self.numeric_rebuilds += 1,
-            _ => self.full_rebuilds += 1,
-        }
-        self.last_rebuild_kind = kind;
-        Ok(())
-    }
-
-    /// Number of buffered, not-yet-visible updates.
-    pub fn pending_updates(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Number of re-preprocessing rounds performed so far.
-    pub fn rebuilds(&self) -> usize {
-        self.rebuilds
-    }
-
-    /// Rebuilds that took the numeric-only refactorization path.
-    pub fn numeric_rebuilds(&self) -> usize {
-        self.numeric_rebuilds
-    }
-
-    /// Rebuilds that ran the full preprocessing pipeline.
-    pub fn full_rebuilds(&self) -> usize {
-        self.full_rebuilds
-    }
-
-    /// Which path produced the currently served index.
-    pub fn last_rebuild_kind(&self) -> RebuildKind {
-        self.last_rebuild_kind
-    }
-
-    /// The current graph *including* buffered updates not yet flushed is
-    /// not materialized; this returns the last preprocessed snapshot.
-    pub fn snapshot(&self) -> &Graph {
-        &self.graph
-    }
-
-    /// Queries against the latest snapshot (buffered updates invisible).
-    pub fn query(&self, seed: usize) -> Result<RwrScores> {
-        self.solver.query(seed)
-    }
-
-    /// Flushes buffered updates, then queries — always-fresh semantics.
-    pub fn query_fresh(&mut self, seed: usize) -> Result<RwrScores> {
-        self.flush()?;
-        self.solver.query(seed)
-    }
-
-    /// The underlying solver (e.g. for memory accounting).
-    pub fn solver(&self) -> &BePi {
-        &self.solver
-    }
+    Ok(())
 }
 
 /// Drops updates that can never affect the outcome: an `Insert(u, v)`
@@ -319,9 +190,12 @@ pub fn dedup_opposing(updates: &[EdgeUpdate]) -> Vec<EdgeUpdate> {
 /// be replayed over a checkpoint that may already contain it. Within the
 /// batch, updates apply in order *per edge*: an insert that follows a
 /// removal of the same edge re-adds it at weight 1, an insert followed
-/// by a removal is cancelled (see [`dedup_opposing`]).
+/// by a removal is cancelled (see [`dedup_opposing`]). An out-of-range
+/// update fails the whole batch (see [`check_in_range`]).
 pub fn apply_updates(g: &Graph, updates: &[EdgeUpdate]) -> Result<Graph> {
     use std::collections::HashSet;
+    let n = g.n();
+    check_in_range(n, updates)?;
     let updates = dedup_opposing(updates);
     // After dedup, every surviving insert comes after any remove of the
     // same edge, so removals strip only pre-existing edges.
@@ -332,7 +206,6 @@ pub fn apply_updates(g: &Graph, updates: &[EdgeUpdate]) -> Result<Graph> {
             EdgeUpdate::Insert(..) => None,
         })
         .collect();
-    let n = g.n();
     let adj: &Csr = g.adjacency();
     let mut coo = Coo::with_capacity(n, n, adj.nnz() + updates.len())?;
     // `present` guards idempotency: `Csr::from_coo` *sums* duplicate
@@ -358,6 +231,8 @@ pub fn apply_updates(g: &Graph, updates: &[EdgeUpdate]) -> Result<Graph> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bepi::BePiConfig;
+    use crate::rwr::RwrSolver;
     use bepi_graph::generators;
     use bepi_tests_support::*;
 
@@ -386,143 +261,116 @@ mod tests {
         }
     }
 
+    fn preprocess(g: &Graph) -> BePi {
+        BePi::preprocess(g, &BePiConfig::default()).unwrap()
+    }
+
+    fn scores(index: &BePi, seed: usize) -> Vec<f64> {
+        index.query(seed).unwrap().scores
+    }
+
+    fn assert_matches_reference(r: &Rebuilt, seed: usize) {
+        let want = reference(&r.graph, seed);
+        for (i, (a, b)) in scores(&r.index, seed).iter().zip(&want).enumerate() {
+            assert!((a - b).abs() < 1e-6, "seed {seed} node {i}: {a} vs {b}");
+        }
+    }
+
+    fn assert_bit_identical(a: &BePi, b: &BePi, seeds: &[usize]) {
+        for &seed in seeds {
+            let (x, y) = (scores(a, seed), scores(b, seed));
+            assert!(
+                x.len() == y.len() && x.iter().zip(&y).all(|(p, q)| p.to_bits() == q.to_bits()),
+                "seed {seed} differs bit-for-bit"
+            );
+        }
+    }
+
     #[test]
     fn inserts_become_visible_after_flush() {
         let g = generators::cycle(10);
-        let mut dyn_solver = DynamicBePi::new(g, BePiConfig::default()).unwrap();
-        let before = dyn_solver.query(0).unwrap().scores[5];
-        dyn_solver.insert_edge(0, 5).unwrap();
-        // Not yet visible.
-        assert_eq!(dyn_solver.query(0).unwrap().scores[5], before);
-        assert_eq!(dyn_solver.pending_updates(), 1);
-        dyn_solver.flush().unwrap();
-        let after = dyn_solver.query(0).unwrap().scores[5];
-        assert!(after > before, "direct edge must raise the score");
-        assert_eq!(dyn_solver.rebuilds(), 1);
+        let index = preprocess(&g);
+        let before = scores(&index, 0)[5];
+        let r = index.rebuild(&g, &[EdgeUpdate::Insert(0, 5)]).unwrap();
+        assert!(
+            scores(&r.index, 0)[5] > before,
+            "direct edge must raise the score"
+        );
+        // The rebuild leaves the index it started from untouched.
+        assert_eq!(scores(&index, 0)[5], before);
     }
 
     #[test]
     fn flushed_state_matches_from_scratch_preprocess() {
         let g = generators::erdos_renyi(80, 300, 9).unwrap();
-        let mut dyn_solver = DynamicBePi::new(g, BePiConfig::default()).unwrap();
-        dyn_solver.insert_edge(1, 2).unwrap();
-        dyn_solver.insert_edge(3, 4).unwrap();
-        dyn_solver.remove_edge(1, 2).unwrap();
-        dyn_solver.flush().unwrap();
-        let got = dyn_solver.query(3).unwrap();
-        let want = reference(dyn_solver.snapshot(), 3);
-        for (a, b) in got.scores.iter().zip(&want) {
-            assert!((a - b).abs() < 1e-6);
-        }
+        let batch = [
+            EdgeUpdate::Insert(1, 2),
+            EdgeUpdate::Insert(3, 4),
+            EdgeUpdate::Remove(1, 2),
+        ];
+        let r = preprocess(&g).rebuild(&g, &batch).unwrap();
+        assert_matches_reference(&r, 3);
         // (1,2) was inserted then removed in the same batch: must be gone.
-        assert_eq!(dyn_solver.snapshot().adjacency().get(1, 2), 0.0);
-        assert_eq!(dyn_solver.snapshot().adjacency().get(3, 4), 1.0);
-    }
-
-    #[test]
-    fn auto_flush_at_threshold() {
-        let g = generators::cycle(20);
-        let mut dyn_solver = DynamicBePi::new(g, BePiConfig::default()).unwrap();
-        dyn_solver.auto_flush_threshold = 3;
-        assert!(!dyn_solver.insert_edge(0, 2).unwrap());
-        assert!(!dyn_solver.insert_edge(0, 3).unwrap());
-        assert!(dyn_solver.insert_edge(0, 4).unwrap()); // triggers rebuild
-        assert_eq!(dyn_solver.pending_updates(), 0);
-        assert_eq!(dyn_solver.rebuilds(), 1);
+        assert_eq!(r.graph.adjacency().get(1, 2), 0.0);
+        assert_eq!(r.graph.adjacency().get(3, 4), 1.0);
     }
 
     #[test]
     fn remove_then_insert_readds_edge() {
         let g = generators::cycle(6);
-        let mut dyn_solver = DynamicBePi::new(g, BePiConfig::default()).unwrap();
-        dyn_solver.remove_edge(0, 1).unwrap();
-        dyn_solver.insert_edge(0, 1).unwrap();
-        dyn_solver.flush().unwrap();
-        assert_eq!(dyn_solver.snapshot().adjacency().get(0, 1), 1.0);
+        let batch = [EdgeUpdate::Remove(0, 1), EdgeUpdate::Insert(0, 1)];
+        let r = preprocess(&g).rebuild(&g, &batch).unwrap();
+        assert_eq!(r.graph.adjacency().get(0, 1), 1.0);
     }
 
     #[test]
     fn removing_all_out_edges_creates_deadend() {
         let g = generators::cycle(5);
-        let mut dyn_solver = DynamicBePi::new(g, BePiConfig::default()).unwrap();
-        dyn_solver.remove_edge(2, 3).unwrap();
-        dyn_solver.flush().unwrap();
-        assert_eq!(dyn_solver.snapshot().deadend_count(), 1);
+        let r = preprocess(&g)
+            .rebuild(&g, &[EdgeUpdate::Remove(2, 3)])
+            .unwrap();
+        assert_eq!(r.graph.deadend_count(), 1);
+        assert_eq!(r.kind, RebuildKind::Full, "a deadend flip is structural");
         // Queries still work with the new deadend.
-        let got = dyn_solver.query(0).unwrap();
-        let want = reference(dyn_solver.snapshot(), 0);
-        for (a, b) in got.scores.iter().zip(&want) {
-            assert!((a - b).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn query_fresh_flushes_first() {
-        let g = generators::cycle(8);
-        let mut dyn_solver = DynamicBePi::new(g, BePiConfig::default()).unwrap();
-        let before = dyn_solver.query(0).unwrap().scores[4];
-        dyn_solver.insert_edge(0, 4).unwrap();
-        let after = dyn_solver.query_fresh(0).unwrap().scores[4];
-        assert!(after > before);
-        assert_eq!(dyn_solver.pending_updates(), 0);
+        assert_matches_reference(&r, 0);
     }
 
     #[test]
     fn out_of_range_update_rejected() {
         let g = generators::cycle(4);
-        let mut dyn_solver = DynamicBePi::new(g, BePiConfig::default()).unwrap();
-        assert!(dyn_solver.insert_edge(0, 4).is_err());
-        assert!(dyn_solver.remove_edge(9, 0).is_err());
-    }
+        let index = preprocess(&g);
+        assert!(index.rebuild(&g, &[EdgeUpdate::Insert(0, 4)]).is_err());
+        assert!(index.rebuild(&g, &[EdgeUpdate::Remove(9, 0)]).is_err());
 
-    #[test]
-    fn apply_batch_rebuilds_at_most_once() {
-        let g = generators::erdos_renyi(40, 150, 3).unwrap();
-        let mut dyn_solver = DynamicBePi::new(g, BePiConfig::default()).unwrap();
-        dyn_solver.auto_flush_threshold = 2;
-        // Looping apply() over this batch would rebuild 3 times.
-        let batch = [
-            EdgeUpdate::Insert(0, 5),
-            EdgeUpdate::Insert(1, 6),
-            EdgeUpdate::Insert(2, 7),
-            EdgeUpdate::Insert(3, 8),
-            EdgeUpdate::Insert(4, 9),
-            EdgeUpdate::Insert(5, 10),
-        ];
-        assert!(dyn_solver.apply_batch(&batch).unwrap());
-        assert_eq!(dyn_solver.rebuilds(), 1);
-        assert_eq!(dyn_solver.pending_updates(), 0);
-        for (u, v) in [(0, 5), (5, 10)] {
-            assert_eq!(dyn_solver.snapshot().adjacency().get(u, v), 1.0);
+        // Removals are range-checked too: one past n must not vanish, and
+        // 2^32 + 3 must not alias node 3 and delete the real edge 3 → 5.
+        let mut edges: Vec<(usize, usize)> = (0..64).map(|i| (i, (i + 1) % 64)).collect();
+        edges.push((3, 5));
+        let g = Graph::from_edges(64, &edges).unwrap();
+        for bad in [(70, 5), ((1usize << 32) + 3, 5)] {
+            let batch = [EdgeUpdate::Insert(0, 2), EdgeUpdate::Remove(bad.0, bad.1)];
+            match apply_updates(&g, &batch) {
+                Err(SparseError::IndexOutOfBounds { index, shape }) => {
+                    assert_eq!((index, shape), (bad, (64, 64)));
+                }
+                other => panic!("Remove{bad:?} must be rejected, got {other:?}"),
+            }
         }
     }
 
     #[test]
     fn apply_batch_dedups_opposing_pairs() {
         let g = generators::cycle(12);
-        let mut dyn_solver = DynamicBePi::new(g, BePiConfig::default()).unwrap();
-        dyn_solver
-            .apply_batch(&[
-                EdgeUpdate::Insert(0, 5),
-                EdgeUpdate::Remove(0, 5), // cancels the insert
-                EdgeUpdate::Insert(0, 7),
-            ])
-            .unwrap();
-        // The opposing pair collapsed to just the remove; with the insert
-        // of (0,7) that leaves 2 buffered updates.
-        assert_eq!(dyn_solver.pending_updates(), 2);
-        dyn_solver.flush().unwrap();
-        assert_eq!(dyn_solver.snapshot().adjacency().get(0, 5), 0.0);
-        assert_eq!(dyn_solver.snapshot().adjacency().get(0, 7), 1.0);
-    }
-
-    #[test]
-    fn apply_batch_rejects_out_of_range_without_buffering() {
-        let g = generators::cycle(4);
-        let mut dyn_solver = DynamicBePi::new(g, BePiConfig::default()).unwrap();
-        let batch = [EdgeUpdate::Insert(0, 2), EdgeUpdate::Insert(0, 99)];
-        assert!(dyn_solver.apply_batch(&batch).is_err());
-        assert_eq!(dyn_solver.pending_updates(), 0, "partial buffering");
+        let batch = [
+            EdgeUpdate::Insert(0, 5),
+            EdgeUpdate::Remove(0, 5), // cancels the insert
+            EdgeUpdate::Insert(0, 7),
+        ];
+        // The opposing pair collapses to just the remove.
+        assert_eq!(dedup_opposing(&batch).len(), 2);
+        let r = preprocess(&g).rebuild(&g, &batch).unwrap();
+        assert_eq!(r.graph.adjacency().get(0, 5), 0.0);
+        assert_eq!(r.graph.adjacency().get(0, 7), 1.0);
     }
 
     #[test]
@@ -550,13 +398,10 @@ mod tests {
     #[test]
     fn removing_nonexistent_edge_is_noop() {
         let g = generators::cycle(8);
-        let mut dyn_solver = DynamicBePi::new(g.clone(), BePiConfig::default()).unwrap();
-        let before = dyn_solver.query(0).unwrap();
-        dyn_solver.remove_edge(3, 7).unwrap(); // no such edge
-        dyn_solver.flush().unwrap();
-        assert_eq!(dyn_solver.snapshot().adjacency(), g.adjacency());
-        let after = dyn_solver.query(0).unwrap();
-        assert_eq!(before.scores, after.scores);
+        let index = preprocess(&g);
+        let r = index.rebuild(&g, &[EdgeUpdate::Remove(3, 7)]).unwrap(); // no such edge
+        assert_eq!(r.graph.adjacency(), g.adjacency());
+        assert_bit_identical(&r.index, &index, &[0]);
     }
 
     #[test]
@@ -564,74 +409,50 @@ mod tests {
         // Node 4 is a deadend: path 0→1→2→3→4 with no out-edge from 4.
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
         assert_eq!(g.deadend_count(), 1);
-        let mut dyn_solver = DynamicBePi::new(g, BePiConfig::default()).unwrap();
-        dyn_solver.insert_edge(4, 0).unwrap();
-        dyn_solver.flush().unwrap();
-        assert_eq!(dyn_solver.snapshot().deadend_count(), 0);
-        let got = dyn_solver.query(0).unwrap();
-        let want = reference(dyn_solver.snapshot(), 0);
-        for (a, b) in got.scores.iter().zip(&want) {
-            assert!((a - b).abs() < 1e-6);
-        }
+        let r = preprocess(&g)
+            .rebuild(&g, &[EdgeUpdate::Insert(4, 0)])
+            .unwrap();
+        assert_eq!(r.graph.deadend_count(), 0);
+        assert_matches_reference(&r, 0);
     }
 
     #[test]
     fn structural_flush_is_bit_identical_to_from_scratch_preprocess() {
         let g = generators::erdos_renyi(60, 240, 17).unwrap();
         // Removing every out-edge of some node flips it to a deadend — a
-        // structural batch, so flush must run the full pipeline, which is
-        // bit-identical to a from-scratch preprocess.
+        // structural batch, so the rebuild must run the full pipeline,
+        // which is bit-identical to a from-scratch preprocess.
         let u = (0..g.n()).find(|&u| g.out_degree(u) > 0).unwrap();
         let mut batch: Vec<EdgeUpdate> = g
             .out_neighbors(u)
             .map(|v| EdgeUpdate::Remove(u, v))
             .collect();
         batch.push(EdgeUpdate::Insert(10, 20));
-        let mut dyn_solver = DynamicBePi::new(g, BePiConfig::default()).unwrap();
-        dyn_solver.apply_batch(&batch).unwrap();
-        dyn_solver.flush().unwrap();
-        assert_eq!(dyn_solver.last_rebuild_kind(), RebuildKind::Full);
-        assert_eq!(dyn_solver.full_rebuilds(), 1);
-        let scratch = BePi::preprocess(dyn_solver.snapshot(), &BePiConfig::default()).unwrap();
-        for seed in [0usize, 10, 59] {
-            assert_eq!(
-                dyn_solver.query(seed).unwrap().scores,
-                scratch.query(seed).unwrap().scores,
-                "seed {seed} must match a from-scratch preprocess bit-for-bit"
-            );
-        }
+        let r = preprocess(&g).rebuild(&g, &batch).unwrap();
+        assert_eq!(r.kind, RebuildKind::Full);
+        assert!(r.reason.is_some(), "a full rebuild says why");
+        assert_bit_identical(&r.index, &preprocess(&r.graph), &[0, 10, 59]);
     }
 
     #[test]
     fn numeric_flush_is_bit_identical_to_plan_frozen_preprocess() {
         let g = generators::rmat(8, 900, generators::RmatParams::default(), 7).unwrap();
-        let mut dyn_solver = DynamicBePi::new(g.clone(), BePiConfig::default()).unwrap();
-        let plan = dyn_solver.solver().symbolic_plan();
+        let index = preprocess(&g);
         // Removing one edge of a multi-out-edge source can never flip a
         // deadend or cross H11 blocks: guaranteed numeric-only.
         let u = (0..g.n()).find(|&u| g.out_degree(u) >= 2).unwrap();
         let v = g.out_neighbors(u).next().unwrap();
-        dyn_solver.remove_edge(u, v).unwrap();
-        dyn_solver.flush().unwrap();
-        assert_eq!(dyn_solver.last_rebuild_kind(), RebuildKind::Numeric);
-        assert_eq!(dyn_solver.numeric_rebuilds(), 1);
-        assert_eq!(dyn_solver.full_rebuilds(), 0);
+        let r = index.rebuild(&g, &[EdgeUpdate::Remove(u, v)]).unwrap();
+        assert_eq!(r.kind, RebuildKind::Numeric);
+        assert_eq!(r.reason, None);
         let frozen =
-            BePi::preprocess_with_plan(dyn_solver.snapshot(), &BePiConfig::default(), &plan)
+            BePi::preprocess_with_plan(&r.graph, &BePiConfig::default(), &index.symbolic_plan())
                 .unwrap();
-        for seed in [0usize, 33, 200] {
-            assert_eq!(
-                dyn_solver.query(seed).unwrap().scores,
-                frozen.query(seed).unwrap().scores,
-                "seed {seed} must match a plan-frozen preprocess bit-for-bit"
-            );
-        }
+        assert_bit_identical(&r.index, &frozen, &[0, 33, 200]);
         // And agree with a genuine from-scratch preprocess numerically.
-        let scratch = BePi::preprocess(dyn_solver.snapshot(), &BePiConfig::default()).unwrap();
+        let scratch = preprocess(&r.graph);
         for seed in [0usize, 33, 200] {
-            let a = dyn_solver.query(seed).unwrap().scores;
-            let b = scratch.query(seed).unwrap().scores;
-            for (x, y) in a.iter().zip(&b) {
+            for (x, y) in scores(&r.index, seed).iter().zip(&scores(&scratch, seed)) {
                 assert!((x - y).abs() < 1e-6, "seed {seed}");
             }
         }
@@ -639,25 +460,27 @@ mod tests {
 
     #[test]
     fn numeric_flush_meets_residual_bound_vs_scratch() {
-        // ISSUE acceptance bar: with a tight inner tolerance the numeric
-        // path's answers satisfy ‖H r − c q‖∞ ≤ 1e-10 on the *updated*
-        // graph — the same bound a from-scratch preprocess meets.
+        // With a tight inner tolerance the numeric path's answers satisfy
+        // ‖H r − c q‖∞ ≤ 1e-10 on the *updated* graph — the same bound a
+        // from-scratch preprocess meets. The rebuild keeps the index's own
+        // config, tolerance included.
         let cfg = BePiConfig {
             tol: 1e-12,
             ..BePiConfig::default()
         };
         let g = generators::rmat(8, 900, generators::RmatParams::default(), 7).unwrap();
-        let mut dyn_solver = DynamicBePi::new(g.clone(), cfg).unwrap();
         let u = (0..g.n()).find(|&u| g.out_degree(u) >= 2).unwrap();
         let v = g.out_neighbors(u).next().unwrap();
-        dyn_solver.remove_edge(u, v).unwrap();
-        dyn_solver.flush().unwrap();
-        assert_eq!(dyn_solver.last_rebuild_kind(), RebuildKind::Numeric);
-        let h = crate::rwr::build_h(dyn_solver.snapshot(), cfg.c).unwrap();
+        let r = BePi::preprocess(&g, &cfg)
+            .unwrap()
+            .rebuild(&g, &[EdgeUpdate::Remove(u, v)])
+            .unwrap();
+        assert_eq!(r.kind, RebuildKind::Numeric);
+        let h = crate::rwr::build_h(&r.graph, cfg.c).unwrap();
         for seed in [0usize, 99] {
-            let r = dyn_solver.query(seed).unwrap().scores;
-            let hr = h.mul_vec(&r).unwrap();
-            let mut q = vec![0.0; r.len()];
+            let x = scores(&r.index, seed);
+            let hr = h.mul_vec(&x).unwrap();
+            let mut q = vec![0.0; x.len()];
             q[seed] = cfg.c;
             let resid = hr
                 .iter()
@@ -670,40 +493,37 @@ mod tests {
 
     #[test]
     fn repeated_insert_remove_insert_across_generations() {
-        // Satellite: the same edge cycled through insert/remove/insert
-        // over several rebuild generations — weights must stay fresh and
-        // every generation must match the reference on the then-current
-        // graph, whichever rebuild path served it.
+        // The same edge cycled through insert/remove/insert over several
+        // rebuild generations — weights must stay fresh and the last
+        // generation must match the reference on the then-current graph,
+        // whichever rebuild path served it.
         let g = generators::rmat(7, 400, generators::RmatParams::default(), 5).unwrap();
         let u = (0..g.n()).find(|&u| g.out_degree(u) >= 2).unwrap();
         let v = g.out_neighbors(u).next().unwrap();
-        let mut dyn_solver = DynamicBePi::new(g, BePiConfig::default()).unwrap();
+        let index = preprocess(&g);
 
         // Gen 1: remove + re-insert in one batch → dedup leaves
         // Remove, Insert; the edge survives at weight 1.0.
-        dyn_solver
-            .apply_batch(&[EdgeUpdate::Remove(u, v), EdgeUpdate::Insert(u, v)])
+        let r = index
+            .rebuild(&g, &[EdgeUpdate::Remove(u, v), EdgeUpdate::Insert(u, v)])
             .unwrap();
-        dyn_solver.flush().unwrap();
-        assert_eq!(dyn_solver.snapshot().adjacency().get(u, v), 1.0);
+        assert_eq!(r.graph.adjacency().get(u, v), 1.0);
 
         // Gen 2: remove it for real (numeric: u keeps other out-edges).
-        dyn_solver.remove_edge(u, v).unwrap();
-        dyn_solver.flush().unwrap();
-        assert_eq!(dyn_solver.snapshot().adjacency().get(u, v), 0.0);
-        assert_eq!(dyn_solver.last_rebuild_kind(), RebuildKind::Numeric);
+        let r = r
+            .index
+            .rebuild(&r.graph, &[EdgeUpdate::Remove(u, v)])
+            .unwrap();
+        assert_eq!(r.graph.adjacency().get(u, v), 0.0);
+        assert_eq!(r.kind, RebuildKind::Numeric);
 
         // Gen 3: re-insert it (re-adding an original edge is numeric-safe).
-        dyn_solver.insert_edge(u, v).unwrap();
-        dyn_solver.flush().unwrap();
-        assert_eq!(dyn_solver.snapshot().adjacency().get(u, v), 1.0);
-        assert_eq!(dyn_solver.rebuilds(), 3);
-
-        let want = reference(dyn_solver.snapshot(), u);
-        let got = dyn_solver.query(u).unwrap();
-        for (a, b) in got.scores.iter().zip(&want) {
-            assert!((a - b).abs() < 1e-6);
-        }
+        let r = r
+            .index
+            .rebuild(&r.graph, &[EdgeUpdate::Insert(u, v)])
+            .unwrap();
+        assert_eq!(r.graph.adjacency().get(u, v), 1.0);
+        assert_matches_reference(&r, u);
     }
 
     #[test]
@@ -717,7 +537,9 @@ mod tests {
         let g = generators::rmat(7, 400, generators::RmatParams::default(), 13).unwrap();
         let g = generators::inject_deadends(&g, 0.2, 3).unwrap();
         let n = g.n();
-        let mut dyn_solver = DynamicBePi::new(g, BePiConfig::default()).unwrap();
+        let deadend = (0..n).find(|&u| g.out_degree(u) == 0).unwrap();
+        let mut index = preprocess(&g);
+        let mut graph = g;
         let mut state = 0x2545F4914F6CDD1Du64;
         let mut next = move || {
             state = state
@@ -725,9 +547,6 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             (state >> 33) as usize
         };
-        let deadend = (0..n)
-            .find(|&u| dyn_solver.snapshot().out_degree(u) == 0)
-            .unwrap();
         let mut numeric_seen = false;
         for generation in 0..6 {
             let mut batch = Vec::new();
@@ -737,7 +556,7 @@ mod tests {
                     1 => {
                         // Remove an existing edge of a random source.
                         let u = next() % n;
-                        if let Some(v) = dyn_solver.snapshot().out_neighbors(u).next() {
+                        if let Some(v) = graph.out_neighbors(u).next() {
                             batch.push(EdgeUpdate::Remove(u, v));
                         }
                     }
@@ -754,32 +573,20 @@ mod tests {
                     }
                 }
             }
-            let plan = dyn_solver.solver().symbolic_plan();
-            dyn_solver.apply_batch(&batch).unwrap();
-            dyn_solver.flush().unwrap();
-            if dyn_solver.last_rebuild_kind() == RebuildKind::Numeric {
+            let r = index.rebuild(&graph, &batch).unwrap();
+            assert_eq!(r.reason.is_none(), r.kind == RebuildKind::Numeric);
+            if r.kind == RebuildKind::Numeric {
                 numeric_seen = true;
                 let frozen = BePi::preprocess_with_plan(
-                    dyn_solver.snapshot(),
+                    &r.graph,
                     &BePiConfig::default(),
-                    &plan,
+                    &index.symbolic_plan(),
                 )
                 .unwrap();
-                assert_eq!(
-                    dyn_solver.query(generation).unwrap().scores,
-                    frozen.query(generation).unwrap().scores,
-                    "generation {generation}"
-                );
+                assert_bit_identical(&r.index, &frozen, &[generation]);
             }
-            let seed = next() % n;
-            let want = reference(dyn_solver.snapshot(), seed);
-            let got = dyn_solver.query(seed).unwrap();
-            for (i, (a, b)) in got.scores.iter().zip(&want).enumerate() {
-                assert!(
-                    (a - b).abs() < 1e-6,
-                    "generation {generation} seed {seed} node {i}: {a} vs {b}"
-                );
-            }
+            assert_matches_reference(&r, next() % n);
+            (graph, index) = (r.graph, r.index);
         }
         assert!(numeric_seen, "the LCG stream should hit the numeric path");
     }
@@ -789,36 +596,27 @@ mod tests {
         // Re-inserting a present edge must keep weight 1.0, not sum to
         // 2.0 — otherwise row-normalized transition probabilities shift.
         let g = generators::cycle(6); // (0,1) already exists
-        let mut dyn_solver = DynamicBePi::new(g.clone(), BePiConfig::default()).unwrap();
-        let before = dyn_solver.query(0).unwrap();
-        dyn_solver.insert_edge(0, 1).unwrap();
-        dyn_solver.insert_edge(0, 1).unwrap(); // twice, same batch
-        dyn_solver.flush().unwrap();
-        assert_eq!(dyn_solver.snapshot().adjacency(), g.adjacency());
-        assert_eq!(dyn_solver.query(0).unwrap().scores, before.scores);
+        let index = preprocess(&g);
+        let batch = [EdgeUpdate::Insert(0, 1), EdgeUpdate::Insert(0, 1)]; // twice
+        let r = index.rebuild(&g, &batch).unwrap();
+        assert_eq!(r.graph.adjacency(), g.adjacency());
+        assert_bit_identical(&r.index, &index, &[0]);
     }
 
     #[test]
     fn replaying_applied_batch_is_idempotent() {
         // The WAL-recovery invariant: a crash between checkpoint rename
         // and compaction replays the batch over a state that already
-        // contains it, which must be a no-op.
+        // contains it, which must change neither the graph nor a score.
         let g = generators::erdos_renyi(50, 200, 11).unwrap();
         let batch = [
             EdgeUpdate::Insert(0, 7),
             EdgeUpdate::Remove(1, 2),
             EdgeUpdate::Insert(3, 9),
         ];
-        let once = apply_updates(&g, &batch).unwrap();
-        let twice = apply_updates(&once, &batch).unwrap();
-        assert_eq!(once.adjacency(), twice.adjacency());
-    }
-
-    #[test]
-    fn flush_on_empty_buffer_is_noop() {
-        let g = generators::cycle(4);
-        let mut dyn_solver = DynamicBePi::new(g, BePiConfig::default()).unwrap();
-        dyn_solver.flush().unwrap();
-        assert_eq!(dyn_solver.rebuilds(), 0);
+        let once = preprocess(&g).rebuild(&g, &batch).unwrap();
+        let twice = once.index.rebuild(&once.graph, &batch).unwrap();
+        assert_eq!(once.graph.adjacency(), twice.graph.adjacency());
+        assert_bit_identical(&once.index, &twice.index, &[0, 3, 7, 49]);
     }
 }

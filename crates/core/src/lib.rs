@@ -65,7 +65,7 @@ pub mod schur;
 pub use bear::Bear;
 pub use bepi::{BePi, BePiConfig, BePiVariant, InnerSolver, MemorySection, PhaseTiming};
 pub use bepi_incr::{classify, Classification, DirtySet, SymbolicPlan};
-pub use dynamic::{DynamicBePi, EdgeUpdate, RebuildKind};
+pub use dynamic::{EdgeUpdate, RebuildKind, Rebuilt};
 pub use exact::DenseExact;
 pub use hmatrix::HPartition;
 pub use iterative::{GmresSolver, PowerSolver};

@@ -12,9 +12,9 @@
 //! job.
 
 use crate::wal::Wal;
-use bepi_core::dynamic::{apply_updates, dedup_opposing, EdgeUpdate, RebuildKind};
+use bepi_core::dynamic::{check_in_range, dedup_opposing, EdgeUpdate, RebuildKind, Rebuilt};
 use bepi_core::rwr::RwrSolver;
-use bepi_core::{classify, persist, BePi, BePiConfig, Classification};
+use bepi_core::{persist, BePi};
 use bepi_graph::Graph;
 use bepi_sparse::{Result, SparseError};
 use bepi_walk::{ApproxConfig, ApproxEngine};
@@ -118,10 +118,14 @@ pub struct VersionInfo {
     /// The last rebuild *or checkpoint* failure, if any (cleared by the
     /// next fully clean rebuild pass).
     pub last_error: Option<String>,
-    /// Which path produced the served index: `initial` (no rebuild yet),
-    /// `full` (complete preprocessing pipeline), or `numeric` (plan-frozen
-    /// KLU-style refactorization).
+    /// Which path produced the served index: `initial` (no rebuild or
+    /// WAL replay yet), `full` (complete preprocessing pipeline), or
+    /// `numeric` (plan-frozen KLU-style refactorization).
     pub rebuild_kind: &'static str,
+    /// Why the served index came from a full rebuild: the structural
+    /// reason, or the refactor error that forced the fallback. `None`
+    /// when no rebuild ran or the numeric path served.
+    pub rebuild_reason: Option<String>,
     /// What scheduled the most recent rebuild: `none`, `threshold`, or
     /// `explicit`.
     pub rebuild_trigger: &'static str,
@@ -152,6 +156,9 @@ struct MutState {
     /// What scheduled the pass the worker will run next — recorded at
     /// the `request_gen` bump sites, snapshotted by the worker.
     trigger: RebuildTrigger,
+    /// [`Rebuilt::reason`] of the rebuild (or WAL replay) that produced
+    /// the served index.
+    rebuild_reason: Option<String>,
 }
 
 /// Shared, thread-safe live-update engine. Cheap to clone via `Arc`.
@@ -161,7 +168,6 @@ pub struct LiveEngine {
     cv: Condvar,
     shutdown: AtomicBool,
     worker: Mutex<Option<JoinHandle<()>>>,
-    solver_config: BePiConfig,
     auto_flush_threshold: usize,
     checkpoint_path: Option<PathBuf>,
     mmap_checkpoints: bool,
@@ -247,11 +253,11 @@ impl LiveEngine {
                 last_error: None,
                 failed: None,
                 trigger: RebuildTrigger::None,
+                rebuild_reason: None,
             }),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             worker: Mutex::new(None),
-            solver_config: BePiConfig::default(),
             auto_flush_threshold: 0,
             checkpoint_path: None,
             mmap_checkpoints: false,
@@ -270,13 +276,9 @@ impl LiveEngine {
     /// Starts a live engine: opens and replays the WAL (if configured),
     /// folds any replayed updates into the served index *before* the
     /// first query, checkpoints that recovered state, and spawns the
-    /// background rebuild worker.
-    pub fn start(
-        bepi: Arc<BePi>,
-        graph: Graph,
-        solver_config: BePiConfig,
-        config: LiveConfig,
-    ) -> Result<Arc<Self>> {
+    /// background rebuild worker. Every rebuild keeps `bepi`'s own
+    /// config ([`BePi::rebuild`]).
+    pub fn start(bepi: Arc<BePi>, graph: Graph, config: LiveConfig) -> Result<Arc<Self>> {
         if graph.n() != bepi.node_count() {
             return Err(SparseError::ShapeMismatch {
                 left: (graph.n(), graph.n()),
@@ -288,11 +290,11 @@ impl LiveEngine {
         let mut bepi = bepi;
         let mut wal = None;
         let mut replayed_through = 0u64;
+        let mut replay_kind = RebuildKind::Initial;
+        let mut replay_reason = None;
         if let Some(path) = &config.wal_path {
             let replay_span = bepi_obs::Span::enter("wal.replay");
             let (w, records, report) = Wal::open(path)?;
-            let replayed = records.len();
-            let mut replay_path = "none";
             if !records.is_empty() {
                 // Recovered updates become visible immediately: the WAL
                 // acknowledged them before the crash. The checkpoint's
@@ -300,40 +302,25 @@ impl LiveEngine {
                 // index persists every plan field), so a numeric-only batch
                 // replays through the cheap refactor path instead of a
                 // full preprocess.
-                let new_graph = apply_updates(&graph, &records)?;
-                let sources: Vec<usize> = records
-                    .iter()
-                    .map(|u| match *u {
-                        EdgeUpdate::Insert(a, _) | EdgeUpdate::Remove(a, _) => a,
-                    })
-                    .collect();
-                bepi = match classify(&bepi.symbolic_plan(), &graph, &new_graph, &sources) {
-                    Classification::NumericOnly(dirty) => match bepi.refactor(&new_graph, &dirty) {
-                        Ok(b) => {
-                            replay_path = "numeric";
-                            Arc::new(b)
-                        }
-                        Err(_) => {
-                            replay_path = "full";
-                            Arc::new(BePi::preprocess(&new_graph, &solver_config)?)
-                        }
-                    },
-                    Classification::Structural(_) => {
-                        replay_path = "full";
-                        Arc::new(BePi::preprocess(&new_graph, &solver_config)?)
-                    }
-                };
-                graph = new_graph;
+                let rebuilt = bepi.rebuild(&graph, &records)?;
+                bepi = Arc::new(rebuilt.index);
+                graph = rebuilt.graph;
+                replay_kind = rebuilt.kind;
+                replay_reason = rebuilt.reason;
                 replayed_through = report.segments;
             }
             let replay_time = replay_span.exit();
             bepi_obs::info!(
                 "live",
                 "WAL replay complete",
-                records = replayed,
+                records = records.len(),
                 segments = report.segments,
                 truncated_bytes = report.truncated_bytes,
-                path = replay_path,
+                path = match replay_kind {
+                    RebuildKind::Initial => "none",
+                    kind => kind.name(),
+                },
+                reason = replay_reason.as_deref().unwrap_or("none"),
                 elapsed_ms = replay_time.as_millis()
             );
             wal = Some(w);
@@ -356,11 +343,11 @@ impl LiveEngine {
                 last_error: None,
                 failed: None,
                 trigger: RebuildTrigger::None,
+                rebuild_reason: replay_reason,
             }),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             worker: Mutex::new(None),
-            solver_config,
             auto_flush_threshold: config.auto_flush_threshold,
             checkpoint_path: config.checkpoint_path,
             mmap_checkpoints: config.mmap_checkpoints,
@@ -371,7 +358,9 @@ impl LiveEngine {
             structural_rebuilds_total: AtomicU64::new(0),
             numeric_rebuild_micros: AtomicU64::new(0),
             full_rebuild_micros: AtomicU64::new(0),
-            last_rebuild_kind: AtomicU64::new(0),
+            // A replay's kind names the served index, but replay is not a
+            // background rebuild: the totals above stay at zero.
+            last_rebuild_kind: AtomicU64::new(encode_kind(replay_kind)),
             last_rebuild_trigger: AtomicU64::new(0),
         });
 
@@ -483,6 +472,7 @@ impl LiveEngine {
             live: st.graph.is_some(),
             last_error: st.last_error.clone(),
             rebuild_kind: self.last_rebuild_kind().name(),
+            rebuild_reason: st.rebuild_reason.clone(),
             rebuild_trigger: self.last_rebuild_trigger().name(),
         }
     }
@@ -508,16 +498,7 @@ impl LiveEngine {
                     .to_string(),
             ));
         };
-        let n = graph.n();
-        for update in updates {
-            let (EdgeUpdate::Insert(u, v) | EdgeUpdate::Remove(u, v)) = *update;
-            if u >= n || v >= n {
-                return Err(SparseError::IndexOutOfBounds {
-                    index: (u, v),
-                    shape: (n, n),
-                });
-            }
-        }
+        check_in_range(graph.n(), updates)?;
         // Durability first: only after the fsync succeeds does the batch
         // enter the in-memory buffer (and get acknowledged).
         if let Some(wal) = &mut st.wal {
@@ -741,53 +722,21 @@ fn worker_loop(engine: &LiveEngine) {
         }
 
         // Phase 2 (expensive, NO locks held): apply the batch and rebuild
-        // while queries keep being served from the old snapshot. A batch
-        // that provably preserves the served index's symbolic plan takes
-        // the numeric-only refactorization; anything structural (or a
-        // refactor error) runs the full preprocessing pipeline.
+        // while queries keep being served from the old snapshot.
         let started = Instant::now();
         let rebuild_span = bepi_obs::Span::enter("live.rebuild");
         let served = engine.current();
-        let rebuilt = apply_updates(&graph, &updates).and_then(|new_graph| {
-            let sources: Vec<usize> = updates
-                .iter()
-                .map(|u| match *u {
-                    EdgeUpdate::Insert(a, _) | EdgeUpdate::Remove(a, _) => a,
-                })
-                .collect();
-            let plan = served.bepi.symbolic_plan();
-            let (bepi, kind) = match classify(&plan, &graph, &new_graph, &sources) {
-                Classification::NumericOnly(dirty) => {
-                    match served.bepi.refactor(&new_graph, &dirty) {
-                        Ok(b) => (b, RebuildKind::Numeric),
-                        Err(e) => {
-                            bepi_obs::warn!(
-                                "live",
-                                "numeric refactor failed; falling back to full preprocess",
-                                error = e
-                            );
-                            (
-                                BePi::preprocess(&new_graph, &engine.solver_config)?,
-                                RebuildKind::Full,
-                            )
-                        }
-                    }
-                }
-                Classification::Structural(why) => {
-                    bepi_obs::debug!("live", "structural batch", reason = why);
-                    (
-                        BePi::preprocess(&new_graph, &engine.solver_config)?,
-                        RebuildKind::Full,
-                    )
-                }
-            };
-            Ok((new_graph, bepi, kind))
-        });
+        let rebuilt = served.bepi.rebuild(&graph, &updates);
         let rebuild_time = rebuild_span.exit();
         drop(served);
 
         match rebuilt {
-            Ok((new_graph, bepi, kind)) => {
+            Ok(Rebuilt {
+                graph: new_graph,
+                index: bepi,
+                kind,
+                reason,
+            }) => {
                 let micros = started.elapsed().as_micros() as u64;
                 engine.last_rebuild_micros.store(micros, Ordering::Relaxed);
                 match kind {
@@ -841,11 +790,13 @@ fn worker_loop(engine: &LiveEngine) {
                     version = new_version,
                     updates = updates.len(),
                     rebuild_kind = kind.name(),
+                    reason = reason.as_deref().unwrap_or("none"),
                     trigger = trigger.name(),
                     elapsed_ms = rebuild_time.as_millis()
                 );
                 let mut st = engine.state.lock().unwrap_or_else(|e| e.into_inner());
                 st.graph = Some(new_graph);
+                st.rebuild_reason = reason;
                 st.last_error = None;
                 st.failed = None;
                 if let Err(e) = engine.checkpoint_and_compact(&mut st, upto) {
@@ -889,6 +840,8 @@ impl Drop for LiveEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bepi_core::dynamic::apply_updates;
+    use bepi_core::BePiConfig;
     use bepi_graph::generators;
 
     fn tmp(name: &str) -> PathBuf {
@@ -899,9 +852,8 @@ mod tests {
 
     fn engine_over_cycle(n: usize, config: LiveConfig) -> Arc<LiveEngine> {
         let g = generators::cycle(n);
-        let cfg = BePiConfig::default();
-        let bepi = Arc::new(BePi::preprocess(&g, &cfg).unwrap());
-        LiveEngine::start(bepi, g, cfg, config).unwrap()
+        let bepi = Arc::new(BePi::preprocess(&g, &BePiConfig::default()).unwrap());
+        LiveEngine::start(bepi, g, config).unwrap()
     }
 
     #[test]
@@ -1002,21 +954,52 @@ mod tests {
             wal_path: Some(wal.clone()),
             ..LiveConfig::default()
         };
-        let engine = LiveEngine::start(Arc::clone(&bepi), g.clone(), cfg, config.clone()).unwrap();
+        let engine = LiveEngine::start(Arc::clone(&bepi), g.clone(), config.clone()).unwrap();
         engine.submit(&[EdgeUpdate::Insert(0, 6)]).unwrap();
         engine.submit(&[EdgeUpdate::Remove(3, 4)]).unwrap();
         // Simulate a crash: drop without rebuild — updates only in WAL.
         engine.shutdown();
         drop(engine);
 
-        let engine2 = LiveEngine::start(bepi, g.clone(), cfg, config).unwrap();
+        let engine2 = LiveEngine::start(bepi, g.clone(), config).unwrap();
         // Replayed updates are visible immediately (folded in at start).
         let scores = engine2.current().bepi.query(0).unwrap().scores.clone();
         let expected_graph =
             apply_updates(&g, &[EdgeUpdate::Insert(0, 6), EdgeUpdate::Remove(3, 4)]).unwrap();
         let expected = BePi::preprocess(&expected_graph, &cfg).unwrap();
         assert_eq!(scores, expected.query(0).unwrap().scores);
+        // The served index came from the replay, not the initial
+        // preprocess; Remove(3,4) flips node 3 to a deadend, so the replay
+        // ran the full pipeline and says why. Replay is no background
+        // rebuild, so the totals stay at zero.
+        let info = engine2.info();
+        assert_eq!(info.rebuild_kind, "full");
+        assert!(info.rebuild_reason.is_some());
+        assert_eq!((info.rebuilds, engine2.structural_rebuilds()), (0, 0));
         engine2.shutdown();
+        std::fs::remove_file(&wal).ok();
+    }
+
+    #[test]
+    fn out_of_range_wal_record_fails_start() {
+        // Only `submit` range-checks before the WAL append; a record that
+        // reached the log some other way must fail the replay, not vanish
+        // or alias a real edge.
+        let wal = tmp("oob.wal");
+        std::fs::remove_file(&wal).ok();
+        let g = generators::cycle(64);
+        let bepi = Arc::new(BePi::preprocess(&g, &BePiConfig::default()).unwrap());
+        let (mut w, _, _) = Wal::open(&wal).unwrap();
+        w.append(&[EdgeUpdate::Remove(70, 5)]).unwrap();
+        drop(w);
+        let config = LiveConfig {
+            wal_path: Some(wal.clone()),
+            ..LiveConfig::default()
+        };
+        match LiveEngine::start(bepi, g, config) {
+            Err(e) => assert!(matches!(e, SparseError::IndexOutOfBounds { .. }), "{e}"),
+            Ok(_) => panic!("an out-of-range WAL record must fail the replay"),
+        }
         std::fs::remove_file(&wal).ok();
     }
 
@@ -1028,14 +1011,13 @@ mod tests {
         std::fs::remove_file(&cp).ok();
 
         let g = generators::cycle(12);
-        let cfg = BePiConfig::default();
-        let bepi = Arc::new(BePi::preprocess(&g, &cfg).unwrap());
+        let bepi = Arc::new(BePi::preprocess(&g, &BePiConfig::default()).unwrap());
         let config = LiveConfig {
             wal_path: Some(wal.clone()),
             checkpoint_path: Some(cp.clone()),
             ..LiveConfig::default()
         };
-        let engine = LiveEngine::start(bepi, g, cfg, config).unwrap();
+        let engine = LiveEngine::start(bepi, g, config).unwrap();
         engine.submit(&[EdgeUpdate::Insert(0, 6)]).unwrap();
         engine.rebuild_and_wait().unwrap();
         engine.shutdown();
@@ -1068,7 +1050,7 @@ mod tests {
             mmap_checkpoints: true,
             ..LiveConfig::default()
         };
-        let engine = LiveEngine::start(bepi, g.clone(), cfg, config).unwrap();
+        let engine = LiveEngine::start(bepi, g.clone(), config).unwrap();
         assert!(
             !engine.current().bepi.is_mapped(),
             "nothing checkpointed yet: still the heap index"
@@ -1154,12 +1136,10 @@ mod tests {
         // succeeds, so rebuild_and_wait must report the new version, with
         // the checkpoint error surfaced via info() only.
         let g = generators::cycle(10);
-        let cfg = BePiConfig::default();
-        let bepi = Arc::new(BePi::preprocess(&g, &cfg).unwrap());
+        let bepi = Arc::new(BePi::preprocess(&g, &BePiConfig::default()).unwrap());
         let engine = LiveEngine::start(
             bepi,
             g,
-            cfg,
             LiveConfig {
                 checkpoint_path: Some(PathBuf::from("/nonexistent-bepi-dir/checkpoint.bepi")),
                 ..LiveConfig::default()
@@ -1200,7 +1180,7 @@ mod tests {
         let g = generators::rmat(7, 400, generators::RmatParams::default(), 5).unwrap();
         let cfg = BePiConfig::default();
         let bepi = Arc::new(BePi::preprocess(&g, &cfg).unwrap());
-        let engine = LiveEngine::start(bepi, g.clone(), cfg, LiveConfig::default()).unwrap();
+        let engine = LiveEngine::start(bepi, g.clone(), LiveConfig::default()).unwrap();
 
         // Removing one edge of a multi-out-edge source is numeric-only.
         let u = (0..g.n()).find(|&u| g.out_degree(u) >= 2).unwrap();

@@ -893,13 +893,12 @@ fn with_trace(
 /// `GET /version`: the serving state in one JSON object.
 fn handle_version(stream: &TcpStream, ctx: &WorkerContext, keep_alive: bool) -> Served {
     let info = ctx.engine.info();
-    let last_error = match &info.last_error {
-        Some(e) => http::json_string(e),
-        None => "null".to_string(),
-    };
+    let json_or_null =
+        |v: &Option<String>| v.as_deref().map_or("null".to_string(), http::json_string);
     let body = format!(
         "{{\"version\":{},\"nodes\":{},\"variant\":\"{}\",\"pending\":{},\"rebuilds\":{},\
-         \"live\":{},\"rebuild_kind\":\"{}\",\"rebuild_trigger\":\"{}\",\"last_error\":{}}}",
+         \"live\":{},\"rebuild_kind\":\"{}\",\"rebuild_reason\":{},\"rebuild_trigger\":\"{}\",\
+         \"last_error\":{}}}",
         info.version,
         info.nodes,
         info.variant,
@@ -907,8 +906,9 @@ fn handle_version(stream: &TcpStream, ctx: &WorkerContext, keep_alive: bool) -> 
         info.rebuilds,
         info.live,
         info.rebuild_kind,
+        json_or_null(&info.rebuild_reason),
         info.rebuild_trigger,
-        last_error
+        json_or_null(&info.last_error)
     );
     let version_header = info.version.to_string();
     let mut headers: Vec<(&str, &str)> = vec![("X-Graph-Version", &version_header)];

@@ -484,7 +484,8 @@ TR_PID=""
 # Incremental-rebuild drill: boot a live daemon with a WAL, push a
 # numeric-safe edge batch through an explicit rebuild, and require the
 # symbolic/numeric split to fire — bepi_numeric_rebuilds_total up by one,
-# /version reporting rebuild_kind=numeric + rebuild_trigger=explicit.
+# /version reporting rebuild_kind=numeric (no rebuild_reason) +
+# rebuild_trigger=explicit.
 # Then acknowledge a second batch, SIGKILL before its rebuild, restart on
 # the same WAL, and require the replayed daemon (whose replay must also
 # take the numeric path) to answer byte-for-byte like a daemon cleanly
@@ -556,6 +557,7 @@ assert metric('bepi_rebuild_path_seconds{path="numeric"}') > 0.0, "numeric path 
 v = json.loads(get("/version"))
 assert v["version"] == 2, v
 assert v["rebuild_kind"] == "numeric", v
+assert v["rebuild_reason"] is None, v
 assert v["rebuild_trigger"] == "explicit", v
 
 # Second batch undoes the first; acknowledge it into the WAL and leave it

@@ -174,7 +174,7 @@ fn concurrent_queries_during_hot_swap_are_single_version_consistent() {
     assert_ne!(expected[&1][&0], expected[&2][&0]);
 
     let bepi = Arc::new(BePi::preprocess(&g1, &BePiConfig::default()).unwrap());
-    let engine = LiveEngine::start(bepi, g1, BePiConfig::default(), LiveConfig::default()).unwrap();
+    let engine = LiveEngine::start(bepi, g1, LiveConfig::default()).unwrap();
     let handle = start_live(engine);
     let addr = handle.local_addr();
 
@@ -264,13 +264,7 @@ fn concurrent_queries_during_hot_swap_are_single_version_consistent() {
 fn queries_serve_last_completed_rebuild_not_wal_tip() {
     let g = base_graph();
     let bepi = Arc::new(BePi::preprocess(&g, &BePiConfig::default()).unwrap());
-    let engine = LiveEngine::start(
-        bepi,
-        g.clone(),
-        BePiConfig::default(),
-        LiveConfig::default(),
-    )
-    .unwrap();
+    let engine = LiveEngine::start(bepi, g.clone(), LiveConfig::default()).unwrap();
     let handle = start_live(engine);
     let addr = handle.local_addr();
 
@@ -309,7 +303,6 @@ fn auto_flush_threshold_rebuilds_in_background() {
     let engine = LiveEngine::start(
         bepi,
         g,
-        BePiConfig::default(),
         LiveConfig {
             auto_flush_threshold: 2,
             ..LiveConfig::default()
@@ -394,7 +387,7 @@ fn out_of_range_edge_batch_is_rejected_as_a_unit() {
     let g = base_graph();
     let n = g.n();
     let bepi = Arc::new(BePi::preprocess(&g, &BePiConfig::default()).unwrap());
-    let engine = LiveEngine::start(bepi, g, BePiConfig::default(), LiveConfig::default()).unwrap();
+    let engine = LiveEngine::start(bepi, g, LiveConfig::default()).unwrap();
     let handle = start_live(engine);
     let addr = handle.local_addr();
 
@@ -431,20 +424,14 @@ fn wal_backed_server_replays_unflushed_updates_on_restart() {
         wal_path: Some(wal.clone()),
         ..LiveConfig::default()
     };
-    let engine = LiveEngine::start(
-        Arc::clone(&bepi),
-        g.clone(),
-        BePiConfig::default(),
-        config.clone(),
-    )
-    .unwrap();
+    let engine = LiveEngine::start(Arc::clone(&bepi), g.clone(), config.clone()).unwrap();
     let handle = start_live(engine);
     let r = post(handle.local_addr(), "/edges", &edges_body(&updates));
     assert_eq!(r.status, 200, "{}", r.body);
     // "Crash": tear the server down with the updates unflushed.
     handle.shutdown();
 
-    let engine = LiveEngine::start(bepi, g.clone(), BePiConfig::default(), config).unwrap();
+    let engine = LiveEngine::start(bepi, g.clone(), config).unwrap();
     let handle = start_live(engine);
     let r = get(handle.local_addr(), &format!("/query?seed=4&top={TOP_K}"));
     assert_eq!(r.status, 200);
