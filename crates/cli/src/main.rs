@@ -108,7 +108,8 @@ common flags:
                    (default warn; BEPI_LOG env var sets the same thing)
   --c C            restart probability (default 0.05)
   --tol EPS        solver tolerance (default 1e-9)
-  --k RATIO        SlashBurn hub ratio (default: chosen automatically)
+  --k RATIO        SlashBurn hub ratio (default 0.2 for --variant sparse
+                   and full, 0.001 for --variant basic)
   --variant V      sparse | full | basic (default sparse)
   --top K          ranking rows to print (default 10)
   --method M       query: scoring engine — bepi (exact, default), push
@@ -625,6 +626,40 @@ fn print_memory_report(solver: &BePi) {
     );
 }
 
+/// The form each stored matrix is held in: narrow or wide pattern, coded
+/// or plain values, its non-zeros and its own bytes (pattern plus codes
+/// or values), then the one value table the coded matrices share.
+fn print_stored_forms(solver: &BePi) {
+    use bepi_sparse::MemBytes;
+    println!("--- stored matrices ---");
+    println!(
+        "{:<10} {:>8} {:>8} {:>12} {:>12}",
+        "matrix", "pattern", "values", "nnz", "bytes"
+    );
+    for (name, m) in solver.stored_matrices() {
+        let own = m.mem_bytes() - m.table().map_or(0, |t| t.mem_bytes());
+        println!(
+            "{name:<10} {:>8} {:>8} {:>12} {:>12}",
+            if m.pattern().is_narrow() {
+                "narrow"
+            } else {
+                "wide"
+            },
+            if m.is_coded() { "coded" } else { "plain" },
+            m.nnz(),
+            format_bytes(own)
+        );
+    }
+    match solver.value_table() {
+        Some(t) => println!(
+            "value table      {} entries ({}, shared by every coded matrix)",
+            t.len(),
+            format_bytes(t.mem_bytes())
+        ),
+        None => println!("value table      none (no matrix is coded)"),
+    }
+}
+
 /// `bepi stats` on a saved index: format, backing, the memory report
 /// and the file's sections. The resident estimate is the RSS delta across the load, so
 /// a mapped index shows only the pages actually touched — unlike
@@ -653,6 +688,7 @@ fn cmd_index_stats(path: &str, o: &Options) -> Result<(), String> {
         }
     );
     print_memory_report(&solver);
+    print_stored_forms(&solver);
     println!("--- index file sections ---");
     for (name, len) in bepi_core::persist::list_sections(path).map_err(|e| e.to_string())? {
         println!("{name:<16} {:>12}", format_bytes(len as usize));

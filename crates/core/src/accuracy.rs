@@ -63,12 +63,14 @@ pub fn theorem4_bound(bepi: &BePi) -> Result<Theorem4Bound> {
     let (h12, _h21, h31, h32) = bepi.coupling_blocks();
     let tol = 1e-8;
     let iters = 2_000;
-    let h12_norm = norm2_est(h12, tol, iters).value;
-    let h31_norm = norm2_est(h31, tol, iters).value;
-    let h32_norm = norm2_est(h32, tol, iters).value;
+    let h12_norm = norm2_est(&h12.to_csr(), tol, iters).value;
+    let h31_norm = norm2_est(&h31.to_csr(), tol, iters).value;
+    let h32_norm = norm2_est(&h32.to_csr(), tol, iters).value;
 
-    // σ_min(H11) via the explicit inverse factors.
+    // σ_min(H11) via the explicit inverse factors; the transposed
+    // products run on them decoded.
     let blu = bepi.h11_factors();
+    let (l_inv, u_inv) = (blu.l_inv.to_csr(), blu.u_inv.to_csr());
     let n1 = blu.n();
     let sigma_min_h11 = if n1 == 0 {
         1.0
@@ -78,8 +80,8 @@ pub fn theorem4_bound(bepi: &BePi) -> Result<Theorem4Bound> {
             |b| blu.solve_vec(b).expect("dimension fixed"),
             |b| {
                 // H11^{-T} b = L1^{-T} (U1^{-T} b)
-                let t = blu.u_inv.mul_vec_transposed(b).expect("dimension fixed");
-                blu.l_inv.mul_vec_transposed(&t).expect("dimension fixed")
+                let t = u_inv.mul_vec_transposed(b).expect("dimension fixed");
+                l_inv.mul_vec_transposed(&t).expect("dimension fixed")
             },
             tol,
             iters,

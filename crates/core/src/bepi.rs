@@ -28,8 +28,8 @@ use crate::schur::schur_complement;
 use crate::{DEFAULT_RESTART_PROB, DEFAULT_TOLERANCE};
 use bepi_graph::Graph;
 use bepi_incr::{DirtySet, SymbolicPlan};
-use bepi_solver::{gmres_block, BlockLu, GmresConfig, Ilu0, Preconditioner};
-use bepi_sparse::{CodedCsr, Csr, MemBytes, Permutation, Result, SparseError};
+use bepi_solver::{gmres_block, BlockLu, FrozenBlockLu, GmresConfig, Ilu0, Preconditioner};
+use bepi_sparse::{CodedCsr, Csr, Permutation, Result, SparseError, Storage};
 use std::time::{Duration, Instant};
 
 /// Which of the three BePI variants to run.
@@ -199,15 +199,15 @@ pub(crate) struct RawParts {
     pub n1: usize,
     pub n2: usize,
     pub n3: usize,
-    pub h11_lu: BlockLu,
+    pub h11_lu: FrozenBlockLu,
     pub s: CodedCsr,
     /// Pre-built ILU(0) factors, when the index persisted them. A full
     /// variant without them re-factors `S`.
     pub ilu: Option<Ilu0>,
-    pub h12: Csr,
-    pub h21: Csr,
-    pub h31: Csr,
-    pub h32: Csr,
+    pub h12: CodedCsr,
+    pub h21: CodedCsr,
+    pub h31: CodedCsr,
+    pub h32: CodedCsr,
     pub slashburn_iterations: usize,
     pub elapsed: Duration,
     pub phases: Vec<PhaseTiming>,
@@ -215,6 +215,12 @@ pub(crate) struct RawParts {
 
 /// A preprocessed BePI instance, ready to answer RWR queries
 /// (Algorithm 2 / 4).
+///
+/// Every matrix it stores — `L1⁻¹`, `U1⁻¹`, `S` and the four `H` coupling
+/// blocks — is a frozen [`CodedCsr`]: on a narrow pattern when it has at
+/// most 2¹⁶ columns, and value-coded over one value table shared by all
+/// of them (see [`BePi::value_table`]). [`Csr`] stays the builder type
+/// that preprocessing and refactoring work on.
 #[derive(Debug, Clone)]
 pub struct BePi {
     config: BePiConfig,
@@ -222,18 +228,28 @@ pub struct BePi {
     n1: usize,
     n2: usize,
     n3: usize,
-    h11_lu: BlockLu,
-    /// The Schur complement, value-coded when it has at most 2¹⁶ distinct
-    /// values and on a narrow pattern when it has at most 2¹⁶ columns
-    /// ([`CodedCsr`]).
+    h11_lu: FrozenBlockLu,
     s: CodedCsr,
     /// ILU(0) factors of `S`: `Some` exactly for the full variant.
     ilu: Option<Ilu0>,
-    h12: Csr,
-    h21: Csr,
-    h31: Csr,
-    h32: Csr,
+    h12: CodedCsr,
+    h21: CodedCsr,
+    h31: CodedCsr,
+    h32: CodedCsr,
     stats: PreprocessStats,
+}
+
+/// What an index stores, frozen from the builders: `S`, the `H11`
+/// factors and the coupling blocks `[H12, H21, H31, H32]`, all coded over
+/// one value table. `S` is coded first, so its codes are those it gets
+/// alone; the others append their new values.
+fn freeze(s: &Csr, lu: BlockLu, h: [&Csr; 4]) -> Result<(CodedCsr, FrozenBlockLu, [CodedCsr; 4])> {
+    let [s, l_inv, u_inv, h12, h21, h31, h32]: [CodedCsr; 7] =
+        CodedCsr::encode_all(&[s, &lu.l_inv, &lu.u_inv, h[0], h[1], h[2], h[3]])
+            .try_into()
+            .expect("seven matrices in, seven out");
+    let lu = FrozenBlockLu::from_inverse_factors_trusted(l_inv, u_inv, lu.block_sizes)?;
+    Ok((s, lu, [h12, h21, h31, h32]))
 }
 
 impl BePi {
@@ -304,11 +320,15 @@ impl BePi {
         };
         let block_lu_time = t_lu.elapsed();
         let t_schur = Instant::now();
-        let (s_csr, s) = {
+        let (s_csr, (s, h11_lu, [h12, h21, h31, h32])) = {
             let _span = bepi_obs::Span::enter("refactor.schur");
             let s = bepi_incr::refactor_schur(&self.s, &blocks, &self.h21, &h11_lu, &plan, dirty)?;
-            let coded = CodedCsr::encode(&s);
-            (s, coded)
+            let stored = freeze(
+                &s,
+                h11_lu,
+                [&blocks.h12, &blocks.h21, &blocks.h31, &blocks.h32],
+            )?;
+            (s, stored)
         };
         let schur_time = t_schur.elapsed();
         let t_precond = Instant::now();
@@ -340,9 +360,7 @@ impl BePi {
             seconds: d.as_secs_f64(),
         })
         .collect();
-        let bepi_incr::HBlocks {
-            h12, h21, h31, h32, ..
-        } = blocks;
+        drop(blocks);
         let SymbolicPlan {
             perm,
             n1,
@@ -380,11 +398,11 @@ impl BePi {
         };
         let block_lu_time = t_lu.elapsed();
         let t_schur = Instant::now();
-        let (s_csr, s) = {
+        let (s_csr, (s, h11_lu, [h12, h21, h31, h32])) = {
             let _span = bepi_obs::Span::enter("preprocess.schur");
             let s = schur_complement(&part, &h11_lu)?;
-            let coded = CodedCsr::encode(&s);
-            (s, coded)
+            let stored = freeze(&s, h11_lu, [&part.h12, &part.h21, &part.h31, &part.h32])?;
+            (s, stored)
         };
         let schur_time = t_schur.elapsed();
         let t_precond = Instant::now();
@@ -423,15 +441,7 @@ impl BePi {
             phases,
         };
         let HPartition {
-            perm,
-            n1,
-            n2,
-            n3,
-            h12,
-            h21,
-            h31,
-            h32,
-            ..
+            perm, n1, n2, n3, ..
         } = part;
         debug_assert!(ilu.as_ref().map_or(true, |m| m.shares_pattern(s.pattern())));
         Ok(Self {
@@ -490,15 +500,40 @@ impl BePi {
         self.h11_lu.solve_vec(x)
     }
 
-    /// The inverted block factors of `H11`.
-    pub fn h11_factors(&self) -> &BlockLu {
+    /// The inverted block factors of `H11`, as stored.
+    pub fn h11_factors(&self) -> &FrozenBlockLu {
         &self.h11_lu
     }
 
-    /// The coupling blocks `(H12, H21, H31, H32)` — used by the accuracy
-    /// bound of Theorem 4.
-    pub fn coupling_blocks(&self) -> (&Csr, &Csr, &Csr, &Csr) {
+    /// The coupling blocks `(H12, H21, H31, H32)` as stored — used by the
+    /// accuracy bound of Theorem 4 ([`CodedCsr::to_csr`] gives each as a
+    /// [`Csr`]).
+    pub fn coupling_blocks(&self) -> (&CodedCsr, &CodedCsr, &CodedCsr, &CodedCsr) {
         (&self.h12, &self.h21, &self.h31, &self.h32)
+    }
+
+    /// Every matrix the index stores, named as the memory report names
+    /// it, in index-file order.
+    pub fn stored_matrices(&self) -> [(&'static str, &CodedCsr); 7] {
+        [
+            ("l1_inv", &self.h11_lu.l_inv),
+            ("u1_inv", &self.h11_lu.u_inv),
+            ("schur", &self.s),
+            ("h12", &self.h12),
+            ("h21", &self.h21),
+            ("h31", &self.h31),
+            ("h32", &self.h32),
+        ]
+    }
+
+    /// The one value table every value-coded stored matrix indexes, or
+    /// `None` when none is coded. All of them hold this same
+    /// [`Storage`], so it is stored once and a query thread's widened copy
+    /// of it is never refilled between matrices.
+    pub fn value_table(&self) -> Option<&Storage<f64>> {
+        self.stored_matrices()
+            .into_iter()
+            .find_map(|(_, m)| m.table())
     }
 
     /// Assembles an instance from persisted components. A full variant
@@ -579,34 +614,38 @@ impl BePi {
     /// across every process serving the same index file, which is the
     /// point of `--mmap` serving (paper §Memory Efficiency: the
     /// preprocessed data is the dominant cost at scale).
+    ///
+    /// Each stored matrix is charged its pattern and its codes or values.
+    /// The shared value table is counted once, under `schur`, beside the
+    /// `s.value_table` section it is written to.
     pub fn memory_report(&self) -> Vec<MemorySection> {
-        let csr = |name, m: &Csr| MemorySection {
+        let table = |f: fn(&Storage<f64>) -> usize| self.value_table().map_or(0, f);
+        let matrix = |name, m: &CodedCsr| MemorySection {
             name,
-            heap_bytes: m.heap_bytes(),
-            mapped_bytes: m.mapped_bytes(),
+            heap_bytes: m.heap_bytes() - m.table().map_or(0, Storage::heap_bytes),
+            mapped_bytes: m.mapped_bytes() - m.table().map_or(0, Storage::mapped_bytes),
         };
+        let mut schur = matrix("schur", &self.s);
+        schur.heap_bytes += table(Storage::heap_bytes);
+        schur.mapped_bytes += table(Storage::mapped_bytes);
         vec![
             MemorySection {
                 name: "perm",
                 heap_bytes: self.perm.heap_bytes(),
                 mapped_bytes: self.perm.mapped_bytes(),
             },
-            csr("l1_inv", &self.h11_lu.l_inv),
-            csr("u1_inv", &self.h11_lu.u_inv),
-            MemorySection {
-                name: "schur",
-                heap_bytes: self.s.heap_bytes(),
-                mapped_bytes: self.s.mapped_bytes(),
-            },
+            matrix("l1_inv", &self.h11_lu.l_inv),
+            matrix("u1_inv", &self.h11_lu.u_inv),
+            schur,
             MemorySection {
                 name: "precond",
                 heap_bytes: self.ilu.as_ref().map_or(0, Ilu0::heap_bytes),
                 mapped_bytes: self.ilu.as_ref().map_or(0, Ilu0::mapped_bytes),
             },
-            csr("h12", &self.h12),
-            csr("h21", &self.h21),
-            csr("h31", &self.h31),
-            csr("h32", &self.h32),
+            matrix("h12", &self.h12),
+            matrix("h21", &self.h21),
+            matrix("h31", &self.h31),
+            matrix("h32", &self.h32),
         ]
     }
 
@@ -738,15 +777,9 @@ impl RwrSolver for BePi {
 
     fn preprocessed_bytes(&self) -> usize {
         // Everything Algorithm 3 returns: L1^{-1}, U1^{-1}, S, (L̂2, Û2),
-        // H12, H21, H31, H32 — plus the node relabeling.
-        self.h11_lu.mem_bytes()
-            + self.s.mem_bytes()
-            + self.ilu.mem_bytes()
-            + self.h12.mem_bytes()
-            + self.h21.mem_bytes()
-            + self.h31.mem_bytes()
-            + self.h32.mem_bytes()
-            + self.perm.mem_bytes()
+        // H12, H21, H31, H32 — plus the node relabeling, and the value
+        // table once: the memory report, whichever backing holds it.
+        self.heap_bytes() + self.mapped_bytes()
     }
 }
 

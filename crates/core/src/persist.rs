@@ -26,7 +26,7 @@ use crate::bepi::{BePi, BePiConfig, PhaseTiming, RawParts};
 use crate::rwr::RwrSolver;
 use bepi_graph::Graph;
 use bepi_map::{sections as sec, ContainerWriter, MapError, MappedIndex, SectionEntry};
-use bepi_solver::Ilu0;
+use bepi_solver::{FrozenBlockLu, Ilu0};
 use bepi_sparse::{CodedCsr, CodedValues, Csr, Pattern, Permutation, Result, SparseError, Storage};
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
@@ -99,41 +99,59 @@ fn write_f64s_section<W: Write>(cw: &mut ContainerWriter<W>, id: u32, s: &[f64])
     Ok(())
 }
 
-/// Writes a CSR's three arrays as three sections. Dimensions are not
-/// stored: every persisted matrix's shape is derivable from the META
-/// partition sizes `(n1, n2, n3)`.
-fn write_csr_sections<W: Write>(
-    cw: &mut ContainerWriter<W>,
-    ids: (u32, u32, u32),
-    m: &Csr,
-) -> Result<()> {
-    write_u64s_section(cw, ids.0, m.indptr())?;
-    write_u32s_section(cw, ids.1, m.indices())?;
-    write_f64s_section(cw, ids.2, m.values())
+/// Writes the embedded graph's three arrays as three sections.
+fn write_graph_sections<W: Write>(cw: &mut ContainerWriter<W>, g: &Graph) -> Result<()> {
+    let adj = g.adjacency();
+    write_u64s_section(cw, sec::GRAPH_INDPTR, adj.indptr())?;
+    write_u32s_section(cw, sec::GRAPH_INDICES, adj.indices())?;
+    write_f64s_section(cw, sec::GRAPH_VALUES, adj.values())
 }
 
-/// Writes `S`: its pattern wide ([`sec::S_INDPTR`], [`sec::S_INDICES`])
-/// or narrow ([`sec::S_INDPTR32`], [`sec::S_INDICES16`]), then its values
-/// plain ([`sec::S_VALUES`]) or as the value table and codes
-/// ([`sec::S_VALUE_TABLE`], [`sec::S_VALUE_CODES`]).
-fn write_schur_sections<W: Write>(cw: &mut ContainerWriter<W>, s: &CodedCsr) -> Result<()> {
-    match s.pattern() {
+/// The blocks of section ids of the stored matrices (see
+/// [`bepi_map::sections`]), in file order — the order of
+/// [`BePi::stored_matrices`] — with the names load errors give them.
+const MATRICES: [(u32, &str); 7] = [
+    (sec::L_INV, "L1^-1"),
+    (sec::U_INV, "U1^-1"),
+    (sec::S, "S"),
+    (sec::H12, "H12"),
+    (sec::H21, "H21"),
+    (sec::H31, "H31"),
+    (sec::H32, "H32"),
+];
+
+/// Writes one stored matrix into its block of ids as it is held: its
+/// pattern wide (`indptr`, `indices`) or narrow (`indptr32`,
+/// `indices16`), then its plain `values` or its `value_codes`. `S`'s
+/// block also carries the index's value table (`table`), just before
+/// `S`'s codes. Dimensions are not stored: every matrix's shape is
+/// derivable from the META partition sizes `(n1, n2, n3)`.
+fn write_matrix<W: Write>(
+    cw: &mut ContainerWriter<W>,
+    base: u32,
+    m: &CodedCsr,
+    table: Option<&[f64]>,
+) -> Result<()> {
+    match m.pattern() {
         Pattern::Wide { indptr, indices } => {
-            write_u64s_section(cw, sec::S_INDPTR, indptr)?;
-            write_u32s_section(cw, sec::S_INDICES, indices)?;
+            write_u64s_section(cw, base + sec::INDPTR, indptr)?;
+            write_u32s_section(cw, base + sec::INDICES, indices)?;
         }
         Pattern::Narrow { indptr, indices } => {
-            write_u32s_section(cw, sec::S_INDPTR32, indptr)?;
-            write_u16s_section(cw, sec::S_INDICES16, indices)?;
+            write_u32s_section(cw, base + sec::INDPTR32, indptr)?;
+            write_u16s_section(cw, base + sec::INDICES16, indices)?;
         }
     }
-    match s.values() {
-        CodedValues::Plain(values) => write_f64s_section(cw, sec::S_VALUES, values),
-        CodedValues::Coded { table, codes } => {
-            write_f64s_section(cw, sec::S_VALUE_TABLE, table)?;
-            write_u16s_section(cw, sec::S_VALUE_CODES, codes)
-        }
+    if let CodedValues::Plain(values) = m.values() {
+        write_f64s_section(cw, base + sec::VALUES, values)?;
     }
+    if let Some(table) = table {
+        write_f64s_section(cw, sec::S_VALUE_TABLE, table)?;
+    }
+    if let CodedValues::Coded { codes, .. } = m.values() {
+        write_u16s_section(cw, base + sec::VALUE_CODES, codes)?;
+    }
+    Ok(())
 }
 
 /// Writes an index (format v6): the `bepi-map` section container with
@@ -142,8 +160,9 @@ fn write_schur_sections<W: Write>(cw: &mut ContainerWriter<W>, s: &CodedCsr) -> 
 ///
 /// * can be served zero-copy via [`load_mapped_file`] (open time does
 ///   not depend on index size, pages are shared across processes);
-/// * stores `S` the way it is held: value-coded (a table of its distinct
-///   values plus a `u16` code per non-zero) or plain, on a narrow pattern
+/// * stores every matrix — `L1⁻¹`, `U1⁻¹`, `S`, `H12`, `H21`, `H31`,
+///   `H32` — the way it is held: value-coded (a `u16` code per non-zero
+///   into the index's one value table) or plain, on a narrow pattern
 ///   (`u32` row pointers, `u16` column indices) or a wide one;
 /// * persists the ILU(0) factor values (f32, in `S`'s pattern, which is
 ///   stored once), so loads never re-run the factorization;
@@ -195,40 +214,11 @@ pub fn save_v6<W: Write>(bepi: &BePi, graph: Option<&Graph>, writer: W) -> Resul
         bepi.permutation().old_of_new(),
     )?;
 
-    let lu = bepi.h11_factors();
-    write_u64s_section(&mut cw, sec::BLOCK_SIZES, &lu.block_sizes)?;
-    write_csr_sections(
-        &mut cw,
-        (sec::L_INV_INDPTR, sec::L_INV_INDICES, sec::L_INV_VALUES),
-        &lu.l_inv,
-    )?;
-    write_csr_sections(
-        &mut cw,
-        (sec::U_INV_INDPTR, sec::U_INV_INDICES, sec::U_INV_VALUES),
-        &lu.u_inv,
-    )?;
-    write_schur_sections(&mut cw, bepi.schur())?;
-    let (h12, h21, h31, h32) = bepi.coupling_blocks();
-    write_csr_sections(
-        &mut cw,
-        (sec::H12_INDPTR, sec::H12_INDICES, sec::H12_VALUES),
-        h12,
-    )?;
-    write_csr_sections(
-        &mut cw,
-        (sec::H21_INDPTR, sec::H21_INDICES, sec::H21_VALUES),
-        h21,
-    )?;
-    write_csr_sections(
-        &mut cw,
-        (sec::H31_INDPTR, sec::H31_INDICES, sec::H31_VALUES),
-        h31,
-    )?;
-    write_csr_sections(
-        &mut cw,
-        (sec::H32_INDPTR, sec::H32_INDICES, sec::H32_VALUES),
-        h32,
-    )?;
+    write_u64s_section(&mut cw, sec::BLOCK_SIZES, &bepi.h11_factors().block_sizes)?;
+    let table = bepi.value_table().map(Storage::as_slice);
+    for ((base, _), (_, m)) in MATRICES.iter().zip(bepi.stored_matrices()) {
+        write_matrix(&mut cw, *base, m, table.filter(|_| *base == sec::S))?;
+    }
 
     // ILU factors, when the instance built them: their values (f32, in
     // `S`'s pattern: 4 bytes per non-zero of `S`) and diagonal positions
@@ -240,11 +230,7 @@ pub fn save_v6<W: Write>(bepi: &BePi, graph: Option<&Graph>, writer: W) -> Resul
     }
 
     if let Some(g) = graph {
-        write_csr_sections(
-            &mut cw,
-            (sec::GRAPH_INDPTR, sec::GRAPH_INDICES, sec::GRAPH_VALUES),
-            g.adjacency(),
-        )?;
+        write_graph_sections(&mut cw, g)?;
     }
     cw.finish()?;
     Ok(())
@@ -496,100 +482,135 @@ fn read_phases<R: Read>(r: &mut R) -> Result<(Duration, Vec<PhaseTiming>)> {
 /// # Errors
 /// [`SparseError::Parse`] naming the section and the bad entry.
 fn check_pattern(pattern: &Pattern, ncols: usize, ids: (u32, u32)) -> Result<()> {
-    let in_section = |id| {
-        move |e: SparseError| {
-            SparseError::Parse(match e {
-                SparseError::Parse(msg) => format!("v6 index: section {}: {msg}", sec::name(id)),
-                other => format!("v6 index: section {}: {other}", sec::name(id)),
-            })
-        }
-    };
+    let in_section = |id| move |e| parse_err_in(&format!("section {}", sec::name(id)), e);
     pattern.check_indptr().map_err(in_section(ids.0))?;
     pattern.check_indices(ncols).map_err(in_section(ids.1))
 }
 
-fn decode_csr_sections<S: SectionSource>(
-    src: &S,
-    ids: (u32, u32, u32),
-    nrows: usize,
-    ncols: usize,
-) -> Result<Csr> {
-    let (indptr, indices) = (src.usizes(ids.0)?, src.u32s(ids.1)?);
-    // Both backings get the O(1) shape checks of the constructor; the
-    // heap path, which has read every byte for its CRCs, also checks
-    // every entry of the pattern.
-    if S::READS_PAYLOADS {
-        let pattern = Pattern::Wide {
-            indptr: indptr.clone(),
-            indices: indices.clone(),
-        };
-        check_pattern(&pattern, ncols, (ids.0, ids.1))?;
-    }
-    Csr::from_parts_storage_trusted(nrows, ncols, indptr, indices, src.f64s(ids.2)?)
+/// `e` as a parse error naming where it arose (`what`).
+fn parse_err_in(what: &str, e: SparseError) -> SparseError {
+    SparseError::Parse(match e {
+        SparseError::Parse(msg) => format!("v6 index: {what}: {msg}"),
+        other => format!("v6 index: {what}: {other}"),
+    })
 }
 
-/// Decodes `S` (`n2 × n2`) from exactly one pattern encoding — the wide
-/// pair [`sec::S_INDPTR`] and [`sec::S_INDICES`] (as every file written
-/// before the narrow form existed) or the narrow pair
-/// [`sec::S_INDPTR32`] and [`sec::S_INDICES16`] — and exactly one value
-/// encoding: [`sec::S_VALUES`] (plain, as every file written before the
-/// coded form existed) or the pair [`sec::S_VALUE_TABLE`] +
-/// [`sec::S_VALUE_CODES`]. Both backings get the `O(1)` shape checks of
+/// Decodes one stored matrix (`nrows × ncols`) from its block of ids
+/// (`base`, see [`MATRICES`]): exactly one pattern encoding — the wide
+/// pair `indptr` + `indices` (as every file written before the narrow
+/// form stores it) or the narrow pair `indptr32` + `indices16` — and
+/// exactly one value encoding: plain `values` (as every file written
+/// before the coded form stores it) or `value_codes` into the index's
+/// value `table`. Both backings get the `O(1)` shape checks of
 /// [`CodedCsr::from_parts_storage_trusted`]; a source that has read every
 /// payload byte also checks the pattern ([`check_pattern`]) and each code
 /// against the table.
-fn decode_schur_sections<S: SectionSource>(src: &S, n2: usize) -> Result<CodedCsr> {
-    let in_s = |e: SparseError| {
-        SparseError::Parse(match e {
-            SparseError::Parse(msg) => format!("v6 index: S: {msg}"),
-            other => format!("v6 index: S: {other}"),
-        })
-    };
-    let narrow = src.has(sec::S_INDPTR32) || src.has(sec::S_INDICES16);
+fn decode_matrix<S: SectionSource>(
+    src: &S,
+    (base, label): (u32, &str),
+    nrows: usize,
+    ncols: usize,
+    table: Option<&Storage<f64>>,
+) -> Result<CodedCsr> {
+    let id = |offset| base + offset;
+    let name = |offset| sec::name(base + offset);
+    let narrow = src.has(id(sec::INDPTR32)) || src.has(id(sec::INDICES16));
     let (pattern, ids) = if narrow {
-        if src.has(sec::S_INDPTR) || src.has(sec::S_INDICES) {
+        if src.has(id(sec::INDPTR)) || src.has(id(sec::INDICES)) {
             return Err(SparseError::Parse(format!(
-                "v6 index: S carries both a wide pattern ({}) and a narrow one ({})",
-                sec::name(sec::S_INDPTR),
-                sec::name(sec::S_INDPTR32)
+                "v6 index: {label} carries both a wide pattern ({}) and a narrow one ({})",
+                name(sec::INDPTR),
+                name(sec::INDPTR32)
             )));
         }
         let pattern = Pattern::Narrow {
-            indptr: src.u32s(sec::S_INDPTR32)?,
-            indices: src.u16s(sec::S_INDICES16)?,
+            indptr: src.u32s(id(sec::INDPTR32))?,
+            indices: src.u16s(id(sec::INDICES16))?,
         };
-        (pattern, (sec::S_INDPTR32, sec::S_INDICES16))
+        (pattern, (id(sec::INDPTR32), id(sec::INDICES16)))
     } else {
         let pattern = Pattern::Wide {
-            indptr: src.usizes(sec::S_INDPTR)?,
-            indices: src.u32s(sec::S_INDICES)?,
+            indptr: src.usizes(id(sec::INDPTR))?,
+            indices: src.u32s(id(sec::INDICES))?,
         };
-        (pattern, (sec::S_INDPTR, sec::S_INDICES))
+        (pattern, (id(sec::INDPTR), id(sec::INDICES)))
     };
     if S::READS_PAYLOADS {
-        check_pattern(&pattern, n2, ids)?;
+        check_pattern(&pattern, ncols, ids)?;
     }
-    let coded = src.has(sec::S_VALUE_TABLE) || src.has(sec::S_VALUE_CODES);
-    let values = if coded {
-        if src.has(sec::S_VALUES) {
+    let values = match (src.has(id(sec::VALUE_CODES)), src.has(id(sec::VALUES))) {
+        (true, true) => {
             return Err(SparseError::Parse(format!(
-                "v6 index: S carries both plain values ({}) and a value table ({})",
-                sec::name(sec::S_VALUES),
-                sec::name(sec::S_VALUE_TABLE)
-            )));
+                "v6 index: {label} carries both plain values ({}) and value codes ({})",
+                name(sec::VALUES),
+                name(sec::VALUE_CODES)
+            )))
         }
-        let values = CodedValues::Coded {
-            table: src.f64s(sec::S_VALUE_TABLE)?,
-            codes: src.u16s(sec::S_VALUE_CODES)?,
-        };
-        if S::READS_PAYLOADS {
-            values.check_codes().map_err(in_s)?;
+        (false, false) => {
+            return Err(SparseError::Parse(format!(
+                "v6 index: {label} has neither plain values ({}) nor value codes ({})",
+                name(sec::VALUES),
+                name(sec::VALUE_CODES)
+            )))
         }
-        values
-    } else {
-        CodedValues::Plain(src.f64s(sec::S_VALUES)?)
+        (false, true) => CodedValues::Plain(src.f64s(id(sec::VALUES))?),
+        (true, false) => {
+            let table = table.ok_or_else(|| {
+                SparseError::Parse(format!(
+                    "v6 index: {label} has value codes ({}) but the index has no value table \
+                     ({})",
+                    name(sec::VALUE_CODES),
+                    sec::name(sec::S_VALUE_TABLE)
+                ))
+            })?;
+            let values = CodedValues::Coded {
+                table: table.clone(),
+                codes: src.u16s(id(sec::VALUE_CODES))?,
+            };
+            if S::READS_PAYLOADS {
+                values.check_codes().map_err(|e| parse_err_in(label, e))?;
+            }
+            values
+        }
     };
-    CodedCsr::from_parts_storage_trusted(n2, n2, pattern, values).map_err(in_s)
+    CodedCsr::from_parts_storage_trusted(nrows, ncols, pattern, values)
+        .map_err(|e| parse_err_in(label, e))
+}
+
+/// Checks, in `O(n)`, that the permutation maps `fwd` (`new_of_old`)
+/// and `inv` (`old_of_new`) hold only node ids below `n = fwd.len()` and
+/// are mutual inverses: a crafted map would otherwise panic the first
+/// query's gather.
+///
+/// # Errors
+/// [`SparseError::Parse`] naming the section and the bad entry.
+fn check_permutation(fwd: &[u32], inv: &[u32]) -> Result<()> {
+    let n = fwd.len();
+    let bad = |id, msg: String| {
+        Err(SparseError::Parse(format!(
+            "v6 index: section {}: {msg}",
+            sec::name(id)
+        )))
+    };
+    if let Some(old) = fwd.iter().position(|&new| new as usize >= n) {
+        return bad(
+            sec::PERM_NEW_OF_OLD,
+            format!("entry {old} is {}, out of range for {n} nodes", fwd[old]),
+        );
+    }
+    let inverse_of = |old: usize| inv.get(fwd[old] as usize).map(|&o| o as usize);
+    if let Some(old) = (0..n).find(|&old| inverse_of(old) != Some(old)) {
+        let new = fwd[old] as usize;
+        return bad(
+            sec::PERM_OLD_OF_NEW,
+            format!(
+                "entry {new} is {:?}, but perm.new_of_old maps {old} to {new}: the maps are not \
+                 inverses",
+                inv.get(new)
+            ),
+        );
+    }
+    Ok(())
 }
 
 /// Decodes a v6 container from either backing into an instance plus the
@@ -605,75 +626,70 @@ fn decode_v6<S: SectionSource>(src: &S) -> Result<(BePi, Option<Graph>)> {
     let (elapsed, phases) = read_phases(&mut r)?;
     let n = n1 + n2 + n3;
 
-    let perm = Permutation::from_maps_trusted(
+    let (new_of_old, old_of_new) = (
         src.u32s(sec::PERM_NEW_OF_OLD)?,
         src.u32s(sec::PERM_OLD_OF_NEW)?,
-    )?;
+    );
+    if S::READS_PAYLOADS {
+        check_permutation(&new_of_old, &old_of_new)?;
+    }
+    let perm = Permutation::from_maps_trusted(new_of_old, old_of_new)?;
     if perm.len() != n {
         return Err(SparseError::Parse(format!(
             "v6 index: permutation covers {} nodes but META declares {n}",
             perm.len()
         )));
     }
-    let block_sizes = src.usizes(sec::BLOCK_SIZES)?.to_vec();
-    let l_inv = decode_csr_sections(
-        src,
-        (sec::L_INV_INDPTR, sec::L_INV_INDICES, sec::L_INV_VALUES),
-        n1,
-        n1,
+    // `S` first: it is the matrix whose block carries the value table.
+    let table = if src.has(sec::S_VALUE_TABLE) {
+        Some(src.f64s(sec::S_VALUE_TABLE)?)
+    } else {
+        None
+    };
+    let matrix = |(base, nrows, ncols)| decode_matrix(src, base, nrows, ncols, table.as_ref());
+    let [l_ids, u_ids, s_ids, h12_ids, h21_ids, h31_ids, h32_ids] = MATRICES;
+    let s = matrix((s_ids, n2, n2))?;
+    let h11_lu = FrozenBlockLu::from_inverse_factors_trusted(
+        matrix((l_ids, n1, n1))?,
+        matrix((u_ids, n1, n1))?,
+        src.usizes(sec::BLOCK_SIZES)?.to_vec(),
     )?;
-    let u_inv = decode_csr_sections(
-        src,
-        (sec::U_INV_INDPTR, sec::U_INV_INDICES, sec::U_INV_VALUES),
-        n1,
-        n1,
-    )?;
-    let h11_lu = bepi_solver::BlockLu::from_inverse_factors_trusted(l_inv, u_inv, block_sizes)?;
-    let s = decode_schur_sections(src, n2)?;
-    let h12 = decode_csr_sections(
-        src,
-        (sec::H12_INDPTR, sec::H12_INDICES, sec::H12_VALUES),
-        n1,
-        n2,
-    )?;
-    let h21 = decode_csr_sections(
-        src,
-        (sec::H21_INDPTR, sec::H21_INDICES, sec::H21_VALUES),
-        n2,
-        n1,
-    )?;
-    let h31 = decode_csr_sections(
-        src,
-        (sec::H31_INDPTR, sec::H31_INDICES, sec::H31_VALUES),
-        n3,
-        n1,
-    )?;
-    let h32 = decode_csr_sections(
-        src,
-        (sec::H32_INDPTR, sec::H32_INDICES, sec::H32_VALUES),
-        n3,
-        n2,
-    )?;
+    let h12 = matrix((h12_ids, n1, n2))?;
+    let h21 = matrix((h21_ids, n2, n1))?;
+    let h31 = matrix((h31_ids, n3, n1))?;
+    let h32 = matrix((h32_ids, n3, n2))?;
 
     // A file without f32 factor values (BePI-B/-S, or one written with
     // the earlier f64 factor sections) leaves `ilu` to `from_raw_parts`,
     // which re-factors `S` for the full variant.
     let ilu = if src.has(sec::ILU_VALUES_F32) {
-        Some(Ilu0::from_parts(
+        let ilu = Ilu0::from_parts(
             &s,
             src.f32s(sec::ILU_VALUES_F32)?,
             src.usizes(sec::ILU_DIAG)?,
-        )?)
+        )?;
+        if S::READS_PAYLOADS {
+            ilu.check_diag_pos()
+                .map_err(|e| parse_err_in(&format!("section {}", sec::name(sec::ILU_DIAG)), e))?;
+        }
+        Some(ilu)
     } else {
         None
     };
     let graph = if src.has(sec::GRAPH_INDPTR) {
-        let adj = decode_csr_sections(
-            src,
-            (sec::GRAPH_INDPTR, sec::GRAPH_INDICES, sec::GRAPH_VALUES),
-            n,
-            n,
-        )?;
+        let (indptr, indices) = (
+            src.usizes(sec::GRAPH_INDPTR)?,
+            src.u32s(sec::GRAPH_INDICES)?,
+        );
+        if S::READS_PAYLOADS {
+            let pattern = Pattern::Wide {
+                indptr: indptr.clone(),
+                indices: indices.clone(),
+            };
+            check_pattern(&pattern, n, (sec::GRAPH_INDPTR, sec::GRAPH_INDICES))?;
+        }
+        let values = src.f64s(sec::GRAPH_VALUES)?;
+        let adj = Csr::from_parts_storage_trusted(n, n, indptr, indices, values)?;
         Some(Graph::from_adjacency(adj)?)
     } else {
         None
@@ -705,31 +721,26 @@ fn decode_v6<S: SectionSource>(src: &S) -> Result<(BePi, Option<Graph>)> {
 /// Open cost is `O(#sections)`: magic/version/footer and the section
 /// table (plus the small META section) are CRC-verified eagerly, while
 /// array payloads are faulted in lazily by the page cache as queries
-/// touch them. `MADV_WILLNEED` is issued for the hot sections (the
-/// `H11` inverse factors, `S` and the ILU factor values, which every
+/// touch them. `MADV_WILLNEED` is issued for the hot sections (every
+/// stored matrix, the value table and the ILU factor values, which every
 /// query walks — every GMRES iteration streams `S`'s arrays twice, once
 /// for the SpMV and once for the ILU apply) so the kernel starts
 /// readahead immediately.
 pub fn load_mapped_file<P: AsRef<Path>>(path: P) -> Result<(BePi, Option<Graph>)> {
     let idx = MappedIndex::open(path).map_err(from_map_err)?;
     idx.verify(sec::META).map_err(from_map_err)?;
-    for id in [
-        sec::L_INV_INDPTR,
-        sec::L_INV_INDICES,
-        sec::L_INV_VALUES,
-        sec::U_INV_INDPTR,
-        sec::U_INV_INDICES,
-        sec::U_INV_VALUES,
-        sec::S_INDPTR,
-        sec::S_INDICES,
-        sec::S_INDPTR32,
-        sec::S_INDICES16,
-        sec::S_VALUES,
-        sec::S_VALUE_TABLE,
-        sec::S_VALUE_CODES,
-        sec::ILU_VALUES_F32,
-        sec::ILU_DIAG,
-    ] {
+    let matrix_sections = MATRICES.iter().flat_map(|&(base, _)| {
+        [
+            sec::INDPTR,
+            sec::INDICES,
+            sec::VALUES,
+            sec::VALUE_CODES,
+            sec::INDPTR32,
+            sec::INDICES16,
+        ]
+        .map(|offset| base + offset)
+    });
+    for id in matrix_sections.chain([sec::S_VALUE_TABLE, sec::ILU_VALUES_F32, sec::ILU_DIAG]) {
         idx.advise_willneed(id);
     }
     decode_v6(&MappedSource { idx: &idx })
@@ -1481,47 +1492,52 @@ mod tests {
         }
     }
 
-    /// `buf` as an index written before `S` could be value-coded: one f64
-    /// per non-zero in `S_VALUES`, where the table and codes were.
+    /// `buf` with `S` stored plain, as files written before the coded form
+    /// and indexes whose `S` overflows the value table store it: one f64
+    /// per non-zero in `S_VALUES`, where the codes were. The value table
+    /// stays, for the other coded matrices.
     fn with_plain_s_values(buf: &[u8], s: &CodedCsr) -> Vec<u8> {
         let values = s.to_csr().values().to_vec();
         rewrite_sections(buf, |cw, id, payload| match id {
-            sec::S_VALUE_TABLE => write_f64s_section(cw, sec::S_VALUES, &values).unwrap(),
+            sec::S_VALUE_TABLE => {
+                write_f64s_section(cw, sec::S_VALUES, &values).unwrap();
+                cw.section_bytes(id, payload).unwrap();
+            }
             sec::S_VALUE_CODES => {}
             id => cw.section_bytes(id, payload).unwrap(),
         })
     }
 
-    /// An index that stores `S` plain, as every file written before the
-    /// coded form did, still loads — on the heap and mapped, for the
-    /// default and the full variant — keeps `S` plain, accounts it at
-    /// 8 bytes per value, and answers bit for bit like a fresh index
-    /// (whose coded `S` multiplies exactly as the plain one does). Saved
-    /// again, it writes the same bytes.
+    /// An index that stores `S` plain still loads — on the heap and
+    /// mapped, for the default and the full variant — keeps `S` plain,
+    /// accounts it at 8 bytes per value instead of a 2-byte code, and
+    /// answers bit for bit like a fresh index (whose coded `S` multiplies
+    /// exactly as the plain one does). Saved again, it writes the same
+    /// bytes.
     #[test]
     fn coded_s_plain_values_file_loads_bit_identical() {
         let g = generators::rmat(7, 500, generators::RmatParams::default(), 61).unwrap();
         for variant in [BePiVariant::Sparse, BePiVariant::Full] {
             let fresh = BePi::preprocess(&g, &BePiConfig::for_variant(variant)).unwrap();
             let s = fresh.schur();
-            let (table, codes) = coded_parts(s);
+            let codes = coded_parts(s).1;
             let old = with_plain_s_values(&to_bytes(&fresh, Some(&g)), s);
             let ids: Vec<u32> = bepi_map::parse_layout(&old)
                 .unwrap()
                 .iter()
                 .map(|e| e.id)
                 .collect();
-            assert!(ids.contains(&sec::S_VALUES));
-            assert!(!ids.contains(&sec::S_VALUE_TABLE) && !ids.contains(&sec::S_VALUE_CODES));
+            assert!(ids.contains(&sec::S_VALUES) && ids.contains(&sec::S_VALUE_TABLE));
+            assert!(!ids.contains(&sec::S_VALUE_CODES));
 
             let path = temp_path("plain_s");
             std::fs::write(&path, &old).unwrap();
             let (heap, _) = load_with_graph(&old[..]).unwrap();
             let (mapped, _) = load_mapped_file(&path).unwrap();
             verify_mapped_file(&path).unwrap();
-            // Plain values cost 8 bytes per non-zero; codes cost 2, plus
-            // the table.
-            let plain_extra = 8 * s.nnz() - (8 * table.len() + 2 * codes.len());
+            // Plain values cost 8 bytes per non-zero, codes 2; the table
+            // is the index's either way.
+            let plain_extra = 8 * s.nnz() - 2 * codes.len();
             for (b, what) in [(&heap, "heap"), (&mapped, "mapped")] {
                 assert!(!b.schur().is_coded(), "{what}");
                 assert_eq!(b.schur(), s, "{what}");
@@ -1620,7 +1636,7 @@ mod tests {
                     }
                     keep(cw, id, p)
                 }),
-                "both plain values (s.values) and a value table (s.value_table)".into(),
+                "both plain values (s.values) and value codes (s.value_codes)".into(),
             ),
             (
                 "neither encoding",
@@ -1829,7 +1845,8 @@ mod tests {
     /// Crafted patterns with valid CRCs: a column past the matrix and a
     /// decreasing row pointer, in `S`'s wide sections (as a file from
     /// before the narrow form stores them), in its narrow sections (a
-    /// column in `n2..2¹⁶`, which a `u16` holds), and in an `H` block. The
+    /// column in `n2..2¹⁶`, which a `u16` holds), and in an `H` block's
+    /// narrow sections. The
     /// heap load, which reads every byte for its CRCs, fails each one with
     /// an error naming the section, where the first query used to panic.
     #[test]
@@ -1840,7 +1857,7 @@ mod tests {
         let narrow = to_bytes(&fresh, None);
         let wide = with_wide_s_pattern(&narrow, fresh.schur());
         let s = fresh.schur().to_csr();
-        let h21 = fresh.coupling_blocks().1.clone();
+        let h21 = fresh.coupling_blocks().1.to_csr();
         assert!(h21.nnz() > 0 && s.nnz() > 2 && n2 + 1000 < 1 << 16);
         let far = |cols: &[u32], past: usize| {
             let mut cols = cols.to_vec();
@@ -1896,9 +1913,10 @@ mod tests {
                 "H21 column",
                 &narrow,
                 Box::new(|cw, id, _| {
-                    id == sec::H21_INDICES && write_u32s_section(cw, id, &h21_cols).is_ok()
+                    id == sec::H21 + sec::INDICES16
+                        && write_u16s_section(cw, id, &narrow16(&h21_cols)).is_ok()
                 }),
-                "section h21.indices: column",
+                "section h21.indices16: column",
             ),
         ];
         for (name, buf, edit, want) in cases {
@@ -1910,6 +1928,459 @@ mod tests {
             assert_ne!(bad, *buf, "{name}: the edit must land");
             let err = load(&bad[..]).unwrap_err().to_string();
             assert!(err.contains(want), "{name}: {err}");
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `m` on a wide pattern with plain values, as every matrix but `S`
+    /// was stored before the stored matrices shared one form.
+    fn wide_plain(m: &CodedCsr) -> CodedCsr {
+        let a = m.to_csr();
+        let values = CodedValues::Plain(a.values().to_vec().into());
+        CodedCsr::from_parts_storage_trusted(a.nrows(), a.ncols(), a.pattern(), values).unwrap()
+    }
+
+    /// `m` on a wide pattern, its values as held.
+    fn wide_as_held(m: &CodedCsr) -> CodedCsr {
+        let (indptr, indices) = m.pattern().to_wide();
+        let pattern = Pattern::Wide { indptr, indices };
+        CodedCsr::from_parts_storage_trusted(m.nrows(), m.ncols(), pattern, m.values().clone())
+            .unwrap()
+    }
+
+    /// `bepi`'s index `buf` with every stored matrix rewritten in the form
+    /// `form` gives it (from its name and the matrix as held) and `table`
+    /// as the index's value table, written in `S`'s block. Each matrix
+    /// keeps its place in the file; every other section is copied.
+    fn with_stored_forms(
+        buf: &[u8],
+        bepi: &BePi,
+        table: Option<&[f64]>,
+        form: impl Fn(&str, &CodedCsr) -> CodedCsr,
+    ) -> Vec<u8> {
+        let stored = bepi.stored_matrices();
+        let mut written = [false; 7];
+        rewrite_sections(buf, |cw, id, payload| {
+            match MATRICES.iter().position(|&(base, _)| id & !0xf == base) {
+                Some(b) if !written[b] => {
+                    written[b] = true;
+                    let (base, (name, m)) = (MATRICES[b].0, stored[b]);
+                    let table = table.filter(|_| base == sec::S);
+                    write_matrix(cw, base, &form(name, m), table).unwrap();
+                }
+                Some(_) => {}
+                None => cw.section_bytes(id, payload).unwrap(),
+            }
+        })
+    }
+
+    /// Asserts that every value-coded matrix of `b` holds `b`'s one value
+    /// table: the same memory, not an equal copy.
+    fn assert_one_table(b: &BePi, what: &str) {
+        let table = b.value_table().expect("an index with coded matrices");
+        for (name, m) in b.stored_matrices() {
+            if let Some(t) = m.table() {
+                assert!(
+                    std::ptr::eq(t.as_slice(), table.as_slice()),
+                    "{what}: {name} holds its own table"
+                );
+            }
+        }
+    }
+
+    /// Every matrix of a preprocessed, refactored, heap-loaded or mapped
+    /// index is narrow and value-coded on these graphs, and all hold one
+    /// table. `S` is coded first, so its codes are the ones it gets alone
+    /// and the table starts with its values; the others append theirs.
+    #[test]
+    fn compact_index_matrices_share_one_value_table() {
+        use crate::bepi::tests::{removable_edge, without_edge};
+        let g = generators::rmat(8, 900, generators::RmatParams::default(), 5).unwrap();
+        let g = generators::inject_deadends(&g, 0.1, 3).unwrap();
+        let (u, v) = removable_edge(&g);
+        let g_new = without_edge(&g, u, v);
+        for variant in [BePiVariant::Sparse, BePiVariant::Full] {
+            let fresh = BePi::preprocess(&g, &BePiConfig::for_variant(variant)).unwrap();
+            let s_alone = CodedCsr::encode(&fresh.schur().to_csr());
+            let (s_table, s_codes) = coded_parts(&s_alone);
+            let (table, codes) = coded_parts(fresh.schur());
+            assert_eq!(codes, s_codes);
+            assert_eq!(bits(&table[..s_table.len()]), bits(s_table));
+            assert!(table.len() > s_table.len(), "the H blocks add values");
+            for (name, m) in fresh.stored_matrices() {
+                assert!(m.is_coded() && m.pattern().is_narrow(), "{name}");
+                assert!(m.nnz() > 0, "{name} is empty on this graph");
+            }
+            assert_one_table(&fresh, "preprocess");
+
+            let plan = fresh.symbolic_plan();
+            let dirty = match crate::classify(&plan, &g, &g_new, &[u]) {
+                crate::Classification::NumericOnly(d) => d,
+                crate::Classification::Structural(why) => panic!("expected numeric: {why}"),
+            };
+            let refac = fresh.refactor(&g_new, &dirty).unwrap();
+            assert_one_table(&refac, "refactor");
+            let frozen = BePi::preprocess_with_plan(&g_new, refac.config(), &plan).unwrap();
+            assert_eq!(
+                bits(refac.value_table().unwrap()),
+                bits(frozen.value_table().unwrap())
+            );
+
+            let path = temp_path("one_table");
+            save_file_v6(&refac, None, &path).unwrap();
+            let heap = load_file(&path).unwrap();
+            let (mapped, _) = load_mapped_file(&path).unwrap();
+            assert_one_table(&heap, "heap load");
+            assert_one_table(&mapped, "mapped load");
+            assert!(mapped.value_table().unwrap().is_mapped());
+            for seed in [0usize, 40, 200] {
+                let want = frozen.query(seed).unwrap();
+                for b in [&refac, &heap, &mapped] {
+                    let got = b.query(seed).unwrap();
+                    assert_eq!(bits(&got.scores), bits(&want.scores), "seed {seed}");
+                    assert_eq!(got.residual.to_bits(), want.residual.to_bits());
+                }
+            }
+            drop(mapped);
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// The memory report charges each stored matrix exactly the bytes of
+    /// its sections in the file, and the value table once, under
+    /// `schur`: after preprocess, heap load and mapped load, the report
+    /// adds up to the file's sections but META, block sizes and the graph.
+    #[test]
+    fn compact_memory_report_counts_the_table_once() {
+        let g = generators::rmat(8, 900, generators::RmatParams::default(), 3).unwrap();
+        let fresh = BePi::preprocess(&g, &BePiConfig::for_variant(BePiVariant::Full)).unwrap();
+        let path = temp_path("table_once");
+        save_file_v6(&fresh, Some(&g), &path).unwrap();
+        let layout = bepi_map::parse_layout(&std::fs::read(&path).unwrap()).unwrap();
+        let bytes_of = |ids: &dyn Fn(u32) -> bool| -> usize {
+            layout
+                .iter()
+                .filter(|e| ids(e.id))
+                .map(|e| e.len as usize)
+                .sum()
+        };
+        let table_bytes = bytes_of(&|id| id == sec::S_VALUE_TABLE);
+        assert_eq!(table_bytes, 8 * fresh.value_table().unwrap().len());
+        let mut want: Vec<(&str, usize)> = vec![
+            (
+                "perm",
+                bytes_of(&|id| id == sec::PERM_NEW_OF_OLD || id == sec::PERM_OLD_OF_NEW),
+            ),
+            (
+                "precond",
+                bytes_of(&|id| id == sec::ILU_VALUES_F32 || id == sec::ILU_DIAG),
+            ),
+        ];
+        for ((base, _), (name, _)) in MATRICES.iter().zip(fresh.stored_matrices()) {
+            let own = bytes_of(&|id| id & !0xf == *base && id != sec::S_VALUE_TABLE);
+            let table = if *base == sec::S { table_bytes } else { 0 };
+            want.push((name, own + table));
+        }
+        let total: usize = want.iter().map(|(_, b)| b).sum();
+        assert_eq!(
+            total,
+            bytes_of(&|id| {
+                ![
+                    sec::META,
+                    sec::BLOCK_SIZES,
+                    sec::GRAPH_INDPTR,
+                    sec::GRAPH_INDICES,
+                    sec::GRAPH_VALUES,
+                ]
+                .contains(&id)
+            })
+        );
+        let heap = load_file(&path).unwrap();
+        let (mapped, _) = load_mapped_file(&path).unwrap();
+        for (b, what) in [(&fresh, "fresh"), (&heap, "heap"), (&mapped, "mapped")] {
+            let report = b.memory_report();
+            for (name, bytes) in &want {
+                let c = report.iter().find(|c| c.name == *name).unwrap();
+                assert_eq!(c.heap_bytes + c.mapped_bytes, *bytes, "{what}: {name}");
+            }
+            assert_eq!(b.heap_bytes() + b.mapped_bytes(), total, "{what}");
+            assert_eq!(b.preprocessed_bytes(), total, "{what}");
+        }
+        assert_eq!(mapped.heap_bytes(), 0);
+        drop(mapped);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Files written before the stored matrices shared one form — `L1⁻¹`,
+    /// `U1⁻¹` and the `H` blocks wide and plain, and `S` either coded over
+    /// a table of its own values only (on a narrow or a wide pattern) or
+    /// plain with no table at all — load on the heap and mapped, for the
+    /// default and the full variant. They keep their forms, answer bit
+    /// for bit like a fresh index with equal iterations and residuals,
+    /// save again to the same bytes, and refactor to the fresh index's
+    /// refactor.
+    #[test]
+    fn compact_old_format_files_load_bit_identical() {
+        use crate::bepi::tests::{removable_edge, without_edge};
+        let g = generators::rmat(7, 500, generators::RmatParams::default(), 61).unwrap();
+        let (u, v) = removable_edge(&g);
+        let g_new = without_edge(&g, u, v);
+        for variant in [BePiVariant::Sparse, BePiVariant::Full] {
+            let fresh = BePi::preprocess(&g, &BePiConfig::for_variant(variant)).unwrap();
+            let buf = to_bytes(&fresh, Some(&g));
+            let s_alone = CodedCsr::encode(&fresh.schur().to_csr());
+            let s_table = coded_parts(&s_alone).0;
+            type Form = fn(&str, &CodedCsr) -> CodedCsr;
+            let layouts: [(&str, Option<&[f64]>, Form); 3] = [
+                ("narrow coded S", Some(s_table), |name, m| {
+                    if name == "schur" {
+                        m.clone()
+                    } else {
+                        wide_plain(m)
+                    }
+                }),
+                ("wide coded S", Some(s_table), |name, m| {
+                    if name == "schur" {
+                        wide_as_held(m)
+                    } else {
+                        wide_plain(m)
+                    }
+                }),
+                ("plain S", None, |_, m| wide_plain(m)),
+            ];
+            let plan = fresh.symbolic_plan();
+            let dirty = match crate::classify(&plan, &g, &g_new, &[u]) {
+                crate::Classification::NumericOnly(d) => d,
+                crate::Classification::Structural(why) => panic!("expected numeric: {why}"),
+            };
+            let fresh_refac = fresh.refactor(&g_new, &dirty).unwrap();
+            for (layout, table, form) in layouts {
+                let old = with_stored_forms(&buf, &fresh, table, form);
+                let ids: Vec<u32> = bepi_map::parse_layout(&old)
+                    .unwrap()
+                    .iter()
+                    .map(|e| e.id)
+                    .collect();
+                for id in [
+                    sec::L_INV + sec::VALUES,
+                    sec::H12 + sec::VALUES,
+                    sec::H21 + sec::INDPTR,
+                    sec::H32 + sec::INDICES,
+                ] {
+                    assert!(ids.contains(&id), "{layout}: {}", sec::name(id));
+                }
+                assert_eq!(ids.contains(&sec::S_VALUE_TABLE), table.is_some());
+                let path = temp_path("old_layout");
+                std::fs::write(&path, &old).unwrap();
+                let (heap, _) = load_with_graph(&old[..]).unwrap();
+                let (mapped, mapped_graph) = load_mapped_file(&path).unwrap();
+                verify_mapped_file(&path).unwrap();
+                for (b, what) in [(&heap, "heap"), (&mapped, "mapped")] {
+                    let what = format!("{:?} {layout} {what}", variant);
+                    for (name, m) in b.stored_matrices() {
+                        if name != "schur" {
+                            assert!(!m.is_coded() && !m.pattern().is_narrow(), "{what}: {name}");
+                        }
+                    }
+                    assert_eq!(b.value_table().map(|t| t.len()), table.map(<[f64]>::len));
+                    assert_eq!(b.schur(), fresh.schur(), "{what}");
+                    if variant == BePiVariant::Full {
+                        assert_precond_bytes(b);
+                    }
+                    for seed in [0usize, 31, 100] {
+                        let (got, want) = (b.query(seed).unwrap(), fresh.query(seed).unwrap());
+                        assert_eq!(bits(&got.scores), bits(&want.scores), "{what} seed {seed}");
+                        assert_eq!(got.iterations, want.iterations, "{what}");
+                        assert_eq!(got.residual.to_bits(), want.residual.to_bits(), "{what}");
+                    }
+                    let refac = b.refactor(&g_new, &dirty).unwrap();
+                    assert_one_table(&refac, &what);
+                    for seed in [0usize, 100] {
+                        let (got, want) =
+                            (refac.query(seed).unwrap(), fresh_refac.query(seed).unwrap());
+                        assert_eq!(bits(&got.scores), bits(&want.scores), "{what} seed {seed}");
+                    }
+                }
+                assert_eq!(to_bytes(&heap, Some(&g)), old, "{layout}: heap re-save");
+                assert_eq!(
+                    to_bytes(&mapped, mapped_graph.as_ref()),
+                    old,
+                    "{layout}: mapped re-save"
+                );
+                drop(mapped);
+                std::fs::remove_file(&path).ok();
+            }
+        }
+    }
+
+    /// Hostile stored-matrix sections with valid CRCs. The heap load,
+    /// which reads every byte, fails each with an error naming the
+    /// matrix or section: a code past the table, a column past the
+    /// matrix, a decreasing row pointer, codes without a table, and both
+    /// value encodings at once. The mapped open keeps its `O(1)` checks:
+    /// it fails the last two too; a code past the table there reads NaN,
+    /// so the query fails instead of answering.
+    #[test]
+    fn compact_hostile_matrix_sections_fail_cleanly() {
+        let g = generators::rmat(7, 500, generators::RmatParams::default(), 61).unwrap();
+        let fresh = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
+        let buf = to_bytes(&fresh, None);
+        let table_len = fresh.value_table().unwrap().len();
+        let (h12, h21) = (fresh.coupling_blocks().0, fresh.coupling_blocks().1);
+        let l_inv = &fresh.h11_factors().l_inv;
+        assert!(h12.nnz() > 2 && h21.nnz() > 2 && l_inv.nnz() > 2);
+        type Edit<'a> = &'a dyn Fn(&mut ContainerWriter<Vec<u8>>, &[u8]);
+        let edit = |target: u32, f: Edit| {
+            rewrite_sections(&buf, |cw, id, payload| {
+                if id == target {
+                    f(cw, payload)
+                } else {
+                    cw.section_bytes(id, payload).unwrap()
+                }
+            })
+        };
+        let mut h21_codes = coded_parts(h21).1.to_vec();
+        h21_codes[h21.nnz() / 2] = table_len as u16;
+        let past_table = edit(sec::H21 + sec::VALUE_CODES, &|cw, _| {
+            write_u16s_section(cw, sec::H21 + sec::VALUE_CODES, &h21_codes).unwrap()
+        });
+        let far_col = edit(sec::H12 + sec::INDICES16, &|cw, p| {
+            let mut cols: Vec<u16> = p
+                .chunks(2)
+                .map(|b| u16::from_le_bytes([b[0], b[1]]))
+                .collect();
+            cols[0] = fresh.stats().n2 as u16;
+            write_u16s_section(cw, sec::H12 + sec::INDICES16, &cols).unwrap()
+        });
+        let dip = edit(sec::L_INV + sec::INDPTR32, &|cw, p| {
+            let mut ptr: Vec<u32> = p
+                .chunks(4)
+                .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+                .collect();
+            let i = ptr.iter().position(|&x| x > 0).unwrap();
+            ptr[i] = ptr[i + 1] + 1;
+            write_u32s_section(cw, sec::L_INV + sec::INDPTR32, &ptr).unwrap()
+        });
+        let heap_only = [
+            (
+                &past_table,
+                format!("v6 index: H21: value code {table_len} at non-zero"),
+            ),
+            (&far_col, "section h12.indices16: column".to_string()),
+            (
+                &dip,
+                "section l_inv.indptr32: row pointers decrease".to_string(),
+            ),
+        ];
+        for (bad, want) in &heap_only {
+            assert_ne!(*bad, &buf);
+            let err = load(&bad[..]).unwrap_err().to_string();
+            assert!(err.contains(want.as_str()), "{want}: {err}");
+        }
+        let path = temp_path("hostile_codes");
+        std::fs::write(&path, &past_table).unwrap();
+        let (mapped, _) = load_mapped_file(&path).unwrap();
+        let err = mapped.query(0).unwrap_err().to_string();
+        assert!(err.contains("did not converge"), "{err}");
+        drop(mapped);
+        std::fs::remove_file(&path).ok();
+
+        let no_table = edit(sec::S_VALUE_TABLE, &|_, _| {});
+        let both = edit(sec::H21 + sec::VALUE_CODES, &|cw, p| {
+            write_f64s_section(cw, sec::H21 + sec::VALUES, h21.to_csr().values()).unwrap();
+            cw.section_bytes(sec::H21 + sec::VALUE_CODES, p).unwrap();
+        });
+        for (bad, want) in [
+            (
+                &no_table,
+                "has value codes (s.value_codes) but the index has no value table (s.value_table)",
+            ),
+            (
+                &both,
+                "H21 carries both plain values (h21.values) and value codes (h21.value_codes)",
+            ),
+        ] {
+            for err in load_errors(bad, "hostile_matrix") {
+                assert!(err.contains(want), "{want}: {err}");
+            }
+        }
+    }
+
+    /// A crafted permutation or ILU(0) diagonal position with valid CRCs
+    /// fails the heap load, which reads every byte, with an error naming
+    /// the section — where the first query's gather or sweep used to
+    /// panic: a map entry past the node count, maps that are not
+    /// inverses, a diagonal position past its row, and one on an
+    /// off-diagonal entry.
+    #[test]
+    fn heap_load_rejects_crafted_permutation_and_diag_pos() {
+        let g = generators::rmat(7, 500, generators::RmatParams::default(), 61).unwrap();
+        let fresh = BePi::preprocess(&g, &BePiConfig::for_variant(BePiVariant::Full)).unwrap();
+        let buf = to_bytes(&fresh, None);
+        let n = fresh.node_count() as u32;
+        let perm = fresh.permutation();
+        let ilu = fresh.preconditioner().unwrap();
+        let s = fresh.schur();
+        // A row of S with an off-diagonal entry.
+        let row = (0..s.nrows()).find(|&i| s.row_iter(i).count() > 1).unwrap();
+        let edit = |target: u32, f: &dyn Fn(&mut ContainerWriter<Vec<u8>>)| {
+            rewrite_sections(&buf, |cw, id, payload| {
+                if id == target {
+                    f(cw)
+                } else {
+                    cw.section_bytes(id, payload).unwrap()
+                }
+            })
+        };
+        let mut fwd = perm.new_of_old().to_vec();
+        fwd[3] = n + 5;
+        let mut inv = perm.old_of_new().to_vec();
+        inv.swap(0, 1);
+        let (mut past, mut off) = (ilu.diag_pos().to_vec(), ilu.diag_pos().to_vec());
+        past[row] = s.row_iter(row).count();
+        off[row] = (off[row] + 1) % s.row_iter(row).count();
+        let cases = [
+            (
+                edit(sec::PERM_NEW_OF_OLD, &|cw| {
+                    write_u32s_section(cw, sec::PERM_NEW_OF_OLD, &fwd).unwrap()
+                }),
+                format!(
+                    "section perm.new_of_old: entry 3 is {}, out of range",
+                    n + 5
+                ),
+            ),
+            (
+                edit(sec::PERM_OLD_OF_NEW, &|cw| {
+                    write_u32s_section(cw, sec::PERM_OLD_OF_NEW, &inv).unwrap()
+                }),
+                "section perm.old_of_new: entry".to_string(),
+            ),
+            (
+                edit(sec::ILU_DIAG, &|cw| {
+                    write_u64s_section(cw, sec::ILU_DIAG, &past).unwrap()
+                }),
+                format!(
+                    "section ilu.diag_pos: diagonal position {} of row {row} is past",
+                    past[row]
+                ),
+            ),
+            (
+                edit(sec::ILU_DIAG, &|cw| {
+                    write_u64s_section(cw, sec::ILU_DIAG, &off).unwrap()
+                }),
+                format!(
+                    "section ilu.diag_pos: diagonal position {} of row {row} points at column",
+                    off[row]
+                ),
+            ),
+        ];
+        for (bad, want) in &cases {
+            assert_ne!(bad, &buf);
+            let err = load(&bad[..]).unwrap_err().to_string();
+            assert!(err.contains(want.as_str()), "{want}: {err}");
         }
     }
 }

@@ -21,7 +21,7 @@
 //! ([`assemble`]), classifies edge-update batches as numeric-only or
 //! structural ([`classify`]), and recomputes only the `H11` blocks and
 //! Schur rows whose inputs changed ([`refactor_schur`], together with
-//! `BlockLu::refactor_blocks` in `bepi-solver`). A numeric-only refactor
+//! `FrozenBlockLu::refactor_blocks` in `bepi-solver`). A numeric-only refactor
 //! is bit-identical to a full numeric factorization under the same plan:
 //! every recomputed row runs the identical kernel on identical inputs,
 //! and every untouched row is copied verbatim.
@@ -555,13 +555,14 @@ pub fn classify(
 /// entries (old or new) touch a dirty `H11` block; every other row of
 /// `S = H22 − H21 (U1^{-1}(L1^{-1} H12))` is unchanged term-for-term and
 /// is copied verbatim, so the result is bit-identical to a full Schur
-/// recompute under the same plan. `old_s` is read as stored (plain or
-/// value-coded); the result is a plain [`Csr`], which the caller codes
-/// once its ILU(0) refresh has read it.
+/// recompute under the same plan. `old_s` and `h21_old` are read as
+/// stored (plain or value-coded, either pattern width); the result is a
+/// plain [`Csr`], which the caller codes once its ILU(0) refresh has read
+/// it.
 pub fn refactor_schur(
     old_s: &CodedCsr,
     blocks: &HBlocks,
-    h21_old: &Csr,
+    h21_old: &CodedCsr,
     lu_new: &BlockLu,
     plan: &SymbolicPlan,
     dirty: &DirtySet,
@@ -596,12 +597,11 @@ pub fn refactor_schur(
     // Dirty Schur rows: any H21 row (old or new) with a non-zero in a
     // dirty block's columns. Removed entries dirty a row too, hence the
     // scan over both generations.
-    let row_touches_dirty = |m: &Csr, i: usize| -> bool {
-        let (cols, _) = m.row(i);
-        cols.iter().any(|&c| spoke_dirty[c as usize])
-    };
     let dirty_rows: Vec<usize> = (0..n2)
-        .filter(|&i| row_touches_dirty(h21_old, i) || row_touches_dirty(&blocks.h21, i))
+        .filter(|&i| {
+            h21_old.row_iter(i).any(|(c, _)| spoke_dirty[c])
+                || blocks.h21.row_iter(i).any(|(c, _)| spoke_dirty[c])
+        })
         .collect();
     if dirty_rows.is_empty() {
         return Ok(old_s.to_csr());
@@ -752,6 +752,19 @@ mod tests {
         (analysis.plan, blocks)
     }
 
+    /// `lu`'s factors frozen as an index stores them.
+    fn frozen(lu: &BlockLu) -> bepi_solver::FrozenBlockLu {
+        let [l_inv, u_inv]: [CodedCsr; 2] = CodedCsr::encode_all(&[&lu.l_inv, &lu.u_inv])
+            .try_into()
+            .unwrap();
+        bepi_solver::FrozenBlockLu::from_inverse_factors_trusted(
+            l_inv,
+            u_inv,
+            lu.block_sizes.clone(),
+        )
+        .unwrap()
+    }
+
     fn full_schur(blocks: &HBlocks, lu: &BlockLu) -> Csr {
         let x = lu.solve_matrix(&blocks.h12).unwrap();
         let prod = spgemm(&blocks.h21, &x).unwrap();
@@ -874,7 +887,9 @@ mod tests {
             c => panic!("expected numeric, got {c:?}"),
         };
         let new_blocks = assemble(&g_new, C, &plan).unwrap();
-        let lu_new = lu.refactor_blocks(&new_blocks.h11, &dirty.blocks).unwrap();
+        let lu_new = frozen(&lu)
+            .refactor_blocks(&new_blocks.h11, &dirty.blocks)
+            .unwrap();
         // Reference: full factor + full Schur on the updated graph.
         let lu_ref = BlockLu::factor(&new_blocks.h11, &plan.block_sizes).unwrap();
         assert_eq!(lu_new.l_inv, lu_ref.l_inv);
@@ -883,7 +898,7 @@ mod tests {
         let s_got = refactor_schur(
             &CodedCsr::encode(&old_s),
             &new_blocks,
-            &blocks.h21,
+            &CodedCsr::encode(&blocks.h21),
             &lu_new,
             &plan,
             &dirty,
@@ -920,9 +935,12 @@ mod tests {
             c => panic!("expected numeric, got {c:?}"),
         };
         let new_blocks = assemble(&g_new, C, &plan).unwrap();
-        let lu_new = lu.refactor_blocks(&new_blocks.h11, &dirty.blocks).unwrap();
+        let lu_new = frozen(&lu)
+            .refactor_blocks(&new_blocks.h11, &dirty.blocks)
+            .unwrap();
+        let h21_old = CodedCsr::encode(&blocks.h21);
         let splice = |old: &CodedCsr, dirty: &DirtySet| {
-            refactor_schur(old, &new_blocks, &blocks.h21, &lu_new, &plan, dirty).unwrap()
+            refactor_schur(old, &new_blocks, &h21_old, &lu_new, &plan, dirty).unwrap()
         };
         let got = splice(&narrow, &dirty);
         assert_eq!(got, splice(&wide, &dirty));
@@ -943,7 +961,7 @@ mod tests {
         let got = refactor_schur(
             &coded,
             &blocks,
-            &blocks.h21,
+            &CodedCsr::encode(&blocks.h21),
             &lu,
             &plan,
             &DirtySet::default(),
@@ -963,7 +981,8 @@ mod tests {
             hub_columns: true,
         };
         let coded = CodedCsr::encode(&s);
-        let got = refactor_schur(&coded, &blocks, &blocks.h21, &lu, &plan, &dirty).unwrap();
+        let h21 = CodedCsr::encode(&blocks.h21);
+        let got = refactor_schur(&coded, &blocks, &h21, &lu, &plan, &dirty).unwrap();
         assert_eq!(got, s);
     }
 

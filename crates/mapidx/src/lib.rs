@@ -61,6 +61,23 @@ pub use map::{MappedIndex, Mapping, Pod, Section};
 ///
 /// The numeric ids are part of the on-disk format; the names are what
 /// error messages and memory reports print.
+///
+/// Every stored matrix owns one block of sixteen ids, and the low
+/// nibble says what a section holds, the same for every matrix:
+///
+/// | offset | section        | element | when                          |
+/// |--------|----------------|---------|-------------------------------|
+/// | `+0`   | `indptr`       | `u64`   | wide pattern                  |
+/// | `+1`   | `indices`      | `u32`   | wide pattern                  |
+/// | `+2`   | `values`       | `f64`   | plain values                  |
+/// | `+4`   | `value_codes`  | `u16`   | value-coded                   |
+/// | `+5`   | `indptr32`     | `u32`   | narrow pattern (≤ 2¹⁶ columns) |
+/// | `+6`   | `indices16`    | `u16`   | narrow pattern                |
+///
+/// A matrix carries one pattern pair and one value encoding. The codes
+/// of every value-coded matrix index the one table of the index,
+/// `S_VALUE_TABLE` (`+3` of `S`'s block, where files written before
+/// the table was shared kept `S`'s own table).
 pub mod sections {
     /// Config scalars, partition sizes, and phase timings (opaque blob).
     pub const META: u32 = 0x01;
@@ -70,63 +87,55 @@ pub mod sections {
     pub const PERM_OLD_OF_NEW: u32 = 0x03;
     /// Diagonal block sizes of `H11` (`u64`).
     pub const BLOCK_SIZES: u32 = 0x04;
-    /// `L1^{-1}` row pointers (`u64`).
-    pub const L_INV_INDPTR: u32 = 0x10;
-    /// `L1^{-1}` column indices (`u32`).
-    pub const L_INV_INDICES: u32 = 0x11;
-    /// `L1^{-1}` values (`f64`).
-    pub const L_INV_VALUES: u32 = 0x12;
-    /// `U1^{-1}` row pointers (`u64`).
-    pub const U_INV_INDPTR: u32 = 0x20;
-    /// `U1^{-1}` column indices (`u32`).
-    pub const U_INV_INDICES: u32 = 0x21;
-    /// `U1^{-1}` values (`f64`).
-    pub const U_INV_VALUES: u32 = 0x22;
+    /// First id of `L1^{-1}`'s block.
+    pub const L_INV: u32 = 0x10;
+    /// First id of `U1^{-1}`'s block.
+    pub const U_INV: u32 = 0x20;
+    /// First id of the Schur complement `S`'s block.
+    pub const S: u32 = 0x30;
+    /// First id of `H12`'s block.
+    pub const H12: u32 = 0x40;
+    /// First id of `H21`'s block.
+    pub const H21: u32 = 0x50;
+    /// First id of `H31`'s block.
+    pub const H31: u32 = 0x60;
+    /// First id of `H32`'s block.
+    pub const H32: u32 = 0x70;
+    /// Offset of a matrix's wide row pointers (`u64`).
+    pub const INDPTR: u32 = 0x0;
+    /// Offset of a matrix's wide column indices (`u32`).
+    pub const INDICES: u32 = 0x1;
+    /// Offset of a matrix's plain values (`f64`, one per non-zero).
+    pub const VALUES: u32 = 0x2;
+    /// Offset of a matrix's value codes (`u16`, one index into
+    /// [`S_VALUE_TABLE`] per non-zero).
+    pub const VALUE_CODES: u32 = 0x4;
+    /// Offset of a matrix's narrow row pointers (`u32`).
+    pub const INDPTR32: u32 = 0x5;
+    /// Offset of a matrix's narrow column indices (`u16`).
+    pub const INDICES16: u32 = 0x6;
     /// Schur complement `S` row pointers (`u64`), for an `S` with more
     /// than 2¹⁶ columns. An index carries either this pair or the narrow
     /// pair [`S_INDPTR32`] + [`S_INDICES16`], never both.
-    pub const S_INDPTR: u32 = 0x30;
+    pub const S_INDPTR: u32 = S + INDPTR;
     /// Schur complement `S` column indices (`u32`).
-    pub const S_INDICES: u32 = 0x31;
+    pub const S_INDICES: u32 = S + INDICES;
     /// Schur complement `S` values (`f64`, one per non-zero), for an `S`
-    /// with more than 2¹⁶ distinct values. An index carries either this or
-    /// the coded pair below, never both.
-    pub const S_VALUES: u32 = 0x32;
-    /// `S`'s distinct values in first-occurrence order (`f64`, at most
-    /// 2¹⁶ entries).
-    pub const S_VALUE_TABLE: u32 = 0x33;
+    /// whose values do not fit the value table. An index carries either
+    /// this or [`S_VALUE_CODES`], never both.
+    pub const S_VALUES: u32 = S + VALUES;
+    /// The index's value table: the distinct values of every value-coded
+    /// matrix (`f64`, at most 2¹⁶ entries), `S`'s first in
+    /// first-occurrence order, then each later matrix's new ones.
+    pub const S_VALUE_TABLE: u32 = S + 0x3;
     /// `S`'s values as one index into [`S_VALUE_TABLE`] per non-zero
     /// (`u16`).
-    pub const S_VALUE_CODES: u32 = 0x34;
+    pub const S_VALUE_CODES: u32 = S + VALUE_CODES;
     /// `S`'s row pointers in the narrow pattern (`u32`), for an `S` with
     /// at most 2¹⁶ columns and `u32::MAX` non-zeros.
-    pub const S_INDPTR32: u32 = 0x35;
+    pub const S_INDPTR32: u32 = S + INDPTR32;
     /// `S`'s column indices in the narrow pattern (`u16`).
-    pub const S_INDICES16: u32 = 0x36;
-    /// `H12` row pointers (`u64`).
-    pub const H12_INDPTR: u32 = 0x40;
-    /// `H12` column indices (`u32`).
-    pub const H12_INDICES: u32 = 0x41;
-    /// `H12` values (`f64`).
-    pub const H12_VALUES: u32 = 0x42;
-    /// `H21` row pointers (`u64`).
-    pub const H21_INDPTR: u32 = 0x50;
-    /// `H21` column indices (`u32`).
-    pub const H21_INDICES: u32 = 0x51;
-    /// `H21` values (`f64`).
-    pub const H21_VALUES: u32 = 0x52;
-    /// `H31` row pointers (`u64`).
-    pub const H31_INDPTR: u32 = 0x60;
-    /// `H31` column indices (`u32`).
-    pub const H31_INDICES: u32 = 0x61;
-    /// `H31` values (`f64`).
-    pub const H31_VALUES: u32 = 0x62;
-    /// `H32` row pointers (`u64`).
-    pub const H32_INDPTR: u32 = 0x70;
-    /// `H32` column indices (`u32`).
-    pub const H32_INDICES: u32 = 0x71;
-    /// `H32` values (`f64`).
-    pub const H32_VALUES: u32 = 0x72;
+    pub const S_INDICES16: u32 = S + INDICES16;
     /// ILU(0) per-row diagonal positions (`u64`).
     pub const ILU_DIAG: u32 = 0x83;
     /// ILU(0) factor values in `S`'s pattern (`f32`, the diagonal slots
@@ -141,45 +150,94 @@ pub mod sections {
     pub const GRAPH_VALUES: u32 = 0x92;
 
     /// Human-readable name of a section id, for error messages and the
-    /// `bepi stats` memory report.
+    /// `bepi stats` memory report: `<matrix>.<section>` inside a stored
+    /// matrix's block (see the module doc).
     pub fn name(id: u32) -> &'static str {
         match id {
             META => "meta",
             PERM_NEW_OF_OLD => "perm.new_of_old",
             PERM_OLD_OF_NEW => "perm.old_of_new",
             BLOCK_SIZES => "block_sizes",
-            L_INV_INDPTR => "l_inv.indptr",
-            L_INV_INDICES => "l_inv.indices",
-            L_INV_VALUES => "l_inv.values",
-            U_INV_INDPTR => "u_inv.indptr",
-            U_INV_INDICES => "u_inv.indices",
-            U_INV_VALUES => "u_inv.values",
-            S_INDPTR => "s.indptr",
-            S_INDICES => "s.indices",
-            S_VALUES => "s.values",
             S_VALUE_TABLE => "s.value_table",
-            S_VALUE_CODES => "s.value_codes",
-            S_INDPTR32 => "s.indptr32",
-            S_INDICES16 => "s.indices16",
-            H12_INDPTR => "h12.indptr",
-            H12_INDICES => "h12.indices",
-            H12_VALUES => "h12.values",
-            H21_INDPTR => "h21.indptr",
-            H21_INDICES => "h21.indices",
-            H21_VALUES => "h21.values",
-            H31_INDPTR => "h31.indptr",
-            H31_INDICES => "h31.indices",
-            H31_VALUES => "h31.values",
-            H32_INDPTR => "h32.indptr",
-            H32_INDICES => "h32.indices",
-            H32_VALUES => "h32.values",
             ILU_DIAG => "ilu.diag_pos",
             ILU_VALUES_F32 => "ilu.values_f32",
             GRAPH_INDPTR => "graph.indptr",
             GRAPH_INDICES => "graph.indices",
             GRAPH_VALUES => "graph.values",
-            _ => "unknown",
+            _ => matrix_section_name(id).unwrap_or("unknown"),
         }
+    }
+
+    /// [`name`] for an id inside one of the stored matrices' blocks.
+    fn matrix_section_name(id: u32) -> Option<&'static str> {
+        const NAMES: [[&str; 7]; 7] = [
+            [
+                "l_inv.indptr",
+                "l_inv.indices",
+                "l_inv.values",
+                "",
+                "l_inv.value_codes",
+                "l_inv.indptr32",
+                "l_inv.indices16",
+            ],
+            [
+                "u_inv.indptr",
+                "u_inv.indices",
+                "u_inv.values",
+                "",
+                "u_inv.value_codes",
+                "u_inv.indptr32",
+                "u_inv.indices16",
+            ],
+            [
+                "s.indptr",
+                "s.indices",
+                "s.values",
+                "",
+                "s.value_codes",
+                "s.indptr32",
+                "s.indices16",
+            ],
+            [
+                "h12.indptr",
+                "h12.indices",
+                "h12.values",
+                "",
+                "h12.value_codes",
+                "h12.indptr32",
+                "h12.indices16",
+            ],
+            [
+                "h21.indptr",
+                "h21.indices",
+                "h21.values",
+                "",
+                "h21.value_codes",
+                "h21.indptr32",
+                "h21.indices16",
+            ],
+            [
+                "h31.indptr",
+                "h31.indices",
+                "h31.values",
+                "",
+                "h31.value_codes",
+                "h31.indptr32",
+                "h31.indices16",
+            ],
+            [
+                "h32.indptr",
+                "h32.indices",
+                "h32.values",
+                "",
+                "h32.value_codes",
+                "h32.indptr32",
+                "h32.indices16",
+            ],
+        ];
+        let block = (id >> 4).checked_sub(1)? as usize;
+        let name = *NAMES.get(block)?.get((id & 0xf) as usize)?;
+        (!name.is_empty()).then_some(name)
     }
 }
 
@@ -454,6 +512,32 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every section of a stored matrix's block is named
+    /// `<matrix>.<section>`; offsets no matrix uses, and ids past the
+    /// blocks, are unknown.
+    #[test]
+    fn compact_section_names_follow_the_block_layout() {
+        use sections::*;
+        let cases = [
+            (L_INV + INDPTR, "l_inv.indptr"),
+            (L_INV + VALUE_CODES, "l_inv.value_codes"),
+            (U_INV + INDPTR32, "u_inv.indptr32"),
+            (S_INDICES16, "s.indices16"),
+            (S_VALUE_TABLE, "s.value_table"),
+            (H12 + INDICES16, "h12.indices16"),
+            (H21 + VALUES, "h21.values"),
+            (H32 + VALUE_CODES, "h32.value_codes"),
+            (H31 + 0x3, "unknown"),
+            (L_INV + 0x7, "unknown"),
+            (0x0f, "unknown"),
+            (ILU_DIAG, "ilu.diag_pos"),
+            (0xff, "unknown"),
+        ];
+        for (id, want) in cases {
+            assert_eq!(name(id), want, "{id:#x}");
+        }
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {

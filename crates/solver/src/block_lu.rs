@@ -10,10 +10,15 @@
 //! Small blocks use dense no-pivot LU + dense triangular inversion (cheap,
 //! no allocation churn); larger blocks (e.g. the final-GCC block) use the
 //! sparse path of [`crate::sparse_lu`].
+//!
+//! [`BlockLu`] is the builder: its factors are [`Csr`]s, which the Schur
+//! complement's SpGEMM reads. An index stores them frozen
+//! ([`FrozenBlockLu`]): value-coded [`CodedCsr`]s on a narrow pattern when
+//! they fit one, answering the same solves bit for bit.
 
 use crate::dense_lu::{invert_unit_lower, invert_upper, lu_nopivot};
 use crate::sparse_lu::SparseLu;
-use bepi_sparse::{Csr, Dense, MemBytes, Result, SparseError};
+use bepi_sparse::{CodedCsr, Csr, Dense, MemBytes, Result, SparseError};
 
 /// Block size at or below which the dense per-block path is used.
 const DENSE_BLOCK_THRESHOLD: usize = 128;
@@ -154,10 +159,86 @@ impl BlockLu {
             block_sizes: block_sizes.to_vec(),
         })
     }
+}
+
+impl MemBytes for BlockLu {
+    fn mem_bytes(&self) -> usize {
+        self.l_inv.mem_bytes() + self.u_inv.mem_bytes()
+    }
+}
+
+/// The inverted block factors as an index stores them: `L1⁻¹` and `U1⁻¹`
+/// frozen into [`CodedCsr`]s, value-coded over the index's shared value
+/// table and on a narrow pattern when they fit one. Solves are
+/// bit-identical to the [`BlockLu`] they were frozen from.
+#[derive(Debug, Clone)]
+pub struct FrozenBlockLu {
+    /// Global `L1^{-1}` (unit-lower-triangular, block diagonal).
+    pub l_inv: CodedCsr,
+    /// Global `U1^{-1}` (upper-triangular, block diagonal).
+    pub u_inv: CodedCsr,
+    /// The block sizes used for the factorization.
+    pub block_sizes: Vec<usize>,
+}
+
+impl FrozenBlockLu {
+    /// Assembles frozen factors — from a [`BlockLu`]'s factors coded, or
+    /// from an index file — with `O(1)` shape checks only: the factors are
+    /// trusted to be triangular and block diagonal (persisted sections are
+    /// covered by CRCs); debug builds still scan every entry.
+    ///
+    /// # Errors
+    /// [`SparseError::ShapeMismatch`] unless both factors are `n × n`;
+    /// [`SparseError::VectorLength`] unless the block sizes sum to `n`.
+    pub fn from_inverse_factors_trusted(
+        l_inv: CodedCsr,
+        u_inv: CodedCsr,
+        block_sizes: Vec<usize>,
+    ) -> Result<Self> {
+        let n = l_inv.nrows();
+        if l_inv.ncols() != n || u_inv.nrows() != n || u_inv.ncols() != n {
+            return Err(SparseError::ShapeMismatch {
+                left: l_inv.shape(),
+                right: u_inv.shape(),
+                op: "FrozenBlockLu::from_inverse_factors_trusted",
+            });
+        }
+        if block_sizes.iter().sum::<usize>() != n {
+            return Err(SparseError::VectorLength {
+                expected: n,
+                actual: block_sizes.iter().sum(),
+            });
+        }
+        debug_assert!(
+            (0..n).all(|r| l_inv.row_iter(r).all(|(c, _)| r >= c)),
+            "L^-1 must be lower triangular"
+        );
+        debug_assert!(
+            (0..n).all(|r| u_inv.row_iter(r).all(|(c, _)| r <= c)),
+            "U^-1 must be upper triangular"
+        );
+        Ok(Self {
+            l_inv,
+            u_inv,
+            block_sizes,
+        })
+    }
+
+    /// Dimension of the factored matrix.
+    pub fn n(&self) -> usize {
+        self.l_inv.nrows()
+    }
+
+    /// Applies `A^{-1} x = U^{-1}(L^{-1} x)`, bit-identical to
+    /// [`BlockLu::solve_vec`].
+    pub fn solve_vec(&self, x: &[f64]) -> Result<Vec<f64>> {
+        let t = self.l_inv.mul_vec(x)?;
+        self.u_inv.mul_vec(&t)
+    }
 
     /// KLU-style partial refactorization: re-factors only the listed
     /// dirty diagonal blocks of `a_new` and copies every other block's
-    /// inverse-factor rows verbatim from `self`.
+    /// inverse-factor rows verbatim from `self`, into a new builder.
     ///
     /// The caller must guarantee that `a_new` has the same block
     /// structure as the original matrix and that every block *not*
@@ -165,13 +246,13 @@ impl BlockLu {
     /// contract the result is bit-identical to `BlockLu::factor(a_new,
     /// block_sizes)` at a fraction of the cost (each clean block skips
     /// its `O(size³)` factor/invert).
-    pub fn refactor_blocks(&self, a_new: &Csr, dirty_blocks: &[usize]) -> Result<Self> {
+    pub fn refactor_blocks(&self, a_new: &Csr, dirty_blocks: &[usize]) -> Result<BlockLu> {
         let n = self.n();
         if a_new.nrows() != n || a_new.ncols() != n {
             return Err(SparseError::ShapeMismatch {
                 left: a_new.shape(),
                 right: (n, n),
-                op: "BlockLu::refactor_blocks",
+                op: "FrozenBlockLu::refactor_blocks",
             });
         }
         let mut dirty = vec![false; self.block_sizes.len()];
@@ -196,105 +277,17 @@ impl BlockLu {
                 factor_block(a_new, start, size, &mut l, &mut u)?;
             } else {
                 for i in start..start + size {
-                    l.copy_row(self.l_inv.row(i));
-                    u.copy_row(self.u_inv.row(i));
+                    l.copy_row(self.l_inv.row_iter(i));
+                    u.copy_row(self.u_inv.row_iter(i));
                 }
             }
             start += size;
         }
-        Ok(Self {
+        Ok(BlockLu {
             l_inv: FactorRows::concat(n, vec![l])?,
             u_inv: FactorRows::concat(n, vec![u])?,
             block_sizes: self.block_sizes.clone(),
         })
-    }
-
-    /// Reassembles a `BlockLu` from previously computed inverse factors
-    /// (persistence support). Validates shapes and triangularity.
-    pub fn from_inverse_factors(l_inv: Csr, u_inv: Csr, block_sizes: Vec<usize>) -> Result<Self> {
-        let n = l_inv.nrows();
-        if l_inv.ncols() != n || u_inv.nrows() != n || u_inv.ncols() != n {
-            return Err(SparseError::ShapeMismatch {
-                left: l_inv.shape(),
-                right: u_inv.shape(),
-                op: "BlockLu::from_inverse_factors",
-            });
-        }
-        if block_sizes.iter().sum::<usize>() != n {
-            return Err(SparseError::VectorLength {
-                expected: n,
-                actual: block_sizes.iter().sum(),
-            });
-        }
-        if l_inv.iter().any(|(r, c, _)| r < c) {
-            return Err(SparseError::Parse("L^{-1} must be lower triangular".into()));
-        }
-        if u_inv.iter().any(|(r, c, _)| r > c) {
-            return Err(SparseError::Parse("U^{-1} must be upper triangular".into()));
-        }
-        Ok(Self {
-            l_inv,
-            u_inv,
-            block_sizes,
-        })
-    }
-
-    /// Like [`BlockLu::from_inverse_factors`] but skips the `O(nnz)`
-    /// triangularity scans — the load path for memory-mapped indexes,
-    /// where scanning every entry would fault the whole file in and make
-    /// open time proportional to index size. The factors are trusted
-    /// because persisted sections are covered by CRCs; debug builds still
-    /// run the full scans.
-    pub fn from_inverse_factors_trusted(
-        l_inv: Csr,
-        u_inv: Csr,
-        block_sizes: Vec<usize>,
-    ) -> Result<Self> {
-        let n = l_inv.nrows();
-        if l_inv.ncols() != n || u_inv.nrows() != n || u_inv.ncols() != n {
-            return Err(SparseError::ShapeMismatch {
-                left: l_inv.shape(),
-                right: u_inv.shape(),
-                op: "BlockLu::from_inverse_factors_trusted",
-            });
-        }
-        if block_sizes.iter().sum::<usize>() != n {
-            return Err(SparseError::VectorLength {
-                expected: n,
-                actual: block_sizes.iter().sum(),
-            });
-        }
-        debug_assert!(
-            l_inv.iter().all(|(r, c, _)| r >= c),
-            "L^-1 must be lower triangular"
-        );
-        debug_assert!(
-            u_inv.iter().all(|(r, c, _)| r <= c),
-            "U^-1 must be upper triangular"
-        );
-        Ok(Self {
-            l_inv,
-            u_inv,
-            block_sizes,
-        })
-    }
-
-    /// Bytes of heap memory held by the factors.
-    pub fn heap_bytes(&self) -> usize {
-        self.l_inv.heap_bytes()
-            + self.u_inv.heap_bytes()
-            + std::mem::size_of_val(self.block_sizes.as_slice())
-    }
-
-    /// Bytes served zero-copy from a mapped index file.
-    pub fn mapped_bytes(&self) -> usize {
-        self.l_inv.mapped_bytes() + self.u_inv.mapped_bytes()
-    }
-}
-
-impl MemBytes for BlockLu {
-    fn mem_bytes(&self) -> usize {
-        self.l_inv.mem_bytes() + self.u_inv.mem_bytes()
     }
 }
 
@@ -360,9 +353,11 @@ impl FactorRows {
 
     /// Appends a row of an existing factor verbatim (its columns are
     /// sorted and it stores no zeros).
-    fn copy_row(&mut self, (cols, vals): (&[u32], &[f64])) {
-        self.indices.extend_from_slice(cols);
-        self.values.extend_from_slice(vals);
+    fn copy_row(&mut self, row: impl Iterator<Item = (usize, f64)>) {
+        for (c, v) in row {
+            self.indices.push(c as u32);
+            self.values.push(v);
+        }
         self.end_row();
     }
 
@@ -667,10 +662,18 @@ mod tests {
         }
     }
 
+    /// `lu`'s factors frozen as an index stores them.
+    fn frozen(lu: &BlockLu) -> FrozenBlockLu {
+        let [l_inv, u_inv]: [CodedCsr; 2] = CodedCsr::encode_all(&[&lu.l_inv, &lu.u_inv])
+            .try_into()
+            .unwrap();
+        FrozenBlockLu::from_inverse_factors_trusted(l_inv, u_inv, lu.block_sizes.clone()).unwrap()
+    }
+
     #[test]
     fn refactor_blocks_is_bit_identical_to_full_factor() {
         let (a, blocks) = sample();
-        let lu = BlockLu::factor(&a, &blocks).unwrap();
+        let lu = frozen(&BlockLu::factor(&a, &blocks).unwrap());
         // Rescale block 2 (rows 3-5) only; blocks 0 and 1 stay untouched.
         let mut coo = Coo::new(6, 6).unwrap();
         for (r, c, v) in a.iter() {
@@ -680,8 +683,8 @@ mod tests {
         let a_new = coo.to_csr();
         let got = lu.refactor_blocks(&a_new, &[2]).unwrap();
         let want = BlockLu::factor(&a_new, &blocks).unwrap();
-        assert_eq!(got.l_inv, want.l_inv);
-        assert_eq!(got.u_inv, want.u_inv);
+        assert_bits_eq(&got.l_inv, &want.l_inv, "L^-1");
+        assert_bits_eq(&got.u_inv, &want.u_inv, "U^-1");
         assert_eq!(got.block_sizes, blocks);
     }
 
@@ -689,15 +692,43 @@ mod tests {
     fn refactor_blocks_with_no_dirty_blocks_copies_factors() {
         let (a, blocks) = sample();
         let lu = BlockLu::factor(&a, &blocks).unwrap();
-        let got = lu.refactor_blocks(&a, &[]).unwrap();
-        assert_eq!(got.l_inv, lu.l_inv);
-        assert_eq!(got.u_inv, lu.u_inv);
+        let got = frozen(&lu).refactor_blocks(&a, &[]).unwrap();
+        assert_bits_eq(&got.l_inv, &lu.l_inv, "L^-1");
+        assert_bits_eq(&got.u_inv, &lu.u_inv, "U^-1");
+    }
+
+    /// The frozen factors solve bit for bit like the builder's, and sit
+    /// on a narrow, value-coded pattern sharing one table.
+    #[test]
+    fn compact_frozen_factors_solve_bit_identically() {
+        let (a, blocks) = sample();
+        let lu = BlockLu::factor(&a, &blocks).unwrap();
+        let f = frozen(&lu);
+        assert!(f.l_inv.pattern().is_narrow() && f.l_inv.is_coded());
+        assert!(std::ptr::eq(
+            f.l_inv.table().unwrap().as_slice(),
+            f.u_inv.table().unwrap().as_slice()
+        ));
+        assert_eq!(f.n(), 6);
+        assert_eq!(f.l_inv.to_csr(), lu.l_inv);
+        let x = [1.0, -0.0, 5e-324, 1e300, -2.5, 0.125];
+        let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(f.solve_vec(&x).unwrap()),
+            bits(lu.solve_vec(&x).unwrap())
+        );
+        assert!(FrozenBlockLu::from_inverse_factors_trusted(
+            f.l_inv.clone(),
+            f.u_inv.clone(),
+            vec![2, 2]
+        )
+        .is_err());
     }
 
     #[test]
     fn refactor_blocks_rejects_bad_inputs() {
         let (a, blocks) = sample();
-        let lu = BlockLu::factor(&a, &blocks).unwrap();
+        let lu = frozen(&BlockLu::factor(&a, &blocks).unwrap());
         assert!(lu.refactor_blocks(&Csr::zeros(4, 4), &[0]).is_err());
         assert!(
             lu.refactor_blocks(&a, &[7]).is_err(),

@@ -94,7 +94,8 @@ impl Ilu0 {
     /// open time. The pattern is `pattern`'s (the loaded `S`), shared, in
     /// whichever form it has. Only `O(1)` length checks are performed;
     /// the entries are trusted because persisted sections are covered by
-    /// CRCs. Debug builds re-verify every diagonal position.
+    /// CRCs. A loader that reads every byte anyway follows up with
+    /// [`Ilu0::check_diag_pos`].
     ///
     /// # Errors
     /// [`SparseError::ShapeMismatch`] if `pattern` is not square;
@@ -140,18 +141,38 @@ impl Ilu0 {
                 return Err(SparseError::VectorLength { expected, actual });
             }
         }
-        debug_assert!(
-            (0..shape.0).all(|i| {
-                let row = pattern.row_range(i);
-                diag_pos[i] < row.len() && pattern.col(row.start + diag_pos[i]) == i
-            }),
-            "diag_pos does not point at the diagonal entries"
-        );
         Ok(Self {
             pattern,
             lu,
             diag_pos,
         })
+    }
+
+    /// Checks that each row's diagonal position lies inside the row and
+    /// points at its diagonal entry (`O(n)`; the pattern's row pointers
+    /// must be in bounds). A loader that reads every byte anyway runs it,
+    /// so a crafted position fails the load instead of panicking the first
+    /// sweep.
+    ///
+    /// # Errors
+    /// [`SparseError::Parse`] naming the first bad row.
+    pub fn check_diag_pos(&self) -> Result<()> {
+        for (i, &d) in self.diag_pos.iter().enumerate() {
+            let row = self.pattern.row_range(i);
+            if d >= row.len() {
+                return Err(SparseError::Parse(format!(
+                    "diagonal position {d} of row {i} is past the row's {} entries",
+                    row.len()
+                )));
+            }
+            let col = self.pattern.col(row.start + d);
+            if col != i {
+                return Err(SparseError::Parse(format!(
+                    "diagonal position {d} of row {i} points at column {col}"
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// Value-only refresh: a full numeric refactorization of `a` on this
@@ -757,6 +778,26 @@ mod tests {
             let refreshed = narrow.refresh_values(&a).unwrap();
             assert_eq!(bits32(refreshed.values()), bits32(wide.values()));
         }
+    }
+
+    /// A diagonal position past its row, or on an off-diagonal entry,
+    /// fails the check with the row named.
+    #[test]
+    fn check_diag_pos_names_the_bad_row() {
+        let a = dd_matrix(6);
+        let ilu = Ilu0::factor(&a).unwrap();
+        assert!(ilu.check_diag_pos().is_ok());
+        let with = |i: usize, d: usize| {
+            let mut diag = ilu.diag_pos.to_vec();
+            diag[i] = d;
+            Ilu0::from_parts(&wide_coded(&a), ilu.lu.clone(), diag.into()).unwrap()
+        };
+        let past = with(2, a.row_nnz(2));
+        let err = past.check_diag_pos().unwrap_err().to_string();
+        assert!(err.contains("row 2 is past"), "{err}");
+        let off = with(3, (ilu.diag_pos[3] + 1) % a.row_nnz(3));
+        let err = off.check_diag_pos().unwrap_err().to_string();
+        assert!(err.contains("of row 3 points at column"), "{err}");
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub mod power;
 pub mod sparse_lu;
 pub mod triangular;
 
-pub use block_lu::BlockLu;
+pub use block_lu::{BlockLu, FrozenBlockLu};
 pub use dense_lu::DenseLu;
 pub use gmres::{gmres, gmres_block, GmresConfig, GmresResult};
 pub use ilu0::Ilu0;

@@ -1,24 +1,37 @@
 //! Value-coded CSR: a read-only matrix that stores each distinct value
 //! once.
 //!
-//! BePI's Schur complement `S = H22 − H21 H11⁻¹ H12` holds few distinct
-//! values: `H`'s off-diagonal entries are `−(1−c)/deg(j)`, one per column,
-//! and the Schur correction reuses few products. On the benchmark graphs
-//! one non-zero in 14 to 30 has a value not seen before. [`CodedCsr`]
-//! exploits that the way CSR-VI does (Kourtis, Goumas & Koziris,
-//! "Optimizing sparse matrix-vector multiplication using index and value
+//! BePI's stored matrices hold few distinct values. `H`'s off-diagonal
+//! entries are `−(1−c)/deg(j)`, one per distinct out-degree on an
+//! unweighted graph; the Schur complement `S = H22 − H21 H11⁻¹ H12`
+//! reuses few products; and the inverted `H11` factors repeat the values
+//! of their many 1 × 1 blocks. On the benchmark graphs one non-zero of
+//! `S` in 14 to 30 has a value not seen before. [`CodedCsr`] exploits
+//! that the way CSR-VI does (Kourtis, Goumas & Koziris, "Optimizing
+//! sparse matrix-vector multiplication using index and value
 //! compression", CF 2008): a table of the distinct `f64`s in
 //! first-occurrence order, plus one `u16` code per non-zero. A value costs
 //! 2 bytes instead of 8.
 //!
-//! The coded form is chosen at build time from the data
-//! ([`CodedCsr::encode`]): whenever the table has at most
-//! [`MAX_TABLE_LEN`] entries. Otherwise the matrix keeps plain `f64`
-//! values ([`CodedValues::Plain`]), as does one decoded from an index file
-//! that stores them that way. The pattern is chosen the same way: narrow
-//! (`u32` row pointers, `u16` column indices) whenever the matrix has at
-//! most 2¹⁶ columns, wide otherwise or when a file stores it wide (see
-//! [`Pattern`]).
+//! **One table per index.** [`CodedCsr::encode_all`] codes several
+//! matrices over one shared table: the first matrix's values are listed
+//! in first-occurrence order, and each later one appends only the values
+//! the table does not hold yet. Every coded matrix then holds the same
+//! [`Storage`], so a table is stored once, in memory and in an index file,
+//! and the per-thread widened copy below is filled once for all of them.
+//! That matters for speed, not only size: a refill writes all 512 KB of
+//! the widened copy, and one BePI query multiplies with seven stored
+//! matrices about nine times, so per-matrix tables would refill about
+//! nine times per query.
+//!
+//! The coded form is chosen at build time from the data: whenever the
+//! table stays within [`MAX_TABLE_LEN`] entries. A matrix whose new values
+//! would push it past that keeps plain `f64` values
+//! ([`CodedValues::Plain`]) and adds nothing to the table, as does one
+//! decoded from an index file that stores them that way. The pattern is
+//! chosen the same way: narrow (`u32` row pointers, `u16` column indices)
+//! whenever the matrix has at most 2¹⁶ columns, wide otherwise or when a
+//! file stores it wide (see [`Pattern`]).
 //!
 //! Every form runs one SpMV body (`csr::spmv_rows`), which reads the value
 //! of non-zero `k` as `table[codes[k]]` or `values[k]`, its column at
@@ -157,20 +170,39 @@ impl CodedCsr {
     /// pattern narrow when it fits one ([`Pattern::narrowed`]). A wide
     /// pattern, and plain values, are `a`'s arrays, shared.
     pub fn encode(a: &Csr) -> Self {
-        let pattern = a.pattern().narrowed(a.ncols());
-        let values = match encode_values(a.values()) {
-            Some((table, codes)) => CodedValues::Coded {
-                table: table.into(),
-                codes: codes.into(),
-            },
-            None => CodedValues::Plain(a.value_storage()),
-        };
-        Self {
-            nrows: a.nrows(),
-            ncols: a.ncols(),
-            pattern,
-            values,
-        }
+        Self::encode_all(&[a])
+            .pop()
+            .expect("one matrix in, one out")
+    }
+
+    /// Stores each of `mats` as [`CodedCsr::encode`] does, but over one
+    /// value table shared by all of them (see the module doc). The table
+    /// lists `mats[0]`'s values in first-occurrence order, so the first
+    /// matrix codes exactly as it would alone; each later matrix appends
+    /// its new values in first-occurrence order, unless they would push
+    /// the table past [`MAX_TABLE_LEN`] entries, in which case that matrix
+    /// stays plain and appends nothing. Every coded result holds the same
+    /// table [`Storage`].
+    pub fn encode_all(mats: &[&Csr]) -> Vec<Self> {
+        let nnz = mats.iter().map(|a| a.nnz()).sum();
+        let mut table = ValueTable::with_room_for(nnz);
+        let codes: Vec<Option<Vec<u16>>> = mats.iter().map(|a| table.encode(a.values())).collect();
+        let table: Storage<f64> = table.into_values().into();
+        mats.iter()
+            .zip(codes)
+            .map(|(a, codes)| Self {
+                nrows: a.nrows(),
+                ncols: a.ncols(),
+                pattern: a.pattern().narrowed(a.ncols()),
+                values: match codes {
+                    Some(codes) => CodedValues::Coded {
+                        table: table.clone(),
+                        codes: codes.into(),
+                    },
+                    None => CodedValues::Plain(a.value_storage()),
+                },
+            })
+            .collect()
     }
 
     /// Builds a matrix from [`Storage`]-backed parts, in either pattern
@@ -181,9 +213,10 @@ impl CodedCsr {
     ///
     /// As for [`Csr::from_parts_storage_trusted`], the entries are
     /// trusted: a column or row pointer out of range surfaces as a clean
-    /// panic on use, never undefined behaviour. A loader that reads every
-    /// byte anyway calls [`Pattern::check_indptr`],
-    /// [`Pattern::check_indices`] and [`CodedValues::check_codes`] first.
+    /// panic on use, never undefined behaviour, and a code past the table
+    /// reads NaN (see the module doc). A loader that reads every byte
+    /// anyway calls [`Pattern::check_indptr`], [`Pattern::check_indices`]
+    /// and [`CodedValues::check_codes`] first.
     ///
     /// # Errors
     /// [`SparseError::VectorLength`] or [`SparseError::Parse`] naming the
@@ -228,10 +261,9 @@ impl CodedCsr {
             pattern,
             values,
         };
-        debug_assert!(m.values.check_codes().is_ok(), "value code out of range");
         debug_assert!(
-            m.to_csr().check_invariants().is_ok(),
-            "CSR invariants violated"
+            m.pattern.check_indptr().is_ok() && m.pattern.check_indices(ncols).is_ok(),
+            "CSR pattern out of range"
         );
         Ok(m)
     }
@@ -277,6 +309,15 @@ impl CodedCsr {
     #[inline]
     pub fn is_coded(&self) -> bool {
         matches!(self.values, CodedValues::Coded { .. })
+    }
+
+    /// The value table the codes index, or `None` for plain values.
+    #[inline]
+    pub fn table(&self) -> Option<&Storage<f64>> {
+        match &self.values {
+            CodedValues::Coded { table, .. } => Some(table),
+            CodedValues::Plain(_) => None,
+        }
     }
 
     /// Iterates over the `(col, value)` pairs of row `i`.
@@ -445,45 +486,79 @@ impl PartialEq for CodedCsr {
     }
 }
 
-/// The value table and codes of `values`, or `None` when they hold more
-/// than [`MAX_TABLE_LEN`] distinct bit patterns.
+/// A value table under construction, shared by the matrices
+/// [`CodedCsr::encode_all`] codes over it.
 ///
 /// Open addressing with linear probing over a power-of-two slot array at
 /// most half full, keyed by `to_bits()` and hashed multiplicatively
 /// (Fibonacci hashing: the top bits of `bits · 2⁶⁴/φ`). The table lists
-/// each value at its first occurrence, so one matrix always encodes to
-/// the same bytes, and it holds no spare capacity.
-fn encode_values(values: &[f64]) -> Option<(Vec<f64>, Vec<u16>)> {
+/// each value at its first occurrence, so the same matrices always encode
+/// to the same bytes.
+struct ValueTable {
+    /// Per slot, the code of the value it holds, or [`ValueTable::EMPTY`].
+    slots: Vec<u32>,
+    shift: u32,
+    values: Vec<f64>,
+}
+
+impl ValueTable {
     const EMPTY: u32 = u32::MAX;
-    let slots_len = (2 * values.len().min(MAX_TABLE_LEN))
-        .next_power_of_two()
-        .max(2);
-    let shift = 64 - slots_len.trailing_zeros();
-    let mut slots = vec![EMPTY; slots_len];
-    let mut table: Vec<f64> = Vec::new();
-    let mut codes = Vec::with_capacity(values.len());
-    for &v in values {
-        let bits = v.to_bits();
-        let mut h = (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize;
-        let code = loop {
-            match slots[h] {
-                EMPTY => {
-                    if table.len() == MAX_TABLE_LEN {
-                        return None;
-                    }
-                    let code = table.len() as u32;
-                    slots[h] = code;
-                    table.push(v);
-                    break code;
-                }
-                code if table[code as usize].to_bits() == bits => break code,
-                _ => h = (h + 1) & (slots_len - 1),
-            }
-        };
-        codes.push(code as u16);
+
+    /// An empty table with slots for up to `nnz` distinct values (capped
+    /// at [`MAX_TABLE_LEN`]).
+    fn with_room_for(nnz: usize) -> Self {
+        let slots_len = (2 * nnz.min(MAX_TABLE_LEN)).next_power_of_two().max(2);
+        Self {
+            slots: vec![Self::EMPTY; slots_len],
+            shift: 64 - slots_len.trailing_zeros(),
+            values: Vec::new(),
+        }
     }
-    table.shrink_to_fit();
-    Some((table, codes))
+
+    /// One code per entry of `values`, appending the values the table does
+    /// not hold yet; or `None`, leaving the table as it was, when they
+    /// would take it past [`MAX_TABLE_LEN`] entries.
+    fn encode(&mut self, values: &[f64]) -> Option<Vec<u16>> {
+        let mask = self.slots.len() - 1;
+        let before = self.values.len();
+        // Slots filled by this call, emptied again if it fails. Every
+        // value probed past them was inserted before them, so emptying
+        // them breaks no older value's probe run.
+        let mut filled = Vec::new();
+        let mut codes = Vec::with_capacity(values.len());
+        for &v in values {
+            let bits = v.to_bits();
+            let mut h = (bits.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize;
+            let code = loop {
+                match self.slots[h] {
+                    Self::EMPTY => {
+                        if self.values.len() == MAX_TABLE_LEN {
+                            for slot in filled {
+                                self.slots[slot] = Self::EMPTY;
+                            }
+                            self.values.truncate(before);
+                            return None;
+                        }
+                        let code = self.values.len() as u32;
+                        self.slots[h] = code;
+                        filled.push(h);
+                        self.values.push(v);
+                        break code;
+                    }
+                    code if self.values[code as usize].to_bits() == bits => break code,
+                    _ => h = (h + 1) & mask,
+                }
+            };
+            codes.push(code as u16);
+        }
+        Some(codes)
+    }
+
+    /// The distinct values, with no spare capacity.
+    fn into_values(mut self) -> Vec<f64> {
+        self.values.shrink_to_fit();
+        self.values
+    }
 }
 
 #[cfg(test)]
@@ -493,6 +568,14 @@ mod tests {
 
     fn bits(v: &[f64]) -> Vec<u64> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The value table and codes of `values` alone, or `None` when they
+    /// hold more than [`MAX_TABLE_LEN`] distinct bit patterns.
+    fn encode_values(values: &[f64]) -> Option<(Vec<f64>, Vec<u16>)> {
+        let mut table = ValueTable::with_room_for(values.len());
+        let codes = table.encode(values)?;
+        Some((table.into_values(), codes))
     }
 
     #[test]
@@ -603,6 +686,76 @@ mod tests {
         let mut want = [0.0; 6];
         c.mul_block_into(&x2, &mut want, 2).unwrap();
         assert_eq!(y, want);
+    }
+
+    /// A one-row matrix holding `values` in consecutive columns.
+    fn row_of(values: &[f64]) -> Csr {
+        let n = values.len();
+        Csr::from_parts(1, n, vec![0, n], (0..n as u32).collect(), values.to_vec()).unwrap()
+    }
+
+    /// Matrices coded together hold one table: the first codes exactly as
+    /// it would alone, and each later one appends only its new values, in
+    /// first-occurrence order.
+    #[test]
+    fn compact_encode_all_shares_one_table() {
+        let a = tridiagonal(2.0, -0.5);
+        let b = row_of(&[-0.5, 7.0, -0.0, 7.0, 2.0]);
+        let alone = CodedCsr::encode(&a);
+        let coded = CodedCsr::encode_all(&[&a, &b]);
+        let table = coded[0].table().unwrap();
+        assert_eq!(bits(table), bits(&[2.0, -0.5, 7.0, -0.0]));
+        assert!(std::ptr::eq(
+            coded[1].table().unwrap().as_slice(),
+            table.as_slice()
+        ));
+        for (m, src) in [(&coded[0], &a), (&coded[1], &b)] {
+            assert_eq!(m.to_csr(), *src);
+        }
+        match (alone.values(), coded[0].values(), coded[1].values()) {
+            (
+                CodedValues::Coded { codes: solo, .. },
+                CodedValues::Coded { codes: first, .. },
+                CodedValues::Coded { codes: second, .. },
+            ) => {
+                assert_eq!(&solo[..], &first[..]);
+                assert_eq!(&second[..], &[1, 2, 3, 2, 0]);
+            }
+            other => panic!("every matrix codes: {other:?}"),
+        }
+        assert!(CodedCsr::encode_all(&[]).is_empty());
+    }
+
+    /// A matrix whose new values would push the shared table past
+    /// [`MAX_TABLE_LEN`] stays plain and leaves the table as it found it:
+    /// a later matrix reusing some of those values codes them afresh.
+    #[test]
+    fn compact_encode_all_overflow_keeps_one_matrix_plain() {
+        let first: Vec<f64> = (0..MAX_TABLE_LEN - 4).map(|i| i as f64).collect();
+        let over: Vec<f64> = (0..10).map(|i| -1.0 - i as f64).collect();
+        let later = [-3.0, 5.0, -1.0, 0.5, -3.0];
+        let (a, b, c) = (row_of(&first), row_of(&over), row_of(&later));
+        let coded = CodedCsr::encode_all(&[&a, &b, &c]);
+        assert!(coded[0].is_coded() && !coded[1].is_coded() && coded[2].is_coded());
+        let table = coded[2].table().unwrap();
+        assert!(std::ptr::eq(
+            table.as_slice(),
+            coded[0].table().unwrap().as_slice()
+        ));
+        assert_eq!(table.len(), MAX_TABLE_LEN - 4 + 3);
+        let base = (MAX_TABLE_LEN - 4) as u16;
+        match coded[2].values() {
+            CodedValues::Coded { codes, .. } => {
+                assert_eq!(&codes[..], &[base, 5, base + 1, base + 2, base]);
+            }
+            CodedValues::Plain(_) => unreachable!(),
+        }
+        let x = vec![1.5; MAX_TABLE_LEN];
+        for (m, src) in coded.iter().zip([&a, &b, &c]) {
+            assert_eq!(m.to_csr(), *src);
+            let x = &x[..src.ncols()];
+            assert_eq!(bits(&m.mul_vec(x).unwrap()), bits(&src.mul_vec(x).unwrap()));
+        }
     }
 
     /// A code past the end of its table (a corrupt mapped file) reads NaN,

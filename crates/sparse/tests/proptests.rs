@@ -540,3 +540,74 @@ fn coded_selects_plain_past_65536_distinct_values() {
         to_bits(&csr(MAX_TABLE_LEN).mul_vec(&x).unwrap())
     );
 }
+
+/// Strategy: an `H`-shaped block — rectangular, most rows empty (a row
+/// of `H21` or `H31` is non-empty only where a hub or dead end links to a
+/// spoke), values from [`CODED_POOL`] — as a CSR built straight from
+/// parts, so stored `-0.0`s survive.
+fn h_block_strategy() -> impl Strategy<Value = Csr> {
+    (1usize..=24, 1usize..=24).prop_flat_map(|(nr, nc)| {
+        let entry = (0..nc as u32, 0..CODED_POOL.len());
+        // One row in four holds entries.
+        let row = (0..4u8, proptest::collection::vec(entry, 1..=nc.min(5)));
+        proptest::collection::vec(row, nr).prop_map(move |rows| {
+            let (mut indptr, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
+            for (kind, mut row) in rows {
+                if kind == 0 {
+                    row.sort_by_key(|e| e.0);
+                    row.dedup_by_key(|e| e.0);
+                    for (c, slot) in row {
+                        indices.push(c);
+                        values.push(CODED_POOL[slot]);
+                    }
+                }
+                indptr.push(indices.len());
+            }
+            Csr::from_parts(nr, nc, indptr, indices, values).unwrap()
+        })
+    })
+}
+
+proptest! {
+    /// Blocks coded together over one shared table — as an index codes
+    /// its `H` blocks after `S` — hold that one table, and multiply bit
+    /// for bit like their `Csr`s, single and at every lock-step width.
+    #[test]
+    fn compact_h_shaped_spmv_is_bit_identical_to_csr(
+        s in coded_source_strategy(10),
+        h12 in h_block_strategy(),
+        h21 in h_block_strategy(),
+        seed in 0u64..1000,
+    ) {
+        let coded = CodedCsr::encode_all(&[&s, &h12, &h21]);
+        let table = coded[0].table().expect("a small matrix codes");
+        for (m, a) in coded.iter().zip([&s, &h12, &h21]) {
+            prop_assert!(std::ptr::eq(m.table().unwrap().as_slice(), table.as_slice()));
+            prop_assert_eq!(m.pattern().is_narrow(), true);
+            let x = coded_lanes(a.ncols(), 1, seed);
+            let (mut want, mut got) = (vec![0.0; a.nrows()], vec![f64::NAN; a.nrows()]);
+            a.mul_vec_into(&x, &mut want).unwrap();
+            m.mul_vec_into(&x, &mut got).unwrap();
+            prop_assert_eq!(to_bits(&got), to_bits(&want));
+            for width in 1..=BLOCK_WIDTH {
+                let x = coded_lanes(a.ncols(), width, seed);
+                let mut want = vec![0.0; a.nrows() * width];
+                let mut got = vec![f64::NAN; a.nrows() * width];
+                a.mul_block_into(&x, &mut want, width).unwrap();
+                m.mul_block_into(&x, &mut got, width).unwrap();
+                prop_assert_eq!(to_bits(&got), to_bits(&want), "width {}", width);
+            }
+        }
+        // The first matrix codes exactly as it would alone.
+        prop_assert_eq!(
+            to_bits(coded[0].to_csr().values()),
+            to_bits(s.values())
+        );
+        match (CodedCsr::encode(&s).values(), coded[0].values()) {
+            (CodedValues::Coded { codes: alone, .. }, CodedValues::Coded { codes, .. }) => {
+                prop_assert_eq!(&alone[..], &codes[..]);
+            }
+            _ => prop_assert!(false, "a small matrix codes"),
+        }
+    }
+}

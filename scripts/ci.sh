@@ -133,6 +133,21 @@ cargo test --offline --release -q -p bepi-sparse -p bepi-solver -p bepi-core -- 
 echo "==> narrow-S bit-identity"
 cargo test --offline --release -q -p bepi-sparse -p bepi-solver -p bepi-core -p bepi-incr -- narrow
 
+# Every stored matrix (L1^-1, U1^-1, S, H12, H21, H31, H32) is one frozen
+# type, narrow and value-coded over one value table shared by the whole
+# index. The tests that pin that contract (single and 8-wide SpMV on
+# H-shaped blocks coded over a shared table, the shared encoder's
+# overflow rollback, frozen H11 factors solving like the builder's, one
+# table across preprocess/refactor/heap/mmap, the memory report counting
+# the table once against the file's sections, files in every earlier
+# layout on heap and mmap with byte-identical re-save, hostile matrix
+# sections, the section-name layout) carry "compact" in their names; the
+# heap loader's permutation and ILU(0) diagonal checks ride along. All
+# run here in release codegen.
+echo "==> compact-index bit-identity"
+cargo test --offline --release -q -p bepi-sparse -p bepi-solver -p bepi-core -p bepi-incr -p bepi-map \
+  -- compact heap_load_rejects_crafted check_diag_pos
+
 # Memory-mapped serving gate: preprocess once, boot one daemon that
 # loads the index onto the heap and one that maps the same file, and
 # require byte-identical top-k responses. This is the --mmap acceptance
@@ -140,7 +155,8 @@ cargo test --offline --release -q -p bepi-sparse -p bepi-solver -p bepi-core -p 
 # the default (BePI-S) index, and on a `--variant full` index, whose
 # mapped ILU(0) sections have no other end-to-end gate. Each index must
 # also list its value-coded S sections and its narrow S pattern sections in
-# `bepi stats --mmap`.
+# `bepi stats --mmap`, and every other stored matrix's narrow pattern and
+# value codes.
 echo "==> mmap serving check (heap/mmap daemon diff, default and --variant full index)"
 MMAP_TMP=$(mktemp -d)
 cleanup_mmap() {
@@ -187,11 +203,17 @@ for case in ":BePI-S" "full:BePI"; do
   ./target/release/bepi preprocess "$MMAP_TMP/edges.txt" "$INDEX" \
     ${VARIANT_FLAG:+--variant "$VARIANT_FLAG"}
   # The index stores S value-coded on a narrow pattern: all four sections
-  # are in the file.
+  # are in the file. So is every other stored matrix, over the same table.
   ./target/release/bepi stats "$INDEX" --mmap > "$MMAP_TMP/stats.txt"
   for section in s.value_table s.value_codes s.indptr32 s.indices16; do
     grep -q "^$section " "$MMAP_TMP/stats.txt" \
       || { echo "$VARIANT_NAME: bepi stats --mmap lists no $section section"; cat "$MMAP_TMP/stats.txt"; exit 1; }
+  done
+  for matrix in l_inv u_inv h12 h21 h31 h32; do
+    for part in indptr32 indices16 value_codes; do
+      grep -q "^$matrix.$part " "$MMAP_TMP/stats.txt" \
+        || { echo "$VARIANT_NAME: bepi stats --mmap lists no $matrix.$part section"; cat "$MMAP_TMP/stats.txt"; exit 1; }
+    done
   done
   start_daemon 7 "$INDEX" "$MMAP_TMP/heap.log"
   HEAP_ADDR=$DAEMON_ADDR HEAP_PID=$DAEMON_PID
