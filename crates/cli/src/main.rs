@@ -626,11 +626,34 @@ fn print_memory_report(solver: &BePi) {
     );
 }
 
+/// What the index stores per spoke and per node: the `H11` blocks, how
+/// many are 1 × 1 (no factor rows, one `U1⁻¹` value each), the factor rows
+/// stored against `n1`, and the one permutation map.
+fn print_h11_layout(solver: &BePi) {
+    let (h11, s) = (solver.h11_factors(), solver.stats());
+    println!(
+        "H11 blocks       {} ({} of them 1x1)",
+        s.num_blocks,
+        h11.singletons().len()
+    );
+    println!(
+        "factor rows      {} of n1 = {} stored (a 1x1 block keeps one U1^-1 value)",
+        h11.l_inv().nrows(),
+        s.n1
+    );
+    println!("|L1^-1|+|U1^-1|  {}", s.h11_inv_nnz);
+    println!(
+        "perm maps        1 (new_of_old, {} nodes)",
+        solver.permutation().len()
+    );
+}
+
 /// The form each stored matrix is held in: narrow or wide pattern, coded
 /// or plain values, its non-zeros and its own bytes (pattern plus codes
-/// or values), then the one value table the coded matrices share.
+/// or values), then the 1 × 1 `H11` blocks' `U1⁻¹` values and the one
+/// value table the coded matrices share.
 fn print_stored_forms(solver: &BePi) {
-    use bepi_sparse::MemBytes;
+    use bepi_sparse::{CodedValues, MemBytes};
     println!("--- stored matrices ---");
     println!(
         "{:<10} {:>8} {:>8} {:>12} {:>12}",
@@ -650,6 +673,18 @@ fn print_stored_forms(solver: &BePi) {
             format_bytes(own)
         );
     }
+    let singletons = solver.h11_factors().singletons();
+    let (form, bytes) = match singletons {
+        CodedValues::Plain(v) => ("plain", v.mem_bytes()),
+        CodedValues::Coded { codes, .. } => ("coded", codes.mem_bytes()),
+    };
+    println!(
+        "{:<10} {:>8} {form:>8} {:>12} {:>12}",
+        "u1_inv 1x1",
+        "-",
+        singletons.len(),
+        format_bytes(bytes)
+    );
     match solver.value_table() {
         Some(t) => println!(
             "value table      {} entries ({}, shared by every coded matrix)",
@@ -678,7 +713,7 @@ fn cmd_index_stats(path: &str, o: &Options) -> Result<(), String> {
     );
     println!("nodes            {}", solver.node_count());
     println!("n1 / n2 / n3     {} / {} / {}", s.n1, s.n2, s.n3);
-    println!("H11 blocks       {}", s.num_blocks);
+    print_h11_layout(&solver);
     println!("|S|              {}", s.s_nnz);
     println!(
         "embedded graph   {}",
@@ -691,7 +726,7 @@ fn cmd_index_stats(path: &str, o: &Options) -> Result<(), String> {
     print_stored_forms(&solver);
     println!("--- index file sections ---");
     for (name, len) in bepi_core::persist::list_sections(path).map_err(|e| e.to_string())? {
-        println!("{name:<16} {:>12}", format_bytes(len as usize));
+        println!("{name:<22} {:>12}", format_bytes(len as usize));
     }
     if let (Some(before), Some(after)) = (rss_before, rss_after) {
         println!(
@@ -724,7 +759,7 @@ fn cmd_stats(path: &str, o: &Options) -> Result<(), String> {
     let s = solver.stats();
     println!("--- BePI preprocessing ({}) ---", o.variant.name());
     println!("n1 / n2 / n3     {} / {} / {}", s.n1, s.n2, s.n3);
-    println!("H11 blocks       {}", s.num_blocks);
+    print_h11_layout(&solver);
     println!("|S|              {}", s.s_nnz);
     println!("preprocess time  {:?}", s.elapsed);
     println!(

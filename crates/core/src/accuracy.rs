@@ -14,7 +14,7 @@
 
 use crate::bepi::BePi;
 use bepi_solver::norm_est::{norm2_est, sigma_min_est};
-use bepi_solver::{gmres, GmresConfig, Preconditioner};
+use bepi_solver::{gmres, BlockLu, GmresConfig, Preconditioner};
 use bepi_sparse::vecops::dist2;
 use bepi_sparse::Result;
 
@@ -70,7 +70,7 @@ pub fn theorem4_bound(bepi: &BePi) -> Result<Theorem4Bound> {
     // σ_min(H11) via the explicit inverse factors; the transposed
     // products run on them decoded.
     let blu = bepi.h11_factors();
-    let (l_inv, u_inv) = (blu.l_inv.to_csr(), blu.u_inv.to_csr());
+    let BlockLu { l_inv, u_inv, .. } = blu.to_builder()?;
     let n1 = blu.n();
     let sigma_min_h11 = if n1 == 0 {
         1.0

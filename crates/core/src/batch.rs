@@ -181,15 +181,10 @@ mod tests {
         let g = generators::inject_deadends(&g, 0.2, 1).unwrap();
         let solver = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
         let (n1, n2) = (solver.stats().n1, solver.stats().n2);
-        let perm = solver.permutation();
+        let old_of_new = solver.permutation().old_of_new();
+        let old = |j: usize| old_of_new[j] as usize;
         let kinds = (0..7)
-            .map(|i| {
-                [
-                    perm.apply_inverse(i * 3),
-                    perm.apply_inverse(n1 + i),
-                    perm.apply_inverse(n1 + n2 + i),
-                ]
-            })
+            .map(|i| [old(i * 3), old(n1 + i), old(n1 + n2 + i)])
             .collect();
         (g, kinds)
     }

@@ -29,7 +29,7 @@ use crate::{DEFAULT_RESTART_PROB, DEFAULT_TOLERANCE};
 use bepi_graph::Graph;
 use bepi_incr::{DirtySet, SymbolicPlan};
 use bepi_solver::{gmres_block, BlockLu, FrozenBlockLu, GmresConfig, Ilu0, Preconditioner};
-use bepi_sparse::{CodedCsr, Csr, Permutation, Result, SparseError, Storage};
+use bepi_sparse::{CodedCsr, CodedValues, Csr, Permutation, Result, SparseError, Storage};
 use std::time::{Duration, Instant};
 
 /// Which of the three BePI variants to run.
@@ -240,16 +240,40 @@ pub struct BePi {
 }
 
 /// What an index stores, frozen from the builders: `S`, the `H11`
-/// factors and the coupling blocks `[H12, H21, H31, H32]`, all coded over
-/// one value table. `S` is coded first, so its codes are those it gets
-/// alone; the others append their new values.
+/// factors (the rows of blocks larger than 1 × 1 and each 1 × 1 block's
+/// `U1⁻¹` value, see [`FrozenBlockLu`]) and the coupling blocks
+/// `[H12, H21, H31, H32]`, all coded over one value table. `S` is coded
+/// first, so its codes are those it gets alone; the others append their
+/// new values.
 fn freeze(s: &Csr, lu: BlockLu, h: [&Csr; 4]) -> Result<(CodedCsr, FrozenBlockLu, [CodedCsr; 4])> {
-    let [s, l_inv, u_inv, h12, h21, h31, h32]: [CodedCsr; 7] =
-        CodedCsr::encode_all(&[s, &lu.l_inv, &lu.u_inv, h[0], h[1], h[2], h[3]])
+    let (l_inv, u_inv, singletons) = lu.split_singletons()?;
+    let parts = [
+        s.value_storage(),
+        l_inv.value_storage(),
+        u_inv.value_storage(),
+        singletons.into(),
+        h[0].value_storage(),
+        h[1].value_storage(),
+        h[2].value_storage(),
+        h[3].value_storage(),
+    ];
+    let [s_v, l_v, u_v, singletons, h12_v, h21_v, h31_v, h32_v]: [CodedValues; 8] =
+        CodedValues::encode_all(&parts)
             .try_into()
-            .expect("seven matrices in, seven out");
-    let lu = FrozenBlockLu::from_inverse_factors_trusted(l_inv, u_inv, lu.block_sizes)?;
-    Ok((s, lu, [h12, h21, h31, h32]))
+            .expect("eight value arrays in, eight out");
+    let lu = FrozenBlockLu::from_parts_trusted(
+        CodedCsr::with_values(&l_inv, l_v),
+        CodedCsr::with_values(&u_inv, u_v),
+        singletons,
+        lu.block_sizes,
+    )?;
+    let h = [
+        CodedCsr::with_values(h[0], h12_v),
+        CodedCsr::with_values(h[1], h21_v),
+        CodedCsr::with_values(h[2], h31_v),
+        CodedCsr::with_values(h[3], h32_v),
+    ];
+    Ok((CodedCsr::with_values(s, s_v), lu, h))
 }
 
 impl BePi {
@@ -293,7 +317,7 @@ impl BePi {
             n1: self.n1,
             n2: self.n2,
             n3: self.n3,
-            block_sizes: self.h11_lu.block_sizes.clone(),
+            block_sizes: self.h11_lu.block_sizes().to_vec(),
             slashburn_iterations: self.stats.slashburn_iterations,
         }
     }
@@ -437,7 +461,7 @@ impl BePi {
             slashburn_iterations: part.slashburn_iterations,
             num_blocks: part.block_sizes.len(),
             s_nnz: s.nnz(),
-            h11_inv_nnz: h11_lu.l_inv.nnz() + h11_lu.u_inv.nnz(),
+            h11_inv_nnz: h11_lu.inverse_nnz(),
             phases,
         };
         let HPartition {
@@ -513,11 +537,13 @@ impl BePi {
     }
 
     /// Every matrix the index stores, named as the memory report names
-    /// it, in index-file order.
+    /// it, in index-file order. `l1_inv` and `u1_inv` hold the rows of the
+    /// `H11` blocks larger than 1 × 1 only; the 1 × 1 blocks' values are
+    /// [`FrozenBlockLu::singletons`].
     pub fn stored_matrices(&self) -> [(&'static str, &CodedCsr); 7] {
         [
-            ("l1_inv", &self.h11_lu.l_inv),
-            ("u1_inv", &self.h11_lu.u_inv),
+            ("l1_inv", self.h11_lu.l_inv()),
+            ("u1_inv", self.h11_lu.u_inv()),
             ("schur", &self.s),
             ("h12", &self.h12),
             ("h21", &self.h21),
@@ -534,6 +560,10 @@ impl BePi {
         self.stored_matrices()
             .into_iter()
             .find_map(|(_, m)| m.table())
+            .or(match self.h11_lu.singletons() {
+                CodedValues::Coded { table, .. } => Some(table),
+                CodedValues::Plain(_) => None,
+            })
     }
 
     /// Assembles an instance from persisted components. A full variant
@@ -571,9 +601,9 @@ impl BePi {
             n2,
             n3,
             slashburn_iterations,
-            num_blocks: h11_lu.block_sizes.len(),
+            num_blocks: h11_lu.block_sizes().len(),
             s_nnz: s.nnz(),
-            h11_inv_nnz: h11_lu.l_inv.nnz() + h11_lu.u_inv.nnz(),
+            h11_inv_nnz: h11_lu.inverse_nnz(),
             phases,
         };
         Ok(Self {
@@ -615,9 +645,10 @@ impl BePi {
     /// point of `--mmap` serving (paper §Memory Efficiency: the
     /// preprocessed data is the dominant cost at scale).
     ///
-    /// Each stored matrix is charged its pattern and its codes or values.
-    /// The shared value table is counted once, under `schur`, beside the
-    /// `s.value_table` section it is written to.
+    /// Each stored matrix is charged its pattern and its codes or values;
+    /// `u1_inv` also its 1 × 1 blocks' codes or values. The shared value
+    /// table is counted once, under `schur`, beside the `s.value_table`
+    /// section it is written to.
     pub fn memory_report(&self) -> Vec<MemorySection> {
         let table = |f: fn(&Storage<f64>) -> usize| self.value_table().map_or(0, f);
         let matrix = |name, m: &CodedCsr| MemorySection {
@@ -628,14 +659,25 @@ impl BePi {
         let mut schur = matrix("schur", &self.s);
         schur.heap_bytes += table(Storage::heap_bytes);
         schur.mapped_bytes += table(Storage::mapped_bytes);
+        let mut u1_inv = matrix("u1_inv", self.h11_lu.u_inv());
+        match self.h11_lu.singletons() {
+            CodedValues::Plain(v) => {
+                u1_inv.heap_bytes += v.heap_bytes();
+                u1_inv.mapped_bytes += v.mapped_bytes();
+            }
+            CodedValues::Coded { codes, .. } => {
+                u1_inv.heap_bytes += codes.heap_bytes();
+                u1_inv.mapped_bytes += codes.mapped_bytes();
+            }
+        }
         vec![
             MemorySection {
                 name: "perm",
                 heap_bytes: self.perm.heap_bytes(),
                 mapped_bytes: self.perm.mapped_bytes(),
             },
-            matrix("l1_inv", &self.h11_lu.l_inv),
-            matrix("u1_inv", &self.h11_lu.u_inv),
+            matrix("l1_inv", self.h11_lu.l_inv()),
+            u1_inv,
             schur,
             MemorySection {
                 name: "precond",
@@ -1288,5 +1330,137 @@ pub(crate) mod tests {
         }
         drop(mapped);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `edges` both ways, plus a self-loop on each node of `loops`.
+    fn undirected_with_loops(n: usize, edges: &[(usize, usize)], loops: &[usize]) -> Graph {
+        let mut all: Vec<(usize, usize)> =
+            edges.iter().flat_map(|&(u, v)| [(u, v), (v, u)]).collect();
+        all.extend(loops.iter().map(|&u| (u, u)));
+        Graph::from_edges(n, &all).unwrap()
+    }
+
+    /// Independent oracle for the stored `H11` factors: on graphs with
+    /// self-loops (so 1 × 1 blocks hold `U1⁻¹` values ≠ 1.0), an
+    /// all-1 × 1 `H11` and one with no 1 × 1 block, `h11_factors()`
+    /// solves like a dense `H11⁻¹` to 1e-12 and bit for bit like the
+    /// builder's solve, on an input holding `-0.0` — for a fresh, a
+    /// refactored, a heap-loaded and a mapped index.
+    #[test]
+    fn compact_h11_solve_matches_dense_inverse_on_every_index() {
+        // Two hubs; leaves 2.. hang off them, and in the paired graph
+        // each leaf also links its neighbour (2-node spoke blocks).
+        let n = 40;
+        let hubs: Vec<(usize, usize)> = (2..n).map(|u| (u, u % 2)).collect();
+        let pairs: Vec<(usize, usize)> = (2..n).step_by(2).map(|u| (u, u + 1)).collect();
+        let loops: Vec<usize> = (2..n).step_by(3).collect();
+        let mixed = generators::rmat(7, 500, generators::RmatParams::default(), 61).unwrap();
+        let mixed_loops: Vec<(usize, usize)> = (0..128).step_by(5).map(|u| (u, u)).collect();
+        let mut mixed_edges: Vec<(usize, usize)> =
+            mixed.adjacency().iter().map(|(r, c, _)| (r, c)).collect();
+        mixed_edges.extend(&mixed_loops);
+        let cases = [
+            (
+                "all 1x1",
+                undirected_with_loops(n, &hubs, &loops),
+                Some(true),
+            ),
+            (
+                "no 1x1",
+                undirected_with_loops(n, &[hubs.clone(), pairs].concat(), &loops),
+                Some(false),
+            ),
+            ("mixed", Graph::from_edges(128, &mixed_edges).unwrap(), None),
+        ];
+        let cfg = BePiConfig {
+            hub_ratio: Some(0.05),
+            ..BePiConfig::default()
+        };
+        let dir = std::env::temp_dir().join(format!("bepi-h11-oracle-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        for (name, g, all_ones) in cases {
+            let fresh = BePi::preprocess(&g, &cfg).unwrap();
+            let sizes = fresh.h11_factors().block_sizes();
+            let ones = sizes.iter().filter(|&&s| s == 1).count();
+            match all_ones {
+                Some(true) => assert_eq!(ones, sizes.len(), "{name}: {sizes:?}"),
+                Some(false) => assert_eq!(ones, 0, "{name}: {sizes:?}"),
+                None => assert!(ones > 0 && ones < sizes.len(), "{name}: {sizes:?}"),
+            }
+            let singletons = fresh.h11_factors().singletons();
+            if ones > 0 {
+                assert!(
+                    (0..ones).any(|k| singletons.get(k) != 1.0),
+                    "{name}: no self-loop"
+                );
+            }
+            let path = dir.join("index.bepi");
+            crate::persist::save_file_v6(&fresh, None, &path).unwrap();
+            let heap = crate::persist::load_file(&path).unwrap();
+            let (mapped, _) = crate::persist::load_mapped_file(&path).unwrap();
+            assert!(mapped.is_mapped());
+            let (u, v) = removable_edge(&g);
+            let g_new = without_edge(&g, u, v);
+            let plan = fresh.symbolic_plan();
+            let dirty = match bepi_incr::classify(&plan, &g, &g_new, &[u]) {
+                bepi_incr::Classification::NumericOnly(d) => d,
+                bepi_incr::Classification::Structural(why) => panic!("{name}: {why}"),
+            };
+            let refac = fresh.refactor(&g_new, &dirty).unwrap();
+            for (index, graph, what) in [
+                (&fresh, &g, "fresh"),
+                (&heap, &g, "heap"),
+                (&mapped, &g, "mapped"),
+                (&refac, &g_new, "refactor"),
+            ] {
+                let h11 = bepi_incr::assemble(graph, cfg.c, &plan).unwrap().h11;
+                let n1 = h11.nrows();
+                let dense = bepi_solver::DenseLu::factor(&h11.to_dense())
+                    .unwrap()
+                    .inverse()
+                    .unwrap();
+                let builder = BlockLu::factor(&h11, &plan.block_sizes).unwrap();
+                let x: Vec<f64> = (0..n1)
+                    .map(|i| match i % 4 {
+                        0 => -0.0,
+                        1 => 0.0,
+                        _ => 1.0 / (i as f64 + 0.5),
+                    })
+                    .collect();
+                let got = index.h11_factors().solve_vec(&x).unwrap();
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                let want = builder.solve_vec(&x).unwrap();
+                assert_eq!(bits(&got), bits(&want), "{name} {what}");
+                for (g, w) in got.iter().zip(dense.mul_vec(&x).unwrap()) {
+                    assert!((g - w).abs() < 1e-12, "{name} {what}: {g} vs {w}");
+                }
+            }
+            drop(mapped);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The exact-cold benchmark index (wikilink-like, hub ratio 0.2)
+    /// stores no factor rows for its 1 × 1 `H11` blocks and one
+    /// permutation map, and still reports the paper's full `|L1⁻¹| +
+    /// |U1⁻¹|`. Byte and entry counts are deterministic.
+    #[test]
+    fn compact_exact_cold_index_counts() {
+        let spec = bepi_graph::datasets::Dataset::WikiLink.spec();
+        let cfg = BePiConfig {
+            hub_ratio: Some(spec.hub_ratio),
+            ..BePiConfig::default()
+        };
+        let index = BePi::preprocess(&spec.generate(), &cfg).unwrap();
+        let h11 = index.h11_factors();
+        let full = h11.to_builder().unwrap();
+        assert_eq!(index.stats().h11_inv_nnz, 50_608);
+        assert_eq!(full.l_inv.nnz() + full.u_inv.nnz(), 50_608);
+        assert_eq!(
+            (h11.block_sizes().len(), h11.singletons().len()),
+            (21_839, 20_439)
+        );
+        assert_eq!(index.permutation().heap_bytes(), 4 * index.node_count());
+        assert_eq!(index.preprocessed_bytes(), 5_930_546);
     }
 }

@@ -26,6 +26,7 @@ use crate::bepi::{BePi, BePiConfig, PhaseTiming, RawParts};
 use crate::rwr::RwrSolver;
 use bepi_graph::Graph;
 use bepi_map::{sections as sec, ContainerWriter, MapError, MappedIndex, SectionEntry};
+use bepi_solver::block_lu::check_factor_rows;
 use bepi_solver::{FrozenBlockLu, Ilu0};
 use bepi_sparse::{CodedCsr, CodedValues, Csr, Pattern, Permutation, Result, SparseError, Storage};
 use std::io::{BufWriter, Read, Write};
@@ -154,16 +155,32 @@ fn write_matrix<W: Write>(
     Ok(())
 }
 
+/// Writes `U1⁻¹`'s value of each 1 × 1 `H11` block as held: codes into
+/// the index's value table, or plain values.
+fn write_singletons<W: Write>(cw: &mut ContainerWriter<W>, values: &CodedValues) -> Result<()> {
+    match values {
+        CodedValues::Plain(v) => write_f64s_section(cw, sec::U_INV_SINGLETON_VALUES, v),
+        CodedValues::Coded { codes, .. } => {
+            write_u16s_section(cw, sec::U_INV_SINGLETON_CODES, codes)
+        }
+    }
+}
+
 /// Writes an index (format v6): the `bepi-map` section container with
 /// 64-byte-aligned little-endian payloads and per-section CRC-32s. The
 /// file:
 ///
 /// * can be served zero-copy via [`load_mapped_file`] (open time does
 ///   not depend on index size, pages are shared across processes);
+/// * stores the node permutation one way, `new_of_old`: a query scatters
+///   through it to permute and gathers through it to unpermute;
 /// * stores every matrix — `L1⁻¹`, `U1⁻¹`, `S`, `H12`, `H21`, `H31`,
 ///   `H32` — the way it is held: value-coded (a `u16` code per non-zero
 ///   into the index's one value table) or plain, on a narrow pattern
 ///   (`u32` row pointers, `u16` column indices) or a wide one;
+/// * stores `L1⁻¹` and `U1⁻¹` only for the `H11` blocks larger than
+///   1 × 1, and one `U1⁻¹` value per 1 × 1 block (its `L1⁻¹` entry is
+///   1.0), coded like the matrices;
 /// * persists the ILU(0) factor values (f32, in `S`'s pattern, which is
 ///   stored once), so loads never re-run the factorization;
 /// * embeds the adjacency graph only when `graph` is `Some` (the
@@ -201,23 +218,22 @@ pub fn save_v6<W: Write>(bepi: &BePi, graph: Option<&Graph>, writer: W) -> Resul
         write_f64(&mut cw, phase.seconds)?;
     }
 
-    // Both permutation directions, so the mapped load stays O(1) instead
-    // of re-deriving the inverse.
+    // One direction: the query permutes by scattering through the forward
+    // map and unpermutes by gathering through it.
     write_u32s_section(
         &mut cw,
         sec::PERM_NEW_OF_OLD,
         bepi.permutation().new_of_old(),
     )?;
-    write_u32s_section(
-        &mut cw,
-        sec::PERM_OLD_OF_NEW,
-        bepi.permutation().old_of_new(),
-    )?;
 
-    write_u64s_section(&mut cw, sec::BLOCK_SIZES, &bepi.h11_factors().block_sizes)?;
+    let h11 = bepi.h11_factors();
+    write_u64s_section(&mut cw, sec::BLOCK_SIZES, h11.block_sizes())?;
     let table = bepi.value_table().map(Storage::as_slice);
     for ((base, _), (_, m)) in MATRICES.iter().zip(bepi.stored_matrices()) {
         write_matrix(&mut cw, *base, m, table.filter(|_| *base == sec::S))?;
+        if *base == sec::U_INV {
+            write_singletons(&mut cw, h11.singletons())?;
+        }
     }
 
     // ILU factors, when the instance built them: their values (f32, in
@@ -538,34 +554,50 @@ fn decode_matrix<S: SectionSource>(
     if S::READS_PAYLOADS {
         check_pattern(&pattern, ncols, ids)?;
     }
-    let values = match (src.has(id(sec::VALUE_CODES)), src.has(id(sec::VALUES))) {
-        (true, true) => {
-            return Err(SparseError::Parse(format!(
-                "v6 index: {label} carries both plain values ({}) and value codes ({})",
-                name(sec::VALUES),
-                name(sec::VALUE_CODES)
-            )))
-        }
-        (false, false) => {
-            return Err(SparseError::Parse(format!(
+    let values = decode_values(src, (id(sec::VALUES), id(sec::VALUE_CODES)), label, table)?
+        .ok_or_else(|| {
+            SparseError::Parse(format!(
                 "v6 index: {label} has neither plain values ({}) nor value codes ({})",
                 name(sec::VALUES),
                 name(sec::VALUE_CODES)
+            ))
+        })?;
+    CodedCsr::from_parts_storage_trusted(nrows, ncols, pattern, values)
+        .map_err(|e| parse_err_in(label, e))
+}
+
+/// Decodes one value array stored plain (section `ids.0`, `f64`) or as
+/// codes into the index's value `table` (section `ids.1`, `u16`), or
+/// `None` when the file holds neither. A source that has read every
+/// payload byte checks each code against the table.
+fn decode_values<S: SectionSource>(
+    src: &S,
+    (values_id, codes_id): (u32, u32),
+    label: &str,
+    table: Option<&Storage<f64>>,
+) -> Result<Option<CodedValues>> {
+    let values = match (src.has(codes_id), src.has(values_id)) {
+        (true, true) => {
+            return Err(SparseError::Parse(format!(
+                "v6 index: {label} carries both plain values ({}) and value codes ({})",
+                sec::name(values_id),
+                sec::name(codes_id)
             )))
         }
-        (false, true) => CodedValues::Plain(src.f64s(id(sec::VALUES))?),
+        (false, false) => return Ok(None),
+        (false, true) => CodedValues::Plain(src.f64s(values_id)?),
         (true, false) => {
             let table = table.ok_or_else(|| {
                 SparseError::Parse(format!(
                     "v6 index: {label} has value codes ({}) but the index has no value table \
                      ({})",
-                    name(sec::VALUE_CODES),
+                    sec::name(codes_id),
                     sec::name(sec::S_VALUE_TABLE)
                 ))
             })?;
             let values = CodedValues::Coded {
                 table: table.clone(),
-                codes: src.u16s(id(sec::VALUE_CODES))?,
+                codes: src.u16s(codes_id)?,
             };
             if S::READS_PAYLOADS {
                 values.check_codes().map_err(|e| parse_err_in(label, e))?;
@@ -573,18 +605,18 @@ fn decode_matrix<S: SectionSource>(
             values
         }
     };
-    CodedCsr::from_parts_storage_trusted(nrows, ncols, pattern, values)
-        .map_err(|e| parse_err_in(label, e))
+    Ok(Some(values))
 }
 
-/// Checks, in `O(n)`, that the permutation maps `fwd` (`new_of_old`)
-/// and `inv` (`old_of_new`) hold only node ids below `n = fwd.len()` and
-/// are mutual inverses: a crafted map would otherwise panic the first
-/// query's gather.
+/// Checks, in `O(n)`, that the permutation map `fwd` (`new_of_old`) is
+/// a bijection on `0..n`, `n = fwd.len()`, and, for a file that also
+/// stores the inverse map `inv` (`old_of_new`, as files did before the
+/// index stored one direction), that the two are inverses: a crafted map
+/// would otherwise panic the first query's scatter or answer wrongly.
 ///
 /// # Errors
 /// [`SparseError::Parse`] naming the section and the bad entry.
-fn check_permutation(fwd: &[u32], inv: &[u32]) -> Result<()> {
+fn check_permutation(fwd: &[u32], inv: Option<&[u32]>) -> Result<()> {
     let n = fwd.len();
     let bad = |id, msg: String| {
         Err(SparseError::Parse(format!(
@@ -598,6 +630,11 @@ fn check_permutation(fwd: &[u32], inv: &[u32]) -> Result<()> {
             format!("entry {old} is {}, out of range for {n} nodes", fwd[old]),
         );
     }
+    let Some(inv) = inv else {
+        return Permutation::from_new_of_old(fwd.to_vec())
+            .map(drop)
+            .map_err(|e| parse_err_in(&format!("section {}", sec::name(sec::PERM_NEW_OF_OLD)), e));
+    };
     let inverse_of = |old: usize| inv.get(fwd[old] as usize).map(|&o| o as usize);
     if let Some(old) = (0..n).find(|&old| inverse_of(old) != Some(old)) {
         let new = fwd[old] as usize;
@@ -613,6 +650,50 @@ fn check_permutation(fwd: &[u32], inv: &[u32]) -> Result<()> {
     Ok(())
 }
 
+/// Decodes the `H11` factors: the rows of blocks larger than 1 × 1 and
+/// the 1 × 1 blocks' `U1⁻¹` values, or — in a file without the latter —
+/// full `n1 × n1` factors, compacted on load. A source that has read
+/// every payload byte also checks that each stored row keeps inside its
+/// own block and triangle.
+fn decode_h11<S: SectionSource>(
+    src: &S,
+    n1: usize,
+    table: Option<&Storage<f64>>,
+) -> Result<FrozenBlockLu> {
+    let [l_ids, u_ids, ..] = MATRICES;
+    let block_sizes = src.usizes(sec::BLOCK_SIZES)?.to_vec();
+    let ids = (sec::U_INV_SINGLETON_VALUES, sec::U_INV_SINGLETON_CODES);
+    let Some(singletons) = decode_values(src, ids, "U1^-1 1x1 blocks", table)? else {
+        let (l, u) = (
+            decode_matrix(src, l_ids, n1, n1, table)?,
+            decode_matrix(src, u_ids, n1, n1, table)?,
+        );
+        return FrozenBlockLu::from_full_rows(&l, &u, block_sizes)
+            .map_err(|e| parse_err_in("H11 factors", e));
+    };
+    let rows = block_sizes.iter().filter(|&&size| size > 1).sum();
+    let l = decode_matrix(src, l_ids, rows, n1, table)?;
+    let u = decode_matrix(src, u_ids, rows, n1, table)?;
+    let lu = FrozenBlockLu::from_parts_trusted(l, u, singletons, block_sizes)
+        .map_err(|e| parse_err_in("H11 factors", e))?;
+    if S::READS_PAYLOADS {
+        for (m, base, lower) in [
+            (lu.l_inv(), sec::L_INV, true),
+            (lu.u_inv(), sec::U_INV, false),
+        ] {
+            let indices = base
+                + if m.pattern().is_narrow() {
+                    sec::INDICES16
+                } else {
+                    sec::INDICES
+                };
+            check_factor_rows(m, lu.block_sizes(), lower)
+                .map_err(|e| parse_err_in(&format!("section {}", sec::name(indices)), e))?;
+        }
+    }
+    Ok(lu)
+}
+
 /// Decodes a v6 container from either backing into an instance plus the
 /// embedded graph, if any.
 fn decode_v6<S: SectionSource>(src: &S) -> Result<(BePi, Option<Graph>)> {
@@ -626,14 +707,15 @@ fn decode_v6<S: SectionSource>(src: &S) -> Result<(BePi, Option<Graph>)> {
     let (elapsed, phases) = read_phases(&mut r)?;
     let n = n1 + n2 + n3;
 
-    let (new_of_old, old_of_new) = (
-        src.u32s(sec::PERM_NEW_OF_OLD)?,
-        src.u32s(sec::PERM_OLD_OF_NEW)?,
-    );
+    let new_of_old = src.u32s(sec::PERM_NEW_OF_OLD)?;
     if S::READS_PAYLOADS {
-        check_permutation(&new_of_old, &old_of_new)?;
+        let old_of_new = match src.has(sec::PERM_OLD_OF_NEW) {
+            true => Some(src.u32s(sec::PERM_OLD_OF_NEW)?),
+            false => None,
+        };
+        check_permutation(&new_of_old, old_of_new.as_deref())?;
     }
-    let perm = Permutation::from_maps_trusted(new_of_old, old_of_new)?;
+    let perm = Permutation::from_new_of_old_trusted(new_of_old)?;
     if perm.len() != n {
         return Err(SparseError::Parse(format!(
             "v6 index: permutation covers {} nodes but META declares {n}",
@@ -647,13 +729,9 @@ fn decode_v6<S: SectionSource>(src: &S) -> Result<(BePi, Option<Graph>)> {
         None
     };
     let matrix = |(base, nrows, ncols)| decode_matrix(src, base, nrows, ncols, table.as_ref());
-    let [l_ids, u_ids, s_ids, h12_ids, h21_ids, h31_ids, h32_ids] = MATRICES;
+    let [_, _, s_ids, h12_ids, h21_ids, h31_ids, h32_ids] = MATRICES;
     let s = matrix((s_ids, n2, n2))?;
-    let h11_lu = FrozenBlockLu::from_inverse_factors_trusted(
-        matrix((l_ids, n1, n1))?,
-        matrix((u_ids, n1, n1))?,
-        src.usizes(sec::BLOCK_SIZES)?.to_vec(),
-    )?;
+    let h11_lu = decode_h11(src, n1, table.as_ref())?;
     let h12 = matrix((h12_ids, n1, n2))?;
     let h21 = matrix((h21_ids, n2, n1))?;
     let h31 = matrix((h31_ids, n3, n1))?;
@@ -740,7 +818,14 @@ pub fn load_mapped_file<P: AsRef<Path>>(path: P) -> Result<(BePi, Option<Graph>)
         ]
         .map(|offset| base + offset)
     });
-    for id in matrix_sections.chain([sec::S_VALUE_TABLE, sec::ILU_VALUES_F32, sec::ILU_DIAG]) {
+    let others = [
+        sec::U_INV_SINGLETON_CODES,
+        sec::U_INV_SINGLETON_VALUES,
+        sec::S_VALUE_TABLE,
+        sec::ILU_VALUES_F32,
+        sec::ILU_DIAG,
+    ];
+    for id in matrix_sections.chain(others) {
         idx.advise_willneed(id);
     }
     decode_v6(&MappedSource { idx: &idx })
@@ -1951,27 +2036,48 @@ mod tests {
             .unwrap()
     }
 
-    /// `bepi`'s index `buf` with every stored matrix rewritten in the form
-    /// `form` gives it (from its name and the matrix as held) and `table`
-    /// as the index's value table, written in `S`'s block. Each matrix
-    /// keeps its place in the file; every other section is copied.
-    fn with_stored_forms(
+    /// The stored matrices as the full-row layout held them: `L1⁻¹` and
+    /// `U1⁻¹` with full `n1 × n1` rows, in [`BePi::stored_matrices`] order.
+    fn full_row_matrices(bepi: &BePi) -> [Csr; 7] {
+        let lu = bepi.h11_factors().to_builder().unwrap();
+        let (h12, h21, h31, h32) = bepi.coupling_blocks();
+        [
+            lu.l_inv,
+            lu.u_inv,
+            bepi.schur().to_csr(),
+            h12.to_csr(),
+            h21.to_csr(),
+            h31.to_csr(),
+            h32.to_csr(),
+        ]
+    }
+
+    /// `bepi`'s index `buf` in the full-row layout: both permutation
+    /// directions, full-row `H11` factors and no 1 × 1 block section, with
+    /// every stored matrix written as `mats` holds it (in
+    /// [`BePi::stored_matrices`] order) and `table` as the index's value
+    /// table, in `S`'s block. Every other section is copied.
+    fn with_full_row_layout(
         buf: &[u8],
         bepi: &BePi,
         table: Option<&[f64]>,
-        form: impl Fn(&str, &CodedCsr) -> CodedCsr,
+        mats: &[CodedCsr; 7],
     ) -> Vec<u8> {
-        let stored = bepi.stored_matrices();
         let mut written = [false; 7];
         rewrite_sections(buf, |cw, id, payload| {
             match MATRICES.iter().position(|&(base, _)| id & !0xf == base) {
+                _ if id == sec::U_INV_SINGLETON_CODES || id == sec::U_INV_SINGLETON_VALUES => {}
                 Some(b) if !written[b] => {
                     written[b] = true;
-                    let (base, (name, m)) = (MATRICES[b].0, stored[b]);
-                    let table = table.filter(|_| base == sec::S);
-                    write_matrix(cw, base, &form(name, m), table).unwrap();
+                    let base = MATRICES[b].0;
+                    write_matrix(cw, base, &mats[b], table.filter(|_| base == sec::S)).unwrap();
                 }
                 Some(_) => {}
+                None if id == sec::PERM_NEW_OF_OLD => {
+                    cw.section_bytes(id, payload).unwrap();
+                    let old_of_new = bepi.permutation().old_of_new();
+                    write_u32s_section(cw, sec::PERM_OLD_OF_NEW, &old_of_new).unwrap();
+                }
                 None => cw.section_bytes(id, payload).unwrap(),
             }
         })
@@ -2114,14 +2220,18 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Files written before the stored matrices shared one form — `L1⁻¹`,
-    /// `U1⁻¹` and the `H` blocks wide and plain, and `S` either coded over
-    /// a table of its own values only (on a narrow or a wide pattern) or
-    /// plain with no table at all — load on the heap and mapped, for the
-    /// default and the full variant. They keep their forms, answer bit
-    /// for bit like a fresh index with equal iterations and residuals,
-    /// save again to the same bytes, and refactor to the fresh index's
-    /// refactor.
+    /// Files in the full-row layout — both permutation directions and
+    /// full-row `H11` factors — load on the heap and mapped, for the
+    /// default and the full variant: as its last writer wrote them (every matrix
+    /// narrow and coded over one table), and as files from before the
+    /// stored matrices shared one form wrote them (`L1⁻¹`, `U1⁻¹` and the
+    /// `H` blocks wide and plain, and `S` either coded over a table of its
+    /// own values only, on a narrow or a wide pattern, or plain with no
+    /// table at all). Their factors are compacted on load in their own
+    /// form. They answer bit for bit like a fresh index with equal
+    /// iterations and residuals, refactor to the fresh index's refactor,
+    /// and save again in the current layout — one permutation map and the
+    /// 1 × 1 block section — which is byte-stable from there.
     #[test]
     fn compact_old_format_files_load_bit_identical() {
         use crate::bepi::tests::{removable_edge, without_edge};
@@ -2130,26 +2240,31 @@ mod tests {
         let g_new = without_edge(&g, u, v);
         for variant in [BePiVariant::Sparse, BePiVariant::Full] {
             let fresh = BePi::preprocess(&g, &BePiConfig::for_variant(variant)).unwrap();
+            assert!(!fresh.h11_factors().singletons().is_empty());
             let buf = to_bytes(&fresh, Some(&g));
-            let s_alone = CodedCsr::encode(&fresh.schur().to_csr());
-            let s_table = coded_parts(&s_alone).0;
-            type Form = fn(&str, &CodedCsr) -> CodedCsr;
-            let layouts: [(&str, Option<&[f64]>, Form); 3] = [
-                ("narrow coded S", Some(s_table), |name, m| {
-                    if name == "schur" {
-                        m.clone()
-                    } else {
-                        wide_plain(m)
-                    }
-                }),
-                ("wide coded S", Some(s_table), |name, m| {
-                    if name == "schur" {
-                        wide_as_held(m)
-                    } else {
-                        wide_plain(m)
-                    }
-                }),
-                ("plain S", None, |_, m| wide_plain(m)),
+            let full = full_row_matrices(&fresh);
+            let s_alone = CodedCsr::encode(&full[2]);
+            let s_table = coded_parts(&s_alone).0.to_vec();
+            let full_coded = CodedCsr::encode_all(&full.each_ref());
+            let full_table = full_coded[0].table().unwrap().to_vec();
+            let plain = |m: &Csr| wide_plain(&CodedCsr::encode(m));
+            let forms = |s: CodedCsr| -> [CodedCsr; 7] {
+                std::array::from_fn(|i| if i == 2 { s.clone() } else { plain(&full[i]) })
+            };
+            type Layout<'a> = (&'a str, Option<&'a [f64]>, [CodedCsr; 7]);
+            let layouts: [Layout; 4] = [
+                (
+                    "full-row layout",
+                    Some(&full_table),
+                    full_coded.clone().try_into().unwrap(),
+                ),
+                ("narrow coded S", Some(&s_table), forms(s_alone.clone())),
+                (
+                    "wide coded S",
+                    Some(&s_table),
+                    forms(wide_as_held(&s_alone)),
+                ),
+                ("plain S", None, forms(plain(&full[2]))),
             ];
             let plan = fresh.symbolic_plan();
             let dirty = match crate::classify(&plan, &g, &g_new, &[u]) {
@@ -2157,21 +2272,19 @@ mod tests {
                 crate::Classification::Structural(why) => panic!("expected numeric: {why}"),
             };
             let fresh_refac = fresh.refactor(&g_new, &dirty).unwrap();
-            for (layout, table, form) in layouts {
-                let old = with_stored_forms(&buf, &fresh, table, form);
+            for (layout, table, mats) in layouts {
+                let old = with_full_row_layout(&buf, &fresh, table, &mats);
                 let ids: Vec<u32> = bepi_map::parse_layout(&old)
                     .unwrap()
                     .iter()
                     .map(|e| e.id)
                     .collect();
-                for id in [
-                    sec::L_INV + sec::VALUES,
-                    sec::H12 + sec::VALUES,
-                    sec::H21 + sec::INDPTR,
-                    sec::H32 + sec::INDICES,
-                ] {
-                    assert!(ids.contains(&id), "{layout}: {}", sec::name(id));
-                }
+                assert!(ids.contains(&sec::PERM_OLD_OF_NEW), "{layout}");
+                assert!(!ids.contains(&sec::U_INV_SINGLETON_CODES), "{layout}");
+                let coded = layout == "full-row layout";
+                let (l_codes, h21_ptr) = (sec::L_INV + sec::VALUE_CODES, sec::H21 + sec::INDPTR);
+                assert_eq!(ids.contains(&l_codes), coded, "{layout}");
+                assert_eq!(ids.contains(&h21_ptr), !coded, "{layout}");
                 assert_eq!(ids.contains(&sec::S_VALUE_TABLE), table.is_some());
                 let path = temp_path("old_layout");
                 std::fs::write(&path, &old).unwrap();
@@ -2182,9 +2295,21 @@ mod tests {
                     let what = format!("{:?} {layout} {what}", variant);
                     for (name, m) in b.stored_matrices() {
                         if name != "schur" {
-                            assert!(!m.is_coded() && !m.pattern().is_narrow(), "{what}: {name}");
+                            assert_eq!(m.is_coded(), coded, "{what}: {name}");
+                            assert_eq!(m.pattern().is_narrow(), coded, "{what}: {name}");
                         }
                     }
+                    let h11 = b.h11_factors();
+                    assert_eq!(
+                        h11.l_inv(),
+                        fresh.h11_factors().l_inv(),
+                        "{what}: compacted"
+                    );
+                    assert_eq!(
+                        h11.singletons().len(),
+                        fresh.h11_factors().singletons().len()
+                    );
+                    assert_eq!(b.stats().h11_inv_nnz, fresh.stats().h11_inv_nnz, "{what}");
                     assert_eq!(b.value_table().map(|t| t.len()), table.map(<[f64]>::len));
                     assert_eq!(b.schur(), fresh.schur(), "{what}");
                     if variant == BePiVariant::Full {
@@ -2202,14 +2327,31 @@ mod tests {
                         let (got, want) =
                             (refac.query(seed).unwrap(), fresh_refac.query(seed).unwrap());
                         assert_eq!(bits(&got.scores), bits(&want.scores), "{what} seed {seed}");
+                        assert_eq!(got.iterations, want.iterations, "{what}");
+                        assert_eq!(got.residual.to_bits(), want.residual.to_bits(), "{what}");
                     }
                 }
-                assert_eq!(to_bytes(&heap, Some(&g)), old, "{layout}: heap re-save");
+                // Saved again, in the current layout, byte-stable from there.
+                let resaved = to_bytes(&heap, Some(&g));
+                let ids: Vec<u32> = bepi_map::parse_layout(&resaved)
+                    .unwrap()
+                    .iter()
+                    .map(|e| e.id)
+                    .collect();
+                assert!(!ids.contains(&sec::PERM_OLD_OF_NEW), "{layout}: re-save");
+                // The 1 × 1 blocks' values keep the form `U1⁻¹` had.
+                let singleton_id = match coded {
+                    true => sec::U_INV_SINGLETON_CODES,
+                    false => sec::U_INV_SINGLETON_VALUES,
+                };
+                assert!(ids.contains(&singleton_id), "{layout}: re-save");
                 assert_eq!(
                     to_bytes(&mapped, mapped_graph.as_ref()),
-                    old,
+                    resaved,
                     "{layout}: mapped re-save"
                 );
+                let (again, again_graph) = load_with_graph(&resaved[..]).unwrap();
+                assert_eq!(to_bytes(&again, again_graph.as_ref()), resaved, "{layout}");
                 drop(mapped);
                 std::fs::remove_file(&path).ok();
             }
@@ -2230,7 +2372,7 @@ mod tests {
         let buf = to_bytes(&fresh, None);
         let table_len = fresh.value_table().unwrap().len();
         let (h12, h21) = (fresh.coupling_blocks().0, fresh.coupling_blocks().1);
-        let l_inv = &fresh.h11_factors().l_inv;
+        let l_inv = fresh.h11_factors().l_inv();
         assert!(h12.nnz() > 2 && h21.nnz() > 2 && l_inv.nnz() > 2);
         type Edit<'a> = &'a dyn Fn(&mut ContainerWriter<Vec<u8>>, &[u8]);
         let edit = |target: u32, f: Edit| {
@@ -2311,9 +2453,10 @@ mod tests {
 
     /// A crafted permutation or ILU(0) diagonal position with valid CRCs
     /// fails the heap load, which reads every byte, with an error naming
-    /// the section — where the first query's gather or sweep used to
-    /// panic: a map entry past the node count, maps that are not
-    /// inverses, a diagonal position past its row, and one on an
+    /// the section — where the first query's scatter or sweep used to
+    /// panic or answer wrongly: a map entry past the node count, a map
+    /// that is not a bijection, a full-row-layout file whose two maps are
+    /// not inverses, a diagonal position past its row, and one on an
     /// off-diagonal entry.
     #[test]
     fn heap_load_rejects_crafted_permutation_and_diag_pos() {
@@ -2337,7 +2480,9 @@ mod tests {
         };
         let mut fwd = perm.new_of_old().to_vec();
         fwd[3] = n + 5;
-        let mut inv = perm.old_of_new().to_vec();
+        let mut twice = perm.new_of_old().to_vec();
+        twice[1] = twice[0];
+        let mut inv = perm.old_of_new();
         inv.swap(0, 1);
         let (mut past, mut off) = (ilu.diag_pos().to_vec(), ilu.diag_pos().to_vec());
         past[row] = s.row_iter(row).count();
@@ -2353,7 +2498,18 @@ mod tests {
                 ),
             ),
             (
-                edit(sec::PERM_OLD_OF_NEW, &|cw| {
+                edit(sec::PERM_NEW_OF_OLD, &|cw| {
+                    write_u32s_section(cw, sec::PERM_NEW_OF_OLD, &twice).unwrap()
+                }),
+                format!(
+                    "section perm.new_of_old: invalid permutation: image {} hit twice (by 0 and 1)",
+                    twice[0]
+                ),
+            ),
+            // A file in the full-row layout also stores the inverse map.
+            (
+                edit(sec::PERM_NEW_OF_OLD, &|cw| {
+                    write_u32s_section(cw, sec::PERM_NEW_OF_OLD, perm.new_of_old()).unwrap();
                     write_u32s_section(cw, sec::PERM_OLD_OF_NEW, &inv).unwrap()
                 }),
                 "section perm.old_of_new: entry".to_string(),
@@ -2381,6 +2537,176 @@ mod tests {
             assert_ne!(bad, &buf);
             let err = load(&bad[..]).unwrap_err().to_string();
             assert!(err.contains(want.as_str()), "{want}: {err}");
+        }
+    }
+
+    /// `buf` with section `target`'s `u16` or `u32` elements (by `wide`)
+    /// rewritten by `f`, every other section copied.
+    fn edit_elems(buf: &[u8], target: u32, wide: bool, f: impl Fn(&mut Vec<u32>)) -> Vec<u8> {
+        rewrite_sections(buf, |cw, id, payload| {
+            if id != target {
+                return cw.section_bytes(id, payload).unwrap();
+            }
+            let size = if wide { 4 } else { 2 };
+            let mut v: Vec<u32> = payload
+                .chunks(size)
+                .map(|b| b.iter().rev().fold(0, |acc, &x| (acc << 8) | u32::from(x)))
+                .collect();
+            f(&mut v);
+            if wide {
+                write_u32s_section(cw, id, &v).unwrap()
+            } else {
+                let v: Vec<u16> = v.iter().map(|&x| x as u16).collect();
+                write_u16s_section(cw, id, &v).unwrap()
+            }
+        })
+    }
+
+    /// Crafted stored rows with valid CRCs and in-range columns: columns
+    /// out of order or repeated in a row of any stored matrix, and `H11`
+    /// factor entries outside their own diagonal block or triangle. The
+    /// heap load, which reads every byte, fails each with an error naming
+    /// the section. The mapped open keeps its `O(1)` checks and opens the
+    /// out-of-block files without panicking.
+    #[test]
+    fn heap_load_rejects_unsorted_and_out_of_block_rows() {
+        let g = generators::rmat(7, 500, generators::RmatParams::default(), 61).unwrap();
+        let fresh = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
+        let buf = to_bytes(&fresh, None);
+        let h11 = fresh.h11_factors();
+        let h21 = fresh.coupling_blocks().1;
+        let s = fresh.schur();
+        let long_row = |m: &CodedCsr| (0..m.nrows()).find(|&r| m.row_iter(r).count() > 1).unwrap();
+        let (h21_row, s_row) = (long_row(h21), long_row(s));
+        let (h21_k, s_k) = (h21.pattern().row_ptr(h21_row), s.pattern().row_ptr(s_row));
+        // A block larger than 1 × 1 past the first row, and its place
+        // among the stored rows.
+        let (mut start, mut stored) = (0, 0);
+        for &size in h11.block_sizes() {
+            if size > 1 && start > 0 {
+                break;
+            }
+            stored += if size > 1 { size } else { 0 };
+            start += size;
+        }
+        let l_k = h11.l_inv().pattern().row_ptr(stored);
+        assert_eq!(h11.l_inv().pattern().col(l_k), start);
+        // U's second row of that block starts on its diagonal.
+        let u_k = h11.u_inv().pattern().row_ptr(stored + 1);
+        assert_eq!(h11.u_inv().pattern().col(u_k), start + 1);
+        let cases = [
+            (
+                edit_elems(&buf, sec::H21 + sec::INDICES16, false, |c| {
+                    c.swap(h21_k, h21_k + 1)
+                }),
+                format!("section h21.indices16: columns of row {h21_row} do not"),
+                false,
+            ),
+            (
+                edit_elems(&buf, sec::S_INDICES16, false, |c| c[s_k + 1] = c[s_k]),
+                format!("section s.indices16: columns of row {s_row} do not"),
+                false,
+            ),
+            (
+                edit_elems(&buf, sec::L_INV + sec::INDICES16, false, |c| c[l_k] -= 1),
+                format!(
+                    "section l_inv.indices16: stored row {stored} (row {start} of \
+                     the"
+                ),
+                true,
+            ),
+            (
+                edit_elems(&buf, sec::U_INV + sec::INDICES16, false, |c| c[u_k] -= 1),
+                format!("has column {start}, outside the block's upper triangle"),
+                true,
+            ),
+        ];
+        for (i, (bad, want, maps)) in cases.iter().enumerate() {
+            assert_ne!(bad, &buf, "case {i}");
+            let err = load(&bad[..]).unwrap_err().to_string();
+            assert!(err.contains(want.as_str()), "{want}: {err}");
+            if *maps {
+                let path = temp_path("out_of_block");
+                std::fs::write(&path, bad).unwrap();
+                assert!(load_mapped_file(&path).is_ok(), "case {i}");
+                std::fs::remove_file(&path).ok();
+            }
+        }
+    }
+
+    /// Crafted 1 × 1 block sections with valid CRCs: a code past the
+    /// value table fails the heap load and poisons the mapped answer with
+    /// NaN instead of answering; factors with a row count other than the
+    /// blocks larger than 1 × 1 have, singleton values that do not match
+    /// the 1 × 1 block count, and both encodings at once fail both loads.
+    #[test]
+    fn compact_hostile_singleton_sections_fail_cleanly() {
+        let g = generators::rmat(7, 500, generators::RmatParams::default(), 61).unwrap();
+        let fresh = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
+        let buf = to_bytes(&fresh, None);
+        let table_len = fresh.value_table().unwrap().len() as u32;
+        let h11 = fresh.h11_factors();
+        let ones = h11.singletons().len();
+        assert!(ones > 1 && h11.l_inv().nrows() > 0);
+        let past = edit_elems(&buf, sec::U_INV_SINGLETON_CODES, false, |c| {
+            c[0] = table_len
+        });
+        let err = load(&past[..]).unwrap_err().to_string();
+        assert!(
+            err.contains(&format!(
+                "U1^-1 1x1 blocks: value code {table_len} at non-zero 0"
+            )),
+            "{err}"
+        );
+        let path = temp_path("hostile_singleton");
+        std::fs::write(&path, &past).unwrap();
+        let (mapped, _) = load_mapped_file(&path).unwrap();
+        // The first 1 × 1 block's node answers NaN, or the solve fails.
+        let first = h11
+            .block_sizes()
+            .iter()
+            .take_while(|&&s| s > 1)
+            .sum::<usize>();
+        let node = fresh.permutation().old_of_new()[first] as usize;
+        match mapped.query(node) {
+            Ok(r) => assert!(r.scores[node].is_nan(), "{}", r.scores[node]),
+            Err(e) => assert!(e.to_string().contains("did not converge"), "{e}"),
+        }
+        drop(mapped);
+        std::fs::remove_file(&path).ok();
+
+        let extra_row = edit_elems(&buf, sec::L_INV + sec::INDPTR32, true, |p| {
+            p.push(*p.last().unwrap())
+        });
+        let short = edit_elems(&buf, sec::U_INV_SINGLETON_CODES, false, |c| {
+            c.pop();
+        });
+        let both = rewrite_sections(&buf, |cw, id, payload| {
+            if id == sec::U_INV_SINGLETON_CODES {
+                write_f64s_section(cw, sec::U_INV_SINGLETON_VALUES, &vec![1.0; ones]).unwrap();
+            }
+            cw.section_bytes(id, payload).unwrap()
+        });
+        let rows = h11.l_inv().nrows();
+        for (bad, want) in [
+            (
+                extra_row,
+                format!("L1^-1: vector length {}, expected {}", rows + 2, rows + 1),
+            ),
+            (
+                short,
+                format!("H11 factors: vector length {}, expected {ones}", ones - 1),
+            ),
+            (
+                both,
+                "U1^-1 1x1 blocks carries both plain values (u_inv.singleton_values) and value \
+                 codes (u_inv.singleton_codes)"
+                    .to_string(),
+            ),
+        ] {
+            for err in load_errors(&bad, "hostile_singleton") {
+                assert!(err.contains(&want), "{want}: {err}");
+            }
         }
     }
 }

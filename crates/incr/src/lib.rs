@@ -225,9 +225,9 @@ pub fn assemble(g: &Graph, c: f64, plan: &SymbolicPlan) -> Result<HBlocks> {
     // H = I + beta·Ã^T, the coefficient `ops::identity_minus_scaled(1 − c, ·)`
     // applies.
     let beta = -(1.0 - c);
-    check_deadend_sources(adj, &plan.perm, l, beta)?;
     let new_of_old = plan.perm.new_of_old();
     let old_of_new = plan.perm.old_of_new();
+    check_deadend_sources(adj, &plan.perm, &old_of_new[l..], beta)?;
 
     // Row bands of H (spokes, hubs, deadends); the first two are also its
     // column bands — deadend columns hold only the identity corner.
@@ -402,10 +402,11 @@ impl BlockFill {
 /// identity diagonal. For such sources only — none, unless the plan no
 /// longer fits — this computes their entries the way [`assemble`] would
 /// and reports the same structural errors, upper-right block first.
-fn check_deadend_sources(adj: &Csr, perm: &Permutation, l: usize, beta: f64) -> Result<()> {
+fn check_deadend_sources(adj: &Csr, perm: &Permutation, deadends: &[u32], beta: f64) -> Result<()> {
+    let l = perm.len() - deadends.len();
     let mut upper_right = false;
     let mut corner = false;
-    for (j, &u) in perm.old_of_new().iter().enumerate().skip(l) {
+    for (j, &u) in (l..).zip(deadends) {
         let (cols, weights) = adj.row(u as usize);
         if cols.is_empty() {
             continue;
@@ -754,15 +755,7 @@ mod tests {
 
     /// `lu`'s factors frozen as an index stores them.
     fn frozen(lu: &BlockLu) -> bepi_solver::FrozenBlockLu {
-        let [l_inv, u_inv]: [CodedCsr; 2] = CodedCsr::encode_all(&[&lu.l_inv, &lu.u_inv])
-            .try_into()
-            .unwrap();
-        bepi_solver::FrozenBlockLu::from_inverse_factors_trusted(
-            l_inv,
-            u_inv,
-            lu.block_sizes.clone(),
-        )
-        .unwrap()
+        bepi_solver::FrozenBlockLu::freeze(lu).unwrap()
     }
 
     fn full_schur(blocks: &HBlocks, lu: &BlockLu) -> Csr {
@@ -1014,7 +1007,7 @@ mod tests {
             let dr = reorder_deadends(g);
             let l = dr.n_non_deadend;
             let sb = slashburn(&slashburn_input(g), &SlashBurnConfig::with_ratio(k));
-            let ext = (0..g.n())
+            let ext: Vec<u32> = (0..g.n())
                 .map(|old| if old < l { sb.perm.apply(old) } else { old } as u32)
                 .collect();
             let perm = dr
@@ -1242,9 +1235,11 @@ mod tests {
         let plan = analyze(&g, K).unwrap().plan;
         let n = g.n();
         let l = plan.n1 + plan.n2;
-        let dead: Vec<usize> = (l..n).map(|j| plan.perm.apply_inverse(j)).collect();
-        let live = plan.perm.apply_inverse(0);
-        let spokes: Vec<usize> = (0..plan.n1).map(|j| plan.perm.apply_inverse(j)).collect();
+        let old_of_new = plan.perm.old_of_new();
+        let old = |j: usize| old_of_new[j] as usize;
+        let dead: Vec<usize> = (l..n).map(old).collect();
+        let live = old(0);
+        let spokes: Vec<usize> = (0..plan.n1).map(old).collect();
         let with = |more: &[(usize, usize, f64)]| reweighted(&g, 0, |_| 1.0, more);
         let cases = [
             // A deadend gains an edge into the non-deadend block.

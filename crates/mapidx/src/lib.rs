@@ -78,12 +78,19 @@ pub use map::{MappedIndex, Mapping, Pod, Section};
 /// of every value-coded matrix index the one table of the index,
 /// `S_VALUE_TABLE` (`+3` of `S`'s block, where files written before
 /// the table was shared kept `S`'s own table).
+///
+/// `L1⁻¹` and `U1⁻¹` store only the rows of `H11` blocks larger than
+/// 1 × 1. `U1⁻¹`'s block also holds the one value of each 1 × 1 block,
+/// coded (`+7`, `u16`) or plain (`+8`, `f64`); a file with neither
+/// stores full `n1 × n1` factors, as files did before.
 pub mod sections {
     /// Config scalars, partition sizes, and phase timings (opaque blob).
     pub const META: u32 = 0x01;
     /// Permutation forward map `new_of_old` (`u32`).
     pub const PERM_NEW_OF_OLD: u32 = 0x02;
-    /// Permutation inverse map `old_of_new` (`u32`).
+    /// Permutation inverse map `old_of_new` (`u32`). Written only by
+    /// files from before the index stored one direction; a load checks it
+    /// against `PERM_NEW_OF_OLD` on the heap path and drops it.
     pub const PERM_OLD_OF_NEW: u32 = 0x03;
     /// Diagonal block sizes of `H11` (`u64`).
     pub const BLOCK_SIZES: u32 = 0x04;
@@ -114,6 +121,13 @@ pub mod sections {
     pub const INDPTR32: u32 = 0x5;
     /// Offset of a matrix's narrow column indices (`u16`).
     pub const INDICES16: u32 = 0x6;
+    /// `U1⁻¹`'s value of each 1 × 1 `H11` block as one index into
+    /// [`S_VALUE_TABLE`] (`u16`), in block order.
+    pub const U_INV_SINGLETON_CODES: u32 = U_INV + 0x7;
+    /// `U1⁻¹`'s value of each 1 × 1 `H11` block (`f64`), in block order,
+    /// for values that do not fit the value table. A file carries this or
+    /// [`U_INV_SINGLETON_CODES`], never both.
+    pub const U_INV_SINGLETON_VALUES: u32 = U_INV + 0x8;
     /// Schur complement `S` row pointers (`u64`), for an `S` with more
     /// than 2¹⁶ columns. An index carries either this pair or the narrow
     /// pair [`S_INDPTR32`] + [`S_INDICES16`], never both.
@@ -159,6 +173,8 @@ pub mod sections {
             PERM_OLD_OF_NEW => "perm.old_of_new",
             BLOCK_SIZES => "block_sizes",
             S_VALUE_TABLE => "s.value_table",
+            U_INV_SINGLETON_CODES => "u_inv.singleton_codes",
+            U_INV_SINGLETON_VALUES => "u_inv.singleton_values",
             ILU_DIAG => "ilu.diag_pos",
             ILU_VALUES_F32 => "ilu.values_f32",
             GRAPH_INDPTR => "graph.indptr",
@@ -530,6 +546,9 @@ mod tests {
             (H32 + VALUE_CODES, "h32.value_codes"),
             (H31 + 0x3, "unknown"),
             (L_INV + 0x7, "unknown"),
+            (U_INV + 0x7, "u_inv.singleton_codes"),
+            (U_INV_SINGLETON_VALUES, "u_inv.singleton_values"),
+            (S + 0x8, "unknown"),
             (0x0f, "unknown"),
             (ILU_DIAG, "ilu.diag_pos"),
             (0xff, "unknown"),

@@ -75,7 +75,7 @@ mod tests {
         let g = generators::rmat(8, 900, generators::RmatParams::default(), 2).unwrap();
         let degs = g.total_degrees();
         let p = degree_order(&g, DegreeOrder::Ascending);
-        let by_label: Vec<usize> = (0..g.n()).map(|l| degs[p.apply_inverse(l)]).collect();
+        let by_label: Vec<usize> = p.old_of_new().iter().map(|&o| degs[o as usize]).collect();
         for w in by_label.windows(2) {
             assert!(w[0] <= w[1]);
         }

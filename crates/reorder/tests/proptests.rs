@@ -66,7 +66,7 @@ proptest! {
         let p = degree_order(&g, DegreeOrder::Ascending);
         prop_assert!(is_permutation(&p, g.n()));
         let degs = g.total_degrees();
-        let by_label: Vec<usize> = (0..g.n()).map(|l| degs[p.apply_inverse(l)]).collect();
+        let by_label: Vec<usize> = p.old_of_new().iter().map(|&o| degs[o as usize]).collect();
         for w in by_label.windows(2) {
             prop_assert!(w[0] <= w[1]);
         }

@@ -13,12 +13,14 @@
 //!
 //! [`BlockLu`] is the builder: its factors are [`Csr`]s, which the Schur
 //! complement's SpGEMM reads. An index stores them frozen
-//! ([`FrozenBlockLu`]): value-coded [`CodedCsr`]s on a narrow pattern when
-//! they fit one, answering the same solves bit for bit.
+//! ([`FrozenBlockLu`]): only the rows of blocks larger than 1 × 1, as
+//! value-coded [`CodedCsr`]s on a narrow pattern when they fit one, plus
+//! one `U1⁻¹` value per 1 × 1 block, answering the same solves bit for
+//! bit.
 
 use crate::dense_lu::{invert_unit_lower, invert_upper, lu_nopivot};
 use crate::sparse_lu::SparseLu;
-use bepi_sparse::{CodedCsr, Csr, Dense, MemBytes, Result, SparseError};
+use bepi_sparse::{CodedCsr, CodedValues, Csr, Dense, MemBytes, Result, SparseError};
 
 /// Block size at or below which the dense per-block path is used.
 const DENSE_BLOCK_THRESHOLD: usize = 128;
@@ -88,6 +90,44 @@ impl BlockLu {
     /// Largest block size (diagnostics; the final-GCC block dominates).
     pub fn max_block(&self) -> usize {
         self.block_sizes.iter().copied().max().unwrap_or(0)
+    }
+
+    /// The factors split the way [`FrozenBlockLu`] stores them: the rows
+    /// of `L^{-1}` and `U^{-1}` that belong to blocks of more than one
+    /// node, in block order with global columns, and the one `U^{-1}`
+    /// value of each 1 × 1 block, in block order. A 1 × 1 block's
+    /// `L^{-1}` entry is the unit diagonal, so it is dropped.
+    ///
+    /// # Errors
+    /// [`SparseError::Numerical`] if a 1 × 1 block's rows are not the
+    /// unit diagonal of `L^{-1}` and one diagonal entry of `U^{-1}` (its
+    /// inverse diagonal underflowed to zero and was not stored).
+    pub fn split_singletons(&self) -> Result<(Csr, Csr, Vec<f64>)> {
+        let mut rows = Vec::new();
+        let mut singletons = Vec::new();
+        for (start, size) in blocks(&self.block_sizes) {
+            if size > 1 {
+                rows.extend(start..start + size);
+                continue;
+            }
+            match (self.l_inv.row(start), self.u_inv.row(start)) {
+                ((&[lc], &[lv]), (&[uc], &[uv]))
+                    if lc as usize == start && uc as usize == start && lv == 1.0 =>
+                {
+                    singletons.push(uv);
+                }
+                _ => {
+                    return Err(SparseError::Numerical(format!(
+                        "1x1 block at row {start} has no single U^-1 diagonal value"
+                    )))
+                }
+            }
+        }
+        Ok((
+            select_rows(&self.l_inv, &rows)?,
+            select_rows(&self.u_inv, &rows)?,
+            singletons,
+        ))
     }
 
     /// Parallel variant of [`BlockLu::factor`]: the diagonal blocks are
@@ -167,73 +207,259 @@ impl MemBytes for BlockLu {
     }
 }
 
-/// The inverted block factors as an index stores them: `L1⁻¹` and `U1⁻¹`
-/// frozen into [`CodedCsr`]s, value-coded over the index's shared value
-/// table and on a narrow pattern when they fit one. Solves are
-/// bit-identical to the [`BlockLu`] they were frozen from.
+/// The inverted block factors as an index stores them, holding only what
+/// a solve reads. [`FrozenBlockLu::l_inv`] and [`FrozenBlockLu::u_inv`]
+/// keep one row per row of a block of more than one node — in block
+/// order, with global columns — frozen into [`CodedCsr`]s, value-coded
+/// over the index's shared value table and on a narrow pattern when they
+/// fit one. A 1 × 1 block's `L^{-1}` entry is exactly 1.0 and is not
+/// stored; its `U^{-1}` entry is one value of
+/// [`FrozenBlockLu::singletons`]. SlashBurn leaves most spoke blocks
+/// 1 × 1, so this stores about 2 bytes per such node where full rows cost
+/// 16 (narrow and coded) or 40 (wide and plain). Solves are bit-identical
+/// to the [`BlockLu`] the factors were frozen from.
 #[derive(Debug, Clone)]
 pub struct FrozenBlockLu {
-    /// Global `L1^{-1}` (unit-lower-triangular, block diagonal).
-    pub l_inv: CodedCsr,
-    /// Global `U1^{-1}` (upper-triangular, block diagonal).
-    pub u_inv: CodedCsr,
-    /// The block sizes used for the factorization.
-    pub block_sizes: Vec<usize>,
+    l_inv: CodedCsr,
+    u_inv: CodedCsr,
+    singletons: CodedValues,
+    block_sizes: Vec<usize>,
+    /// `(start, size)` of each block larger than 1 × 1, derived from
+    /// `block_sizes` (8 bytes per such block): a solve visits these
+    /// instead of every block.
+    multi: Vec<(u32, u32)>,
 }
 
 impl FrozenBlockLu {
-    /// Assembles frozen factors — from a [`BlockLu`]'s factors coded, or
-    /// from an index file — with `O(1)` shape checks only: the factors are
-    /// trusted to be triangular and block diagonal (persisted sections are
-    /// covered by CRCs); debug builds still scan every entry.
+    /// Assembles frozen factors — from a [`BlockLu`] split by
+    /// [`BlockLu::split_singletons`] and coded, or from an index file —
+    /// with `O(#blocks)` shape checks only: the rows are trusted to stay
+    /// inside their own block and triangle (an index loader that reads
+    /// every byte runs [`check_factor_rows`] first).
     ///
     /// # Errors
-    /// [`SparseError::ShapeMismatch`] unless both factors are `n × n`;
-    /// [`SparseError::VectorLength`] unless the block sizes sum to `n`.
-    pub fn from_inverse_factors_trusted(
+    /// [`SparseError::ShapeMismatch`] unless both factors have one row per
+    /// row of a block of more than one node and `n` columns (`n` the sum
+    /// of the block sizes); [`SparseError::VectorLength`] unless there is
+    /// one singleton value per 1 × 1 block.
+    pub fn from_parts_trusted(
         l_inv: CodedCsr,
         u_inv: CodedCsr,
+        singletons: CodedValues,
         block_sizes: Vec<usize>,
     ) -> Result<Self> {
-        let n = l_inv.nrows();
-        if l_inv.ncols() != n || u_inv.nrows() != n || u_inv.ncols() != n {
+        let n: usize = block_sizes.iter().sum();
+        let ones = block_sizes.iter().filter(|&&s| s == 1).count();
+        let shape = (n - ones, n);
+        if l_inv.shape() != shape || u_inv.shape() != shape {
             return Err(SparseError::ShapeMismatch {
                 left: l_inv.shape(),
                 right: u_inv.shape(),
-                op: "FrozenBlockLu::from_inverse_factors_trusted",
+                op: "FrozenBlockLu::from_parts_trusted (factor rows of blocks larger than 1x1)",
             });
         }
-        if block_sizes.iter().sum::<usize>() != n {
+        if singletons.len() != ones {
             return Err(SparseError::VectorLength {
-                expected: n,
-                actual: block_sizes.iter().sum(),
+                expected: ones,
+                actual: singletons.len(),
             });
         }
-        debug_assert!(
-            (0..n).all(|r| l_inv.row_iter(r).all(|(c, _)| r >= c)),
-            "L^-1 must be lower triangular"
-        );
-        debug_assert!(
-            (0..n).all(|r| u_inv.row_iter(r).all(|(c, _)| r <= c)),
-            "U^-1 must be upper triangular"
-        );
+        if u32::try_from(n).is_err() {
+            return Err(SparseError::DimensionTooLarge { dim: n });
+        }
+        let multi = blocks(&block_sizes)
+            .filter(|&(_, size)| size != 1)
+            .map(|(start, size)| (start as u32, size as u32))
+            .collect();
         Ok(Self {
             l_inv,
             u_inv,
+            singletons,
             block_sizes,
+            multi,
         })
+    }
+
+    /// `L^{-1}`'s rows of the blocks of more than one node (unit lower
+    /// triangular within each block), in block order.
+    pub fn l_inv(&self) -> &CodedCsr {
+        &self.l_inv
+    }
+
+    /// `U^{-1}`'s rows of the blocks of more than one node (upper
+    /// triangular within each block), in block order.
+    pub fn u_inv(&self) -> &CodedCsr {
+        &self.u_inv
+    }
+
+    /// `U^{-1}`'s value of each 1 × 1 block, in block order.
+    pub fn singletons(&self) -> &CodedValues {
+        &self.singletons
+    }
+
+    /// The block sizes used for the factorization.
+    pub fn block_sizes(&self) -> &[usize] {
+        &self.block_sizes
+    }
+
+    /// Builds frozen factors from full `n × n` inverse factors — the
+    /// layout index files stored before 1 × 1 blocks were compacted —
+    /// keeping the rows of larger blocks in their form (pattern width,
+    /// codes or plain values) and each 1 × 1 block's `U^{-1}` value.
+    /// Reads every entry, so it checks the row pointers, columns and codes
+    /// it reads first.
+    ///
+    /// # Errors
+    /// [`SparseError::ShapeMismatch`] / [`SparseError::VectorLength`] on
+    /// shapes that do not fit the blocks; [`SparseError::Parse`] naming
+    /// `L1^-1` or `U1^-1` when a pattern or a code is malformed, or when a
+    /// 1 × 1 block's rows are not the unit diagonal of `L^{-1}` and one
+    /// diagonal entry of `U^{-1}`.
+    pub fn from_full_rows(
+        l_full: &CodedCsr,
+        u_full: &CodedCsr,
+        block_sizes: Vec<usize>,
+    ) -> Result<Self> {
+        let n: usize = block_sizes.iter().sum();
+        if l_full.shape() != (n, n) || u_full.shape() != (n, n) {
+            return Err(SparseError::ShapeMismatch {
+                left: l_full.shape(),
+                right: u_full.shape(),
+                op: "FrozenBlockLu::from_full_rows (factors must be n x n)",
+            });
+        }
+        for (m, name) in [(l_full, "L1^-1"), (u_full, "U1^-1")] {
+            let checked = m.pattern().check_indptr();
+            checked
+                .and_then(|()| m.pattern().check_indices(n))
+                .and_then(|()| m.values().check_codes())
+                .map_err(|e| SparseError::Parse(format!("{name}: {e}")))?;
+        }
+        let mut rows = Vec::new();
+        let mut singleton_at = Vec::new();
+        for (start, size) in blocks(&block_sizes) {
+            if size > 1 {
+                rows.extend(start..start + size);
+                continue;
+            }
+            let (l, u) = (
+                l_full.pattern().row_range(start),
+                u_full.pattern().row_range(start),
+            );
+            let unit = l.len() == 1
+                && l_full.pattern().col(l.start) == start
+                && l_full.values().get(l.start) == 1.0;
+            if !unit || u.len() != 1 || u_full.pattern().col(u.start) != start {
+                return Err(SparseError::Parse(format!(
+                    "L1^-1/U1^-1: the rows of the 1x1 block at row {start} are not the unit \
+                     diagonal and one diagonal value"
+                )));
+            }
+            singleton_at.push(u.start);
+        }
+        Self::from_parts_trusted(
+            l_full.select_rows(&rows),
+            u_full.select_rows(&rows),
+            u_full.values().select(&singleton_at),
+            block_sizes,
+        )
+    }
+
+    /// `lu`'s factors frozen on a value table of their own. An index
+    /// codes them beside its other matrices, over the index's one table,
+    /// instead.
+    ///
+    /// # Errors
+    /// As [`BlockLu::split_singletons`].
+    pub fn freeze(lu: &BlockLu) -> Result<Self> {
+        let (l, u, singletons) = lu.split_singletons()?;
+        let parts = [l.value_storage(), u.value_storage(), singletons.into()];
+        let [lv, uv, sv]: [CodedValues; 3] = CodedValues::encode_all(&parts)
+            .try_into()
+            .expect("three value arrays in, three out");
+        Self::from_parts_trusted(
+            CodedCsr::with_values(&l, lv),
+            CodedCsr::with_values(&u, uv),
+            sv,
+            lu.block_sizes.clone(),
+        )
+    }
+
+    /// The full factors as a builder, every row decoded: what
+    /// [`FrozenBlockLu::refactor_blocks`] returns with no dirty block.
+    ///
+    /// # Errors
+    /// [`SparseError::Parse`] if a stored row's columns do not strictly
+    /// increase (a crafted mapped index; a heap load rejects those).
+    pub fn to_builder(&self) -> Result<BlockLu> {
+        self.copy_or_factor(None, &[])
     }
 
     /// Dimension of the factored matrix.
     pub fn n(&self) -> usize {
-        self.l_inv.nrows()
+        self.l_inv.ncols()
+    }
+
+    /// Non-zeros of the full factors `|L^{-1}| + |U^{-1}|` (Theorem 1's
+    /// count): the stored rows plus two entries per 1 × 1 block.
+    pub fn inverse_nnz(&self) -> usize {
+        self.l_inv.nnz() + self.u_inv.nnz() + 2 * self.singletons.len()
     }
 
     /// Applies `A^{-1} x = U^{-1}(L^{-1} x)`, bit-identical to
-    /// [`BlockLu::solve_vec`].
+    /// [`BlockLu::solve_vec`]: the stored rows by one SpMV per factor,
+    /// and each 1 × 1 block as the additions and multiplications its full
+    /// rows would cost, `0.0 + u·(0.0 + x_i)`.
     pub fn solve_vec(&self, x: &[f64]) -> Result<Vec<f64>> {
-        let t = self.l_inv.mul_vec(x)?;
-        self.u_inv.mul_vec(&t)
+        let n = self.n();
+        if x.len() != n {
+            return Err(SparseError::VectorLength {
+                expected: n,
+                actual: x.len(),
+            });
+        }
+        // Each factor's stored rows land in the tail of its output, past
+        // one slot per 1 × 1 block, and move to their own rows in a
+        // forward pass that also writes the 1 × 1 blocks' rows.
+        // `y` is allocated after `L^{-1}`'s product, as with full rows:
+        // allocating it first shifted the serving daemon's heap layout
+        // enough for glibc to trim and re-fault about 1 MB per query.
+        let tail = n - self.l_inv.nrows();
+        let mut t = vec![0.0; n];
+        // A 1 × 1 block's `L^{-1}` row is the unit diagonal: `0.0 + 1.0·x_i`.
+        self.l_inv.mul_vec_into(x, &mut t[tail..])?;
+        self.spread(&mut t, |i, _| 0.0 + x[i]);
+        let mut y = vec![0.0; n];
+        self.u_inv.mul_vec_into(&t, &mut y[tail..])?;
+        self.singletons
+            .with_reader(|u| self.spread(&mut y, |i, k| 0.0 + u.get(k) * t[i]));
+        Ok(y)
+    }
+
+    /// Writes every row of `out` in order: each stored row from its slot
+    /// in `out`'s tail, and the row `i` of the `k`-th 1 × 1 block as
+    /// `one(i, k)`. A tail slot is never before its own row, and a 1 × 1
+    /// block's row is before the next unread slot, so every slot is read
+    /// before it is written over.
+    fn spread(&self, out: &mut [f64], one: impl Fn(usize, usize) -> f64) {
+        let n = out.len();
+        let tail = n - self.l_inv.nrows();
+        // Rows written so far, and the stored rows among them.
+        let (mut done, mut r) = (0, 0);
+        let stored = self
+            .multi
+            .iter()
+            .map(|&(start, size)| (start as usize, size as usize));
+        for (start, size) in stored.chain([(n, 0)]) {
+            for i in done..start {
+                out[i] = one(i, i - r);
+            }
+            for i in start..start + size {
+                out[i] = out[i - start + tail + r];
+            }
+            r += size;
+            done = start + size;
+        }
     }
 
     /// KLU-style partial refactorization: re-factors only the listed
@@ -269,26 +495,114 @@ impl FrozenBlockLu {
             bepi_reorder_check(a_new, &self.block_sizes),
             "matrix entries cross declared diagonal blocks"
         );
+        self.copy_or_factor(Some(a_new), &dirty)
+    }
+
+    /// A builder whose blocks flagged in `dirty` are factored from
+    /// `a_new` and every other block's rows are copied from `self`: a
+    /// 1 × 1 block's as the unit diagonal and its stored `U^{-1}` value.
+    fn copy_or_factor(&self, a_new: Option<&Csr>, dirty: &[bool]) -> Result<BlockLu> {
         let mut l = FactorRows::for_blocks(&self.block_sizes);
         let mut u = FactorRows::for_blocks(&self.block_sizes);
-        let mut start = 0usize;
-        for (bi, &size) in self.block_sizes.iter().enumerate() {
-            if dirty[bi] {
-                factor_block(a_new, start, size, &mut l, &mut u)?;
-            } else {
-                for i in start..start + size {
-                    l.copy_row(self.l_inv.row_iter(i));
-                    u.copy_row(self.u_inv.row_iter(i));
+        self.singletons.with_reader(|values| -> Result<()> {
+            // The next stored row and the next 1 × 1 block's value.
+            let (mut r, mut k) = (0usize, 0usize);
+            for (bi, (start, size)) in blocks(&self.block_sizes).enumerate() {
+                match a_new {
+                    Some(a) if dirty.get(bi) == Some(&true) => {
+                        factor_block(a, start, size, &mut l, &mut u)?
+                    }
+                    _ if size == 1 => {
+                        l.push(start, 1.0);
+                        u.push(start, values.get(k));
+                        l.end_row();
+                        u.end_row();
+                    }
+                    _ => {
+                        for i in r..r + size {
+                            l.copy_row(self.l_inv.row_iter(i));
+                            u.copy_row(self.u_inv.row_iter(i));
+                        }
+                    }
+                }
+                if size == 1 {
+                    k += 1;
+                } else {
+                    r += size;
                 }
             }
-            start += size;
-        }
+            Ok(())
+        })?;
+        let n = self.n();
         Ok(BlockLu {
             l_inv: FactorRows::concat(n, vec![l])?,
             u_inv: FactorRows::concat(n, vec![u])?,
             block_sizes: self.block_sizes.clone(),
         })
     }
+}
+
+/// `(start, size)` of each diagonal block, in order.
+fn blocks(block_sizes: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
+    block_sizes.iter().scan(0, |start, &size| {
+        *start += size;
+        Some((*start - size, size))
+    })
+}
+
+/// Rows `rows` of `a`, in that order, with every column.
+fn select_rows(a: &Csr, rows: &[usize]) -> Result<Csr> {
+    let mut indptr = Vec::with_capacity(rows.len() + 1);
+    indptr.push(0);
+    let (mut indices, mut values) = (Vec::new(), Vec::new());
+    for &r in rows {
+        let (cols, vals) = a.row(r);
+        indices.extend_from_slice(cols);
+        values.extend_from_slice(vals);
+        indptr.push(indices.len());
+    }
+    Csr::from_parts(rows.len(), a.ncols(), indptr, indices, values)
+}
+
+/// Checks that every row of `factor` — one per row of a block of more
+/// than one node, as [`FrozenBlockLu`] stores them — holds only entries
+/// of its own diagonal block, on or below the diagonal (`lower`, for
+/// `L^{-1}`) or on or above it (`U^{-1}`). `O(nnz)`; a loader that reads
+/// every byte runs it, where [`FrozenBlockLu::from_parts_trusted`] checks
+/// shapes only.
+///
+/// # Errors
+/// [`SparseError::Parse`] naming the first entry out of place.
+pub fn check_factor_rows(factor: &CodedCsr, block_sizes: &[usize], lower: bool) -> Result<()> {
+    let mut r = 0;
+    for (start, size) in blocks(block_sizes).filter(|&(_, size)| size > 1) {
+        for row in start..start + size {
+            if r >= factor.nrows() {
+                return Err(SparseError::Parse(format!(
+                    "{} stored rows, fewer than the blocks larger than 1x1 have",
+                    factor.nrows()
+                )));
+            }
+            let mut cols = factor
+                .pattern()
+                .row_range(r)
+                .map(|k| factor.pattern().col(k));
+            let (lo, hi) = if lower {
+                (start, row)
+            } else {
+                (row, start + size - 1)
+            };
+            if let Some(c) = cols.find(|c| !(lo..=hi).contains(c)) {
+                return Err(SparseError::Parse(format!(
+                    "stored row {r} (row {row} of the {size}-node block at {start}) has column \
+                     {c}, outside the block's {} triangle {lo}..={hi}",
+                    if lower { "lower" } else { "upper" }
+                )));
+            }
+            r += 1;
+        }
+    }
+    Ok(())
 }
 
 /// Minimum [`block_cost`] total per thread before
@@ -662,12 +976,9 @@ mod tests {
         }
     }
 
-    /// `lu`'s factors frozen as an index stores them.
+    /// `lu`'s factors frozen as an index stores them, over one table.
     fn frozen(lu: &BlockLu) -> FrozenBlockLu {
-        let [l_inv, u_inv]: [CodedCsr; 2] = CodedCsr::encode_all(&[&lu.l_inv, &lu.u_inv])
-            .try_into()
-            .unwrap();
-        FrozenBlockLu::from_inverse_factors_trusted(l_inv, u_inv, lu.block_sizes.clone()).unwrap()
+        FrozenBlockLu::freeze(lu).unwrap()
     }
 
     #[test]
@@ -695,34 +1006,159 @@ mod tests {
         let got = frozen(&lu).refactor_blocks(&a, &[]).unwrap();
         assert_bits_eq(&got.l_inv, &lu.l_inv, "L^-1");
         assert_bits_eq(&got.u_inv, &lu.u_inv, "U^-1");
+        let decoded = frozen(&lu).to_builder().unwrap();
+        assert_bits_eq(&decoded.l_inv, &lu.l_inv, "decoded L^-1");
+        assert_bits_eq(&decoded.u_inv, &lu.u_inv, "decoded U^-1");
     }
 
-    /// The frozen factors solve bit for bit like the builder's, and sit
-    /// on a narrow, value-coded pattern sharing one table.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// The frozen factors keep rows only for blocks of more than one node,
+    /// narrow and value-coded over one table with the 1 × 1 blocks'
+    /// values, and solve bit for bit like the builder's — `-0.0`, a
+    /// subnormal and NaN inputs included.
     #[test]
     fn compact_frozen_factors_solve_bit_identically() {
         let (a, blocks) = sample();
         let lu = BlockLu::factor(&a, &blocks).unwrap();
         let f = frozen(&lu);
-        assert!(f.l_inv.pattern().is_narrow() && f.l_inv.is_coded());
-        assert!(std::ptr::eq(
-            f.l_inv.table().unwrap().as_slice(),
-            f.u_inv.table().unwrap().as_slice()
-        ));
-        assert_eq!(f.n(), 6);
-        assert_eq!(f.l_inv.to_csr(), lu.l_inv);
-        let x = [1.0, -0.0, 5e-324, 1e300, -2.5, 0.125];
-        let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert!(f.l_inv().pattern().is_narrow() && f.l_inv().is_coded());
+        let table = f.l_inv().table().unwrap().as_slice();
+        assert!(std::ptr::eq(f.u_inv().table().unwrap().as_slice(), table));
+        assert!(matches!(f.singletons(), CodedValues::Coded { table: t, .. }
+            if std::ptr::eq(t.as_slice(), table)));
         assert_eq!(
-            bits(f.solve_vec(&x).unwrap()),
-            bits(lu.solve_vec(&x).unwrap())
+            (f.n(), f.l_inv().shape(), f.singletons().len()),
+            (6, (5, 6), 1)
         );
-        assert!(FrozenBlockLu::from_inverse_factors_trusted(
-            f.l_inv.clone(),
-            f.u_inv.clone(),
-            vec![2, 2]
-        )
-        .is_err());
+        assert_eq!(f.singletons().get(0), 0.25);
+        assert_eq!(f.inverse_nnz(), lu.l_inv.nnz() + lu.u_inv.nnz());
+        let nan = f64::from_bits(0x7ff8_0000_0000_0042);
+        for x in [
+            [1.0, -0.0, 5e-324, 1e300, -2.5, 0.125],
+            [-0.0, 3.0, -0.0, nan, 0.0, -0.0],
+        ] {
+            assert_eq!(
+                bits(&f.solve_vec(&x).unwrap()),
+                bits(&lu.solve_vec(&x).unwrap())
+            );
+        }
+        assert!(f.solve_vec(&[1.0; 5]).is_err());
+        let rebuilt = |sizes: Vec<usize>| {
+            FrozenBlockLu::from_parts_trusted(
+                f.l_inv().clone(),
+                f.u_inv().clone(),
+                f.singletons().clone(),
+                sizes,
+            )
+        };
+        assert!(rebuilt(vec![2, 2]).is_err(), "blocks cover 4 of 6 rows");
+        assert!(rebuilt(vec![2, 1, 1, 2]).is_err(), "5 stored rows for 4");
+        assert!(rebuilt(vec![2, 1, 3]).is_ok());
+    }
+
+    /// A block-diagonal matrix with blocks `sizes`, self-loop-like
+    /// diagonals ≠ 1 and dense couplings inside each block.
+    fn blocks_of(sizes: &[usize]) -> Csr {
+        let n: usize = sizes.iter().sum();
+        let mut coo = Coo::new(n, n).unwrap();
+        let mut at = 0;
+        for (i, &size) in sizes.iter().enumerate() {
+            if size == 1 {
+                coo.push(at, at, 1.25 + 0.1 * i as f64).unwrap();
+            } else {
+                push_block(&mut coo, at, size, i);
+            }
+            at += size;
+        }
+        coo.to_csr()
+    }
+
+    /// Independent oracle: on an all-1 × 1, a no-1 × 1 and a mixed `H11`
+    /// the frozen solve agrees with a dense inverse to 1e-12 and with the
+    /// builder's solve bit for bit, on inputs holding `-0.0`.
+    #[test]
+    fn compact_singleton_solve_matches_dense_inverse() {
+        for sizes in [vec![1; 9], vec![2, 3, 4], vec![1, 3, 1, 1, 2, 1]] {
+            let a = blocks_of(&sizes);
+            let lu = BlockLu::factor(&a, &sizes).unwrap();
+            let f = frozen(&lu);
+            let ones = sizes.iter().filter(|&&s| s == 1).count();
+            assert_eq!(f.singletons().len(), ones);
+            assert!((0..ones).all(|k| f.singletons().get(k) != 1.0));
+            let inv = crate::dense_lu::DenseLu::factor(&a.to_dense())
+                .unwrap()
+                .inverse()
+                .unwrap();
+            let n = a.nrows();
+            let x: Vec<f64> = (0..n)
+                .map(|i| {
+                    if i % 3 == 0 {
+                        -0.0
+                    } else {
+                        (i as f64) * 0.7 - 2.0
+                    }
+                })
+                .collect();
+            let got = f.solve_vec(&x).unwrap();
+            assert_eq!(bits(&got), bits(&lu.solve_vec(&x).unwrap()), "{sizes:?}");
+            for (g, w) in got.iter().zip(inv.mul_vec(&x).unwrap()) {
+                assert!((g - w).abs() < 1e-12, "{sizes:?}: {g} vs {w}");
+            }
+        }
+    }
+
+    /// Full `n × n` factors — the layout before 1 × 1 blocks were
+    /// compacted — freeze to the same factors in their own form; a 1 × 1
+    /// block whose `L^{-1}` entry is not 1.0 is rejected.
+    #[test]
+    fn compact_full_rows_freeze_like_the_split() {
+        let (a, blocks) = sample();
+        let lu = BlockLu::factor(&a, &blocks).unwrap();
+        let (l, u) = (CodedCsr::encode(&lu.l_inv), CodedCsr::encode(&lu.u_inv));
+        let f = FrozenBlockLu::from_full_rows(&l, &u, blocks.clone()).unwrap();
+        let want = frozen(&lu);
+        assert_eq!((f.l_inv(), f.u_inv()), (want.l_inv(), want.u_inv()));
+        assert_eq!(f.singletons().get(0), want.singletons().get(0));
+        let x = [0.5, -0.0, 2.0, 1.0, -3.0, 0.25];
+        assert_eq!(
+            bits(&f.solve_vec(&x).unwrap()),
+            bits(&lu.solve_vec(&x).unwrap())
+        );
+        let mut bad_l = lu.l_inv.clone();
+        let k = bad_l.indptr()[2]; // row 2 is the 1 × 1 block
+        bad_l.values_mut()[k] = 2.0;
+        let err = FrozenBlockLu::from_full_rows(&CodedCsr::encode(&bad_l), &u, blocks)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("1x1 block at row 2"), "{err}");
+    }
+
+    /// Stored rows must keep inside their own block and triangle.
+    #[test]
+    fn compact_factor_rows_out_of_block_are_rejected() {
+        let (a, blocks) = sample();
+        let f = frozen(&BlockLu::factor(&a, &blocks).unwrap());
+        assert!(check_factor_rows(f.l_inv(), &blocks, true).is_ok());
+        assert!(check_factor_rows(f.u_inv(), &blocks, false).is_ok());
+        assert!(
+            check_factor_rows(f.u_inv(), &blocks, true).is_err(),
+            "U is not lower"
+        );
+        // Row 3 of the 3-node block at 3 reaching into the 2-node block.
+        let mut coo = Coo::new(5, 6).unwrap();
+        for (r, c) in [(0, 0), (1, 0), (1, 1), (2, 3), (3, 1), (3, 4), (4, 5)] {
+            coo.push(r, c, 1.0).unwrap();
+        }
+        let err = check_factor_rows(&CodedCsr::encode(&coo.to_csr()), &blocks, true)
+            .unwrap_err()
+            .to_string();
+        assert!(
+            err.contains("stored row 3 (row 4 of the 3-node block at 3) has column 1"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -77,6 +77,58 @@ pub enum CodedValues {
 }
 
 impl CodedValues {
+    /// Stores each of `parts` value-coded over one table shared by all of
+    /// them, or plain where that table would overflow (see
+    /// [`CodedCsr::encode_all`], which codes matrices' values this way).
+    /// The table lists `parts[0]`'s values in first-occurrence order, then
+    /// each later part's new ones; a part whose new values would push it
+    /// past [`MAX_TABLE_LEN`] entries stays plain (its own storage,
+    /// shared) and appends nothing. Every coded result holds the same
+    /// table [`Storage`].
+    pub fn encode_all(parts: &[Storage<f64>]) -> Vec<Self> {
+        let nnz = parts.iter().map(|p| p.len()).sum();
+        let mut table = ValueTable::with_room_for(nnz);
+        let codes: Vec<Option<Vec<u16>>> = parts.iter().map(|p| table.encode(p)).collect();
+        let table: Storage<f64> = table.into_values().into();
+        parts
+            .iter()
+            .zip(codes)
+            .map(|(part, codes)| match codes {
+                Some(codes) => CodedValues::Coded {
+                    table: table.clone(),
+                    codes: codes.into(),
+                },
+                None => CodedValues::Plain(part.clone()),
+            })
+            .collect()
+    }
+
+    /// The values at positions `ks`, in this form: plain values copied, or
+    /// codes copied over the same table.
+    pub fn select(&self, ks: &[usize]) -> Self {
+        match self {
+            CodedValues::Plain(v) => CodedValues::Plain(gather(v, ks)),
+            CodedValues::Coded { table, codes } => CodedValues::Coded {
+                table: table.clone(),
+                codes: gather(codes, ks),
+            },
+        }
+    }
+
+    /// Runs `f` with a [`ValueReader`] over these values: the one way to
+    /// read many of them fast. Coded values are read through this
+    /// thread's widened copy of the table — the copy every coded SpMV
+    /// reads, so it is already in cache — and a code past the table reads
+    /// NaN, as in an SpMV.
+    pub fn with_reader<R>(&self, f: impl FnOnce(ValueReader<'_>) -> R) -> R {
+        match self {
+            CodedValues::Plain(v) => f(ValueReader::Plain(v)),
+            CodedValues::Coded { table, codes } => {
+                with_wide_table(table, |wide| f(ValueReader::Coded { wide, codes }))
+            }
+        }
+    }
+
     /// Checks that every code indexes the value table (`O(nnz)`; trivially
     /// true for plain values).
     ///
@@ -109,20 +161,56 @@ impl CodedValues {
         }
     }
 
-    /// Number of values stored, one per non-zero.
-    fn len(&self) -> usize {
+    /// Number of values stored (one per non-zero of a matrix).
+    pub fn len(&self) -> usize {
         match self {
             CodedValues::Plain(v) => v.len(),
             CodedValues::Coded { codes, .. } => codes.len(),
         }
     }
 
-    /// The value of non-zero `k`.
+    /// True when no values are stored.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Value `k`.
+    ///
+    /// # Panics
+    /// If `k` is out of range, or its code is past the table.
     #[inline]
-    fn get(&self, k: usize) -> f64 {
+    pub fn get(&self, k: usize) -> f64 {
         match self {
             CodedValues::Plain(v) => v[k],
             CodedValues::Coded { table, codes } => table[codes[k] as usize],
+        }
+    }
+}
+
+/// Reads [`CodedValues`] by index (see [`CodedValues::with_reader`]).
+#[derive(Debug, Clone, Copy)]
+pub enum ValueReader<'a> {
+    /// Plain values.
+    Plain(&'a [f64]),
+    /// Codes into a table widened to one entry per `u16` code.
+    Coded {
+        /// The table, widened (NaN past its entries).
+        wide: &'a [f64; MAX_TABLE_LEN],
+        /// One code per value.
+        codes: &'a [u16],
+    },
+}
+
+impl ValueReader<'_> {
+    /// Value `k`.
+    ///
+    /// # Panics
+    /// If `k` is out of range.
+    #[inline]
+    pub fn get(self, k: usize) -> f64 {
+        match self {
+            ValueReader::Plain(v) => v[k],
+            ValueReader::Coded { wide, codes } => wide[usize::from(codes[k])],
         }
     }
 }
@@ -184,25 +272,64 @@ impl CodedCsr {
     /// stays plain and appends nothing. Every coded result holds the same
     /// table [`Storage`].
     pub fn encode_all(mats: &[&Csr]) -> Vec<Self> {
-        let nnz = mats.iter().map(|a| a.nnz()).sum();
-        let mut table = ValueTable::with_room_for(nnz);
-        let codes: Vec<Option<Vec<u16>>> = mats.iter().map(|a| table.encode(a.values())).collect();
-        let table: Storage<f64> = table.into_values().into();
+        let parts: Vec<Storage<f64>> = mats.iter().map(|a| a.value_storage()).collect();
         mats.iter()
-            .zip(codes)
-            .map(|(a, codes)| Self {
-                nrows: a.nrows(),
-                ncols: a.ncols(),
-                pattern: a.pattern().narrowed(a.ncols()),
-                values: match codes {
-                    Some(codes) => CodedValues::Coded {
-                        table: table.clone(),
-                        codes: codes.into(),
-                    },
-                    None => CodedValues::Plain(a.value_storage()),
-                },
-            })
+            .zip(CodedValues::encode_all(&parts))
+            .map(|(a, values)| Self::with_values(a, values))
             .collect()
+    }
+
+    /// `a`'s pattern, narrowed when it fits ([`Pattern::narrowed`]), with
+    /// `values` (one per non-zero of `a`, as [`CodedValues::encode_all`]
+    /// codes them) — how a matrix coded beside other value arrays is
+    /// frozen.
+    ///
+    /// # Panics
+    /// Unless `values` holds one value per non-zero of `a`.
+    pub fn with_values(a: &Csr, values: CodedValues) -> Self {
+        assert_eq!(values.len(), a.nnz(), "one value per non-zero");
+        Self {
+            nrows: a.nrows(),
+            ncols: a.ncols(),
+            pattern: a.pattern().narrowed(a.ncols()),
+            values,
+        }
+    }
+
+    /// The rows `rows` of this matrix, in that order, with every column:
+    /// the pattern at this one's width and the values in this one's form
+    /// (codes over the same table, or plain values), copied.
+    ///
+    /// # Panics
+    /// If a row is out of range.
+    pub fn select_rows(&self, rows: &[usize]) -> Self {
+        let ks: Vec<usize> = rows
+            .iter()
+            .flat_map(|&r| self.pattern.row_range(r))
+            .collect();
+        let ends = rows.iter().scan(0, |end, &r| {
+            *end += self.pattern.row_range(r).len();
+            Some(*end)
+        });
+        let pattern = match &self.pattern {
+            Pattern::Wide { indices, .. } => Pattern::Wide {
+                indptr: std::iter::once(0).chain(ends).collect::<Vec<_>>().into(),
+                indices: gather(indices, &ks),
+            },
+            Pattern::Narrow { indices, .. } => Pattern::Narrow {
+                indptr: std::iter::once(0)
+                    .chain(ends.map(|e| e as u32))
+                    .collect::<Vec<_>>()
+                    .into(),
+                indices: gather(indices, &ks),
+            },
+        };
+        Self {
+            nrows: rows.len(),
+            ncols: self.ncols,
+            pattern,
+            values: self.values.select(&ks),
+        }
     }
 
     /// Builds a matrix from [`Storage`]-backed parts, in either pattern
@@ -388,6 +515,11 @@ impl CodedCsr {
     pub fn mapped_bytes(&self) -> usize {
         self.pattern.mapped_bytes() + self.values.mapped_bytes()
     }
+}
+
+/// `src[k]` for each `k` of `ks`, in that order.
+fn gather<T: bepi_map::Pod>(src: &[T], ks: &[usize]) -> Storage<T> {
+    ks.iter().map(|&k| src[k]).collect::<Vec<_>>().into()
 }
 
 /// [`CodedCsr::mul_vec_into`] on one pattern form: [`spmv_rows`] reading
@@ -756,6 +888,51 @@ mod tests {
             let x = &x[..src.ncols()];
             assert_eq!(bits(&m.mul_vec(x).unwrap()), bits(&src.mul_vec(x).unwrap()));
         }
+    }
+
+    /// Rows picked from a matrix keep its pattern width and value form:
+    /// codes over the same table, or plain values. Value arrays coded
+    /// beside matrices share their table.
+    #[test]
+    fn compact_select_rows_and_coded_value_arrays() {
+        let a = tridiagonal(2.0, -0.5);
+        let coded = CodedCsr::encode(&a);
+        let wide = CodedCsr::from_parts_storage_trusted(
+            3,
+            3,
+            Pattern::Wide {
+                indptr: a.indptr().to_vec().into(),
+                indices: a.indices().to_vec().into(),
+            },
+            CodedValues::Plain(a.values().to_vec().into()),
+        )
+        .unwrap();
+        for m in [&coded, &wide] {
+            let picked = m.select_rows(&[2, 0]);
+            assert_eq!(picked.shape(), (2, 3));
+            assert_eq!(picked.pattern().is_narrow(), m.pattern().is_narrow());
+            assert_eq!(picked.is_coded(), m.is_coded());
+            let rows: Vec<Vec<(usize, f64)>> =
+                (0..2).map(|r| picked.row_iter(r).collect()).collect();
+            assert_eq!(rows, [vec![(1, -0.5), (2, 2.0)], vec![(0, 2.0)]]);
+            assert!(picked.pattern().check_indptr().is_ok());
+        }
+        assert!(std::ptr::eq(
+            coded.select_rows(&[1]).table().unwrap().as_slice(),
+            coded.table().unwrap().as_slice()
+        ));
+        let parts: Vec<Storage<f64>> = vec![a.value_storage(), vec![7.0, 2.0, -0.0].into()];
+        let values = CodedValues::encode_all(&parts);
+        let (first, second) = (&values[0], &values[1]);
+        assert_eq!((first.len(), second.len()), (5, 3));
+        assert!(second.select(&[]).is_empty());
+        assert_eq!(
+            bits(&[second.get(0), second.get(1), second.get(2)]),
+            bits(&[7.0, 2.0, -0.0])
+        );
+        let with = CodedCsr::with_values(&a, first.clone());
+        assert!(with.pattern().is_narrow() && with.is_coded());
+        assert_eq!(with.to_csr(), a);
     }
 
     /// A code past the end of its table (a corrupt mapped file) reads NaN,

@@ -379,7 +379,7 @@ impl Csr {
     }
 
     /// A handle on the value array that shares it, owned or mapped.
-    pub(crate) fn value_storage(&self) -> Storage<f64> {
+    pub fn value_storage(&self) -> Storage<f64> {
         self.values.clone()
     }
 

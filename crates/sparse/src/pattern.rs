@@ -198,14 +198,18 @@ impl Pattern {
         }
     }
 
-    /// Checks that every column index is below `ncols`. `O(nnz)`.
+    /// Checks that every column index is below `ncols` and that each
+    /// row's columns strictly increase (sorted, no duplicates), as every
+    /// kernel and every builder assumes. Run it after
+    /// [`Pattern::check_indptr`]. `O(nnz)`.
     ///
     /// # Errors
-    /// [`SparseError::Parse`] naming the first column out of range.
+    /// [`SparseError::Parse`] naming the first column out of range, or
+    /// the first row whose columns do not strictly increase.
     pub fn check_indices(&self, ncols: usize) -> Result<()> {
         match self {
-            Pattern::Wide { indices, .. } => check_indices(indices, ncols),
-            Pattern::Narrow { indices, .. } => check_indices(indices, ncols),
+            Pattern::Wide { indptr, indices } => check_indices(indptr, indices, ncols),
+            Pattern::Narrow { indptr, indices } => check_indices(indptr, indices, ncols),
         }
     }
 
@@ -247,15 +251,32 @@ fn check_indptr<P: Idx>(indptr: &[P], nnz: usize) -> Result<()> {
     }
 }
 
-/// [`Pattern::check_indices`] on one form's column indices.
-fn check_indices<C: Idx>(indices: &[C], ncols: usize) -> Result<()> {
-    match indices.iter().position(|c| c.ix() >= ncols) {
-        Some(k) => Err(SparseError::Parse(format!(
+/// [`Pattern::check_indices`] on one form's arrays.
+fn check_indices<P: Idx, C: Idx>(indptr: &[P], indices: &[C], ncols: usize) -> Result<()> {
+    let bad = |msg: String| Err(SparseError::Parse(msg));
+    if let Some(k) = indices.iter().position(|c| c.ix() >= ncols) {
+        return bad(format!(
             "column {} at non-zero {k} is out of range for {ncols} columns",
             indices[k].ix()
-        ))),
-        None => Ok(()),
+        ));
     }
+    for (r, bounds) in indptr.windows(2).enumerate() {
+        let (s, e) = (bounds[0].ix(), bounds[1].ix());
+        let Some(row) = indices.get(s..e) else {
+            return bad(format!(
+                "row {r} spans non-zeros {s}..{e}, past the column indices"
+            ));
+        };
+        if let Some(k) = row.windows(2).position(|c| c[1].ix() <= c[0].ix()) {
+            return bad(format!(
+                "columns of row {r} do not strictly increase at non-zero {}: {} then {}",
+                s + k + 1,
+                row[k].ix(),
+                row[k + 1].ix()
+            ));
+        }
+    }
+    Ok(())
 }
 
 impl MemBytes for Pattern {
@@ -345,13 +366,21 @@ mod tests {
     #[test]
     fn narrow_checks_name_the_bad_entry() {
         assert!(check_indptr(&[0u32, 1, 3], 3).is_ok());
-        assert!(check_indices(&[0u16, 4], 5).is_ok());
+        assert!(check_indices(&[0u32, 2], &[0u16, 4], 5).is_ok());
         let err = |r: Result<()>| r.unwrap_err().to_string();
         assert!(err(check_indptr::<u32>(&[], 0)).contains("no row pointers"));
         assert!(err(check_indptr(&[1usize, 3], 3)).contains("row pointer 0 is 1"));
         assert!(err(check_indptr(&[0u32, 3, 2, 3], 3)).contains("decrease at row 1: 3 then 2"));
         assert!(err(check_indptr(&[0usize, 2], 3)).contains("last row pointer is 2, not nnz=3"));
-        assert!(err(check_indices(&[0u16, 5], 5)).contains("column 5 at non-zero 1"));
+        assert!(err(check_indices(&[0u32, 2], &[0u16, 5], 5)).contains("column 5 at non-zero 1"));
+        assert!(err(check_indices(&[0u32, 1, 3], &[4u16, 2, 2], 5))
+            .contains("columns of row 1 do not strictly increase at non-zero 2: 2 then 2"));
+        assert!(err(check_indices(&[0usize, 2], &[3u32, 1], 5))
+            .contains("row 0 do not strictly increase at non-zero 1: 3 then 1"));
+        assert!(
+            check_indices(&[0u32, 1, 2], &[3u16, 1], 5).is_ok(),
+            "rows are checked apart"
+        );
         let p = wide(vec![0, 2], vec![1, 9]);
         assert!(p.check_indptr().is_ok());
         assert!(p.check_indices(10).is_ok());

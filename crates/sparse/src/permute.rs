@@ -10,13 +10,15 @@ use crate::mem::MemBytes;
 use crate::storage::Storage;
 use crate::{Csr, Result};
 
-/// A bijection on `0..n`, stored in both directions for O(1) lookups.
+/// A bijection on `0..n`, stored as its forward map `new_of_old` only:
+/// a query permutes by scattering through it and unpermutes by gathering
+/// through it, so the inverse map is never stored. [`Permutation::old_of_new`]
+/// computes it in `O(n)` for the callers that need it (rebuilds,
+/// diagnostics).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Permutation {
     /// `new_of_old[old] = new`
     new_of_old: Storage<u32>,
-    /// `old_of_new[new] = old`
-    old_of_new: Storage<u32>,
 }
 
 impl Permutation {
@@ -24,89 +26,54 @@ impl Permutation {
     pub fn identity(n: usize) -> Self {
         let v: Vec<u32> = (0..n as u32).collect();
         Self {
-            new_of_old: v.clone().into(),
-            old_of_new: v.into(),
+            new_of_old: v.into(),
         }
     }
 
-    /// Builds a permutation from both direction maps — the zero-copy
-    /// constructor for mapped v6 indexes — with `O(1)` checks only
-    /// (equal, in-range lengths). The bijection scan of
-    /// [`Permutation::from_new_of_old`] is skipped: the maps were
-    /// validated when the index was written and are covered by the
-    /// container's section CRCs; a corrupt map surfaces as a panic on
-    /// lookup, never undefined behavior. Debug builds still verify that
-    /// the two maps are mutual inverses.
-    pub fn from_maps_trusted(new_of_old: Storage<u32>, old_of_new: Storage<u32>) -> Result<Self> {
-        if new_of_old.len() != old_of_new.len() {
-            return Err(SparseError::InvalidPermutation(format!(
-                "direction maps disagree on size: {} vs {}",
-                new_of_old.len(),
-                old_of_new.len()
-            )));
-        }
+    /// Builds a permutation from its forward map — the zero-copy
+    /// constructor for mapped indexes — with an `O(1)` check only (the
+    /// length fits `u32`). The bijection scan of
+    /// [`Permutation::from_new_of_old`] is skipped: the map was validated
+    /// when the index was written and is covered by the container's
+    /// section CRC; a corrupt map surfaces as a panic on lookup (an entry
+    /// out of range) or a wrong answer (a repeated entry), never undefined
+    /// behaviour.
+    pub fn from_new_of_old_trusted(new_of_old: Storage<u32>) -> Result<Self> {
         if new_of_old.len() > u32::MAX as usize {
             return Err(SparseError::DimensionTooLarge {
                 dim: new_of_old.len(),
             });
         }
-        let p = Self {
-            new_of_old,
-            old_of_new,
-        };
-        debug_assert!(
-            (0..p.len()).all(|old| p.apply_inverse(p.apply(old)) == old),
-            "permutation maps are not mutual inverses"
-        );
-        Ok(p)
+        Ok(Self { new_of_old })
     }
 
-    /// True when either direction map is served from a mapped index.
+    /// True when the map is served from a mapped index.
     pub fn is_mapped(&self) -> bool {
-        self.new_of_old.is_mapped() || self.old_of_new.is_mapped()
+        self.new_of_old.is_mapped()
     }
 
-    /// Bytes of heap memory held by the two maps.
+    /// Bytes of heap memory held by the map.
     pub fn heap_bytes(&self) -> usize {
-        self.new_of_old.heap_bytes() + self.old_of_new.heap_bytes()
+        self.new_of_old.heap_bytes()
     }
 
     /// Bytes served zero-copy from a mapped index file.
     pub fn mapped_bytes(&self) -> usize {
-        self.new_of_old.mapped_bytes() + self.old_of_new.mapped_bytes()
+        self.new_of_old.mapped_bytes()
     }
 
     /// Builds a permutation from the forward map `new_of_old[old] = new`,
     /// verifying it is a bijection on `0..n`.
-    pub fn from_new_of_old(new_of_old: Vec<u32>) -> Result<Self> {
-        let n = new_of_old.len();
-        let mut old_of_new = vec![u32::MAX; n];
-        for (old, &new) in new_of_old.iter().enumerate() {
-            let new_us = new as usize;
-            if new_us >= n {
-                return Err(SparseError::InvalidPermutation(format!(
-                    "image {new} out of range 0..{n}"
-                )));
-            }
-            if old_of_new[new_us] != u32::MAX {
-                return Err(SparseError::InvalidPermutation(format!(
-                    "image {new} hit twice (by {} and {old})",
-                    old_of_new[new_us]
-                )));
-            }
-            old_of_new[new_us] = old as u32;
-        }
-        Ok(Self {
-            new_of_old: new_of_old.into(),
-            old_of_new: old_of_new.into(),
-        })
+    pub fn from_new_of_old(new_of_old: impl Into<Storage<u32>>) -> Result<Self> {
+        let new_of_old = new_of_old.into();
+        invert(&new_of_old)?;
+        Self::from_new_of_old_trusted(new_of_old)
     }
 
     /// Builds a permutation from the inverse map `old_of_new[new] = old`.
     pub fn from_old_of_new(old_of_new: Vec<u32>) -> Result<Self> {
         // The inverse of a valid bijection is a valid bijection.
-        let p = Self::from_new_of_old(old_of_new)?;
-        Ok(p.inverse())
+        Self::from_new_of_old_trusted(invert(&old_of_new)?.into())
     }
 
     /// Size of the permuted set.
@@ -127,29 +94,29 @@ impl Permutation {
         self.new_of_old[old] as usize
     }
 
-    /// Old label of `new`.
-    #[inline]
-    pub fn apply_inverse(&self, new: usize) -> usize {
-        self.old_of_new[new] as usize
-    }
-
     /// The forward map slice (`new_of_old`).
     #[inline]
     pub fn new_of_old(&self) -> &[u32] {
         &self.new_of_old
     }
 
-    /// The inverse map slice (`old_of_new`).
-    #[inline]
-    pub fn old_of_new(&self) -> &[u32] {
-        &self.old_of_new
+    /// The inverse map (`old_of_new[new] = old`), computed in `O(n)`.
+    ///
+    /// # Panics
+    /// If a trusted map ([`Permutation::from_new_of_old_trusted`]) holds
+    /// an entry out of range.
+    pub fn old_of_new(&self) -> Vec<u32> {
+        let mut old_of_new = vec![0u32; self.len()];
+        for (old, &new) in self.new_of_old.iter().enumerate() {
+            old_of_new[new as usize] = old as u32;
+        }
+        old_of_new
     }
 
     /// Returns the inverse permutation.
     pub fn inverse(&self) -> Self {
         Self {
-            new_of_old: self.old_of_new.clone(),
-            old_of_new: self.new_of_old.clone(),
+            new_of_old: self.old_of_new().into(),
         }
     }
 
@@ -174,13 +141,32 @@ impl Permutation {
     }
 
     /// Applies the permutation to a dense vector: `out[new] = v[old]`.
+    ///
+    /// A scatter stores at random, which costs several times a gather, so
+    /// only entries other than `+0.0` — the value the fresh output already
+    /// holds — are stored. A query vector is almost all `+0.0`: its runs
+    /// of eight are skipped by one test. `-0.0` and NaNs are stored like
+    /// any other value, so the output is exactly the permuted input.
     pub fn permute_vec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        gather(v, &self.old_of_new)
+        check_len(v, self.len())?;
+        let mut out = vec![0.0; v.len()];
+        for (run, map) in v.chunks(8).zip(self.new_of_old.chunks(8)) {
+            if run.iter().fold(0, |bits, x| bits | x.to_bits()) == 0 {
+                continue;
+            }
+            for (&x, &new) in run.iter().zip(map) {
+                if x.to_bits() != 0 {
+                    out[new as usize] = x;
+                }
+            }
+        }
+        Ok(out)
     }
 
     /// Inverse application to a dense vector: `out[old] = v[new]`.
     pub fn unpermute_vec(&self, v: &[f64]) -> Result<Vec<f64>> {
-        gather(v, &self.new_of_old)
+        check_len(v, self.len())?;
+        Ok(self.new_of_old.iter().map(|&i| v[i as usize]).collect())
     }
 
     /// Symmetric application to a square CSR matrix:
@@ -194,17 +180,18 @@ impl Permutation {
             });
         }
         let n = a.nrows();
+        let old_of_new = self.old_of_new();
         // Build row counts of the output directly.
         let mut indptr = vec![0usize; n + 1];
         for new_row in 0..n {
-            let old_row = self.old_of_new[new_row] as usize;
+            let old_row = old_of_new[new_row] as usize;
             indptr[new_row + 1] = indptr[new_row] + a.row_nnz(old_row);
         }
         let nnz = a.nnz();
         let mut indices = vec![0u32; nnz];
         let mut values = vec![0.0f64; nnz];
         for new_row in 0..n {
-            let old_row = self.old_of_new[new_row] as usize;
+            let old_row = old_of_new[new_row] as usize;
             let (cols, vals) = a.row(old_row);
             let out_start = indptr[new_row];
             let slot = &mut indices[out_start..out_start + cols.len()];
@@ -225,21 +212,39 @@ impl Permutation {
     }
 }
 
-/// `out[i] = v[from[i]]`. Taking the map as a slice borrows its
-/// `Storage` once rather than per entry.
-fn gather(v: &[f64], from: &[u32]) -> Result<Vec<f64>> {
-    if v.len() != from.len() {
+/// The inverse of `map` (`inverse[map[i]] = i`), verifying that `map` is
+/// a bijection on `0..map.len()`.
+fn invert(map: &[u32]) -> Result<Vec<u32>> {
+    let n = map.len();
+    let mut inverse = vec![u32::MAX; n];
+    for (i, &image) in map.iter().enumerate() {
+        let slot = inverse.get_mut(image as usize).ok_or_else(|| {
+            SparseError::InvalidPermutation(format!("image {image} out of range 0..{n}"))
+        })?;
+        if *slot != u32::MAX {
+            return Err(SparseError::InvalidPermutation(format!(
+                "image {image} hit twice (by {} and {i})",
+                *slot
+            )));
+        }
+        *slot = i as u32;
+    }
+    Ok(inverse)
+}
+
+fn check_len(v: &[f64], n: usize) -> Result<()> {
+    if v.len() != n {
         return Err(SparseError::VectorLength {
-            expected: from.len(),
+            expected: n,
             actual: v.len(),
         });
     }
-    Ok(from.iter().map(|&i| v[i as usize]).collect())
+    Ok(())
 }
 
 impl MemBytes for Permutation {
     fn mem_bytes(&self) -> usize {
-        self.new_of_old.mem_bytes() + self.old_of_new.mem_bytes()
+        self.new_of_old.mem_bytes()
     }
 }
 
@@ -253,8 +258,8 @@ mod tests {
         let p = Permutation::identity(4);
         for i in 0..4 {
             assert_eq!(p.apply(i), i);
-            assert_eq!(p.apply_inverse(i), i);
         }
+        assert_eq!(p.old_of_new(), [0, 1, 2, 3]);
     }
 
     #[test]
@@ -279,7 +284,7 @@ mod tests {
         let p = Permutation::from_old_of_new(vec![2, 0, 1]).unwrap();
         // old_of_new[0] = 2 means new label 0 holds old node 2.
         assert_eq!(p.apply(2), 0);
-        assert_eq!(p.apply_inverse(0), 2);
+        assert_eq!(p.old_of_new(), [2, 0, 1]);
     }
 
     #[test]
@@ -307,6 +312,38 @@ mod tests {
         let pv = p.permute_vec(&v).unwrap();
         assert_eq!(pv, vec![20.0, 30.0, 10.0]);
         assert_eq!(p.unpermute_vec(&pv).unwrap(), v);
+    }
+
+    /// The scatter stores every entry but `+0.0`, so signed zeros, NaN
+    /// payloads and entries in every run of eight land exactly.
+    #[test]
+    fn permute_vec_scatter_is_exact() {
+        let n = 21;
+        let p =
+            Permutation::from_new_of_old((0..n as u32).map(|i| (i * 8) % 21).collect::<Vec<_>>())
+                .unwrap();
+        let nan = f64::from_bits(0x7ff8_0000_0000_0042);
+        let mut v = vec![0.0; n];
+        v[0] = -0.0;
+        v[9] = nan;
+        v[20] = 2.5;
+        let got = p.permute_vec(&v).unwrap();
+        let old_of_new = p.old_of_new();
+        let want: Vec<u64> = old_of_new
+            .iter()
+            .map(|&o| v[o as usize].to_bits())
+            .collect();
+        assert_eq!(got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), want);
+        assert_eq!(p.unpermute_vec(&got).unwrap()[9].to_bits(), nan.to_bits());
+        assert_eq!(p.inverse().new_of_old(), &old_of_new[..]);
+    }
+
+    #[test]
+    fn trusted_map_skips_the_bijection_scan() {
+        let map: Storage<u32> = vec![0u32, 0, 1].into();
+        assert!(Permutation::from_new_of_old(map.clone()).is_err());
+        let p = Permutation::from_new_of_old_trusted(map).unwrap();
+        assert_eq!((p.len(), p.mem_bytes()), (3, 12));
     }
 
     #[test]

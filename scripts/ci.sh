@@ -141,12 +141,17 @@ cargo test --offline --release -q -p bepi-sparse -p bepi-solver -p bepi-core -p 
 # table across preprocess/refactor/heap/mmap, the memory report counting
 # the table once against the file's sections, files in every earlier
 # layout on heap and mmap with byte-identical re-save, hostile matrix
-# sections, the section-name layout) carry "compact" in their names; the
-# heap loader's permutation and ILU(0) diagonal checks ride along. All
-# run here in release codegen.
+# sections, the section-name layout) carry "compact" in their names, as
+# do the tests of the per-node layout: no factor rows for 1 x 1 H11
+# blocks (the frozen solve against a dense H11^-1 and the builder, on
+# fresh/refactored/heap/mmap indexes; full-row-layout files; hostile
+# 1 x 1 sections; the exact-cold counts). The heap loader's permutation,
+# ILU(0) diagonal, row-order and block checks and the one-map permutation
+# scatter ride along. All run here in release codegen.
 echo "==> compact-index bit-identity"
 cargo test --offline --release -q -p bepi-sparse -p bepi-solver -p bepi-core -p bepi-incr -p bepi-map \
-  -- compact heap_load_rejects_crafted check_diag_pos
+  -- compact heap_load_rejects_crafted heap_load_rejects_unsorted check_diag_pos \
+  permute_vec_scatter trusted_map_skips
 
 # Memory-mapped serving gate: preprocess once, boot one daemon that
 # loads the index onto the heap and one that maps the same file, and
@@ -215,6 +220,13 @@ for case in ":BePI-S" "full:BePI"; do
         || { echo "$VARIANT_NAME: bepi stats --mmap lists no $matrix.$part section"; cat "$MMAP_TMP/stats.txt"; exit 1; }
     done
   done
+  # The 1 x 1 H11 blocks keep one coded U1^-1 value each, and the index
+  # stores one permutation map.
+  grep -q "^u_inv.singleton_codes " "$MMAP_TMP/stats.txt" \
+    || { echo "$VARIANT_NAME: bepi stats --mmap lists no u_inv.singleton_codes section"; cat "$MMAP_TMP/stats.txt"; exit 1; }
+  if grep -q "^perm.old_of_new " "$MMAP_TMP/stats.txt"; then
+    echo "$VARIANT_NAME: a fresh index still stores perm.old_of_new"; cat "$MMAP_TMP/stats.txt"; exit 1
+  fi
   start_daemon 7 "$INDEX" "$MMAP_TMP/heap.log"
   HEAP_ADDR=$DAEMON_ADDR HEAP_PID=$DAEMON_PID
   grep -q "heap index" "$MMAP_TMP/heap.log" \
