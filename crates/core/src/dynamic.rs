@@ -27,9 +27,10 @@ use bepi_incr::{classify, Classification};
 use bepi_sparse::{Coo, Csr, Result, SparseError};
 
 /// Which rebuild path produced a served index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RebuildKind {
     /// The initial preprocess at construction (or load) time.
+    #[default]
     Initial,
     /// A full re-preprocess: structural batch, or a numeric attempt that
     /// had to fall back.

@@ -19,8 +19,8 @@ use bepi_graph::Graph;
 use bepi_sparse::{Result, SparseError};
 use bepi_walk::{ApproxConfig, ApproxEngine};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -77,9 +77,10 @@ pub struct SubmitOutcome {
 }
 
 /// What caused the most recent rebuild pass to be scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RebuildTrigger {
     /// No rebuild has run yet (the served index is the initial one).
+    #[default]
     None,
     /// A submit pushed the buffer over the auto-flush threshold.
     Threshold,
@@ -98,9 +99,11 @@ impl RebuildTrigger {
     }
 }
 
-/// A point-in-time summary for `GET /version`.
-#[derive(Debug, Clone)]
-pub struct VersionInfo {
+/// One consistent snapshot of a [`LiveEngine`]'s state: what
+/// `GET /version` and the live block of `GET /metrics` both render,
+/// returned by [`LiveEngine::status`].
+#[derive(Debug, Clone, Default)]
+pub struct LiveStatus {
     /// Served snapshot epoch.
     pub version: u64,
     /// Nodes in the served index.
@@ -109,26 +112,53 @@ pub struct VersionInfo {
     /// from [`bepi_core::BePiVariant::name`]): whether queries pay for
     /// ILU(0).
     pub variant: &'static str,
+    /// Served index bytes on the process heap.
+    pub index_heap_bytes: usize,
+    /// Served index bytes backed by a shared file mapping.
+    pub index_mapped_bytes: usize,
     /// Buffered, not-yet-visible updates.
     pub pending: usize,
-    /// Background rebuilds completed since startup.
-    pub rebuilds: u64,
     /// Whether this engine accepts updates at all.
     pub live: bool,
-    /// The last rebuild *or checkpoint* failure, if any (cleared by the
-    /// next fully clean rebuild pass).
-    pub last_error: Option<String>,
+    /// Edge updates accepted since startup.
+    pub updates: u64,
+    /// Background rebuilds completed since startup. A WAL replay at
+    /// start is no background rebuild and counts nowhere here.
+    pub rebuilds: u64,
+    /// Rebuilds served by the numeric-only refactorization path.
+    pub numeric_rebuilds: u64,
+    /// Rebuilds that ran the full (structural) preprocessing pipeline.
+    pub structural_rebuilds: u64,
+    /// Wall time of the most recent rebuild, in microseconds.
+    pub last_rebuild_us: u64,
+    /// Cumulative wall time of numeric-path rebuilds, in microseconds.
+    pub numeric_rebuild_us: u64,
+    /// Cumulative wall time of full-path rebuilds, in microseconds.
+    pub full_rebuild_us: u64,
     /// Which path produced the served index: `initial` (no rebuild or
     /// WAL replay yet), `full` (complete preprocessing pipeline), or
     /// `numeric` (plan-frozen KLU-style refactorization).
-    pub rebuild_kind: &'static str,
+    pub rebuild_kind: RebuildKind,
     /// Why the served index came from a full rebuild: the structural
     /// reason, or the refactor error that forced the fallback. `None`
     /// when no rebuild ran or the numeric path served.
     pub rebuild_reason: Option<String>,
-    /// What scheduled the most recent rebuild: `none`, `threshold`, or
-    /// `explicit`.
-    pub rebuild_trigger: &'static str,
+    /// What scheduled the most recent rebuild.
+    pub rebuild_trigger: RebuildTrigger,
+    /// The last rebuild *or checkpoint* failure, if any (cleared by the
+    /// next fully clean rebuild pass).
+    pub last_error: Option<String>,
+}
+
+impl LiveStatus {
+    /// Records the shape of the index about to be served.
+    fn describe(&mut self, index: &VersionedIndex) {
+        self.version = index.version;
+        self.nodes = index.bepi.node_count();
+        self.variant = index.bepi.config().variant.name();
+        self.index_heap_bytes = index.bepi.heap_bytes();
+        self.index_mapped_bytes = index.bepi.mapped_bytes();
+    }
 }
 
 struct MutState {
@@ -144,9 +174,6 @@ struct MutState {
     /// Set when the worker thread is gone (shutdown or panic) so waiters
     /// never block forever.
     worker_gone: bool,
-    /// Most recent failure of any kind (rebuild or checkpoint), for
-    /// `GET /version` / metrics. Cleared by the next fully clean pass.
-    last_error: Option<String>,
     /// The generation whose *rebuild* (apply + preprocess + swap) failed,
     /// with the error. Checkpoint failures do not set this: the swap
     /// landed, so callers of [`LiveEngine::rebuild_and_wait`] still get
@@ -156,9 +183,11 @@ struct MutState {
     /// What scheduled the pass the worker will run next — recorded at
     /// the `request_gen` bump sites, snapshotted by the worker.
     trigger: RebuildTrigger,
-    /// [`Rebuilt::reason`] of the rebuild (or WAL replay) that produced
-    /// the served index.
-    rebuild_reason: Option<String>,
+    /// Everything [`LiveEngine::status`] reports but `pending`, which it
+    /// reads off the buffer. Every swap of the served index updates it
+    /// under this lock, together with the counters of the rebuild that
+    /// produced the index.
+    status: LiveStatus,
 }
 
 /// Shared, thread-safe live-update engine. Cheap to clone via `Arc`.
@@ -171,51 +200,6 @@ pub struct LiveEngine {
     auto_flush_threshold: usize,
     checkpoint_path: Option<PathBuf>,
     mmap_checkpoints: bool,
-    rebuilds_total: AtomicU64,
-    updates_total: AtomicU64,
-    last_rebuild_micros: AtomicU64,
-    numeric_rebuilds_total: AtomicU64,
-    structural_rebuilds_total: AtomicU64,
-    /// Cumulative wall time spent in numeric-path rebuilds, in micros.
-    numeric_rebuild_micros: AtomicU64,
-    /// Cumulative wall time spent in full-path rebuilds, in micros.
-    full_rebuild_micros: AtomicU64,
-    /// Encoded [`RebuildKind`] of the served index (0/1/2).
-    last_rebuild_kind: AtomicU64,
-    /// Encoded [`RebuildTrigger`] of the latest pass (0/1/2).
-    last_rebuild_trigger: AtomicU64,
-}
-
-fn encode_kind(kind: RebuildKind) -> u64 {
-    match kind {
-        RebuildKind::Initial => 0,
-        RebuildKind::Full => 1,
-        RebuildKind::Numeric => 2,
-    }
-}
-
-fn decode_kind(v: u64) -> RebuildKind {
-    match v {
-        2 => RebuildKind::Numeric,
-        1 => RebuildKind::Full,
-        _ => RebuildKind::Initial,
-    }
-}
-
-fn encode_trigger(t: RebuildTrigger) -> u64 {
-    match t {
-        RebuildTrigger::None => 0,
-        RebuildTrigger::Threshold => 1,
-        RebuildTrigger::Explicit => 2,
-    }
-}
-
-fn decode_trigger(v: u64) -> RebuildTrigger {
-    match v {
-        2 => RebuildTrigger::Explicit,
-        1 => RebuildTrigger::Threshold,
-        _ => RebuildTrigger::None,
-    }
 }
 
 impl LiveEngine {
@@ -237,39 +221,50 @@ impl LiveEngine {
     }
 
     fn frozen_inner(bepi: Arc<BePi>, approx: Option<Arc<ApproxEngine>>) -> Arc<Self> {
+        let index = VersionedIndex {
+            version: 1,
+            bepi,
+            approx,
+        };
+        Self::assemble(
+            index,
+            None,
+            None,
+            LiveStatus::default(),
+            LiveConfig::default(),
+        )
+    }
+
+    /// The engine around its first served index. `status` carries what
+    /// a WAL replay found (kind and reason); the rest is filled here.
+    fn assemble(
+        index: VersionedIndex,
+        graph: Option<Graph>,
+        wal: Option<Wal>,
+        mut status: LiveStatus,
+        config: LiveConfig,
+    ) -> Arc<Self> {
+        status.live = graph.is_some();
+        status.describe(&index);
         Arc::new(Self {
-            current: Mutex::new(Arc::new(VersionedIndex {
-                version: 1,
-                bepi,
-                approx,
-            })),
+            current: Mutex::new(Arc::new(index)),
             state: Mutex::new(MutState {
-                graph: None,
+                worker_gone: graph.is_none(),
+                graph,
                 pending: Vec::new(),
-                wal: None,
+                wal,
                 request_gen: 0,
                 done_gen: 0,
-                worker_gone: true,
-                last_error: None,
                 failed: None,
                 trigger: RebuildTrigger::None,
-                rebuild_reason: None,
+                status,
             }),
             cv: Condvar::new(),
             shutdown: AtomicBool::new(false),
             worker: Mutex::new(None),
-            auto_flush_threshold: 0,
-            checkpoint_path: None,
-            mmap_checkpoints: false,
-            rebuilds_total: AtomicU64::new(0),
-            updates_total: AtomicU64::new(0),
-            last_rebuild_micros: AtomicU64::new(0),
-            numeric_rebuilds_total: AtomicU64::new(0),
-            structural_rebuilds_total: AtomicU64::new(0),
-            numeric_rebuild_micros: AtomicU64::new(0),
-            full_rebuild_micros: AtomicU64::new(0),
-            last_rebuild_kind: AtomicU64::new(0),
-            last_rebuild_trigger: AtomicU64::new(0),
+            auto_flush_threshold: config.auto_flush_threshold,
+            checkpoint_path: config.checkpoint_path,
+            mmap_checkpoints: config.mmap_checkpoints,
         })
     }
 
@@ -327,49 +322,25 @@ impl LiveEngine {
         }
 
         let approx = build_approx(&bepi, &graph);
-        let engine = Arc::new(Self {
-            current: Mutex::new(Arc::new(VersionedIndex {
-                version: 1,
-                bepi,
-                approx,
-            })),
-            state: Mutex::new(MutState {
-                graph: Some(graph),
-                pending: Vec::new(),
-                wal,
-                request_gen: 0,
-                done_gen: 0,
-                worker_gone: false,
-                last_error: None,
-                failed: None,
-                trigger: RebuildTrigger::None,
-                rebuild_reason: replay_reason,
-            }),
-            cv: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            worker: Mutex::new(None),
-            auto_flush_threshold: config.auto_flush_threshold,
-            checkpoint_path: config.checkpoint_path,
-            mmap_checkpoints: config.mmap_checkpoints,
-            rebuilds_total: AtomicU64::new(0),
-            updates_total: AtomicU64::new(0),
-            last_rebuild_micros: AtomicU64::new(0),
-            numeric_rebuilds_total: AtomicU64::new(0),
-            structural_rebuilds_total: AtomicU64::new(0),
-            numeric_rebuild_micros: AtomicU64::new(0),
-            full_rebuild_micros: AtomicU64::new(0),
-            // A replay's kind names the served index, but replay is not a
-            // background rebuild: the totals above stay at zero.
-            last_rebuild_kind: AtomicU64::new(encode_kind(replay_kind)),
-            last_rebuild_trigger: AtomicU64::new(0),
-        });
+        let index = VersionedIndex {
+            version: 1,
+            bepi,
+            approx,
+        };
+        // A replay's kind names the served index, but replay is not a
+        // background rebuild: the rebuild counters stay at zero.
+        let status = LiveStatus {
+            rebuild_kind: replay_kind,
+            rebuild_reason: replay_reason,
+            ..LiveStatus::default()
+        };
+        let engine = Self::assemble(index, Some(graph), wal, status, config);
 
         if replayed_through > 0 {
             // The recovered state is the new baseline: checkpoint it and
             // drop the replayed WAL prefix so a crash loop cannot grow
             // the log without bound.
-            let mut st = engine.state.lock().unwrap_or_else(|e| e.into_inner());
-            engine.checkpoint_and_compact(&mut st, replayed_through)?;
+            engine.checkpoint_and_compact(&mut engine.state(), replayed_through)?;
         }
 
         let worker = {
@@ -396,85 +367,18 @@ impl LiveEngine {
         self.current().version
     }
 
-    /// Whether this engine accepts edge updates.
-    pub fn is_live(&self) -> bool {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .graph
-            .is_some()
-    }
-
-    /// Buffered updates not yet visible to queries.
-    pub fn pending_len(&self) -> usize {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pending
-            .len()
-    }
-
-    /// Background rebuilds completed since startup.
-    pub fn rebuilds(&self) -> u64 {
-        self.rebuilds_total.load(Ordering::Relaxed)
-    }
-
-    /// Edge updates accepted since startup.
-    pub fn updates_accepted(&self) -> u64 {
-        self.updates_total.load(Ordering::Relaxed)
-    }
-
-    /// Duration of the most recent completed rebuild, in microseconds.
-    pub fn last_rebuild_micros(&self) -> u64 {
-        self.last_rebuild_micros.load(Ordering::Relaxed)
-    }
-
-    /// Rebuilds that took the numeric-only refactorization path.
-    pub fn numeric_rebuilds(&self) -> u64 {
-        self.numeric_rebuilds_total.load(Ordering::Relaxed)
-    }
-
-    /// Rebuilds that ran the full (structural) preprocessing pipeline.
-    pub fn structural_rebuilds(&self) -> u64 {
-        self.structural_rebuilds_total.load(Ordering::Relaxed)
-    }
-
-    /// Cumulative wall time of numeric-path rebuilds, in seconds.
-    pub fn numeric_rebuild_seconds(&self) -> f64 {
-        self.numeric_rebuild_micros.load(Ordering::Relaxed) as f64 / 1e6
-    }
-
-    /// Cumulative wall time of full-path rebuilds, in seconds.
-    pub fn full_rebuild_seconds(&self) -> f64 {
-        self.full_rebuild_micros.load(Ordering::Relaxed) as f64 / 1e6
-    }
-
-    /// Which path produced the currently served index.
-    pub fn last_rebuild_kind(&self) -> RebuildKind {
-        decode_kind(self.last_rebuild_kind.load(Ordering::Relaxed))
-    }
-
-    /// What scheduled the most recent rebuild pass.
-    pub fn last_rebuild_trigger(&self) -> RebuildTrigger {
-        decode_trigger(self.last_rebuild_trigger.load(Ordering::Relaxed))
-    }
-
-    /// Point-in-time status summary.
-    pub fn info(&self) -> VersionInfo {
-        let current = self.current();
-        let st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        VersionInfo {
-            version: current.version,
-            nodes: current.bepi.node_count(),
-            variant: current.bepi.config().variant.name(),
+    /// One consistent snapshot of the engine's state, for `GET /version`
+    /// and `GET /metrics`.
+    pub fn status(&self) -> LiveStatus {
+        let st = self.state();
+        LiveStatus {
             pending: st.pending.len(),
-            rebuilds: self.rebuilds(),
-            live: st.graph.is_some(),
-            last_error: st.last_error.clone(),
-            rebuild_kind: self.last_rebuild_kind().name(),
-            rebuild_reason: st.rebuild_reason.clone(),
-            rebuild_trigger: self.last_rebuild_trigger().name(),
+            ..st.status.clone()
         }
+    }
+
+    fn state(&self) -> MutexGuard<'_, MutState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Validates, logs (WAL append + fsync), and buffers a batch of
@@ -485,12 +389,12 @@ impl LiveEngine {
         if updates.is_empty() {
             return Ok(SubmitOutcome {
                 accepted: 0,
-                pending: self.pending_len(),
+                pending: self.state().pending.len(),
                 version: self.version(),
                 rebuild_triggered: false,
             });
         }
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.state();
         let Some(graph) = &st.graph else {
             return Err(SparseError::Parse(
                 "live updates disabled: the index was loaded without its graph \
@@ -506,8 +410,7 @@ impl LiveEngine {
         }
         st.pending.extend_from_slice(updates);
         st.pending = dedup_opposing(&st.pending);
-        self.updates_total
-            .fetch_add(updates.len() as u64, Ordering::Relaxed);
+        st.status.updates += updates.len() as u64;
 
         let pending = st.pending.len();
         let trigger = self.auto_flush_threshold > 0 && pending >= self.auto_flush_threshold;
@@ -536,7 +439,7 @@ impl LiveEngine {
     /// hot-swap completes (or reports the rebuild error). No-op returning
     /// the current version when nothing is buffered.
     pub fn rebuild_and_wait(&self) -> Result<u64> {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.state();
         if st.graph.is_none() {
             return Err(SparseError::Parse(
                 "live updates disabled: the index was loaded without its graph".to_string(),
@@ -605,9 +508,23 @@ impl LiveEngine {
             elapsed_ms = checkpoint_time.as_millis()
         );
         if self.mmap_checkpoints {
-            self.remap_from_checkpoint(path, &current);
+            self.remap_from_checkpoint(st, path, &current);
         }
         Ok(())
+    }
+
+    /// Serves `index` from now on and records its shape in `st.status`.
+    /// Runs under the state lock, like every change of the counters, so
+    /// a reader of [`LiveEngine::status`] never sees a version without
+    /// the counters of the rebuild that produced it.
+    fn publish(&self, st: &mut MutState, index: VersionedIndex) {
+        st.status.describe(&index);
+        let new = Arc::new(index);
+        // The old snapshot is dropped after the serving lock is released.
+        let _old = std::mem::replace(
+            &mut *self.current.lock().unwrap_or_else(|e| e.into_inner()),
+            new,
+        );
     }
 
     /// Re-opens the just-written v6 checkpoint as a shared mapping and
@@ -615,11 +532,15 @@ impl LiveEngine {
     /// epoch: the daemon then serves zero-copy from the page cache and
     /// the rebuild's heap allocations are freed once in-flight queries
     /// drain. The new file is mapped *before* the old snapshot's `Arc`
-    /// is released, and the swap is skipped if another hot-swap bumped
-    /// the version in the meantime (the mapped bytes would be stale).
-    /// Failures are logged and leave the heap snapshot serving — the
-    /// checkpoint itself already landed.
-    fn remap_from_checkpoint(&self, path: &std::path::Path, expected: &VersionedIndex) {
+    /// is released, and no other swap can intervene: the caller holds
+    /// the state lock. Failures are logged and leave the heap snapshot
+    /// serving — the checkpoint itself already landed.
+    fn remap_from_checkpoint(
+        &self,
+        st: &mut MutState,
+        path: &std::path::Path,
+        expected: &VersionedIndex,
+    ) {
         let mapped = match persist::load_mapped_file(path) {
             Ok((bepi, _)) => Arc::new(bepi),
             Err(e) => {
@@ -631,17 +552,14 @@ impl LiveEngine {
                 return;
             }
         };
-        let mut current = self.current.lock().unwrap_or_else(|e| e.into_inner());
-        if current.version != expected.version {
-            return;
-        }
-        *current = Arc::new(VersionedIndex {
+        let index = VersionedIndex {
             version: expected.version,
             bepi: mapped,
             // Same graph state, so the same approximate engine: it owns
             // its operator and never reads the adjacency again.
             approx: expected.approx.clone(),
-        });
+        };
+        self.publish(st, index);
         bepi_obs::debug!(
             "live",
             "serving mapped checkpoint",
@@ -682,7 +600,7 @@ struct WorkerGoneGuard<'a>(&'a LiveEngine);
 
 impl Drop for WorkerGoneGuard<'_> {
     fn drop(&mut self) {
-        let mut st = self.0.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut st = self.0.state();
         st.worker_gone = true;
         self.0.cv.notify_all();
     }
@@ -694,7 +612,7 @@ fn worker_loop(engine: &LiveEngine) {
         // Phase 1 (cheap, under the state lock): claim the buffered
         // updates and the rebuild generation.
         let (updates, graph, upto, target, trigger) = {
-            let mut st = engine.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut st = engine.state();
             loop {
                 if engine.shutdown.load(Ordering::SeqCst) {
                     return;
@@ -715,7 +633,7 @@ fn worker_loop(engine: &LiveEngine) {
         };
 
         if updates.is_empty() {
-            let mut st = engine.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut st = engine.state();
             st.done_gen = target;
             engine.cv.notify_all();
             continue;
@@ -738,31 +656,6 @@ fn worker_loop(engine: &LiveEngine) {
                 reason,
             }) => {
                 let micros = started.elapsed().as_micros() as u64;
-                engine.last_rebuild_micros.store(micros, Ordering::Relaxed);
-                match kind {
-                    RebuildKind::Numeric => {
-                        engine
-                            .numeric_rebuilds_total
-                            .fetch_add(1, Ordering::Relaxed);
-                        engine
-                            .numeric_rebuild_micros
-                            .fetch_add(micros, Ordering::Relaxed);
-                    }
-                    _ => {
-                        engine
-                            .structural_rebuilds_total
-                            .fetch_add(1, Ordering::Relaxed);
-                        engine
-                            .full_rebuild_micros
-                            .fetch_add(micros, Ordering::Relaxed);
-                    }
-                }
-                engine
-                    .last_rebuild_kind
-                    .store(encode_kind(kind), Ordering::Relaxed);
-                engine
-                    .last_rebuild_trigger
-                    .store(encode_trigger(trigger), Ordering::Relaxed);
                 // The approximate lane swaps in lockstep with the exact
                 // one: both engines in a snapshot answer from the same
                 // graph state, so a mode=approx response can never mix
@@ -770,41 +663,51 @@ fn worker_loop(engine: &LiveEngine) {
                 // lock, off the serving path.
                 let bepi = Arc::new(bepi);
                 let approx = build_approx(&bepi, &new_graph);
+                let mut st = engine.state();
+                let status = &mut st.status;
+                status.rebuilds += 1;
+                status.last_rebuild_us = micros;
+                if kind == RebuildKind::Numeric {
+                    status.numeric_rebuilds += 1;
+                    status.numeric_rebuild_us += micros;
+                } else {
+                    status.structural_rebuilds += 1;
+                    status.full_rebuild_us += micros;
+                }
+                status.rebuild_kind = kind;
+                status.rebuild_trigger = trigger;
+                status.last_error = None;
                 // Phase 3: the hot-swap. One pointer exchange; queries
                 // already holding the old Arc finish on the old snapshot.
-                let new_version = {
+                let version = status.version + 1;
+                {
                     let _span = bepi_obs::Span::enter("live.swap");
-                    let mut current = engine.current.lock().unwrap_or_else(|e| e.into_inner());
-                    let v = current.version + 1;
-                    *current = Arc::new(VersionedIndex {
-                        version: v,
+                    let index = VersionedIndex {
+                        version,
                         bepi,
                         approx,
-                    });
-                    v
-                };
-                engine.rebuilds_total.fetch_add(1, Ordering::Relaxed);
+                    };
+                    engine.publish(&mut st, index);
+                }
                 bepi_obs::info!(
                     "live",
                     "rebuild hot-swapped",
-                    version = new_version,
+                    version = version,
                     updates = updates.len(),
                     rebuild_kind = kind.name(),
                     reason = reason.as_deref().unwrap_or("none"),
                     trigger = trigger.name(),
                     elapsed_ms = rebuild_time.as_millis()
                 );
-                let mut st = engine.state.lock().unwrap_or_else(|e| e.into_inner());
+                st.status.rebuild_reason = reason;
                 st.graph = Some(new_graph);
-                st.rebuild_reason = reason;
-                st.last_error = None;
                 st.failed = None;
                 if let Err(e) = engine.checkpoint_and_compact(&mut st, upto) {
                     // The swap already happened; a failed checkpoint only
                     // costs replay time on the next restart. Recorded for
                     // /version but *not* as a failed generation — the
                     // caller's rebuild did succeed.
-                    st.last_error = Some(format!("checkpoint failed: {e}"));
+                    st.status.last_error = Some(format!("checkpoint failed: {e}"));
                 }
                 st.done_gen = target;
                 engine.cv.notify_all();
@@ -816,13 +719,13 @@ fn worker_loop(engine: &LiveEngine) {
                     generation = target,
                     error = e
                 );
-                let mut st = engine.state.lock().unwrap_or_else(|e| e.into_inner());
+                let mut st = engine.state();
                 // Put the batch back (ahead of anything newly buffered)
                 // so acknowledged updates are never silently dropped.
                 let mut merged = updates;
                 merged.append(&mut st.pending);
                 st.pending = merged;
-                st.last_error = Some(e.to_string());
+                st.status.last_error = Some(e.to_string());
                 st.failed = Some((target, e.to_string()));
                 st.done_gen = target;
                 engine.cv.notify_all();
@@ -861,7 +764,7 @@ mod tests {
         let g = generators::cycle(10);
         let bepi = Arc::new(BePi::preprocess(&g, &BePiConfig::default()).unwrap());
         let engine = LiveEngine::frozen(bepi);
-        assert!(!engine.is_live());
+        assert!(!engine.status().live);
         assert_eq!(engine.version(), 1);
         assert!(engine.current().bepi.query(0).is_ok());
         assert!(engine.submit(&[EdgeUpdate::Insert(0, 5)]).is_err());
@@ -887,8 +790,8 @@ mod tests {
 
         let v = engine.rebuild_and_wait().unwrap();
         assert_eq!(v, 2);
-        assert_eq!(engine.pending_len(), 0);
-        assert_eq!(engine.rebuilds(), 1);
+        let status = engine.status();
+        assert_eq!((status.pending, status.rebuilds), (0, 1));
         let after = engine.current();
         assert_eq!(after.version, 2);
         assert!(after.bepi.query(0).unwrap().scores[5] > score_before);
@@ -917,7 +820,7 @@ mod tests {
             assert!(Instant::now() < deadline, "rebuild never completed");
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
-        assert_eq!(engine.pending_len(), 0);
+        assert_eq!(engine.status().pending, 0);
         engine.shutdown();
     }
 
@@ -926,7 +829,7 @@ mod tests {
         let engine = engine_over_cycle(8, LiveConfig::default());
         let v = engine.rebuild_and_wait().unwrap();
         assert_eq!(v, 1, "no updates: no new version");
-        assert_eq!(engine.rebuilds(), 0);
+        assert_eq!(engine.status().rebuilds, 0);
         engine.shutdown();
     }
 
@@ -935,8 +838,9 @@ mod tests {
         let engine = engine_over_cycle(6, LiveConfig::default());
         let batch = [EdgeUpdate::Insert(0, 3), EdgeUpdate::Insert(0, 6)];
         assert!(engine.submit(&batch).is_err());
-        assert_eq!(engine.pending_len(), 0, "nothing buffered");
-        assert_eq!(engine.updates_accepted(), 0);
+        let status = engine.status();
+        assert_eq!(status.pending, 0, "nothing buffered");
+        assert_eq!(status.updates, 0);
         engine.shutdown();
     }
 
@@ -972,10 +876,10 @@ mod tests {
         // preprocess; Remove(3,4) flips node 3 to a deadend, so the replay
         // ran the full pipeline and says why. Replay is no background
         // rebuild, so the totals stay at zero.
-        let info = engine2.info();
-        assert_eq!(info.rebuild_kind, "full");
-        assert!(info.rebuild_reason.is_some());
-        assert_eq!((info.rebuilds, engine2.structural_rebuilds()), (0, 0));
+        let status = engine2.status();
+        assert_eq!(status.rebuild_kind, RebuildKind::Full);
+        assert!(status.rebuild_reason.is_some());
+        assert_eq!((status.rebuilds, status.structural_rebuilds), (0, 0));
         engine2.shutdown();
         std::fs::remove_file(&wal).ok();
     }
@@ -1069,6 +973,12 @@ mod tests {
         let served = engine.current();
         assert_eq!(served.version, 2);
         assert!(served.bepi.is_mapped(), "post-rebuild snapshot is mapped");
+        // The remap re-describes the served index: its bytes now count
+        // as mapped.
+        let status = engine.status();
+        assert!(status.index_mapped_bytes > 0);
+        assert_eq!(status.index_mapped_bytes, served.bepi.mapped_bytes());
+        assert_eq!(status.index_heap_bytes, served.bepi.heap_bytes());
 
         // Bit-identical to a from-scratch heap preprocess of the updated
         // graph (the --mmap byte-identity acceptance bar).
@@ -1116,7 +1026,7 @@ mod tests {
         // still become visible — the worker owes it a follow-up pass.
         let deadline = Instant::now() + std::time::Duration::from_secs(30);
         loop {
-            let visible = engine.pending_len() == 0
+            let visible = engine.status().pending == 0
                 && engine.current().bepi.query(0).unwrap().scores[9] > baseline;
             if visible {
                 break;
@@ -1134,7 +1044,7 @@ mod tests {
     fn checkpoint_failure_does_not_fail_rebuild() {
         // Checkpoint into a directory that does not exist: the swap
         // succeeds, so rebuild_and_wait must report the new version, with
-        // the checkpoint error surfaced via info() only.
+        // the checkpoint error surfaced via status() only.
         let g = generators::cycle(10);
         let bepi = Arc::new(BePi::preprocess(&g, &BePiConfig::default()).unwrap());
         let engine = LiveEngine::start(
@@ -1152,7 +1062,10 @@ mod tests {
              just because the checkpoint could not be written",
         );
         assert_eq!(v, 2);
-        let err = engine.info().last_error.expect("checkpoint error recorded");
+        let err = engine
+            .status()
+            .last_error
+            .expect("checkpoint error recorded");
         assert!(err.contains("checkpoint failed"), "{err}");
         // A later no-op rebuild must not resurface the stale error.
         assert_eq!(engine.rebuild_and_wait().unwrap(), 2);
@@ -1163,15 +1076,19 @@ mod tests {
     fn info_reports_state() {
         let engine = engine_over_cycle(8, LiveConfig::default());
         engine.submit(&[EdgeUpdate::Insert(1, 3)]).unwrap();
-        let info = engine.info();
-        assert_eq!(info.version, 1);
-        assert_eq!(info.nodes, 8);
-        assert_eq!(info.pending, 1);
-        assert_eq!(info.rebuilds, 0);
-        assert!(info.live);
-        assert!(info.last_error.is_none());
-        assert_eq!(info.rebuild_kind, "initial");
-        assert_eq!(info.rebuild_trigger, "none");
+        let status = engine.status();
+        assert_eq!(status.version, 1);
+        assert_eq!(status.nodes, 8);
+        assert_eq!(status.pending, 1);
+        assert_eq!(status.updates, 1);
+        assert_eq!(status.rebuilds, 0);
+        assert!(status.live);
+        assert!(status.last_error.is_none());
+        assert_eq!(status.rebuild_kind, RebuildKind::Initial);
+        assert_eq!(status.rebuild_trigger, RebuildTrigger::None);
+        let bepi = &engine.current().bepi;
+        assert_eq!(status.index_heap_bytes, bepi.heap_bytes());
+        assert_eq!(status.index_mapped_bytes, 0);
         engine.shutdown();
     }
 
@@ -1187,12 +1104,15 @@ mod tests {
         let v = g.out_neighbors(u).next().unwrap();
         engine.submit(&[EdgeUpdate::Remove(u, v)]).unwrap();
         assert_eq!(engine.rebuild_and_wait().unwrap(), 2);
-        assert_eq!(engine.numeric_rebuilds(), 1);
-        assert_eq!(engine.structural_rebuilds(), 0);
-        assert!(engine.numeric_rebuild_seconds() > 0.0);
-        let info = engine.info();
-        assert_eq!(info.rebuild_kind, "numeric");
-        assert_eq!(info.rebuild_trigger, "explicit");
+        let status = engine.status();
+        assert_eq!(
+            (status.numeric_rebuilds, status.structural_rebuilds),
+            (1, 0)
+        );
+        assert!(status.numeric_rebuild_us > 0);
+        assert_eq!(status.numeric_rebuild_us, status.last_rebuild_us);
+        assert_eq!(status.rebuild_kind, RebuildKind::Numeric);
+        assert_eq!(status.rebuild_trigger, RebuildTrigger::Explicit);
 
         // The refactored snapshot answers like a from-scratch preprocess
         // of the updated graph.
@@ -1210,8 +1130,9 @@ mod tests {
         let wv = expected_graph.out_neighbors(w).next().unwrap();
         engine.submit(&[EdgeUpdate::Remove(w, wv)]).unwrap();
         assert_eq!(engine.rebuild_and_wait().unwrap(), 3);
-        assert_eq!(engine.structural_rebuilds(), 1);
-        assert_eq!(engine.info().rebuild_kind, "full");
+        let status = engine.status();
+        assert_eq!((status.rebuilds, status.structural_rebuilds), (2, 1));
+        assert_eq!(status.rebuild_kind, RebuildKind::Full);
         engine.shutdown();
     }
 }

@@ -27,6 +27,6 @@ pub mod engine;
 pub mod wal;
 
 pub use engine::{
-    LiveConfig, LiveEngine, RebuildTrigger, SubmitOutcome, VersionInfo, VersionedIndex,
+    LiveConfig, LiveEngine, LiveStatus, RebuildTrigger, SubmitOutcome, VersionedIndex,
 };
 pub use wal::{ReplayReport, Wal};

@@ -34,5 +34,5 @@ pub mod trace;
 pub use crate::log::{enabled, init_from_env, level, set_level, Level};
 pub use crate::ring::SeqRing;
 pub use crate::span::{record_duration, snapshot, PhaseSnapshot, Span};
-pub use crate::telemetry::{format_le, F64Gauge, Histogram};
+pub use crate::telemetry::{format_le, Exposition, F64Gauge, Histogram, Kind};
 pub use crate::trace::{clock_us, RequestId, TraceEvent, TraceExporter};

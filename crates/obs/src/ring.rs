@@ -8,16 +8,16 @@
 //! this needs `capacity` concurrent slow-path pushes to happen), and a reader
 //! that keeps colliding gives up on that slot.
 //!
-//! Used for the server's slow-query log and the trace rings behind
-//! `GET /debug/trace`, where writes happen on the query hot path and
-//! must not take locks.
+//! Used for the slow-query logs behind `GET /debug/slow` and the trace
+//! rings behind `GET /debug/trace`, where writes happen on the query hot
+//! path and must not take locks.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of `u64` payload fields per record. Sized for the widest
-/// consumer: a slow-query record carrying a 128-bit request id (two
-/// fields) and a shard id alongside the original eight query fields.
-pub const RECORD_FIELDS: usize = 12;
+/// consumer: the daemon's query record, a 128-bit request id (two fields)
+/// beside twelve query fields.
+pub const RECORD_FIELDS: usize = 14;
 
 #[derive(Debug)]
 struct Slot {

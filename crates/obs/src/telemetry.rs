@@ -1,6 +1,8 @@
 //! Lock-free telemetry instruments: fixed-bucket histograms, float gauges,
-//! and the process-global solver/WAL instruments shared across the stack.
+//! and the process-global solver/WAL instruments shared across the stack,
+//! plus the one Prometheus exposition writer every `/metrics` body uses.
 
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
@@ -70,11 +72,6 @@ impl Histogram {
         self.sum_micro.load(Ordering::Relaxed) as f64 / 1e6
     }
 
-    /// Bucket bounds.
-    pub fn bounds(&self) -> &'static [f64] {
-        self.bounds
-    }
-
     /// Cumulative bucket counts, one per finite bound plus the `+Inf` bucket
     /// at the end.
     pub fn cumulative(&self) -> Vec<u64> {
@@ -88,64 +85,103 @@ impl Histogram {
         out.push(acc);
         out
     }
-
-    /// Renders the histogram in Prometheus exposition format 0.0.4, with
-    /// `# HELP`/`# TYPE` headers, decimal-formatted `le` labels, `_sum`, and
-    /// `_count`.
-    pub fn render_into(&self, out: &mut String, name: &str, help: &str) {
-        use std::fmt::Write;
-        let _ = writeln!(out, "# HELP {} {}", name, help);
-        let _ = writeln!(out, "# TYPE {} histogram", name);
-        let cumulative = self.cumulative();
-        for (i, &bound) in self.bounds.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{}_bucket{{le=\"{}\"}} {}",
-                name,
-                format_le(bound),
-                cumulative[i]
-            );
-        }
-        let total = *cumulative.last().unwrap_or(&0);
-        let _ = writeln!(out, "{}_bucket{{le=\"+Inf\"}} {}", name, total);
-        let _ = writeln!(out, "{}_sum {}", name, render_f64(self.sum()));
-        let _ = writeln!(out, "{}_count {}", name, total);
-    }
 }
 
-/// Formats a histogram bucket bound as a plain decimal float — never
-/// scientific notation, which Prometheus scrapers reject in `le` labels.
+/// The kind of a metric family, as its `# TYPE` line names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A monotone total.
+    Counter,
+    /// A value that can go down.
+    Gauge,
+    /// A [`Histogram`]: cumulative `_bucket`s, `_sum` and `_count`.
+    Histogram,
+}
+
+/// A Prometheus text exposition (format 0.0.4) being written.
 ///
-/// Rust's `Display` for `f64` switches to exponent form for small magnitudes
-/// (`5e-5`); this expands to the shortest fixed-precision decimal that
-/// round-trips back to the same bits.
-pub fn format_le(bound: f64) -> String {
-    if bound.is_infinite() {
-        return if bound > 0.0 {
-            "+Inf".into()
-        } else {
-            "-Inf".into()
-        };
-    }
-    let plain = format!("{}", bound);
-    if !plain.contains(['e', 'E']) {
-        return plain;
-    }
-    for precision in 0..=17 {
-        let fixed = format!("{:.*}", precision, bound);
-        if fixed.parse::<f64>() == Ok(bound) {
-            return fixed;
-        }
-    }
-    format!("{:.17}", bound)
+/// Each family starts with [`Exposition::family`], which writes its
+/// `# HELP` and `# TYPE` lines; its samples follow. A sample carries at
+/// most one label pair (a histogram's `le` comes after it). Every value
+/// and bound goes through [`format_le`], so no line carries exponent
+/// notation.
+#[derive(Debug, Default)]
+pub struct Exposition {
+    text: String,
 }
 
-/// Formats a sample value for exposition output without exponent notation.
-pub fn render_f64(v: f64) -> String {
-    if v.is_nan() {
-        return "NaN".into();
+impl Exposition {
+    /// Starts a family: its `# HELP` and `# TYPE` lines.
+    pub fn family(&mut self, name: &str, kind: Kind, help: &str) -> &mut Self {
+        let kind = match kind {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+            Kind::Histogram => "histogram",
+        };
+        let _ = writeln!(self.text, "# HELP {name} {help}\n# TYPE {name} {kind}");
+        self
     }
-    format_le(v)
+
+    /// Writes one sample of the current family.
+    pub fn sample(&mut self, name: &str, label: Option<(&str, &str)>, value: f64) -> &mut Self {
+        let value = format_le(value);
+        let _ = match label {
+            Some((key, v)) => writeln!(self.text, "{name}{{{key}=\"{v}\"}} {value}"),
+            None => writeln!(self.text, "{name} {value}"),
+        };
+        self
+    }
+
+    /// Writes a family of one unlabelled sample.
+    pub fn scalar(&mut self, name: &str, kind: Kind, help: &str, value: f64) -> &mut Self {
+        self.family(name, kind, help).sample(name, None, value)
+    }
+
+    /// Writes the samples of one histogram series: a cumulative bucket
+    /// per bound and `+Inf`, then `_sum` and `_count`. `_count` is the
+    /// `+Inf` bucket of the same read, so the two always agree.
+    pub fn histogram(
+        &mut self,
+        name: &str,
+        label: Option<(&str, &str)>,
+        h: &Histogram,
+    ) -> &mut Self {
+        let (le_prefix, labels) = match label {
+            Some((key, v)) => (format!("{key}=\"{v}\","), format!("{{{key}=\"{v}\"}}")),
+            None => (String::new(), String::new()),
+        };
+        let cumulative = h.cumulative();
+        let bounds = h.bounds.iter().copied().chain([f64::INFINITY]);
+        for (bound, count) in bounds.zip(&cumulative) {
+            let le = format_le(bound);
+            let _ = writeln!(self.text, "{name}_bucket{{{le_prefix}le=\"{le}\"}} {count}");
+        }
+        let total = cumulative.last().copied().unwrap_or(0);
+        let _ = writeln!(self.text, "{name}_sum{labels} {}", format_le(h.sum()));
+        let _ = writeln!(self.text, "{name}_count{labels} {total}");
+        self
+    }
+
+    /// The text written so far.
+    pub fn finish(self) -> String {
+        self.text
+    }
+}
+
+/// Formats a sample value or an `le` bound: `+Inf`, `-Inf` and `NaN` as
+/// Prometheus spells them, any finite value in Rust's `Display` form.
+///
+/// That form is the shortest decimal that parses back to the same bits,
+/// and it never uses exponent notation (`5e-324` and `1e300` print every
+/// digit), which Prometheus scrapers reject in `le` labels.
+pub fn format_le(v: f64) -> String {
+    if v.is_nan() {
+        "NaN".into()
+    } else if v.is_infinite() {
+        if v > 0.0 { "+Inf" } else { "-Inf" }.into()
+    } else {
+        v.to_string()
+    }
 }
 
 /// A float gauge stored as `f64` bits in an atomic.
@@ -225,6 +261,15 @@ mod tests {
         assert_eq!(format_le(0.00025), "0.00025");
         assert_eq!(format_le(1.0), "1");
         assert_eq!(format_le(f64::INFINITY), "+Inf");
+        assert_eq!(format_le(f64::NEG_INFINITY), "-Inf");
+        assert_eq!(format_le(f64::NAN), "NaN");
+        // The extremes of the finite range: the smallest subnormal, a
+        // residual-sized value and a huge one all print as plain decimals.
+        for v in [5e-324, 3.2e-10, 1e300] {
+            let s = format_le(v);
+            assert!(!s.contains(['e', 'E']), "{v:e} rendered as {s}");
+            assert_eq!(s.parse::<f64>().unwrap().to_bits(), v.to_bits(), "{s}");
+        }
     }
 
     #[test]
@@ -248,13 +293,20 @@ mod tests {
         h.observe(0.00001);
         h.observe(1.0);
         h.observe(3.0);
-        let mut out = String::new();
-        h.render_into(&mut out, "test_hist", "help text");
-        assert!(out.contains("# TYPE test_hist histogram"));
+        let mut e = Exposition::default();
+        e.family("test_hist", Kind::Histogram, "help text")
+            .histogram("test_hist", None, &h)
+            .family("test_lab", Kind::Histogram, "labelled")
+            .histogram("test_lab", Some(("shard", "1")), &h);
+        let out = e.finish();
+        assert!(out.contains("# HELP test_hist help text\n# TYPE test_hist histogram\n"));
         assert!(out.contains("test_hist_bucket{le=\"0.00005\"} 1"));
         assert!(out.contains("test_hist_bucket{le=\"2\"} 2"));
         assert!(out.contains("test_hist_bucket{le=\"+Inf\"} 3"));
         assert!(out.contains("test_hist_count 3"));
+        assert!(out.contains("test_lab_bucket{shard=\"1\",le=\"2\"} 2"));
+        assert!(out.contains("test_lab_sum{shard=\"1\"} 4.00001\n"));
+        assert!(out.contains("test_lab_count{shard=\"1\"} 3\n"));
         for line in out.lines().filter(|l| !l.starts_with('#')) {
             let value = line.rsplit(' ').next().unwrap();
             value.parse::<f64>().expect("sample value parses");

@@ -1,14 +1,13 @@
 //! Router-level metrics in Prometheus exposition format.
 //!
-//! The fleet-facing series the ISSUE names — `bepi_shard_healthy`,
+//! The fleet-facing series — `bepi_shard_healthy`,
 //! `bepi_route_retries_total`, `bepi_hedged_requests_total` — plus the
-//! per-shard latency histograms, rendered with a `shard` label (the
-//! shared [`bepi_obs::telemetry::Histogram`] renderer is label-free, so
-//! the labeled exposition is assembled here from its raw buckets).
+//! per-shard latency histograms, rendered with a `shard` label by the
+//! same [`Exposition`] writer the daemon's `/metrics` uses.
 
 use crate::shard::{quorum_version, ShardState};
-use bepi_obs::telemetry::{format_le, render_f64};
-use std::fmt::Write as _;
+use bepi_obs::telemetry::Exposition;
+use bepi_obs::telemetry::Kind::{self, Counter, Gauge};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -39,142 +38,88 @@ impl RouteMetrics {
 /// health gauges, versions, request/error counters, and latency
 /// histograms.
 pub fn render(metrics: &RouteMetrics, shards: &[Arc<ShardState>]) -> String {
-    let mut out = String::with_capacity(2048);
-    let counter = |out: &mut String, name: &str, help: &str, v: u64| {
-        let _ = writeln!(out, "# HELP {name} {help}");
-        let _ = writeln!(out, "# TYPE {name} counter");
-        let _ = writeln!(out, "{name} {v}");
-    };
-    counter(
-        &mut out,
-        "bepi_route_requests_total",
-        "Requests accepted by the router.",
-        metrics.requests_total.load(Ordering::Relaxed),
-    );
-    counter(
-        &mut out,
-        "bepi_route_retries_total",
-        "Shard attempts retried on a sibling after a failure.",
-        metrics.retries_total.load(Ordering::Relaxed),
-    );
-    counter(
-        &mut out,
-        "bepi_hedged_requests_total",
-        "Hedge requests launched against a sibling for tail latency.",
-        metrics.hedged_total.load(Ordering::Relaxed),
-    );
-    counter(
-        &mut out,
-        "bepi_route_failovers_total",
-        "Requests answered by a non-primary shard.",
-        metrics.failovers_total.load(Ordering::Relaxed),
-    );
-    counter(
-        &mut out,
-        "bepi_route_errors_total",
-        "Requests no shard could answer.",
-        metrics.errors_total.load(Ordering::Relaxed),
-    );
-
-    let _ = writeln!(
-        out,
-        "# HELP bepi_shard_healthy Shard serving state (1 healthy, 0 out of rotation)."
-    );
-    let _ = writeln!(out, "# TYPE bepi_shard_healthy gauge");
-    for s in shards {
-        let _ = writeln!(
-            out,
-            "bepi_shard_healthy{{shard=\"{}\"}} {}",
-            s.id,
-            u8::from(s.is_healthy())
-        );
+    let load = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64;
+    let mut e = Exposition::default();
+    for (name, help, counter) in [
+        (
+            "bepi_route_requests_total",
+            "Requests accepted by the router.",
+            &metrics.requests_total,
+        ),
+        (
+            "bepi_route_retries_total",
+            "Shard attempts retried on a sibling after a failure.",
+            &metrics.retries_total,
+        ),
+        (
+            "bepi_hedged_requests_total",
+            "Hedge requests launched against a sibling for tail latency.",
+            &metrics.hedged_total,
+        ),
+        (
+            "bepi_route_failovers_total",
+            "Requests answered by a non-primary shard.",
+            &metrics.failovers_total,
+        ),
+        (
+            "bepi_route_errors_total",
+            "Requests no shard could answer.",
+            &metrics.errors_total,
+        ),
+    ] {
+        e.scalar(name, Counter, help, load(counter));
     }
-    let _ = writeln!(
-        out,
-        "# HELP bepi_shard_graph_version Highest graph version observed per shard."
-    );
-    let _ = writeln!(out, "# TYPE bepi_shard_graph_version gauge");
-    for s in shards {
-        let _ = writeln!(
-            out,
-            "bepi_shard_graph_version{{shard=\"{}\"}} {}",
-            s.id,
-            s.version()
-        );
-    }
-    let _ = writeln!(
-        out,
-        "# HELP bepi_route_advertised_version Quorum-advertised fleet graph version."
-    );
-    let _ = writeln!(out, "# TYPE bepi_route_advertised_version gauge");
-    let _ = writeln!(
-        out,
-        "bepi_route_advertised_version {}",
-        quorum_version(shards)
-    );
-
-    let _ = writeln!(
-        out,
-        "# HELP bepi_route_shard_requests_total Requests answered per shard."
-    );
-    let _ = writeln!(out, "# TYPE bepi_route_shard_requests_total counter");
-    for s in shards {
-        let _ = writeln!(
-            out,
-            "bepi_route_shard_requests_total{{shard=\"{}\"}} {}",
-            s.id,
-            s.requests_total.load(Ordering::Relaxed)
-        );
-    }
-    let _ = writeln!(
-        out,
-        "# HELP bepi_route_shard_errors_total Transport failures per shard."
-    );
-    let _ = writeln!(out, "# TYPE bepi_route_shard_errors_total counter");
-    for s in shards {
-        let _ = writeln!(
-            out,
-            "bepi_route_shard_errors_total{{shard=\"{}\"}} {}",
-            s.id,
-            s.errors_total.load(Ordering::Relaxed)
-        );
-    }
-
-    let _ = writeln!(
-        out,
-        "# HELP bepi_route_shard_latency_seconds Successful request latency per shard."
-    );
-    let _ = writeln!(out, "# TYPE bepi_route_shard_latency_seconds histogram");
-    for s in shards {
-        let cumulative = s.latency.cumulative();
-        for (i, &bound) in s.latency.bounds().iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "bepi_route_shard_latency_seconds_bucket{{shard=\"{}\",le=\"{}\"}} {}",
-                s.id,
-                format_le(bound),
-                cumulative[i]
-            );
+    let ids: Vec<String> = shards.iter().map(|s| s.id.to_string()).collect();
+    let per_shard = |e: &mut Exposition, name, kind, help, value: &dyn Fn(&ShardState) -> f64| {
+        e.family(name, kind, help);
+        for (s, id) in shards.iter().zip(&ids) {
+            e.sample(name, Some(("shard", id)), value(s));
         }
-        let total = *cumulative.last().unwrap_or(&0);
-        let _ = writeln!(
-            out,
-            "bepi_route_shard_latency_seconds_bucket{{shard=\"{}\",le=\"+Inf\"}} {}",
-            s.id, total
-        );
-        let _ = writeln!(
-            out,
-            "bepi_route_shard_latency_seconds_sum{{shard=\"{}\"}} {}",
-            s.id,
-            render_f64(s.latency.sum())
-        );
-        let _ = writeln!(
-            out,
-            "bepi_route_shard_latency_seconds_count{{shard=\"{}\"}} {}",
-            s.id, total
-        );
+    };
+    per_shard(
+        &mut e,
+        "bepi_shard_healthy",
+        Gauge,
+        "Shard serving state (1 healthy, 0 out of rotation).",
+        &|s| f64::from(u8::from(s.is_healthy())),
+    );
+    per_shard(
+        &mut e,
+        "bepi_shard_graph_version",
+        Gauge,
+        "Highest graph version observed per shard.",
+        &|s| s.version() as f64,
+    );
+    e.scalar(
+        "bepi_route_advertised_version",
+        Gauge,
+        "Quorum-advertised fleet graph version.",
+        quorum_version(shards) as f64,
+    );
+    per_shard(
+        &mut e,
+        "bepi_route_shard_requests_total",
+        Counter,
+        "Requests answered per shard.",
+        &|s| load(&s.requests_total),
+    );
+    per_shard(
+        &mut e,
+        "bepi_route_shard_errors_total",
+        Counter,
+        "Transport failures per shard.",
+        &|s| load(&s.errors_total),
+    );
+    let latency = "bepi_route_shard_latency_seconds";
+    e.family(
+        latency,
+        Kind::Histogram,
+        "Successful request latency per shard.",
+    );
+    for (s, id) in shards.iter().zip(&ids) {
+        e.histogram(latency, Some(("shard", id)), &s.latency);
     }
-    out
+    e.finish()
 }
 
 /// One metric family being merged: HELP/TYPE emitted once, samples from

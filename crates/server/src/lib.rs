@@ -24,7 +24,15 @@
 //! * live updates via `bepi_live::LiveEngine` ([`Server::start_live`]):
 //!   `POST /edges` (JSON-lines batch), `POST /rebuild` (force flush),
 //!   `GET /version`, with every `/query` response stamped
-//!   `X-Graph-Version`, and
+//!   `X-Graph-Version`,
+//! * one observability plumbing: `GET /metrics` is written by
+//!   `bepi_obs`'s one exposition writer from [`Metrics`], one
+//!   [`bepi_live::LiveStatus`] snapshot (which `GET /version` renders
+//!   too) and the process-global solver, WAL and phase instruments;
+//!   every answered `/query` becomes one [`QueryRecord`], kept by the
+//!   slow-query ring (`GET /debug/slow`, threshold `slow_query`) and,
+//!   for `?trace=1`, by the trace ring (`GET /debug/trace`, threshold
+//!   zero), both a [`QueryLog`], and
 //! * graceful shutdown that drains queued and in-flight queries, then
 //!   the background rebuild worker.
 //!
@@ -48,16 +56,12 @@ pub mod http;
 pub mod metrics;
 pub mod queue;
 pub mod shutdown;
-pub mod slowlog;
 pub mod trace;
 pub mod worker;
 
 pub use cache::{QueryKey, ResponseCache, ResponseMode};
-pub use metrics::{
-    parse_metric, render_live_metrics, render_obs_metrics, LiveMetricsSample, Metrics,
-};
-pub use slowlog::{SlowQuery, SlowQueryLog};
-pub use trace::{TraceLog, TracedQuery};
+pub use metrics::{parse_metric, render_live_metrics, render_obs_metrics, Metrics};
+pub use trace::{QueryLog, QueryRecord};
 
 use crate::queue::{bounded, PushError};
 use crate::shutdown::Shutdown;
@@ -211,11 +215,8 @@ impl Server {
         // worker, which answers only approximate-eligible `/query`s.
         let (degraded_tx, degraded_rx) = bounded::<Job>(config.queue_depth.max(1));
 
-        let slow_log = Arc::new(SlowQueryLog::new(
-            config.slow_log_entries,
-            config.slow_query,
-        ));
-        let trace_log = Arc::new(TraceLog::new(config.trace_entries));
+        let slow_log = QueryLog::new(config.slow_log_entries, config.slow_query);
+        let trace_log = QueryLog::new(config.trace_entries, Duration::ZERO);
         let exporter = match &config.trace_export {
             Some(path) => {
                 let pid = config.shard_id.unwrap_or(0);

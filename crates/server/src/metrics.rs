@@ -1,13 +1,17 @@
-//! Request counters and a fixed-bucket latency histogram, rendered in
-//! Prometheus text exposition format.
+//! The daemon's `/metrics` exposition: its request counters and `/query`
+//! latency histogram, the live engine's block, and the process-global
+//! solver, WAL and phase instruments, all written by one
+//! [`Exposition`] writer.
 //!
 //! Everything is lock-free `AtomicU64`s with relaxed ordering: metrics
 //! tolerate slightly stale cross-thread reads, and the query hot path
 //! must not serialize on a metrics lock.
 
-use bepi_obs::telemetry::{format_le, render_f64};
+use bepi_live::LiveStatus;
+use bepi_obs::telemetry::Kind::{self, Counter, Gauge};
+use bepi_obs::telemetry::{Exposition, Histogram};
+use bepi_obs::PhaseSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Histogram bucket upper bounds, in seconds. Chosen to straddle the
 /// observed per-query range: sub-millisecond cache hits up to multi-second
@@ -16,55 +20,8 @@ pub const LATENCY_BUCKETS_SECS: [f64; 12] = [
     0.000_25, 0.000_5, 0.001, 0.002_5, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
 ];
 
-/// A fixed-bucket latency histogram (cumulative counts, Prometheus-style).
-#[derive(Debug, Default)]
-pub struct LatencyHistogram {
-    // One non-cumulative count per bucket, plus the overflow (+Inf) bucket.
-    counts: [AtomicU64; LATENCY_BUCKETS_SECS.len() + 1],
-    sum_micros: AtomicU64,
-    count: AtomicU64,
-}
-
-impl LatencyHistogram {
-    /// Records one observation.
-    pub fn observe(&self, elapsed: Duration) {
-        let secs = elapsed.as_secs_f64();
-        let idx = LATENCY_BUCKETS_SECS
-            .iter()
-            .position(|&b| secs <= b)
-            .unwrap_or(LATENCY_BUCKETS_SECS.len());
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum_micros
-            .fetch_add(elapsed.as_micros() as u64, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    fn render_into(&self, out: &mut String, name: &str) {
-        let mut cumulative = 0u64;
-        for (i, &bound) in LATENCY_BUCKETS_SECS.iter().enumerate() {
-            cumulative += self.counts[i].load(Ordering::Relaxed);
-            // `le` labels must be plain decimal floats: Prometheus
-            // scrapers reject exponent notation like 2.5e-4.
-            out.push_str(&format!(
-                "{name}_bucket{{le=\"{}\"}} {cumulative}\n",
-                format_le(bound)
-            ));
-        }
-        cumulative += self.counts[LATENCY_BUCKETS_SECS.len()].load(Ordering::Relaxed);
-        out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {cumulative}\n"));
-        let sum = self.sum_micros.load(Ordering::Relaxed) as f64 / 1e6;
-        out.push_str(&format!("{name}_sum {}\n", render_f64(sum)));
-        out.push_str(&format!("{name}_count {}\n", self.count()));
-    }
-}
-
 /// All counters exported on `/metrics`.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Metrics {
     /// Connections accepted (including ones later shed with 503).
     pub connections_total: AtomicU64,
@@ -95,9 +52,98 @@ pub struct Metrics {
     /// Connections admitted to the queue and not yet picked up by a
     /// worker.
     pub queue_depth: AtomicU64,
-    /// End-to-end `/query` service time (dequeue to response written).
-    pub query_latency: LatencyHistogram,
+    /// End-to-end `/query` service time in seconds (dequeue to response
+    /// written), over [`LATENCY_BUCKETS_SECS`].
+    pub query_latency: Histogram,
 }
+
+impl Default for Metrics {
+    fn default() -> Self {
+        let zero = || AtomicU64::new(0);
+        Metrics {
+            connections_total: zero(),
+            requests_total: zero(),
+            queries_total: zero(),
+            cache_hits_total: zero(),
+            cache_misses_total: zero(),
+            approx_requests_total: zero(),
+            degraded_total: zero(),
+            rejected_total: zero(),
+            timeouts_total: zero(),
+            client_errors_total: zero(),
+            server_errors_total: zero(),
+            in_flight: zero(),
+            queue_depth: zero(),
+            query_latency: Histogram::new(&LATENCY_BUCKETS_SECS),
+        }
+    }
+}
+
+/// Name, kind and help of the families [`Metrics::render`] writes from
+/// its counters, in field order.
+const FAMILIES: [(&str, Kind, &str); 13] = [
+    (
+        "bepi_connections_total",
+        Counter,
+        "Connections accepted by the listener.",
+    ),
+    (
+        "bepi_requests_total",
+        Counter,
+        "HTTP requests successfully parsed.",
+    ),
+    (
+        "bepi_queries_total",
+        Counter,
+        "Successful /query responses (HTTP 200).",
+    ),
+    (
+        "bepi_cache_hits_total",
+        Counter,
+        "/query responses served from the result cache.",
+    ),
+    (
+        "bepi_cache_misses_total",
+        Counter,
+        "/query responses that ran the RWR solver.",
+    ),
+    (
+        "bepi_approx_requests_total",
+        Counter,
+        "/query responses answered by the approximate lane.",
+    ),
+    (
+        "bepi_degraded_total",
+        Counter,
+        "Connections admitted through the degraded overflow lane.",
+    ),
+    (
+        "bepi_rejected_total",
+        Counter,
+        "Connections shed with 503 (admission queue full).",
+    ),
+    (
+        "bepi_timeouts_total",
+        Counter,
+        "Requests shed with 504 (deadline expired before service).",
+    ),
+    ("bepi_client_errors_total", Counter, "4xx responses."),
+    (
+        "bepi_server_errors_total",
+        Counter,
+        "5xx responses other than queue rejections.",
+    ),
+    (
+        "bepi_inflight_requests",
+        Gauge,
+        "Requests currently being processed.",
+    ),
+    (
+        "bepi_queue_depth",
+        Gauge,
+        "Connections waiting in the admission queue.",
+    ),
+];
 
 impl Metrics {
     /// Convenience relaxed increment.
@@ -113,173 +159,100 @@ impl Metrics {
     /// Renders the Prometheus text exposition format (`text/plain;
     /// version=0.0.4`).
     pub fn render(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        let counters: [(&str, &str, &AtomicU64); 13] = [
-            (
-                "bepi_connections_total",
-                "Connections accepted by the listener.",
-                &self.connections_total,
-            ),
-            (
-                "bepi_requests_total",
-                "HTTP requests successfully parsed.",
-                &self.requests_total,
-            ),
-            (
-                "bepi_queries_total",
-                "Successful /query responses (HTTP 200).",
-                &self.queries_total,
-            ),
-            (
-                "bepi_cache_hits_total",
-                "/query responses served from the result cache.",
-                &self.cache_hits_total,
-            ),
-            (
-                "bepi_cache_misses_total",
-                "/query responses that ran the RWR solver.",
-                &self.cache_misses_total,
-            ),
-            (
-                "bepi_approx_requests_total",
-                "/query responses answered by the approximate lane.",
-                &self.approx_requests_total,
-            ),
-            (
-                "bepi_degraded_total",
-                "Connections admitted through the degraded overflow lane.",
-                &self.degraded_total,
-            ),
-            (
-                "bepi_rejected_total",
-                "Connections shed with 503 (admission queue full).",
-                &self.rejected_total,
-            ),
-            (
-                "bepi_timeouts_total",
-                "Requests shed with 504 (deadline expired before service).",
-                &self.timeouts_total,
-            ),
-            (
-                "bepi_client_errors_total",
-                "4xx responses.",
-                &self.client_errors_total,
-            ),
-            (
-                "bepi_server_errors_total",
-                "5xx responses other than queue rejections.",
-                &self.server_errors_total,
-            ),
-            (
-                "bepi_inflight_requests",
-                "Requests currently being processed.",
-                &self.in_flight,
-            ),
-            (
-                "bepi_queue_depth",
-                "Connections waiting in the admission queue.",
-                &self.queue_depth,
-            ),
+        let counters = [
+            &self.connections_total,
+            &self.requests_total,
+            &self.queries_total,
+            &self.cache_hits_total,
+            &self.cache_misses_total,
+            &self.approx_requests_total,
+            &self.degraded_total,
+            &self.rejected_total,
+            &self.timeouts_total,
+            &self.client_errors_total,
+            &self.server_errors_total,
+            &self.in_flight,
+            &self.queue_depth,
         ];
-        for (name, help, counter) in counters {
-            let kind = if matches!(name, "bepi_inflight_requests" | "bepi_queue_depth") {
-                "gauge"
-            } else {
-                "counter"
-            };
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-            out.push_str(&format!("{name} {}\n", Self::get(counter)));
+        let mut e = Exposition::default();
+        for ((name, kind, help), counter) in FAMILIES.into_iter().zip(counters) {
+            e.scalar(name, kind, help, Self::get(counter) as f64);
         }
-        out.push_str(
-            "# HELP bepi_query_latency_seconds End-to-end /query service time.\n\
-             # TYPE bepi_query_latency_seconds histogram\n",
-        );
-        self.query_latency
-            .render_into(&mut out, "bepi_query_latency_seconds");
-        out
+        let latency = "bepi_query_latency_seconds";
+        e.family(latency, Kind::Histogram, "End-to-end /query service time.")
+            .histogram(latency, None, &self.query_latency);
+        e.finish()
     }
 }
 
-/// A point-in-time sample of the live engine's counters, rendered by
-/// [`render_live_metrics`]. Grouping the values in a struct keeps the
-/// sample site (`GET /metrics`) readable as the counter set grows.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LiveMetricsSample {
-    /// Served snapshot version.
-    pub version: u64,
-    /// Buffered, not-yet-visible updates.
-    pub pending: usize,
-    /// Background rebuilds completed.
-    pub rebuilds: u64,
-    /// Edge updates accepted.
-    pub updates: u64,
-    /// Duration of the most recent rebuild, in seconds.
-    pub last_rebuild_seconds: f64,
-    /// Served index bytes on the process heap.
-    pub index_heap_bytes: usize,
-    /// Served index bytes backed by a shared file mapping.
-    pub index_mapped_bytes: usize,
-    /// Rebuilds served by the numeric-only refactorization path.
-    pub numeric_rebuilds: u64,
-    /// Rebuilds that ran the full preprocessing pipeline.
-    pub structural_rebuilds: u64,
-    /// Cumulative wall seconds spent in numeric-path rebuilds.
-    pub numeric_rebuild_seconds: f64,
-    /// Cumulative wall seconds spent in full-path rebuilds.
-    pub full_rebuild_seconds: f64,
-}
-
-/// Renders the live-update metric block appended to `/metrics` by the
-/// daemon. Unlike [`Metrics`], these values live in the
-/// `bepi_live::LiveEngine` (version counters, pending buffer), so they
-/// are sampled at render time rather than accumulated here.
-pub fn render_live_metrics(s: &LiveMetricsSample) -> String {
-    let LiveMetricsSample {
-        version,
-        pending,
-        rebuilds,
-        updates,
-        last_rebuild_seconds,
-        index_heap_bytes,
-        index_mapped_bytes,
-        numeric_rebuilds,
-        structural_rebuilds,
-        numeric_rebuild_seconds,
-        full_rebuild_seconds,
-    } = *s;
-    format!(
-        "# HELP bepi_graph_version Snapshot version currently served (bumped by each hot-swap).\n\
-         # TYPE bepi_graph_version gauge\n\
-         bepi_graph_version {version}\n\
-         # HELP bepi_index_heap_bytes Served index bytes held on the process heap.\n\
-         # TYPE bepi_index_heap_bytes gauge\n\
-         bepi_index_heap_bytes {index_heap_bytes}\n\
-         # HELP bepi_index_mapped_bytes Served index bytes backed by a shared file mapping (page cache).\n\
-         # TYPE bepi_index_mapped_bytes gauge\n\
-         bepi_index_mapped_bytes {index_mapped_bytes}\n\
-         # HELP bepi_pending_updates Edge updates buffered but not yet visible to queries.\n\
-         # TYPE bepi_pending_updates gauge\n\
-         bepi_pending_updates {pending}\n\
-         # HELP bepi_rebuilds_total Background index rebuilds completed.\n\
-         # TYPE bepi_rebuilds_total counter\n\
-         bepi_rebuilds_total {rebuilds}\n\
-         # HELP bepi_numeric_rebuilds_total Rebuilds served by the numeric-only (plan-frozen) refactorization path.\n\
-         # TYPE bepi_numeric_rebuilds_total counter\n\
-         bepi_numeric_rebuilds_total {numeric_rebuilds}\n\
-         # HELP bepi_structural_rebuilds_total Rebuilds that ran the full preprocessing pipeline.\n\
-         # TYPE bepi_structural_rebuilds_total counter\n\
-         bepi_structural_rebuilds_total {structural_rebuilds}\n\
-         # HELP bepi_rebuild_path_seconds Cumulative rebuild wall time, split by rebuild path.\n\
-         # TYPE bepi_rebuild_path_seconds counter\n\
-         bepi_rebuild_path_seconds{{path=\"numeric\"}} {numeric_rebuild_seconds}\n\
-         bepi_rebuild_path_seconds{{path=\"full\"}} {full_rebuild_seconds}\n\
-         # HELP bepi_updates_total Edge updates accepted via POST /edges.\n\
-         # TYPE bepi_updates_total counter\n\
-         bepi_updates_total {updates}\n\
-         # HELP bepi_last_rebuild_seconds Duration of the most recent rebuild.\n\
-         # TYPE bepi_last_rebuild_seconds gauge\n\
-         bepi_last_rebuild_seconds {last_rebuild_seconds}\n"
+/// Renders the live-update block appended to `/metrics` by the daemon
+/// from one [`LiveStatus`] snapshot of the engine.
+pub fn render_live_metrics(s: &LiveStatus) -> String {
+    let secs = |us: u64| us as f64 / 1e6;
+    let path = "bepi_rebuild_path_seconds";
+    let mut e = Exposition::default();
+    e.scalar(
+        "bepi_graph_version",
+        Gauge,
+        "Snapshot version currently served (bumped by each hot-swap).",
+        s.version as f64,
     )
+    .scalar(
+        "bepi_index_heap_bytes",
+        Gauge,
+        "Served index bytes held on the process heap.",
+        s.index_heap_bytes as f64,
+    )
+    .scalar(
+        "bepi_index_mapped_bytes",
+        Gauge,
+        "Served index bytes backed by a shared file mapping (page cache).",
+        s.index_mapped_bytes as f64,
+    )
+    .scalar(
+        "bepi_pending_updates",
+        Gauge,
+        "Edge updates buffered but not yet visible to queries.",
+        s.pending as f64,
+    )
+    .scalar(
+        "bepi_rebuilds_total",
+        Counter,
+        "Background index rebuilds completed.",
+        s.rebuilds as f64,
+    )
+    .scalar(
+        "bepi_numeric_rebuilds_total",
+        Counter,
+        "Rebuilds served by the numeric-only (plan-frozen) refactorization path.",
+        s.numeric_rebuilds as f64,
+    )
+    .scalar(
+        "bepi_structural_rebuilds_total",
+        Counter,
+        "Rebuilds that ran the full preprocessing pipeline.",
+        s.structural_rebuilds as f64,
+    )
+    .family(
+        path,
+        Counter,
+        "Cumulative rebuild wall time, split by rebuild path.",
+    )
+    .sample(path, Some(("path", "numeric")), secs(s.numeric_rebuild_us))
+    .sample(path, Some(("path", "full")), secs(s.full_rebuild_us))
+    .scalar(
+        "bepi_updates_total",
+        Counter,
+        "Edge updates accepted via POST /edges.",
+        s.updates as f64,
+    )
+    .scalar(
+        "bepi_last_rebuild_seconds",
+        Gauge,
+        "Duration of the most recent rebuild.",
+        secs(s.last_rebuild_us),
+    );
+    e.finish()
 }
 
 /// Renders the process-global observability block: the GMRES iteration
@@ -292,59 +265,55 @@ pub fn render_live_metrics(s: &LiveMetricsSample) -> String {
 /// [`Metrics`], so every component of the process — batch queries
 /// included — is accounted in one registry.
 pub fn render_obs_metrics() -> String {
-    let mut out = String::with_capacity(2048);
-    bepi_obs::telemetry::gmres_iterations().render_into(
-        &mut out,
-        "bepi_gmres_iterations",
+    use bepi_obs::telemetry::{gmres_iterations, gmres_residual, wal_fsync_seconds};
+    let (iterations, fsync) = ("bepi_gmres_iterations", "bepi_wal_fsync_seconds");
+    let mut e = Exposition::default();
+    e.family(
+        iterations,
+        Kind::Histogram,
         "Inner-solver iterations per cache-missing query.",
-    );
-    out.push_str(&format!(
-        "# HELP bepi_gmres_residual Final relative residual of the most recent solve.\n\
-         # TYPE bepi_gmres_residual gauge\n\
-         bepi_gmres_residual {}\n",
-        render_f64(bepi_obs::telemetry::gmres_residual().get())
-    ));
-    bepi_obs::telemetry::wal_fsync_seconds().render_into(
-        &mut out,
-        "bepi_wal_fsync_seconds",
-        "WAL append fsync latency.",
-    );
+    )
+    .histogram(iterations, None, gmres_iterations())
+    .scalar(
+        "bepi_gmres_residual",
+        Gauge,
+        "Final relative residual of the most recent solve.",
+        gmres_residual().get(),
+    )
+    .family(fsync, Kind::Histogram, "WAL append fsync latency.")
+    .histogram(fsync, None, wal_fsync_seconds());
+    type Stat = fn(&PhaseSnapshot) -> f64;
+    let phase_families: [(&str, Kind, &str, Stat); 3] = [
+        (
+            "bepi_phase_seconds_total",
+            Counter,
+            "Cumulative wall time per instrumented phase.",
+            |p| p.total.as_secs_f64(),
+        ),
+        (
+            "bepi_phase_invocations_total",
+            Counter,
+            "Completed spans per instrumented phase.",
+            |p| p.count as f64,
+        ),
+        (
+            "bepi_phase_max_seconds",
+            Gauge,
+            "Longest single span per instrumented phase.",
+            |p| p.max.as_secs_f64(),
+        ),
+    ];
     let phases = bepi_obs::snapshot();
-    if !phases.is_empty() {
-        out.push_str(
-            "# HELP bepi_phase_seconds_total Cumulative wall time per instrumented phase.\n\
-             # TYPE bepi_phase_seconds_total counter\n",
-        );
+    if phases.is_empty() {
+        return e.finish();
+    }
+    for (name, kind, help, stat) in phase_families {
+        e.family(name, kind, help);
         for p in &phases {
-            out.push_str(&format!(
-                "bepi_phase_seconds_total{{phase=\"{}\"}} {}\n",
-                p.name,
-                render_f64(p.total.as_secs_f64())
-            ));
-        }
-        out.push_str(
-            "# HELP bepi_phase_invocations_total Completed spans per instrumented phase.\n\
-             # TYPE bepi_phase_invocations_total counter\n",
-        );
-        for p in &phases {
-            out.push_str(&format!(
-                "bepi_phase_invocations_total{{phase=\"{}\"}} {}\n",
-                p.name, p.count
-            ));
-        }
-        out.push_str(
-            "# HELP bepi_phase_max_seconds Longest single span per instrumented phase.\n\
-             # TYPE bepi_phase_max_seconds gauge\n",
-        );
-        for p in &phases {
-            out.push_str(&format!(
-                "bepi_phase_max_seconds{{phase=\"{}\"}} {}\n",
-                p.name,
-                render_f64(p.max.as_secs_f64())
-            ));
+            e.sample(name, Some(("phase", &p.name)), stat(p));
         }
     }
-    out
+    e.finish()
 }
 
 /// Parses one counter value back out of rendered metrics text — shared by
@@ -360,21 +329,54 @@ pub fn parse_metric(rendered: &str, name: &str) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn histogram_buckets_are_cumulative() {
-        let h = LatencyHistogram::default();
-        h.observe(Duration::from_micros(100)); // <= 0.25ms bucket
-        h.observe(Duration::from_millis(3)); // <= 5ms bucket
-        h.observe(Duration::from_secs(5)); // +Inf bucket
-        let mut out = String::new();
-        h.render_into(&mut out, "x");
-        assert!(out.contains("x_bucket{le=\"0.00025\"} 1"));
-        assert!(out.contains("x_bucket{le=\"0.005\"} 2"));
-        assert!(out.contains("x_bucket{le=\"1\"} 2"));
-        assert!(out.contains("x_bucket{le=\"+Inf\"} 3"));
-        assert!(out.contains("x_count 3"));
-        assert_eq!(h.count(), 3);
+        let m = Metrics::default();
+        m.query_latency.observe(0.0001); // <= 0.25ms bucket
+        m.query_latency.observe(0.003); // <= 5ms bucket
+        m.query_latency.observe(5.0); // +Inf bucket
+        let out = m.render();
+        let x = "bepi_query_latency_seconds";
+        assert!(out.contains(&format!("{x}_bucket{{le=\"0.00025\"}} 1\n")));
+        assert!(out.contains(&format!("{x}_bucket{{le=\"0.005\"}} 2\n")));
+        assert!(out.contains(&format!("{x}_bucket{{le=\"1\"}} 2\n")));
+        assert!(out.contains(&format!("{x}_bucket{{le=\"+Inf\"}} 3\n")));
+        assert!(out.contains(&format!("{x}_count 3\n")));
+        assert_eq!(m.query_latency.count(), 3);
+    }
+
+    /// A scrape racing an observe must still print a `_count` equal to
+    /// its `+Inf` bucket — the consistency `metrics_check` enforces.
+    #[test]
+    fn latency_count_matches_inf_bucket_while_observed() {
+        use std::sync::{atomic::AtomicBool, Arc, Barrier};
+        let m = Arc::new(Metrics::default());
+        let done = Arc::new(AtomicBool::new(false));
+        let started = Arc::new(Barrier::new(2));
+        let observer = {
+            let (m, done, started) = (m.clone(), done.clone(), started.clone());
+            std::thread::spawn(move || {
+                m.query_latency.observe(0.0);
+                started.wait();
+                let mut i = 0u64;
+                while !done.load(Ordering::Relaxed) {
+                    m.query_latency.observe((i % 2000) as f64 * 1e-3);
+                    i += 1;
+                }
+            })
+        };
+        // Every render below overlaps the observer's loop.
+        started.wait();
+        for _ in 0..10_000 {
+            let text = m.render();
+            let inf = parse_metric(&text, "bepi_query_latency_seconds_bucket{le=\"+Inf\"}");
+            let count = parse_metric(&text, "bepi_query_latency_seconds_count");
+            assert_eq!(inf, count, "_count disagrees with the +Inf bucket");
+        }
+        done.store(true, Ordering::Relaxed);
+        observer.join().unwrap();
     }
 
     /// Satellite: every rendered line must parse, and every `le` label
@@ -383,15 +385,15 @@ mod tests {
     #[test]
     fn every_rendered_line_parses_and_le_is_decimal() {
         let m = Metrics::default();
-        m.query_latency.observe(Duration::from_micros(80));
-        m.query_latency.observe(Duration::from_millis(40));
+        m.query_latency.observe(0.00008);
+        m.query_latency.observe(0.04);
         bepi_obs::telemetry::record_solve(17, 3.2e-10);
         bepi_obs::telemetry::wal_fsync_seconds().observe(0.00007);
         bepi_obs::record_duration("test.metrics_render", Duration::from_millis(5));
         let mut text = m.render();
-        text.push_str(&render_live_metrics(&LiveMetricsSample {
+        text.push_str(&render_live_metrics(&LiveStatus {
             version: 1,
-            ..LiveMetricsSample::default()
+            ..LiveStatus::default()
         }));
         text.push_str(&render_obs_metrics());
         let mut le_labels = 0;
@@ -482,18 +484,19 @@ mod tests {
 
     #[test]
     fn live_block_renders_and_parses() {
-        let text = render_live_metrics(&LiveMetricsSample {
+        let text = render_live_metrics(&LiveStatus {
             version: 3,
             pending: 17,
             rebuilds: 2,
             updates: 40,
-            last_rebuild_seconds: 0.125,
+            last_rebuild_us: 125_000,
             index_heap_bytes: 1024,
             index_mapped_bytes: 4096,
             numeric_rebuilds: 1,
             structural_rebuilds: 1,
-            numeric_rebuild_seconds: 0.025,
-            full_rebuild_seconds: 0.1,
+            numeric_rebuild_us: 25_000,
+            full_rebuild_us: 100_000,
+            ..LiveStatus::default()
         });
         assert_eq!(parse_metric(&text, "bepi_graph_version"), Some(3.0));
         assert_eq!(parse_metric(&text, "bepi_index_heap_bytes"), Some(1024.0));

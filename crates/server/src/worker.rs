@@ -13,9 +13,8 @@
 
 use crate::cache::{QueryKey, ResponseCache, ResponseMode};
 use crate::http::{self, ParseError, Request};
-use crate::metrics::{render_live_metrics, render_obs_metrics, LiveMetricsSample, Metrics};
-use crate::slowlog::{SlowQuery, SlowQueryLog};
-use crate::trace::{TraceLog, TracedQuery};
+use crate::metrics::{render_live_metrics, render_obs_metrics, Metrics};
+use crate::trace::{QueryLog, QueryRecord};
 use bepi_core::rwr::RwrSolver;
 use bepi_core::EdgeUpdate;
 use bepi_live::LiveEngine;
@@ -69,7 +68,7 @@ pub struct WorkerContext {
     /// Exported counters.
     pub metrics: Arc<Metrics>,
     /// Ring buffer behind `GET /debug/slow`.
-    pub slow_log: Arc<SlowQueryLog>,
+    pub slow_log: QueryLog,
     /// Main-queue depth at which `mode=auto` queries start routing to
     /// the approximate lane (`ceil(pressure × queue_depth)`). Zero means
     /// every `auto` query is served approximately when the engine
@@ -90,8 +89,8 @@ pub struct WorkerContext {
     /// records so fleet-wide correlation does not re-parse the header.
     pub shard_id: Option<u64>,
     /// Ring buffer behind `GET /debug/trace`: the most recent `?trace=1`
-    /// queries with their per-stage timings.
-    pub trace_log: Arc<TraceLog>,
+    /// queries with their per-stage timings (threshold zero).
+    pub trace_log: QueryLog,
     /// Chrome trace-event exporter (`--trace-export`); `None` disables
     /// export. Only traced (`?trace=1`) requests are exported, so the
     /// untraced hot path never touches the file.
@@ -363,22 +362,8 @@ fn serve_one(
             kept(keep_alive)
         }
         ("GET", "/metrics") => {
-            let engine = &ctx.engine;
             let mut body = ctx.metrics.render();
-            let snapshot = engine.current();
-            body.push_str(&render_live_metrics(&LiveMetricsSample {
-                version: snapshot.version,
-                pending: engine.pending_len(),
-                rebuilds: engine.rebuilds(),
-                updates: engine.updates_accepted(),
-                last_rebuild_seconds: engine.last_rebuild_micros() as f64 / 1e6,
-                index_heap_bytes: snapshot.bepi.heap_bytes(),
-                index_mapped_bytes: snapshot.bepi.mapped_bytes(),
-                numeric_rebuilds: engine.numeric_rebuilds(),
-                structural_rebuilds: engine.structural_rebuilds(),
-                numeric_rebuild_seconds: engine.numeric_rebuild_seconds(),
-                full_rebuild_seconds: engine.full_rebuild_seconds(),
-            }));
+            body.push_str(&render_live_metrics(&ctx.engine.status()));
             body.push_str(&render_obs_metrics());
             let mut headers: Vec<(&str, &str)> = Vec::new();
             headers.extend(ctx.shard_header());
@@ -409,7 +394,7 @@ fn serve_one(
                 200,
                 "application/json",
                 &[],
-                &ctx.slow_log.render_json(),
+                &ctx.slow_log.render_slow_json(),
                 keep_alive,
             );
             kept(keep_alive)
@@ -420,7 +405,7 @@ fn serve_one(
                 200,
                 "application/json",
                 &[],
-                &ctx.trace_log.render_json(),
+                &ctx.trace_log.render_trace_json(),
                 keep_alive,
             );
             kept(keep_alive)
@@ -598,128 +583,95 @@ fn handle_query(
         headers.push(("X-Approx", "1"));
     }
 
+    let mut record = QueryRecord {
+        request_id: rid,
+        seed: key.seed as u64,
+        top_k: key.top_k as u64,
+        version: key.version,
+        shard: ctx.shard_id,
+        cache_hit: true,
+        approx,
+        iterations: 0,
+        residual: 0.0,
+        queue_us: queue_wait.as_micros() as u64,
+        solve_us: 0,
+        topk_us: 0,
+        serialize_us: 0,
+        total_us: 0,
+    };
     // Cache hit: byte-identical rendered body, no solve. The key carries
     // the snapshot version and resolved mode, so a hit can only come from
     // this same epoch and lane.
-    if let Some(body) = ctx.cache.get(&key) {
+    // A miss keeps its scores until the request ends, after the response
+    // is written: freeing the solve's n-sized vectors earlier shifts the
+    // worker thread's heap layout, which the allocator can answer by
+    // trimming and re-faulting them on the next query.
+    let (_scores, body) = if let Some(body) = ctx.cache.get(&key) {
         Metrics::inc(&ctx.metrics.cache_hits_total);
-        Metrics::inc(&ctx.metrics.queries_total);
-        if approx {
-            Metrics::inc(&ctx.metrics.approx_requests_total);
-        }
-        let total = accepted_at.elapsed();
-        headers.push(("X-Cache", "hit"));
-        if trace {
-            let traced = with_trace(
-                &body,
-                &rid_hex,
-                queue_wait,
-                Duration::ZERO,
-                Duration::ZERO,
-                Duration::ZERO,
-                total,
-            );
-            respond_conn(
-                stream,
-                200,
-                "application/json",
-                &headers,
-                &traced,
-                keep_alive,
-            );
-        } else {
-            respond_conn(stream, 200, "application/json", &headers, &body, keep_alive);
-        }
-        ctx.metrics.query_latency.observe(started.elapsed());
-        ctx.slow_log.record(&SlowQuery {
-            seed: key.seed as u64,
-            latency_us: total.as_micros() as u64,
-            iterations: 0,
-            residual: 0.0,
-            cache_hit: true,
-            version: key.version,
-            top_k: key.top_k as u64,
-            approx,
-            request_id: rid,
-            shard: ctx.shard_id,
-        });
-        if trace {
-            record_traced(
-                ctx,
-                rid,
-                &rid_hex,
-                key,
-                queue_wait,
-                Duration::ZERO,
-                Duration::ZERO,
-                Duration::ZERO,
-                total,
-                true,
-            );
-        }
-        return kept(keep_alive);
-    }
-
-    // The solve is not interruptible; shed the request if its budget is
-    // already gone rather than burning a worker on a dead client.
-    if remaining(deadline).is_none() {
-        Metrics::inc(&ctx.metrics.timeouts_total);
-        respond(
-            stream,
-            504,
-            "application/json",
-            &[],
-            &http::json_error_body("deadline expired before solve"),
-        );
-        return Served::Close;
-    }
-
-    let solve_start = Instant::now();
-    let solved = match key.mode {
-        ResponseMode::Exact => snapshot.bepi.query(key.seed),
-        // `approx_engine` is always Some here: every path that resolves
-        // to Approx checked it above.
-        ResponseMode::Approx => approx_engine
-            .expect("approx mode resolved without an engine")
-            .query(key.seed, 0),
-    };
-    let scores = match solved {
-        Ok(s) => s,
-        Err(e) => {
-            Metrics::inc(&ctx.metrics.server_errors_total);
+        (None, body)
+    } else {
+        // The solve is not interruptible; shed the request if its budget
+        // is already gone rather than burning a worker on a dead client.
+        if remaining(deadline).is_none() {
+            Metrics::inc(&ctx.metrics.timeouts_total);
             respond(
                 stream,
-                500,
+                504,
                 "application/json",
                 &[],
-                &http::json_error_body(&format!("solver failed: {e}")),
+                &http::json_error_body("deadline expired before solve"),
             );
             return Served::Close;
         }
+        let solve_start = Instant::now();
+        let solved = match key.mode {
+            ResponseMode::Exact => snapshot.bepi.query(key.seed),
+            // `approx_engine` is always Some here: every path that
+            // resolves to Approx checked it above.
+            ResponseMode::Approx => approx_engine
+                .expect("approx mode resolved without an engine")
+                .query(key.seed, 0),
+        };
+        let scores = match solved {
+            Ok(s) => s,
+            Err(e) => {
+                Metrics::inc(&ctx.metrics.server_errors_total);
+                respond(
+                    stream,
+                    500,
+                    "application/json",
+                    &[],
+                    &http::json_error_body(&format!("solver failed: {e}")),
+                );
+                return Served::Close;
+            }
+        };
+        let solve_time = solve_start.elapsed();
+        let (rendered, topk_time, serialize_time) = render_query_body_timed(key, &scores);
+        let body: Arc<str> = Arc::from(rendered);
+        ctx.cache.insert(key, Arc::clone(&body));
+        Metrics::inc(&ctx.metrics.cache_misses_total);
+        record = QueryRecord {
+            cache_hit: false,
+            iterations: scores.iterations as u64,
+            residual: scores.residual,
+            solve_us: solve_time.as_micros() as u64,
+            topk_us: topk_time.as_micros() as u64,
+            serialize_us: serialize_time.as_micros() as u64,
+            ..record
+        };
+        (Some(scores), body)
     };
-    let solve_time = solve_start.elapsed();
-    let (rendered, topk_time, serialize_time) = render_query_body_timed(key, &scores);
-    let body: Arc<str> = Arc::from(rendered);
-    ctx.cache.insert(key, Arc::clone(&body));
-    Metrics::inc(&ctx.metrics.cache_misses_total);
     Metrics::inc(&ctx.metrics.queries_total);
     if approx {
         Metrics::inc(&ctx.metrics.approx_requests_total);
     }
-    let total = accepted_at.elapsed();
-    headers.push(("X-Cache", "miss"));
+    record.total_us = accepted_at.elapsed().as_micros() as u64;
+    headers.push(("X-Cache", if record.cache_hit { "hit" } else { "miss" }));
     if trace {
         // The cache stores the base body; the trace block is per-request
         // and spliced in only for the response that asked for it.
-        let traced = with_trace(
-            &body,
-            &rid_hex,
-            queue_wait,
-            solve_time,
-            topk_time,
-            serialize_time,
-            total,
-        );
+        let traced = with_trace(&body, &rid_hex, &record);
         respond_conn(
             stream,
             200,
@@ -731,32 +683,12 @@ fn handle_query(
     } else {
         respond_conn(stream, 200, "application/json", &headers, &body, keep_alive);
     }
-    ctx.metrics.query_latency.observe(started.elapsed());
-    ctx.slow_log.record(&SlowQuery {
-        seed: key.seed as u64,
-        latency_us: total.as_micros() as u64,
-        iterations: scores.iterations as u64,
-        residual: scores.residual,
-        cache_hit: false,
-        version: key.version,
-        top_k: key.top_k as u64,
-        approx,
-        request_id: rid,
-        shard: ctx.shard_id,
-    });
+    ctx.metrics
+        .query_latency
+        .observe(started.elapsed().as_secs_f64());
+    ctx.slow_log.record(&record);
     if trace {
-        record_traced(
-            ctx,
-            rid,
-            &rid_hex,
-            key,
-            queue_wait,
-            solve_time,
-            topk_time,
-            serialize_time,
-            total,
-            false,
-        );
+        record_traced(ctx, &rid_hex, &record);
     }
     kept(keep_alive)
 }
@@ -764,39 +696,15 @@ fn handle_query(
 /// Books a traced request into the trace ring, the structured log, and
 /// (when `--trace-export` is active) the Chrome trace file. Off the
 /// untraced hot path entirely.
-#[allow(clippy::too_many_arguments)]
-fn record_traced(
-    ctx: &WorkerContext,
-    rid: RequestId,
-    rid_hex: &str,
-    key: QueryKey,
-    queue: Duration,
-    solve: Duration,
-    topk: Duration,
-    serialize: Duration,
-    total: Duration,
-    cache_hit: bool,
-) {
-    ctx.trace_log.record(&TracedQuery {
-        request_id: rid,
-        seed: key.seed as u64,
-        top_k: key.top_k as u64,
-        queue_us: queue.as_micros() as u64,
-        solve_us: solve.as_micros() as u64,
-        topk_us: topk.as_micros() as u64,
-        serialize_us: serialize.as_micros() as u64,
-        total_us: total.as_micros() as u64,
-        cache_hit,
-        version: key.version,
-        shard: ctx.shard_id,
-    });
+fn record_traced(ctx: &WorkerContext, rid_hex: &str, q: &QueryRecord) {
+    ctx.trace_log.record(q);
     bepi_obs::info!(
         "server",
         "traced query",
         request_id = rid_hex,
-        seed = key.seed,
-        cache_hit = cache_hit,
-        total_us = total.as_micros()
+        seed = q.seed,
+        cache_hit = q.cache_hit,
+        total_us = q.total_us
     );
     let Some(exporter) = &ctx.exporter else {
         return;
@@ -805,30 +713,28 @@ fn record_traced(
     // serving thread's ordinal — worker, degraded, or keep-alive thread.
     let pid = ctx.shard_id.unwrap_or(0);
     let tid = trace_tid();
-    let total_us = total.as_micros() as u64;
     let end = bepi_obs::clock_us();
-    let start = end.saturating_sub(total_us);
-    let name = format!("query seed={}", key.seed);
+    let start = end.saturating_sub(q.total_us);
+    let name = format!("query seed={}", q.seed);
     exporter.emit(&TraceEvent {
         name: &name,
         cat: "serve",
         ts_us: start,
-        dur_us: total_us,
+        dur_us: q.total_us,
         pid,
         tid,
         args: &[
             ("request_id", rid_hex),
-            ("cache", if cache_hit { "hit" } else { "miss" }),
+            ("cache", if q.cache_hit { "hit" } else { "miss" }),
         ],
     });
     let mut cursor = start;
-    for (stage, d) in [
-        ("queue", queue),
-        ("solve", solve),
-        ("topk", topk),
-        ("serialize", serialize),
+    for (stage, us) in [
+        ("queue", q.queue_us),
+        ("solve", q.solve_us),
+        ("topk", q.topk_us),
+        ("serialize", q.serialize_us),
     ] {
-        let us = d.as_micros() as u64;
         if us > 0 {
             exporter.emit(&TraceEvent {
                 name: stage,
@@ -867,50 +773,42 @@ fn trace_tid() -> u64 {
 /// overhead not attributed to a named stage. The request id makes the
 /// body self-correlating: the same hex id is on the `X-Request-Id`
 /// header, in `/debug/slow`, `/debug/trace`, and any trace export.
-fn with_trace(
-    body: &str,
-    rid_hex: &str,
-    queue: Duration,
-    solve: Duration,
-    topk: Duration,
-    serialize: Duration,
-    total: Duration,
-) -> String {
+fn with_trace(body: &str, rid_hex: &str, q: &QueryRecord) -> String {
     debug_assert!(body.ends_with('}'));
     format!(
         "{},\"trace\":{{\"request_id\":\"{}\",\"queue_us\":{},\"solve_us\":{},\
          \"topk_us\":{},\"serialize_us\":{},\"total_us\":{}}}}}",
         &body[..body.len() - 1],
         rid_hex,
-        queue.as_micros(),
-        solve.as_micros(),
-        topk.as_micros(),
-        serialize.as_micros(),
-        total.as_micros()
+        q.queue_us,
+        q.solve_us,
+        q.topk_us,
+        q.serialize_us,
+        q.total_us
     )
 }
 
 /// `GET /version`: the serving state in one JSON object.
 fn handle_version(stream: &TcpStream, ctx: &WorkerContext, keep_alive: bool) -> Served {
-    let info = ctx.engine.info();
+    let status = ctx.engine.status();
     let json_or_null =
         |v: &Option<String>| v.as_deref().map_or("null".to_string(), http::json_string);
     let body = format!(
         "{{\"version\":{},\"nodes\":{},\"variant\":\"{}\",\"pending\":{},\"rebuilds\":{},\
          \"live\":{},\"rebuild_kind\":\"{}\",\"rebuild_reason\":{},\"rebuild_trigger\":\"{}\",\
          \"last_error\":{}}}",
-        info.version,
-        info.nodes,
-        info.variant,
-        info.pending,
-        info.rebuilds,
-        info.live,
-        info.rebuild_kind,
-        json_or_null(&info.rebuild_reason),
-        info.rebuild_trigger,
-        json_or_null(&info.last_error)
+        status.version,
+        status.nodes,
+        status.variant,
+        status.pending,
+        status.rebuilds,
+        status.live,
+        status.rebuild_kind.name(),
+        json_or_null(&status.rebuild_reason),
+        status.rebuild_trigger.name(),
+        json_or_null(&status.last_error)
     );
-    let version_header = info.version.to_string();
+    let version_header = status.version.to_string();
     let mut headers: Vec<(&str, &str)> = vec![("X-Graph-Version", &version_header)];
     headers.extend(ctx.shard_header());
     respond_conn(stream, 200, "application/json", &headers, &body, keep_alive);
@@ -994,7 +892,7 @@ fn handle_rebuild(stream: &TcpStream, ctx: &WorkerContext) {
             let body = format!(
                 "{{\"version\":{},\"pending\":{}}}",
                 version,
-                ctx.engine.pending_len()
+                ctx.engine.status().pending
             );
             respond(
                 stream,
@@ -1178,7 +1076,7 @@ fn render_query_body_timed(
     (body, topk_time, serialize_start.elapsed())
 }
 
-fn fmt_f64(v: f64) -> String {
+pub(crate) fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         // `{:?}` is shortest round-trip and always includes a decimal
         // point or exponent, which keeps the token a JSON number.

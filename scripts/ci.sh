@@ -63,6 +63,19 @@ cargo test --offline --release -q -p bepi-incr -p bepi-reorder -p bepi-solver -p
   -p bepi-core -- fused_builders labels_and_blocks_are_pinned parallel_factor_is_bit_identical \
   refactor_blocks_is_bit_identical sub_spgemm_is_bit_identical schur_complement_is_bit_identical
 
+# The observability surface's own tests, by name: golden bodies for the
+# daemon's /metrics (counters, latency histogram, live block), the router's
+# exposition, /version, /debug/slow and /debug/trace (fixed inputs, exact
+# bytes, unchanged by any renderer refactor); the README glossary drift
+# check over a daemon's full exposition; _count against the +Inf bucket
+# while another thread observes; and the two catch_unwind sites driven by a
+# real panic, in release codegen (debug builds assert the crafted index at
+# load).
+echo "==> observability golden, drift and panic tests"
+cargo test --offline -q -p bepi-tests --test golden --test obs -- golden metrics_glossary
+cargo test --offline -q -p bepi-server -- latency_count_matches_inf_bucket
+cargo test --offline --release -q -p bepi-tests --test serve_panic
+
 # Observability end-to-end gate: start a real daemon, drive traced
 # queries through it, and validate the /metrics exposition with the
 # in-tree checker (the wire format an external Prometheus scraper sees).

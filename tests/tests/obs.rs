@@ -273,3 +273,47 @@ fn concurrent_hammer_while_scraping_metrics_and_slow_log() {
     assert!(parse_metric(&metrics, "bepi_queue_depth").is_some());
     handle.shutdown();
 }
+
+/// The README's `/metrics` glossary names every family a daemon renders:
+/// the full exposition of a frozen daemon (request counters, the live
+/// block, the solver, WAL and phase instruments) is checked against the
+/// table, so a new family cannot ship undocumented.
+#[test]
+fn metrics_glossary_lists_every_family() {
+    let _guard = guard();
+    let handle = start(&ServerConfig::default());
+    let addr = handle.local_addr();
+    assert_eq!(get(addr, "/query?seed=3").0, 200);
+    let (status, metrics) = get(addr, "/metrics");
+    assert_eq!(status, 200);
+    handle.shutdown();
+
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../README.md"))
+        .expect("read README.md");
+    let table: Vec<&str> = readme
+        .lines()
+        .skip_while(|l| !l.starts_with("`/metrics` glossary"))
+        .skip_while(|l| !l.starts_with('|'))
+        .take_while(|l| l.starts_with('|'))
+        .collect();
+    assert!(table.len() > 2, "glossary table not found in README.md");
+    let families: Vec<&str> = metrics
+        .lines()
+        .filter_map(|l| l.strip_prefix("# TYPE "))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert!(families.contains(&"bepi_phase_seconds_total"), "{metrics}");
+    let missing: Vec<&str> = families
+        .into_iter()
+        .filter(|name| {
+            let (plain, labelled) = (format!("`{name}`"), format!("`{name}{{"));
+            !table
+                .iter()
+                .any(|row| row.contains(&plain) || row.contains(&labelled))
+        })
+        .collect();
+    assert!(
+        missing.is_empty(),
+        "families missing from the README /metrics glossary: {missing:?}"
+    );
+}
