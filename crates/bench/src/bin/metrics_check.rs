@@ -1,4 +1,4 @@
-//! `metrics_check` — validates a running daemon's (or router's)
+//! `metrics_check` — validates a running daemon's
 //! `/metrics` endpoint against the Prometheus text exposition format
 //! (version 0.0.4).
 //!
@@ -13,15 +13,11 @@
 //! * an `le` label that is not a plain decimal float or `+Inf`
 //!   (exponent forms like `1e-05` break some scrapers),
 //! * histogram bucket counts that are not cumulative (non-decreasing in
-//!   `le` order) — checked per label set, so the router's fleet-merged
-//!   exposition (every shard's histogram re-labeled `shard="N"`) is
-//!   validated as N independent series, or
+//!   `le` order) — checked per label set, so a family with several
+//!   labelled series is validated as that many independent series, or
 //! * a histogram series whose `_count` disagrees with its `+Inf` bucket.
 //!
-//! Usage: `metrics_check <host:port> [--warm-queries N] [--expect-shards S]`
-//!
-//! `--expect-shards S` additionally requires samples labeled
-//! `shard="0"` through `shard="S-1"` — the router-aggregation check.
+//! Usage: `metrics_check <host:port> [--warm-queries N]`
 //!
 //! The HTTP client is a raw `TcpStream` speaking HTTP/1.0 — this binary
 //! must not depend on `bepi-server` internals, since its whole point is
@@ -50,9 +46,8 @@ fn run() -> Result<String, String> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (addr, rest) = args
         .split_first()
-        .ok_or("usage: metrics_check <host:port> [--warm-queries N] [--expect-shards S]")?;
+        .ok_or("usage: metrics_check <host:port> [--warm-queries N]")?;
     let mut warm = 0usize;
-    let mut expect_shards = 0usize;
     let mut rest = rest;
     while let Some((flag, tail)) = rest.split_first() {
         let (value, tail) = tail
@@ -63,11 +58,6 @@ fn run() -> Result<String, String> {
                 warm = value
                     .parse()
                     .map_err(|_| format!("bad --warm-queries: {value}"))?;
-            }
-            "--expect-shards" => {
-                expect_shards = value
-                    .parse()
-                    .map_err(|_| format!("bad --expect-shards: {value}"))?;
             }
             f => return Err(format!("unknown flag: {f}")),
         }
@@ -88,11 +78,7 @@ fn run() -> Result<String, String> {
     }
 
     let body = http_get(addr, "/metrics")?;
-    let mut report = validate_exposition(&body)?;
-    if expect_shards > 0 {
-        check_shard_labels(&body, expect_shards)?;
-        report.push_str(&format!(", shard labels 0..{expect_shards} present"));
-    }
+    let report = validate_exposition(&body)?;
     Ok(format!("{addr}: {report}"))
 }
 
@@ -209,37 +195,6 @@ fn validate_exposition(body: &str) -> Result<String, String> {
     ))
 }
 
-/// Requires at least one sample labeled `shard="i"` for every shard id
-/// in `0..expected` — the router's fleet-aggregation contract.
-fn check_shard_labels(body: &str, expected: usize) -> Result<(), String> {
-    let mut seen: HashSet<String> = HashSet::new();
-    for line in body.lines() {
-        if line.starts_with('#') || line.is_empty() {
-            continue;
-        }
-        if let Some((_, rest)) = line.split_once('{') {
-            if let Some(labels) = rest.rsplit_once('}').map(|(l, _)| l) {
-                if let Some(id) = label_value(labels, "shard") {
-                    seen.insert(id);
-                }
-            }
-        }
-    }
-    for id in 0..expected {
-        if !seen.contains(&id.to_string()) {
-            return Err(format!(
-                "no sample labeled shard=\"{id}\" (saw shard labels: {:?})",
-                {
-                    let mut v: Vec<_> = seen.iter().cloned().collect();
-                    v.sort();
-                    v
-                }
-            ));
-        }
-    }
-    Ok(())
-}
-
 /// One histogram series per label set: the key is the family name plus
 /// every label except `le`, sorted so label order cannot split a series.
 fn series_key(family: &str, labels: Option<&str>) -> String {
@@ -334,9 +289,9 @@ bepi_queries_total 4
 
     #[test]
     fn shard_labeled_histograms_are_independent_series() {
-        // A fleet-merged exposition: the same family carries one series
-        // per shard, each cumulative on its own but interleaved such
-        // that a label-blind checker would see counts go backwards.
+        // The same family carries one series per label value, each
+        // cumulative on its own but interleaved such that a label-blind
+        // checker would see counts go backwards.
         let body = "\
 # TYPE h histogram
 h_bucket{shard=\"0\",le=\"0.1\"} 5
@@ -350,10 +305,6 @@ h_count{shard=\"1\"} 2
 ";
         let report = validate_exposition(body).unwrap();
         assert!(report.contains("2 histogram series"), "{report}");
-        check_shard_labels(body, 2).unwrap();
-        assert!(check_shard_labels(body, 3)
-            .unwrap_err()
-            .contains("shard=\"2\""));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //!
 //! The one binary that is not a paper artifact is `bin/metrics_check`,
 //! the `/metrics` exposition validator `scripts/ci.sh` points at a live
-//! daemon and router. Performance is not measured here: that is
+//! daemon. Performance is not measured here: that is
 //! `benchmark/` at the repository root.
 //!
 //! Environment knobs:

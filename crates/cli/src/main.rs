@@ -92,15 +92,6 @@ const USAGE: &str = "usage:
                   [--wal PATH] [--auto-flush N] [--graph edges.txt]
                   [--checkpoint PATH]
                   (HTTP daemon)
-  bepi route      <index.bepi> --shards N [--listen ADDR] [--mmap]
-                  [--hedge-ms H] [--retries R] [--backoff-ms B]
-                  [--health-interval-ms I] [--cache-entries M] [--threads N]
-                  [--timeout-ms T] [--pressure F] [--slow-query-ms S]
-                  [--trace-export PATH]
-                  (scatter-gather front tier: spawns N `bepi serve` shard
-                  daemons over the same index and routes across them)
-  bepi route      --attach ADDR1,ADDR2,... [front-tier flags]
-                  (route over already-running daemons; no spawning)
   bepi help       (aliases: --help, -h)
 
 common flags:
@@ -163,57 +154,10 @@ serve daemon flags (with --listen):
   --checkpoint P   where to write the post-rebuild index (default: the
                    index path itself when --wal is set); applied WAL
                    segments are truncated once the checkpoint is durable
-  --shard-id N     stamp every response with an X-Shard: N header; set by
-                   `bepi route` on the shard daemons it spawns so the
-                   front tier can attribute responses to processes
   --trace-export PATH  append every traced (?trace=1) query as Chrome
                    trace-event JSON to PATH (open it in Perfetto or
                    chrome://tracing); preprocessing phase timings are
                    exported once at startup
-
-route (front tier) flags:
-  --shards N       shard daemons to spawn over the index; each serves the
-                   full index (--mmap shares its pages across processes)
-                   and owns a deterministic slice of the seed space for
-                   cache locality
-  --attach ADDRS   comma-separated addresses of already-running daemons
-                   to route over instead of spawning (no restarts then)
-  --listen ADDR    router bind address (default 127.0.0.1:0)
-  --hedge-ms H     hedge delay: an unanswered /query launches a duplicate
-                   at the next sibling after H ms; first answer wins
-                   (default 50; 0 disables hedging)
-  --retries R      extra shard attempts after the first, each on the next
-                   sibling in the seed's ring order (default 3)
-  --backoff-ms B   base backoff between sequential retries; attempt n
-                   waits n×B ms (default 10)
-  --health-interval-ms I  /version probe cadence per shard; failed probes
-                   take a shard out of rotation, passing ones re-admit it
-                   once it serves the fleet's expected epoch (default 200)
-  --slow-query-ms S  requests at or above S milliseconds end-to-end are
-                   kept (one record per shard attempt) in the router's
-                   slowlog served by GET /debug/slow (default 100;
-                   0 records every request)
-  --trace-export PATH  append every traced (?trace=1) request as Chrome
-                   trace-event JSON to PATH: a router span (pid 9999)
-                   plus one lane per shard attempt
-  --mmap, --cache-entries, --threads, --timeout-ms, --pressure,
-  --slow-query-ms are forwarded to the spawned shard daemons
-  (--timeout-ms also bounds the router's per-attempt shard I/O;
-  the shared --slow-query-ms keeps both tiers' slowlogs correlatable
-  by request id)
-
-router endpoints: GET /query (proxied with failover + hedging; trace=1
-                  wraps the shard's trace with per-attempt detail)
-                  GET /batch?seeds=a,b,c[&top=K][&mode=M][&merge=1]
-                  (scatter-gather; merge=1 folds per-seed top-k lists
-                  into one fleet-wide ranking)
-                  GET /route/health (per-shard health, graph version
-                  generation, and last-probe age)
-                  GET /version (quorum-advertised fleet graph version)
-                  GET /healthz   GET /metrics (router series plus every
-                  healthy shard's exposition re-labeled shard=\"N\")
-                  GET /debug/slow   GET /debug/trace (per-attempt
-                  slowlog / traced-request ring)
 
 daemon endpoints: GET /query?seed=S&top=K[&mode=M][&trace=1]
                   GET /healthz   GET /metrics   GET /version
@@ -226,20 +170,19 @@ X-Approx: 1) instead of shedding 503 — including on the overflow lane
 once the queue is full; mode=exact keeps strict answers and sheds under
 overload; responses are cached per (seed, top, version, exact|approx)
 and byte-identical across repeats.
-observability: every request gets a 128-bit correlation id, minted at
-ingress (or adopted from a valid X-Request-Id header), echoed on the
-response, forwarded router->shard on every attempt, and stamped into
-structured logs, both tiers' slowlogs, and trace exports; /query?trace=1
-embeds a per-stage timing breakdown (queue wait, solve, top-k,
-serialize) in the response — through the router it is wrapped in a
-\"route\" block with per-attempt detail (shard, kind, connect/send/wait
-timings, outcome); traced requests are retained in /debug/trace rings
-on both tiers and, with --trace-export, appended as Chrome trace-event
-JSON; /metrics exposes GMRES iteration histograms, per-phase
-preprocessing timings, WAL fsync latency, approx/degraded counters, and
-queue-depth/in-flight gauges (the router merges every shard's
-exposition under shard=\"N\" labels); /debug/slow returns the latest
-slow queries as JSON (approx-flagged, request-id-correlated).
+observability: every request gets a 128-bit correlation id, minted by
+the daemon (or adopted from a valid X-Request-Id header), echoed on the
+response, and stamped into structured logs, the slowlog, and trace
+exports; /query?trace=1 embeds a per-stage timing breakdown (queue
+wait, solve, top-k, serialize) in the response; traced requests are
+retained in the /debug/trace ring and, with --trace-export, appended as
+Chrome trace-event JSON; /metrics exposes GMRES iteration histograms,
+per-phase preprocessing timings, WAL fsync latency, approx/degraded
+counters, and queue-depth/in-flight gauges; /debug/slow returns the
+latest slow queries as JSON (approx-flagged, request-id-correlated).
+several daemons can serve one index: start each with
+`bepi serve <index> --listen ADDR --mmap` and they share its pages
+through the page cache, each with its own response cache.
 live updates: POST /edges takes JSON lines {\"op\":\"insert\",\"u\":0,\"v\":5};
 queries keep serving the last completed rebuild (check X-Graph-Version)
 until a rebuild flushes the buffer.
@@ -313,15 +256,6 @@ fn run() -> Result<(), String> {
                 let opts = parse_opts(rest)?;
                 cmd_serve(index, seed_s, &opts)
             }
-        }
-        "route" => {
-            // The index is positional but optional: attach mode routes
-            // over already-running daemons and needs no index here.
-            let (index, flags) = match rest.split_first() {
-                Some((first, tail)) if !first.starts_with("--") => (Some(first.as_str()), tail),
-                _ => (None, rest),
-            };
-            cmd_route(index, flags)
         }
         "help" | "--help" | "-h" => {
             // Tolerate a closed pipe (`bepi help | head`): ignore the
@@ -918,13 +852,6 @@ fn cmd_serve_daemon(index: &str, flags: &[String]) -> Result<(), String> {
                 }
                 cfg.pressure = p;
             }
-            "--shard-id" => {
-                cfg.shard_id = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad --shard-id: {value}"))?,
-                )
-            }
             "--trace-export" => cfg.trace_export = Some(PathBuf::from(value)),
             f => return Err(format!("unknown flag: {f}")),
         }
@@ -1011,9 +938,9 @@ fn cmd_serve_daemon(index: &str, flags: &[String]) -> Result<(), String> {
         version,
     );
     // Everything after the listening line is informational: a supervisor
-    // (like `bepi route`) may close our stdout as soon as it has parsed
-    // the address, and a daemon must not die on EPIPE because of it —
-    // hence fallible writes, not `println!`.
+    // (a test harness or a benchmark driver) may close our stdout as soon
+    // as it has parsed the address, and a daemon must not die on EPIPE
+    // because of it — hence fallible writes, not `println!`.
     let _ = daemon_println(
         "endpoints: /query?seed=S&top=K[&mode=exact|approx|auto][&trace=1]  /healthz  \
          /metrics  /version  /debug/slow  /debug/trace  POST /edges  POST /rebuild",
@@ -1048,165 +975,6 @@ fn daemon_println(line: &str) -> std::io::Result<()> {
     let mut out = std::io::stdout().lock();
     writeln!(out, "{line}")?;
     out.flush()
-}
-
-/// `bepi route`: the scatter-gather front tier over N shard daemons.
-fn cmd_route(index: Option<&str>, flags: &[String]) -> Result<(), String> {
-    use bepi_route::router::{Router, RouterConfig};
-    use bepi_route::shard::ShardState;
-    use bepi_route::supervisor::{SpawnSpec, Supervisor};
-
-    let mut cfg = RouterConfig::default();
-    let mut shards: usize = 0;
-    let mut attach: Option<String> = None;
-    // Flags forwarded verbatim to each spawned `bepi serve` shard.
-    let mut shard_flags: Vec<String> = Vec::new();
-    let mut rest = flags;
-    while let Some((flag, tail)) = rest.split_first() {
-        if flag == "--mmap" {
-            shard_flags.push("--mmap".to_string());
-            rest = tail;
-            continue;
-        }
-        let (value, tail) = tail
-            .split_first()
-            .ok_or_else(|| format!("flag {flag} needs a value"))?;
-        match flag.as_str() {
-            "--listen" => cfg.listen = value.clone(),
-            "--shards" => {
-                shards = value
-                    .parse()
-                    .map_err(|_| format!("bad --shards: {value}"))?;
-                if shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
-            "--attach" => attach = Some(value.clone()),
-            "--hedge-ms" => {
-                cfg.hedge_ms = value
-                    .parse()
-                    .map_err(|_| format!("bad --hedge-ms: {value}"))?
-            }
-            "--retries" => {
-                cfg.retries = value
-                    .parse()
-                    .map_err(|_| format!("bad --retries: {value}"))?
-            }
-            "--backoff-ms" => {
-                cfg.backoff_ms = value
-                    .parse()
-                    .map_err(|_| format!("bad --backoff-ms: {value}"))?
-            }
-            "--health-interval-ms" => {
-                let ms: u64 = value
-                    .parse()
-                    .map_err(|_| format!("bad --health-interval-ms: {value}"))?;
-                if ms == 0 {
-                    return Err("--health-interval-ms must be at least 1".into());
-                }
-                cfg.health_interval = std::time::Duration::from_millis(ms);
-            }
-            "--timeout-ms" => {
-                let ms: u64 = value
-                    .parse()
-                    .map_err(|_| format!("bad --timeout-ms: {value}"))?;
-                if ms == 0 {
-                    return Err("--timeout-ms must be at least 1".into());
-                }
-                cfg.shard_timeout = std::time::Duration::from_millis(ms);
-                shard_flags.extend(["--timeout-ms".to_string(), value.clone()]);
-            }
-            "--slow-query-ms" => {
-                let ms: u64 = value
-                    .parse()
-                    .map_err(|_| format!("bad --slow-query-ms: {value}"))?;
-                cfg.slow_query = std::time::Duration::from_millis(ms);
-                // The same threshold applies on the shard daemons, so a
-                // request slow enough for the router's slowlog is also
-                // in the answering shard's (correlated by request id).
-                shard_flags.extend(["--slow-query-ms".to_string(), value.clone()]);
-            }
-            "--trace-export" => {
-                cfg.trace_export = Some(std::path::PathBuf::from(value));
-            }
-            "--cache-entries" | "--threads" | "--pressure" => {
-                shard_flags.extend([flag.clone(), value.clone()]);
-            }
-            f => return Err(format!("unknown route flag: {f}")),
-        }
-        rest = tail;
-    }
-
-    let supervisor = match attach {
-        Some(addrs) => {
-            if shards != 0 {
-                return Err("--attach and --shards are mutually exclusive".into());
-            }
-            let states: Vec<_> = addrs
-                .split(',')
-                .filter(|a| !a.trim().is_empty())
-                .enumerate()
-                .map(|(i, a)| std::sync::Arc::new(ShardState::new(i, a.trim(), cfg.shard_timeout)))
-                .collect();
-            if states.is_empty() {
-                return Err("--attach needs at least one address".into());
-            }
-            Supervisor::attach(states)
-        }
-        None => {
-            let index = index.ok_or("route needs an index path (or --attach ADDRS)")?;
-            if shards == 0 {
-                return Err("route needs --shards N (or --attach ADDRS)".into());
-            }
-            let program =
-                std::env::current_exe().map_err(|e| format!("cannot find own binary: {e}"))?;
-            let spec = SpawnSpec {
-                program,
-                index: index.into(),
-                extra_args: shard_flags,
-            };
-            eprintln!("spawning {shards} shard daemon(s) over {index} ...");
-            Supervisor::spawn(spec, shards, cfg.shard_timeout).map_err(|e| e.to_string())?
-        }
-    };
-
-    let hedge_ms = cfg.hedge_ms;
-    let retries = cfg.retries;
-    let handle = Router::start(supervisor, cfg).map_err(|e| e.to_string())?;
-    // All stdout writes are fallible for the same reason as the serve
-    // daemon's: a supervisor may close our stdout once it has the
-    // address, and that must not kill the router.
-    let _ = daemon_println(&format!(
-        "bepi-route listening on http://{} ({} shards; hedge {} ms, retries {})",
-        handle.local_addr(),
-        handle.shards().len(),
-        hedge_ms,
-        retries,
-    ));
-    let pids = handle.supervisor().child_pids();
-    for shard in handle.shards() {
-        let _ = daemon_println(&format!(
-            "shard {}: http://{} healthy={}{}",
-            shard.id,
-            shard.addr(),
-            shard.is_healthy(),
-            pids.get(shard.id)
-                .map(|p| format!(" pid={p}"))
-                .unwrap_or_default(),
-        ));
-    }
-    let _ = daemon_println(
-        "endpoints: /query?seed=S&top=K[&mode=M][&trace=1]  \
-         /batch?seeds=a,b,c[&top=K][&merge=1]  \
-         /route/health  /version  /healthz  /metrics  /debug/slow  /debug/trace",
-    );
-    let _ = daemon_println("EOF on stdin (e.g. ctrl-D) shuts down gracefully");
-
-    std::io::copy(&mut std::io::stdin().lock(), &mut std::io::sink()).ok();
-    eprintln!("shutting down: stopping router, draining shard daemons");
-    handle.shutdown();
-    eprintln!("bye");
-    Ok(())
 }
 
 fn cmd_serve(index: &str, seed_s: &str, o: &Options) -> Result<(), String> {

@@ -156,7 +156,7 @@ fn help_documents_every_query_method_and_serving_mode() {
         );
     }
 
-    // `--threads` sets daemon and router workers only: a query solve is
+    // `--threads` sets the daemon's workers only: a query solve is
     // single-threaded and preprocessing uses every core, so the one-shot
     // commands have no thread count to take.
     for args in [
@@ -186,7 +186,6 @@ fn help_lists_every_subcommand_dispatched() {
         "select-k",
         "preprocess",
         "serve",
-        "route",
         "help",
     ] {
         assert!(
@@ -196,9 +195,15 @@ fn help_lists_every_subcommand_dispatched() {
     }
 
     // The converse for the subcommands that were removed: performance is
-    // measured by `benchmark/`, not by the CLI, and v6 is the only index
-    // format, so there is nothing to convert.
-    for (sub, args) in [("bench", ["--quick"]), ("convert", ["in.bepi"])] {
+    // measured by `benchmark/`, not by the CLI; v6 is the only index
+    // format, so there is nothing to convert; and one `bepi serve` per
+    // process, several of them `--mmap`ing one index, is the one serving
+    // tier, so there is no front tier to route through.
+    for (sub, args) in [
+        ("bench", ["--quick"]),
+        ("convert", ["in.bepi"]),
+        ("route", ["in.bepi"]),
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_bepi"))
             .arg(sub)
             .args(args)

@@ -127,7 +127,7 @@ fn pre_v6_index_is_rejected_at_every_entry_point() {
     std::fs::write(&old, &bytes).unwrap();
     let old = path_str(&old);
 
-    let runs: [(&str, &[&str]); 7] = [
+    let runs: [(&str, &[&str]); 6] = [
         ("serve", &["serve", old, "0"]),
         ("serve --mmap", &["serve", old, "0", "--mmap"]),
         ("serve daemon", &["serve", old, "--listen", "127.0.0.1:0"]),
@@ -135,7 +135,6 @@ fn pre_v6_index_is_rejected_at_every_entry_point() {
             "serve daemon --mmap",
             &["serve", old, "--listen", "127.0.0.1:0", "--mmap"],
         ),
-        ("route shards", &["route", old, "--shards", "1", "--mmap"]),
         ("stats", &["stats", old]),
         ("stats --mmap", &["stats", old, "--mmap"]),
     ];

@@ -1,7 +1,8 @@
 //! Cross-process mmap sharing: two `bepi serve --mmap` daemons over the
 //! *same* v6 index must (a) serve bit-identical bytes and (b) actually
 //! share the index pages through the page cache — which is the whole
-//! premise of `bepi route` scale-out (N shard caches, one index).
+//! premise of running several daemons on one host (N response caches,
+//! one index in memory).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -52,14 +53,9 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn spawn(index: &Path, shard_id: u64) -> Self {
-        let errlog = std::fs::File::create(
-            index
-                .parent()
-                .unwrap()
-                .join(format!("daemon{shard_id}.err")),
-        )
-        .unwrap();
+    fn spawn(index: &Path, name: &str) -> Self {
+        let errlog =
+            std::fs::File::create(index.parent().unwrap().join(format!("{name}.err"))).unwrap();
         let mut child = Command::new(BIN)
             .args([
                 "serve",
@@ -67,8 +63,6 @@ impl Daemon {
                 "--listen",
                 "127.0.0.1:0",
                 "--mmap",
-                "--shard-id",
-                &shard_id.to_string(),
             ])
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
@@ -134,13 +128,15 @@ impl Drop for Daemon {
 fn two_mmap_daemons_over_one_index_serve_identical_bytes_and_share_pages() {
     let dir = temp_dir();
     let index = preprocess(&dir);
-    let a = Daemon::spawn(&index, 0);
-    let b = Daemon::spawn(&index, 1);
+    let a = Daemon::spawn(&index, "daemon-a");
+    let b = Daemon::spawn(&index, "daemon-b");
+    // The two processes are told apart by the address each bound.
+    assert_ne!(a.addr, b.addr, "two daemons cannot share one address");
 
     // (a) Bit-identity: every (seed, top) answer must match byte for
     // byte across the two processes — the mmap'd index is the same
-    // bytes, so the responses must be too. Only the X-Shard header may
-    // differ, which is exactly why it is a header and not body content.
+    // bytes, so the responses must be too. So must every header but the
+    // per-request correlation id.
     for seed in (0..N).step_by(7) {
         for top in [1, 5, 12] {
             let target = format!("/query?seed={seed}&top={top}");
@@ -148,13 +144,12 @@ fn two_mmap_daemons_over_one_index_serve_identical_bytes_and_share_pages() {
             let (sb, hb, body_b) = b.get(&target);
             assert_eq!((sa, sb), (200, 200), "{target}");
             assert_eq!(body_a, body_b, "bodies must be bit-identical: {target}");
-            let shard = |h: &[(String, String)]| {
-                h.iter()
-                    .find(|(k, _)| k == "x-shard")
-                    .map(|(_, v)| v.clone())
+            let stable = |h: Vec<(String, String)>| {
+                h.into_iter()
+                    .filter(|(k, _)| k != "x-request-id")
+                    .collect::<Vec<_>>()
             };
-            assert_eq!(shard(&ha).as_deref(), Some("0"));
-            assert_eq!(shard(&hb).as_deref(), Some("1"));
+            assert_eq!(stable(ha), stable(hb), "headers must match: {target}");
         }
     }
 

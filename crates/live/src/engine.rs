@@ -340,7 +340,9 @@ impl LiveEngine {
             // The recovered state is the new baseline: checkpoint it and
             // drop the replayed WAL prefix so a crash loop cannot grow
             // the log without bound.
-            engine.checkpoint_and_compact(&mut engine.state(), replayed_through)?;
+            engine
+                .checkpoint_and_compact(&mut engine.state(), replayed_through)
+                .map_err(SparseError::Io)?;
         }
 
         let worker = {
@@ -486,8 +488,13 @@ impl LiveEngine {
     /// path — atomically and durably, see [`persist::save_file_v6`] —
     /// then truncates WAL segments `<= upto`. Compaction is skipped
     /// unless the checkpoint landed: checkpoint + remaining WAL must
-    /// always reconstruct current state.
-    fn checkpoint_and_compact(&self, st: &mut MutState, upto: u64) -> Result<()> {
+    /// always reconstruct current state. An error names the checkpoint
+    /// path, which is what `/version`'s `last_error` reports.
+    fn checkpoint_and_compact(
+        &self,
+        st: &mut MutState,
+        upto: u64,
+    ) -> std::result::Result<(), String> {
         let Some(path) = &self.checkpoint_path else {
             return Ok(());
         };
@@ -496,10 +503,16 @@ impl LiveEngine {
         };
         let current = self.current();
         let span = bepi_obs::Span::enter("live.checkpoint");
-        persist::save_file_v6(&current.bepi, Some(graph), path)?;
+        persist::save_file_v6(&current.bepi, Some(graph), path)
+            .map_err(|e| format!("checkpoint {} failed: {e}", path.display()))?;
         let checkpoint_time = span.exit();
         if let Some(wal) = &mut st.wal {
-            wal.compact_through(upto)?;
+            wal.compact_through(upto).map_err(|e| {
+                format!(
+                    "WAL compaction after checkpoint {} failed: {e}",
+                    path.display()
+                )
+            })?;
         }
         bepi_obs::debug!(
             "live",
@@ -707,7 +720,7 @@ fn worker_loop(engine: &LiveEngine) {
                     // costs replay time on the next restart. Recorded for
                     // /version but *not* as a failed generation — the
                     // caller's rebuild did succeed.
-                    st.status.last_error = Some(format!("checkpoint failed: {e}"));
+                    st.status.last_error = Some(e);
                 }
                 st.done_gen = target;
                 engine.cv.notify_all();
@@ -1066,7 +1079,13 @@ mod tests {
             .status()
             .last_error
             .expect("checkpoint error recorded");
-        assert!(err.contains("checkpoint failed"), "{err}");
+        // The error names the checkpoint's own path, not its temporary
+        // sibling.
+        assert!(
+            err.starts_with("checkpoint /nonexistent-bepi-dir/checkpoint.bepi failed: io error: "),
+            "{err}"
+        );
+        assert!(!err.contains(".tmp."), "{err}");
         // A later no-op rebuild must not resurface the stale error.
         assert_eq!(engine.rebuild_and_wait().unwrap(), 2);
         engine.shutdown();

@@ -18,7 +18,7 @@
 //!   process-global solver/WAL instruments shared by the server and CLI.
 //! - [`ring`]: a seqlock ring buffer of fixed-width records used for the
 //!   slow-query log and the trace rings.
-//! - [`mod@trace`]: 128-bit request ids for fleet-wide correlation, the
+//! - [`mod@trace`]: 128-bit request ids for per-request correlation, the
 //!   process trace clock, and the Chrome trace-event exporter behind
 //!   `--trace-export`.
 

@@ -14,10 +14,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of `u64` payload fields per record. Sized for the widest
-/// consumer: the daemon's query record, a 128-bit request id (two fields)
-/// beside twelve query fields.
-pub const RECORD_FIELDS: usize = 14;
+/// Number of `u64` payload fields per record: the daemon's query record,
+/// a 128-bit request id (two fields) beside eleven query fields.
+pub const RECORD_FIELDS: usize = 13;
 
 #[derive(Debug)]
 struct Slot {

@@ -102,7 +102,7 @@ pub enum Kind {
 ///
 /// Each family starts with [`Exposition::family`], which writes its
 /// `# HELP` and `# TYPE` lines; its samples follow. A sample carries at
-/// most one label pair (a histogram's `le` comes after it). Every value
+/// most one label pair; a histogram's buckets carry only `le`. Every value
 /// and bound goes through [`format_le`], so no line carries exponent
 /// notation.
 #[derive(Debug, Default)]
@@ -140,25 +140,16 @@ impl Exposition {
     /// Writes the samples of one histogram series: a cumulative bucket
     /// per bound and `+Inf`, then `_sum` and `_count`. `_count` is the
     /// `+Inf` bucket of the same read, so the two always agree.
-    pub fn histogram(
-        &mut self,
-        name: &str,
-        label: Option<(&str, &str)>,
-        h: &Histogram,
-    ) -> &mut Self {
-        let (le_prefix, labels) = match label {
-            Some((key, v)) => (format!("{key}=\"{v}\","), format!("{{{key}=\"{v}\"}}")),
-            None => (String::new(), String::new()),
-        };
+    pub fn histogram(&mut self, name: &str, h: &Histogram) -> &mut Self {
         let cumulative = h.cumulative();
         let bounds = h.bounds.iter().copied().chain([f64::INFINITY]);
         for (bound, count) in bounds.zip(&cumulative) {
             let le = format_le(bound);
-            let _ = writeln!(self.text, "{name}_bucket{{{le_prefix}le=\"{le}\"}} {count}");
+            let _ = writeln!(self.text, "{name}_bucket{{le=\"{le}\"}} {count}");
         }
         let total = cumulative.last().copied().unwrap_or(0);
-        let _ = writeln!(self.text, "{name}_sum{labels} {}", format_le(h.sum()));
-        let _ = writeln!(self.text, "{name}_count{labels} {total}");
+        let _ = writeln!(self.text, "{name}_sum {}", format_le(h.sum()));
+        let _ = writeln!(self.text, "{name}_count {total}");
         self
     }
 
@@ -295,18 +286,14 @@ mod tests {
         h.observe(3.0);
         let mut e = Exposition::default();
         e.family("test_hist", Kind::Histogram, "help text")
-            .histogram("test_hist", None, &h)
-            .family("test_lab", Kind::Histogram, "labelled")
-            .histogram("test_lab", Some(("shard", "1")), &h);
+            .histogram("test_hist", &h);
         let out = e.finish();
         assert!(out.contains("# HELP test_hist help text\n# TYPE test_hist histogram\n"));
         assert!(out.contains("test_hist_bucket{le=\"0.00005\"} 1"));
         assert!(out.contains("test_hist_bucket{le=\"2\"} 2"));
         assert!(out.contains("test_hist_bucket{le=\"+Inf\"} 3"));
-        assert!(out.contains("test_hist_count 3"));
-        assert!(out.contains("test_lab_bucket{shard=\"1\",le=\"2\"} 2"));
-        assert!(out.contains("test_lab_sum{shard=\"1\"} 4.00001\n"));
-        assert!(out.contains("test_lab_count{shard=\"1\"} 3\n"));
+        assert!(out.contains("test_hist_sum 4.00001\n"));
+        assert!(out.contains("test_hist_count 3\n"));
         for line in out.lines().filter(|l| !l.starts_with('#')) {
             let value = line.rsplit(' ').next().unwrap();
             value.parse::<f64>().expect("sample value parses");

@@ -1,15 +1,13 @@
 //! Distributed-tracing primitives: request ids, the trace clock, and
 //! the Chrome trace-event exporter.
 //!
-//! The correlation story is one identifier threaded through every
-//! process a request touches:
+//! The correlation story is one identifier per request:
 //!
-//! - [`RequestId`] is a 128-bit id minted at the ingress tier (the
-//!   router, or a standalone daemon) and propagated as the
-//!   `X-Request-Id` header on every hop — including retries and hedge
-//!   requests against sibling shards. It is echoed on responses and
-//!   stamped into both slowlogs and structured log lines, so one grep
-//!   for the hex id reconstructs the request's path across the fleet.
+//! - [`RequestId`] is a 128-bit id, adopted from a client's valid
+//!   `X-Request-Id` header or minted by the daemon. It is echoed on the
+//!   response and stamped into the slowlog, the trace ring, the trace
+//!   export and structured log lines, so one grep for the hex id finds
+//!   the request everywhere it left a record.
 //! - [`clock_us`] is a process-wide monotonic microsecond clock
 //!   anchored at its first call; exported trace events timestamp
 //!   against it so events from one process share a consistent axis.
@@ -111,17 +109,11 @@ pub struct TraceEvent<'a> {
     pub ts_us: u64,
     /// Duration in microseconds.
     pub dur_us: u64,
-    /// Process lane: shard id for daemons, `ROUTER_PID` for the router.
-    pub pid: u64,
-    /// Thread lane: worker ordinal (daemon) or attempt index (router).
+    /// Thread lane: the serving thread's ordinal.
     pub tid: u64,
     /// Extra `args` key/value pairs (values rendered as JSON strings).
     pub args: &'a [(&'a str, &'a str)],
 }
-
-/// The `pid` lane the router exports under, chosen to sort before the
-/// shard ids without colliding with them (shards are 0-based).
-pub const ROUTER_PID: u64 = 9999;
 
 /// Appends Chrome trace-event JSON to a file, one event per call.
 ///
@@ -144,9 +136,9 @@ struct ExportState {
 
 impl TraceExporter {
     /// Creates (truncating) the export file and writes the opening
-    /// bracket plus one `process_name` metadata event per `(pid, name)`
-    /// pair, mapping trace lanes to fleet processes.
-    pub fn create(path: &Path, process_names: &[(u64, &str)]) -> std::io::Result<TraceExporter> {
+    /// bracket plus the `process_name` metadata event naming the one
+    /// process lane (`pid` 0) every event is exported under.
+    pub fn create(path: &Path, process_name: &str) -> std::io::Result<TraceExporter> {
         let file = std::fs::File::create(path)?;
         let mut writer = std::io::BufWriter::new(file);
         writer.write_all(b"[")?;
@@ -157,14 +149,11 @@ impl TraceExporter {
                 closed: false,
             }),
         };
-        for (pid, name) in process_names {
-            exporter.write_raw(&format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
-                 \"args\":{{\"name\":{}}}}}",
-                pid,
-                json_escape(name)
-            ))?;
-        }
+        exporter.write_raw(&format!(
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\
+             \"args\":{{\"name\":{}}}}}",
+            json_escape(process_name)
+        ))?;
         Ok(exporter)
     }
 
@@ -180,12 +169,11 @@ impl TraceExporter {
         }
         let line = format!(
             "{{\"name\":{},\"cat\":{},\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-             \"pid\":{},\"tid\":{},\"args\":{{{}}}}}",
+             \"pid\":0,\"tid\":{},\"args\":{{{}}}}}",
             json_escape(ev.name),
             json_escape(ev.cat),
             ev.ts_us,
             ev.dur_us,
-            ev.pid,
             ev.tid,
             args
         );
@@ -297,13 +285,12 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("bepi_trace_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("out.json");
-        let exporter = TraceExporter::create(&path, &[(0, "bepi-shard-0")]).unwrap();
+        let exporter = TraceExporter::create(&path, "bepi-server").unwrap();
         exporter.emit(&TraceEvent {
             name: "query seed=5",
             cat: "serve",
             ts_us: 10,
             dur_us: 250,
-            pid: 0,
             tid: 3,
             args: &[("request_id", "00ff"), ("cache", "miss")],
         });

@@ -34,12 +34,11 @@ pub struct Request {
     /// connections, but this daemon historically answered every request
     /// with `Connection: close`; persistence is therefore opt-in via the
     /// explicit header, which ordinary clients (curl, browsers,
-    /// Prometheus) do not send — only the `bepi route` shard client does.
+    /// Prometheus) do not send — only pooled clients that reuse sockets do.
     pub keep_alive: bool,
     /// The `X-Request-Id` header, if the client sent one. The serving
-    /// tier adopts a well-formed id (the router mints one at ingress and
-    /// propagates it on every shard attempt) and mints its own
-    /// otherwise, so every response carries a correlation id.
+    /// daemon adopts a well-formed id and mints its own otherwise, so
+    /// every response carries a correlation id.
     pub request_id: Option<String>,
 }
 
@@ -272,7 +271,7 @@ pub fn write_response_conn<W: Write>(
     // One write for head + body: two small writes on a Nagle-enabled
     // socket stall the second behind the peer's delayed ACK (~40 ms)
     // once a keep-alive connection leaves TCP quickack mode — fatal for
-    // the router's pooled shard connections.
+    // a pooled client's persistent connections.
     head.push_str(body);
     w.write_all(head.as_bytes())?;
     w.flush()

@@ -103,10 +103,6 @@ pub struct ServerConfig {
     /// hook for tests and drills; values ≥ 1.0 degrade only via the
     /// overflow lane.
     pub pressure: f64,
-    /// Shard id stamped on every response as `X-Shard` when this daemon
-    /// runs as one shard of a `bepi route` fleet. `None` (the default)
-    /// omits the header entirely.
-    pub shard_id: Option<u64>,
     /// Entries retained by the traced-request ring (`GET /debug/trace`).
     pub trace_entries: usize,
     /// When set, every `?trace=1` query is appended to this file as
@@ -127,7 +123,6 @@ impl Default for ServerConfig {
             slow_query: Duration::from_millis(100),
             slow_log_entries: 64,
             pressure: 0.75,
-            shard_id: None,
             trace_entries: 64,
             trace_export: None,
         }
@@ -219,13 +214,8 @@ impl Server {
         let trace_log = QueryLog::new(config.trace_entries, Duration::ZERO);
         let exporter = match &config.trace_export {
             Some(path) => {
-                let pid = config.shard_id.unwrap_or(0);
-                let name = match config.shard_id {
-                    Some(s) => format!("bepi-shard-{s}"),
-                    None => "bepi-server".to_string(),
-                };
-                let exporter = TraceExporter::create(path, &[(pid, &name)])?;
-                export_preprocess_phases(&exporter, pid);
+                let exporter = TraceExporter::create(path, "bepi-server")?;
+                export_preprocess_phases(&exporter);
                 Some(Arc::new(exporter))
             }
             None => None,
@@ -237,16 +227,13 @@ impl Server {
             slow_log,
             trace_log,
             exporter: exporter.clone(),
-            shard_id: config.shard_id,
             pressure_slots: config.pressure_slots(),
             timeout: config.timeout,
             shutdown: Arc::clone(&shutdown),
-            shard: config.shard_id.map(|s| s.to_string()),
             keepalive_threads: std::sync::atomic::AtomicUsize::new(0),
-            // Enough headroom for a scatter-gather front tier (a router
-            // pools a handful of sockets per shard) without letting a
-            // misbehaving client turn persistent connections into an
-            // unbounded thread fleet.
+            // Enough headroom for pooled clients (a few sockets each)
+            // without letting a misbehaving client turn persistent
+            // connections into an unbounded thread fleet.
             keepalive_cap: (4 * threads).clamp(8, 64),
         });
         let mut workers: Vec<JoinHandle<()>> = (0..threads)
@@ -298,7 +285,7 @@ impl Server {
 /// spans on a dedicated lane, so a serve-path trace also shows what
 /// startup cost. Accumulators lose per-span timestamps, so the spans are
 /// laid out sequentially ending at "now".
-fn export_preprocess_phases(exporter: &TraceExporter, pid: u64) {
+fn export_preprocess_phases(exporter: &TraceExporter) {
     let phases = bepi_obs::snapshot();
     let total_us: u64 = phases.iter().map(|p| p.total.as_micros() as u64).sum();
     let mut cursor = bepi_obs::clock_us().saturating_sub(total_us);
@@ -313,7 +300,6 @@ fn export_preprocess_phases(exporter: &TraceExporter, pid: u64) {
             cat: "preprocess",
             ts_us: cursor,
             dur_us: us,
-            pid,
             tid: 0,
             args: &[("spans", &count)],
         });

@@ -180,7 +180,7 @@ impl Metrics {
         }
         let latency = "bepi_query_latency_seconds";
         e.family(latency, Kind::Histogram, "End-to-end /query service time.")
-            .histogram(latency, None, &self.query_latency);
+            .histogram(latency, &self.query_latency);
         e.finish()
     }
 }
@@ -273,7 +273,7 @@ pub fn render_obs_metrics() -> String {
         Kind::Histogram,
         "Inner-solver iterations per cache-missing query.",
     )
-    .histogram(iterations, None, gmres_iterations())
+    .histogram(iterations, gmres_iterations())
     .scalar(
         "bepi_gmres_residual",
         Gauge,
@@ -281,7 +281,7 @@ pub fn render_obs_metrics() -> String {
         gmres_residual().get(),
     )
     .family(fsync, Kind::Histogram, "WAL append fsync latency.")
-    .histogram(fsync, None, wal_fsync_seconds());
+    .histogram(fsync, wal_fsync_seconds());
     type Stat = fn(&PhaseSnapshot) -> f64;
     let phase_families: [(&str, Kind, &str, Stat); 3] = [
         (

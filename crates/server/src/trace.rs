@@ -18,7 +18,7 @@ use std::time::Duration;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryRecord {
     /// Correlation id of the request (minted at ingress, propagated via
-    /// `X-Request-Id`); lets one grep tie this record to the router's
+    /// `X-Request-Id`); lets one grep tie this record to the client's
     /// logs and the exported trace.
     pub request_id: RequestId,
     /// Seed node of the query.
@@ -27,8 +27,6 @@ pub struct QueryRecord {
     pub top_k: u64,
     /// Graph snapshot version that answered the query.
     pub version: u64,
-    /// Shard id of the answering daemon (`None` for a standalone one).
-    pub shard: Option<u64>,
     /// Whether the response came from the cache.
     pub cache_hit: bool,
     /// Whether the approximate lane answered (mode resolved to approx).
@@ -58,8 +56,6 @@ impl QueryRecord {
             self.seed,
             self.top_k,
             self.version,
-            // Shard ids are biased by one so 0 can mean "standalone daemon".
-            self.shard.map_or(0, |s| s + 1),
             u64::from(self.cache_hit) | u64::from(self.approx) << 1,
             self.iterations,
             self.residual.to_bits(),
@@ -77,21 +73,16 @@ impl QueryRecord {
             seed: f[2],
             top_k: f[3],
             version: f[4],
-            shard: f[5].checked_sub(1),
-            cache_hit: f[6] & 1 != 0,
-            approx: f[6] & 2 != 0,
-            iterations: f[7],
-            residual: f64::from_bits(f[8]),
-            queue_us: f[9],
-            solve_us: f[10],
-            topk_us: f[11],
-            serialize_us: f[12],
-            total_us: f[13],
+            cache_hit: f[5] & 1 != 0,
+            approx: f[5] & 2 != 0,
+            iterations: f[6],
+            residual: f64::from_bits(f[7]),
+            queue_us: f[8],
+            solve_us: f[9],
+            topk_us: f[10],
+            serialize_us: f[11],
+            total_us: f[12],
         }
-    }
-
-    fn shard_json(&self) -> String {
-        self.shard.map_or("null".to_string(), |s| s.to_string())
     }
 }
 
@@ -141,8 +132,7 @@ impl QueryLog {
             }
             body.push_str(&format!(
                 "{{\"request_id\":\"{}\",\"seed\":{},\"latency_us\":{},\"iterations\":{},\
-                 \"residual\":{},\"cache_hit\":{},\"version\":{},\"top\":{},\"approx\":{},\
-                 \"shard\":{}}}",
+                 \"residual\":{},\"cache_hit\":{},\"version\":{},\"top\":{},\"approx\":{}}}",
                 e.request_id.to_hex(),
                 e.seed,
                 e.total_us,
@@ -151,8 +141,7 @@ impl QueryLog {
                 e.cache_hit,
                 e.version,
                 e.top_k,
-                e.approx,
-                e.shard_json()
+                e.approx
             ));
         }
         body.push_str("]}");
@@ -169,7 +158,7 @@ impl QueryLog {
             body.push_str(&format!(
                 "{{\"request_id\":\"{}\",\"seed\":{},\"top\":{},\"queue_us\":{},\
                  \"solve_us\":{},\"topk_us\":{},\"serialize_us\":{},\"total_us\":{},\
-                 \"cache_hit\":{},\"version\":{},\"shard\":{}}}",
+                 \"cache_hit\":{},\"version\":{}}}",
                 e.request_id.to_hex(),
                 e.seed,
                 e.top_k,
@@ -179,8 +168,7 @@ impl QueryLog {
                 e.serialize_us,
                 e.total_us,
                 e.cache_hit,
-                e.version,
-                e.shard_json()
+                e.version
             ));
         }
         body.push_str("]}");
@@ -203,7 +191,6 @@ mod tests {
             seed,
             top_k: 10,
             version: seed / 3,
-            shard: seed.checked_sub(1).map(|s| s % 3),
             cache_hit: seed % 2 == 0,
             approx: seed % 3 == 0,
             iterations: seed + 1,
@@ -239,9 +226,8 @@ mod tests {
     #[test]
     fn round_trips_and_evicts_oldest() {
         let log = QueryLog::new(5, Duration::ZERO);
-        // Seeds 0..6 cover every cache_hit/approx pair and both shard
-        // forms; NaN and subnormal residuals keep their bits. The ring
-        // keeps the newest five.
+        // Seeds 0..6 cover every cache_hit/approx pair; NaN and subnormal
+        // residuals keep their bits. The ring keeps the newest five.
         let mut records: Vec<QueryRecord> = (0..6).map(|s| q(s, s * 11)).collect();
         records[2].residual = f64::NAN;
         records[3].residual = 5e-324;
@@ -272,22 +258,11 @@ mod tests {
         assert!(slow.contains(&format!(
             "\"latency_us\":1234,\"iterations\":5,\"residual\":{residual},"
         )));
-        assert!(slow.contains("\"cache_hit\":true,\"version\":1,\"top\":10,\"approx\":false"));
-        assert!(slow.ends_with("\"shard\":0}]}"));
+        assert!(slow.ends_with("\"cache_hit\":true,\"version\":1,\"top\":10,\"approx\":false}]}"));
         let trace = log.render_trace_json();
         assert!(trace.starts_with("{\"capacity\":4,\"entries\":["));
         assert!(trace.contains("\"queue_us\":4,\"solve_us\":8,\"topk_us\":12,\"serialize_us\":16"));
-        assert!(
-            trace.ends_with("\"total_us\":1234,\"cache_hit\":true,\"version\":1,\"shard\":0}]}")
-        );
-    }
-
-    #[test]
-    fn standalone_daemon_renders_null_shard() {
-        let log = QueryLog::new(2, Duration::ZERO);
-        log.record(&q(0, 1));
-        assert!(log.render_trace_json().contains("\"shard\":null"));
-        assert!(log.render_slow_json().contains("\"shard\":null"));
+        assert!(trace.ends_with("\"total_us\":1234,\"cache_hit\":true,\"version\":1}]}"));
     }
 
     #[test]

@@ -20,6 +20,7 @@ use bepi_core::EdgeUpdate;
 use bepi_live::LiveEngine;
 use bepi_obs::trace::{RequestId, TraceEvent, TraceExporter};
 use bepi_sparse::SparseError;
+use std::any::Any;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::panic::AssertUnwindSafe;
@@ -28,7 +29,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Default `top` when the query string omits it.
-pub const DEFAULT_TOP_K: usize = 10;
+const DEFAULT_TOP_K: usize = 10;
 
 /// Which admission lane a connection came through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,15 +80,8 @@ pub struct WorkerContext {
     pub timeout: Duration,
     /// Graceful-shutdown flag: keep-alive connections are closed after
     /// the in-flight request once shutdown is requested, so persistent
-    /// router connections cannot stall the drain.
+    /// client connections cannot stall the drain.
     pub shutdown: Arc<crate::shutdown::Shutdown>,
-    /// This daemon's shard id rendered for the `X-Shard` response
-    /// header (`None` outside a sharded fleet). The `bepi route` front
-    /// tier uses it to attribute responses to shard processes.
-    pub shard: Option<String>,
-    /// Numeric form of the shard id, stamped into slowlog and trace-ring
-    /// records so fleet-wide correlation does not re-parse the header.
-    pub shard_id: Option<u64>,
     /// Ring buffer behind `GET /debug/trace`: the most recent `?trace=1`
     /// queries with their per-stage timings (threshold zero).
     pub trace_log: QueryLog,
@@ -105,13 +99,6 @@ pub struct WorkerContext {
     pub keepalive_cap: usize,
 }
 
-impl WorkerContext {
-    /// The `X-Shard` header pair, when this daemon has a shard id.
-    fn shard_header(&self) -> Option<(&'static str, &str)> {
-        self.shard.as_deref().map(|s| ("X-Shard", s))
-    }
-}
-
 /// Worker main loop: drains the admission queue until it is closed *and*
 /// empty, which is exactly the graceful-shutdown drain semantics. Runs
 /// both the normal pool and the degraded overflow worker (the job's
@@ -125,15 +112,32 @@ pub fn worker_loop(rx: crate::queue::Consumer<Job>, ctx: Arc<WorkerContext>) {
         ctx.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
         // A panic while serving one connection must not kill the worker:
         // the stream is dropped (client sees a reset), the panic is
-        // counted, and the loop continues.
+        // counted and logged, and the loop continues.
         let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
             handle_connection(job, &ctx);
         }));
-        if result.is_err() {
-            Metrics::inc(&ctx.metrics.server_errors_total);
+        if let Err(payload) = result {
+            report_panic(&ctx, payload.as_ref());
         }
         ctx.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
     }
+}
+
+/// Counts a panic caught while serving a connection as a server error and
+/// logs it with the serving thread's name and the panic message.
+fn report_panic(ctx: &WorkerContext, payload: &(dyn Any + Send)) {
+    Metrics::inc(&ctx.metrics.server_errors_total);
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload");
+    bepi_obs::error!(
+        "server",
+        "panic while serving a connection",
+        thread = std::thread::current().name().unwrap_or("unnamed"),
+        panic = message
+    );
 }
 
 fn remaining(deadline: Instant) -> Option<Duration> {
@@ -181,7 +185,7 @@ fn handle_connection(job: Job, ctx: &Arc<WorkerContext>) {
         // return this worker to the admission queue. A keep-alive
         // connection parked on a pool worker would starve fresh
         // connections outright: the pool is sized to CPU, persistent
-        // connections are sized to clients, and one idle router socket
+        // connections are sized to clients, and one idle client socket
         // must never block admission (on a 1-core box the pool is a
         // single worker).
         Served::KeepAlive => persist_connection(stream, reader, lane, ctx),
@@ -238,8 +242,8 @@ fn persist_connection(
                     }
                 }
             }));
-            if result.is_err() {
-                Metrics::inc(&ctx.metrics.server_errors_total);
+            if let Err(payload) = result {
+                report_panic(&ctx, payload.as_ref());
             }
             ctx.keepalive_threads.fetch_sub(1, Ordering::AcqRel);
         });
@@ -356,22 +360,18 @@ fn serve_one(
 
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/healthz") => {
-            let mut headers: Vec<(&str, &str)> = Vec::new();
-            headers.extend(ctx.shard_header());
-            respond_conn(stream, 200, "text/plain", &headers, "ok\n", keep_alive);
+            respond_conn(stream, 200, "text/plain", &[], "ok\n", keep_alive);
             kept(keep_alive)
         }
         ("GET", "/metrics") => {
             let mut body = ctx.metrics.render();
             body.push_str(&render_live_metrics(&ctx.engine.status()));
             body.push_str(&render_obs_metrics());
-            let mut headers: Vec<(&str, &str)> = Vec::new();
-            headers.extend(ctx.shard_header());
             respond_conn(
                 stream,
                 200,
                 "text/plain; version=0.0.4",
-                &headers,
+                &[],
                 &body,
                 keep_alive,
             );
@@ -476,11 +476,10 @@ fn handle_query(
     // Queue wait: admission to worker pickup.
     let queue_wait = started.saturating_duration_since(accepted_at);
     let trace = request.params.get("trace").map(String::as_str) == Some("1");
-    // Adopt the caller's correlation id (the router mints one at ingress
-    // and propagates it on every attempt) or mint one here — a
-    // standalone daemon IS the ingress. Echoed on the response, stamped
-    // into the slowlog, and — for traced requests — the trace ring and
-    // the Chrome export, so one grep follows the request everywhere.
+    // Adopt the caller's correlation id or mint one here. Echoed on the
+    // response, stamped into the slowlog, and — for traced requests —
+    // the trace ring and the Chrome export, so one grep follows the
+    // request everywhere.
     let rid = request
         .request_id
         .as_deref()
@@ -578,7 +577,6 @@ fn handle_query(
     let mut headers: Vec<(&str, &str)> = Vec::with_capacity(5);
     headers.push(("X-Graph-Version", &version_header));
     headers.push(("X-Request-Id", &rid_hex));
-    headers.extend(ctx.shard_header());
     if approx {
         headers.push(("X-Approx", "1"));
     }
@@ -588,7 +586,6 @@ fn handle_query(
         seed: key.seed as u64,
         top_k: key.top_k as u64,
         version: key.version,
-        shard: ctx.shard_id,
         cache_hit: true,
         approx,
         iterations: 0,
@@ -709,9 +706,8 @@ fn record_traced(ctx: &WorkerContext, rid_hex: &str, q: &QueryRecord) {
     let Some(exporter) = &ctx.exporter else {
         return;
     };
-    // Trace lanes: pid = shard id (0 for a standalone daemon), tid = the
-    // serving thread's ordinal — worker, degraded, or keep-alive thread.
-    let pid = ctx.shard_id.unwrap_or(0);
+    // Trace lanes: tid = the serving thread's ordinal — worker,
+    // degraded, or keep-alive thread.
     let tid = trace_tid();
     let end = bepi_obs::clock_us();
     let start = end.saturating_sub(q.total_us);
@@ -721,7 +717,6 @@ fn record_traced(ctx: &WorkerContext, rid_hex: &str, q: &QueryRecord) {
         cat: "serve",
         ts_us: start,
         dur_us: q.total_us,
-        pid,
         tid,
         args: &[
             ("request_id", rid_hex),
@@ -741,7 +736,6 @@ fn record_traced(ctx: &WorkerContext, rid_hex: &str, q: &QueryRecord) {
                 cat: "serve",
                 ts_us: cursor,
                 dur_us: us,
-                pid,
                 tid,
                 args: &[("request_id", rid_hex)],
             });
@@ -809,9 +803,14 @@ fn handle_version(stream: &TcpStream, ctx: &WorkerContext, keep_alive: bool) -> 
         json_or_null(&status.last_error)
     );
     let version_header = status.version.to_string();
-    let mut headers: Vec<(&str, &str)> = vec![("X-Graph-Version", &version_header)];
-    headers.extend(ctx.shard_header());
-    respond_conn(stream, 200, "application/json", &headers, &body, keep_alive);
+    respond_conn(
+        stream,
+        200,
+        "application/json",
+        &[("X-Graph-Version", &version_header)],
+        &body,
+        keep_alive,
+    );
     kept(keep_alive)
 }
 

@@ -64,22 +64,27 @@ cargo test --offline --release -q -p bepi-incr -p bepi-reorder -p bepi-solver -p
   refactor_blocks_is_bit_identical sub_spgemm_is_bit_identical schur_complement_is_bit_identical
 
 # The observability surface's own tests, by name: golden bodies for the
-# daemon's /metrics (counters, latency histogram, live block), the router's
-# exposition, /version, /debug/slow and /debug/trace (fixed inputs, exact
-# bytes, unchanged by any renderer refactor); the README glossary drift
-# check over a daemon's full exposition; _count against the +Inf bucket
-# while another thread observes; and the two catch_unwind sites driven by a
-# real panic, in release codegen (debug builds assert the crafted index at
-# load).
+# daemon's /metrics (counters, latency histogram, live block), /version,
+# /debug/slow and /debug/trace (fixed inputs, exact bytes, unchanged by
+# any renderer refactor); the README glossary drift check over a daemon's
+# full exposition; _count against the +Inf bucket while another thread
+# observes; and the two catch_unwind sites driven by a real panic, in
+# release codegen (debug builds assert the crafted index at load): in
+# process, and through `bepi serve --mmap`, whose stderr must carry one
+# error line naming the thread and the panic message.
 echo "==> observability golden, drift and panic tests"
 cargo test --offline -q -p bepi-tests --test golden --test obs -- golden metrics_glossary
 cargo test --offline -q -p bepi-server -- latency_count_matches_inf_bucket
 cargo test --offline --release -q -p bepi-tests --test serve_panic
+cargo test --offline --release -q -p bepi-cli --test serve_panic_log
 
-# Observability end-to-end gate: start a real daemon, drive traced
-# queries through it, and validate the /metrics exposition with the
-# in-tree checker (the wire format an external Prometheus scraper sees).
-echo "==> /metrics exposition check (bepi serve + metrics_check)"
+# Observability end-to-end gate: start a real daemon with its trace
+# export on, drive traced queries through it, and validate the /metrics
+# exposition with the in-tree checker (the wire format an external
+# Prometheus scraper sees). Then send one traced query with a client
+# X-Request-Id and require that id in the response header, in
+# /debug/slow and in the exported trace file.
+echo "==> /metrics exposition and request-id check (bepi serve + metrics_check)"
 OBS_TMP=$(mktemp -d)
 OBS_FIFO="$OBS_TMP/stdin"
 OBS_LOG="$OBS_TMP/serve.log"
@@ -107,7 +112,8 @@ exec 9<> "$OBS_FIFO"
 # 9>&- keeps the daemon from inheriting the fifo's write end — otherwise
 # it would hold its own stdin open and never see EOF.
 ./target/release/bepi serve "$OBS_TMP/index.bepi" --listen 127.0.0.1:0 \
-  --slow-query-ms 0 --log-level info < "$OBS_FIFO" > "$OBS_LOG" 2>&1 9>&- &
+  --slow-query-ms 0 --log-level info --trace-export "$OBS_TMP/trace.json" \
+  < "$OBS_FIFO" > "$OBS_LOG" 2>&1 9>&- &
 OBS_PID=$!
 OBS_ADDR=""
 for _ in $(seq 1 100); do
@@ -118,6 +124,25 @@ for _ in $(seq 1 100); do
 done
 [ -n "$OBS_ADDR" ] || { echo "daemon never reported its address"; cat "$OBS_LOG"; exit 1; }
 ./target/release/metrics_check "$OBS_ADDR" --warm-queries 8
+python3 - "$OBS_ADDR" "$OBS_TMP/trace.json" <<'EOF'
+import json, sys, urllib.request
+
+addr, export_path = sys.argv[1], sys.argv[2]
+rid = "00112233445566778899aabbccddeeff"
+req = urllib.request.Request(
+    f"http://{addr}/query?seed=5&top=4&trace=1", headers={"X-Request-Id": rid}
+)
+with urllib.request.urlopen(req, timeout=30) as r:
+    assert r.headers["X-Request-Id"] == rid, f"header: {r.headers['X-Request-Id']}"
+    doc = json.loads(r.read().decode())
+assert doc["trace"]["request_id"] == rid, doc
+with urllib.request.urlopen(f"http://{addr}/debug/slow", timeout=30) as r:
+    slow = r.read().decode()
+assert rid in slow, f"/debug/slow missing {rid}: {slow}"
+with open(export_path) as f:
+    assert rid in f.read(), f"trace export missing {rid}"
+print(f"request id {rid} in the response header, /debug/slow and the trace export")
+EOF
 exec 9>&-   # stdin EOF → graceful shutdown
 wait "$OBS_PID"
 OBS_PID=""
@@ -346,188 +371,6 @@ exec 6>&-
 wait "$SAT_PID"
 SAT_PID=""
 
-# Sharded-serving drill: boot `bepi route` over two spawned shard
-# daemons, SIGKILL one under load, and require that not a single
-# `mode=auto` request fails — the router must hide the crash behind
-# failover, then respawn the shard and re-admit it once it answers
-# `/version` at the expected epoch (bepi_shard_healthy back to 1).
-echo "==> shard-kill drill (bepi route: SIGKILL one shard under load)"
-RT_TMP=$(mktemp -d)
-cleanup_rt() {
-  exec 5>&- 2>/dev/null || true
-  [ -n "${RT_PID:-}" ] && kill "$RT_PID" 2>/dev/null || true
-  rm -rf "$RT_TMP"
-}
-trap 'cleanup_obs; cleanup_mmap; cleanup_sat; cleanup_rt' EXIT
-python3 - "$RT_TMP/edges.txt" <<'EOF'
-import sys
-with open(sys.argv[1], "w") as f:
-    n = 64
-    for i in range(n):
-        f.write(f"{i} {(i + 1) % n}\n")
-        f.write(f"{i} {(i * 7 + 3) % n}\n")
-EOF
-# --mmap serving needs the mappable v6 container; --embed-graph keeps the
-# approximate lane live so mode=auto can degrade instead of shedding.
-./target/release/bepi preprocess "$RT_TMP/edges.txt" "$RT_TMP/index.bepi" \
-  --format v6 --embed-graph
-mkfifo "$RT_TMP/fifo"
-exec 5<> "$RT_TMP/fifo"
-./target/release/bepi route "$RT_TMP/index.bepi" --shards 2 --mmap \
-  --health-interval-ms 50 --hedge-ms 25 \
-  < "$RT_TMP/fifo" > "$RT_TMP/route.log" 2>&1 5>&- &
-RT_PID=$!
-RT_ADDR=""
-for _ in $(seq 1 100); do
-  RT_ADDR=$(sed -n 's#^bepi-route listening on http://\([0-9.:]*\).*#\1#p' "$RT_TMP/route.log" | head -n1)
-  [ -n "$RT_ADDR" ] && break
-  kill -0 "$RT_PID" 2>/dev/null || { cat "$RT_TMP/route.log"; exit 1; }
-  sleep 0.1
-done
-[ -n "$RT_ADDR" ] || { echo "router never reported its address"; cat "$RT_TMP/route.log"; exit 1; }
-VICTIM=$(sed -n 's/^shard 0: .* pid=\([0-9]*\).*/\1/p' "$RT_TMP/route.log" | head -n1)
-[ -n "$VICTIM" ] || { echo "router never reported shard pids"; cat "$RT_TMP/route.log"; exit 1; }
-python3 - "$RT_ADDR" "$VICTIM" <<'EOF'
-import os, signal, sys, time, urllib.request
-
-addr, victim = sys.argv[1], int(sys.argv[2])
-
-def get(target):
-    with urllib.request.urlopen(f"http://{addr}{target}", timeout=30) as r:
-        return r.status, r.read().decode()
-
-def metric(name):
-    _, body = get("/metrics")
-    for line in body.splitlines():
-        if line.startswith(name + " "):
-            return float(line.split()[-1])
-    return None
-
-# Warm-up, then a load loop with the SIGKILL in the middle: every single
-# mode=auto request must come back 200 (urlopen raises on non-2xx).
-get("/query?seed=0&top=5&mode=auto")
-for i in range(120):
-    if i == 30:
-        os.kill(victim, signal.SIGKILL)
-    get(f"/query?seed={(i * 7) % 64}&top=5&mode=auto")
-
-# Crash visible to the fleet, invisible to clients.
-assert metric("bepi_route_errors_total") == 0.0, "client-visible errors"
-assert metric("bepi_route_failovers_total") >= 1.0, "failover never happened"
-
-# The supervisor respawns the shard and re-admits it at the expected
-# epoch: bepi_shard_healthy{shard="0"} returns to 1.
-deadline = time.time() + 30
-while metric('bepi_shard_healthy{shard="0"}') != 1.0:
-    assert time.time() < deadline, "killed shard never re-admitted"
-    time.sleep(0.1)
-_, fleet = get("/route/health")
-assert '"generation":1' in fleet, f"respawn must bump the generation: {fleet}"
-print("shard kill: 0 failed requests, failover counted, shard respawned + re-admitted")
-EOF
-exec 5>&-
-wait "$RT_PID"
-RT_PID=""
-
-# Trace-propagation drill: boot the router over two shards with tracing
-# fully open (slowlog threshold 0 on both tiers, Chrome trace export on),
-# force one traced request onto the failover path by SIGKILLing its
-# primary shard, and require the *same* request id to surface in the
-# router's slowlog, the answering shard's slowlog, and the exported
-# trace file — the cross-process correlation contract, end to end. The
-# router's /metrics must also pass the exposition checker with both
-# shards' series merged under shard= labels.
-echo "==> trace-propagation drill (request id across router, shard, slowlog, export)"
-TR_TMP=$(mktemp -d)
-cleanup_tr() {
-  exec 4>&- 2>/dev/null || true
-  [ -n "${TR_PID:-}" ] && kill "$TR_PID" 2>/dev/null || true
-  rm -rf "$TR_TMP"
-}
-trap 'cleanup_obs; cleanup_mmap; cleanup_sat; cleanup_rt; cleanup_tr' EXIT
-python3 - "$TR_TMP/edges.txt" <<'EOF'
-import sys
-with open(sys.argv[1], "w") as f:
-    n = 64
-    for i in range(n):
-        f.write(f"{i} {(i + 1) % n}\n")
-        f.write(f"{i} {(i * 7 + 3) % n}\n")
-EOF
-./target/release/bepi preprocess "$TR_TMP/edges.txt" "$TR_TMP/index.bepi" \
-  --format v6 --embed-graph
-mkfifo "$TR_TMP/fifo"
-exec 4<> "$TR_TMP/fifo"
-./target/release/bepi route "$TR_TMP/index.bepi" --shards 2 --mmap \
-  --health-interval-ms 50 --slow-query-ms 0 --trace-export "$TR_TMP/trace.json" \
-  < "$TR_TMP/fifo" > "$TR_TMP/route.log" 2>&1 4>&- &
-TR_PID=$!
-TR_ADDR=""
-for _ in $(seq 1 100); do
-  TR_ADDR=$(sed -n 's#^bepi-route listening on http://\([0-9.:]*\).*#\1#p' "$TR_TMP/route.log" | head -n1)
-  [ -n "$TR_ADDR" ] && break
-  kill -0 "$TR_PID" 2>/dev/null || { cat "$TR_TMP/route.log"; exit 1; }
-  sleep 0.1
-done
-[ -n "$TR_ADDR" ] || { echo "router never reported its address"; cat "$TR_TMP/route.log"; exit 1; }
-# Fleet-aggregated exposition: warmed through the router, validated with
-# the same checker a shard gets, plus the shard-label coverage check.
-./target/release/metrics_check "$TR_ADDR" --warm-queries 8 --expect-shards 2
-python3 - "$TR_ADDR" "$TR_TMP/route.log" "$TR_TMP/trace.json" <<'EOF'
-import json, os, re, signal, sys, time, urllib.request
-
-addr, log_path, export_path = sys.argv[1], sys.argv[2], sys.argv[3]
-
-shards = {}  # id -> (addr, pid)
-with open(log_path) as f:
-    for line in f:
-        m = re.match(r"shard (\d+): http://([0-9.:]+) healthy=\S+ pid=(\d+)", line)
-        if m:
-            shards[int(m.group(1))] = (m.group(2), int(m.group(3)))
-assert len(shards) == 2, f"expected 2 shard announce lines, got {shards}"
-
-def get(base, target):
-    with urllib.request.urlopen(f"http://{base}{target}", timeout=30) as r:
-        return r.status, dict(r.headers), r.read().decode()
-
-# A traced query through the healthy fleet identifies the seed's primary
-# shard, and its body already correlates header, route block, and the
-# shard's own trace block under one id.
-_, hdrs, body = get(addr, "/query?seed=5&top=4&trace=1")
-doc = json.loads(body)
-primary = int(doc["route"]["shard"])
-rid0 = hdrs["X-Request-Id"]
-assert doc["route"]["request_id"] == rid0 == doc["trace"]["request_id"], body
-assert doc["route"]["attempts"][0]["kind"] == "primary", body
-
-# SIGKILL the answering shard and re-issue immediately — before the
-# supervisor can respawn it and the 50ms probe re-admit it — so the
-# sibling must answer, with the failover visible in the per-attempt
-# trace. (The respawn path itself is the previous drill's assertion.)
-os.kill(shards[primary][1], signal.SIGKILL)
-status, hdrs, body = get(addr, "/query?seed=5&top=4&trace=1")
-assert status == 200, f"failover must be invisible: {status}"
-doc = json.loads(body)
-rid = hdrs["X-Request-Id"]
-assert doc["route"]["request_id"] == rid == doc["trace"]["request_id"], body
-survivor = int(doc["route"]["shard"])
-assert survivor != primary, f"dead shard {primary} cannot have answered: {body}"
-kinds = [a["kind"] for a in doc["route"]["attempts"]]
-assert any(k in ("failover", "retry", "hedge") for k in kinds), kinds
-
-# The one id correlates the router slowlog, the answering shard's
-# slowlog, and the Chrome trace export — three processes, one story.
-_, _, router_slow = get(addr, "/debug/slow")
-assert rid in router_slow, f"router slowlog missing {rid}: {router_slow}"
-_, _, shard_slow = get(shards[survivor][0], "/debug/slow")
-assert rid in shard_slow, f"shard {survivor} slowlog missing {rid}: {shard_slow}"
-with open(export_path) as f:
-    assert rid in f.read(), f"trace export missing {rid}"
-print(f"trace propagation: id {rid} in router slowlog, shard {survivor} slowlog, and export")
-EOF
-exec 4>&-
-wait "$TR_PID"
-TR_PID=""
-
 # Incremental-rebuild drill: boot a live daemon with a WAL, push a
 # numeric-safe edge batch through an explicit rebuild, and require the
 # symbolic/numeric split to fire — bepi_numeric_rebuilds_total up by one,
@@ -548,7 +391,7 @@ cleanup_ir() {
   [ -n "${IR_ORACLE_PID:-}" ] && kill "$IR_ORACLE_PID" 2>/dev/null || true
   rm -rf "$IR_TMP"
 }
-trap 'cleanup_obs; cleanup_mmap; cleanup_sat; cleanup_rt; cleanup_tr; cleanup_ir' EXIT
+trap 'cleanup_obs; cleanup_mmap; cleanup_sat; cleanup_ir' EXIT
 python3 - "$IR_TMP/edges.txt" <<'EOF'
 import sys
 with open(sys.argv[1], "w") as f:

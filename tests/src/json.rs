@@ -1,5 +1,5 @@
 //! A minimal recursive-descent JSON parser — the reader the integration
-//! tests parse daemon and router bodies with, independent of the code
+//! tests parse daemon bodies with, independent of the code
 //! under test (no serde in the dependency budget).
 
 /// A parsed JSON value.

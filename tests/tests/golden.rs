@@ -1,5 +1,5 @@
-//! Golden bodies for the daemon's and the router's observability
-//! surface: fixed inputs in, exact bytes out.
+//! Golden bodies for the daemon's observability surface: fixed inputs
+//! in, exact bytes out.
 //!
 //! The expected bodies live beside this file in `golden/`. A change
 //! to how `/metrics`, `/version`, `/debug/slow` or `/debug/trace` are
@@ -12,8 +12,6 @@ use bepi_core::EdgeUpdate;
 use bepi_graph::{generators, Graph};
 use bepi_live::{LiveConfig, LiveEngine, LiveStatus};
 use bepi_obs::trace::RequestId;
-use bepi_route::metrics::{render as render_route, RouteMetrics};
-use bepi_route::ShardState;
 use bepi_server::{render_live_metrics, Metrics, QueryLog, QueryRecord, Server, ServerConfig};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -97,37 +95,6 @@ fn golden_daemon_metrics_with_live_block() {
 }
 
 #[test]
-fn golden_route_metrics_over_two_shards() {
-    let m = RouteMetrics::default();
-    for (i, c) in [
-        &m.requests_total,
-        &m.retries_total,
-        &m.hedged_total,
-        &m.failovers_total,
-        &m.errors_total,
-    ]
-    .iter()
-    .enumerate()
-    {
-        c.store(20 + i as u64, Ordering::Relaxed);
-    }
-    let shards: Vec<Arc<ShardState>> = (0..2)
-        .map(|i| Arc::new(ShardState::new(i, "127.0.0.1:1", Duration::from_millis(10))))
-        .collect();
-    shards[0].mark(true);
-    shards[0].observe_version(3);
-    shards[1].observe_version(2);
-    for v in [0.0003, 0.002, 0.04, 3.0] {
-        shards[0].latency.observe(v);
-    }
-    shards[1].latency.observe(0.0007);
-    shards[0].requests_total.store(4, Ordering::Relaxed);
-    shards[1].requests_total.store(1, Ordering::Relaxed);
-    shards[1].errors_total.store(2, Ordering::Relaxed);
-    assert_golden("route_metrics.txt", &render_route(&m, &shards));
-}
-
-#[test]
 fn golden_debug_slow() {
     let log = QueryLog::new(4, Duration::from_micros(250));
     let q = |seed: u64, total_us: u64| QueryRecord {
@@ -147,7 +114,6 @@ fn golden_debug_slow() {
             hi: 0x0011_2233_4455_6677 + seed,
             lo: 0x8899_aabb_ccdd_eeff,
         },
-        shard: if seed % 2 == 0 { Some(seed % 4) } else { None },
     };
     log.record(&q(1, 249)); // below the threshold: dropped
     log.record(&q(2, 250));
@@ -185,7 +151,6 @@ fn golden_debug_trace() {
         iterations: seed,
         residual: 1e-9,
         version: 7,
-        shard: if seed == 4 { None } else { Some(seed % 3) },
     };
     for seed in 1..=4 {
         log.record(&t(seed));

@@ -1,15 +1,11 @@
-//! End-to-end distributed-tracing tests: request-id minting, adoption,
-//! and propagation; the daemon's `?trace=1` body; the router's spliced
-//! `route` block with per-attempt detail; and the `/debug/trace` rings
-//! on both tiers — all driven over real TCP and parsed as full JSON
-//! documents (via `bepi_tests::json`, a parser independent of the code
-//! under test), not substring checks.
+//! End-to-end tracing tests: request-id minting and adoption, the
+//! daemon's `?trace=1` body, and its `/debug/trace` ring — all driven
+//! over real TCP and parsed as full JSON documents (via
+//! `bepi_tests::json`, a parser independent of the code under test), not
+//! substring checks.
 
 use bepi_core::prelude::*;
-use bepi_route::router::{Router, RouterConfig, RouterHandle};
-use bepi_route::shard::ShardState;
-use bepi_route::supervisor::Supervisor;
-use bepi_server::{Server, ServerConfig, ServerHandle};
+use bepi_server::{Server, ServerConfig};
 use bepi_tests::json::{self, Value};
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -118,45 +114,16 @@ fn is_hex_id(s: &str) -> bool {
 }
 
 /// A server config whose trace ring and slowlog record everything.
-fn traced_server(shard_id: Option<u64>) -> ServerConfig {
+fn traced_server() -> ServerConfig {
     ServerConfig {
         slow_query: Duration::ZERO,
-        shard_id,
         ..ServerConfig::default()
     }
 }
 
-/// Boots `n` shard servers plus an attached router that traces and
-/// slow-logs every request.
-fn boot_fleet(n: usize) -> (RouterHandle, Vec<ServerHandle>) {
-    let shards: Vec<ServerHandle> = (0..n)
-        .map(|id| {
-            Server::start(solver(), &traced_server(Some(id as u64))).expect("shard must bind")
-        })
-        .collect();
-    let states: Vec<Arc<ShardState>> = shards
-        .iter()
-        .enumerate()
-        .map(|(id, h)| {
-            Arc::new(ShardState::new(
-                id,
-                h.local_addr().to_string(),
-                Duration::from_secs(10),
-            ))
-        })
-        .collect();
-    let cfg = RouterConfig {
-        health_interval: Duration::from_millis(50),
-        slow_query: Duration::ZERO,
-        ..RouterConfig::default()
-    };
-    let router = Router::start(Supervisor::attach(states), cfg).expect("router must bind");
-    (router, shards)
-}
-
 #[test]
 fn daemon_trace_body_and_ring_share_the_echoed_request_id() {
-    let handle = Server::start(solver(), &traced_server(None)).expect("bind");
+    let handle = Server::start(solver(), &traced_server()).expect("bind");
     let addr = handle.local_addr();
 
     // Cache miss, then hit on the same key.
@@ -193,7 +160,8 @@ fn daemon_trace_body_and_ring_share_the_echoed_request_id() {
     assert_eq!(field(&entries[1], &["cache_hit"]).as_bool(), Some(false));
     for e in &entries[..2] {
         assert_eq!(num_field(e, &["seed"]), 11.0);
-        assert!(field(e, &["shard"]).as_f64().is_none(), "standalone: null");
+        let obj = e.as_object().expect("entry object");
+        assert!(json::get(obj, "shard").is_none(), "no fleet identity");
     }
 
     // The slowlog (threshold 0) carries the same correlation ids.
@@ -205,7 +173,7 @@ fn daemon_trace_body_and_ring_share_the_echoed_request_id() {
 
 #[test]
 fn valid_ingress_ids_are_adopted_and_malformed_ones_reminted() {
-    let handle = Server::start(solver(), &traced_server(None)).expect("bind");
+    let handle = Server::start(solver(), &traced_server()).expect("bind");
     let addr = handle.local_addr();
 
     let supplied = "00112233445566778899aabbccddeeff";
@@ -228,113 +196,4 @@ fn valid_ingress_ids_are_adopted_and_malformed_ones_reminted() {
         assert_ne!(rid, bad);
     }
     handle.shutdown();
-}
-
-#[test]
-fn routed_trace_wraps_the_shard_trace_with_attempt_detail() {
-    let (router, shards) = boot_fleet(2);
-    let addr = router.local_addr();
-
-    let resp = get(addr, "/query?seed=9&top=4&trace=1");
-    assert_eq!(resp.status, 200);
-    let rid = resp.request_id().to_string();
-    assert!(is_hex_id(&rid));
-
-    let doc = resp.json();
-    // One id correlates the route block, the shard's trace block (the
-    // id crossed the process boundary), and the response header.
-    assert_eq!(str_field(&doc, &["route", "request_id"]), rid);
-    assert_eq!(str_field(&doc, &["trace", "request_id"]), rid);
-
-    let answering = num_field(&doc, &["route", "shard"]);
-    let attempts = field(&doc, &["route", "attempts"])
-        .as_array()
-        .expect("attempts");
-    assert!(!attempts.is_empty());
-    let first = &attempts[0];
-    assert_eq!(str_field(first, &["kind"]), "primary");
-    assert_eq!(str_field(first, &["outcome"]), "200");
-    assert_eq!(num_field(first, &["shard"]), answering);
-    for key in ["connect_us", "send_us", "wait_us"] {
-        assert!(num_field(first, &[key]) >= 0.0);
-    }
-    // The header-level shard attribution agrees with the route block.
-    assert_eq!(
-        resp.header("x-shard"),
-        Some((answering as u64).to_string().as_str())
-    );
-
-    // The same id is in the router's trace ring and slowlog...
-    for endpoint in ["/debug/trace", "/debug/slow"] {
-        let ring = get(addr, endpoint);
-        assert_eq!(ring.status, 200);
-        assert!(ring.body.contains(&rid), "router {endpoint}: {}", ring.body);
-    }
-    // ...and in the answering shard's rings, closing the cross-process loop.
-    let shard_addr = shards[answering as usize].local_addr();
-    for endpoint in ["/debug/trace", "/debug/slow"] {
-        let ring = get(shard_addr, endpoint);
-        assert!(ring.body.contains(&rid), "shard {endpoint}: {}", ring.body);
-    }
-    // The shard ring entry carries its shard id.
-    let shard_ring = get(shard_addr, "/debug/trace").json();
-    let entries = field(&shard_ring, &["entries"]).as_array().unwrap();
-    let mine = entries
-        .iter()
-        .find(|e| str_field(e, &["request_id"]) == rid)
-        .expect("shard ring entry");
-    assert_eq!(num_field(mine, &["shard"]), answering);
-
-    // Untraced routed queries stay clean: no route or trace block.
-    let plain = get(addr, "/query?seed=9&top=4");
-    assert_eq!(plain.status, 200);
-    assert!(!plain.body.contains("\"route\""), "{}", plain.body);
-    assert!(!plain.body.contains("\"trace\""), "{}", plain.body);
-    assert!(
-        is_hex_id(plain.request_id()),
-        "plain requests still get ids"
-    );
-}
-
-#[test]
-fn merged_batch_trace_tags_attempts_by_seed() {
-    let (router, _shards) = boot_fleet(2);
-    let addr = router.local_addr();
-    let n = solver().node_count();
-    let seeds: Vec<usize> = vec![2 % n, 31 % n, 77 % n];
-    let list = seeds
-        .iter()
-        .map(|s| s.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-
-    let resp = get(addr, &format!("/batch?seeds={list}&top=4&merge=1&trace=1"));
-    assert_eq!(resp.status, 200);
-    let rid = resp.request_id().to_string();
-    assert!(is_hex_id(&rid));
-
-    let doc = resp.json();
-    assert_eq!(field(&doc, &["merged"]).as_bool(), Some(true));
-    assert_eq!(str_field(&doc, &["route", "request_id"]), rid);
-    let attempts = field(&doc, &["route", "attempts"])
-        .as_array()
-        .expect("attempts");
-    // Every member of the batch shows up, seed-tagged, served under the
-    // one batch-wide request id.
-    for &seed in &seeds {
-        let mine: Vec<_> = attempts
-            .iter()
-            .filter(|a| num_field(a, &["seed"]) == seed as f64)
-            .collect();
-        assert!(
-            !mine.is_empty(),
-            "no attempts for seed {seed}: {}",
-            resp.body
-        );
-        assert!(mine.iter().any(|a| str_field(a, &["outcome"]) == "200"));
-    }
-    // The batch id correlates in the router slowlog too — one record
-    // per attempt, all under the same id.
-    let slow = get(addr, "/debug/slow");
-    assert!(slow.body.contains(&rid), "{}", slow.body);
 }
