@@ -4,9 +4,8 @@
 //! from-scratch preprocess — plus the corruption path, which must fail
 //! with a clean error, never an abort.
 
-use bepi_core::dynamic::apply_updates;
 use bepi_core::prelude::*;
-use bepi_core::{classify, Classification, EdgeUpdate};
+use bepi_core::{EdgeUpdate, RebuildKind};
 use bepi_graph::Graph;
 use bepi_server::worker::render_query_body;
 use bepi_server::{QueryKey, ResponseMode};
@@ -35,6 +34,22 @@ fn write_cycle(dir: &Path) -> (PathBuf, Graph) {
     let path = dir.join("edges.txt");
     std::fs::write(&path, text).unwrap();
     (path, Graph::from_edges(N, &edges).unwrap())
+}
+
+/// `base` rebuilt over `graph` with `updates`, which must take the
+/// numeric path; its scores are checked bit for bit against the
+/// plan-frozen preprocess of the updated graph.
+fn numeric_rebuild(base: &BePi, graph: &Graph, updates: &[EdgeUpdate]) -> BePi {
+    let r = base.rebuild(graph, updates).unwrap();
+    assert_eq!(r.kind, RebuildKind::Numeric, "{:?}", r.reason);
+    let frozen =
+        BePi::preprocess_with_plan(&r.graph, base.config(), &base.symbolic_plan()).unwrap();
+    let bits = |b: &BePi| -> Vec<u64> {
+        let scores = b.query(0).unwrap().scores;
+        scores.iter().map(|x| x.to_bits()).collect()
+    };
+    assert_eq!(bits(&r.index), bits(&frozen));
+    r.index
 }
 
 fn preprocess(edges: &Path, index: &Path) {
@@ -185,20 +200,13 @@ fn sigkill_and_restart_replays_acknowledged_updates() {
     let (status, served) = daemon2.get("/query?seed=0&top=10");
     assert_eq!(status, 200, "{served}");
 
-    // Oracle: apply the acknowledged updates and rebuild through the same
-    // path the daemon's replay takes — a numeric-only batch is refactored
-    // under the checkpoint's frozen symbolic plan, a structural one pays a
-    // full preprocess. Preprocessing is deterministic, so either way the
-    // equality is exact.
-    let expected_graph = apply_updates(&graph, &updates).unwrap();
+    // Oracle: rebuild the acknowledged updates through the function the
+    // daemon's replay calls. The batch is numeric-only, so that is the
+    // plan-frozen preprocess under the checkpoint's symbolic plan.
+    // Preprocessing is deterministic, so the equality is exact.
     let base = BePi::preprocess(&graph, &BePiConfig::default()).unwrap();
-    let solver = match classify(&base.symbolic_plan(), &graph, &expected_graph, &[0, 7]) {
-        Classification::NumericOnly(dirty) => base.refactor(&expected_graph, &dirty).unwrap(),
-        Classification::Structural(_) => {
-            BePi::preprocess(&expected_graph, &BePiConfig::default()).unwrap()
-        }
-    };
-    let scores = solver.query(0).unwrap();
+    let rebuilt = numeric_rebuild(&base, &graph, &updates);
+    let scores = rebuilt.query(0).unwrap();
     let expected = render_query_body(
         QueryKey {
             seed: 0,
@@ -215,7 +223,7 @@ fn sigkill_and_restart_replays_acknowledged_updates() {
 }
 
 /// A numeric-only rebuild's v6 checkpoint must round-trip the symbolic
-/// plan: the checkpointed index was refactored under the *original*
+/// plan: the checkpointed index was rebuilt under the *original*
 /// preprocess's frozen plan, and a daemon restarted on that checkpoint
 /// (WAL already compacted) must serve it byte-for-byte — proving the
 /// plan survived the v6 sections and the restart paid no fresh
@@ -230,21 +238,14 @@ fn numeric_checkpoint_round_trips_symbolic_plan_through_v6() {
 
     // The daemon's frozen plan is the one the on-disk index carries —
     // identical to a deterministic in-process preprocess of the same
-    // graph.
+    // graph. This test is about the *numeric* path; the oracle fails
+    // loudly if the batch ever starts classifying structural.
     let base = BePi::preprocess(&graph, &BePiConfig::default()).unwrap();
-    let plan = base.symbolic_plan();
-
     let updates = [EdgeUpdate::Insert(0, 20), EdgeUpdate::Insert(7, 33)];
-    let expected_graph = apply_updates(&graph, &updates).unwrap();
-    // This test is about the *numeric* path; fail loudly if the batch
-    // ever starts classifying structural.
-    let dirty = match classify(&plan, &graph, &expected_graph, &[0, 7]) {
-        Classification::NumericOnly(dirty) => dirty,
-        Classification::Structural(why) => panic!("batch must stay numeric-only: {why}"),
-    };
+    let rebuilt = numeric_rebuild(&base, &graph, &updates);
 
     // First daemon: v6 (mmap) checkpoints; rebuild takes the numeric
-    // path and checkpoints the refactored index over `index.bepi`.
+    // path and checkpoints the rebuilt index over `index.bepi`.
     {
         let daemon = Daemon::spawn_with(&index, &wal, &["--mmap"]);
         let (status, body) = daemon.post_edges(
@@ -267,17 +268,16 @@ fn numeric_checkpoint_round_trips_symbolic_plan_through_v6() {
 
     // Restart on the checkpoint. The WAL was compacted when the
     // checkpoint became durable, so there is nothing to replay: what is
-    // served IS the persisted refactored index.
+    // served IS the persisted rebuilt index.
     let daemon2 = Daemon::spawn_with(&index, &wal, &["--mmap"]);
     let (status, served) = daemon2.get("/query?seed=0&top=10");
     assert_eq!(status, 200, "{served}");
 
-    // Oracle: the refactor is bit-identical to a plan-frozen numeric
-    // re-factorization, NOT to a fresh preprocess (whose SlashBurn would
-    // be free to reorder) — byte equality here is exactly the plan
-    // round-tripping through the v6 sections.
-    let refactored = base.refactor(&expected_graph, &dirty).unwrap();
-    let scores = refactored.query(0).unwrap();
+    // Oracle: the numeric rebuild is the plan-frozen preprocess, NOT a
+    // fresh preprocess (whose SlashBurn would be free to reorder) — byte
+    // equality here is exactly the plan round-tripping through the v6
+    // sections.
+    let scores = rebuilt.query(0).unwrap();
     let expected = render_query_body(
         QueryKey {
             seed: 0,
@@ -289,7 +289,7 @@ fn numeric_checkpoint_round_trips_symbolic_plan_through_v6() {
     );
     assert_eq!(
         served, expected,
-        "restart must serve the plan-frozen refactored index byte-for-byte"
+        "restart must serve the plan-frozen rebuilt index byte-for-byte"
     );
 
     drop(daemon2);

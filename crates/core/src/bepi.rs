@@ -27,7 +27,7 @@ use crate::rwr::{check_restart_prob, check_seed, RwrScores, RwrSolver};
 use crate::schur::schur_complement;
 use crate::{DEFAULT_RESTART_PROB, DEFAULT_TOLERANCE};
 use bepi_graph::Graph;
-use bepi_incr::{DirtySet, SymbolicPlan};
+use bepi_incr::SymbolicPlan;
 use bepi_solver::{gmres_block, BlockLu, FrozenBlockLu, GmresConfig, Ilu0, Preconditioner};
 use bepi_sparse::{CodedCsr, CodedValues, Csr, Permutation, Result, SparseError, Storage};
 use std::time::{Duration, Instant};
@@ -220,7 +220,7 @@ pub(crate) struct RawParts {
 /// blocks — is a frozen [`CodedCsr`]: on a narrow pattern when it has at
 /// most 2¹⁶ columns, and value-coded over one value table shared by all
 /// of them (see [`BePi::value_table`]). [`Csr`] stays the builder type
-/// that preprocessing and refactoring work on.
+/// that preprocessing works on.
 #[derive(Debug, Clone)]
 pub struct BePi {
     config: BePiConfig,
@@ -293,8 +293,8 @@ impl BePi {
     /// SlashBurn entirely, so the result is bit-identical to
     /// [`BePi::preprocess`] whenever the plan came from a preprocess of a
     /// graph with the same structure (and [`bepi_incr::assemble`] rejects
-    /// graphs that violate the plan). This is the reference against which
-    /// [`BePi::refactor`] is bit-exact.
+    /// graphs that violate the plan). This is the numeric path of
+    /// [`BePi::rebuild`].
     pub fn preprocess_with_plan(
         g: &Graph,
         config: &BePiConfig,
@@ -307,7 +307,7 @@ impl BePi {
     }
 
     /// The symbolic plan captured by this instance's preprocessing run —
-    /// everything the incremental refactor path needs to rebuild the
+    /// everything [`BePi::preprocess_with_plan`] needs to rebuild the
     /// numeric factors without re-running the reordering pipeline. Every
     /// field is persisted in the index file, so a plan survives a
     /// save/load round-trip (heap or mapped) for free.
@@ -322,94 +322,14 @@ impl BePi {
         }
     }
 
-    /// KLU-style numeric refactorization: rebuilds this instance against
-    /// `g_new` under the frozen symbolic plan, re-factoring only the
-    /// `H11` diagonal blocks in `dirty` and recomputing only the Schur
-    /// rows whose inputs changed. The caller must have classified the
-    /// update as numeric-only (see [`bepi_incr::classify`]) with `dirty`
-    /// being that classification's dirty set; the result is then
-    /// bit-identical to [`BePi::preprocess_with_plan`] on `g_new`.
-    pub fn refactor(&self, g_new: &Graph, dirty: &DirtySet) -> Result<Self> {
-        let start = Instant::now();
-        let config = self.config;
-        let plan = self.symbolic_plan();
-        let blocks = {
-            let _span = bepi_obs::Span::enter("refactor.assemble");
-            bepi_incr::assemble(g_new, config.c, &plan)?
-        };
-        let t_lu = Instant::now();
-        let h11_lu = {
-            let _span = bepi_obs::Span::enter("refactor.block_lu");
-            self.h11_lu.refactor_blocks(&blocks.h11, &dirty.blocks)?
-        };
-        let block_lu_time = t_lu.elapsed();
-        let t_schur = Instant::now();
-        let (s_csr, (s, h11_lu, [h12, h21, h31, h32])) = {
-            let _span = bepi_obs::Span::enter("refactor.schur");
-            let s = bepi_incr::refactor_schur(&self.s, &blocks, &self.h21, &h11_lu, &plan, dirty)?;
-            let stored = freeze(
-                &s,
-                h11_lu,
-                [&blocks.h12, &blocks.h21, &blocks.h31, &blocks.h32],
-            )?;
-            (s, stored)
-        };
-        let schur_time = t_schur.elapsed();
-        let t_precond = Instant::now();
-        // Refresh ILU(0) values on the old pattern when it still matches;
-        // fall back to a fresh factorization otherwise (both paths are
-        // bit-identical to `Ilu0::factor(&s)`). Either way the factors then
-        // read the stored `S`'s pattern.
-        let ilu = match &self.ilu {
-            Some(old) => {
-                let _span = bepi_obs::Span::enter("refactor.precond");
-                let ilu = old
-                    .refresh_values(&s_csr)
-                    .or_else(|_| Ilu0::factor(&s_csr))?;
-                Some(ilu.rebind(&s)?)
-            }
-            None => None,
-        };
-        drop(s_csr);
-        let precond_time = t_precond.elapsed();
-        let phases = [
-            ("assemble", blocks.assemble_time),
-            ("block_lu", block_lu_time),
-            ("schur", schur_time),
-            ("precond", precond_time),
-        ]
-        .iter()
-        .map(|(name, d)| PhaseTiming {
-            name: (*name).to_string(),
-            seconds: d.as_secs_f64(),
-        })
-        .collect();
-        drop(blocks);
-        let SymbolicPlan {
-            perm,
-            n1,
-            n2,
-            n3,
-            slashburn_iterations,
-            ..
-        } = plan;
-        Self::from_raw_parts(RawParts {
-            config,
-            perm,
-            n1,
-            n2,
-            n3,
-            h11_lu,
-            s,
-            ilu,
-            h12,
-            h21,
-            h31,
-            h32,
-            slashburn_iterations,
-            elapsed: start.elapsed(),
-            phases,
-        })
+    /// [`BePi::preprocess_with_plan`] of `g_new` under this index's plan
+    /// and config. Its one caller is the benchmark's oracle chain
+    /// (`benchmark/src/oracle.rs`), which passes the payload of
+    /// [`bepi_incr::Classification::NumericOnly`]; [`BePi::rebuild`] is
+    /// the API.
+    #[doc(hidden)]
+    pub fn refactor(&self, g_new: &Graph, _numeric: &()) -> Result<Self> {
+        Self::preprocess_with_plan(g_new, &self.config, &self.symbolic_plan())
     }
 
     fn factor_partition(part: HPartition, config: &BePiConfig, start: Instant) -> Result<Self> {
@@ -1154,22 +1074,41 @@ pub(crate) mod tests {
         }
     }
 
-    /// The graph with one adjacency entry removed (same node count).
-    pub(crate) fn without_edge(g: &Graph, u: usize, v: usize) -> Graph {
-        let mut coo = bepi_sparse::Coo::new(g.n(), g.n()).unwrap();
-        for (r, c, w) in g.adjacency().iter() {
-            if !(r == u && c == v) {
-                coo.push(r, c, w).unwrap();
-            }
-        }
-        Graph::from_adjacency(coo.to_csr()).unwrap()
-    }
-
     /// An edge whose removal is numeric-only: the source keeps at least
     /// one other out-edge, so no deadend flip and no block crossing.
     pub(crate) fn removable_edge(g: &Graph) -> (usize, usize) {
         let u = (0..g.n()).find(|&u| g.out_degree(u) >= 2).unwrap();
         (u, g.out_neighbors(u).next().unwrap())
+    }
+
+    /// `index` rebuilt over `g` without the edge `(u, v)`, which must take
+    /// the numeric path: the new graph and index.
+    pub(crate) fn numeric_rebuild(
+        index: &BePi,
+        g: &Graph,
+        (u, v): (usize, usize),
+    ) -> (Graph, BePi) {
+        let r = index
+            .rebuild(g, &[crate::EdgeUpdate::Remove(u, v)])
+            .unwrap();
+        assert_eq!(r.kind, crate::RebuildKind::Numeric, "{:?}", r.reason);
+        (r.graph, r.index)
+    }
+
+    /// Scores, iteration counts and residuals of `got` and `want` agree
+    /// bit for bit on `seeds`.
+    pub(crate) fn assert_same_answers(got: &BePi, want: &BePi, seeds: &[usize], what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for &seed in seeds {
+            let (a, b) = (got.query(seed).unwrap(), want.query(seed).unwrap());
+            assert_eq!(bits(&a.scores), bits(&b.scores), "{what} seed {seed}");
+            assert_eq!(a.iterations, b.iterations, "{what} seed {seed}");
+            assert_eq!(
+                a.residual.to_bits(),
+                b.residual.to_bits(),
+                "{what} seed {seed}"
+            );
+        }
     }
 
     #[test]
@@ -1192,109 +1131,73 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn refactor_is_bit_identical_to_plan_frozen_preprocess() {
+    fn numeric_rebuild_is_bit_identical_to_plan_frozen_preprocess() {
         let g = generators::rmat(8, 900, generators::RmatParams::default(), 3).unwrap();
-        let (u, v) = removable_edge(&g);
-        let g_new = without_edge(&g, u, v);
-        // The default (no ILU) and the paper's full BePI (ILU refresh).
+        let edge = removable_edge(&g);
+        // The default (no ILU) and the paper's full BePI (ILU factored).
         for variant in [BePiVariant::Sparse, BePiVariant::Full] {
             let cfg = BePiConfig::for_variant(variant);
             let solver = BePi::preprocess(&g, &cfg).unwrap();
             let plan = solver.symbolic_plan();
-            let dirty = match bepi_incr::classify(&plan, &g, &g_new, &[u]) {
-                bepi_incr::Classification::NumericOnly(d) => d,
-                bepi_incr::Classification::Structural(why) => panic!("expected numeric: {why}"),
-            };
-            // The refactor must be bit-exact at every kernel thread count,
-            // including against a differently-threaded from-scratch factor.
+            // The rebuild must be bit-exact at every kernel thread count,
+            // including against a differently-threaded plan-frozen factor.
             for threads in [1usize, 2, 8] {
-                let refac = bepi_par::with_kernel_threads(threads, || {
-                    solver.refactor(&g_new, &dirty).unwrap()
-                });
+                let (g_new, rebuilt) =
+                    bepi_par::with_kernel_threads(threads, || numeric_rebuild(&solver, &g, edge));
                 let frozen = BePi::preprocess_with_plan(&g_new, &cfg, &plan).unwrap();
-                for seed in [0usize, 50, 200] {
-                    assert_eq!(
-                        refac.query(seed).unwrap().scores,
-                        frozen.query(seed).unwrap().scores,
-                        "{} threads {threads} seed {seed}",
-                        variant.name()
-                    );
-                }
+                let what = format!("{} threads {threads}", variant.name());
+                assert_same_answers(&rebuilt, &frozen, &[0, 50, 200], &what);
             }
         }
     }
 
-    /// Preprocessing narrows `S` inside its Schur phase, and a refactor
-    /// (ILU refresh included) does the same: the refactored `S` is narrow,
-    /// equals the plan-frozen preprocess's, and the factors read it.
+    /// Preprocessing narrows `S` inside its Schur phase, and so does a
+    /// numeric rebuild: its `S` is narrow, equals the plan-frozen
+    /// preprocess's, and its ILU(0) factors read it.
     #[test]
     fn narrow_s_survives_refactor_bit_identically() {
         let g = generators::rmat(8, 900, generators::RmatParams::default(), 5).unwrap();
-        let (u, v) = removable_edge(&g);
-        let g_new = without_edge(&g, u, v);
+        let edge = removable_edge(&g);
         for variant in [BePiVariant::Sparse, BePiVariant::Full] {
             let cfg = BePiConfig::for_variant(variant);
             let solver = BePi::preprocess(&g, &cfg).unwrap();
             assert!(solver.schur().pattern().is_narrow());
-            let plan = solver.symbolic_plan();
-            let dirty = match bepi_incr::classify(&plan, &g, &g_new, &[u]) {
-                bepi_incr::Classification::NumericOnly(d) => d,
-                bepi_incr::Classification::Structural(why) => panic!("expected numeric: {why}"),
-            };
-            let refac = solver.refactor(&g_new, &dirty).unwrap();
-            let frozen = BePi::preprocess_with_plan(&g_new, &cfg, &plan).unwrap();
-            for b in [&refac, &frozen] {
+            let (g_new, rebuilt) = numeric_rebuild(&solver, &g, edge);
+            let frozen = BePi::preprocess_with_plan(&g_new, &cfg, &solver.symbolic_plan()).unwrap();
+            for b in [&rebuilt, &frozen] {
                 assert!(b.schur().pattern().is_narrow());
                 if let Some(ilu) = b.preconditioner() {
                     assert!(ilu.shares_pattern(b.schur().pattern()));
                     assert_precond_bytes(b);
                 }
             }
-            assert_eq!(refac.schur(), frozen.schur());
-            for seed in [0usize, 50, 200] {
-                let (got, want) = (refac.query(seed).unwrap(), frozen.query(seed).unwrap());
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got.scores), bits(&want.scores), "seed {seed}");
-                assert_eq!(got.iterations, want.iterations);
-                assert_eq!(got.residual.to_bits(), want.residual.to_bits());
-            }
+            assert_eq!(rebuilt.schur(), frozen.schur());
+            assert_same_answers(&rebuilt, &frozen, &[0, 50, 200], variant.name());
         }
     }
 
     #[test]
     fn chained_refactors_stay_bit_identical_to_plan_frozen_preprocess() {
-        // Each refactor refreshes the ILU(0) of the previous refactor's
-        // output, so the second link runs `refresh_values` on factors
-        // that `refresh_values` itself produced.
+        // Each link rebuilds the previous link's index over the previous
+        // link's graph, under the first index's plan; every link's ILU(0)
+        // must equal the plan-frozen preprocess's.
         let g0 = generators::rmat(8, 900, generators::RmatParams::default(), 3).unwrap();
         let cfg = BePiConfig::for_variant(BePiVariant::Full);
         let mut solver = BePi::preprocess(&g0, &cfg).unwrap();
         let plan = solver.symbolic_plan();
         let mut g = g0;
         for link in 0..3 {
-            let (u, v) = removable_edge(&g);
-            let g_new = without_edge(&g, u, v);
-            let dirty = match bepi_incr::classify(&plan, &g, &g_new, &[u]) {
-                bepi_incr::Classification::NumericOnly(d) => d,
-                bepi_incr::Classification::Structural(why) => panic!("expected numeric: {why}"),
-            };
-            solver = solver.refactor(&g_new, &dirty).unwrap();
+            let (g_new, rebuilt) = numeric_rebuild(&solver, &g, removable_edge(&g));
             let frozen = BePi::preprocess_with_plan(&g_new, &cfg, &plan).unwrap();
             let (got, want) = (
-                solver.preconditioner().unwrap(),
+                rebuilt.preconditioner().unwrap(),
                 frozen.preconditioner().unwrap(),
             );
             assert_eq!(bits32(got.values()), bits32(want.values()), "link {link}");
             assert_eq!(got.diag_pos(), want.diag_pos(), "link {link}");
-            assert_precond_bytes(&solver);
-            for seed in [0usize, 50, 200] {
-                assert_eq!(
-                    solver.query(seed).unwrap().scores,
-                    frozen.query(seed).unwrap().scores,
-                    "link {link} seed {seed}"
-                );
-            }
-            g = g_new;
+            assert_precond_bytes(&rebuilt);
+            assert_same_answers(&rebuilt, &frozen, &[0, 50, 200], &format!("link {link}"));
+            (g, solver) = (g_new, rebuilt);
         }
     }
 
@@ -1309,25 +1212,16 @@ pub(crate) mod tests {
         crate::persist::save_file_v6(&owned, Some(&g), &path).unwrap();
         let (mapped, _) = crate::persist::load_mapped_file(&path).unwrap();
         assert!(mapped.is_mapped());
-        let (u, v) = removable_edge(&g);
-        let g_new = without_edge(&g, u, v);
+        let edge = removable_edge(&g);
         let plan = owned.symbolic_plan();
         assert_eq!(mapped.symbolic_plan().n1, plan.n1);
-        let dirty = match bepi_incr::classify(&plan, &g, &g_new, &[u]) {
-            bepi_incr::Classification::NumericOnly(d) => d,
-            bepi_incr::Classification::Structural(why) => panic!("expected numeric: {why}"),
-        };
-        let from_owned = owned.refactor(&g_new, &dirty).unwrap();
-        let from_mapped = mapped.refactor(&g_new, &dirty).unwrap();
+        let (g_new, from_owned) = numeric_rebuild(&owned, &g, edge);
+        let (_, from_mapped) = numeric_rebuild(&mapped, &g, edge);
+        let frozen = BePi::preprocess_with_plan(&g_new, &cfg, &plan).unwrap();
         assert_precond_bytes(&from_owned);
         assert_precond_bytes(&from_mapped);
-        for seed in [0usize, 17, 99] {
-            assert_eq!(
-                from_owned.query(seed).unwrap().scores,
-                from_mapped.query(seed).unwrap().scores,
-                "seed {seed}"
-            );
-        }
+        assert_same_answers(&from_owned, &frozen, &[0, 17, 99], "owned");
+        assert_same_answers(&from_mapped, &frozen, &[0, 17, 99], "mapped");
         drop(mapped);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1345,7 +1239,7 @@ pub(crate) mod tests {
     /// all-1 × 1 `H11` and one with no 1 × 1 block, `h11_factors()`
     /// solves like a dense `H11⁻¹` to 1e-12 and bit for bit like the
     /// builder's solve, on an input holding `-0.0` — for a fresh, a
-    /// refactored, a heap-loaded and a mapped index.
+    /// numerically rebuilt, a heap-loaded and a mapped index.
     #[test]
     fn compact_h11_solve_matches_dense_inverse_on_every_index() {
         // Two hubs; leaves 2.. hang off them, and in the paired graph
@@ -1399,19 +1293,13 @@ pub(crate) mod tests {
             let heap = crate::persist::load_file(&path).unwrap();
             let (mapped, _) = crate::persist::load_mapped_file(&path).unwrap();
             assert!(mapped.is_mapped());
-            let (u, v) = removable_edge(&g);
-            let g_new = without_edge(&g, u, v);
             let plan = fresh.symbolic_plan();
-            let dirty = match bepi_incr::classify(&plan, &g, &g_new, &[u]) {
-                bepi_incr::Classification::NumericOnly(d) => d,
-                bepi_incr::Classification::Structural(why) => panic!("{name}: {why}"),
-            };
-            let refac = fresh.refactor(&g_new, &dirty).unwrap();
+            let (g_new, rebuilt) = numeric_rebuild(&fresh, &g, removable_edge(&g));
             for (index, graph, what) in [
                 (&fresh, &g, "fresh"),
                 (&heap, &g, "heap"),
                 (&mapped, &g, "mapped"),
-                (&refac, &g_new, "refactor"),
+                (&rebuilt, &g_new, "numeric rebuild"),
             ] {
                 let h11 = bepi_incr::assemble(graph, cfg.c, &plan).unwrap().h11;
                 let n1 = h11.nrows();

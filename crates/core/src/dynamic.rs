@@ -11,15 +11,16 @@
 //! `bepi-live` buffers behind a write-ahead log and rebuilds on a
 //! background thread.
 //!
-//! On top of the paper's strategy, the rebuild picks between two paths
-//! (the symbolic/numeric split of [`bepi_incr`]): a batch that provably
-//! preserves the frozen [`bepi_incr::SymbolicPlan`] takes a KLU-style
-//! numeric-only refactorization ([`BePi::refactor`] — only the touched
-//! `H11` blocks, Schur rows, and ILU values are recomputed), while a
-//! structural batch — or a refactor that fails — runs the full
-//! preprocessing pipeline. Both paths serve the same answers: the numeric
-//! path is bit-identical to a plan-frozen full factor, the full path to a
-//! from-scratch preprocess of the new graph.
+//! On top of the paper's strategy, a batch that provably keeps the
+//! index's frozen [`bepi_incr::SymbolicPlan`] — same nodes, no dead-end
+//! flip, no edge across two `H11` blocks ([`bepi_incr::classify`]) — skips
+//! the symbolic phase: the rebuild runs the plan-frozen preprocess,
+//! [`BePi::preprocess_with_plan`], which keeps the plan's ordering and
+//! redoes every numeric phase in full. A structural batch, or a
+//! plan-frozen preprocess that fails, runs the full pipeline
+//! ([`BePi::preprocess`]). The numeric path's index *is* the plan-frozen
+//! preprocess of the new graph; the full path's is bit-identical to a
+//! from-scratch preprocess of it.
 
 use crate::bepi::BePi;
 use bepi_graph::Graph;
@@ -35,7 +36,8 @@ pub enum RebuildKind {
     /// A full re-preprocess: structural batch, or a numeric attempt that
     /// had to fall back.
     Full,
-    /// A numeric-only refactorization under the frozen symbolic plan.
+    /// A plan-frozen preprocess ([`BePi::preprocess_with_plan`]) under
+    /// the index's symbolic plan.
     Numeric,
 }
 
@@ -71,44 +73,48 @@ pub struct Rebuilt {
     /// Which path built [`Rebuilt::index`]: `Numeric` or `Full`.
     pub kind: RebuildKind,
     /// Why the rebuild was full: the classifier's structural reason, or
-    /// the refactor error that forced the fallback. `None` for `Numeric`.
+    /// the plan-frozen preprocess's error that forced the fallback. `None`
+    /// for `Numeric`.
     pub reason: Option<String>,
 }
 
 impl BePi {
     /// Applies `updates` to `graph` — the graph this index was built
-    /// from — and rebuilds the index over the result, picking the
-    /// cheapest legal path: a numeric-only refactorization when
-    /// [`bepi_incr::classify`] proves the batch preserves this index's
-    /// symbolic plan, a full [`BePi::preprocess`] with this index's own
-    /// config otherwise. A refactor error never drops the batch; it
-    /// falls back to the full pipeline. An out-of-range update fails the
-    /// whole batch before anything is built.
+    /// from — and rebuilds the index over the result with this index's
+    /// own config: a plan-frozen [`BePi::preprocess_with_plan`] when
+    /// [`bepi_incr::classify`] proves the batch keeps this index's
+    /// symbolic plan, a full [`BePi::preprocess`] otherwise. A failed
+    /// plan-frozen preprocess never drops the batch; it falls back to the
+    /// full pipeline. An out-of-range update fails the whole batch before
+    /// anything is built.
     pub fn rebuild(&self, graph: &Graph, updates: &[EdgeUpdate]) -> Result<Rebuilt> {
         let new_graph = apply_updates(graph, updates)?;
         let sources: Vec<usize> = updates
             .iter()
             .map(|&(EdgeUpdate::Insert(u, _) | EdgeUpdate::Remove(u, _))| u)
             .collect();
-        let reason = match classify(&self.symbolic_plan(), graph, &new_graph, &sources) {
-            Classification::NumericOnly(dirty) => match self.refactor(&new_graph, &dirty) {
-                Ok(index) => {
-                    return Ok(Rebuilt {
-                        graph: new_graph,
-                        index,
-                        kind: RebuildKind::Numeric,
-                        reason: None,
-                    })
+        let plan = self.symbolic_plan();
+        let reason = match classify(&plan, graph, &new_graph, &sources) {
+            Classification::NumericOnly(()) => {
+                match BePi::preprocess_with_plan(&new_graph, self.config(), &plan) {
+                    Ok(index) => {
+                        return Ok(Rebuilt {
+                            graph: new_graph,
+                            index,
+                            kind: RebuildKind::Numeric,
+                            reason: None,
+                        })
+                    }
+                    Err(e) => {
+                        bepi_obs::warn!(
+                            "rebuild",
+                            "plan-frozen preprocess failed; falling back to full preprocess",
+                            error = e
+                        );
+                        format!("plan-frozen preprocess failed: {e}")
+                    }
                 }
-                Err(e) => {
-                    bepi_obs::warn!(
-                        "rebuild",
-                        "numeric refactor failed; falling back to full preprocess",
-                        error = e
-                    );
-                    format!("numeric refactor failed: {e}")
-                }
-            },
+            }
             Classification::Structural(why) => why,
         };
         let index = BePi::preprocess(&new_graph, self.config())?;

@@ -74,8 +74,8 @@ impl HPartition {
 
     /// Partitions `H` under a frozen [`SymbolicPlan`] — the numeric half
     /// of [`HPartition::build`]. The reordering phases report zero time
-    /// because they are skipped entirely; this is what makes incremental
-    /// refactorization cheap.
+    /// because they are skipped entirely; this is what makes a numeric
+    /// rebuild cheaper than a full preprocess.
     pub fn from_plan(g: &Graph, c: f64, plan: &SymbolicPlan) -> Result<Self> {
         check_restart_prob(c)?;
         Self::assemble_under(g, c, plan.clone(), Duration::ZERO, Duration::ZERO)

@@ -64,7 +64,7 @@ pub mod schur;
 
 pub use bear::Bear;
 pub use bepi::{BePi, BePiConfig, BePiVariant, InnerSolver, MemorySection, PhaseTiming};
-pub use bepi_incr::{classify, Classification, DirtySet, SymbolicPlan};
+pub use bepi_incr::{classify, Classification, SymbolicPlan};
 pub use dynamic::{EdgeUpdate, RebuildKind, Rebuilt};
 pub use exact::DenseExact;
 pub use hmatrix::HPartition;

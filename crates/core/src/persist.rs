@@ -1299,11 +1299,11 @@ mod tests {
     /// An index preprocessed as the paper's full BePI keeps its ILU(0)
     /// although new indexes default to BePI-S: META records the variant,
     /// so the heap and the mapped load both bring the factors back, a
-    /// numeric refactor refreshes them, and every answer is bit-identical
-    /// to a fresh `Full` preprocess of the same graph.
+    /// numeric rebuild factors them again, and every answer is
+    /// bit-identical to a fresh `Full` preprocess of the same graph.
     #[test]
     fn full_index_keeps_its_ilu_on_load_and_refactor() {
-        use crate::bepi::tests::{removable_edge, without_edge};
+        use crate::bepi::tests::{numeric_rebuild, removable_edge};
         let g = generators::rmat(7, 500, generators::RmatParams::default(), 61).unwrap();
         let cfg = BePiConfig::for_variant(BePiVariant::Full);
         let path = temp_path("full_index");
@@ -1329,23 +1329,14 @@ mod tests {
         assert_same(&heap, &fresh, "heap load");
         assert_same(&mapped, &fresh, "mapped load");
 
-        let (u, v) = removable_edge(&g);
-        let g_new = without_edge(&g, u, v);
-        let plan = fresh.symbolic_plan();
-        let dirty = match crate::classify(&plan, &g, &g_new, &[u]) {
-            crate::Classification::NumericOnly(d) => d,
-            crate::Classification::Structural(why) => panic!("expected numeric: {why}"),
-        };
-        let frozen = BePi::preprocess_with_plan(&g_new, &cfg, &plan).unwrap();
+        let edge = removable_edge(&g);
+        let (g_new, from_heap) = numeric_rebuild(&heap, &g, edge);
+        let frozen = BePi::preprocess_with_plan(&g_new, &cfg, &fresh.symbolic_plan()).unwrap();
+        assert_same(&from_heap, &frozen, "heap rebuild");
         assert_same(
-            &heap.refactor(&g_new, &dirty).unwrap(),
+            &numeric_rebuild(&mapped, &g, edge).1,
             &frozen,
-            "heap refactor",
-        );
-        assert_same(
-            &mapped.refactor(&g_new, &dirty).unwrap(),
-            &frozen,
-            "mapped refactor",
+            "mapped rebuild",
         );
         drop(mapped);
         std::fs::remove_file(&path).ok();
@@ -2097,17 +2088,16 @@ mod tests {
         }
     }
 
-    /// Every matrix of a preprocessed, refactored, heap-loaded or mapped
+    /// Every matrix of a preprocessed, numerically rebuilt, heap-loaded or mapped
     /// index is narrow and value-coded on these graphs, and all hold one
     /// table. `S` is coded first, so its codes are the ones it gets alone
     /// and the table starts with its values; the others append theirs.
     #[test]
     fn compact_index_matrices_share_one_value_table() {
-        use crate::bepi::tests::{removable_edge, without_edge};
+        use crate::bepi::tests::{numeric_rebuild, removable_edge};
         let g = generators::rmat(8, 900, generators::RmatParams::default(), 5).unwrap();
         let g = generators::inject_deadends(&g, 0.1, 3).unwrap();
-        let (u, v) = removable_edge(&g);
-        let g_new = without_edge(&g, u, v);
+        let edge = removable_edge(&g);
         for variant in [BePiVariant::Sparse, BePiVariant::Full] {
             let fresh = BePi::preprocess(&g, &BePiConfig::for_variant(variant)).unwrap();
             let s_alone = CodedCsr::encode(&fresh.schur().to_csr());
@@ -2123,12 +2113,8 @@ mod tests {
             assert_one_table(&fresh, "preprocess");
 
             let plan = fresh.symbolic_plan();
-            let dirty = match crate::classify(&plan, &g, &g_new, &[u]) {
-                crate::Classification::NumericOnly(d) => d,
-                crate::Classification::Structural(why) => panic!("expected numeric: {why}"),
-            };
-            let refac = fresh.refactor(&g_new, &dirty).unwrap();
-            assert_one_table(&refac, "refactor");
+            let (g_new, refac) = numeric_rebuild(&fresh, &g, edge);
+            assert_one_table(&refac, "numeric rebuild");
             let frozen = BePi::preprocess_with_plan(&g_new, refac.config(), &plan).unwrap();
             assert_eq!(
                 bits(refac.value_table().unwrap()),
@@ -2229,15 +2215,14 @@ mod tests {
     /// own values only, on a narrow or a wide pattern, or plain with no
     /// table at all). Their factors are compacted on load in their own
     /// form. They answer bit for bit like a fresh index with equal
-    /// iterations and residuals, refactor to the fresh index's refactor,
+    /// iterations and residuals, rebuild to the fresh index's rebuild,
     /// and save again in the current layout — one permutation map and the
     /// 1 × 1 block section — which is byte-stable from there.
     #[test]
     fn compact_old_format_files_load_bit_identical() {
-        use crate::bepi::tests::{removable_edge, without_edge};
+        use crate::bepi::tests::{numeric_rebuild, removable_edge};
         let g = generators::rmat(7, 500, generators::RmatParams::default(), 61).unwrap();
-        let (u, v) = removable_edge(&g);
-        let g_new = without_edge(&g, u, v);
+        let edge = removable_edge(&g);
         for variant in [BePiVariant::Sparse, BePiVariant::Full] {
             let fresh = BePi::preprocess(&g, &BePiConfig::for_variant(variant)).unwrap();
             assert!(!fresh.h11_factors().singletons().is_empty());
@@ -2266,12 +2251,10 @@ mod tests {
                 ),
                 ("plain S", None, forms(plain(&full[2]))),
             ];
-            let plan = fresh.symbolic_plan();
-            let dirty = match crate::classify(&plan, &g, &g_new, &[u]) {
-                crate::Classification::NumericOnly(d) => d,
-                crate::Classification::Structural(why) => panic!("expected numeric: {why}"),
-            };
-            let fresh_refac = fresh.refactor(&g_new, &dirty).unwrap();
+            let (g_new, fresh_refac) = numeric_rebuild(&fresh, &g, edge);
+            let frozen =
+                BePi::preprocess_with_plan(&g_new, fresh.config(), &fresh.symbolic_plan()).unwrap();
+            crate::bepi::tests::assert_same_answers(&fresh_refac, &frozen, &[0, 100], "fresh");
             for (layout, table, mats) in layouts {
                 let old = with_full_row_layout(&buf, &fresh, table, &mats);
                 let ids: Vec<u32> = bepi_map::parse_layout(&old)
@@ -2321,7 +2304,7 @@ mod tests {
                         assert_eq!(got.iterations, want.iterations, "{what}");
                         assert_eq!(got.residual.to_bits(), want.residual.to_bits(), "{what}");
                     }
-                    let refac = b.refactor(&g_new, &dirty).unwrap();
+                    let refac = numeric_rebuild(b, &g, edge).1;
                     assert_one_table(&refac, &what);
                     for seed in [0usize, 100] {
                         let (got, want) =

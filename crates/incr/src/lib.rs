@@ -1,7 +1,6 @@
 //! # bepi-incr
 //!
-//! Symbolic/numeric split of BePI preprocessing, following the
-//! analyze/factor/refactor pattern of KLU-style sparse direct solvers.
+//! Symbolic/numeric split of BePI preprocessing.
 //!
 //! BePI's preprocessing pipeline (deadend reordering, SlashBurn
 //! hub-and-spoke reordering, per-block LU of `H11`, Schur complement,
@@ -17,14 +16,12 @@
 //!   structure.
 //!
 //! This crate captures the symbolic phase in a reusable [`SymbolicPlan`]
-//! ([`analyze`]), re-runs the numeric phase against a frozen plan
-//! ([`assemble`]), classifies edge-update batches as numeric-only or
-//! structural ([`classify`]), and recomputes only the `H11` blocks and
-//! Schur rows whose inputs changed ([`refactor_schur`], together with
-//! `FrozenBlockLu::refactor_blocks` in `bepi-solver`). A numeric-only refactor
-//! is bit-identical to a full numeric factorization under the same plan:
-//! every recomputed row runs the identical kernel on identical inputs,
-//! and every untouched row is copied verbatim.
+//! ([`analyze`]), assembles `H` against a frozen plan ([`assemble`]), and
+//! classifies edge-update batches as numeric-only or structural
+//! ([`classify`]). A numeric-only batch is rebuilt by the plan-frozen
+//! preprocess (`BePi::preprocess_with_plan` in `bepi-core`): the plan's
+//! ordering is kept and every numeric phase runs in full, so the paper's
+//! batch re-preprocessing (§5) skips only the reordering.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,9 +32,7 @@
 
 use bepi_graph::Graph;
 use bepi_reorder::{reorder_deadends, slashburn, SlashBurnConfig};
-use bepi_solver::BlockLu;
-use bepi_sparse::{spgemm, sub_spgemm, CodedCsr, Coo, Csr, Permutation, Result, SparseError};
-use std::collections::BTreeSet;
+use bepi_sparse::{Csr, Permutation, Result, SparseError};
 use std::time::{Duration, Instant};
 
 /// The reusable output of the symbolic analysis phase: everything the
@@ -46,7 +41,7 @@ use std::time::{Duration, Instant};
 /// A plan is fully determined by fields that every persisted index format
 /// already stores (`perm`, `n1`/`n2`/`n3`, `block_sizes`,
 /// `slashburn_iterations`), so a plan round-trips through index files for
-/// free — a restarted server can refactor against the checkpointed plan
+/// free — a restarted server can rebuild under the checkpointed plan
 /// without re-running SlashBurn.
 #[derive(Debug, Clone)]
 pub struct SymbolicPlan {
@@ -68,17 +63,6 @@ impl SymbolicPlan {
     /// Total node count the plan was built for.
     pub fn n(&self) -> usize {
         self.n1 + self.n2 + self.n3
-    }
-
-    /// Start offset of each `H11` diagonal block.
-    pub fn block_starts(&self) -> Vec<usize> {
-        let mut starts = Vec::with_capacity(self.block_sizes.len());
-        let mut acc = 0usize;
-        for &s in &self.block_sizes {
-            starts.push(acc);
-            acc += s;
-        }
-        starts
     }
 
     /// Block id of every spoke slot (length `n1`).
@@ -198,7 +182,7 @@ fn structural_error(reason: &str) -> SparseError {
 /// The structural invariants the plan promises (zero upper-right block,
 /// block-diagonal `H11`, identity deadend corner) are *validated at
 /// runtime* here, not just debug-asserted: this is the safety backstop
-/// behind the refactor fast path, so a misclassified batch surfaces as a
+/// behind the plan-frozen rebuild, so a misclassified batch surfaces as a
 /// typed error instead of silently wrong factors.
 pub fn assemble(g: &Graph, c: f64, plan: &SymbolicPlan) -> Result<HBlocks> {
     if !(c > 0.0 && c < 1.0) {
@@ -440,32 +424,12 @@ fn check_deadend_sources(adj: &Csr, perm: &Permutation, deadends: &[u32], beta: 
     }
 }
 
-/// What a numeric-only batch invalidates: which `H11` diagonal blocks
-/// must be refactored, and whether any hub column of `H` changed (which
-/// dirties whole Schur *columns*, forcing a full Schur recompute — the
-/// block LU is still reused).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DirtySet {
-    /// Sorted, deduplicated ids of `H11` diagonal blocks to refactor.
-    pub blocks: Vec<usize>,
-    /// True when a hub's out-edges changed: `H12`/`H22` columns moved, so
-    /// every Schur row can be affected and `S` is recomputed in full.
-    pub hub_columns: bool,
-}
-
-impl DirtySet {
-    /// True when nothing numeric changed (the batch was a no-op).
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty() && !self.hub_columns
-    }
-}
-
 /// Verdict of [`classify`] for one update batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Classification {
-    /// Every change stays inside the frozen structure; refactor with the
-    /// given dirty set.
-    NumericOnly(DirtySet),
+    /// Every change stays inside the frozen structure: the plan-frozen
+    /// preprocess applies.
+    NumericOnly(()),
     /// The plan no longer fits (reason attached); fall back to a full
     /// preprocess.
     Structural(String),
@@ -476,15 +440,11 @@ pub enum Classification {
 /// `sources` are the source nodes of every update in the batch (targets
 /// need not be listed: an edge `u → v` only rewrites row `u` of the
 /// adjacency matrix, i.e. column `p(u)` of `H`). The classifier compares
-/// each candidate source's adjacency row in `g_old` vs `g_new` — columns
-/// *and* values, so a remove+insert that resets an edge weight is
-/// correctly seen as a change — and derives:
-///
-/// * **Structural** when the node count changed, a source flipped deadend
-///   status (the deadend ordering would move), or a spoke source gained a
-///   target in a *different* `H11` block (block-diagonality would break).
-/// * **NumericOnly** otherwise, with the dirty block set (spoke sources)
-///   and the hub-column flag (hub sources).
+/// each source's adjacency row in `g_old` vs `g_new` and reports
+/// **Structural** when the node count changed, a source is out of range,
+/// a source flipped deadend status (the deadend ordering would move), or
+/// a spoke source has a target in a *different* `H11` block
+/// (block-diagonality would break); **NumericOnly** otherwise.
 pub fn classify(
     plan: &SymbolicPlan,
     g_old: &Graph,
@@ -501,16 +461,9 @@ pub fn classify(
     }
     let l = plan.n1 + plan.n2;
     let block_of = plan.block_of_spoke();
-    let mut dirty_blocks: BTreeSet<usize> = BTreeSet::new();
-    let mut hub_columns = false;
-    let mut seen: BTreeSet<usize> = BTreeSet::new();
-
     for &u in sources {
         if u >= n {
             return Classification::Structural(format!("update source {u} out of range"));
-        }
-        if !seen.insert(u) {
-            continue;
         }
         let (oc, ov) = g_old.adjacency().row(u);
         let (nc, nv) = g_new.adjacency().row(u);
@@ -527,146 +480,18 @@ pub fn classify(
             return Classification::Structural(format!("deadend node {u} changed out-edges"));
         }
         if pu < plan.n1 {
-            let b = block_of[pu] as usize;
+            let b = block_of[pu];
             for &v in nc {
                 let pv = plan.perm.apply(v as usize);
-                if pv < plan.n1 && block_of[pv] as usize != b {
+                if pv < plan.n1 && block_of[pv] != b {
                     return Classification::Structural(format!(
                         "edge {u} -> {v} crosses H11 blocks"
                     ));
                 }
             }
-            dirty_blocks.insert(b);
-        } else {
-            hub_columns = true;
         }
     }
-    Classification::NumericOnly(DirtySet {
-        blocks: dirty_blocks.into_iter().collect(),
-        hub_columns,
-    })
-}
-
-/// Recomputes only the Schur rows whose inputs changed and splices them
-/// into the previous Schur complement.
-///
-/// `old_s` and `h21_old` come from the pre-update index; `blocks` and
-/// `lu_new` are the freshly assembled `H` blocks and (partially)
-/// refactored `H11` factors. Dirty rows are the hub rows whose `H21`
-/// entries (old or new) touch a dirty `H11` block; every other row of
-/// `S = H22 − H21 (U1^{-1}(L1^{-1} H12))` is unchanged term-for-term and
-/// is copied verbatim, so the result is bit-identical to a full Schur
-/// recompute under the same plan. `old_s` and `h21_old` are read as
-/// stored (plain or value-coded, either pattern width); the result is a
-/// plain [`Csr`], which the caller codes once its ILU(0) refresh has read
-/// it.
-pub fn refactor_schur(
-    old_s: &CodedCsr,
-    blocks: &HBlocks,
-    h21_old: &CodedCsr,
-    lu_new: &BlockLu,
-    plan: &SymbolicPlan,
-    dirty: &DirtySet,
-) -> Result<Csr> {
-    let n2 = plan.n2;
-    if dirty.hub_columns {
-        // Hub columns moved: whole Schur columns are dirty, so recompute
-        // S in full (the block LU above is still reused — that and the
-        // reordering are the dominant preprocessing costs).
-        let x = lu_new.solve_matrix(&blocks.h12)?;
-        return sub_spgemm(&blocks.h22, &blocks.h21, &x);
-    }
-    if dirty.blocks.is_empty() {
-        return Ok(old_s.to_csr());
-    }
-
-    // Spoke slots covered by dirty blocks.
-    let starts = plan.block_starts();
-    let mut spoke_dirty = vec![false; plan.n1];
-    for &b in &dirty.blocks {
-        if b >= plan.block_sizes.len() {
-            return Err(SparseError::IndexOutOfBounds {
-                index: (b, b),
-                shape: (plan.block_sizes.len(), plan.block_sizes.len()),
-            });
-        }
-        for slot in starts[b]..starts[b] + plan.block_sizes[b] {
-            spoke_dirty[slot] = true;
-        }
-    }
-
-    // Dirty Schur rows: any H21 row (old or new) with a non-zero in a
-    // dirty block's columns. Removed entries dirty a row too, hence the
-    // scan over both generations.
-    let dirty_rows: Vec<usize> = (0..n2)
-        .filter(|&i| {
-            h21_old.row_iter(i).any(|(c, _)| spoke_dirty[c])
-                || blocks.h21.row_iter(i).any(|(c, _)| spoke_dirty[c])
-        })
-        .collect();
-    if dirty_rows.is_empty() {
-        return Ok(old_s.to_csr());
-    }
-
-    // Blocks whose X rows the dirty H21 rows reference (a superset of the
-    // dirty blocks: a dirty row may also multiply clean-block columns).
-    let block_of = plan.block_of_spoke();
-    let mut needed: BTreeSet<usize> = BTreeSet::new();
-    for &i in &dirty_rows {
-        let (cols, _) = blocks.h21.row(i);
-        for &c in cols {
-            needed.insert(block_of[c as usize] as usize);
-        }
-    }
-
-    // X = U1^{-1}(L1^{-1} H12), computed per needed block. The factors
-    // are block diagonal, so each block's rows of X depend only on that
-    // block's factor rows and H12 rows — the per-row kernel is identical
-    // to the full product, making the rows bit-identical.
-    let mut x_coo = Coo::new(plan.n1, n2)?;
-    for &b in &needed {
-        let range = starts[b]..starts[b] + plan.block_sizes[b];
-        let lb = lu_new.l_inv.slice_block(range.clone(), range.clone())?;
-        let ub = lu_new.u_inv.slice_block(range.clone(), range.clone())?;
-        let h12b = blocks.h12.slice_block(range.clone(), 0..n2)?;
-        let t = spgemm(&lb, &h12b)?;
-        let xb = spgemm(&ub, &t)?;
-        for (r, c, v) in xb.iter() {
-            x_coo.push(starts[b] + r, c, v)?;
-        }
-    }
-    let x = x_coo.to_csr();
-
-    // Compact the dirty rows of H21 and H22, run the identical
-    // product/subtract kernels on them, then splice the recomputed rows
-    // back over the old S.
-    let mut h21_d = Coo::new(dirty_rows.len(), plan.n1)?;
-    let mut h22_d = Coo::new(dirty_rows.len(), n2)?;
-    for (di, &i) in dirty_rows.iter().enumerate() {
-        for (c, v) in blocks.h21.row_iter(i) {
-            h21_d.push(di, c, v)?;
-        }
-        for (c, v) in blocks.h22.row_iter(i) {
-            h22_d.push(di, c, v)?;
-        }
-    }
-    let s_d = sub_spgemm(&h22_d.to_csr(), &h21_d.to_csr(), &x)?;
-
-    let mut out = Coo::with_capacity(n2, n2, old_s.nnz() + s_d.nnz())?;
-    let mut next_dirty = 0usize;
-    for i in 0..n2 {
-        if next_dirty < dirty_rows.len() && dirty_rows[next_dirty] == i {
-            for (c, v) in s_d.row_iter(next_dirty) {
-                out.push(i, c, v)?;
-            }
-            next_dirty += 1;
-        } else {
-            for (c, v) in old_s.row_iter(i) {
-                out.push(i, c, v)?;
-            }
-        }
-    }
-    Ok(out.to_csr())
+    Classification::NumericOnly(())
 }
 
 /// SlashBurn's input: the 0/1 pattern of `Ann ∨ Annᵀ`, where `Ann` is
@@ -742,7 +567,9 @@ fn slashburn_input(g: &Graph, perm: &Permutation, l: usize) -> Result<Csr> {
 mod tests {
     use super::*;
     use bepi_graph::generators;
+    use bepi_sparse::Coo;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     const C: f64 = 0.05;
     const K: f64 = 0.2;
@@ -751,17 +578,6 @@ mod tests {
         let analysis = analyze(g, K).unwrap();
         let blocks = assemble(g, C, &analysis.plan).unwrap();
         (analysis.plan, blocks)
-    }
-
-    /// `lu`'s factors frozen as an index stores them.
-    fn frozen(lu: &BlockLu) -> bepi_solver::FrozenBlockLu {
-        bepi_solver::FrozenBlockLu::freeze(lu).unwrap()
-    }
-
-    fn full_schur(blocks: &HBlocks, lu: &BlockLu) -> Csr {
-        let x = lu.solve_matrix(&blocks.h12).unwrap();
-        let prod = spgemm(&blocks.h21, &x).unwrap();
-        bepi_sparse::ops::sub(&blocks.h22, &prod).unwrap()
     }
 
     /// A numeric-safe update: remove an existing edge whose source keeps
@@ -796,7 +612,6 @@ mod tests {
         assert_eq!(plan.n3, g.deadend_count());
         assert_eq!(plan.block_sizes.iter().sum::<usize>(), plan.n1);
         assert_eq!(plan.block_of_spoke().len(), plan.n1);
-        assert_eq!(plan.block_starts().len(), plan.block_sizes.len());
     }
 
     #[test]
@@ -817,10 +632,10 @@ mod tests {
     fn classify_noop_batch_is_numeric_and_empty() {
         let g = generators::rmat(7, 400, generators::RmatParams::default(), 13).unwrap();
         let (plan, _) = plan_and_blocks(&g);
-        match classify(&plan, &g, &g, &[0, 1, 2]) {
-            Classification::NumericOnly(d) => assert!(d.is_empty()),
-            c => panic!("expected numeric, got {c:?}"),
-        }
+        assert_eq!(
+            classify(&plan, &g, &g, &[0, 1, 2]),
+            Classification::NumericOnly(())
+        );
     }
 
     #[test]
@@ -852,131 +667,10 @@ mod tests {
         let (plan, _) = plan_and_blocks(&g);
         let (u, v) = removable_edge(&g);
         let g_new = without_edge(&g, u, v);
-        match classify(&plan, &g, &g_new, &[u]) {
-            Classification::NumericOnly(d) => {
-                let pu = plan.perm.apply(u);
-                if pu < plan.n1 {
-                    assert_eq!(d.blocks.len(), 1);
-                    assert!(!d.hub_columns);
-                } else {
-                    assert!(d.hub_columns);
-                }
-            }
-            c => panic!("expected numeric, got {c:?}"),
-        }
-    }
-
-    #[test]
-    fn refactor_schur_is_bit_identical_to_full_recompute() {
-        let g = generators::rmat(8, 900, generators::RmatParams::default(), 17).unwrap();
-        let (plan, blocks) = plan_and_blocks(&g);
-        let lu = BlockLu::factor(&blocks.h11, &plan.block_sizes).unwrap();
-        let old_s = full_schur(&blocks, &lu);
-
-        let (u, v) = removable_edge(&g);
-        let g_new = without_edge(&g, u, v);
-        let dirty = match classify(&plan, &g, &g_new, &[u]) {
-            Classification::NumericOnly(d) => d,
-            c => panic!("expected numeric, got {c:?}"),
-        };
-        let new_blocks = assemble(&g_new, C, &plan).unwrap();
-        let lu_new = frozen(&lu)
-            .refactor_blocks(&new_blocks.h11, &dirty.blocks)
-            .unwrap();
-        // Reference: full factor + full Schur on the updated graph.
-        let lu_ref = BlockLu::factor(&new_blocks.h11, &plan.block_sizes).unwrap();
-        assert_eq!(lu_new.l_inv, lu_ref.l_inv);
-        assert_eq!(lu_new.u_inv, lu_ref.u_inv);
-        let s_ref = full_schur(&new_blocks, &lu_ref);
-        let s_got = refactor_schur(
-            &CodedCsr::encode(&old_s),
-            &new_blocks,
-            &CodedCsr::encode(&blocks.h21),
-            &lu_new,
-            &plan,
-            &dirty,
-        )
-        .unwrap();
-        assert_eq!(s_got, s_ref);
-    }
-
-    /// `refactor_schur` reads the old `S` through `row_iter`, so a narrow
-    /// old `S` (as preprocessing stores it) and the same `S` on a wide
-    /// pattern (as a file from before the narrow form loads it) splice to
-    /// the same result: the full recompute's.
-    #[test]
-    fn narrow_refactor_schur_matches_wide() {
-        let g = generators::rmat(8, 900, generators::RmatParams::default(), 17).unwrap();
-        let (plan, blocks) = plan_and_blocks(&g);
-        let lu = BlockLu::factor(&blocks.h11, &plan.block_sizes).unwrap();
-        let old_s = full_schur(&blocks, &lu);
-        let narrow = CodedCsr::encode(&old_s);
-        assert!(narrow.pattern().is_narrow());
-        let wide = CodedCsr::from_parts_storage_trusted(
-            old_s.nrows(),
-            old_s.ncols(),
-            old_s.pattern(),
-            narrow.values().clone(),
-        )
-        .unwrap();
-        assert!(!wide.pattern().is_narrow());
-
-        let (u, v) = removable_edge(&g);
-        let g_new = without_edge(&g, u, v);
-        let dirty = match classify(&plan, &g, &g_new, &[u]) {
-            Classification::NumericOnly(d) => d,
-            c => panic!("expected numeric, got {c:?}"),
-        };
-        let new_blocks = assemble(&g_new, C, &plan).unwrap();
-        let lu_new = frozen(&lu)
-            .refactor_blocks(&new_blocks.h11, &dirty.blocks)
-            .unwrap();
-        let h21_old = CodedCsr::encode(&blocks.h21);
-        let splice = |old: &CodedCsr, dirty: &DirtySet| {
-            refactor_schur(old, &new_blocks, &h21_old, &lu_new, &plan, dirty).unwrap()
-        };
-        let got = splice(&narrow, &dirty);
-        assert_eq!(got, splice(&wide, &dirty));
-        assert_eq!(got, full_schur(&new_blocks, &lu_new));
-        // With nothing dirty, both copy the old S.
-        let clean = DirtySet::default();
-        assert_eq!(splice(&narrow, &clean), old_s);
-        assert_eq!(splice(&wide, &clean), old_s);
-    }
-
-    #[test]
-    fn refactor_schur_empty_dirty_set_copies_s() {
-        let g = generators::rmat(7, 500, generators::RmatParams::default(), 23).unwrap();
-        let (plan, blocks) = plan_and_blocks(&g);
-        let lu = BlockLu::factor(&blocks.h11, &plan.block_sizes).unwrap();
-        let s = full_schur(&blocks, &lu);
-        let coded = CodedCsr::encode(&s);
-        let got = refactor_schur(
-            &coded,
-            &blocks,
-            &CodedCsr::encode(&blocks.h21),
-            &lu,
-            &plan,
-            &DirtySet::default(),
-        )
-        .unwrap();
-        assert_eq!(got, s);
-    }
-
-    #[test]
-    fn refactor_schur_hub_columns_recomputes_in_full() {
-        let g = generators::rmat(8, 900, generators::RmatParams::default(), 29).unwrap();
-        let (plan, blocks) = plan_and_blocks(&g);
-        let lu = BlockLu::factor(&blocks.h11, &plan.block_sizes).unwrap();
-        let s = full_schur(&blocks, &lu);
-        let dirty = DirtySet {
-            blocks: Vec::new(),
-            hub_columns: true,
-        };
-        let coded = CodedCsr::encode(&s);
-        let h21 = CodedCsr::encode(&blocks.h21);
-        let got = refactor_schur(&coded, &blocks, &h21, &lu, &plan, &dirty).unwrap();
-        assert_eq!(got, s);
+        assert_eq!(
+            classify(&plan, &g, &g_new, &[u]),
+            Classification::NumericOnly(())
+        );
     }
 
     /// The chain the fused builders replaced, kept as their oracle: every
@@ -1284,6 +978,99 @@ mod tests {
             c_idx in 0usize..3,
         ) {
             assert_matches_reference(&g, [0.05, 0.2, 0.5][k_idx], [0.05, 0.5, 0.9][c_idx]);
+        }
+    }
+
+    /// `g` with `updates` applied in order, as a live rebuild applies a
+    /// batch: an insert adds the edge at weight 1 unless it is present, a
+    /// remove drops it.
+    fn applied(g: &Graph, updates: &[(usize, usize, bool)]) -> Graph {
+        let mut edges: BTreeMap<(usize, usize), f64> =
+            g.adjacency().iter().map(|(u, v, w)| ((u, v), w)).collect();
+        for &(u, v, insert) in updates {
+            if insert {
+                edges.entry((u, v)).or_insert(1.0);
+            } else {
+                edges.remove(&(u, v));
+            }
+        }
+        let mut coo = Coo::new(g.n(), g.n()).unwrap();
+        for ((u, v), w) in edges {
+            coo.push(u, v, w).unwrap();
+        }
+        Graph::from_adjacency(coo.to_csr()).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// What a numeric verdict promises: on R-MAT graphs with dead ends
+        /// and random batches, `NumericOnly` means `assemble` under the
+        /// plan succeeds, and a cross-block verdict means it fails with a
+        /// structural error — the block-diagonality one unless a plan
+        /// dead end also gained out-edges. Batches mix removals of present
+        /// edges and inserts from a non-dead end to a random node, to a hub
+        /// or to a node of its own `H11` block, and from any node to any.
+        #[test]
+        fn classify_verdicts_match_assemble_on_rmat_with_deadends(
+            seed in 0u64..64,
+            ops in proptest::collection::vec((0usize..5, 0u32..1 << 20, 0u32..1 << 20), 1..6),
+        ) {
+            let g = generators::rmat(7, 450, generators::RmatParams::default(), seed).unwrap();
+            let g = generators::inject_deadends(&g, 0.15, seed).unwrap();
+            let plan = analyze(&g, K).unwrap().plan;
+            let (n, n1, l) = (g.n(), plan.n1, plan.n1 + plan.n2);
+            let old_of_new = plan.perm.old_of_new();
+            let block_of = plan.block_of_spoke();
+            let updates: Vec<(usize, usize, bool)> = ops
+                .iter()
+                .map(|&(kind, a, b)| {
+                    // Kind 4 may start at a dead end; the others do not.
+                    let (a, b) = (a as usize, b as usize);
+                    let u = match kind {
+                        4 => a % n,
+                        _ => old_of_new[a % l] as usize,
+                    };
+                    let (cols, _) = g.adjacency().row(u);
+                    let pu = plan.perm.apply(u);
+                    match kind {
+                        0 if cols.len() >= 2 => (u, cols[b % cols.len()] as usize, false),
+                        2 if l > n1 => (u, old_of_new[n1 + b % (l - n1)] as usize, true),
+                        3 if pu < n1 => {
+                            let mates: Vec<usize> =
+                                (0..n1).filter(|&j| block_of[j] == block_of[pu]).collect();
+                            (u, old_of_new[mates[b % mates.len()]] as usize, true)
+                        }
+                        _ => (u, b % n, true),
+                    }
+                })
+                .collect();
+            let g_new = applied(&g, &updates);
+            let sources: Vec<usize> = updates.iter().map(|&(u, _, _)| u).collect();
+            let assembled = assemble(&g_new, C, &plan);
+            match classify(&plan, &g, &g_new, &sources) {
+                Classification::NumericOnly(()) => {
+                    let err = assembled.err();
+                    prop_assert!(err.is_none(), "numeric verdict, assemble: {:?}", err);
+                }
+                Classification::Structural(why) if why.contains("crosses H11 blocks") => {
+                    let err = assembled
+                        .expect_err("a cross-block edge must fail assemble")
+                        .to_string();
+                    let deadend_gained = old_of_new[l..]
+                        .iter()
+                        .any(|&d| g_new.out_degree(d as usize) > 0);
+                    if deadend_gained {
+                        prop_assert!(err.contains("symbolic plan violated"), "{}", err);
+                    } else {
+                        prop_assert_eq!(
+                            err,
+                            "numerical error: symbolic plan violated: H11 is no longer block diagonal"
+                        );
+                    }
+                }
+                Classification::Structural(_) => {}
+            }
         }
     }
 }

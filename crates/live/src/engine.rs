@@ -125,7 +125,7 @@ pub struct LiveStatus {
     /// Background rebuilds completed since startup. A WAL replay at
     /// start is no background rebuild and counts nowhere here.
     pub rebuilds: u64,
-    /// Rebuilds served by the numeric-only refactorization path.
+    /// Rebuilds served by the numeric path (plan-frozen preprocess).
     pub numeric_rebuilds: u64,
     /// Rebuilds that ran the full (structural) preprocessing pipeline.
     pub structural_rebuilds: u64,
@@ -137,11 +137,11 @@ pub struct LiveStatus {
     pub full_rebuild_us: u64,
     /// Which path produced the served index: `initial` (no rebuild or
     /// WAL replay yet), `full` (complete preprocessing pipeline), or
-    /// `numeric` (plan-frozen KLU-style refactorization).
+    /// `numeric` (plan-frozen preprocess under the index's symbolic plan).
     pub rebuild_kind: RebuildKind,
     /// Why the served index came from a full rebuild: the structural
-    /// reason, or the refactor error that forced the fallback. `None`
-    /// when no rebuild ran or the numeric path served.
+    /// reason, or the plan-frozen preprocess's error that forced the
+    /// fallback. `None` when no rebuild ran or the numeric path served.
     pub rebuild_reason: Option<String>,
     /// What scheduled the most recent rebuild.
     pub rebuild_trigger: RebuildTrigger,
@@ -295,8 +295,8 @@ impl LiveEngine {
                 // acknowledged them before the crash. The checkpoint's
                 // symbolic plan survived the save/load round-trip (the
                 // index persists every plan field), so a numeric-only batch
-                // replays through the cheap refactor path instead of a
-                // full preprocess.
+                // replays through the plan-frozen preprocess, skipping the
+                // reordering a full preprocess would redo.
                 let rebuilt = bepi.rebuild(&graph, &records)?;
                 bepi = Arc::new(rebuilt.index);
                 graph = rebuilt.graph;
@@ -1133,7 +1133,7 @@ mod tests {
         assert_eq!(status.rebuild_kind, RebuildKind::Numeric);
         assert_eq!(status.rebuild_trigger, RebuildTrigger::Explicit);
 
-        // The refactored snapshot answers like a from-scratch preprocess
+        // The rebuilt snapshot answers like a from-scratch preprocess
         // of the updated graph.
         let expected_graph = apply_updates(&g, &[EdgeUpdate::Remove(u, v)]).unwrap();
         let expected = BePi::preprocess(&expected_graph, &cfg).unwrap();

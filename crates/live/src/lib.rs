@@ -9,9 +9,9 @@
 //! preprocessing is cheap enough to re-run for *batches* of graph
 //! changes. On top of that, the worker exploits the symbolic/numeric
 //! split of `bepi-incr`: a batch that provably preserves the frozen
-//! SlashBurn ordering takes a KLU-style numeric-only refactorization
-//! (only touched `H11` blocks, Schur rows, and ILU values recomputed),
-//! while structural batches fall back to the full pipeline. Queries
+//! SlashBurn ordering takes the plan-frozen preprocess (the ordering is
+//! kept, every numeric phase is redone), while structural batches fall
+//! back to the full pipeline. Queries
 //! always see exactly one consistent snapshot — the last *completed*
 //! rebuild, never the WAL tip.
 //!

@@ -385,14 +385,41 @@ impl FrozenBlockLu {
         )
     }
 
-    /// The full factors as a builder, every row decoded: what
-    /// [`FrozenBlockLu::refactor_blocks`] returns with no dirty block.
+    /// The full factors as a builder, every row decoded: a stored row as
+    /// it is, a 1 × 1 block's as the unit diagonal and its stored `U^{-1}`
+    /// value.
     ///
     /// # Errors
     /// [`SparseError::Parse`] if a stored row's columns do not strictly
     /// increase (a crafted mapped index; a heap load rejects those).
     pub fn to_builder(&self) -> Result<BlockLu> {
-        self.copy_or_factor(None, &[])
+        let mut l = FactorRows::for_blocks(&self.block_sizes);
+        let mut u = FactorRows::for_blocks(&self.block_sizes);
+        self.singletons.with_reader(|values| {
+            // The next stored row and the next 1 × 1 block's value.
+            let (mut r, mut k) = (0usize, 0usize);
+            for (start, size) in blocks(&self.block_sizes) {
+                if size == 1 {
+                    l.push(start, 1.0);
+                    u.push(start, values.get(k));
+                    l.end_row();
+                    u.end_row();
+                    k += 1;
+                } else {
+                    for i in r..r + size {
+                        l.copy_row(self.l_inv.row_iter(i));
+                        u.copy_row(self.u_inv.row_iter(i));
+                    }
+                    r += size;
+                }
+            }
+        });
+        let n = self.n();
+        Ok(BlockLu {
+            l_inv: FactorRows::concat(n, vec![l])?,
+            u_inv: FactorRows::concat(n, vec![u])?,
+            block_sizes: self.block_sizes.clone(),
+        })
     }
 
     /// Dimension of the factored matrix.
@@ -460,85 +487,6 @@ impl FrozenBlockLu {
             r += size;
             done = start + size;
         }
-    }
-
-    /// KLU-style partial refactorization: re-factors only the listed
-    /// dirty diagonal blocks of `a_new` and copies every other block's
-    /// inverse-factor rows verbatim from `self`, into a new builder.
-    ///
-    /// The caller must guarantee that `a_new` has the same block
-    /// structure as the original matrix and that every block *not*
-    /// listed in `dirty_blocks` is numerically unchanged — under that
-    /// contract the result is bit-identical to `BlockLu::factor(a_new,
-    /// block_sizes)` at a fraction of the cost (each clean block skips
-    /// its `O(size³)` factor/invert).
-    pub fn refactor_blocks(&self, a_new: &Csr, dirty_blocks: &[usize]) -> Result<BlockLu> {
-        let n = self.n();
-        if a_new.nrows() != n || a_new.ncols() != n {
-            return Err(SparseError::ShapeMismatch {
-                left: a_new.shape(),
-                right: (n, n),
-                op: "FrozenBlockLu::refactor_blocks",
-            });
-        }
-        let mut dirty = vec![false; self.block_sizes.len()];
-        for &b in dirty_blocks {
-            if b >= dirty.len() {
-                return Err(SparseError::IndexOutOfBounds {
-                    index: (b, b),
-                    shape: (dirty.len(), dirty.len()),
-                });
-            }
-            dirty[b] = true;
-        }
-        debug_assert!(
-            bepi_reorder_check(a_new, &self.block_sizes),
-            "matrix entries cross declared diagonal blocks"
-        );
-        self.copy_or_factor(Some(a_new), &dirty)
-    }
-
-    /// A builder whose blocks flagged in `dirty` are factored from
-    /// `a_new` and every other block's rows are copied from `self`: a
-    /// 1 × 1 block's as the unit diagonal and its stored `U^{-1}` value.
-    fn copy_or_factor(&self, a_new: Option<&Csr>, dirty: &[bool]) -> Result<BlockLu> {
-        let mut l = FactorRows::for_blocks(&self.block_sizes);
-        let mut u = FactorRows::for_blocks(&self.block_sizes);
-        self.singletons.with_reader(|values| -> Result<()> {
-            // The next stored row and the next 1 × 1 block's value.
-            let (mut r, mut k) = (0usize, 0usize);
-            for (bi, (start, size)) in blocks(&self.block_sizes).enumerate() {
-                match a_new {
-                    Some(a) if dirty.get(bi) == Some(&true) => {
-                        factor_block(a, start, size, &mut l, &mut u)?
-                    }
-                    _ if size == 1 => {
-                        l.push(start, 1.0);
-                        u.push(start, values.get(k));
-                        l.end_row();
-                        u.end_row();
-                    }
-                    _ => {
-                        for i in r..r + size {
-                            l.copy_row(self.l_inv.row_iter(i));
-                            u.copy_row(self.u_inv.row_iter(i));
-                        }
-                    }
-                }
-                if size == 1 {
-                    k += 1;
-                } else {
-                    r += size;
-                }
-            }
-            Ok(())
-        })?;
-        let n = self.n();
-        Ok(BlockLu {
-            l_inv: FactorRows::concat(n, vec![l])?,
-            u_inv: FactorRows::concat(n, vec![u])?,
-            block_sizes: self.block_sizes.clone(),
-        })
     }
 }
 
@@ -981,34 +929,16 @@ mod tests {
         FrozenBlockLu::freeze(lu).unwrap()
     }
 
+    /// A frozen index's factors decode back to the builder's rows bit for
+    /// bit: stored rows as they are, 1 × 1 blocks from their values.
     #[test]
-    fn refactor_blocks_is_bit_identical_to_full_factor() {
-        let (a, blocks) = sample();
-        let lu = frozen(&BlockLu::factor(&a, &blocks).unwrap());
-        // Rescale block 2 (rows 3-5) only; blocks 0 and 1 stay untouched.
-        let mut coo = Coo::new(6, 6).unwrap();
-        for (r, c, v) in a.iter() {
-            let v = if r >= 3 { v * 1.5 } else { v };
-            coo.push(r, c, v).unwrap();
-        }
-        let a_new = coo.to_csr();
-        let got = lu.refactor_blocks(&a_new, &[2]).unwrap();
-        let want = BlockLu::factor(&a_new, &blocks).unwrap();
-        assert_bits_eq(&got.l_inv, &want.l_inv, "L^-1");
-        assert_bits_eq(&got.u_inv, &want.u_inv, "U^-1");
-        assert_eq!(got.block_sizes, blocks);
-    }
-
-    #[test]
-    fn refactor_blocks_with_no_dirty_blocks_copies_factors() {
+    fn frozen_factors_decode_to_the_builder_bit_identically() {
         let (a, blocks) = sample();
         let lu = BlockLu::factor(&a, &blocks).unwrap();
-        let got = frozen(&lu).refactor_blocks(&a, &[]).unwrap();
-        assert_bits_eq(&got.l_inv, &lu.l_inv, "L^-1");
-        assert_bits_eq(&got.u_inv, &lu.u_inv, "U^-1");
         let decoded = frozen(&lu).to_builder().unwrap();
         assert_bits_eq(&decoded.l_inv, &lu.l_inv, "decoded L^-1");
         assert_bits_eq(&decoded.u_inv, &lu.u_inv, "decoded U^-1");
+        assert_eq!(decoded.block_sizes, blocks);
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -1158,17 +1088,6 @@ mod tests {
         assert!(
             err.contains("stored row 3 (row 4 of the 3-node block at 3) has column 1"),
             "{err}"
-        );
-    }
-
-    #[test]
-    fn refactor_blocks_rejects_bad_inputs() {
-        let (a, blocks) = sample();
-        let lu = frozen(&BlockLu::factor(&a, &blocks).unwrap());
-        assert!(lu.refactor_blocks(&Csr::zeros(4, 4), &[0]).is_err());
-        assert!(
-            lu.refactor_blocks(&a, &[7]).is_err(),
-            "block id out of range"
         );
     }
 

@@ -76,16 +76,9 @@ impl Ilu0 {
                     .map_err(|_| SparseError::ZeroDiagonal { row: i })
             })
             .collect::<Result<Vec<usize>>>()?;
-        Self::numeric(a, diag_pos.into())
-    }
-
-    /// Eliminates `a`'s values on the known diagonal positions and rounds
-    /// the factors to f32 — the numeric half shared by [`Ilu0::factor`]
-    /// and [`Ilu0::refresh_values`].
-    fn numeric(a: &Csr, diag_pos: Storage<usize>) -> Result<Self> {
         let values = eliminate(a, &diag_pos)?;
         let lu = round_factors(&values, a.indptr(), &diag_pos)?;
-        Self::from_pattern(a.shape(), a.pattern(), lu.into(), diag_pos)
+        Self::from_pattern(a.shape(), a.pattern(), lu.into(), diag_pos.into())
     }
 
     /// Reassembles a factorization from previously computed parts — the
@@ -173,36 +166,6 @@ impl Ilu0 {
             }
         }
         Ok(())
-    }
-
-    /// Value-only refresh: a full numeric refactorization of `a` on this
-    /// factorization's frozen pattern. `a` must have *exactly* the
-    /// sparsity pattern of the original input — the numeric half of the
-    /// analyze/factor split, for incremental rebuilds where edge weights
-    /// moved but the Schur pattern did not.
-    ///
-    /// The symbolic work is reused, not redone: the diagonal positions
-    /// come from `self` (shared, not copied), the pattern is `a`'s
-    /// (shared), and only `a`'s values are copied in. Every row is still
-    /// eliminated — a partial refresh of just the rows downstream of the
-    /// changed ones is ROADMAP item 2(e).
-    ///
-    /// The elimination is deterministic, so the result is bit-identical
-    /// to `Ilu0::factor(a)`; the pattern check is what callers rely on
-    /// to detect that a batch changed the Schur structure and fall back
-    /// to a fresh factorization.
-    ///
-    /// # Errors
-    /// [`SparseError::Parse`] if `a`'s pattern differs from the pattern
-    /// these factors were built on (at either width);
-    /// [`SparseError::ZeroDiagonal`] as in [`Ilu0::factor`].
-    pub fn refresh_values(&self, a: &Csr) -> Result<Self> {
-        if a.shape() != (self.n(), self.n()) || a.pattern() != self.pattern {
-            return Err(SparseError::Parse(
-                "ILU(0) refresh requires an unchanged sparsity pattern".into(),
-            ));
-        }
-        Self::numeric(a, self.diag_pos.clone())
     }
 
     /// Dimension.
@@ -298,8 +261,8 @@ impl MemBytes for Ilu0 {
 }
 
 /// ILU(0) elimination of `a` in f64: returns the combined factors `L̂`
-/// and `Û` in `a`'s pattern — the one numeric kernel behind
-/// [`Ilu0::factor`] and [`Ilu0::refresh_values`]. `diag_pos[i]` is the
+/// and `Û` in `a`'s pattern — the numeric kernel behind
+/// [`Ilu0::factor`]. `diag_pos[i]` is the
 /// offset of the diagonal within row `i`.
 ///
 /// IKJ order with a column→position scatter of row `i`: for each lower
@@ -572,26 +535,6 @@ mod tests {
         }
 
         #[test]
-        fn refresh_values_is_bit_identical_on_shaped_matrices(a in shaped_dd_strategy(), scale in 0.5f64..2.0) {
-            let ilu = Ilu0::factor(&a).unwrap();
-            let mut b = a.clone();
-            for (p, v) in b.values_mut().iter_mut().enumerate() {
-                *v *= scale + (p % 7) as f64 * 0.01;
-            }
-            // Scaling entries unevenly can break dominance; both paths
-            // must then fail alike.
-            match (ilu.refresh_values(&b), Ilu0::factor(&b)) {
-                (Ok(refreshed), Ok(fresh)) => {
-                    prop_assert_eq!(bits32(refreshed.values()), bits32(fresh.values()));
-                    prop_assert!(refreshed.shares_pattern(&b.pattern()));
-                    prop_assert_eq!(refreshed.diag_pos(), fresh.diag_pos());
-                }
-                (Err(r), Err(f)) => prop_assert_eq!(format!("{r:?}"), format!("{f:?}")),
-                (r, f) => panic!("refresh {r:?}, factor {f:?}"),
-            }
-        }
-
-        #[test]
         fn f32_factors_cost_no_gmres_iterations(a in shaped_dd_strategy()) {
             let ilu = Ilu0::factor(&a).unwrap();
             let (values, diag_pos) = factor_reference(&a).unwrap();
@@ -689,12 +632,6 @@ mod tests {
         assert!(ilu.shares_pattern(&mapped.pattern()));
         assert_eq!(ilu.heap_bytes(), a.nnz() * 4 + a.nrows() * 8);
         assert_eq!(ilu.mapped_bytes(), 0);
-        // A refresh shares the pattern of the matrix it refreshes from:
-        // here the heap copy, not the mapped one it was built on.
-        let refreshed = ilu.refresh_values(&a).unwrap();
-        assert_eq!(bits32(refreshed.values()), bits32(ilu.values()));
-        assert!(refreshed.shares_pattern(&a.pattern()));
-        assert!(!refreshed.shares_pattern(&mapped.pattern()));
     }
 
     #[test]
@@ -774,9 +711,6 @@ mod tests {
             wide.solve_into(&r, &mut zw);
             narrow.solve_into(&r, &mut zn);
             assert_eq!(bits(&zn), bits(&zw), "n = {n}");
-            // A refresh compares the pattern at either width.
-            let refreshed = narrow.refresh_values(&a).unwrap();
-            assert_eq!(bits32(refreshed.values()), bits32(wide.values()));
         }
     }
 
@@ -868,47 +802,6 @@ mod tests {
             .sqrt();
         let nb: f64 = b.iter().map(|x| x * x).sum::<f64>().sqrt();
         assert!(res < 0.5 * nb, "residual {res} vs ‖b‖ {nb}");
-    }
-
-    #[test]
-    fn refresh_values_is_bit_identical_to_fresh_factor() {
-        let a = dd_matrix(25);
-        let ilu = Ilu0::factor(&a).unwrap();
-        // Same pattern, different values.
-        let mut b = a.clone();
-        for v in b.values_mut() {
-            *v *= 1.25;
-        }
-        let refreshed = ilu.refresh_values(&b).unwrap();
-        let fresh = Ilu0::factor(&b).unwrap();
-        assert!(refreshed.shares_pattern(&b.pattern()));
-        assert_eq!(bits32(refreshed.values()), bits32(fresh.values()));
-        assert_eq!(refreshed.diag_pos(), fresh.diag_pos());
-    }
-
-    #[test]
-    fn refresh_values_rejects_pattern_change() {
-        let a = dd_matrix(12);
-        let ilu = Ilu0::factor(&a).unwrap();
-        let other = dd_matrix(13);
-        assert!(matches!(
-            ilu.refresh_values(&other),
-            Err(SparseError::Parse(_))
-        ));
-        // Same shape, different pattern.
-        let shifted = {
-            let mut coo = Coo::new(12, 12).unwrap();
-            for (r, c, v) in a.iter() {
-                coo.push(r, (c + 1) % 12, v).unwrap();
-            }
-            for i in 0..12 {
-                if a.get(i, i) == 0.0 {
-                    coo.push(i, i, 5.0).unwrap();
-                }
-            }
-            coo.to_csr()
-        };
-        assert!(ilu.refresh_values(&shifted).is_err());
     }
 
     #[test]

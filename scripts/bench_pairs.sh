@@ -7,7 +7,10 @@
 #   scripts/bench_pairs.sh <parent-ref> [--workload W] [--pairs N]
 #
 # The change is this working tree; the parent is `git archive <parent-ref>`
-# unpacked under a temp dir with its own target directory. Each pair runs
+# unpacked once per resolved commit under the change's target directory
+# (target/bench-parent/<sha>/, tree and target directory), so checking
+# several workloads against one parent builds it once; `cargo clean`
+# removes it. Each pair runs
 #   benchmark/run.sh --workload W --seed <pair> --seconds 16 --trace 0
 # from both trees. Defaults: exact-cold, 10 pairs. Nothing is reported if
 # any run failed or answered wrongly. Not part of ci.sh.
@@ -45,11 +48,20 @@ metrics="setup_s:lower index_bytes:lower query_p50_ms:lower sat_qps:higher"
 
 change=$(pwd)
 change_target=${CARGO_TARGET_DIR:-$change/target}
+case $change_target in /*) ;; *) change_target=$change/$change_target ;; esac
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-parent=$tmp/parent
-mkdir "$parent"
-git archive "$parent_ref" | tar -x -C "$parent"
+parent_sha=$(git rev-parse --verify "$parent_ref^{commit}")
+parent_home=$change_target/bench-parent/$parent_sha
+parent=$parent_home/tree
+parent_target=$parent_home/target
+if [ ! -d "$parent" ]; then
+    mkdir -p "$parent_home"
+    rm -rf "$parent_home/unpack"
+    mkdir "$parent_home/unpack"
+    git archive "$parent_sha" | tar -x -C "$parent_home/unpack"
+    mv "$parent_home/unpack" "$parent"
+fi
 
 # run_side <tree> <target-dir> <args...>: benchmark/run.sh from that tree.
 run_side() {
@@ -59,7 +71,7 @@ run_side() {
 }
 
 echo "building parent ($parent_ref) and change" >&2
-run_side "$parent" "$tmp/target" help >/dev/null
+run_side "$parent" "$parent_target" help >/dev/null
 run_side "$change" "$change_target" help >/dev/null
 
 # contract_line <side> <pair> <args...>: the last stdout line of one clean
@@ -68,7 +80,7 @@ contract_line() {
     local side=$1 pair=$2 tree target line
     shift 2
     case $side in
-    parent) tree=$parent target=$tmp/target ;;
+    parent) tree=$parent target=$parent_target ;;
     change) tree=$change target=$change_target ;;
     esac
     if ! line=$(run_side "$tree" "$target" --seed "$pair" "$@" 2>"$tmp/stderr" | tail -n 1); then

@@ -56,12 +56,13 @@ cargo test --offline --release -q -p bepi-sparse -p bepi-solver -p bepi-core -- 
 # having only because its output is bit-identical to the materialised
 # chain it replaced. The tests that pin that contract (the reference-chain
 # oracle and its random-graph proptest, the pinned SlashBurn labels, block
-# LU against its Coo-assembled reference at 1-64 threads, refactor_blocks,
-# the fused Schur product) run here by name, in release codegen.
+# LU against its Coo-assembled reference at 1-64 threads, the numeric
+# rebuild against the plan-frozen preprocess at 1-8 threads, the fused
+# Schur product) run here by name, in release codegen.
 echo "==> preprocess bit-identity"
 cargo test --offline --release -q -p bepi-incr -p bepi-reorder -p bepi-solver -p bepi-sparse \
   -p bepi-core -- fused_builders labels_and_blocks_are_pinned parallel_factor_is_bit_identical \
-  refactor_blocks_is_bit_identical sub_spgemm_is_bit_identical schur_complement_is_bit_identical
+  numeric_rebuild_is_bit_identical sub_spgemm_is_bit_identical schur_complement_is_bit_identical
 
 # The observability surface's own tests, by name: golden bodies for the
 # daemon's /metrics (counters, latency histogram, live block), /version,
@@ -164,8 +165,8 @@ cargo test --offline --release -q -p bepi-sparse -p bepi-solver -p bepi-core -- 
 # having because every answer it feeds is bit-identical to the wide one's.
 # The tests that pin that contract (single and 8-wide SpMV on both pattern
 # widths with plain and coded values, to_csr/row_iter round trips, the
-# 65 536/65 537-column selection, ILU(0) factors on a narrow S, refactor
-# over a narrow old S, wide-pattern back-compat files on heap and mmap,
+# 65 536/65 537-column selection, ILU(0) factors on a narrow S, a numeric
+# rebuild's narrow S, wide-pattern back-compat files on heap and mmap,
 # exact byte accounting, crafted patterns failing the heap load) all carry
 # "narrow" in their names and run here in release codegen.
 echo "==> narrow-S bit-identity"
@@ -176,13 +177,13 @@ cargo test --offline --release -q -p bepi-sparse -p bepi-solver -p bepi-core -p 
 # index. The tests that pin that contract (single and 8-wide SpMV on
 # H-shaped blocks coded over a shared table, the shared encoder's
 # overflow rollback, frozen H11 factors solving like the builder's, one
-# table across preprocess/refactor/heap/mmap, the memory report counting
+# table across preprocess/numeric rebuild/heap/mmap, the memory report counting
 # the table once against the file's sections, files in every earlier
 # layout on heap and mmap with byte-identical re-save, hostile matrix
 # sections, the section-name layout) carry "compact" in their names, as
 # do the tests of the per-node layout: no factor rows for 1 x 1 H11
 # blocks (the frozen solve against a dense H11^-1 and the builder, on
-# fresh/refactored/heap/mmap indexes; full-row-layout files; hostile
+# fresh/rebuilt/heap/mmap indexes; full-row-layout files; hostile
 # 1 x 1 sections; the exact-cold counts). The heap loader's permutation,
 # ILU(0) diagonal, row-order and block checks and the one-map permutation
 # scatter ride along. All run here in release codegen.
@@ -380,7 +381,7 @@ SAT_PID=""
 # the same WAL, and require the replayed daemon (whose replay must also
 # take the numeric path) to answer byte-for-byte like a daemon cleanly
 # preprocessed from the same final edge list: the second batch undoes the
-# first, so two chained refactorizations under the checkpoint's frozen
+# first, so two chained numeric rebuilds under the checkpoint's frozen
 # plan must land exactly back on the from-scratch index.
 echo "==> incremental-rebuild drill (numeric path + SIGKILL + WAL replay oracle)"
 IR_TMP=$(mktemp -d)
@@ -459,7 +460,7 @@ kill -9 "$IR_PID"
 wait "$IR_PID" 2>/dev/null || true
 IR_PID=""
 # Restart on the same WAL: the pending insert replays on top of the
-# checkpointed (refactored) index.
+# checkpointed (numerically rebuilt) index.
 ./target/release/bepi serve "$IR_TMP/index.bepi" --listen 127.0.0.1:0 \
   --wal "$IR_TMP/updates.wal" --log-level info \
   < "$IR_TMP/fifo" > "$IR_TMP/replay.log" 2>&1 3>&- &
