@@ -1,12 +1,13 @@
-//! A panic inside `bepi serve` is logged, not only printed by Rust's
-//! default hook.
+//! A panic inside `bepi serve` is answered and logged, not only printed
+//! by Rust's default hook.
 //!
 //! The daemon serves a `--mmap` index whose first `s.indices16` entry
 //! names a column past `n2`. The mapped open checks only the section
 //! table and META, so the first solve over `S` indexes out of bounds and
-//! panics on a pool worker. The worker catches it; this test requires one
-//! `bepi_obs` error line on stderr that names the thread and carries the
-//! panic message.
+//! panics on a pool worker. The worker catches it around the one request:
+//! the client gets a `500` carrying its request id, and this test
+//! requires one `bepi_obs` error line on stderr that names the request
+//! id, the path and the thread and carries the panic message.
 //!
 //! Debug builds `debug_assert` the pattern at load, so this test only
 //! exists in release codegen (`cargo test --release`).
@@ -90,15 +91,26 @@ fn panicking_solve_is_logged_with_thread_and_message() {
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))
         .unwrap();
+    let rid = "0123456789abcdef0123456789abcdef";
     stream
-        .write_all(b"GET /query?seed=0 HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n")
+        .write_all(
+            format!(
+                "GET /query?seed=0 HTTP/1.1\r\nHost: t\r\nX-Request-Id: {rid}\r\n\
+                 Connection: close\r\n\r\n"
+            )
+            .as_bytes(),
+        )
         .unwrap();
     let mut response = Vec::new();
     let _ = stream.read_to_end(&mut response);
+    let response = String::from_utf8_lossy(&response);
     assert!(
-        response.is_empty(),
-        "a panicking solve drops its connection unanswered: {}",
-        String::from_utf8_lossy(&response)
+        response.starts_with("HTTP/1.1 500"),
+        "a panicking solve is answered with a 500: {response}"
+    );
+    assert!(
+        response.contains(&format!("X-Request-Id: {rid}\r\n")),
+        "{response}"
     );
 
     // stdin EOF is the daemon's graceful stop; it drains, then exits.
@@ -108,8 +120,10 @@ fn panicking_solve_is_logged_with_thread_and_message() {
     let stderr = std::fs::read_to_string(&stderr_path).unwrap();
     let logged = stderr
         .lines()
-        .find(|l| l.contains("level=error target=server msg=\"panic while serving a connection\""))
+        .find(|l| l.contains("level=error target=server msg=\"panic while serving a request\""))
         .unwrap_or_else(|| panic!("no panic log line on stderr:\n{stderr}"));
+    assert!(logged.contains(&format!(" request_id={rid} ")), "{logged}");
+    assert!(logged.contains(" path=/query "), "{logged}");
     assert!(logged.contains(" thread=bepi-worker-0 "), "{logged}");
     assert!(logged.contains(" panic=\"index out of bounds"), "{logged}");
     std::fs::remove_dir_all(&dir).ok();

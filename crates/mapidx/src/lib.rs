@@ -73,11 +73,22 @@ pub use map::{MappedIndex, Mapping, Pod, Section};
 /// | `+4`   | `value_codes`  | `u16`   | value-coded                   |
 /// | `+5`   | `indptr32`     | `u32`   | narrow pattern (≤ 2¹⁶ columns) |
 /// | `+6`   | `indices16`    | `u16`   | narrow pattern                |
+/// | `+9`   | `column_codes` | `u16`   | value-coded, one per column   |
+/// | `+10`  | `row_ids`      | `u32`   | only the non-empty rows stored |
 ///
-/// A matrix carries one pattern pair and one value encoding. The codes
-/// of every value-coded matrix index the one table of the index,
+/// A matrix carries one pattern pair and one value encoding: `values`,
+/// `value_codes` (one per non-zero) or `column_codes` (one per column,
+/// every non-zero of a column carrying its column's value). The codes of
+/// every value-coded matrix index the one table of the index,
 /// `S_VALUE_TABLE` (`+3` of `S`'s block, where files written before
-/// the table was shared kept `S`'s own table).
+/// the table was shared kept `S`'s own table). A matrix with `row_ids`
+/// stores only the rows they name, ascending; its row pointers span
+/// those rows alone, and every other row is empty.
+///
+/// `H11`'s block structure is `H11_LARGER_BLOCKS`: a `(start, size)`
+/// pair of `u32`s per diagonal block larger than 1 × 1; every other row
+/// of `H11` is a 1 × 1 block. Files written before it stored every
+/// block's size (`BLOCK_SIZES`, `u64`).
 ///
 /// `L1⁻¹` and `U1⁻¹` store only the rows of `H11` blocks larger than
 /// 1 × 1. `U1⁻¹`'s block also holds the one value of each 1 × 1 block,
@@ -92,8 +103,12 @@ pub mod sections {
     /// files from before the index stored one direction; a load checks it
     /// against `PERM_NEW_OF_OLD` on the heap path and drops it.
     pub const PERM_OLD_OF_NEW: u32 = 0x03;
-    /// Diagonal block sizes of `H11` (`u64`).
+    /// Diagonal block sizes of `H11` (`u64`). Written only by files from
+    /// before [`H11_LARGER_BLOCKS`]; a load derives that list from it.
     pub const BLOCK_SIZES: u32 = 0x04;
+    /// `(start, size)` of each `H11` diagonal block larger than 1 × 1, as
+    /// two `u32`s per block in block order.
+    pub const H11_LARGER_BLOCKS: u32 = 0x05;
     /// First id of `L1^{-1}`'s block.
     pub const L_INV: u32 = 0x10;
     /// First id of `U1^{-1}`'s block.
@@ -121,6 +136,12 @@ pub mod sections {
     pub const INDPTR32: u32 = 0x5;
     /// Offset of a matrix's narrow column indices (`u16`).
     pub const INDICES16: u32 = 0x6;
+    /// Offset of a matrix's value codes stored one per column (`u16`, an
+    /// index into [`S_VALUE_TABLE`] per column).
+    pub const COLUMN_CODES: u32 = 0x9;
+    /// Offset of the ids of a matrix's stored rows (`u32`, ascending),
+    /// for a matrix that stores only its non-empty rows.
+    pub const ROW_IDS: u32 = 0xA;
     /// `U1⁻¹`'s value of each 1 × 1 `H11` block as one index into
     /// [`S_VALUE_TABLE`] (`u16`), in block order.
     pub const U_INV_SINGLETON_CODES: u32 = U_INV + 0x7;
@@ -172,6 +193,7 @@ pub mod sections {
             PERM_NEW_OF_OLD => "perm.new_of_old",
             PERM_OLD_OF_NEW => "perm.old_of_new",
             BLOCK_SIZES => "block_sizes",
+            H11_LARGER_BLOCKS => "h11.larger_blocks",
             S_VALUE_TABLE => "s.value_table",
             U_INV_SINGLETON_CODES => "u_inv.singleton_codes",
             U_INV_SINGLETON_VALUES => "u_inv.singleton_values",
@@ -186,7 +208,7 @@ pub mod sections {
 
     /// [`name`] for an id inside one of the stored matrices' blocks.
     fn matrix_section_name(id: u32) -> Option<&'static str> {
-        const NAMES: [[&str; 7]; 7] = [
+        const NAMES: [[&str; 11]; 7] = [
             [
                 "l_inv.indptr",
                 "l_inv.indices",
@@ -195,6 +217,10 @@ pub mod sections {
                 "l_inv.value_codes",
                 "l_inv.indptr32",
                 "l_inv.indices16",
+                "",
+                "",
+                "l_inv.column_codes",
+                "l_inv.row_ids",
             ],
             [
                 "u_inv.indptr",
@@ -204,6 +230,10 @@ pub mod sections {
                 "u_inv.value_codes",
                 "u_inv.indptr32",
                 "u_inv.indices16",
+                "",
+                "",
+                "u_inv.column_codes",
+                "u_inv.row_ids",
             ],
             [
                 "s.indptr",
@@ -213,6 +243,10 @@ pub mod sections {
                 "s.value_codes",
                 "s.indptr32",
                 "s.indices16",
+                "",
+                "",
+                "s.column_codes",
+                "s.row_ids",
             ],
             [
                 "h12.indptr",
@@ -222,6 +256,10 @@ pub mod sections {
                 "h12.value_codes",
                 "h12.indptr32",
                 "h12.indices16",
+                "",
+                "",
+                "h12.column_codes",
+                "h12.row_ids",
             ],
             [
                 "h21.indptr",
@@ -231,6 +269,10 @@ pub mod sections {
                 "h21.value_codes",
                 "h21.indptr32",
                 "h21.indices16",
+                "",
+                "",
+                "h21.column_codes",
+                "h21.row_ids",
             ],
             [
                 "h31.indptr",
@@ -240,6 +282,10 @@ pub mod sections {
                 "h31.value_codes",
                 "h31.indptr32",
                 "h31.indices16",
+                "",
+                "",
+                "h31.column_codes",
+                "h31.row_ids",
             ],
             [
                 "h32.indptr",
@@ -249,6 +295,10 @@ pub mod sections {
                 "h32.value_codes",
                 "h32.indptr32",
                 "h32.indices16",
+                "",
+                "",
+                "h32.column_codes",
+                "h32.row_ids",
             ],
         ];
         let block = (id >> 4).checked_sub(1)? as usize;
@@ -544,7 +594,11 @@ mod tests {
             (H12 + INDICES16, "h12.indices16"),
             (H21 + VALUES, "h21.values"),
             (H32 + VALUE_CODES, "h32.value_codes"),
+            (H12 + COLUMN_CODES, "h12.column_codes"),
+            (H31 + ROW_IDS, "h31.row_ids"),
+            (H11_LARGER_BLOCKS, "h11.larger_blocks"),
             (H31 + 0x3, "unknown"),
+            (H31 + 0xb, "unknown"),
             (L_INV + 0x7, "unknown"),
             (U_INV + 0x7, "u_inv.singleton_codes"),
             (U_INV_SINGLETON_VALUES, "u_inv.singleton_values"),

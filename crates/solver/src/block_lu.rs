@@ -20,7 +20,7 @@
 
 use crate::dense_lu::{invert_unit_lower, invert_upper, lu_nopivot};
 use crate::sparse_lu::SparseLu;
-use bepi_sparse::{CodedCsr, CodedValues, Csr, Dense, MemBytes, Result, SparseError};
+use bepi_sparse::{CodedCsr, CodedValues, Csr, Dense, MemBytes, Result, SparseError, Storage};
 
 /// Block size at or below which the dense per-block path is used.
 const DENSE_BLOCK_THRESHOLD: usize = 128;
@@ -214,70 +214,102 @@ impl MemBytes for BlockLu {
 /// over the index's shared value table and on a narrow pattern when they
 /// fit one. A 1 × 1 block's `L^{-1}` entry is exactly 1.0 and is not
 /// stored; its `U^{-1}` entry is one value of
-/// [`FrozenBlockLu::singletons`]. SlashBurn leaves most spoke blocks
-/// 1 × 1, so this stores about 2 bytes per such node where full rows cost
-/// 16 (narrow and coded) or 40 (wide and plain). Solves are bit-identical
-/// to the [`BlockLu`] the factors were frozen from.
+/// [`FrozenBlockLu::singletons`]. The block structure is the `(start,
+/// size)` of each block larger than 1 × 1
+/// ([`FrozenBlockLu::larger_blocks`], 8 bytes per such block); every other
+/// row is a 1 × 1 block. SlashBurn leaves most spoke blocks 1 × 1, so
+/// this stores about 2 bytes per such node where full rows cost 16
+/// (narrow and coded) or 40 (wide and plain), and a size per block would
+/// cost 8 more. Solves are bit-identical to the [`BlockLu`] the factors
+/// were frozen from.
 #[derive(Debug, Clone)]
 pub struct FrozenBlockLu {
     l_inv: CodedCsr,
     u_inv: CodedCsr,
     singletons: CodedValues,
-    block_sizes: Vec<usize>,
-    /// `(start, size)` of each block larger than 1 × 1, derived from
-    /// `block_sizes` (8 bytes per such block): a solve visits these
-    /// instead of every block.
-    multi: Vec<(u32, u32)>,
+    /// `start, size` of each block larger than 1 × 1, in block order: a
+    /// solve visits these instead of every block.
+    larger: Storage<u32>,
 }
 
 impl FrozenBlockLu {
     /// Assembles frozen factors — from a [`BlockLu`] split by
     /// [`BlockLu::split_singletons`] and coded, or from an index file —
-    /// with `O(#blocks)` shape checks only: the rows are trusted to stay
-    /// inside their own block and triangle (an index loader that reads
-    /// every byte runs [`check_factor_rows`] first).
+    /// with `O(1)` shape checks only: the larger blocks are trusted to be
+    /// ascending, disjoint, at least 2 × 2 and to cover the stored rows
+    /// exactly (an index loader that reads every byte runs
+    /// [`FrozenBlockLu::check_larger_blocks`] first), and the rows to stay
+    /// inside their own block and triangle ([`check_factor_rows`]).
     ///
     /// # Errors
-    /// [`SparseError::ShapeMismatch`] unless both factors have one row per
-    /// row of a block of more than one node and `n` columns (`n` the sum
-    /// of the block sizes); [`SparseError::VectorLength`] unless there is
-    /// one singleton value per 1 × 1 block.
+    /// [`SparseError::ShapeMismatch`] unless both factors have the same
+    /// shape, `n` columns and one row per row of a block of more than one
+    /// node, `n` being the stored rows plus one per singleton value;
+    /// [`SparseError::VectorLength`] unless `larger` holds whole pairs.
     pub fn from_parts_trusted(
         l_inv: CodedCsr,
         u_inv: CodedCsr,
         singletons: CodedValues,
-        block_sizes: Vec<usize>,
+        larger: Storage<u32>,
     ) -> Result<Self> {
-        let n: usize = block_sizes.iter().sum();
-        let ones = block_sizes.iter().filter(|&&s| s == 1).count();
-        let shape = (n - ones, n);
-        if l_inv.shape() != shape || u_inv.shape() != shape {
+        let n = l_inv.ncols();
+        if l_inv.shape() != u_inv.shape() || l_inv.nrows() + singletons.len() != n {
             return Err(SparseError::ShapeMismatch {
                 left: l_inv.shape(),
                 right: u_inv.shape(),
-                op: "FrozenBlockLu::from_parts_trusted (factor rows of blocks larger than 1x1)",
+                op: "FrozenBlockLu::from_parts_trusted (factor rows of blocks larger than 1x1, \
+                     and one value per 1x1 block)",
             });
         }
-        if singletons.len() != ones {
+        if larger.len() % 2 != 0 {
             return Err(SparseError::VectorLength {
-                expected: ones,
-                actual: singletons.len(),
+                expected: larger.len() + 1,
+                actual: larger.len(),
             });
         }
         if u32::try_from(n).is_err() {
             return Err(SparseError::DimensionTooLarge { dim: n });
         }
-        let multi = blocks(&block_sizes)
-            .filter(|&(_, size)| size != 1)
-            .map(|(start, size)| (start as u32, size as u32))
-            .collect();
         Ok(Self {
             l_inv,
             u_inv,
             singletons,
-            block_sizes,
-            multi,
+            larger,
         })
+    }
+
+    /// Checks the larger blocks against the factors (`O(#blocks)`): each
+    /// at least 2 × 2, each starting past the end of the one before,
+    /// none past `n`, and their sizes adding up to the stored rows.
+    ///
+    /// # Errors
+    /// [`SparseError::Parse`] naming the first bad block.
+    pub fn check_larger_blocks(&self) -> Result<()> {
+        let (n, mut end, mut rows) = (self.n(), 0usize, 0usize);
+        for (i, (start, size)) in self.larger_blocks_iter().enumerate() {
+            let bad = |what: String| {
+                Err(SparseError::Parse(format!(
+                    "block {i} (start {start}, size {size}) {what}"
+                )))
+            };
+            if size < 2 {
+                return bad("is below 2 x 2".into());
+            }
+            if start < end {
+                return bad(format!("overlaps the block before it, which ends at {end}"));
+            }
+            if start + size > n {
+                return bad(format!("overruns the {n} rows of H11"));
+            }
+            (end, rows) = (start + size, rows + size);
+        }
+        if rows != self.l_inv.nrows() {
+            return Err(SparseError::Parse(format!(
+                "the blocks larger than 1x1 cover {rows} rows, but the factors store {}",
+                self.l_inv.nrows()
+            )));
+        }
+        Ok(())
     }
 
     /// `L^{-1}`'s rows of the blocks of more than one node (unit lower
@@ -297,17 +329,36 @@ impl FrozenBlockLu {
         &self.singletons
     }
 
-    /// The block sizes used for the factorization.
-    pub fn block_sizes(&self) -> &[usize] {
-        &self.block_sizes
+    /// `start, size` of each block larger than 1 × 1, in block order, as
+    /// stored.
+    pub fn larger_blocks(&self) -> &Storage<u32> {
+        &self.larger
     }
 
-    /// Builds frozen factors from full `n × n` inverse factors — the
-    /// layout index files stored before 1 × 1 blocks were compacted —
-    /// keeping the rows of larger blocks in their form (pattern width,
-    /// codes or plain values) and each 1 × 1 block's `U^{-1}` value.
-    /// Reads every entry, so it checks the row pointers, columns and codes
-    /// it reads first.
+    /// [`FrozenBlockLu::larger_blocks`] as `(start, size)` pairs.
+    fn larger_blocks_iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.larger
+            .chunks_exact(2)
+            .map(|p| (p[0] as usize, p[1] as usize))
+    }
+
+    /// The size of every diagonal block, in order: the larger blocks and a
+    /// 1 for every row between them.
+    pub fn block_sizes(&self) -> Vec<usize> {
+        block_sizes(&self.larger, self.n())
+    }
+
+    /// Number of diagonal blocks: one per 1 × 1 block and per larger one.
+    pub fn num_blocks(&self) -> usize {
+        self.singletons.len() + self.larger.len() / 2
+    }
+
+    /// Builds frozen factors from full `n × n` inverse factors and every
+    /// block's size — the layout index files stored before 1 × 1 blocks
+    /// were compacted — keeping the rows of larger blocks in their form
+    /// (pattern width, codes or plain values) and each 1 × 1 block's
+    /// `U^{-1}` value. Reads every entry, so it checks the row pointers,
+    /// columns and codes it reads first.
     ///
     /// # Errors
     /// [`SparseError::ShapeMismatch`] / [`SparseError::VectorLength`] on
@@ -318,7 +369,7 @@ impl FrozenBlockLu {
     pub fn from_full_rows(
         l_full: &CodedCsr,
         u_full: &CodedCsr,
-        block_sizes: Vec<usize>,
+        block_sizes: &[usize],
     ) -> Result<Self> {
         let n: usize = block_sizes.iter().sum();
         if l_full.shape() != (n, n) || u_full.shape() != (n, n) {
@@ -329,26 +380,23 @@ impl FrozenBlockLu {
             });
         }
         for (m, name) in [(l_full, "L1^-1"), (u_full, "U1^-1")] {
-            let checked = m.pattern().check_indptr();
-            checked
+            m.check_rows()
+                .and_then(|()| m.pattern().check_indptr())
                 .and_then(|()| m.pattern().check_indices(n))
                 .and_then(|()| m.values().check_codes())
                 .map_err(|e| SparseError::Parse(format!("{name}: {e}")))?;
         }
         let mut rows = Vec::new();
         let mut singleton_at = Vec::new();
-        for (start, size) in blocks(&block_sizes) {
+        for (start, size) in blocks(block_sizes) {
             if size > 1 {
                 rows.extend(start..start + size);
                 continue;
             }
-            let (l, u) = (
-                l_full.pattern().row_range(start),
-                u_full.pattern().row_range(start),
-            );
+            let (l, u) = (l_full.entries(start), u_full.entries(start));
             let unit = l.len() == 1
                 && l_full.pattern().col(l.start) == start
-                && l_full.values().get(l.start) == 1.0;
+                && l_full.value(l.start) == 1.0;
             if !unit || u.len() != 1 || u_full.pattern().col(u.start) != start {
                 return Err(SparseError::Parse(format!(
                     "L1^-1/U1^-1: the rows of the 1x1 block at row {start} are not the unit \
@@ -360,8 +408,8 @@ impl FrozenBlockLu {
         Self::from_parts_trusted(
             l_full.select_rows(&rows),
             u_full.select_rows(&rows),
-            u_full.values().select(&singleton_at),
-            block_sizes,
+            u_full.entry_values(&singleton_at),
+            larger_blocks(block_sizes)?,
         )
     }
 
@@ -381,7 +429,7 @@ impl FrozenBlockLu {
             CodedCsr::with_values(&l, lv),
             CodedCsr::with_values(&u, uv),
             sv,
-            lu.block_sizes.clone(),
+            larger_blocks(&lu.block_sizes)?,
         )
     }
 
@@ -393,12 +441,13 @@ impl FrozenBlockLu {
     /// [`SparseError::Parse`] if a stored row's columns do not strictly
     /// increase (a crafted mapped index; a heap load rejects those).
     pub fn to_builder(&self) -> Result<BlockLu> {
-        let mut l = FactorRows::for_blocks(&self.block_sizes);
-        let mut u = FactorRows::for_blocks(&self.block_sizes);
+        let block_sizes = self.block_sizes();
+        let mut l = FactorRows::for_blocks(&block_sizes);
+        let mut u = FactorRows::for_blocks(&block_sizes);
         self.singletons.with_reader(|values| {
             // The next stored row and the next 1 × 1 block's value.
             let (mut r, mut k) = (0usize, 0usize);
-            for (start, size) in blocks(&self.block_sizes) {
+            for (start, size) in blocks(&block_sizes) {
                 if size == 1 {
                     l.push(start, 1.0);
                     u.push(start, values.get(k));
@@ -418,7 +467,7 @@ impl FrozenBlockLu {
         Ok(BlockLu {
             l_inv: FactorRows::concat(n, vec![l])?,
             u_inv: FactorRows::concat(n, vec![u])?,
-            block_sizes: self.block_sizes.clone(),
+            block_sizes,
         })
     }
 
@@ -473,11 +522,7 @@ impl FrozenBlockLu {
         let tail = n - self.l_inv.nrows();
         // Rows written so far, and the stored rows among them.
         let (mut done, mut r) = (0, 0);
-        let stored = self
-            .multi
-            .iter()
-            .map(|&(start, size)| (start as usize, size as usize));
-        for (start, size) in stored.chain([(n, 0)]) {
+        for (start, size) in self.larger_blocks_iter().chain([(n, 0)]) {
             for i in done..start {
                 out[i] = one(i, i - r);
             }
@@ -498,6 +543,44 @@ fn blocks(block_sizes: &[usize]) -> impl Iterator<Item = (usize, usize)> + '_ {
     })
 }
 
+/// The size of every diagonal block of an `n`-row block-diagonal matrix
+/// whose blocks larger than 1 × 1 are `larger` (`start, size` pairs, as
+/// [`FrozenBlockLu::larger_blocks`] stores them): those blocks, and a 1
+/// for every row between them.
+pub fn block_sizes(larger: &[u32], n: usize) -> Vec<usize> {
+    let mut sizes = Vec::new();
+    let mut done = 0;
+    let pairs = larger
+        .chunks_exact(2)
+        .map(|p| (p[0] as usize, p[1] as usize));
+    for (start, size) in pairs.chain([(n, 0)]) {
+        sizes.extend(std::iter::repeat(1).take(start.saturating_sub(done)));
+        if size > 0 {
+            sizes.push(size);
+        }
+        done = start + size;
+    }
+    sizes
+}
+
+/// `start, size` of each block of `block_sizes` larger than 1 × 1, as
+/// [`FrozenBlockLu::larger_blocks`] stores them.
+///
+/// # Errors
+/// [`SparseError::DimensionTooLarge`] when the blocks span more rows than
+/// a `u32` counts.
+pub fn larger_blocks(block_sizes: &[usize]) -> Result<Storage<u32>> {
+    let n: usize = block_sizes.iter().sum();
+    if u32::try_from(n).is_err() {
+        return Err(SparseError::DimensionTooLarge { dim: n });
+    }
+    Ok(blocks(block_sizes)
+        .filter(|&(_, size)| size > 1)
+        .flat_map(|(start, size)| [start as u32, size as u32])
+        .collect::<Vec<_>>()
+        .into())
+}
+
 /// Rows `rows` of `a`, in that order, with every column.
 fn select_rows(a: &Csr, rows: &[usize]) -> Result<Csr> {
     let mut indptr = Vec::with_capacity(rows.len() + 1);
@@ -515,15 +598,17 @@ fn select_rows(a: &Csr, rows: &[usize]) -> Result<Csr> {
 /// Checks that every row of `factor` — one per row of a block of more
 /// than one node, as [`FrozenBlockLu`] stores them — holds only entries
 /// of its own diagonal block, on or below the diagonal (`lower`, for
-/// `L^{-1}`) or on or above it (`U^{-1}`). `O(nnz)`; a loader that reads
-/// every byte runs it, where [`FrozenBlockLu::from_parts_trusted`] checks
-/// shapes only.
+/// `L^{-1}`) or on or above it (`U^{-1}`). The blocks are
+/// [`FrozenBlockLu::larger_blocks`]' `start, size` pairs. `O(nnz)`; a
+/// loader that reads every byte runs it, where
+/// [`FrozenBlockLu::from_parts_trusted`] checks shapes only.
 ///
 /// # Errors
 /// [`SparseError::Parse`] naming the first entry out of place.
-pub fn check_factor_rows(factor: &CodedCsr, block_sizes: &[usize], lower: bool) -> Result<()> {
+pub fn check_factor_rows(factor: &CodedCsr, larger: &[u32], lower: bool) -> Result<()> {
     let mut r = 0;
-    for (start, size) in blocks(block_sizes).filter(|&(_, size)| size > 1) {
+    for pair in larger.chunks_exact(2) {
+        let (start, size) = (pair[0] as usize, pair[1] as usize);
         for row in start..start + size {
             if r >= factor.nrows() {
                 return Err(SparseError::Parse(format!(
@@ -531,10 +616,7 @@ pub fn check_factor_rows(factor: &CodedCsr, block_sizes: &[usize], lower: bool) 
                     factor.nrows()
                 )));
             }
-            let mut cols = factor
-                .pattern()
-                .row_range(r)
-                .map(|k| factor.pattern().col(k));
+            let mut cols = factor.entries(r).map(|k| factor.pattern().col(k));
             let (lo, hi) = if lower {
                 (start, row)
             } else {
@@ -976,17 +1058,38 @@ mod tests {
             );
         }
         assert!(f.solve_vec(&[1.0; 5]).is_err());
-        let rebuilt = |sizes: Vec<usize>| {
+        assert_eq!(&f.larger_blocks()[..], &[0, 2, 3, 3]);
+        assert_eq!((f.block_sizes(), f.num_blocks()), (vec![2, 1, 3], 3));
+        let rebuilt = |larger: Vec<u32>| {
             FrozenBlockLu::from_parts_trusted(
                 f.l_inv().clone(),
                 f.u_inv().clone(),
                 f.singletons().clone(),
-                sizes,
+                larger.into(),
             )
+            .and_then(|f| f.check_larger_blocks())
+            .map_err(|e| e.to_string())
         };
-        assert!(rebuilt(vec![2, 2]).is_err(), "blocks cover 4 of 6 rows");
-        assert!(rebuilt(vec![2, 1, 1, 2]).is_err(), "5 stored rows for 4");
-        assert!(rebuilt(vec![2, 1, 3]).is_ok());
+        assert_eq!(rebuilt(vec![0, 2, 3, 3]), Ok(()));
+        for (larger, want) in [
+            (vec![0, 2, 3], "vector length 3"),
+            (vec![0, 2, 2, 2], "cover 4 rows, but the factors store 5"),
+            (
+                vec![0, 3, 2, 2],
+                "block 1 (start 2, size 2) overlaps the block before it",
+            ),
+            (
+                vec![0, 2, 4, 3],
+                "block 1 (start 4, size 3) overruns the 6 rows",
+            ),
+            (
+                vec![0, 1, 1, 1, 3, 3],
+                "block 0 (start 0, size 1) is below 2 x 2",
+            ),
+        ] {
+            let err = rebuilt(larger.clone()).unwrap_err();
+            assert!(err.contains(want), "{larger:?}: {err}");
+        }
     }
 
     /// A block-diagonal matrix with blocks `sizes`, self-loop-like
@@ -1048,7 +1151,7 @@ mod tests {
         let (a, blocks) = sample();
         let lu = BlockLu::factor(&a, &blocks).unwrap();
         let (l, u) = (CodedCsr::encode(&lu.l_inv), CodedCsr::encode(&lu.u_inv));
-        let f = FrozenBlockLu::from_full_rows(&l, &u, blocks.clone()).unwrap();
+        let f = FrozenBlockLu::from_full_rows(&l, &u, &blocks).unwrap();
         let want = frozen(&lu);
         assert_eq!((f.l_inv(), f.u_inv()), (want.l_inv(), want.u_inv()));
         assert_eq!(f.singletons().get(0), want.singletons().get(0));
@@ -1060,7 +1163,7 @@ mod tests {
         let mut bad_l = lu.l_inv.clone();
         let k = bad_l.indptr()[2]; // row 2 is the 1 × 1 block
         bad_l.values_mut()[k] = 2.0;
-        let err = FrozenBlockLu::from_full_rows(&CodedCsr::encode(&bad_l), &u, blocks)
+        let err = FrozenBlockLu::from_full_rows(&CodedCsr::encode(&bad_l), &u, &blocks)
             .unwrap_err()
             .to_string();
         assert!(err.contains("1x1 block at row 2"), "{err}");
@@ -1071,10 +1174,11 @@ mod tests {
     fn compact_factor_rows_out_of_block_are_rejected() {
         let (a, blocks) = sample();
         let f = frozen(&BlockLu::factor(&a, &blocks).unwrap());
-        assert!(check_factor_rows(f.l_inv(), &blocks, true).is_ok());
-        assert!(check_factor_rows(f.u_inv(), &blocks, false).is_ok());
+        let larger = f.larger_blocks();
+        assert!(check_factor_rows(f.l_inv(), larger, true).is_ok());
+        assert!(check_factor_rows(f.u_inv(), larger, false).is_ok());
         assert!(
-            check_factor_rows(f.u_inv(), &blocks, true).is_err(),
+            check_factor_rows(f.u_inv(), larger, true).is_err(),
             "U is not lower"
         );
         // Row 3 of the 3-node block at 3 reaching into the 2-node block.
@@ -1082,7 +1186,7 @@ mod tests {
         for (r, c) in [(0, 0), (1, 0), (1, 1), (2, 3), (3, 1), (3, 4), (4, 5)] {
             coo.push(r, c, 1.0).unwrap();
         }
-        let err = check_factor_rows(&CodedCsr::encode(&coo.to_csr()), &blocks, true)
+        let err = check_factor_rows(&CodedCsr::encode(&coo.to_csr()), larger, true)
             .unwrap_err()
             .to_string();
         assert!(

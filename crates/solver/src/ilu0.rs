@@ -93,12 +93,20 @@ impl Ilu0 {
     /// # Errors
     /// [`SparseError::ShapeMismatch`] if `pattern` is not square;
     /// [`SparseError::VectorLength`] unless `lu` has one entry per
-    /// non-zero of `pattern` and `diag_pos` one per row.
+    /// non-zero of `pattern` and `diag_pos` one per row;
+    /// [`SparseError::Parse`] if `pattern` stores only its non-empty rows
+    /// (every row of a matrix with an ILU(0) factorization holds its
+    /// diagonal).
     pub fn from_parts(
         pattern: &CodedCsr,
         lu: Storage<f32>,
         diag_pos: Storage<usize>,
     ) -> Result<Self> {
+        if pattern.stored_rows().is_some() {
+            return Err(SparseError::Parse(
+                "ILU(0) factors need a matrix that stores every row".into(),
+            ));
+        }
         Self::from_pattern(pattern.shape(), pattern.pattern().clone(), lu, diag_pos)
     }
 
@@ -689,7 +697,8 @@ mod tests {
     /// that stores the pattern wide loads it.
     fn wide_coded(a: &Csr) -> CodedCsr {
         let values = CodedCsr::encode(a).values().clone();
-        CodedCsr::from_parts_storage_trusted(a.nrows(), a.ncols(), a.pattern(), values).unwrap()
+        CodedCsr::from_parts_storage_trusted(a.nrows(), a.ncols(), None, a.pattern(), values)
+            .unwrap()
     }
 
     /// Factors rebound onto a narrow `S` read its pattern, not a copy, and

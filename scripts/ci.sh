@@ -69,10 +69,12 @@ cargo test --offline --release -q -p bepi-incr -p bepi-reorder -p bepi-solver -p
 # /debug/slow and /debug/trace (fixed inputs, exact bytes, unchanged by
 # any renderer refactor); the README glossary drift check over a daemon's
 # full exposition; _count against the +Inf bucket while another thread
-# observes; and the two catch_unwind sites driven by a real panic, in
+# observes; and the per-request catch_unwind driven by a real panic, in
 # release codegen (debug builds assert the crafted index at load): in
-# process, and through `bepi serve --mmap`, whose stderr must carry one
-# error line naming the thread and the panic message.
+# process, on a pool worker and on a kept-alive connection that survives
+# it, and through `bepi serve --mmap`; each panicking request must get a
+# 500 with its request id, and stderr one error line naming the request
+# id, the path, the thread and the panic message.
 echo "==> observability golden, drift and panic tests"
 cargo test --offline -q -p bepi-tests --test golden --test obs -- golden metrics_glossary
 cargo test --offline -q -p bepi-server -- latency_count_matches_inf_bucket
@@ -184,7 +186,10 @@ cargo test --offline --release -q -p bepi-sparse -p bepi-solver -p bepi-core -p 
 # do the tests of the per-node layout: no factor rows for 1 x 1 H11
 # blocks (the frozen solve against a dense H11^-1 and the builder, on
 # fresh/rebuilt/heap/mmap indexes; full-row-layout files; hostile
-# 1 x 1 sections; the exact-cold counts). The heap loader's permutation,
+# 1 x 1 sections; the exact-cold counts), and of the forms that store what
+# a matrix carries (per-column codes and stored rows in every kernel against
+# Csr, the larger-H11-block list, their hostile sections, files in the
+# layout before them). The heap loader's permutation,
 # ILU(0) diagonal, row-order and block checks and the one-map permutation
 # scatter ride along. All run here in release codegen.
 echo "==> compact-index bit-identity"
@@ -200,7 +205,11 @@ cargo test --offline --release -q -p bepi-sparse -p bepi-solver -p bepi-core -p 
 # mapped ILU(0) sections have no other end-to-end gate. Each index must
 # also list its value-coded S sections and its narrow S pattern sections in
 # `bepi stats --mmap`, and every other stored matrix's narrow pattern and
-# value codes.
+# value codes (per non-zero, or per column for an H block), the compact
+# forms (some H block's column codes, some H block's stored row ids) and
+# the larger-H11-block list, and no `block_sizes` section. The graph has
+# dead ends only a few of which have an in-link, so H31/H32 store their
+# non-empty rows only.
 echo "==> mmap serving check (heap/mmap daemon diff, default and --variant full index)"
 MMAP_TMP=$(mktemp -d)
 cleanup_mmap() {
@@ -218,6 +227,11 @@ with open(sys.argv[1], "w") as f:
     for i in range(n):
         f.write(f"{i} {(i + 1) % n}\n")
         f.write(f"{i} {(i * 5 + 2) % n}\n")
+    # 32 dead ends (96..127), of which only 128 // 32 - 1 = 3 have an
+    # in-link, and the last node names the node count.
+    for i in range(3):
+        f.write(f"{i * 11} {96 + i * 5}\n")
+    f.write("95 127\n")
 EOF
 # Runs in the *current* shell (no command substitution) so the fifo fd
 # and the daemon pid survive; results land in DAEMON_ADDR / DAEMON_PID.
@@ -254,11 +268,24 @@ for case in ":BePI-S" "full:BePI"; do
       || { echo "$VARIANT_NAME: bepi stats --mmap lists no $section section"; cat "$MMAP_TMP/stats.txt"; exit 1; }
   done
   for matrix in l_inv u_inv h12 h21 h31 h32; do
-    for part in indptr32 indices16 value_codes; do
+    for part in indptr32 indices16; do
       grep -q "^$matrix.$part " "$MMAP_TMP/stats.txt" \
         || { echo "$VARIANT_NAME: bepi stats --mmap lists no $matrix.$part section"; cat "$MMAP_TMP/stats.txt"; exit 1; }
     done
+    codes="value_codes"
+    case $matrix in h*) codes="value_codes\|column_codes" ;; esac
+    grep -q "^$matrix\.\($codes\) " "$MMAP_TMP/stats.txt" \
+      || { echo "$VARIANT_NAME: bepi stats --mmap lists no $matrix value codes"; cat "$MMAP_TMP/stats.txt"; exit 1; }
   done
+  # The H blocks store one code per column, H31/H32 their non-empty rows
+  # only, and H11's block structure is the larger-block list.
+  for section in 'h[1-3][12]\.column_codes' 'h3[12]\.row_ids' 'h11\.larger_blocks'; do
+    grep -q "^$section " "$MMAP_TMP/stats.txt" \
+      || { echo "$VARIANT_NAME: bepi stats --mmap lists no $section section"; cat "$MMAP_TMP/stats.txt"; exit 1; }
+  done
+  if grep -q "^block_sizes " "$MMAP_TMP/stats.txt"; then
+    echo "$VARIANT_NAME: a fresh index still stores block_sizes"; cat "$MMAP_TMP/stats.txt"; exit 1
+  fi
   # The 1 x 1 H11 blocks keep one coded U1^-1 value each, and the index
   # stores one permutation map.
   grep -q "^u_inv.singleton_codes " "$MMAP_TMP/stats.txt" \

@@ -1,11 +1,13 @@
-//! The daemon's two `catch_unwind` sites, driven by a real panic.
+//! The daemon's `catch_unwind` around one request, driven by a real
+//! panic.
 //!
 //! A mapped index whose first `s.indices16` entry names a column past
 //! `n2` passes `load_mapped_file`'s O(1) checks by design, so the first
 //! solve over it indexes out of bounds and panics inside the daemon: on a
 //! pool worker for a fresh connection, on a `bepi-keepalive` thread for a
-//! kept-alive one. Either way the panic must cost one `5xx` count and the
-//! one connection, never a worker, a keep-alive slot or the process.
+//! kept-alive one. Either way the panic must cost one `500` answer (with
+//! the request's id) and one `5xx` count, never the connection, a
+//! worker, a keep-alive slot or the process.
 //!
 //! Debug builds `debug_assert` the pattern at load, so these tests only
 //! exist in release codegen (`cargo test --release`).
@@ -49,11 +51,17 @@ fn serve_crafted_index(name: &str) -> (ServerHandle, PathBuf) {
     (Server::start(Arc::new(mapped), &config).unwrap(), path)
 }
 
+/// The request id the tests send with every request.
+const RID: &str = "00112233445566778899aabbccddeeff";
+
 /// Sends one request and reads one response (head and `Content-Length`
 /// body). `None` when the daemon closed the socket instead of answering.
 fn exchange(stream: &mut TcpStream, target: &str, keep_alive: bool) -> Option<(String, String)> {
     let connection = if keep_alive { "keep-alive" } else { "close" };
-    let request = format!("GET {target} HTTP/1.1\r\nHost: t\r\nConnection: {connection}\r\n\r\n");
+    let request = format!(
+        "GET {target} HTTP/1.1\r\nHost: t\r\nX-Request-Id: {RID}\r\nConnection: \
+         {connection}\r\n\r\n"
+    );
     stream.write_all(request.as_bytes()).ok()?;
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut head = String::new();
@@ -86,8 +94,16 @@ fn connect(addr: SocketAddr) -> TcpStream {
     stream
 }
 
-/// Waits until `done` holds: a caught panic is counted after the
-/// unwinding has already closed the client's socket.
+/// Asserts that `response` is the `500` a panicking request gets,
+/// carrying the request's id.
+fn assert_panic_answer(response: Option<(String, String)>) {
+    let (head, body) = response.expect("a panicking request is answered");
+    assert!(head.starts_with("HTTP/1.1 500"), "{head}");
+    assert!(head.contains(&format!("X-Request-Id: {RID}")), "{head}");
+    assert!(body.contains("internal error"), "{body}");
+}
+
+/// Waits until `done` holds.
 fn wait_for(what: &str, done: impl Fn() -> bool) {
     let deadline = Instant::now() + Duration::from_secs(30);
     while !done() {
@@ -104,10 +120,7 @@ fn panicking_solve_on_a_pool_worker_is_contained() {
     let errors = || Metrics::get(&metrics.server_errors_total);
     assert_eq!(errors(), 0);
 
-    assert!(
-        exchange(&mut connect(addr), "/query?seed=0", false).is_none(),
-        "a panicking solve drops its connection unanswered"
-    );
+    assert_panic_answer(exchange(&mut connect(addr), "/query?seed=0", false));
     wait_for("the panic to be counted", || errors() == 1);
     wait_for("the worker to leave the request", || {
         Metrics::get(&metrics.in_flight) == 0
@@ -116,8 +129,9 @@ fn panicking_solve_on_a_pool_worker_is_contained() {
     let (head, body) = exchange(&mut connect(addr), "/healthz", false).expect("healthz");
     assert!(head.starts_with("HTTP/1.1 200"), "{head}");
     assert_eq!(body, "ok\n");
-    // The one worker survived: a second panic is counted just the same.
-    assert!(exchange(&mut connect(addr), "/query?seed=1", false).is_none());
+    // The one worker survived: a second panic is answered and counted
+    // just the same.
+    assert_panic_answer(exchange(&mut connect(addr), "/query?seed=1", false));
     wait_for("the second panic to be counted", || errors() == 2);
     handle.shutdown();
     std::fs::remove_file(path).ok();
@@ -136,8 +150,16 @@ fn panicking_keepalive_requests_release_their_slots() {
         let mut stream = connect(addr);
         let (head, _) = exchange(&mut stream, "/healthz", true).expect("healthz");
         assert!(head.contains("Connection: keep-alive"), "{head}");
-        // The socket now belongs to a keep-alive thread, which panics.
-        assert!(exchange(&mut stream, "/query?seed=0", true).is_none());
+        // The socket now belongs to a keep-alive thread, whose request
+        // panics; the connection survives it and answers the next one.
+        let answer = exchange(&mut stream, "/query?seed=0", true);
+        assert!(answer
+            .as_ref()
+            .is_some_and(|(h, _)| h.contains("keep-alive")));
+        assert_panic_answer(answer);
+        let (head, body) = exchange(&mut stream, "/healthz", false).expect("healthz after");
+        assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+        assert_eq!(body, "ok\n");
         wait_for("the keep-alive panic to be counted", || {
             Metrics::get(&metrics.server_errors_total) == i
         });
