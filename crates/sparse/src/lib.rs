@@ -68,7 +68,7 @@ pub mod spgemm;
 pub mod storage;
 pub mod vecops;
 
-pub use coded::{CodedCsr, CodedValues, ValueReader};
+pub use coded::{CodedCsr, CodedValues, MatrixValues, ValueReader};
 pub use coo::Coo;
 pub use csc::Csc;
 pub use csr::{Csr, BLOCK_WIDTH};
