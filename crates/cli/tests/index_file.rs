@@ -1,8 +1,9 @@
 //! The index file on disk: `bepi preprocess` replaces an index
 //! atomically (killing it mid-write leaves the old bytes or a complete
 //! new index, never a torn file), and every entry point rejects an index
-//! written in a retired pre-v6 format with one error that names its
-//! version and the way to rebuild it.
+//! written in a retired format — pre-v6, or a v6 layout from before
+//! `h11.larger_blocks` — with one error that names what is wrong and the
+//! way to rebuild it.
 
 use bepi_sparse::mem::format_bytes;
 use std::path::{Path, PathBuf};
@@ -101,50 +102,81 @@ fn sigkill_during_preprocess_leaves_old_or_new_index() {
 }
 
 /// Asserts `output` is a clean failure (an exit code, no panic) whose
-/// stderr names format v4 and `bepi preprocess`.
-fn assert_rejects_v4(what: &str, output: &Output) {
+/// stderr names what is wrong with the file (`want`) and `bepi
+/// preprocess`.
+fn assert_rejects_old(what: &str, output: &Output, want: &str) {
     let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(!output.status.success(), "{what} accepted a v4 index");
+    assert!(!output.status.success(), "{what} accepted an old index");
     assert!(
         output.status.code().is_some(),
         "{what} must exit with an error code, not die on a signal"
     );
     assert!(!stderr.contains("panicked"), "{what} panicked:\n{stderr}");
     assert!(
-        stderr.contains("index format v4") && stderr.contains("bepi preprocess"),
-        "{what} must name the version and the fix, got:\n{stderr}"
+        stderr.contains(want) && stderr.contains("bepi preprocess"),
+        "{what} must name {want:?} and the fix, got:\n{stderr}"
     );
+}
+
+/// A fresh `bepi preprocess` index of a small graph, rewritten in the
+/// layout v6 files had before `h11.larger_blocks`: that section left
+/// out, every other section copied with its checksum.
+fn earlier_v6_layout(dir: &Path) -> Vec<u8> {
+    let edges = dir.join("edges.txt");
+    std::fs::write(&edges, "0 1\n1 2\n2 0\n2 3\n3 1\n").unwrap();
+    let index = dir.join("fresh.bepi");
+    let status = bepi()
+        .args(["preprocess", path_str(&edges), path_str(&index)])
+        .stdout(Stdio::null())
+        .status()
+        .expect("run bepi preprocess");
+    assert!(status.success(), "preprocess failed");
+    let buf = read(&index);
+    let mut w = bepi_map::ContainerWriter::new(Vec::new()).unwrap();
+    for e in bepi_map::parse_layout(&buf).unwrap() {
+        if e.id != bepi_map::sections::H11_LARGER_BLOCKS {
+            let payload = &buf[e.offset as usize..(e.offset + e.len) as usize];
+            w.section_bytes(e.id, payload).unwrap();
+        }
+    }
+    w.finish().unwrap()
 }
 
 #[test]
 fn pre_v6_index_is_rejected_at_every_entry_point() {
     let dir = temp_dir("old");
     // A hand-assembled pre-v6 file: the shared magic, version 4, junk.
-    let old = dir.join("old.bepi");
+    let v4 = dir.join("v4.bepi");
     let mut bytes = b"BEPI".to_vec();
     bytes.extend_from_slice(&4u32.to_le_bytes());
     bytes.extend_from_slice(&[0x5A; 100]);
-    std::fs::write(&old, &bytes).unwrap();
-    let old = path_str(&old);
+    std::fs::write(&v4, &bytes).unwrap();
+    let earlier = dir.join("earlier.bepi");
+    std::fs::write(&earlier, earlier_v6_layout(&dir)).unwrap();
 
-    let runs: [(&str, &[&str]); 6] = [
-        ("serve", &["serve", old, "0"]),
-        ("serve --mmap", &["serve", old, "0", "--mmap"]),
-        ("serve daemon", &["serve", old, "--listen", "127.0.0.1:0"]),
-        (
-            "serve daemon --mmap",
-            &["serve", old, "--listen", "127.0.0.1:0", "--mmap"],
-        ),
-        ("stats", &["stats", old]),
-        ("stats --mmap", &["stats", old, "--mmap"]),
-    ];
-    for (what, args) in runs {
-        let output = bepi()
-            .args(args)
-            .stdin(Stdio::null())
-            .output()
-            .unwrap_or_else(|e| panic!("run bepi {what}: {e}"));
-        assert_rejects_v4(what, &output);
+    for (old, want) in [
+        (path_str(&v4), "index format v4"),
+        (path_str(&earlier), "without section h11.larger_blocks"),
+    ] {
+        let runs: [(&str, &[&str]); 6] = [
+            ("serve", &["serve", old, "0"]),
+            ("serve --mmap", &["serve", old, "0", "--mmap"]),
+            ("serve daemon", &["serve", old, "--listen", "127.0.0.1:0"]),
+            (
+                "serve daemon --mmap",
+                &["serve", old, "--listen", "127.0.0.1:0", "--mmap"],
+            ),
+            ("stats", &["stats", old]),
+            ("stats --mmap", &["stats", old, "--mmap"]),
+        ];
+        for (what, args) in runs {
+            let output = bepi()
+                .args(args)
+                .stdin(Stdio::null())
+                .output()
+                .unwrap_or_else(|e| panic!("run bepi {what}: {e}"));
+            assert_rejects_old(what, &output, want);
+        }
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -488,9 +488,8 @@ impl BePi {
     }
 
     /// Assembles an instance from persisted components. A full variant
-    /// takes its ILU(0) factors from `parts.ilu` when the index carried
-    /// them and re-factors `S` otherwise (deterministic, so both paths
-    /// yield bit-identical queries).
+    /// takes its ILU(0) factors from `parts.ilu`; an index without them
+    /// fails to load.
     pub(crate) fn from_raw_parts(parts: RawParts) -> Result<Self> {
         let RawParts {
             config,
@@ -511,7 +510,13 @@ impl BePi {
         } = parts;
         let ilu = match (config.variant, ilu) {
             (BePiVariant::Full, Some(ilu)) => Some(ilu),
-            (BePiVariant::Full, None) => Some(Ilu0::factor(&s.to_csr())?.rebind(&s)?),
+            (BePiVariant::Full, None) => {
+                return Err(SparseError::Parse(format!(
+                    "v6 index: the full variant's ILU(0) factors ({}) are missing: re-run \
+                     `bepi preprocess` on the edge list to rebuild it",
+                    bepi_map::sections::name(bepi_map::sections::ILU_VALUES_F32)
+                )))
+            }
             _ => None,
         };
         // The factors read `S`'s pattern; they never hold a copy of it.

@@ -17,16 +17,18 @@
 //! * [`load`] / [`load_with_graph`] (and their `_file` forms) decode the
 //!   same file onto the heap with every section checksum verified.
 //!
-//! Both load paths share one decoder and produce bit-identical query
-//! results. Files written in the earlier streamed formats (v1–v5) are
-//! rejected with an error naming their version: rebuild them from the
-//! edge list with `bepi preprocess`.
+//! Both load paths share one decoder, which reads the one layout
+//! [`save_v6`] writes, and produce bit-identical query results. Files
+//! written in the earlier streamed formats (v1–v5) are rejected with an
+//! error naming their version, and v6 files in the layouts written before
+//! the `h11.larger_blocks` section with an error naming that section:
+//! rebuild either from the edge list with `bepi preprocess`.
 
 use crate::bepi::{BePi, BePiConfig, PhaseTiming, RawParts};
 use crate::rwr::RwrSolver;
 use bepi_graph::Graph;
 use bepi_map::{sections as sec, ContainerWriter, MapError, MappedIndex, SectionEntry};
-use bepi_solver::block_lu::{block_sizes, check_factor_rows, larger_blocks};
+use bepi_solver::block_lu::check_factor_rows;
 use bepi_solver::{FrozenBlockLu, Ilu0};
 use bepi_sparse::{
     CodedCsr, CodedValues, Csr, MatrixValues, Pattern, Permutation, Result, SparseError, Storage,
@@ -529,17 +531,17 @@ fn parse_err_in(what: &str, e: SparseError) -> SparseError {
 }
 
 /// Decodes one stored matrix (`nrows × ncols`) from its block of ids
-/// (`base`, see [`MATRICES`]): exactly one pattern encoding — the wide
-/// pair `indptr` + `indices` (as every file written before the narrow
-/// form stores it) or the narrow pair `indptr32` + `indices16` — the
-/// ids of the stored rows when the block has `row_ids` (else every row
-/// is stored, as in every file written before that section), and exactly
-/// one value encoding: plain `values` (as every file written before the
-/// coded form stores it), `value_codes` or `column_codes` into the
-/// index's value `table`. Both backings get `O(1)` shape checks — one
-/// row pointer per stored row and one more, one column code per column,
-/// and those of [`CodedCsr::from_parts_storage_trusted`]; a source that
-/// has read every payload byte also checks the row ids, the pattern
+/// (`base`, see [`MATRICES`]), in the form [`write_matrix`] wrote:
+/// exactly one pattern encoding — the wide pair `indptr` + `indices`
+/// (a matrix with more than 2¹⁶ columns) or the narrow pair `indptr32` +
+/// `indices16` — the ids of the stored rows when the block has `row_ids`
+/// (else every row is stored), and exactly one value encoding: plain
+/// `values` (values that overflow the table), `value_codes` or
+/// `column_codes` into the index's value `table`. Both backings get
+/// `O(1)` shape checks — one row pointer per stored row and one more, one
+/// column code per column, and those of
+/// [`CodedCsr::from_parts_storage_trusted`]; a source that has read every
+/// payload byte also checks the row ids, the pattern
 /// ([`check_pattern`]) and each code against the table.
 fn decode_matrix<S: SectionSource>(
     src: &S,
@@ -685,92 +687,45 @@ fn value_table_for<'t>(
 }
 
 /// Checks, in `O(n)`, that the permutation map `fwd` (`new_of_old`) is
-/// a bijection on `0..n`, `n = fwd.len()`, and, for a file that also
-/// stores the inverse map `inv` (`old_of_new`, as files did before the
-/// index stored one direction), that the two are inverses: a crafted map
-/// would otherwise panic the first query's scatter or answer wrongly.
+/// a bijection on `0..n`, `n = fwd.len()`: a crafted map would otherwise
+/// panic the first query's scatter or answer wrongly.
 ///
 /// # Errors
 /// [`SparseError::Parse`] naming the section and the bad entry.
-fn check_permutation(fwd: &[u32], inv: Option<&[u32]>) -> Result<()> {
+fn check_permutation(fwd: &[u32]) -> Result<()> {
     let n = fwd.len();
-    let bad = |id, msg: String| {
-        Err(SparseError::Parse(format!(
-            "v6 index: section {}: {msg}",
-            sec::name(id)
-        )))
-    };
+    let in_section = format!("section {}", sec::name(sec::PERM_NEW_OF_OLD));
     if let Some(old) = fwd.iter().position(|&new| new as usize >= n) {
-        return bad(
-            sec::PERM_NEW_OF_OLD,
-            format!("entry {old} is {}, out of range for {n} nodes", fwd[old]),
-        );
+        return Err(SparseError::Parse(format!(
+            "v6 index: {in_section}: entry {old} is {}, out of range for {n} nodes",
+            fwd[old]
+        )));
     }
-    let Some(inv) = inv else {
-        return Permutation::from_new_of_old(fwd.to_vec())
-            .map(drop)
-            .map_err(|e| parse_err_in(&format!("section {}", sec::name(sec::PERM_NEW_OF_OLD)), e));
-    };
-    let inverse_of = |old: usize| inv.get(fwd[old] as usize).map(|&o| o as usize);
-    if let Some(old) = (0..n).find(|&old| inverse_of(old) != Some(old)) {
-        let new = fwd[old] as usize;
-        return bad(
-            sec::PERM_OLD_OF_NEW,
-            format!(
-                "entry {new} is {:?}, but perm.new_of_old maps {old} to {new}: the maps are not \
-                 inverses",
-                inv.get(new)
-            ),
-        );
-    }
-    Ok(())
+    Permutation::from_new_of_old(fwd.to_vec())
+        .map(drop)
+        .map_err(|e| parse_err_in(&in_section, e))
 }
 
 /// Decodes the `H11` factors: the rows of blocks larger than 1 × 1, the
 /// 1 × 1 blocks' `U1⁻¹` values and the larger blocks' `(start, size)`
-/// list — or, in a file without the 1 × 1 values, full `n1 × n1`
-/// factors, compacted on load. A file written before the larger-block
-/// list stores every block's size instead (`block_sizes`); the list is
-/// derived from it on load, onto the heap on either backing. A source
-/// that has read every payload byte also checks the larger blocks and
-/// that each stored row keeps inside its own block and triangle.
+/// list. A source that has read every payload byte also checks the
+/// larger blocks and that each stored row keeps inside its own block and
+/// triangle.
 fn decode_h11<S: SectionSource>(
     src: &S,
     n1: usize,
     table: Option<&Storage<f64>>,
 ) -> Result<FrozenBlockLu> {
     let [l_ids, u_ids, ..] = MATRICES;
-    let (blocks_id, larger) = match (src.has(sec::H11_LARGER_BLOCKS), src.has(sec::BLOCK_SIZES)) {
-        (true, true) => {
-            return Err(SparseError::Parse(format!(
-                "v6 index: H11 carries both {} and {}",
-                sec::name(sec::H11_LARGER_BLOCKS),
-                sec::name(sec::BLOCK_SIZES)
-            )))
-        }
-        (true, false) => (sec::H11_LARGER_BLOCKS, src.u32s(sec::H11_LARGER_BLOCKS)?),
-        (false, _) => {
-            let sizes = src.usizes(sec::BLOCK_SIZES)?;
-            if sizes.iter().sum::<usize>() != n1 {
-                return Err(SparseError::Parse(format!(
-                    "v6 index: section {}: the blocks cover {} rows, not n1 = {n1}",
-                    sec::name(sec::BLOCK_SIZES),
-                    sizes.iter().sum::<usize>()
-                )));
-            }
-            (sec::BLOCK_SIZES, larger_blocks(&sizes)?)
-        }
-    };
-    let in_blocks = |e| parse_err_in(&format!("section {}", sec::name(blocks_id)), e);
+    let larger = src.u32s(sec::H11_LARGER_BLOCKS)?;
     let ids = (sec::U_INV_SINGLETON_VALUES, sec::U_INV_SINGLETON_CODES);
-    let Some(singletons) = decode_values(src, ids, "U1^-1 1x1 blocks", table)? else {
-        let (l, u) = (
-            decode_matrix(src, l_ids, n1, n1, table)?,
-            decode_matrix(src, u_ids, n1, n1, table)?,
-        );
-        return FrozenBlockLu::from_full_rows(&l, &u, &block_sizes(&larger, n1))
-            .map_err(|e| parse_err_in("H11 factors", e));
-    };
+    let singletons = decode_values(src, ids, "U1^-1 1x1 blocks", table)?.ok_or_else(|| {
+        SparseError::Parse(format!(
+            "v6 index: U1^-1 1x1 blocks have neither plain values ({}) nor value codes ({})",
+            sec::name(ids.0),
+            sec::name(ids.1)
+        ))
+    })?;
     let rows = n1.checked_sub(singletons.len()).ok_or_else(|| {
         SparseError::Parse(format!(
             "v6 index: {} 1x1 block values for n1 = {n1} rows",
@@ -781,10 +736,10 @@ fn decode_h11<S: SectionSource>(
     let u = decode_matrix(src, u_ids, rows, n1, table)?;
     let lu = FrozenBlockLu::from_parts_trusted(l, u, singletons, larger)
         .map_err(|e| parse_err_in("H11 factors", e))?;
-    if S::READS_PAYLOADS || blocks_id == sec::BLOCK_SIZES {
-        lu.check_larger_blocks().map_err(in_blocks)?;
-    }
     if S::READS_PAYLOADS {
+        lu.check_larger_blocks().map_err(|e| {
+            parse_err_in(&format!("section {}", sec::name(sec::H11_LARGER_BLOCKS)), e)
+        })?;
         for (m, base, lower) in [
             (lu.l_inv(), sec::L_INV, true),
             (lu.u_inv(), sec::U_INV, false),
@@ -803,8 +758,18 @@ fn decode_h11<S: SectionSource>(
 }
 
 /// Decodes a v6 container from either backing into an instance plus the
-/// embedded graph, if any.
+/// embedded graph, if any. Only the layout [`save_v6`] writes is read:
+/// every file in it carries `h11.larger_blocks` (empty when `H11` has no
+/// block larger than 1 × 1), so a file without that section is in an
+/// earlier v6 layout and gets the one error that says how to rebuild it.
 fn decode_v6<S: SectionSource>(src: &S) -> Result<(BePi, Option<Graph>)> {
+    if !src.has(sec::H11_LARGER_BLOCKS) {
+        return Err(SparseError::Parse(format!(
+            "v6 index without section {} is in an earlier layout, which is not supported: \
+             re-run `bepi preprocess` on the edge list to rebuild it",
+            sec::name(sec::H11_LARGER_BLOCKS)
+        )));
+    }
     let meta = src.meta_bytes(sec::META)?;
     let mut r: &[u8] = &meta;
     let config = read_config(&mut r)?;
@@ -813,15 +778,19 @@ fn decode_v6<S: SectionSource>(src: &S) -> Result<(BePi, Option<Graph>)> {
     let n3 = read_u64(&mut r)? as usize;
     let slashburn_iterations = read_u64(&mut r)? as usize;
     let (elapsed, phases) = read_phases(&mut r)?;
-    let n = n1 + n2 + n3;
+    let n = n1
+        .checked_add(n2)
+        .and_then(|n| n.checked_add(n3))
+        .ok_or_else(|| {
+            SparseError::Parse(format!(
+                "v6 index: section {}: partition sizes {n1} + {n2} + {n3} overflow",
+                sec::name(sec::META)
+            ))
+        })?;
 
     let new_of_old = src.u32s(sec::PERM_NEW_OF_OLD)?;
     if S::READS_PAYLOADS {
-        let old_of_new = match src.has(sec::PERM_OLD_OF_NEW) {
-            true => Some(src.u32s(sec::PERM_OLD_OF_NEW)?),
-            false => None,
-        };
-        check_permutation(&new_of_old, old_of_new.as_deref())?;
+        check_permutation(&new_of_old)?;
     }
     let perm = Permutation::from_new_of_old_trusted(new_of_old)?;
     if perm.len() != n {
@@ -845,9 +814,8 @@ fn decode_v6<S: SectionSource>(src: &S) -> Result<(BePi, Option<Graph>)> {
     let h31 = matrix((h31_ids, n3, n1))?;
     let h32 = matrix((h32_ids, n3, n2))?;
 
-    // A file without f32 factor values (BePI-B/-S, or one written with
-    // the earlier f64 factor sections) leaves `ilu` to `from_raw_parts`,
-    // which re-factors `S` for the full variant.
+    // BePI-B/-S files carry no factors; `from_raw_parts` rejects a full
+    // variant without them.
     let ilu = if src.has(sec::ILU_VALUES_F32) {
         let ilu = Ilu0::from_parts(
             &s,
@@ -1212,6 +1180,19 @@ mod tests {
         }
     }
 
+    /// A META whose partition sizes overflow when added (`n1` at offset
+    /// 60, just past the config record) fails both loads naming META,
+    /// where the sum used to panic a debug build and wrap in release.
+    #[test]
+    fn overflowing_partition_sizes_fail_both_loads() {
+        let g = generators::cycle(10);
+        let buf = to_bytes(&BePi::preprocess(&g, &BePiConfig::default()).unwrap(), None);
+        let bad = patch_meta(&buf, 60, &u64::MAX.to_le_bytes());
+        for err in load_errors(&bad, "overflow") {
+            assert!(err.contains("section meta: partition sizes"), "{err}");
+        }
+    }
+
     #[test]
     fn roundtrip_through_file() {
         let g = generators::erdos_renyi(100, 400, 5).unwrap();
@@ -1471,61 +1452,6 @@ mod tests {
         cw.finish().unwrap()
     }
 
-    /// `bepi`'s index `buf` in the layout of the earlier f64 factor
-    /// sections: a second copy of `S`'s pattern (0x80, 0x81), f64 factor
-    /// values (0x82) and `ILU_DIAG`, but no `ILU_VALUES_F32`. Every other
-    /// section is copied as written.
-    fn with_f64_factor_sections(buf: &[u8], bepi: &BePi) -> Vec<u8> {
-        let s = bepi.schur().to_csr();
-        // The loader must ignore these sections: NaN factor values would
-        // poison every query that used them.
-        let values = vec![f64::NAN; s.nnz()];
-        rewrite_sections(buf, |cw, id, payload| match id {
-            sec::ILU_VALUES_F32 => {
-                write_u64s_section(cw, 0x80, s.indptr()).unwrap();
-                write_u32s_section(cw, 0x81, s.indices()).unwrap();
-                write_f64s_section(cw, 0x82, &values).unwrap();
-            }
-            id => cw.section_bytes(id, payload).unwrap(),
-        })
-    }
-
-    #[test]
-    fn v6_with_f64_factor_sections_loads_by_refactoring() {
-        let g = generators::rmat(7, 500, generators::RmatParams::default(), 23).unwrap();
-        let fresh = BePi::preprocess(&g, &BePiConfig::for_variant(BePiVariant::Full)).unwrap();
-        let old = with_f64_factor_sections(&to_bytes(&fresh, Some(&g)), &fresh);
-        let table = bepi_map::parse_layout(&old).unwrap();
-        assert!(table.iter().any(|e| e.id == 0x80));
-        assert!(!table.iter().any(|e| e.id == sec::ILU_VALUES_F32));
-        let path = temp_path("f64_factors");
-        std::fs::write(&path, &old).unwrap();
-        let (heap, heap_graph) = load_with_graph(&old[..]).unwrap();
-        let (mapped, _) = load_mapped_file(&path).unwrap();
-        verify_mapped_file(&path).unwrap();
-        assert_eq!(heap_graph.unwrap().adjacency(), g.adjacency());
-        for b in [&heap, &mapped] {
-            assert_precond_bytes(b);
-            assert_eq!(
-                bits32(b.preconditioner().unwrap().values()),
-                bits32(fresh.preconditioner().unwrap().values())
-            );
-        }
-        for seed in [0usize, 31, 100] {
-            let want = fresh.query(seed).unwrap();
-            for b in [&heap, &mapped] {
-                let got = b.query(seed).unwrap();
-                assert_eq!(
-                    got.scores.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    want.scores.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    "seed {seed}"
-                );
-                assert_eq!(got.iterations, want.iterations);
-            }
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
     #[test]
     fn v6_heap_load_detects_payload_corruption() {
         let g = generators::cycle(20);
@@ -1570,6 +1496,43 @@ mod tests {
                 "{msg}"
             );
         }
+        // v6 files in the layouts written before `h11.larger_blocks` fail
+        // both loads with the one error that says how to rebuild them.
+        let g = generators::rmat(7, 500, generators::RmatParams::default(), 61).unwrap();
+        let full = BePi::preprocess(&g, &BePiConfig::for_variant(BePiVariant::Full)).unwrap();
+        let buf = to_bytes(&full, Some(&g));
+        for (layout, old) in earlier_layouts(&buf, &full) {
+            for err in load_errors(&old, "earlier_layout") {
+                assert!(
+                    err.contains("without section h11.larger_blocks is in an earlier layout")
+                        && err.contains("re-run `bepi preprocess`"),
+                    "{layout}: {err}"
+                );
+            }
+        }
+        // In the current layout, a file without 1 x 1 block values, and a
+        // full-variant file without its f32 factors, fail both loads too.
+        let drop_section = |target| {
+            rewrite_sections(&buf, |cw, id, payload| {
+                if id != target {
+                    cw.section_bytes(id, payload).unwrap()
+                }
+            })
+        };
+        for (target, want) in [
+            (
+                sec::U_INV_SINGLETON_CODES,
+                "nor value codes (u_inv.singleton_codes)",
+            ),
+            (
+                sec::ILU_VALUES_F32,
+                "(ilu.values_f32) are missing: re-run `bepi preprocess`",
+            ),
+        ] {
+            for err in load_errors(&drop_section(target), "missing_section") {
+                assert!(err.contains(want), "{want}: {err}");
+            }
+        }
         // A truncated v6 file loses its footer.
         let g = generators::cycle(15);
         let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
@@ -1581,6 +1544,39 @@ mod tests {
         assert!(load_mapped_file(&v6).is_err());
         std::fs::remove_file(&v4).ok();
         std::fs::remove_file(&v6).ok();
+    }
+
+    /// `bepi`'s index `buf` rewritten in each v6 layout written before
+    /// `h11.larger_blocks`, named, with valid CRCs: every `H11` block's
+    /// size (`u64`, retired id 0x04) in its place; that and the inverse
+    /// permutation map (0x03) without the 1 × 1 blocks' values, as the
+    /// full-row layout stored them; and that and f64 ILU(0) factors on a
+    /// second copy of `S`'s pattern (0x80–0x82) in place of the f32 ones.
+    fn earlier_layouts(buf: &[u8], bepi: &BePi) -> [(&'static str, Vec<u8>); 3] {
+        let sizes = bepi.h11_factors().block_sizes();
+        let s = bepi.schur().to_csr();
+        let layout = |maps: bool, f64_ilu: bool| {
+            rewrite_sections(buf, |cw, id, payload| match id {
+                sec::H11_LARGER_BLOCKS => write_u64s_section(cw, 0x04, &sizes).unwrap(),
+                sec::PERM_NEW_OF_OLD if maps => {
+                    cw.section_bytes(id, payload).unwrap();
+                    let old_of_new = bepi.permutation().old_of_new();
+                    write_u32s_section(cw, 0x03, &old_of_new).unwrap();
+                }
+                sec::U_INV_SINGLETON_CODES if maps => {}
+                sec::ILU_VALUES_F32 if f64_ilu => {
+                    write_u64s_section(cw, 0x80, s.indptr()).unwrap();
+                    write_u32s_section(cw, 0x81, s.indices()).unwrap();
+                    write_f64s_section(cw, 0x82, s.values()).unwrap();
+                }
+                _ => cw.section_bytes(id, payload).unwrap(),
+            })
+        };
+        [
+            ("block sizes", layout(false, false)),
+            ("two permutation maps", layout(true, false)),
+            ("f64 factors", layout(false, true)),
+        ]
     }
 
     /// The file names in `dir`, sorted.
@@ -1681,10 +1677,9 @@ mod tests {
         }
     }
 
-    /// `buf` with `S` stored plain, as files written before the coded form
-    /// and indexes whose `S` overflows the value table store it: one f64
-    /// per non-zero in `S_VALUES`, where the codes were. The value table
-    /// stays, for the other coded matrices.
+    /// `buf` with `S` stored plain, as indexes whose `S` overflows the
+    /// value table store it: one f64 per non-zero in `S_VALUES`, where the
+    /// codes were. The value table stays, for the other coded matrices.
     fn with_plain_s_values(buf: &[u8], s: &CodedCsr) -> Vec<u8> {
         let values = s.to_csr().values().to_vec();
         rewrite_sections(buf, |cw, id, payload| match id {
@@ -1697,8 +1692,8 @@ mod tests {
         })
     }
 
-    /// An index that stores `S` plain still loads — on the heap and
-    /// mapped, for the default and the full variant — keeps `S` plain,
+    /// An index that stores `S` plain loads — on the heap and mapped, for
+    /// the default and the full variant — keeps `S` plain,
     /// accounts it at 8 bytes per value instead of a 2-byte code, and
     /// answers bit for bit like a fresh index (whose coded `S` multiplies
     /// exactly as the plain one does). Saved again, it writes the same
@@ -1911,7 +1906,7 @@ mod tests {
         );
     }
 
-    /// `buf` as an index written before `S`'s pattern could be narrow: the
+    /// `buf` as an index whose `S` has more than 2¹⁶ columns stores it: the
     /// wide `S_INDPTR` (u64) and `S_INDICES` (u32) where the narrow
     /// sections were, every other section copied as written.
     fn with_wide_s_pattern(buf: &[u8], s: &CodedCsr) -> Vec<u8> {
@@ -1923,8 +1918,8 @@ mod tests {
         })
     }
 
-    /// An index that stores `S`'s pattern wide, as every file written
-    /// before the narrow form did, still loads — on the heap and mapped,
+    /// An index that stores `S`'s pattern wide, as one whose `S` has more
+    /// than 2¹⁶ columns does, loads — on the heap and mapped,
     /// for the default and the full variant — keeps the pattern wide,
     /// accounts it at 8 bytes per row pointer and 4 per column, and
     /// answers bit for bit like a fresh index, with equal iterations and
@@ -2032,8 +2027,8 @@ mod tests {
     }
 
     /// Crafted patterns with valid CRCs: a column past the matrix and a
-    /// decreasing row pointer, in `S`'s wide sections (as a file from
-    /// before the narrow form stores them), in its narrow sections (a
+    /// decreasing row pointer, in `S`'s wide sections (as an `S` with more
+    /// than 2¹⁶ columns stores them), in its narrow sections (a
     /// column in `n2..2¹⁶`, which a `u16` holds), and in an `H` block's
     /// narrow sections. The
     /// heap load, which reads every byte for its CRCs, fails each one with
@@ -2124,124 +2119,6 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// `m` on a wide pattern with plain values, as every matrix but `S`
-    /// was stored before the stored matrices shared one form.
-    fn wide_plain(m: &CodedCsr) -> CodedCsr {
-        let a = m.to_csr();
-        let values = MatrixValues::Entries(CodedValues::Plain(a.values().to_vec().into()));
-        CodedCsr::from_parts_storage_trusted(a.nrows(), a.ncols(), None, a.pattern(), values)
-            .unwrap()
-    }
-
-    /// `m` on a wide pattern, its values as held.
-    fn wide_as_held(m: &CodedCsr) -> CodedCsr {
-        let (indptr, indices) = m.pattern().to_wide();
-        let pattern = Pattern::Wide { indptr, indices };
-        let rows = m.stored_rows().cloned();
-        CodedCsr::from_parts_storage_trusted(
-            m.nrows(),
-            m.ncols(),
-            rows,
-            pattern,
-            m.values().clone(),
-        )
-        .unwrap()
-    }
-
-    /// The stored matrices as the full-row layout held them: `L1⁻¹` and
-    /// `U1⁻¹` with full `n1 × n1` rows, in [`BePi::stored_matrices`] order.
-    fn full_row_matrices(bepi: &BePi) -> [Csr; 7] {
-        let lu = bepi.h11_factors().to_builder().unwrap();
-        let (h12, h21, h31, h32) = bepi.coupling_blocks();
-        [
-            lu.l_inv,
-            lu.u_inv,
-            bepi.schur().to_csr(),
-            h12.to_csr(),
-            h21.to_csr(),
-            h31.to_csr(),
-            h32.to_csr(),
-        ]
-    }
-
-    /// `bepi`'s index `buf` in the full-row layout: both permutation
-    /// directions, every block's size, full-row `H11` factors and no 1 × 1
-    /// block section, with every stored matrix written as `mats` holds it
-    /// (in [`BePi::stored_matrices`] order) and `table` as the index's
-    /// value table, in `S`'s block. Every other section is copied.
-    fn with_full_row_layout(
-        buf: &[u8],
-        bepi: &BePi,
-        table: Option<&[f64]>,
-        mats: &[CodedCsr; 7],
-    ) -> Vec<u8> {
-        let mut written = [false; 7];
-        rewrite_sections(buf, |cw, id, payload| {
-            match MATRICES.iter().position(|&(base, _)| id & !0xf == base) {
-                _ if id == sec::U_INV_SINGLETON_CODES || id == sec::U_INV_SINGLETON_VALUES => {}
-                _ if id == sec::H11_LARGER_BLOCKS => {
-                    let sizes = bepi.h11_factors().block_sizes();
-                    write_u64s_section(cw, sec::BLOCK_SIZES, &sizes).unwrap();
-                }
-                Some(b) if !written[b] => {
-                    written[b] = true;
-                    let base = MATRICES[b].0;
-                    write_matrix(cw, base, &mats[b], table.filter(|_| base == sec::S)).unwrap();
-                }
-                Some(_) => {}
-                None if id == sec::PERM_NEW_OF_OLD => {
-                    cw.section_bytes(id, payload).unwrap();
-                    let old_of_new = bepi.permutation().old_of_new();
-                    write_u32s_section(cw, sec::PERM_OLD_OF_NEW, &old_of_new).unwrap();
-                }
-                None => cw.section_bytes(id, payload).unwrap(),
-            }
-        })
-    }
-
-    /// `m` as every stored matrix was held before the per-column and
-    /// stored-rows forms: every row stored, on its pattern's width, with
-    /// plain values or one code per non-zero over the same table.
-    fn per_entry(m: &CodedCsr) -> CodedCsr {
-        let a = m.to_csr();
-        let pattern = match m.pattern().is_narrow() {
-            true => a.pattern().narrowed(a.ncols()),
-            false => a.pattern(),
-        };
-        let ks: Vec<usize> = (0..m.nnz()).collect();
-        let values = MatrixValues::Entries(m.entry_values(&ks));
-        CodedCsr::from_parts_storage_trusted(a.nrows(), a.ncols(), None, pattern, values).unwrap()
-    }
-
-    /// `bepi`'s index `buf` in the layout written before the per-column
-    /// and stored-rows forms and the larger-block list: every stored
-    /// matrix [`per_entry`], and every `H11` block's size (`block_sizes`,
-    /// `u64`) where the larger blocks' list was. Every other section is
-    /// copied.
-    fn with_per_entry_layout(buf: &[u8], bepi: &BePi) -> Vec<u8> {
-        let mats = bepi.stored_matrices().map(|(_, m)| per_entry(m));
-        let table = bepi.value_table().map(Storage::as_slice);
-        let mut written = [false; 7];
-        rewrite_sections(buf, |cw, id, payload| {
-            match MATRICES.iter().position(|&(base, _)| id & !0xf == base) {
-                _ if id == sec::U_INV_SINGLETON_CODES || id == sec::U_INV_SINGLETON_VALUES => {
-                    cw.section_bytes(id, payload).unwrap()
-                }
-                _ if id == sec::H11_LARGER_BLOCKS => {
-                    let sizes = bepi.h11_factors().block_sizes();
-                    write_u64s_section(cw, sec::BLOCK_SIZES, &sizes).unwrap();
-                }
-                Some(b) if !written[b] => {
-                    written[b] = true;
-                    let base = MATRICES[b].0;
-                    write_matrix(cw, base, &mats[b], table.filter(|_| base == sec::S)).unwrap();
-                }
-                Some(_) => {}
-                None => cw.section_bytes(id, payload).unwrap(),
-            }
-        })
-    }
-
     /// Asserts that every value-coded matrix of `b` holds `b`'s one value
     /// table: the same memory, not an equal copy.
     fn assert_one_table(b: &BePi, what: &str) {
@@ -2260,6 +2137,8 @@ mod tests {
     /// index is narrow and value-coded on these graphs, and all hold one
     /// table. `S` is coded first, so its codes are the ones it gets alone
     /// and the table starts with its values; the others append theirs.
+    /// Saved again from either load, the file is byte-stable, and either
+    /// load rebuilds like the index it was saved from.
     #[test]
     fn compact_index_matrices_share_one_value_table() {
         use crate::bepi::tests::{numeric_rebuild, removable_edge};
@@ -2296,6 +2175,15 @@ mod tests {
             assert_one_table(&heap, "heap load");
             assert_one_table(&mapped, "mapped load");
             assert!(mapped.value_table().unwrap().is_mapped());
+            let saved = std::fs::read(&path).unwrap();
+            let edge = removable_edge(&g_new);
+            let (_, want) = numeric_rebuild(&refac, &g_new, edge);
+            for (b, what) in [(&heap, "heap"), (&mapped, "mapped")] {
+                assert_eq!(to_bytes(b, None), saved, "{what} re-save");
+                let rebuilt = numeric_rebuild(b, &g_new, edge).1;
+                assert_one_table(&rebuilt, what);
+                crate::bepi::tests::assert_same_answers(&rebuilt, &want, &[0, 100], what);
+            }
             for seed in [0usize, 40, 200] {
                 let want = frozen.query(seed).unwrap();
                 for b in [&refac, &heap, &mapped] {
@@ -2328,8 +2216,9 @@ mod tests {
     /// the value table once, under `schur`, and the larger `H11` blocks'
     /// list under `u1_inv`: after preprocess, heap load and mapped load,
     /// the report adds up to every section of the file but META and the
-    /// graph. On an R-MAT graph, whose repeated edges weigh its `H`
-    /// blocks, and on one whose index holds every compact form
+    /// graph; and the file saved again from either load is byte-stable.
+    /// On an R-MAT graph, whose repeated edges weigh its `H` blocks, and
+    /// on one whose index holds every compact form
     /// ([`compact_forms_graph`], which must write them).
     #[test]
     fn compact_memory_report_counts_the_table_once() {
@@ -2340,7 +2229,7 @@ mod tests {
     }
 
     /// [`compact_memory_report_counts_the_table_once`] on `g`; `compact`
-    /// requires the per-column and stored-rows sections in the file.
+    /// says `g` is unweighted, so its `H12` and `H21` code per column.
     fn memory_report_counts_every_section(g: &Graph, compact: bool) {
         let fresh = BePi::preprocess(g, &BePiConfig::for_variant(BePiVariant::Full)).unwrap();
         let path = temp_path("table_once");
@@ -2356,10 +2245,7 @@ mod tests {
         let table_bytes = bytes_of(&|id| id == sec::S_VALUE_TABLE);
         assert_eq!(table_bytes, 8 * fresh.value_table().unwrap().len());
         let mut want: Vec<(&str, usize)> = vec![
-            (
-                "perm",
-                bytes_of(&|id| id == sec::PERM_NEW_OF_OLD || id == sec::PERM_OLD_OF_NEW),
-            ),
+            ("perm", bytes_of(&|id| id == sec::PERM_NEW_OF_OLD)),
             (
                 "precond",
                 bytes_of(&|id| id == sec::ILU_VALUES_F32 || id == sec::ILU_DIAG),
@@ -2374,16 +2260,22 @@ mod tests {
             };
             want.push((name, own + extra));
         }
-        // The new sections are in the file, so their bytes are pinned too.
-        let forms = [
-            sec::H11_LARGER_BLOCKS,
-            sec::H12 + sec::COLUMN_CODES,
-            sec::H21 + sec::COLUMN_CODES,
-            sec::H31 + sec::ROW_IDS,
-            sec::H32 + sec::ROW_IDS,
-        ];
-        for id in forms.into_iter().filter(|_| compact) {
-            assert!(bytes_of(&|i| i == id) > 0, "{}", sec::name(id));
+        // The compact forms' sections are in the file, so their bytes are
+        // pinned too: `H12` and `H21` store every row, one code per column
+        // on the unweighted graph and one per non-zero on the weighted one;
+        // `H31` and `H32` store their non-empty rows only, on both.
+        let has = |id| layout.iter().any(|e| e.id == id);
+        assert!(has(sec::H11_LARGER_BLOCKS));
+        for base in [sec::H12, sec::H21, sec::H31, sec::H32] {
+            let (columns, rows) = (base + sec::COLUMN_CODES, base + sec::ROW_IDS);
+            let coupling_to_s = base < sec::H31;
+            assert_eq!(
+                has(columns),
+                compact && coupling_to_s,
+                "{}",
+                sec::name(columns)
+            );
+            assert_eq!(has(rows), !coupling_to_s, "{}", sec::name(rows));
         }
         let total: usize = want.iter().map(|(_, b)| b).sum();
         assert_eq!(
@@ -2398,8 +2290,16 @@ mod tests {
                 .contains(&id)
             })
         );
-        let heap = load_file(&path).unwrap();
-        let (mapped, _) = load_mapped_file(&path).unwrap();
+        let (heap, heap_graph) = load_file_with_graph(&path).unwrap();
+        let (mapped, mapped_graph) = load_mapped_file(&path).unwrap();
+        // Saved again from either load, the file is byte-stable.
+        let saved = std::fs::read(&path).unwrap();
+        assert_eq!(to_bytes(&heap, heap_graph.as_ref()), saved, "heap re-save");
+        assert_eq!(
+            to_bytes(&mapped, mapped_graph.as_ref()),
+            saved,
+            "mapped re-save"
+        );
         for (b, what) in [(&fresh, "fresh"), (&heap, "heap"), (&mapped, "mapped")] {
             let report = b.memory_report();
             for (name, bytes) in &want {
@@ -2412,198 +2312,6 @@ mod tests {
         assert_eq!(mapped.heap_bytes(), 0);
         drop(mapped);
         std::fs::remove_file(&path).ok();
-    }
-
-    /// Files in every earlier layout load on the heap and mapped, for the
-    /// default and the full variant, on an R-MAT graph and on one whose
-    /// index holds every compact form ([`compact_forms_graph`]):
-    /// * the layout written just before the per-column and stored-rows
-    ///   forms — every matrix with one code per non-zero over every row,
-    ///   and every `H11` block's size (`block_sizes`) where the larger
-    ///   blocks' list now is;
-    /// * the full-row layout — both permutation directions, full-row
-    ///   `H11` factors — as its last writer wrote it (every matrix narrow
-    ///   and coded per non-zero over one table), and as files from before
-    ///   the stored matrices shared one form wrote it (`L1⁻¹`, `U1⁻¹` and
-    ///   the `H` blocks wide and plain, and `S` either coded over a table
-    ///   of its own values only, on a narrow or a wide pattern, or plain
-    ///   with no table at all). Their factors are compacted on load in
-    ///   their own form.
-    ///
-    /// They answer bit for bit like a fresh index with equal iterations
-    /// and residuals, rebuild to the fresh index's rebuild, and save again
-    /// in the current layout — one permutation map, the 1 × 1 block
-    /// section and the larger blocks' list, each matrix in the form it was
-    /// loaded in — which is byte-stable from there.
-    #[test]
-    fn compact_old_format_files_load_bit_identical() {
-        let graphs = [
-            generators::rmat(7, 500, generators::RmatParams::default(), 61).unwrap(),
-            compact_forms_graph(),
-        ];
-        for g in &graphs {
-            for variant in [BePiVariant::Sparse, BePiVariant::Full] {
-                old_layouts_load_bit_identical(g, variant);
-            }
-        }
-    }
-
-    /// [`compact_old_format_files_load_bit_identical`] on one graph and
-    /// variant.
-    fn old_layouts_load_bit_identical(g: &Graph, variant: BePiVariant) {
-        use crate::bepi::tests::{numeric_rebuild, removable_edge};
-        let edge = removable_edge(g);
-        let fresh = BePi::preprocess(g, &BePiConfig::for_variant(variant)).unwrap();
-        assert!(!fresh.h11_factors().singletons().is_empty());
-        let buf = to_bytes(&fresh, Some(g));
-        let full = full_row_matrices(&fresh);
-        let s_alone = CodedCsr::encode(&full[2]);
-        let s_table = coded_parts(&s_alone).0.to_vec();
-        let full_coded: Vec<CodedCsr> = CodedCsr::encode_all(&full.each_ref())
-            .iter()
-            .map(per_entry)
-            .collect();
-        let full_table = full_coded[0].table().unwrap().to_vec();
-        let plain = |m: &Csr| wide_plain(&CodedCsr::encode(m));
-        let forms = |s: CodedCsr| -> [CodedCsr; 7] {
-            std::array::from_fn(|i| if i == 2 { s.clone() } else { plain(&full[i]) })
-        };
-        let per_entry_file = with_per_entry_layout(&buf, &fresh);
-        type Layout<'a> = (&'a str, Option<&'a [f64]>, Option<[CodedCsr; 7]>);
-        let layouts: [Layout; 5] = [
-            ("per-entry layout", Some(&full_table), None),
-            (
-                "full-row layout",
-                Some(&full_table),
-                Some(full_coded.clone().try_into().unwrap()),
-            ),
-            (
-                "narrow coded S",
-                Some(&s_table),
-                Some(forms(s_alone.clone())),
-            ),
-            (
-                "wide coded S",
-                Some(&s_table),
-                Some(forms(wide_as_held(&s_alone))),
-            ),
-            ("plain S", None, Some(forms(plain(&full[2])))),
-        ];
-        let (g_new, fresh_refac) = numeric_rebuild(&fresh, g, edge);
-        let frozen =
-            BePi::preprocess_with_plan(&g_new, fresh.config(), &fresh.symbolic_plan()).unwrap();
-        crate::bepi::tests::assert_same_answers(&fresh_refac, &frozen, &[0, 100], "fresh");
-        for (layout, table, mats) in layouts {
-            let full_rows = mats.is_some();
-            let old = match &mats {
-                Some(mats) => with_full_row_layout(&buf, &fresh, table, mats),
-                None => per_entry_file.clone(),
-            };
-            let ids: Vec<u32> = bepi_map::parse_layout(&old)
-                .unwrap()
-                .iter()
-                .map(|e| e.id)
-                .collect();
-            assert!(ids.contains(&sec::BLOCK_SIZES), "{layout}");
-            assert!(!ids.contains(&sec::H11_LARGER_BLOCKS), "{layout}");
-            assert_eq!(ids.contains(&sec::PERM_OLD_OF_NEW), full_rows, "{layout}");
-            assert_eq!(
-                ids.contains(&sec::U_INV_SINGLETON_CODES),
-                !full_rows,
-                "{layout}"
-            );
-            assert!(
-                ids.iter()
-                    .all(|&id| id & 0xf != sec::COLUMN_CODES && id & 0xf != sec::ROW_IDS),
-                "{layout}"
-            );
-            let coded = matches!(layout, "full-row layout" | "per-entry layout");
-            let (l_codes, h21_ptr) = (sec::L_INV + sec::VALUE_CODES, sec::H21 + sec::INDPTR);
-            assert_eq!(ids.contains(&l_codes), coded, "{layout}");
-            assert_eq!(ids.contains(&h21_ptr), !coded, "{layout}");
-            assert_eq!(ids.contains(&sec::S_VALUE_TABLE), table.is_some());
-            let path = temp_path("old_layout");
-            std::fs::write(&path, &old).unwrap();
-            let (heap, _) = load_with_graph(&old[..]).unwrap();
-            let (mapped, mapped_graph) = load_mapped_file(&path).unwrap();
-            verify_mapped_file(&path).unwrap();
-            for (b, what) in [(&heap, "heap"), (&mapped, "mapped")] {
-                let what = format!("{:?} {layout} {what}", variant);
-                for (name, m) in b.stored_matrices() {
-                    if name != "schur" {
-                        assert_eq!(m.is_coded(), coded, "{what}: {name}");
-                        assert_eq!(m.pattern().is_narrow(), coded, "{what}: {name}");
-                    }
-                    assert!(
-                        !m.is_per_column() && m.stored_rows().is_none(),
-                        "{what}: {name}"
-                    );
-                }
-                let h11 = b.h11_factors();
-                assert_eq!(
-                    h11.l_inv(),
-                    fresh.h11_factors().l_inv(),
-                    "{what}: compacted"
-                );
-                assert_eq!(
-                    h11.singletons().len(),
-                    fresh.h11_factors().singletons().len()
-                );
-                assert_eq!(
-                    &h11.larger_blocks()[..],
-                    &fresh.h11_factors().larger_blocks()[..],
-                    "{what}"
-                );
-                assert_eq!(b.stats().num_blocks, fresh.stats().num_blocks, "{what}");
-                assert_eq!(b.stats().h11_inv_nnz, fresh.stats().h11_inv_nnz, "{what}");
-                assert_eq!(b.value_table().map(|t| t.len()), table.map(<[f64]>::len));
-                assert_eq!(b.schur(), fresh.schur(), "{what}");
-                assert_eq!(b.coupling_blocks(), fresh.coupling_blocks(), "{what}");
-                if variant == BePiVariant::Full {
-                    assert_precond_bytes(b);
-                }
-                for seed in [0usize, 31, 100] {
-                    let (got, want) = (b.query(seed).unwrap(), fresh.query(seed).unwrap());
-                    assert_eq!(bits(&got.scores), bits(&want.scores), "{what} seed {seed}");
-                    assert_eq!(got.iterations, want.iterations, "{what}");
-                    assert_eq!(got.residual.to_bits(), want.residual.to_bits(), "{what}");
-                }
-                let refac = numeric_rebuild(b, g, edge).1;
-                assert_one_table(&refac, &what);
-                for seed in [0usize, 100] {
-                    let (got, want) =
-                        (refac.query(seed).unwrap(), fresh_refac.query(seed).unwrap());
-                    assert_eq!(bits(&got.scores), bits(&want.scores), "{what} seed {seed}");
-                    assert_eq!(got.iterations, want.iterations, "{what}");
-                    assert_eq!(got.residual.to_bits(), want.residual.to_bits(), "{what}");
-                }
-            }
-            // Saved again, in the current layout, byte-stable from there.
-            let resaved = to_bytes(&heap, Some(g));
-            let ids: Vec<u32> = bepi_map::parse_layout(&resaved)
-                .unwrap()
-                .iter()
-                .map(|e| e.id)
-                .collect();
-            assert!(!ids.contains(&sec::PERM_OLD_OF_NEW), "{layout}: re-save");
-            assert!(!ids.contains(&sec::BLOCK_SIZES), "{layout}: re-save");
-            assert!(ids.contains(&sec::H11_LARGER_BLOCKS), "{layout}: re-save");
-            // The 1 × 1 blocks' values keep the form `U1⁻¹` had.
-            let singleton_id = match coded {
-                true => sec::U_INV_SINGLETON_CODES,
-                false => sec::U_INV_SINGLETON_VALUES,
-            };
-            assert!(ids.contains(&singleton_id), "{layout}: re-save");
-            assert_eq!(
-                to_bytes(&mapped, mapped_graph.as_ref()),
-                resaved,
-                "{layout}: mapped re-save"
-            );
-            let (again, again_graph) = load_with_graph(&resaved[..]).unwrap();
-            assert_eq!(to_bytes(&again, again_graph.as_ref()), resaved, "{layout}");
-            drop(mapped);
-            std::fs::remove_file(&path).ok();
-        }
     }
 
     /// Hostile stored-matrix sections with valid CRCs. The heap load,
@@ -2801,9 +2509,8 @@ mod tests {
     /// fails the heap load, which reads every byte, with an error naming
     /// the section — where the first query's scatter or sweep used to
     /// panic or answer wrongly: a map entry past the node count, a map
-    /// that is not a bijection, a full-row-layout file whose two maps are
-    /// not inverses, a diagonal position past its row, and one on an
-    /// off-diagonal entry.
+    /// that is not a bijection, a diagonal position past its row, and one
+    /// on an off-diagonal entry.
     #[test]
     fn heap_load_rejects_crafted_permutation_and_diag_pos() {
         let g = generators::rmat(7, 500, generators::RmatParams::default(), 61).unwrap();
@@ -2828,8 +2535,6 @@ mod tests {
         fwd[3] = n + 5;
         let mut twice = perm.new_of_old().to_vec();
         twice[1] = twice[0];
-        let mut inv = perm.old_of_new();
-        inv.swap(0, 1);
         let (mut past, mut off) = (ilu.diag_pos().to_vec(), ilu.diag_pos().to_vec());
         past[row] = s.row_iter(row).count();
         off[row] = (off[row] + 1) % s.row_iter(row).count();
@@ -2851,14 +2556,6 @@ mod tests {
                     "section perm.new_of_old: invalid permutation: image {} hit twice (by 0 and 1)",
                     twice[0]
                 ),
-            ),
-            // A file in the full-row layout also stores the inverse map.
-            (
-                edit(sec::PERM_NEW_OF_OLD, &|cw| {
-                    write_u32s_section(cw, sec::PERM_NEW_OF_OLD, perm.new_of_old()).unwrap();
-                    write_u32s_section(cw, sec::PERM_OLD_OF_NEW, &inv).unwrap()
-                }),
-                "section perm.old_of_new: entry".to_string(),
             ),
             (
                 edit(sec::ILU_DIAG, &|cw| {

@@ -282,7 +282,7 @@ mod tests {
         let mut w = ContainerWriter::new(Vec::new()).unwrap();
         w.section_bytes(sections::META, b"hello meta").unwrap();
         let nums: Vec<u8> = (0u64..10).flat_map(|v| v.to_le_bytes()).collect();
-        w.section_bytes(sections::BLOCK_SIZES, &nums).unwrap();
+        w.section_bytes(sections::ILU_DIAG, &nums).unwrap();
         w.section_bytes(sections::S_VALUES, &[]).unwrap();
         w.finish().unwrap()
     }
@@ -378,17 +378,17 @@ mod tests {
     #[test]
     fn rejects_out_of_range_section_naming_it() {
         let mut buf = sample_container();
-        patch_entry(&mut buf, sections::BLOCK_SIZES, |e| e.len = 1 << 40);
+        patch_entry(&mut buf, sections::ILU_DIAG, |e| e.len = 1 << 40);
         match parse_layout(&buf) {
             Err(MapError::SectionOutOfRange { id, section, .. }) => {
-                assert_eq!(id, sections::BLOCK_SIZES);
-                assert_eq!(section, "block_sizes");
+                assert_eq!(id, sections::ILU_DIAG);
+                assert_eq!(section, "ilu.diag_pos");
             }
             other => panic!("expected SectionOutOfRange, got {other:?}"),
         }
         // An offset+len that wraps u64 must also be caught, not wrapped.
         let mut buf = sample_container();
-        patch_entry(&mut buf, sections::BLOCK_SIZES, |e| {
+        patch_entry(&mut buf, sections::ILU_DIAG, |e| {
             e.offset = u64::MAX - 63;
             e.len = 128;
         });
@@ -411,8 +411,8 @@ mod tests {
     #[test]
     fn rejects_overlapping_sections_naming_both() {
         let mut buf = sample_container();
-        // Slide block_sizes back onto meta (keeping 64-byte alignment).
-        patch_entry(&mut buf, sections::BLOCK_SIZES, |e| e.offset = HEADER_LEN);
+        // Slide ilu.diag_pos back onto meta (keeping 64-byte alignment).
+        patch_entry(&mut buf, sections::ILU_DIAG, |e| e.offset = HEADER_LEN);
         match parse_layout(&buf) {
             Err(MapError::SectionOverlap {
                 section_a,
@@ -420,7 +420,7 @@ mod tests {
                 ..
             }) => {
                 let pair = [section_a, section_b];
-                assert!(pair.contains(&"meta") && pair.contains(&"block_sizes"));
+                assert!(pair.contains(&"meta") && pair.contains(&"ilu.diag_pos"));
             }
             other => panic!("expected SectionOverlap, got {other:?}"),
         }
@@ -429,7 +429,7 @@ mod tests {
     #[test]
     fn rejects_duplicate_section_id() {
         let mut buf = sample_container();
-        patch_entry(&mut buf, sections::BLOCK_SIZES, |e| e.id = sections::META);
+        patch_entry(&mut buf, sections::ILU_DIAG, |e| e.id = sections::META);
         assert!(matches!(
             parse_layout(&buf),
             Err(MapError::DuplicateSection { .. })

@@ -80,34 +80,27 @@ pub use map::{MappedIndex, Mapping, Pod, Section};
 /// `value_codes` (one per non-zero) or `column_codes` (one per column,
 /// every non-zero of a column carrying its column's value). The codes of
 /// every value-coded matrix index the one table of the index,
-/// `S_VALUE_TABLE` (`+3` of `S`'s block, where files written before
-/// the table was shared kept `S`'s own table). A matrix with `row_ids`
+/// `S_VALUE_TABLE` (`+3` of `S`'s block). A matrix with `row_ids`
 /// stores only the rows they name, ascending; its row pointers span
 /// those rows alone, and every other row is empty.
 ///
 /// `H11`'s block structure is `H11_LARGER_BLOCKS`: a `(start, size)`
 /// pair of `u32`s per diagonal block larger than 1 × 1; every other row
-/// of `H11` is a 1 × 1 block. Files written before it stored every
-/// block's size (`BLOCK_SIZES`, `u64`).
+/// of `H11` is a 1 × 1 block. `L1⁻¹` and `U1⁻¹` store only the rows of
+/// the larger blocks. `U1⁻¹`'s block also holds the one value of each
+/// 1 × 1 block, coded (`+7`, `u16`) or plain (`+8`, `f64`).
 ///
-/// `L1⁻¹` and `U1⁻¹` store only the rows of `H11` blocks larger than
-/// 1 × 1. `U1⁻¹`'s block also holds the one value of each 1 × 1 block,
-/// coded (`+7`, `u16`) or plain (`+8`, `f64`); a file with neither
-/// stores full `n1 × n1` factors, as files did before.
+/// Files in the v6 layouts written before `H11_LARGER_BLOCKS` (ids
+/// 0x03, 0x04 and 0x80–0x82 are retired with them) are not read: the
+/// loader rejects them with an error that says to rebuild the index.
 pub mod sections {
     /// Config scalars, partition sizes, and phase timings (opaque blob).
     pub const META: u32 = 0x01;
     /// Permutation forward map `new_of_old` (`u32`).
     pub const PERM_NEW_OF_OLD: u32 = 0x02;
-    /// Permutation inverse map `old_of_new` (`u32`). Written only by
-    /// files from before the index stored one direction; a load checks it
-    /// against `PERM_NEW_OF_OLD` on the heap path and drops it.
-    pub const PERM_OLD_OF_NEW: u32 = 0x03;
-    /// Diagonal block sizes of `H11` (`u64`). Written only by files from
-    /// before [`H11_LARGER_BLOCKS`]; a load derives that list from it.
-    pub const BLOCK_SIZES: u32 = 0x04;
     /// `(start, size)` of each `H11` diagonal block larger than 1 × 1, as
-    /// two `u32`s per block in block order.
+    /// two `u32`s per block in block order. Every index carries it, empty
+    /// when `H11` has no larger block.
     pub const H11_LARGER_BLOCKS: u32 = 0x05;
     /// First id of `L1^{-1}`'s block.
     pub const L_INV: u32 = 0x10;
@@ -174,8 +167,7 @@ pub mod sections {
     /// ILU(0) per-row diagonal positions (`u64`).
     pub const ILU_DIAG: u32 = 0x83;
     /// ILU(0) factor values in `S`'s pattern (`f32`, the diagonal slots
-    /// holding `1 / u_ii`). Ids 0x80–0x82 are retired: a full-variant
-    /// file without this section re-factors `S` on load.
+    /// holding `1 / u_ii`). Every full-variant index carries it.
     pub const ILU_VALUES_F32: u32 = 0x84;
     /// Embedded adjacency row pointers (`u64`, live-capable indexes).
     pub const GRAPH_INDPTR: u32 = 0x90;
@@ -191,8 +183,6 @@ pub mod sections {
         match id {
             META => "meta",
             PERM_NEW_OF_OLD => "perm.new_of_old",
-            PERM_OLD_OF_NEW => "perm.old_of_new",
-            BLOCK_SIZES => "block_sizes",
             H11_LARGER_BLOCKS => "h11.larger_blocks",
             S_VALUE_TABLE => "s.value_table",
             U_INV_SINGLETON_CODES => "u_inv.singleton_codes",
@@ -648,10 +638,10 @@ mod tests {
         let e = MapError::SectionOverlap {
             id_a: sections::META,
             section_a: sections::name(sections::META),
-            id_b: sections::BLOCK_SIZES,
-            section_b: sections::name(sections::BLOCK_SIZES),
+            id_b: sections::ILU_DIAG,
+            section_b: sections::name(sections::ILU_DIAG),
         };
-        assert!(e.to_string().contains("block_sizes"));
+        assert!(e.to_string().contains("ilu.diag_pos"));
     }
 
     #[test]

@@ -405,7 +405,7 @@ mod tests {
     fn write_sample(path: &std::path::Path) {
         let file = File::create(path).unwrap();
         let mut w = ContainerWriter::new(std::io::BufWriter::new(file)).unwrap();
-        w.begin_section(sections::BLOCK_SIZES).unwrap();
+        w.begin_section(sections::GRAPH_INDPTR).unwrap();
         for v in [3u64, 1, 4, 1, 5] {
             w.write_all(&v.to_le_bytes()).unwrap();
         }
@@ -426,7 +426,7 @@ mod tests {
         let idx = MappedIndex::open(&path).unwrap();
         assert!(idx.has(sections::META));
         assert!(!idx.has(sections::ILU_DIAG));
-        let sizes: Section<u64> = idx.section(sections::BLOCK_SIZES).unwrap();
+        let sizes: Section<u64> = idx.section(sections::GRAPH_INDPTR).unwrap();
         assert_eq!(&*sizes, &[3, 1, 4, 1, 5]);
         let vals: Section<f64> = idx.section(sections::S_VALUES).unwrap();
         assert_eq!(&*vals, &[0.5, -2.0, 1.25]);
@@ -444,7 +444,7 @@ mod tests {
         write_sample(&path);
         let sizes: Section<u64> = {
             let idx = MappedIndex::open(&path).unwrap();
-            idx.section(sections::BLOCK_SIZES).unwrap()
+            idx.section(sections::GRAPH_INDPTR).unwrap()
         };
         // The MappedIndex is gone; the Arc'd mapping keeps the view alive.
         assert_eq!(sizes.len(), 5);
@@ -463,7 +463,7 @@ mod tests {
             let path = temp_path("usize");
             write_sample(&path);
             let idx = MappedIndex::open(&path).unwrap();
-            let s: Section<usize> = idx.section(sections::BLOCK_SIZES).unwrap();
+            let s: Section<usize> = idx.section(sections::GRAPH_INDPTR).unwrap();
             assert_eq!(&*s, &[3usize, 1, 4, 1, 5]);
             std::fs::remove_file(&path).ok();
         }
@@ -529,8 +529,8 @@ mod tests {
         buf[64] ^= 0x80;
         std::fs::write(&path, &buf).unwrap();
         let idx = MappedIndex::open(&path).unwrap(); // open stays O(#sections)
-        match idx.verify(sections::BLOCK_SIZES) {
-            Err(MapError::SectionCrc { section, .. }) => assert_eq!(section, "block_sizes"),
+        match idx.verify(sections::GRAPH_INDPTR) {
+            Err(MapError::SectionCrc { section, .. }) => assert_eq!(section, "graph.indptr"),
             other => panic!("expected SectionCrc, got {other:?}"),
         }
         assert!(idx.verify_all().is_err());

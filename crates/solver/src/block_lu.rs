@@ -353,66 +353,6 @@ impl FrozenBlockLu {
         self.singletons.len() + self.larger.len() / 2
     }
 
-    /// Builds frozen factors from full `n × n` inverse factors and every
-    /// block's size — the layout index files stored before 1 × 1 blocks
-    /// were compacted — keeping the rows of larger blocks in their form
-    /// (pattern width, codes or plain values) and each 1 × 1 block's
-    /// `U^{-1}` value. Reads every entry, so it checks the row pointers,
-    /// columns and codes it reads first.
-    ///
-    /// # Errors
-    /// [`SparseError::ShapeMismatch`] / [`SparseError::VectorLength`] on
-    /// shapes that do not fit the blocks; [`SparseError::Parse`] naming
-    /// `L1^-1` or `U1^-1` when a pattern or a code is malformed, or when a
-    /// 1 × 1 block's rows are not the unit diagonal of `L^{-1}` and one
-    /// diagonal entry of `U^{-1}`.
-    pub fn from_full_rows(
-        l_full: &CodedCsr,
-        u_full: &CodedCsr,
-        block_sizes: &[usize],
-    ) -> Result<Self> {
-        let n: usize = block_sizes.iter().sum();
-        if l_full.shape() != (n, n) || u_full.shape() != (n, n) {
-            return Err(SparseError::ShapeMismatch {
-                left: l_full.shape(),
-                right: u_full.shape(),
-                op: "FrozenBlockLu::from_full_rows (factors must be n x n)",
-            });
-        }
-        for (m, name) in [(l_full, "L1^-1"), (u_full, "U1^-1")] {
-            m.check_rows()
-                .and_then(|()| m.pattern().check_indptr())
-                .and_then(|()| m.pattern().check_indices(n))
-                .and_then(|()| m.values().check_codes())
-                .map_err(|e| SparseError::Parse(format!("{name}: {e}")))?;
-        }
-        let mut rows = Vec::new();
-        let mut singleton_at = Vec::new();
-        for (start, size) in blocks(block_sizes) {
-            if size > 1 {
-                rows.extend(start..start + size);
-                continue;
-            }
-            let (l, u) = (l_full.entries(start), u_full.entries(start));
-            let unit = l.len() == 1
-                && l_full.pattern().col(l.start) == start
-                && l_full.value(l.start) == 1.0;
-            if !unit || u.len() != 1 || u_full.pattern().col(u.start) != start {
-                return Err(SparseError::Parse(format!(
-                    "L1^-1/U1^-1: the rows of the 1x1 block at row {start} are not the unit \
-                     diagonal and one diagonal value"
-                )));
-            }
-            singleton_at.push(u.start);
-        }
-        Self::from_parts_trusted(
-            l_full.select_rows(&rows),
-            u_full.select_rows(&rows),
-            u_full.entry_values(&singleton_at),
-            larger_blocks(block_sizes)?,
-        )
-    }
-
     /// `lu`'s factors frozen on a value table of their own. An index
     /// codes them beside its other matrices, over the index's one table,
     /// instead.
@@ -1141,32 +1081,6 @@ mod tests {
                 assert!((g - w).abs() < 1e-12, "{sizes:?}: {g} vs {w}");
             }
         }
-    }
-
-    /// Full `n × n` factors — the layout before 1 × 1 blocks were
-    /// compacted — freeze to the same factors in their own form; a 1 × 1
-    /// block whose `L^{-1}` entry is not 1.0 is rejected.
-    #[test]
-    fn compact_full_rows_freeze_like_the_split() {
-        let (a, blocks) = sample();
-        let lu = BlockLu::factor(&a, &blocks).unwrap();
-        let (l, u) = (CodedCsr::encode(&lu.l_inv), CodedCsr::encode(&lu.u_inv));
-        let f = FrozenBlockLu::from_full_rows(&l, &u, &blocks).unwrap();
-        let want = frozen(&lu);
-        assert_eq!((f.l_inv(), f.u_inv()), (want.l_inv(), want.u_inv()));
-        assert_eq!(f.singletons().get(0), want.singletons().get(0));
-        let x = [0.5, -0.0, 2.0, 1.0, -3.0, 0.25];
-        assert_eq!(
-            bits(&f.solve_vec(&x).unwrap()),
-            bits(&lu.solve_vec(&x).unwrap())
-        );
-        let mut bad_l = lu.l_inv.clone();
-        let k = bad_l.indptr()[2]; // row 2 is the 1 × 1 block
-        bad_l.values_mut()[k] = 2.0;
-        let err = FrozenBlockLu::from_full_rows(&CodedCsr::encode(&bad_l), &u, &blocks)
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("1x1 block at row 2"), "{err}");
     }
 
     /// Stored rows must keep inside their own block and triangle.

@@ -130,18 +130,6 @@ impl CodedValues {
             .collect()
     }
 
-    /// The values at positions `ks`, in this form: plain values copied, or
-    /// codes copied over the same table.
-    pub fn select(&self, ks: &[usize]) -> Self {
-        match self {
-            CodedValues::Plain(v) => CodedValues::Plain(gather(v, ks)),
-            CodedValues::Coded { table, codes } => CodedValues::Coded {
-                table: table.clone(),
-                codes: gather(codes, ks),
-            },
-        }
-    }
-
     /// The table and codes of coded values, or `None` for plain ones.
     #[inline]
     pub fn coded_parts(&self) -> Option<(&Storage<f64>, &Storage<u16>)> {
@@ -434,61 +422,6 @@ impl CodedCsr {
             rows,
             pattern: pattern.narrowed(a.ncols()),
             values: per_column(values, a.indices(), a.ncols()),
-        }
-    }
-
-    /// The rows `rows` of this matrix, in that order, with every column,
-    /// every one of them stored: the pattern at this one's width and the
-    /// values in this one's form (codes over the same table, or plain
-    /// values), copied; per-column codes are shared.
-    ///
-    /// # Panics
-    /// If a row is out of range.
-    pub fn select_rows(&self, rows: &[usize]) -> Self {
-        let ks: Vec<usize> = rows.iter().flat_map(|&r| self.entries(r)).collect();
-        let ends = rows.iter().scan(0, |end, &r| {
-            *end += self.entries(r).len();
-            Some(*end)
-        });
-        let pattern = match &self.pattern {
-            Pattern::Wide { indices, .. } => Pattern::Wide {
-                indptr: std::iter::once(0).chain(ends).collect::<Vec<_>>().into(),
-                indices: gather(indices, &ks),
-            },
-            Pattern::Narrow { indices, .. } => Pattern::Narrow {
-                indptr: std::iter::once(0)
-                    .chain(ends.map(|e| e as u32))
-                    .collect::<Vec<_>>()
-                    .into(),
-                indices: gather(indices, &ks),
-            },
-        };
-        Self {
-            nrows: rows.len(),
-            ncols: self.ncols,
-            rows: None,
-            pattern,
-            values: match &self.values {
-                MatrixValues::Entries(values) => MatrixValues::Entries(values.select(&ks)),
-                columns => columns.clone(),
-            },
-        }
-    }
-
-    /// The values of the non-zeros at positions `ks`, one per position:
-    /// plain values or codes over the same table, copied (per-column codes
-    /// are read through each non-zero's column).
-    pub fn entry_values(&self, ks: &[usize]) -> CodedValues {
-        match &self.values {
-            MatrixValues::Entries(values) => values.select(ks),
-            MatrixValues::Columns { table, codes } => CodedValues::Coded {
-                table: table.clone(),
-                codes: ks
-                    .iter()
-                    .map(|&k| codes[self.pattern.col(k)])
-                    .collect::<Vec<_>>()
-                    .into(),
-            },
         }
     }
 
@@ -793,11 +726,6 @@ fn per_column(values: CodedValues, indices: &[u32], ncols: usize) -> MatrixValue
             .collect::<Vec<_>>()
             .into(),
     }
-}
-
-/// `src[k]` for each `k` of `ks`, in that order.
-fn gather<T: bepi_map::Pod>(src: &[T], ks: &[usize]) -> Storage<T> {
-    ks.iter().map(|&k| src[k]).collect::<Vec<_>>().into()
 }
 
 /// [`CodedCsr::mul_vec_into`] on one pattern form: [`spmv_rows`] (or
@@ -1239,43 +1167,19 @@ mod tests {
         }
     }
 
-    /// Rows picked from a matrix keep its pattern width and value form:
-    /// codes over the same table, or plain values. Value arrays coded
-    /// beside matrices share their table.
+    /// Value arrays coded beside each other share one table, and a matrix
+    /// takes coded values as they are.
     #[test]
-    fn compact_select_rows_and_coded_value_arrays() {
+    fn compact_coded_value_arrays_share_one_table() {
         let a = tridiagonal(2.0, -0.5);
-        let coded = CodedCsr::encode(&a);
-        let wide = CodedCsr::from_parts_storage_trusted(
-            3,
-            3,
-            None,
-            Pattern::Wide {
-                indptr: a.indptr().to_vec().into(),
-                indices: a.indices().to_vec().into(),
-            },
-            MatrixValues::Entries(CodedValues::Plain(a.values().to_vec().into())),
-        )
-        .unwrap();
-        for m in [&coded, &wide] {
-            let picked = m.select_rows(&[2, 0]);
-            assert_eq!(picked.shape(), (2, 3));
-            assert_eq!(picked.pattern().is_narrow(), m.pattern().is_narrow());
-            assert_eq!(picked.is_coded(), m.is_coded());
-            let rows: Vec<Vec<(usize, f64)>> =
-                (0..2).map(|r| picked.row_iter(r).collect()).collect();
-            assert_eq!(rows, [vec![(1, -0.5), (2, 2.0)], vec![(0, 2.0)]]);
-            assert!(picked.pattern().check_indptr().is_ok());
-        }
-        assert!(std::ptr::eq(
-            coded.select_rows(&[1]).table().unwrap().as_slice(),
-            coded.table().unwrap().as_slice()
-        ));
         let parts: Vec<Storage<f64>> = vec![a.value_storage(), vec![7.0, 2.0, -0.0].into()];
         let values = CodedValues::encode_all(&parts);
         let (first, second) = (&values[0], &values[1]);
         assert_eq!((first.len(), second.len()), (5, 3));
-        assert!(second.select(&[]).is_empty());
+        assert!(std::ptr::eq(
+            first.coded_parts().unwrap().0.as_slice(),
+            second.coded_parts().unwrap().0.as_slice()
+        ));
         assert_eq!(
             bits(&[second.get(0), second.get(1), second.get(2)]),
             bits(&[7.0, 2.0, -0.0])

@@ -156,8 +156,8 @@ OBS_PID=""
 # plain CSR's. The tests that pin that contract (single and 8-wide SpMV
 # against Csr on -0.0/subnormal/1e±300 values, the per-thread widened
 # table, GMRES on a coded operator, to_csr round trip, deterministic
-# encode, the 65 537-value fallback, plain-S back-compat files on heap and
-# mmap, exact byte accounting, hostile coded sections) all carry "coded"
+# encode, the 65 537-value fallback, plain-S files on heap and mmap,
+# exact byte accounting, hostile coded sections) all carry "coded"
 # in their names and run here in release codegen.
 echo "==> coded-S bit-identity"
 cargo test --offline --release -q -p bepi-sparse -p bepi-solver -p bepi-core -- coded
@@ -168,8 +168,8 @@ cargo test --offline --release -q -p bepi-sparse -p bepi-solver -p bepi-core -- 
 # The tests that pin that contract (single and 8-wide SpMV on both pattern
 # widths with plain and coded values, to_csr/row_iter round trips, the
 # 65 536/65 537-column selection, ILU(0) factors on a narrow S, a numeric
-# rebuild's narrow S, wide-pattern back-compat files on heap and mmap,
-# exact byte accounting, crafted patterns failing the heap load) all carry
+# rebuild's narrow S, wide-pattern files (an S past 2^16 columns) on heap
+# and mmap, exact byte accounting, crafted patterns failing the heap load) all carry
 # "narrow" in their names and run here in release codegen.
 echo "==> narrow-S bit-identity"
 cargo test --offline --release -q -p bepi-sparse -p bepi-solver -p bepi-core -p bepi-incr -- narrow
@@ -179,22 +179,24 @@ cargo test --offline --release -q -p bepi-sparse -p bepi-solver -p bepi-core -p 
 # index. The tests that pin that contract (single and 8-wide SpMV on
 # H-shaped blocks coded over a shared table, the shared encoder's
 # overflow rollback, frozen H11 factors solving like the builder's, one
-# table across preprocess/numeric rebuild/heap/mmap, the memory report counting
-# the table once against the file's sections, files in every earlier
-# layout on heap and mmap with byte-identical re-save, hostile matrix
-# sections, the section-name layout) carry "compact" in their names, as
-# do the tests of the per-node layout: no factor rows for 1 x 1 H11
-# blocks (the frozen solve against a dense H11^-1 and the builder, on
-# fresh/rebuilt/heap/mmap indexes; full-row-layout files; hostile
-# 1 x 1 sections; the exact-cold counts), and of the forms that store what
-# a matrix carries (per-column codes and stored rows in every kernel against
-# Csr, the larger-H11-block list, their hostile sections, files in the
-# layout before them). The heap loader's permutation,
-# ILU(0) diagonal, row-order and block checks and the one-map permutation
-# scatter ride along. All run here in release codegen.
+# table across preprocess/numeric rebuild/heap/mmap with byte-identical
+# re-save and rebuild from either load, the memory report counting the
+# table once against the file's sections, hostile matrix sections, the
+# section-name layout) carry "compact" in their names, as do the tests of
+# the per-node layout: no factor rows for 1 x 1 H11 blocks (the frozen
+# solve against a dense H11^-1 and the builder, on fresh/rebuilt/heap/mmap
+# indexes; hostile 1 x 1 sections; the exact-cold counts), and of the
+# forms that store what a matrix carries (per-column codes and stored rows
+# in every kernel against Csr, the larger-H11-block list, their hostile
+# sections). The loader reads only the layout the writer writes: the
+# "old_formats" test fails v1-v5 files and v6 files from before the
+# larger-H11-block list (block sizes, two permutation maps, f64 ILU(0)
+# factors) on heap and mmap with the one rebuild error. The heap loader's
+# permutation, ILU(0) diagonal, row-order and block checks and the one-map
+# permutation scatter ride along. All run here in release codegen.
 echo "==> compact-index bit-identity"
 cargo test --offline --release -q -p bepi-sparse -p bepi-solver -p bepi-core -p bepi-incr -p bepi-map \
-  -- compact heap_load_rejects_crafted heap_load_rejects_unsorted check_diag_pos \
+  -- compact old_formats heap_load_rejects_crafted heap_load_rejects_unsorted check_diag_pos \
   permute_vec_scatter trusted_map_skips
 
 # Memory-mapped serving gate: preprocess once, boot one daemon that

@@ -43,15 +43,15 @@ fn roundtrip_on_dataset_scale_instance() {
     let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
     let buf = to_bytes(&original);
     // The file is the logical arrays and container overhead, nothing
-    // else: the header, META and the H11 block sizes (which the logical
-    // count leaves out), at most one alignment's padding and one table
-    // entry per section, and the footer. An array written twice (say a
-    // second copy of S's pattern) breaks the bound.
+    // else: the header, META (the one section the logical count leaves
+    // out; no graph is embedded), at most one alignment's padding and one
+    // table entry per section, and the footer. An array written twice
+    // (say a second copy of S's pattern) breaks the bound.
     use bepi_map::{sections, ALIGN, FOOTER_LEN, HEADER_LEN, TABLE_ENTRY_LEN};
     let table = bepi_map::parse_layout(&buf).unwrap();
     let uncounted: u64 = table
         .iter()
-        .filter(|e| e.id == sections::META || e.id == sections::BLOCK_SIZES)
+        .filter(|e| e.id == sections::META)
         .map(|e| e.len)
         .sum();
     let logical = original.preprocessed_bytes() as u64;
