@@ -14,15 +14,11 @@ use bepi_sparse::io::read_edge_list_file;
 use bepi_sparse::mem::format_bytes;
 use std::process::ExitCode;
 
-/// How `bepi query` computes its scores: the exact BePI solve or an
-/// approximate estimator.
+/// How `bepi query` computes its scores: the exact BePI solve or TPA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum QueryMethod {
     /// Exact: BePI preprocessing + Schur/GMRES solve (default).
     Bepi,
-    /// Forward push (`bepi_core::approx::forward_push`), the classic
-    /// local-push estimator.
-    Push,
     /// Truncated cumulative power iteration (`bepi_walk::tpa_scores`),
     /// the engine behind the daemon's approximate lane.
     Tpa,
@@ -40,7 +36,6 @@ struct Options {
     mmap: bool,
     method: QueryMethod,
     terms: usize,
-    epsilon: f64,
 }
 
 impl Default for Options {
@@ -57,7 +52,6 @@ impl Default for Options {
             mmap: false,
             method: QueryMethod::Bepi,
             terms: bepi_walk::ApproxConfig::default().max_terms,
-            epsilon: 1e-6,
         }
     }
 }
@@ -103,12 +97,10 @@ common flags:
                    and full, 0.001 for --variant basic)
   --variant V      sparse | full | basic (default sparse)
   --top K          ranking rows to print (default 10)
-  --method M       query: scoring engine — bepi (exact, default), push
-                   (forward push), tpa (truncated cumulative power
-                   iteration, the deterministic approximate engine the
-                   daemon's degraded lane serves)
+  --method M       query: scoring engine — bepi (exact, default) or tpa
+                   (truncated cumulative power iteration, the deterministic
+                   approximate engine the daemon's degraded lane serves)
   --terms N        query --method tpa: max series terms (default 4)
-  --epsilon E      query --method push: push tolerance (default 1e-6)
   --max-size N     community: cap the sweep-cut size
   --labels         treat node ids as arbitrary strings instead of 0-indexed
                    integers. Only for commands that read an edge list;
@@ -311,23 +303,14 @@ fn parse_opts(mut rest: &[String]) -> Result<Options, String> {
             "--method" => {
                 o.method = match value.as_str() {
                     "bepi" => QueryMethod::Bepi,
-                    "push" => QueryMethod::Push,
                     "tpa" => QueryMethod::Tpa,
-                    m => return Err(format!("bad --method: {m} (try bepi|push|tpa)")),
+                    m => return Err(format!("bad --method: {m} (try bepi|tpa)")),
                 }
             }
             "--terms" => {
                 o.terms = value.parse().map_err(|_| format!("bad --terms: {value}"))?;
                 if o.terms == 0 {
                     return Err("--terms must be at least 1".into());
-                }
-            }
-            "--epsilon" => {
-                o.epsilon = value
-                    .parse()
-                    .map_err(|_| format!("bad --epsilon: {value}"))?;
-                if o.epsilon <= 0.0 || o.epsilon.is_nan() {
-                    return Err("--epsilon must be positive".into());
                 }
             }
             "--variant" => {
@@ -419,17 +402,6 @@ fn cmd_query(path: &str, seed_s: &str, o: &Options) -> Result<(), String> {
             let solver = preprocess(&loaded.graph, o)?;
             let r = solver.query(seed).map_err(|e| e.to_string())?;
             (o.variant.name().to_string(), r)
-        }
-        QueryMethod::Push => {
-            let out = bepi_core::approx::forward_push(&loaded.graph, o.c, seed, o.epsilon)
-                .map_err(|e| e.to_string())?;
-            (
-                format!(
-                    "forward-push (epsilon {:e}, {} pushes, {} touched)",
-                    o.epsilon, out.pushes, out.touched
-                ),
-                out.scores,
-            )
         }
         QueryMethod::Tpa => {
             let engine = bepi_walk::ApproxEngine::new(

@@ -119,11 +119,11 @@ fn help_documents_every_query_method_and_serving_mode() {
         .output()
         .expect("run bepi help");
     let help = String::from_utf8(out.stdout).expect("utf8 help text");
-    // `--method` must be documented with all three engines, and the
+    // `--method` must be documented with both engines, and the
     // daemon's mode parameter with all three values — these are the
     // user-facing names of the approximate-serving surface.
     assert!(help.contains("--method"), "missing --method");
-    for method in ["bepi", "push", "tpa"] {
+    for method in ["bepi", "tpa"] {
         assert!(
             help.contains(method),
             "query method `{method}` missing from help output"
@@ -135,12 +135,19 @@ fn help_documents_every_query_method_and_serving_mode() {
     );
     assert!(help.contains("--pressure"), "missing --pressure");
 
-    // The converse for the removed random-walk engine and its knobs: TPA
-    // is the one approximate estimator, so there is nothing to choose
-    // between and no RNG replicate to select.
-    let stderr = rejected(&["query", "g.txt", "0", "--method", "walk"]);
+    // The converse for the removed estimators and their knobs: TPA is the
+    // one approximate estimator, so there is nothing to choose between,
+    // no RNG replicate to select and no push tolerance to set.
+    for method in ["walk", "push"] {
+        let stderr = rejected(&["query", "g.txt", "0", "--method", method]);
+        assert!(
+            stderr.contains("bad --method"),
+            "unexpected stderr: {stderr}"
+        );
+    }
+    let stderr = rejected(&["query", "g.txt", "0", "--epsilon", "1e-6"]);
     assert!(
-        stderr.contains("bad --method"),
+        stderr.contains("unknown flag: --epsilon"),
         "unexpected stderr: {stderr}"
     );
     for flag in ["--approx-engine", "--walks", "--epoch"] {

@@ -42,15 +42,6 @@ impl Theorem4Bound {
     pub fn error_bound(&self, q2_hat_norm: f64, eps: f64) -> f64 {
         self.prefactor * q2_hat_norm / self.sigma_min_s * eps
     }
-
-    /// The largest ε guaranteeing a target accuracy ε_T (the inequality at
-    /// the end of Section 3.6.3).
-    pub fn tolerance_for_target(&self, q2_hat_norm: f64, target: f64) -> f64 {
-        if q2_hat_norm == 0.0 {
-            return target;
-        }
-        target * self.sigma_min_s / (self.prefactor * q2_hat_norm)
-    }
 }
 
 /// Estimates the Theorem 4 constants for a preprocessed BePI instance.
@@ -179,23 +170,6 @@ mod tests {
                 "seed {seed}: empirical {err} exceeds bound {theoretical}"
             );
         }
-    }
-
-    #[test]
-    fn tolerance_inversion_roundtrip() {
-        let b = Theorem4Bound {
-            h12_norm: 1.0,
-            h31_norm: 0.5,
-            h32_norm: 0.5,
-            sigma_min_h11: 0.9,
-            sigma_min_s: 0.1,
-            alpha: 1.0 / 0.9,
-            prefactor: 2.0,
-        };
-        let target = 1e-6;
-        let eps = b.tolerance_for_target(0.7, target);
-        let achieved = b.error_bound(0.7, eps);
-        assert!((achieved - target).abs() < 1e-18);
     }
 
     #[test]

@@ -157,7 +157,8 @@ pub struct PhaseTiming {
 /// Statistics recorded during preprocessing (Algorithm 1 / 3).
 #[derive(Debug, Clone)]
 pub struct PreprocessStats {
-    /// Wall-clock preprocessing time.
+    /// Wall-clock preprocessing time; zero on an index loaded from a file,
+    /// which stores no wall times.
     pub elapsed: Duration,
     /// Spoke count `n1`.
     pub n1: usize,
@@ -173,7 +174,8 @@ pub struct PreprocessStats {
     pub s_nnz: usize,
     /// Non-zeros of the inverted block factors `|L1^{-1}| + |U1^{-1}|`.
     pub h11_inv_nnz: usize,
-    /// Per-phase wall-time breakdown, in pipeline order.
+    /// Per-phase wall-time breakdown, in pipeline order; empty on an
+    /// index loaded from a file.
     pub phases: Vec<PhaseTiming>,
 }
 
@@ -209,8 +211,6 @@ pub(crate) struct RawParts {
     pub h31: CodedCsr,
     pub h32: CodedCsr,
     pub slashburn_iterations: usize,
-    pub elapsed: Duration,
-    pub phases: Vec<PhaseTiming>,
 }
 
 /// A preprocessed BePI instance, ready to answer RWR queries
@@ -439,11 +439,6 @@ impl BePi {
         &self.perm
     }
 
-    /// Solves `H11^{-1} x` through the inverted block factors.
-    pub fn solve_h11(&self, x: &[f64]) -> Result<Vec<f64>> {
-        self.h11_lu.solve_vec(x)
-    }
-
     /// The inverted block factors of `H11`, as stored.
     pub fn h11_factors(&self) -> &FrozenBlockLu {
         &self.h11_lu
@@ -505,8 +500,6 @@ impl BePi {
             h31,
             h32,
             slashburn_iterations,
-            elapsed,
-            phases,
         } = parts;
         let ilu = match (config.variant, ilu) {
             (BePiVariant::Full, Some(ilu)) => Some(ilu),
@@ -522,7 +515,7 @@ impl BePi {
         // The factors read `S`'s pattern; they never hold a copy of it.
         debug_assert!(ilu.as_ref().map_or(true, |m| m.shares_pattern(s.pattern())));
         let stats = PreprocessStats {
-            elapsed,
+            elapsed: Duration::ZERO,
             n1,
             n2,
             n3,
@@ -530,7 +523,7 @@ impl BePi {
             num_blocks: h11_lu.num_blocks(),
             s_nnz: s.nnz(),
             h11_inv_nnz: h11_lu.inverse_nnz(),
-            phases,
+            phases: Vec::new(),
         };
         Ok(Self {
             config,

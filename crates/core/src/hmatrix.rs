@@ -121,21 +121,6 @@ impl HPartition {
     pub fn n(&self) -> usize {
         self.n1 + self.n2 + self.n3
     }
-
-    /// Splits a reordered full-length vector into `(v1, v2, v3)`.
-    pub fn split_vec<'a>(&self, v: &'a [f64]) -> (&'a [f64], &'a [f64], &'a [f64]) {
-        let l = self.n1 + self.n2;
-        (&v[..self.n1], &v[self.n1..l], &v[l..])
-    }
-
-    /// Concatenates partitioned vectors back into a full-length vector.
-    pub fn concat_vec(&self, r1: &[f64], r2: &[f64], r3: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.n());
-        out.extend_from_slice(r1);
-        out.extend_from_slice(r2);
-        out.extend_from_slice(r3);
-        out
-    }
 }
 
 impl MemBytes for HPartition {
@@ -237,18 +222,6 @@ mod tests {
             &p.block_sizes
         ));
         assert!(p.h11.is_column_diagonally_dominant());
-    }
-
-    #[test]
-    fn split_and_concat_roundtrip() {
-        let g = generators::rmat(7, 300, generators::RmatParams::default(), 1).unwrap();
-        let p = HPartition::build(&g, 0.1, 0.3).unwrap();
-        let v: Vec<f64> = (0..p.n()).map(|i| i as f64).collect();
-        let (v1, v2, v3) = p.split_vec(&v);
-        assert_eq!(v1.len(), p.n1);
-        assert_eq!(v2.len(), p.n2);
-        assert_eq!(v3.len(), p.n3);
-        assert_eq!(p.concat_vec(v1, v2, v3), v);
     }
 
     #[test]

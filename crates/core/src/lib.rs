@@ -47,7 +47,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod accuracy;
-pub mod approx;
 pub mod batch;
 pub mod bear;
 pub mod bepi;
@@ -57,7 +56,6 @@ pub mod exact;
 pub mod hmatrix;
 pub mod iterative;
 pub mod lu_method;
-pub mod metrics;
 pub mod persist;
 pub mod rwr;
 pub mod schur;

@@ -24,7 +24,7 @@
 //! the `h11.larger_blocks` section with an error naming that section:
 //! rebuild either from the edge list with `bepi preprocess`.
 
-use crate::bepi::{BePi, BePiConfig, PhaseTiming, RawParts};
+use crate::bepi::{BePi, BePiConfig, RawParts};
 use crate::rwr::RwrSolver;
 use bepi_graph::Graph;
 use bepi_map::{sections as sec, ContainerWriter, MapError, MappedIndex, SectionEntry};
@@ -35,7 +35,6 @@ use bepi_sparse::{
 };
 use std::io::{BufWriter, Read, Write};
 use std::path::Path;
-use std::time::Duration;
 
 /// The index format version every save writes and every load accepts.
 pub const VERSION_MAPPED: u32 = bepi_map::VERSION;
@@ -220,22 +219,16 @@ pub fn save_v6<W: Write>(bepi: &BePi, graph: Option<&Graph>, writer: W) -> Resul
     let mut cw = ContainerWriter::new(BufWriter::new(writer))?;
     let stats = bepi.stats();
 
-    // META: config + partition sizes + run statistics as little-endian
-    // scalars. Small, so the mapped loader verifies its CRC eagerly.
+    // META: config + partition sizes + SlashBurn's iteration count as
+    // little-endian scalars. Small, so the mapped loader verifies its CRC
+    // eagerly. No wall time is stored, so two preprocesses of one graph
+    // write identical files.
     cw.begin_section(sec::META)?;
     write_config(&mut cw, bepi.config())?;
     write_u64(&mut cw, stats.n1 as u64)?;
     write_u64(&mut cw, stats.n2 as u64)?;
     write_u64(&mut cw, stats.n3 as u64)?;
     write_u64(&mut cw, stats.slashburn_iterations as u64)?;
-    write_f64(&mut cw, stats.elapsed.as_secs_f64())?;
-    write_u64(&mut cw, stats.phases.len() as u64)?;
-    for phase in &stats.phases {
-        let name = phase.name.as_bytes();
-        write_u64(&mut cw, name.len() as u64)?;
-        cw.write_all(name)?;
-        write_f64(&mut cw, phase.seconds)?;
-    }
 
     // One direction: the query permutes by scattering through the forward
     // map and unpermutes by gathering through it.
@@ -483,28 +476,6 @@ impl SectionSource for MappedSource<'_> {
     fn f64s(&self, id: u32) -> Result<Storage<f64>> {
         Ok(self.idx.section::<f64>(id).map_err(from_map_err)?.into())
     }
-}
-
-/// Parses the phase-timing block of the META section.
-fn read_phases<R: Read>(r: &mut R) -> Result<(Duration, Vec<PhaseTiming>)> {
-    let elapsed = Duration::from_secs_f64(read_f64(r)?.max(0.0));
-    let count = read_u64(r)? as usize;
-    let mut phases = Vec::with_capacity(count.min(64));
-    for _ in 0..count {
-        let len = read_u64(r)? as usize;
-        if len > 256 {
-            return Err(SparseError::Parse(format!(
-                "phase name length {len} exceeds limit"
-            )));
-        }
-        let mut name = vec![0u8; len];
-        r.read_exact(&mut name)?;
-        let name = String::from_utf8(name)
-            .map_err(|_| SparseError::Parse("phase name is not UTF-8".into()))?;
-        let seconds = read_f64(r)?;
-        phases.push(PhaseTiming { name, seconds });
-    }
-    Ok((elapsed, phases))
 }
 
 /// Checks a decoded pattern whose row pointers and column indices came
@@ -777,7 +748,16 @@ fn decode_v6<S: SectionSource>(src: &S) -> Result<(BePi, Option<Graph>)> {
     let n2 = read_u64(&mut r)? as usize;
     let n3 = read_u64(&mut r)? as usize;
     let slashburn_iterations = read_u64(&mut r)? as usize;
-    let (elapsed, phases) = read_phases(&mut r)?;
+    if !r.is_empty() {
+        // The preprocess timings earlier files stored after the counts.
+        return Err(SparseError::Parse(format!(
+            "v6 index: section {} carries {} bytes past its last field, so it is in an \
+             earlier layout, which is not supported: re-run `bepi preprocess` on the edge \
+             list to rebuild it",
+            sec::name(sec::META),
+            r.len()
+        )));
+    }
     let n = n1
         .checked_add(n2)
         .and_then(|n| n.checked_add(n3))
@@ -863,8 +843,6 @@ fn decode_v6<S: SectionSource>(src: &S) -> Result<(BePi, Option<Graph>)> {
         h31,
         h32,
         slashburn_iterations,
-        elapsed,
-        phases,
     })?;
     Ok((bepi, graph))
 }
@@ -1267,31 +1245,27 @@ mod tests {
         assert!(save_v6(&original, Some(&other), &mut buf).is_err());
     }
 
+    /// An index file is a function of the graph and the config: two
+    /// preprocesses of one graph write the same bytes, for every variant,
+    /// with and without the embedded graph. A fresh instance keeps its
+    /// phase timings for the CLI tables; a loaded one has none.
     #[test]
-    fn phase_timings_survive_save_load_round_trip() {
-        let g = generators::cycle(10);
-        let original = BePi::preprocess(&g, &BePiConfig::default()).unwrap();
-        assert_eq!(original.stats().phases.len(), 6);
-        let restored = load(&to_bytes(&original, None)[..]).unwrap();
-        assert_eq!(restored.stats().phases, original.stats().phases);
-        assert_eq!(restored.stats().elapsed, original.stats().elapsed);
-        let names: Vec<&str> = restored
-            .stats()
-            .phases
-            .iter()
-            .map(|p| p.name.as_str())
-            .collect();
-        assert_eq!(
-            names,
-            [
-                "deadend",
-                "slashburn",
-                "assemble",
-                "block_lu",
-                "schur",
-                "precond"
-            ]
-        );
+    fn two_preprocesses_of_one_graph_save_identical_bytes() {
+        let g = generators::rmat(8, 1200, generators::RmatParams::default(), 29).unwrap();
+        for variant in [BePiVariant::Sparse, BePiVariant::Full, BePiVariant::Basic] {
+            let config = BePiConfig::for_variant(variant);
+            let first = BePi::preprocess(&g, &config).unwrap();
+            let second = BePi::preprocess(&g, &config).unwrap();
+            assert_eq!(first.stats().phases.len(), 6);
+            for graph in [None, Some(&g)] {
+                let bytes = to_bytes(&first, graph);
+                assert!(bytes == to_bytes(&second, graph), "{variant:?}");
+                let restored = load(&bytes[..]).unwrap();
+                assert!(restored.stats().phases.is_empty());
+                assert_eq!(restored.stats().elapsed, std::time::Duration::ZERO);
+                assert!(to_bytes(&restored, graph) == bytes, "{variant:?} re-save");
+            }
+        }
     }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
@@ -1307,7 +1281,6 @@ mod tests {
         let (restored, graph) = load_with_graph(&buf[..]).unwrap();
         assert_eq!(graph.unwrap().adjacency(), g.adjacency());
         assert_eq!(restored.schur(), original.schur());
-        assert_eq!(restored.stats().phases, original.stats().phases);
         assert_eq!(restored.preprocessed_bytes(), original.preprocessed_bytes());
         for seed in [0usize, 31, 100] {
             let a = original.query(seed).unwrap();
@@ -1509,6 +1482,24 @@ mod tests {
                     "{layout}: {err}"
                 );
             }
+        }
+        // So does a META that carries the preprocess timings earlier files
+        // stored after its last field (elapsed, then a phase count of 0).
+        let timed = rewrite_sections(&buf, |cw, id, payload| {
+            if id == sec::META {
+                let tail = [1.5f64.to_le_bytes(), 0u64.to_le_bytes()].concat();
+                cw.section_bytes(id, &[payload, &tail[..]].concat())
+                    .unwrap()
+            } else {
+                cw.section_bytes(id, payload).unwrap()
+            }
+        });
+        for err in load_errors(&timed, "timed_meta") {
+            assert!(
+                err.contains("section meta carries 16 bytes past its last field")
+                    && err.contains("re-run `bepi preprocess`"),
+                "{err}"
+            );
         }
         // In the current layout, a file without 1 x 1 block values, and a
         // full-variant file without its f32 factors, fail both loads too.

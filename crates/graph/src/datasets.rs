@@ -69,21 +69,6 @@ impl DatasetSpec {
             base
         }
     }
-
-    /// Nominal node count (before any isolated-node effects).
-    pub fn nominal_n(&self) -> usize {
-        match self.kind {
-            GraphKind::Rmat { scale, .. } => 1usize << scale,
-            GraphKind::ErdosRenyi { n, .. } => n,
-        }
-    }
-
-    /// Nominal edge count requested from the generator.
-    pub fn nominal_m(&self) -> usize {
-        match self.kind {
-            GraphKind::Rmat { m, .. } | GraphKind::ErdosRenyi { m, .. } => m,
-        }
-    }
 }
 
 /// The main evaluation suite — one entry per Table 2 dataset.
@@ -315,7 +300,9 @@ mod tests {
     fn sizes_are_monotonically_increasing() {
         let ms: Vec<usize> = Dataset::all()
             .iter()
-            .map(|d| d.spec().nominal_m())
+            .map(|d| match d.spec().kind {
+                GraphKind::Rmat { m, .. } | GraphKind::ErdosRenyi { m, .. } => m,
+            })
             .collect();
         for w in ms.windows(2) {
             assert!(w[0] < w[1], "suite sizes must increase: {ms:?}");
@@ -356,8 +343,8 @@ mod tests {
     #[test]
     fn appendix_suite_is_small_enough_for_bear() {
         for spec in appendix_suite() {
-            assert!(spec.nominal_n() <= 10_000, "{} too big", spec.name);
             let g = spec.generate();
+            assert!(g.n() <= 10_000, "{} too big", spec.name);
             assert!(g.n() >= 1_000);
         }
     }

@@ -67,11 +67,6 @@ impl Graph {
         &self.adj
     }
 
-    /// Consumes the graph and returns the adjacency matrix.
-    pub fn into_adjacency(self) -> Csr {
-        self.adj
-    }
-
     /// Out-neighbors of `u` (column indices of row `u`).
     pub fn out_neighbors(&self, u: usize) -> impl Iterator<Item = usize> + '_ {
         self.adj.row_iter(u).map(|(v, _)| v)

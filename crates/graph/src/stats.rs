@@ -112,17 +112,6 @@ pub fn weakly_connected_components(g: &Graph) -> (Vec<usize>, Vec<usize>) {
     (ids, sizes)
 }
 
-/// Degree histogram: `hist[d] = number of nodes with total degree d`.
-pub fn degree_histogram(g: &Graph) -> Vec<usize> {
-    let degs = g.total_degrees();
-    let max = degs.iter().copied().max().unwrap_or(0);
-    let mut hist = vec![0usize; max + 1];
-    for d in degs {
-        hist[d] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,14 +163,5 @@ mod tests {
         assert_eq!(power_law_alpha(&[], 1), None);
         // All-equal degrees: log_sum = 0.
         assert_eq!(power_law_alpha(&[1; 20], 1), None);
-    }
-
-    #[test]
-    fn degree_histogram_sums_to_n() {
-        let g = generators::star(7);
-        let h = degree_histogram(&g);
-        assert_eq!(h.iter().sum::<usize>(), 7);
-        assert_eq!(h[12], 1); // hub: 6 out + 6 in
-        assert_eq!(h[2], 6); // leaves: 1 out + 1 in
     }
 }

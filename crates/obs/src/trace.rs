@@ -77,11 +77,6 @@ impl RequestId {
             lo: u64::from_str_radix(&s[16..], 16).ok()?,
         })
     }
-
-    /// True for the all-zero id, used as "absent" in packed ring records.
-    pub fn is_zero(self) -> bool {
-        self.hi == 0 && self.lo == 0
-    }
 }
 
 /// SplitMix64 finalizer: full-avalanche diffusion of one word.
@@ -242,7 +237,7 @@ mod tests {
         let a = RequestId::mint();
         let b = RequestId::mint();
         assert_ne!(a, b, "two mints must differ");
-        assert!(!a.is_zero());
+        assert!(a.hi != 0 || a.lo != 0, "a minted id is never all zero");
         let hex = a.to_hex();
         assert_eq!(hex.len(), 32);
         assert!(hex.bytes().all(|c| c.is_ascii_hexdigit()));
@@ -256,7 +251,7 @@ mod tests {
         assert_eq!(RequestId::parse(&"g".repeat(32)), None);
         assert_eq!(RequestId::parse(&"0".repeat(33)), None);
         let zero = RequestId::parse(&"0".repeat(32)).unwrap();
-        assert!(zero.is_zero());
+        assert_eq!((zero.hi, zero.lo), (0, 0));
     }
 
     #[test]

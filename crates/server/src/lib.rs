@@ -75,6 +75,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Entries retained by the slow-query log ring (`GET /debug/slow`).
+const SLOW_LOG_ENTRIES: usize = 64;
+
+/// Entries retained by the traced-request ring (`GET /debug/trace`).
+const TRACE_ENTRIES: usize = 64;
+
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -94,8 +100,6 @@ pub struct ServerConfig {
     /// slow-query log (`GET /debug/slow`). `Duration::ZERO` records every
     /// query.
     pub slow_query: Duration,
-    /// Entries retained by the slow-query log ring.
-    pub slow_log_entries: usize,
     /// Fraction of `queue_depth` at which `mode=auto` queries start
     /// routing to the approximate lane (graceful degradation kicks in
     /// *before* the queue is full and connections start overflowing).
@@ -103,8 +107,6 @@ pub struct ServerConfig {
     /// hook for tests and drills; values ≥ 1.0 degrade only via the
     /// overflow lane.
     pub pressure: f64,
-    /// Entries retained by the traced-request ring (`GET /debug/trace`).
-    pub trace_entries: usize,
     /// When set, every `?trace=1` query is appended to this file as
     /// Chrome trace-event JSON (load it in `chrome://tracing` or
     /// Perfetto). `None` (the default) disables the export; untraced
@@ -121,9 +123,7 @@ impl Default for ServerConfig {
             queue_depth: 128,
             timeout: Duration::from_secs(10),
             slow_query: Duration::from_millis(100),
-            slow_log_entries: 64,
             pressure: 0.75,
-            trace_entries: 64,
             trace_export: None,
         }
     }
@@ -169,16 +169,6 @@ impl Server {
         Self::start_live(LiveEngine::frozen(bepi), config)
     }
 
-    /// Like [`Server::start`] but over an already-bound listener (used by
-    /// tests that need to know the port before starting).
-    pub fn start_on(
-        bepi: Arc<BePi>,
-        listener: TcpListener,
-        config: &ServerConfig,
-    ) -> std::io::Result<ServerHandle> {
-        Self::start_live_on(LiveEngine::frozen(bepi), listener, config)
-    }
-
     /// Binds `config.listen` and serves the given live engine: `/query`
     /// answers from its current snapshot, `POST /edges` / `POST /rebuild`
     /// feed its WAL and background rebuild worker.
@@ -187,15 +177,6 @@ impl Server {
         config: &ServerConfig,
     ) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.listen)?;
-        Self::start_live_on(engine, listener, config)
-    }
-
-    /// Like [`Server::start_live`] but over an already-bound listener.
-    pub fn start_live_on(
-        engine: Arc<LiveEngine>,
-        listener: TcpListener,
-        config: &ServerConfig,
-    ) -> std::io::Result<ServerHandle> {
         let addr = listener.local_addr()?;
         let threads = config.effective_threads();
         let metrics = Arc::new(Metrics::default());
@@ -210,8 +191,8 @@ impl Server {
         // worker, which answers only approximate-eligible `/query`s.
         let (degraded_tx, degraded_rx) = bounded::<Job>(config.queue_depth.max(1));
 
-        let slow_log = QueryLog::new(config.slow_log_entries, config.slow_query);
-        let trace_log = QueryLog::new(config.trace_entries, Duration::ZERO);
+        let slow_log = QueryLog::new(SLOW_LOG_ENTRIES, config.slow_query);
+        let trace_log = QueryLog::new(TRACE_ENTRIES, Duration::ZERO);
         let exporter = match &config.trace_export {
             Some(path) => {
                 let exporter = TraceExporter::create(path, "bepi-server")?;

@@ -87,11 +87,6 @@ impl BlockLu {
         bepi_sparse::spgemm(&self.u_inv, &t)
     }
 
-    /// Largest block size (diagnostics; the final-GCC block dominates).
-    pub fn max_block(&self) -> usize {
-        self.block_sizes.iter().copied().max().unwrap_or(0)
-    }
-
     /// The factors split the way [`FrozenBlockLu`] stores them: the rows
     /// of `L^{-1}` and `U^{-1}` that belong to blocks of more than one
     /// node, in block order with global columns, and the one `U^{-1}`

@@ -21,8 +21,8 @@
 //! * [`power`] — power iteration for RWR (Section 2.2).
 //! * [`arnoldi`] / [`eig`] — Arnoldi process and Hessenberg-QR eigensolver
 //!   for the Ritz-value experiment of Figure 7.
-//! * [`norm_est`] — power-method estimates of `‖A‖₂` and `σ_min`, plus a
-//!   Hager 1-norm condition estimator (Theorem 4's accuracy bound).
+//! * [`norm_est`] — power-method estimates of `‖A‖₂` and `σ_min`
+//!   (Theorem 4's accuracy bound).
 //!
 //! ```
 //! use bepi_solver::{gmres, GmresConfig, Ilu0, Preconditioner};

@@ -127,115 +127,11 @@ where
     }
 }
 
-/// Estimates `‖A^{-1}‖₁` by Hager's algorithm (the LAPACK `xLACON`
-/// approach): a few solves with `A` and `A^T` against sign vectors.
-///
-/// Combined with the exact `‖A‖₁` this gives the 1-norm condition
-/// estimate `κ₁(A) ≈ ‖A‖₁ ‖A^{-1}‖₁` — a cheap conditioning diagnostic
-/// for the Schur complement.
-pub fn inv_norm1_est<FS, FT>(n: usize, mut solve: FS, mut solve_t: FT, max_iters: usize) -> f64
-where
-    FS: FnMut(&[f64]) -> Vec<f64>,
-    FT: FnMut(&[f64]) -> Vec<f64>,
-{
-    if n == 0 {
-        return 0.0;
-    }
-    let mut x = vec![1.0 / n as f64; n];
-    let mut best = 0.0f64;
-    for _ in 0..max_iters.max(1) {
-        // y = A^{-1} x; estimate = ‖y‖₁.
-        let y = solve(&x);
-        let est: f64 = y.iter().map(|v| v.abs()).sum();
-        best = best.max(est);
-        // z = A^{-T} sign(y); next x = e_j with j = argmax |z_j|.
-        let sign: Vec<f64> = y
-            .iter()
-            .map(|&v| if v >= 0.0 { 1.0 } else { -1.0 })
-            .collect();
-        let z = solve_t(&sign);
-        let (j, zmax) = z
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (i, v.abs()))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-            .unwrap_or((0, 0.0));
-        // Convergence: the gradient bound says we're done when
-        // ‖z‖∞ ≤ zᵀx (Hager's stopping rule, simplified).
-        let zx: f64 = z.iter().zip(&x).map(|(a, b)| a * b).sum();
-        if zmax <= zx.abs() {
-            break;
-        }
-        x = vec![0.0; n];
-        x[j] = 1.0;
-    }
-    best
-}
-
-/// 1-norm condition estimate `κ₁(A) ≈ ‖A‖₁ · est(‖A^{-1}‖₁)`.
-pub fn condest_1<FS, FT>(a: &Csr, solve: FS, solve_t: FT) -> f64
-where
-    FS: FnMut(&[f64]) -> Vec<f64>,
-    FT: FnMut(&[f64]) -> Vec<f64>,
-{
-    bepi_sparse::norms::norm1(a) * inv_norm1_est(a.nrows(), solve, solve_t, 5)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dense_lu::DenseLu;
     use bepi_sparse::{Coo, Dense};
-
-    #[test]
-    fn condest_of_identity_is_one() {
-        let a = bepi_sparse::Csr::identity(6);
-        let est = condest_1(&a, |b| b.to_vec(), |b| b.to_vec());
-        assert!((est - 1.0).abs() < 1e-12, "{est}");
-    }
-
-    #[test]
-    fn condest_of_diagonal_matrix() {
-        // diag(10, 1, 0.1): kappa_1 = 100.
-        let mut coo = Coo::new(3, 3).unwrap();
-        for (i, d) in [10.0, 1.0, 0.1f64].iter().enumerate() {
-            coo.push(i, i, *d).unwrap();
-        }
-        let a = coo.to_csr();
-        let solve = |b: &[f64]| vec![b[0] / 10.0, b[1], b[2] / 0.1];
-        let est = condest_1(&a, solve, solve);
-        assert!((est - 100.0).abs() < 1e-9, "{est}");
-    }
-
-    #[test]
-    fn condest_lower_bounds_true_condition() {
-        // Hager's estimate never exceeds the true kappa_1 and is usually
-        // within a small factor; verify against a dense reference.
-        let n = 12;
-        let mut coo = Coo::new(n, n).unwrap();
-        for i in 0..n {
-            coo.push(i, i, 2.0 + (i % 4) as f64).unwrap();
-            coo.push(i, (i + 1) % n, -0.9).unwrap();
-            coo.push(i, (i + 5) % n, 0.4).unwrap();
-        }
-        let a = coo.to_csr();
-        let d = a.to_dense();
-        let lu = DenseLu::factor(&d).unwrap();
-        let dt = d.transpose();
-        let lut = DenseLu::factor(&dt).unwrap();
-        let est = condest_1(&a, |b| lu.solve(b).unwrap(), |b| lut.solve(b).unwrap());
-        // True kappa_1 via the explicit inverse.
-        let inv = lu.inverse().unwrap();
-        let inv_norm1 = (0..n)
-            .map(|j| (0..n).map(|i| inv[(i, j)].abs()).sum::<f64>())
-            .fold(0.0f64, f64::max);
-        let true_kappa = bepi_sparse::norms::norm1(&a) * inv_norm1;
-        assert!(est <= true_kappa * (1.0 + 1e-9), "{est} > {true_kappa}");
-        assert!(
-            est >= true_kappa / 10.0,
-            "estimate too loose: {est} vs {true_kappa}"
-        );
-    }
 
     #[test]
     fn norm2_of_diagonal_matrix() {

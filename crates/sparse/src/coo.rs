@@ -128,12 +128,6 @@ impl Coo {
             .map(|((&r, &c), &v)| (r as usize, c as usize, v))
     }
 
-    /// Consumes the matrix and returns the triplet arrays
-    /// `(nrows, ncols, rows, cols, values)`.
-    pub fn into_triplets(self) -> (usize, usize, Vec<u32>, Vec<u32>, Vec<f64>) {
-        (self.nrows, self.ncols, self.rows, self.cols, self.values)
-    }
-
     /// Returns the transpose (rows and columns swapped).
     pub fn transpose(mut self) -> Self {
         std::mem::swap(&mut self.rows, &mut self.cols);
@@ -145,11 +139,6 @@ impl Coo {
     /// that result from cancellation.
     pub fn to_csr(&self) -> crate::Csr {
         crate::Csr::from_coo(self)
-    }
-
-    /// Compresses to CSC, summing duplicate entries.
-    pub fn to_csc(&self) -> crate::Csc {
-        crate::Csc::from_coo(self)
     }
 }
 

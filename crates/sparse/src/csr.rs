@@ -383,15 +383,6 @@ impl Csr {
         self.values.clone()
     }
 
-    /// The pattern (`indptr`, `indices`) beside mutable values, as three
-    /// disjoint slices — for kernels that rewrite values in place while
-    /// reading the structure (e.g. ILU(0)). Copy-on-write for a mapped
-    /// value array, like [`Csr::values_mut`]; the pattern is never copied.
-    #[inline]
-    pub fn pattern_and_values_mut(&mut self) -> (&[usize], &[u32], &mut [f64]) {
-        (&self.indptr, &self.indices, self.values.to_mut())
-    }
-
     /// The column indices and values of row `i`.
     #[inline]
     pub fn row(&self, i: usize) -> (&[u32], &[f64]) {
@@ -612,19 +603,6 @@ impl Csr {
             d[(r, c)] = v;
         }
         d
-    }
-
-    /// Converts to COO (triplets in row-major order).
-    pub fn to_coo(&self) -> Coo {
-        let mut rows = Vec::with_capacity(self.nnz());
-        let mut cols = Vec::with_capacity(self.nnz());
-        for row in 0..self.nrows {
-            let (s, e) = (self.indptr[row], self.indptr[row + 1]);
-            rows.extend(std::iter::repeat(row as u32).take(e - s));
-            cols.extend_from_slice(&self.indices[s..e]);
-        }
-        Coo::from_triplets(self.nrows, self.ncols, rows, cols, self.values.to_vec())
-            .expect("CSR is always a valid COO source")
     }
 
     /// The main diagonal as a dense vector (zero where absent).
@@ -1008,8 +986,7 @@ mod tests {
         let d = m.to_dense();
         assert_eq!(d[(2, 1)], 5.0);
         assert_eq!(d[(1, 0)], 0.0);
-        let c = m.to_coo().to_csr();
-        assert_eq!(c, m);
+        assert_eq!(d.to_csr(), m);
     }
 
     #[test]

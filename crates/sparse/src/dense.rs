@@ -36,17 +36,6 @@ impl Dense {
         m
     }
 
-    /// Builds a matrix from a row-major data vector.
-    pub fn from_vec(nrows: usize, ncols: usize, data: Vec<f64>) -> Result<Self> {
-        if data.len() != nrows * ncols {
-            return Err(SparseError::VectorLength {
-                expected: nrows * ncols,
-                actual: data.len(),
-            });
-        }
-        Ok(Self { nrows, ncols, data })
-    }
-
     /// Builds from nested row slices (tests and examples).
     pub fn from_rows(rows: &[&[f64]]) -> Result<Self> {
         let nrows = rows.len();
@@ -86,12 +75,6 @@ impl Dense {
     #[inline]
     pub fn data(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Mutable view of the underlying row-major data.
-    #[inline]
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
     }
 
     /// Row `i` as a slice.
@@ -174,11 +157,6 @@ impl Dense {
             }
         }
         coo.to_csr()
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
     }
 
     /// Maximum absolute difference to another matrix of identical shape.
@@ -290,7 +268,6 @@ mod tests {
     #[test]
     fn norms_and_diff() {
         let a = Dense::from_rows(&[&[3.0, 4.0]]).unwrap();
-        assert!((a.frobenius_norm() - 5.0).abs() < 1e-12);
         let b = Dense::from_rows(&[&[3.0, 5.5]]).unwrap();
         assert!((a.max_abs_diff(&b).unwrap() - 1.5).abs() < 1e-12);
     }

@@ -1,103 +1,15 @@
-//! Matrix Market and whitespace edge-list IO.
-//!
-//! The paper's datasets ship as edge lists; Matrix Market is the lingua
-//! franca for exchanging the preprocessed sparse matrices.
+//! Whitespace edge-list IO: the paper's datasets ship as edge lists.
 
 use crate::error::SparseError;
 use crate::{Coo, Csr, Result};
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-/// Parses a MatrixMarket `coordinate real general` stream into COO.
-///
-/// Supports `%` comment lines and 1-based indices per the format spec.
-/// `pattern` matrices get value 1.0 per entry.
-pub fn read_matrix_market<R: Read>(reader: R) -> Result<Coo> {
-    let mut lines = BufReader::new(reader).lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| SparseError::Parse("empty stream".into()))??;
-    let header_lc = header.to_ascii_lowercase();
-    if !header_lc.starts_with("%%matrixmarket matrix coordinate") {
-        return Err(SparseError::Parse(format!(
-            "unsupported MatrixMarket header: {header}"
-        )));
-    }
-    let pattern = header_lc.contains("pattern");
-    if header_lc.contains("complex") {
-        return Err(SparseError::Parse("complex matrices unsupported".into()));
-    }
-    let symmetric = header_lc.contains("symmetric");
-
-    // Skip comments, read the size line.
-    let mut size_line = None;
-    for line in lines.by_ref() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('%') {
-            continue;
-        }
-        size_line = Some(trimmed.to_string());
-        break;
-    }
-    let size_line = size_line.ok_or_else(|| SparseError::Parse("missing size line".into()))?;
-    let mut it = size_line.split_whitespace();
-    let nrows: usize = parse_field(it.next(), "nrows")?;
-    let ncols: usize = parse_field(it.next(), "ncols")?;
-    let nnz: usize = parse_field(it.next(), "nnz")?;
-
-    let mut coo = Coo::with_capacity(nrows, ncols, if symmetric { nnz * 2 } else { nnz })?;
-    let mut seen = 0usize;
-    for line in lines {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('%') {
-            continue;
-        }
-        let mut it = trimmed.split_whitespace();
-        let r: usize = parse_field(it.next(), "row")?;
-        let c: usize = parse_field(it.next(), "col")?;
-        let v: f64 = if pattern {
-            1.0
-        } else {
-            parse_field(it.next(), "value")?
-        };
-        if r == 0 || c == 0 {
-            return Err(SparseError::Parse(
-                "MatrixMarket indices are 1-based; found 0".into(),
-            ));
-        }
-        coo.push(r - 1, c - 1, v)?;
-        if symmetric && r != c {
-            coo.push(c - 1, r - 1, v)?;
-        }
-        seen += 1;
-    }
-    if seen != nnz {
-        return Err(SparseError::Parse(format!(
-            "expected {nnz} entries, found {seen}"
-        )));
-    }
-    Ok(coo)
-}
-
 fn parse_field<T: std::str::FromStr>(field: Option<&str>, name: &str) -> Result<T> {
     field
         .ok_or_else(|| SparseError::Parse(format!("missing field {name}")))?
         .parse()
         .map_err(|_| SparseError::Parse(format!("invalid {name}: {field:?}")))
-}
-
-/// Writes a CSR matrix as MatrixMarket `coordinate real general`.
-pub fn write_matrix_market<W: Write>(writer: W, a: &Csr) -> Result<()> {
-    let mut w = BufWriter::new(writer);
-    writeln!(w, "%%MatrixMarket matrix coordinate real general")?;
-    writeln!(w, "{} {} {}", a.nrows(), a.ncols(), a.nnz())?;
-    for (r, c, v) in a.iter() {
-        writeln!(w, "{} {} {v:.17e}", r + 1, c + 1)?;
-    }
-    w.flush()?;
-    Ok(())
 }
 
 /// Reads a whitespace-separated edge list (`src dst` or `src dst weight`
@@ -169,16 +81,6 @@ pub fn write_edge_list<W: Write>(writer: W, a: &Csr) -> Result<()> {
     Ok(())
 }
 
-/// Convenience: reads MatrixMarket from a file path.
-pub fn read_matrix_market_file<P: AsRef<Path>>(path: P) -> Result<Coo> {
-    read_matrix_market(std::fs::File::open(path)?)
-}
-
-/// Convenience: writes MatrixMarket to a file path.
-pub fn write_matrix_market_file<P: AsRef<Path>>(path: P, a: &Csr) -> Result<()> {
-    write_matrix_market(std::fs::File::create(path)?, a)
-}
-
 /// Convenience: reads an edge list from a file path.
 pub fn read_edge_list_file<P: AsRef<Path>>(path: P, n: Option<usize>) -> Result<Coo> {
     read_edge_list(std::fs::File::open(path)?, n)
@@ -187,53 +89,6 @@ pub fn read_edge_list_file<P: AsRef<Path>>(path: P, n: Option<usize>) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn matrix_market_roundtrip() {
-        let mut coo = Coo::new(3, 3).unwrap();
-        coo.push(0, 1, 2.5).unwrap();
-        coo.push(2, 0, -1.0).unwrap();
-        let a = coo.to_csr();
-        let mut buf = Vec::new();
-        write_matrix_market(&mut buf, &a).unwrap();
-        let back = read_matrix_market(&buf[..]).unwrap().to_csr();
-        assert_eq!(back, a);
-    }
-
-    #[test]
-    fn matrix_market_pattern_and_comments() {
-        let text = "%%MatrixMarket matrix coordinate pattern general\n\
-                    % a comment\n\
-                    2 2 2\n\
-                    1 2\n\
-                    2 1\n";
-        let coo = read_matrix_market(text.as_bytes()).unwrap();
-        let a = coo.to_csr();
-        assert_eq!(a.get(0, 1), 1.0);
-        assert_eq!(a.get(1, 0), 1.0);
-    }
-
-    #[test]
-    fn matrix_market_symmetric_expands() {
-        let text = "%%MatrixMarket matrix coordinate real symmetric\n\
-                    2 2 2\n\
-                    1 1 3.0\n\
-                    2 1 4.0\n";
-        let a = read_matrix_market(text.as_bytes()).unwrap().to_csr();
-        assert_eq!(a.get(0, 1), 4.0);
-        assert_eq!(a.get(1, 0), 4.0);
-        assert_eq!(a.get(0, 0), 3.0);
-        assert_eq!(a.nnz(), 3);
-    }
-
-    #[test]
-    fn matrix_market_rejects_garbage() {
-        assert!(read_matrix_market("hello\n".as_bytes()).is_err());
-        let zero_based = "%%MatrixMarket matrix coordinate real general\n1 1 1\n0 0 1.0\n";
-        assert!(read_matrix_market(zero_based.as_bytes()).is_err());
-        let wrong_count = "%%MatrixMarket matrix coordinate real general\n2 2 5\n1 1 1.0\n";
-        assert!(read_matrix_market(wrong_count.as_bytes()).is_err());
-    }
 
     #[test]
     fn edge_list_with_comments_and_explicit_n() {

@@ -20,8 +20,8 @@
 //! * [`Permutation`] — bijective node relabelings with composition, the
 //!   output of the reordering methods.
 //! * SpMV ([`Csr::mul_vec`], [`Csr::mul_vec_transposed`]), Gustavson SpGEMM
-//!   ([`mod@spgemm`]), element-wise ops ([`ops`]), norms ([`norms`]),
-//!   Matrix Market / edge-list IO ([`io`]).
+//!   ([`mod@spgemm`]), element-wise ops ([`ops`]), edge-list IO
+//!   ([`io`]).
 //!
 //! All column indices use `u32` (graphs up to 4.29 B nodes would need
 //! more, but every dataset in the paper has `n < 2^32`); this halves index
@@ -60,7 +60,6 @@ pub mod dense;
 pub mod error;
 pub mod io;
 pub mod mem;
-pub mod norms;
 pub mod ops;
 pub mod pattern;
 pub mod permute;

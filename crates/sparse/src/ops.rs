@@ -75,13 +75,6 @@ pub fn identity_minus_scaled(alpha: f64, a: &Csr) -> Result<Csr> {
     add_scaled(1.0, &Csr::identity(a.nrows()), -alpha, a)
 }
 
-/// Computes `-alpha * A` as a new matrix (shape preserved).
-pub fn negate_scaled(alpha: f64, a: &Csr) -> Csr {
-    let mut out = a.clone();
-    out.scale(-alpha);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,13 +136,6 @@ mod tests {
     fn identity_minus_scaled_requires_square() {
         let a = m(&[], (2, 3));
         assert!(identity_minus_scaled(0.5, &a).is_err());
-    }
-
-    #[test]
-    fn negate_scaled_flips_sign() {
-        let a = m(&[(0, 0, 2.0)], (1, 1));
-        let n = negate_scaled(0.5, &a);
-        assert_eq!(n.get(0, 0), -1.0);
     }
 
     #[test]

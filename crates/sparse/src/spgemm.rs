@@ -212,15 +212,6 @@ fn push_nonzero(indices: &mut Vec<u32>, values: &mut Vec<f64>, col: u32, v: f64)
     }
 }
 
-/// Computes the triple product `A * B * C` left to right, returning the
-/// intermediate `A * B` size alongside (useful for the |H21 H11^{-1} H12|
-/// accounting in Figure 4).
-pub fn spgemm3(a: &Csr, b: &Csr, c: &Csr) -> Result<(Csr, usize)> {
-    let ab = spgemm(a, b)?;
-    let nnz_ab = ab.nnz();
-    Ok((spgemm(&ab, c)?, nnz_ab))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,16 +302,6 @@ mod tests {
         let b = m(&[(0, 0, 1.0), (1, 0, -1.0)], (2, 1));
         let c = spgemm(&a, &b).unwrap();
         assert_eq!(c.nnz(), 0);
-    }
-
-    #[test]
-    fn triple_product_reports_intermediate() {
-        let a = Csr::identity(3);
-        let b = m(&[(0, 1, 1.0), (1, 2, 1.0)], (3, 3));
-        let c = Csr::identity(3);
-        let (abc, nnz_ab) = spgemm3(&a, &b, &c).unwrap();
-        assert_eq!(nnz_ab, 2);
-        assert_eq!(abc, b);
     }
 
     #[test]

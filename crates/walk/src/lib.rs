@@ -105,6 +105,7 @@ impl ApproxEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bepi_core::prelude::*;
     use bepi_graph::generators;
     use std::sync::Arc;
 
@@ -126,15 +127,19 @@ mod tests {
             .unwrap()
             .query(3, 0)
             .unwrap();
-        let walk = bepi_core::approx::monte_carlo(&g, 0.1, 3, 50_000, 7).unwrap();
+        let cfg = BePiConfig {
+            c: 0.1,
+            ..Default::default()
+        };
+        let exact = BePi::preprocess(&g, &cfg).unwrap().query(3).unwrap();
         let top = |r: &RwrScores| {
             let mut t = r.top_k(5);
             t.sort_unstable();
             t
         };
-        let (t1, t2) = (top(&tpa), top(&walk));
+        let (t1, t2) = (top(&tpa), top(&exact));
         let overlap = t1.iter().filter(|n| t2.contains(n)).count();
-        assert!(overlap >= 3, "tpa {t1:?} vs monte carlo {t2:?}");
+        assert!(overlap >= 3, "tpa {t1:?} vs exact {t2:?}");
     }
 
     #[test]

@@ -320,6 +320,38 @@ for case in ":BePI-S" "full:BePI"; do
   echo "$VARIANT_NAME: mmap responses byte-identical to heap responses"
 done
 
+# Reproducible index gate: an index file is a function of the graph and
+# the config (META stores no wall times), so two preprocesses of one
+# graph must write byte-identical files, with and without the embedded
+# graph. The graph is a seeded power-law edge list with dead ends.
+echo "==> reproducible index (two bepi preprocess runs, cmp)"
+REPRO_TMP=$(mktemp -d)
+trap 'cleanup_obs; cleanup_mmap; rm -rf "$REPRO_TMP"' EXIT
+python3 - "$REPRO_TMP/edges.txt" <<'EOF'
+import random, sys
+rng = random.Random(44)
+n, targets = 3000, [0, 1]
+with open(sys.argv[1], "w") as f:
+    for u in range(2, n):
+        if u % 9 == 0:
+            continue  # a dead end
+        for _ in range(rng.randint(1, 6)):
+            v = rng.choice(targets)
+            f.write(f"{u} {v}\n")
+            targets.append(v)
+        targets.append(u)
+EOF
+for flags in "" "--embed-graph"; do
+  for run in 1 2; do
+    ./target/release/bepi preprocess "$REPRO_TMP/edges.txt" "$REPRO_TMP/index$run.bepi" \
+      $flags > /dev/null
+  done
+  cmp "$REPRO_TMP/index1.bepi" "$REPRO_TMP/index2.bepi" \
+    || { echo "two preprocesses ${flags:+($flags) }of one graph wrote different files"; exit 1; }
+  echo "preprocess ${flags:+$flags }twice: byte-identical index files"
+done
+rm -rf "$REPRO_TMP"
+
 # Approximate-serving degradation gate: boot a daemon whose index embeds
 # its graph (so the approximate lane is live), saturate the admission
 # queue (one idle connection parks the lone worker, a second fills the

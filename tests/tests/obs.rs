@@ -32,10 +32,9 @@ fn guard() -> MutexGuard<'static, ()> {
 }
 
 /// A config that records every query in the slow log (threshold 0).
-fn record_everything(entries: usize) -> ServerConfig {
+fn record_everything() -> ServerConfig {
     ServerConfig {
         slow_query: Duration::ZERO,
-        slow_log_entries: entries,
         ..ServerConfig::default()
     }
 }
@@ -92,7 +91,7 @@ fn seeds_in_order(body: &str) -> Vec<u64> {
 #[test]
 fn trace_breakdown_stages_sum_to_at_most_total() {
     let _guard = guard();
-    let handle = start(&record_everything(16));
+    let handle = start(&record_everything());
     let addr = handle.local_addr();
 
     // Cache miss: the solve stage must dominate and every stage is
@@ -138,28 +137,36 @@ fn trace_breakdown_stages_sum_to_at_most_total() {
 #[test]
 fn debug_slow_retains_newest_entries_in_order() {
     let _guard = guard();
-    let handle = start(&record_everything(4));
+    let handle = start(&record_everything());
     let addr = handle.local_addr();
 
-    for seed in 0..8 {
+    // Four more sequential queries than the ring holds: it keeps the
+    // newest `capacity`, newest first.
+    let (_, body) = get(addr, "/debug/slow");
+    let capacity = json_u64(&body, "capacity");
+    assert!(body.starts_with("{\"threshold_us\":0,\"capacity\":"));
+    for seed in 0..capacity + 4 {
         let (status, _) = get(addr, &format!("/query?seed={seed}"));
         assert_eq!(status, 200);
     }
     let (status, body) = get(addr, "/debug/slow");
     assert_eq!(status, 200);
-    assert!(body.starts_with("{\"threshold_us\":0,\"capacity\":4,"));
-    // Capacity 4, eight sequential queries: the ring holds the last four,
-    // newest first.
-    assert_eq!(seeds_in_order(&body), vec![7, 6, 5, 4]);
+    let newest_first: Vec<u64> = (4..capacity + 4).rev().collect();
+    assert_eq!(seeds_in_order(&body), newest_first);
     // Misses carry their solver stats.
     assert!(json_u64(&body, "iterations") > 0);
     assert!(body.contains("\"cache_hit\":false"));
 
-    // A repeat of seed 7 is a cache hit and is recorded as one.
-    let (status, _) = get(addr, "/query?seed=7");
+    // A repeat of the newest seed is a cache hit and is recorded as one.
+    let (status, _) = get(addr, &format!("/query?seed={}", capacity + 3));
     assert_eq!(status, 200);
     let (_, body) = get(addr, "/debug/slow");
-    assert_eq!(seeds_in_order(&body), vec![7, 7, 6, 5]);
+    let seeds = seeds_in_order(&body);
+    assert_eq!(
+        seeds[..4],
+        [capacity + 3, capacity + 3, capacity + 2, capacity + 1]
+    );
+    assert_eq!(seeds.len() as u64, capacity);
     assert!(body.contains("\"cache_hit\":true"));
 
     handle.shutdown();
@@ -184,7 +191,7 @@ fn high_threshold_slow_log_stays_empty() {
 #[test]
 fn gmres_iteration_count_increases_only_on_cache_misses() {
     let _guard = guard();
-    let handle = start(&record_everything(8));
+    let handle = start(&record_everything());
     let addr = handle.local_addr();
     let count = |addr| {
         let (_, body) = get(addr, "/metrics");
@@ -213,7 +220,7 @@ fn gmres_iteration_count_increases_only_on_cache_misses() {
 #[test]
 fn concurrent_hammer_while_scraping_metrics_and_slow_log() {
     let _guard = guard();
-    let handle = start(&record_everything(32));
+    let handle = start(&record_everything());
     let addr = handle.local_addr();
     let n = solver().node_count();
 
