@@ -10,9 +10,14 @@ use bepi_core::prelude::*;
 use bepi_core::schur::select_hub_ratio;
 use bepi_graph::io::read_labeled_edge_list_file;
 use bepi_graph::{Graph, NodeIndexer};
+use bepi_live::{LiveConfig, LiveEngine};
+use bepi_server::{Server, ServerConfig};
 use bepi_sparse::io::read_edge_list_file;
 use bepi_sparse::mem::format_bytes;
+use std::error::Error;
+use std::path::PathBuf;
 use std::process::ExitCode;
+use std::time::Duration;
 
 /// How `bepi query` computes its scores: the exact BePI solve or TPA.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,59 +29,73 @@ enum QueryMethod {
     Tpa,
 }
 
+/// Every flag's value: its default until the command line sets it.
 struct Options {
-    c: f64,
-    tol: f64,
-    k: Option<f64>,
+    /// The solver flags (`--c`, `--tol`, `--k`, `--variant`).
+    config: BePiConfig,
     top: usize,
     max_size: Option<usize>,
-    variant: BePiVariant,
     labels: bool,
     embed_graph: bool,
     mmap: bool,
     method: QueryMethod,
-    terms: usize,
+    /// `query --method tpa`: `--terms`.
+    tpa: bepi_walk::ApproxConfig,
+    /// `serve --listen`: the daemon's settings, the address included.
+    server: ServerConfig,
+    /// `serve --listen`: the live-update settings.
+    live: LiveConfig,
+    graph: Option<String>,
 }
 
 impl Default for Options {
     fn default() -> Self {
         Self {
-            c: bepi_core::DEFAULT_RESTART_PROB,
-            tol: bepi_core::DEFAULT_TOLERANCE,
-            k: None,
+            config: BePiConfig::default(),
             top: 10,
             max_size: None,
-            variant: BePiConfig::default().variant,
             labels: false,
             embed_graph: false,
             mmap: false,
             method: QueryMethod::Bepi,
-            terms: bepi_walk::ApproxConfig::default().max_terms,
+            tpa: bepi_walk::ApproxConfig::default(),
+            server: ServerConfig::default(),
+            live: LiveConfig::default(),
+            graph: None,
         }
     }
 }
 
+/// What a subcommand returns. Its error is a runtime error (load, IO,
+/// solver), printed alone; an argument error is [`parse`]'s `String`,
+/// printed with the usage text.
+type Outcome<T = ()> = Result<T, Box<dyn Error>>;
+
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            eprintln!();
-            eprintln!("{USAGE}");
-            ExitCode::FAILURE
-        }
+    // BEPI_LOG seeds the level; a --log-level flag overrides it.
+    bepi_obs::init_from_env();
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match parse(&argv) {
+        Err(usage) => eprintln!("error: {usage}\n\n{USAGE}"),
+        Ok((sub, args, opts)) => match (sub.run)(&args, &opts) {
+            Ok(()) => return ExitCode::SUCCESS,
+            Err(runtime) => eprintln!("error: {runtime}"),
+        },
     }
+    ExitCode::FAILURE
 }
 
 /// The one usage text: printed by `bepi help` / `--help` and after every
 /// argument error, so flag documentation cannot drift between the two.
 const USAGE: &str = "usage:
-  bepi query      <edges.txt> <seed> [--top K] [--method M] [common flags]
-  bepi ppr        <edges.txt> <seed:weight> [<seed:weight> ...] [--top K] [common flags]
-  bepi community  <edges.txt> <seed> [--max-size N] [common flags]
-  bepi stats      <edges.txt|index.bepi> [--mmap] [common flags]
-  bepi select-k   <edges.txt> [--c C]
-  bepi preprocess <edges.txt> <out.bepi> [--embed-graph] [--format v6] [common flags]
+  bepi query      <edges.txt> <seed> [--top K] [--method M] [--terms N]
+                  [--labels] [solver flags]
+  bepi ppr        <edges.txt> <seed:weight> [<seed:weight> ...] [--top K]
+                  [--labels] [solver flags]
+  bepi community  <edges.txt> <seed> [--max-size N] [--labels] [solver flags]
+  bepi stats      <edges.txt|index.bepi> [--mmap] [--labels] [solver flags]
+  bepi select-k   <edges.txt> [--c C] [--labels]
+  bepi preprocess <edges.txt> <out.bepi> [--embed-graph] [--format v6] [solver flags]
                   (writes a v6 index atomically: temp file, fsync, rename)
   bepi serve      <index.bepi> <seed> [--top K] [--mmap] (one-shot query)
   bepi serve      <index.bepi> --listen ADDR [--mmap] [--threads N]
@@ -87,8 +106,10 @@ const USAGE: &str = "usage:
                   [--checkpoint PATH]
                   (HTTP daemon)
   bepi help       (aliases: --help, -h)
+solver flags are --c, --tol, --k and --variant; every subcommand also takes
+--log-level. A flag the subcommand's line does not name is an error.
 
-common flags:
+flags:
   --log-level L    stderr log verbosity: error|warn|info|debug|trace
                    (default warn; BEPI_LOG env var sets the same thing)
   --c C            restart probability (default 0.05)
@@ -180,152 +201,217 @@ queries keep serving the last completed rebuild (check X-Graph-Version)
 until a rebuild flushes the buffer.
 the daemon shuts down gracefully (draining in-flight queries) on stdin EOF.";
 
-fn run() -> Result<(), String> {
-    // BEPI_LOG seeds the level; a --log-level flag anywhere overrides it.
-    bepi_obs::init_from_env();
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    while let Some(i) = args.iter().position(|a| a == "--log-level") {
-        if i + 1 >= args.len() {
-            return Err("flag --log-level needs a value".into());
-        }
-        let value = args.remove(i + 1);
-        args.remove(i);
-        let level = bepi_obs::Level::parse(&value)
-            .ok_or_else(|| format!("bad --log-level: {value} (try error|warn|info|debug|trace)"))?;
-        bepi_obs::set_level(level);
-    }
-    let (cmd, rest) = args.split_first().ok_or("missing subcommand")?;
-    match cmd.as_str() {
-        "query" => {
-            let (path, rest) = rest.split_first().ok_or("missing edge-list path")?;
-            let (seed_s, rest) = rest.split_first().ok_or("missing seed node")?;
-            let opts = parse_opts(rest)?;
-            cmd_query(path, seed_s, &opts)
-        }
-        "ppr" => {
-            let (path, rest) = rest.split_first().ok_or("missing edge-list path")?;
-            let split = rest
-                .iter()
-                .position(|a| a.starts_with("--"))
-                .unwrap_or(rest.len());
-            let (seed_specs, flags) = rest.split_at(split);
-            if seed_specs.is_empty() {
-                return Err("ppr needs at least one seed:weight".into());
-            }
-            let opts = parse_opts(flags)?;
-            cmd_ppr(path, seed_specs, &opts)
-        }
-        "community" => {
-            let (path, rest) = rest.split_first().ok_or("missing edge-list path")?;
-            let (seed_s, rest) = rest.split_first().ok_or("missing seed node")?;
-            let opts = parse_opts(rest)?;
-            cmd_community(path, seed_s, &opts)
-        }
-        "stats" => {
-            let (path, rest) = rest.split_first().ok_or("missing edge-list path")?;
-            let opts = parse_opts(rest)?;
-            cmd_stats(path, &opts)
-        }
-        "select-k" => {
-            let (path, rest) = rest.split_first().ok_or("missing edge-list path")?;
-            let opts = parse_opts(rest)?;
-            cmd_select_k(path, &opts)
-        }
-        "preprocess" => {
-            let (path, rest) = rest.split_first().ok_or("missing edge-list path")?;
-            let (out, rest) = rest.split_first().ok_or("missing output path")?;
-            let opts = parse_opts(rest)?;
-            cmd_preprocess(path, out, &opts)
-        }
-        "serve" => {
-            let (index, rest) = rest.split_first().ok_or("missing index path")?;
-            if rest.first().is_some_and(|a| a.starts_with("--")) {
-                cmd_serve_daemon(index, rest)
-            } else {
-                let (seed_s, rest) = rest
-                    .split_first()
-                    .ok_or("missing seed node (or --listen ADDR for daemon mode)")?;
-                let opts = parse_opts(rest)?;
-                cmd_serve(index, seed_s, &opts)
-            }
-        }
-        "help" | "--help" | "-h" => {
+/// One row of the command table: a subcommand with its positional
+/// arguments in `<>` (a trailing `...` takes one or more), the flags it
+/// reads besides `--log-level`, and what runs it.
+struct Subcommand {
+    usage: &'static str,
+    flags: &'static str,
+    run: fn(&[String], &Options) -> Outcome,
+}
+
+/// The flags that take no value.
+const SWITCHES: [&str; 3] = ["--labels", "--embed-graph", "--mmap"];
+
+/// Every subcommand `bepi` runs. `serve` has two rows: the daemon, picked
+/// by `--listen`, and the one-shot query.
+const SUBCOMMANDS: &[Subcommand] = &[
+    Subcommand {
+        usage: "query <edges.txt> <seed>",
+        flags: "--top --method --terms --labels --c --tol --k --variant",
+        run: |args, o| cmd_query(&args[0], &args[1], o),
+    },
+    Subcommand {
+        usage: "ppr <edges.txt> <seed:weight>...",
+        flags: "--top --labels --c --tol --k --variant",
+        run: |args, o| cmd_ppr(&args[0], &args[1..], o),
+    },
+    Subcommand {
+        usage: "community <edges.txt> <seed>",
+        flags: "--max-size --labels --c --tol --k --variant",
+        run: |args, o| cmd_community(&args[0], &args[1], o),
+    },
+    Subcommand {
+        usage: "stats <edges.txt|index.bepi>",
+        flags: "--mmap --labels --c --tol --k --variant",
+        run: |args, o| cmd_stats(&args[0], o),
+    },
+    Subcommand {
+        usage: "select-k <edges.txt>",
+        flags: "--c --labels",
+        run: |args, o| cmd_select_k(&args[0], o),
+    },
+    Subcommand {
+        usage: "preprocess <edges.txt> <out.bepi>",
+        flags: "--embed-graph --format --c --tol --k --variant",
+        run: |args, o| cmd_preprocess(&args[0], &args[1], o),
+    },
+    Subcommand {
+        usage: "serve <index.bepi> --listen ADDR",
+        flags: "--listen --mmap --threads --cache-entries --queue-depth --timeout-ms \
+                --slow-query-ms --pressure --trace-export --wal --auto-flush --graph --checkpoint",
+        run: |args, o| cmd_serve_daemon(&args[0], o),
+    },
+    Subcommand {
+        usage: "serve <index.bepi> <seed>",
+        flags: "--top --mmap",
+        run: |args, o| cmd_serve(&args[0], &args[1], o),
+    },
+    Subcommand {
+        usage: "help",
+        flags: "",
+        run: |_, _| {
             // Tolerate a closed pipe (`bepi help | head`): ignore the
             // write error instead of panicking like `println!` would.
             use std::io::Write as _;
             let _ = writeln!(std::io::stdout(), "{USAGE}");
             Ok(())
-        }
-        other => Err(format!("unknown subcommand: {other}")),
+        },
+    },
+];
+
+impl Subcommand {
+    fn name(&self) -> &str {
+        self.usage.split(' ').next().unwrap_or_default()
+    }
+
+    fn reads(&self, flag: &str) -> bool {
+        self.flags.split_whitespace().any(|f| f == flag)
     }
 }
 
-fn parse_opts(mut rest: &[String]) -> Result<Options, String> {
-    let mut o = Options::default();
-    while let Some((flag, tail)) = rest.split_first() {
-        if flag == "--labels" {
-            o.labels = true;
-            rest = tail;
-            continue;
+/// The one parser: splits the command line into the subcommand, its
+/// positional arguments and its flags (anywhere on the line), checks them
+/// against the subcommand's row and sets every flag given. Its errors are
+/// argument errors.
+fn parse(argv: &[String]) -> Result<(&'static Subcommand, Vec<String>, Options), String> {
+    let known = |flag: &str| flag == "--log-level" || SUBCOMMANDS.iter().any(|s| s.reads(flag));
+    let (mut words, mut flags) = (Vec::new(), Vec::new());
+    let mut tokens = argv.iter();
+    while let Some(token) = tokens.next() {
+        // `--help` is the help subcommand's alias, not a flag.
+        if !token.starts_with("--") || token == "--help" {
+            words.push(token.clone());
+        } else if SWITCHES.contains(&token.as_str()) || !known(token) {
+            flags.push((token.as_str(), ""));
+        } else {
+            let value = tokens.next().ok_or(format!("flag {token} needs a value"))?;
+            flags.push((token.as_str(), value.as_str()));
         }
-        if flag == "--embed-graph" {
-            o.embed_graph = true;
-            rest = tail;
-            continue;
+    }
+    let (name, args) = words.split_first().ok_or("missing subcommand")?;
+    let name = if name == "--help" || name == "-h" {
+        "help"
+    } else {
+        name
+    };
+    // `--listen` picks the daemon's row of `serve`.
+    let daemon = flags.iter().any(|&(flag, _)| flag == "--listen");
+    let mut rows = SUBCOMMANDS.iter().filter(|s| s.name() == name);
+    let sub = (rows.clone().find(|s| s.reads("--listen") == daemon))
+        .or_else(|| rows.next())
+        .ok_or(format!("unknown subcommand: {name}"))?;
+
+    let mut opts = Options::default();
+    for (flag, value) in flags {
+        if !known(flag) {
+            return Err(format!("unknown flag: {flag}"));
         }
-        if flag == "--mmap" {
-            o.mmap = true;
-            rest = tail;
-            continue;
+        if flag != "--log-level" && !sub.reads(flag) {
+            let (usage, takes) = (sub.usage, sub.flags);
+            let takes = if takes.is_empty() { "no flags" } else { takes };
+            return Err(format!(
+                "unknown flag: {flag} for bepi {usage} (it takes {takes})"
+            ));
         }
-        let (value, tail) = tail
-            .split_first()
-            .ok_or_else(|| format!("flag {flag} needs a value"))?;
-        match flag.as_str() {
-            "--c" => o.c = value.parse().map_err(|_| format!("bad --c: {value}"))?,
-            "--tol" => o.tol = value.parse().map_err(|_| format!("bad --tol: {value}"))?,
-            "--k" => o.k = Some(value.parse().map_err(|_| format!("bad --k: {value}"))?),
-            "--top" => o.top = value.parse().map_err(|_| format!("bad --top: {value}"))?,
-            "--max-size" => {
-                o.max_size = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad --max-size: {value}"))?,
-                )
+        opts.set(flag, value)?;
+    }
+    let wanted: Vec<&str> = (sub.usage.split(' ').filter(|w| w.starts_with('<'))).collect();
+    if let Some(missing) = wanted.get(args.len()) {
+        return Err(format!(
+            "missing {} for bepi {}",
+            missing.trim_end_matches("..."),
+            sub.usage
+        ));
+    }
+    if !wanted.last().is_some_and(|w| w.ends_with("...")) {
+        if let Some(extra) = args.get(wanted.len()) {
+            return Err(format!(
+                "unexpected argument {extra} for bepi {}",
+                sub.usage
+            ));
+        }
+    }
+    Ok((sub, args.to_vec(), opts))
+}
+
+impl Options {
+    /// Sets one flag from its command-line value (empty for a switch).
+    fn set(&mut self, flag: &str, value: &str) -> Result<(), String> {
+        fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+            value.parse().map_err(|_| format!("bad {flag}: {value}"))
+        }
+        let at_least_one = || match number::<usize>(flag, value)? {
+            0 => Err(format!("{flag} must be at least 1")),
+            n => Ok(n),
+        };
+        match flag {
+            "--log-level" => bepi_obs::set_level(bepi_obs::Level::parse(value).ok_or(format!(
+                "bad --log-level: {value} (try error|warn|info|debug|trace)"
+            ))?),
+            "--labels" => self.labels = true,
+            "--embed-graph" => self.embed_graph = true,
+            "--mmap" => self.mmap = true,
+            "--c" => self.config.c = number(flag, value)?,
+            "--tol" => self.config.tol = number(flag, value)?,
+            "--k" => self.config.hub_ratio = Some(number(flag, value)?),
+            "--top" => self.top = number(flag, value)?,
+            "--max-size" => self.max_size = Some(number(flag, value)?),
+            "--format" if value.trim_start_matches('v') != "6" => {
+                return Err(format!(
+                    "bad --format: {value} (v6 is the only index format)"
+                ))
             }
-            "--format" => {
-                if value.trim_start_matches('v') != "6" {
-                    return Err(format!(
-                        "bad --format: {value} (v6 is the only index format)"
-                    ));
-                }
-            }
+            "--format" => {}
             "--method" => {
-                o.method = match value.as_str() {
+                self.method = match value {
                     "bepi" => QueryMethod::Bepi,
                     "tpa" => QueryMethod::Tpa,
                     m => return Err(format!("bad --method: {m} (try bepi|tpa)")),
                 }
             }
-            "--terms" => {
-                o.terms = value.parse().map_err(|_| format!("bad --terms: {value}"))?;
-                if o.terms == 0 {
-                    return Err("--terms must be at least 1".into());
-                }
-            }
+            "--terms" => self.tpa.max_terms = at_least_one()?,
             "--variant" => {
-                o.variant = match value.as_str() {
+                self.config.variant = match value {
                     "full" => BePiVariant::Full,
                     "sparse" => BePiVariant::Sparse,
                     "basic" => BePiVariant::Basic,
                     v => return Err(format!("bad --variant: {v}")),
                 }
             }
+            "--listen" => self.server.listen = value.to_string(),
+            "--threads" => self.server.threads = number(flag, value)?,
+            "--cache-entries" => self.server.cache_entries = number(flag, value)?,
+            "--queue-depth" => self.server.queue_depth = at_least_one()?,
+            "--timeout-ms" => self.server.timeout = Duration::from_millis(at_least_one()? as u64),
+            "--slow-query-ms" => {
+                self.server.slow_query = Duration::from_millis(number(flag, value)?)
+            }
+            "--pressure" => {
+                self.server.pressure = number(flag, value)?;
+                if self.server.pressure.is_nan() || self.server.pressure < 0.0 {
+                    return Err("--pressure must be a non-negative fraction".into());
+                }
+            }
+            "--trace-export" => self.server.trace_export = Some(value.into()),
+            "--wal" => self.live.wal_path = Some(value.into()),
+            "--auto-flush" => self.live.auto_flush_threshold = number(flag, value)?,
+            "--graph" => self.graph = Some(value.to_string()),
+            "--checkpoint" => self.live.checkpoint_path = Some(value.into()),
             f => return Err(format!("unknown flag: {f}")),
         }
-        rest = tail;
+        Ok(())
     }
-    Ok(o)
 }
 
 /// A loaded graph plus optional label mapping.
@@ -343,75 +429,66 @@ impl Loaded {
             None => token.parse().map_err(|_| format!("bad node id: {token}")),
         }
     }
+}
 
-    fn node_name(&self, id: usize) -> String {
-        match &self.indexer {
-            Some(ix) => ix.label(id).unwrap_or("?").to_string(),
-            None => id.to_string(),
-        }
+/// A node's label when the ids are labels (`--labels`), else its id.
+fn node_name(indexer: Option<&NodeIndexer>, id: usize) -> String {
+    match indexer {
+        Some(ix) => ix.label(id).unwrap_or("?").to_string(),
+        None => id.to_string(),
     }
 }
 
-fn load(path: &str, opts: &Options) -> Result<Loaded, String> {
+fn load(path: &str, opts: &Options) -> Outcome<Loaded> {
     if opts.labels {
-        let (graph, indexer) = read_labeled_edge_list_file(path).map_err(|e| e.to_string())?;
+        let (graph, indexer) = read_labeled_edge_list_file(path)?;
+        let indexer = Some(indexer);
+        Ok(Loaded { graph, indexer })
+    } else {
+        let graph = read_graph(path, None)?;
         Ok(Loaded {
             graph,
-            indexer: Some(indexer),
-        })
-    } else {
-        let coo = read_edge_list_file(path, None).map_err(|e| e.to_string())?;
-        Ok(Loaded {
-            graph: Graph::from_adjacency(coo.to_csr()).map_err(|e| e.to_string())?,
             indexer: None,
         })
     }
 }
 
-fn config_of(o: &Options) -> BePiConfig {
-    BePiConfig {
-        variant: o.variant,
-        c: o.c,
-        tol: o.tol,
-        hub_ratio: o.k,
-        ..BePiConfig::default()
-    }
+/// Reads an integer-id edge list, over `n` nodes when given.
+fn read_graph(path: &str, n: Option<usize>) -> Outcome<Graph> {
+    Ok(Graph::from_adjacency(
+        read_edge_list_file(path, n)?.to_csr(),
+    )?)
 }
 
-fn preprocess(g: &Graph, o: &Options) -> Result<BePi, String> {
-    BePi::preprocess(g, &config_of(o)).map_err(|e| e.to_string())
+fn preprocess(g: &Graph, o: &Options) -> Outcome<BePi> {
+    Ok(BePi::preprocess(g, &o.config)?)
 }
 
-fn print_ranking(loaded: &Loaded, scores: &RwrScores, top: usize) {
+fn print_ranking(indexer: Option<&NodeIndexer>, scores: &RwrScores, top: usize) {
     println!("{:<16} {:>14} {:>6}", "node", "rwr-score", "rank");
     for (rank, node) in scores.top_k(top).into_iter().enumerate() {
         println!(
             "{:<16} {:>14.6e} {:>6}",
-            loaded.node_name(node),
+            node_name(indexer, node),
             scores.scores[node],
             rank + 1
         );
     }
 }
 
-fn cmd_query(path: &str, seed_s: &str, o: &Options) -> Result<(), String> {
+fn cmd_query(path: &str, seed_s: &str, o: &Options) -> Outcome {
     let loaded = load(path, o)?;
     let seed = loaded.node_id(seed_s)?;
     let (label, r) = match o.method {
         QueryMethod::Bepi => {
             let solver = preprocess(&loaded.graph, o)?;
-            let r = solver.query(seed).map_err(|e| e.to_string())?;
-            (o.variant.name().to_string(), r)
+            let r = solver.query(seed)?;
+            (o.config.variant.name().to_string(), r)
         }
         QueryMethod::Tpa => {
-            let engine = bepi_walk::ApproxEngine::new(
-                &loaded.graph,
-                o.c,
-                bepi_walk::ApproxConfig { max_terms: o.terms },
-            )
-            .map_err(|e| e.to_string())?;
-            let r = engine.query(seed, 0).map_err(|e| e.to_string())?;
-            (format!("tpa (max {} terms)", o.terms), r)
+            let engine = bepi_walk::ApproxEngine::new(&loaded.graph, o.config.c, o.tpa)?;
+            let r = engine.query(seed, 0)?;
+            (format!("tpa (max {} terms)", o.tpa.max_terms), r)
         }
     };
     println!(
@@ -422,11 +499,11 @@ fn cmd_query(path: &str, seed_s: &str, o: &Options) -> Result<(), String> {
         seed_s,
         r.iterations
     );
-    print_ranking(&loaded, &r, o.top);
+    print_ranking(loaded.indexer.as_ref(), &r, o.top);
     Ok(())
 }
 
-fn cmd_ppr(path: &str, seed_specs: &[String], o: &Options) -> Result<(), String> {
+fn cmd_ppr(path: &str, seed_specs: &[String], o: &Options) -> Outcome {
     let loaded = load(path, o)?;
     let mut q = vec![0.0; loaded.graph.n()];
     for spec in seed_specs {
@@ -447,22 +524,22 @@ fn cmd_ppr(path: &str, seed_specs: &[String], o: &Options) -> Result<(), String>
         *v /= total;
     }
     let solver = preprocess(&loaded.graph, o)?;
-    let r = solver.query_vector(&q).map_err(|e| e.to_string())?;
+    let r = solver.query_vector(&q)?;
     println!(
         "# Personalized PageRank over {} seeds, {} inner iterations",
         seed_specs.len(),
         r.iterations
     );
-    print_ranking(&loaded, &r, o.top);
+    print_ranking(loaded.indexer.as_ref(), &r, o.top);
     Ok(())
 }
 
-fn cmd_community(path: &str, seed_s: &str, o: &Options) -> Result<(), String> {
+fn cmd_community(path: &str, seed_s: &str, o: &Options) -> Outcome {
     let loaded = load(path, o)?;
     let seed = loaded.node_id(seed_s)?;
     let solver = preprocess(&loaded.graph, o)?;
-    let scores = solver.query(seed).map_err(|e| e.to_string())?;
-    let cut = sweep_cut(&loaded.graph, &scores, o.max_size).map_err(|e| e.to_string())?;
+    let scores = solver.query(seed)?;
+    let cut = sweep_cut(&loaded.graph, &scores, o.max_size)?;
     println!(
         "# community of seed {} — {} nodes, conductance {:.4}",
         seed_s,
@@ -470,7 +547,7 @@ fn cmd_community(path: &str, seed_s: &str, o: &Options) -> Result<(), String> {
         cut.conductance
     );
     for node in &cut.nodes {
-        println!("{}", loaded.node_name(*node));
+        println!("{}", node_name(loaded.indexer.as_ref(), *node));
     }
     Ok(())
 }
@@ -532,11 +609,13 @@ fn print_memory_report(solver: &BePi) {
     );
 }
 
-/// What the index stores per spoke and per node: the `H11` blocks, how
-/// many are 1 × 1 (no factor rows, one `U1⁻¹` value each), the factor rows
-/// stored against `n1`, and the one permutation map.
-fn print_h11_layout(solver: &BePi) {
+/// The partition's sizes and what the index stores per spoke and per
+/// node: the `H11` blocks, how many are 1 × 1 (no factor rows, one `U1⁻¹`
+/// value each), the factor rows stored against `n1`, the one permutation
+/// map, and `|S|`.
+fn print_partition(solver: &BePi) {
     let (h11, s) = (solver.h11_factors(), solver.stats());
+    println!("n1 / n2 / n3     {} / {} / {}", s.n1, s.n2, s.n3);
     println!(
         "H11 blocks       {} ({} of them 1x1)",
         s.num_blocks,
@@ -552,6 +631,7 @@ fn print_h11_layout(solver: &BePi) {
         "perm maps        1 (new_of_old, {} nodes)",
         solver.permutation().len()
     );
+    println!("|S|              {}", s.s_nnz);
 }
 
 /// The form each stored matrix is held in: narrow or wide pattern; plain
@@ -624,11 +704,10 @@ fn print_stored_forms(solver: &BePi) {
 /// a mapped index shows only the pages actually touched — unlike
 /// `VmHWM`-style peak counters, which charge every mapped page that was
 /// ever resident.
-fn cmd_index_stats(path: &str, o: &Options) -> Result<(), String> {
+fn cmd_index_stats(path: &str, o: &Options) -> Outcome {
     let rss_before = resident_bytes();
     let (solver, graph) = load_index(path, o.mmap)?;
     let rss_after = resident_bytes();
-    let s = solver.stats();
     println!("index            {path}");
     println!("format           v{}", bepi_core::persist::VERSION_MAPPED);
     println!(
@@ -636,9 +715,7 @@ fn cmd_index_stats(path: &str, o: &Options) -> Result<(), String> {
         if o.mmap { "memory-mapped" } else { "heap" }
     );
     println!("nodes            {}", solver.node_count());
-    println!("n1 / n2 / n3     {} / {} / {}", s.n1, s.n2, s.n3);
-    print_h11_layout(&solver);
-    println!("|S|              {}", s.s_nnz);
+    print_partition(&solver);
     println!(
         "embedded graph   {}",
         match &graph {
@@ -649,7 +726,7 @@ fn cmd_index_stats(path: &str, o: &Options) -> Result<(), String> {
     print_memory_report(&solver);
     print_stored_forms(&solver);
     println!("--- index file sections ---");
-    for (name, len) in bepi_core::persist::list_sections(path).map_err(|e| e.to_string())? {
+    for (name, len) in bepi_core::persist::list_sections(path)? {
         println!("{name:<22} {:>12}", format_bytes(len as usize));
     }
     if let (Some(before), Some(after)) = (rss_before, rss_after) {
@@ -661,7 +738,7 @@ fn cmd_index_stats(path: &str, o: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_stats(path: &str, o: &Options) -> Result<(), String> {
+fn cmd_stats(path: &str, o: &Options) -> Outcome {
     // `stats` takes either an edge list or a saved `.bepi` index,
     // told apart by the index magic.
     if is_index_file(path) {
@@ -681,10 +758,8 @@ fn cmd_stats(path: &str, o: &Options) -> Result<(), String> {
     println!("GCC size         {}", stats.gcc_size);
     let solver = preprocess(g, o)?;
     let s = solver.stats();
-    println!("--- BePI preprocessing ({}) ---", o.variant.name());
-    println!("n1 / n2 / n3     {} / {} / {}", s.n1, s.n2, s.n3);
-    print_h11_layout(&solver);
-    println!("|S|              {}", s.s_nnz);
+    println!("--- BePI preprocessing ({}) ---", o.config.variant.name());
+    print_partition(&solver);
     println!("preprocess time  {:?}", s.elapsed);
     println!(
         "preprocessed     {}",
@@ -714,10 +789,10 @@ fn print_phase_table(phases: &[PhaseTiming]) {
     println!("{:<24} {total:>12.6}", "total (phased)");
 }
 
-fn cmd_select_k(path: &str, o: &Options) -> Result<(), String> {
+fn cmd_select_k(path: &str, o: &Options) -> Outcome {
     let loaded = load(path, o)?;
     let grid = [0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.5];
-    let (best, curve) = select_hub_ratio(&loaded.graph, o.c, &grid).map_err(|e| e.to_string())?;
+    let (best, curve) = select_hub_ratio(&loaded.graph, o.config.c, &grid)?;
     println!("{:<6} {:>12}", "k", "|S|");
     for (k, nnz) in curve {
         let marker = if k == best { "  <-- minimum" } else { "" };
@@ -727,16 +802,11 @@ fn cmd_select_k(path: &str, o: &Options) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_preprocess(path: &str, out: &str, o: &Options) -> Result<(), String> {
-    if o.labels {
-        return Err("preprocess/serve work with integer node ids (the label \
-                    mapping is not stored in the index)"
-            .into());
-    }
+fn cmd_preprocess(path: &str, out: &str, o: &Options) -> Outcome {
     let loaded = load(path, o)?;
     let solver = preprocess(&loaded.graph, o)?;
     let graph = o.embed_graph.then_some(&loaded.graph);
-    bepi_core::persist::save_file_v6(&solver, graph, out).map_err(|e| e.to_string())?;
+    bepi_core::persist::save_file_v6(&solver, graph, out)?;
     println!(
         "preprocessed {} nodes / {} edges into {out} (format v6, {}{})",
         loaded.graph.n(),
@@ -758,97 +828,19 @@ fn cmd_preprocess(path: &str, out: &str, o: &Options) -> Result<(), String> {
 
 /// Loads an index for serving: with `--mmap` as a shared read-only
 /// mapping, otherwise onto the heap.
-fn load_index(index: &str, mmap: bool) -> Result<(BePi, Option<Graph>), String> {
+fn load_index(index: &str, mmap: bool) -> Outcome<(BePi, Option<Graph>)> {
     use bepi_core::persist;
     let loaded = if mmap {
         persist::load_mapped_file(index)
     } else {
         persist::load_file_with_graph(index)
     };
-    loaded.map_err(|e| e.to_string())
+    Ok(loaded?)
 }
 
-fn cmd_serve_daemon(index: &str, flags: &[String]) -> Result<(), String> {
-    use bepi_live::{LiveConfig, LiveEngine};
-    use bepi_server::{Server, ServerConfig};
-    use std::path::PathBuf;
-
-    let mut cfg = ServerConfig::default();
-    let mut listen: Option<String> = None;
-    let mut wal: Option<String> = None;
-    let mut graph_path: Option<String> = None;
-    let mut checkpoint: Option<String> = None;
-    let mut auto_flush: usize = 0;
-    let mut mmap = false;
-    let mut rest = flags;
-    while let Some((flag, tail)) = rest.split_first() {
-        if flag == "--mmap" {
-            mmap = true;
-            rest = tail;
-            continue;
-        }
-        let (value, tail) = tail
-            .split_first()
-            .ok_or_else(|| format!("flag {flag} needs a value"))?;
-        match flag.as_str() {
-            "--listen" => listen = Some(value.clone()),
-            "--wal" => wal = Some(value.clone()),
-            "--graph" => graph_path = Some(value.clone()),
-            "--checkpoint" => checkpoint = Some(value.clone()),
-            "--auto-flush" => {
-                auto_flush = value
-                    .parse()
-                    .map_err(|_| format!("bad --auto-flush: {value}"))?
-            }
-            "--threads" => {
-                cfg.threads = value
-                    .parse()
-                    .map_err(|_| format!("bad --threads: {value}"))?
-            }
-            "--cache-entries" => {
-                cfg.cache_entries = value
-                    .parse()
-                    .map_err(|_| format!("bad --cache-entries: {value}"))?
-            }
-            "--queue-depth" => {
-                cfg.queue_depth = value
-                    .parse()
-                    .map_err(|_| format!("bad --queue-depth: {value}"))?;
-                if cfg.queue_depth == 0 {
-                    return Err("--queue-depth must be at least 1".into());
-                }
-            }
-            "--timeout-ms" => {
-                let ms: u64 = value
-                    .parse()
-                    .map_err(|_| format!("bad --timeout-ms: {value}"))?;
-                if ms == 0 {
-                    return Err("--timeout-ms must be at least 1".into());
-                }
-                cfg.timeout = std::time::Duration::from_millis(ms);
-            }
-            "--slow-query-ms" => {
-                let ms: u64 = value
-                    .parse()
-                    .map_err(|_| format!("bad --slow-query-ms: {value}"))?;
-                cfg.slow_query = std::time::Duration::from_millis(ms);
-            }
-            "--pressure" => {
-                let p: f64 = value
-                    .parse()
-                    .map_err(|_| format!("bad --pressure: {value}"))?;
-                if p.is_nan() || p < 0.0 {
-                    return Err("--pressure must be a non-negative fraction".into());
-                }
-                cfg.pressure = p;
-            }
-            "--trace-export" => cfg.trace_export = Some(PathBuf::from(value)),
-            f => return Err(format!("unknown flag: {f}")),
-        }
-        rest = tail;
-    }
-    cfg.listen = listen.ok_or("daemon mode needs --listen ADDR")?;
-
+fn cmd_serve_daemon(index: &str, o: &Options) -> Outcome {
+    let cfg = &o.server;
+    let mmap = o.mmap;
     let (solver, embedded) = load_index(index, mmap)?;
     let nodes = solver.node_count();
 
@@ -858,7 +850,7 @@ fn cmd_serve_daemon(index: &str, flags: &[String]) -> Result<(), String> {
     // graph *with* all applied WAL updates, so restarting on the same
     // flags after a rebuild must not resurrect a stale edge list (the
     // compacted WAL can no longer replay those updates).
-    let graph = match (embedded, &graph_path) {
+    let graph = match (embedded, &o.graph) {
         (Some(g), Some(p)) => {
             eprintln!(
                 "warning: ignoring --graph {p}: the index embeds its own graph, \
@@ -867,10 +859,7 @@ fn cmd_serve_daemon(index: &str, flags: &[String]) -> Result<(), String> {
             Some(g)
         }
         (Some(g), None) => Some(g),
-        (None, Some(p)) => {
-            let coo = read_edge_list_file(p, Some(nodes)).map_err(|e| e.to_string())?;
-            Some(Graph::from_adjacency(coo.to_csr()).map_err(|e| e.to_string())?)
-        }
+        (None, Some(p)) => Some(read_graph(p, Some(nodes))?),
         (None, None) => None,
     };
 
@@ -880,26 +869,25 @@ fn cmd_serve_daemon(index: &str, flags: &[String]) -> Result<(), String> {
             // With a WAL, the durable state is checkpoint + log: default
             // the checkpoint to the index path so a restart on the same
             // flags resumes exactly where the daemon left off.
-            let checkpoint_path = checkpoint
-                .clone()
-                .or_else(|| wal.as_ref().map(|_| index.to_string()))
-                .map(PathBuf::from);
+            let checkpoint_path = (o.live.checkpoint_path.clone())
+                .or_else(|| o.live.wal_path.as_ref().map(|_| PathBuf::from(index)));
             LiveEngine::start(
                 std::sync::Arc::new(solver),
                 g,
                 LiveConfig {
-                    auto_flush_threshold: auto_flush,
-                    wal_path: wal.as_ref().map(PathBuf::from),
                     checkpoint_path,
                     // --mmap also re-maps each checkpoint and serves
                     // the mapped copy after every rebuild.
                     mmap_checkpoints: mmap,
+                    ..o.live.clone()
                 },
-            )
-            .map_err(|e| e.to_string())?
+            )?
         }
         None => {
-            if wal.is_some() || auto_flush > 0 || checkpoint.is_some() {
+            if o.live.wal_path.is_some()
+                || o.live.auto_flush_threshold > 0
+                || o.live.checkpoint_path.is_some()
+            {
                 return Err(
                     "live-update flags (--wal/--auto-flush/--checkpoint) need the \
                             graph: re-preprocess with --embed-graph or pass --graph edges.txt"
@@ -910,7 +898,7 @@ fn cmd_serve_daemon(index: &str, flags: &[String]) -> Result<(), String> {
         }
     };
     let version = engine.version();
-    let handle = Server::start_live(engine, &cfg).map_err(|e| e.to_string())?;
+    let handle = Server::start_live(engine, cfg)?;
     println!(
         "bepi-server listening on http://{} ({} nodes, {} index; cache {} entries, \
          queue depth {}, timeout {:?}; {}, graph version {})",
@@ -967,23 +955,19 @@ fn daemon_println(line: &str) -> std::io::Result<()> {
     out.flush()
 }
 
-fn cmd_serve(index: &str, seed_s: &str, o: &Options) -> Result<(), String> {
+fn cmd_serve(index: &str, seed_s: &str, o: &Options) -> Outcome {
     if o.mmap {
         // One-shot queries have no startup-latency story, so run the
         // payload CRC pass the zero-copy open skips, before anything reads
         // the payloads: a corrupt section becomes a typed error here
         // instead of a panic in the decoder's debug checks or the solver.
-        bepi_core::persist::verify_mapped_file(index).map_err(|e| e.to_string())?;
+        bepi_core::persist::verify_mapped_file(index)?;
     }
     let (solver, _graph) = load_index(index, o.mmap)?;
     let seed: usize = seed_s
         .parse()
         .map_err(|_| format!("bad node id: {seed_s}"))?;
-    let r = solver.query(seed).map_err(|e| e.to_string())?;
-    let loaded = Loaded {
-        graph: Graph::from_edges(solver.node_count(), &[]).map_err(|e| e.to_string())?,
-        indexer: None,
-    };
+    let r = solver.query(seed)?;
     println!(
         "# loaded index of {} nodes ({}), seed {}, {} inner iterations",
         solver.node_count(),
@@ -991,6 +975,6 @@ fn cmd_serve(index: &str, seed_s: &str, o: &Options) -> Result<(), String> {
         seed_s,
         r.iterations
     );
-    print_ranking(&loaded, &r, o.top);
+    print_ranking(None, &r, o.top);
     Ok(())
 }

@@ -206,25 +206,12 @@ impl LiveEngine {
     /// Wraps an index with no graph: queries work, updates are rejected.
     /// This is the daemon's classic static-snapshot mode. The
     /// approximate lane needs the graph, so it is unavailable here —
-    /// use [`LiveEngine::frozen_with_graph`] when the graph is on hand.
+    /// use [`LiveEngine::start`] when the graph is on hand.
     pub fn frozen(bepi: Arc<BePi>) -> Arc<Self> {
-        Self::frozen_inner(bepi, None)
-    }
-
-    /// Wraps an index *with* its graph, still frozen (updates are
-    /// rejected), but with the approximate serving lane enabled: the
-    /// snapshot carries an [`ApproxEngine`] built from the graph with
-    /// the index's own restart probability.
-    pub fn frozen_with_graph(bepi: Arc<BePi>, graph: &Graph) -> Arc<Self> {
-        let approx = build_approx(&bepi, graph);
-        Self::frozen_inner(bepi, approx)
-    }
-
-    fn frozen_inner(bepi: Arc<BePi>, approx: Option<Arc<ApproxEngine>>) -> Arc<Self> {
         let index = VersionedIndex {
             version: 1,
             bepi,
-            approx,
+            approx: None,
         };
         Self::assemble(
             index,

@@ -2,8 +2,8 @@
 //!
 //! The daemon speaks just enough HTTP for its endpoints: request line +
 //! headers are read (bounded), a `Content-Length`-delimited body is read
-//! (bounded — the live-update `POST`s need one), and every response
-//! closes the connection (`Connection: close`). This keeps the server
+//! (bounded — the live-update `POST`s need one), and a response keeps
+//! the connection only when the client asked for keep-alive. This keeps the server
 //! std-only — no protocol crates — while remaining compatible with
 //! `curl`, browsers, and Prometheus scrapers.
 
@@ -53,19 +53,6 @@ pub enum ParseError {
     BodyTooLarge,
     /// The request line / headers / body were not valid HTTP.
     Malformed(String),
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParseError::Io(e) => write!(f, "i/o while reading request: {e}"),
-            ParseError::TooLarge => write!(f, "request head exceeds {MAX_HEAD_BYTES} bytes"),
-            ParseError::BodyTooLarge => {
-                write!(f, "request body exceeds {MAX_BODY_BYTES} bytes")
-            }
-            ParseError::Malformed(m) => write!(f, "malformed request: {m}"),
-        }
-    }
 }
 
 /// Reads one request from `reader` (a buffered stream).
@@ -230,22 +217,11 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes a complete HTTP/1.1 response and flushes. Every response
-/// carries `Connection: close`; the caller drops the stream afterwards.
+/// Writes a complete HTTP/1.1 response and flushes. `keep_alive`
+/// answers `Connection: keep-alive` and leaves the stream open for the
+/// next request on the same connection; otherwise the response says
+/// `Connection: close` and the caller drops the stream afterwards.
 pub fn write_response<W: Write>(
-    w: &mut W,
-    status: u16,
-    content_type: &str,
-    extra_headers: &[(&str, &str)],
-    body: &str,
-) -> std::io::Result<()> {
-    write_response_conn(w, status, content_type, extra_headers, body, false)
-}
-
-/// [`write_response`] with an explicit connection disposition:
-/// `keep_alive = true` emits `Connection: keep-alive` and leaves the
-/// stream open for the next request on the same connection.
-pub fn write_response_conn<W: Write>(
     w: &mut W,
     status: u16,
     content_type: &str,
@@ -405,7 +381,15 @@ mod tests {
     #[test]
     fn response_format() {
         let mut buf = Vec::new();
-        write_response(&mut buf, 200, "application/json", &[("X-A", "1")], "{}").unwrap();
+        write_response(
+            &mut buf,
+            200,
+            "application/json",
+            &[("X-A", "1")],
+            "{}",
+            false,
+        )
+        .unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 2\r\n"));
@@ -432,7 +416,7 @@ mod tests {
     #[test]
     fn keep_alive_response_header() {
         let mut buf = Vec::new();
-        write_response_conn(&mut buf, 200, "application/json", &[], "{}", true).unwrap();
+        write_response(&mut buf, 200, "application/json", &[], "{}", true).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(!text.contains("Connection: close\r\n"));

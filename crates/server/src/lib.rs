@@ -241,12 +241,9 @@ impl Server {
         let acceptor = {
             let shutdown = Arc::clone(&shutdown);
             let metrics = Arc::clone(&metrics);
-            let timeout = config.timeout;
             std::thread::Builder::new()
                 .name("bepi-acceptor".to_string())
-                .spawn(move || {
-                    accept_loop(listener, tx, degraded_tx, shutdown, metrics, timeout);
-                })?
+                .spawn(move || accept_loop(listener, tx, degraded_tx, shutdown, metrics))?
         };
 
         Ok(ServerHandle {
@@ -288,7 +285,7 @@ fn export_preprocess_phases(exporter: &TraceExporter) {
     }
 }
 
-/// Admission: accept, stamp the deadline, try to enqueue. When the main
+/// Admission: accept, stamp the admission time, try to enqueue. When the main
 /// queue is full the connection is re-tagged [`worker::Lane::Degraded`]
 /// and offered to the overflow lane (whose worker serves only
 /// approximate-eligible `/query`s); only when that lane is also full is
@@ -300,7 +297,6 @@ fn accept_loop(
     degraded_tx: queue::Producer<Job>,
     shutdown: Arc<Shutdown>,
     metrics: Arc<Metrics>,
-    timeout: Duration,
 ) {
     loop {
         let stream = match listener.accept() {
@@ -322,11 +318,9 @@ fn accept_loop(
             break;
         }
         Metrics::inc(&metrics.connections_total);
-        let now = Instant::now();
         let job = Job {
             stream,
-            deadline: now + timeout,
-            accepted_at: now,
+            accepted_at: Instant::now(),
             lane: worker::Lane::Normal,
         };
         // Incremented before the push so a worker's decrement can never

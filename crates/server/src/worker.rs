@@ -25,7 +25,7 @@ use std::cell::Cell;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -45,13 +45,12 @@ pub enum Lane {
     Degraded,
 }
 
-/// One accepted connection waiting for service. The deadline is stamped
-/// at *admission*, so time spent waiting in the queue counts against it.
+/// One accepted connection waiting for service. Its deadline is
+/// `accepted_at` plus the request timeout, so time spent waiting in the
+/// queue counts against it.
 pub struct Job {
     /// The accepted client connection.
     pub stream: TcpStream,
-    /// Absolute deadline for finishing this request.
-    pub deadline: Instant,
     /// When the connection was admitted — queue wait and the end-to-end
     /// latency reported by `?trace=1` and the slow-query log both start
     /// here.
@@ -76,8 +75,8 @@ pub struct WorkerContext {
     /// every `auto` query is served approximately when the engine
     /// exists — the deterministic hook CI uses.
     pub pressure_slots: u64,
-    /// Per-request deadline budget; re-armed for every request served
-    /// over one keep-alive connection.
+    /// Per-request deadline budget, counted from admission; re-armed for
+    /// every request served over one keep-alive connection.
     pub timeout: Duration,
     /// Graceful-shutdown flag: keep-alive connections are closed after
     /// the in-flight request once shutdown is requested, so persistent
@@ -111,17 +110,66 @@ pub fn worker_loop(rx: crate::queue::Consumer<Job>, ctx: Arc<WorkerContext>) {
             ctx.metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
         }
         ctx.metrics.in_flight.fetch_add(1, Ordering::Relaxed);
-        // A panic in one request's service is caught around that request
-        // (see `serve_one`); one outside it, reading or parsing a request,
-        // must not kill the worker either: the stream is dropped, the
-        // panic is counted and logged, and the loop continues.
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            handle_connection(job, &ctx);
-        }));
-        if let Err(payload) = result {
-            report_panic(&ctx.metrics, None, payload.as_ref());
+        if let Ok(clone) = job.stream.try_clone() {
+            let conn = Connection {
+                stream: job.stream,
+                reader: BufReader::new(clone),
+                lane: job.lane,
+            };
+            serve_connection(conn, Some(job.accepted_at), &ctx);
         }
         ctx.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// One client connection: the stream responses go to, the buffered
+/// reader requests come from, and the lane that admitted it.
+struct Connection {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+    lane: Lane,
+}
+
+/// Serves the requests of one connection in turn. A pool worker (or the
+/// degraded worker) passes the admission time of the connection's first
+/// request as `admitted` and serves that request only: a connection that
+/// stays open after it moves to a `bepi-keepalive` thread (see
+/// [`keep_alive`]), which runs this same loop with `admitted = None` and
+/// gives each later request a fresh budget. A keep-alive connection
+/// parked on a pool worker would starve fresh connections outright: the
+/// pool is sized to CPU, persistent connections are sized to clients, and
+/// one idle client socket must never block admission.
+///
+/// A panic in one request's service is caught around that request (see
+/// [`serve_guarded`]); one outside it, reading or parsing a request, is
+/// caught here: the connection is dropped, the panic is counted and
+/// logged, and the thread goes on.
+fn serve_connection(mut conn: Connection, mut admitted: Option<Instant>, ctx: &Arc<WorkerContext>) {
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| loop {
+        let on_worker = admitted.is_some();
+        let accepted_at = match admitted.take() {
+            Some(admission) => admission,
+            None => {
+                // Keep-alive connections must not stall the graceful
+                // drain: once shutdown is requested the connection is
+                // dropped after the in-flight request (a dropped idle
+                // connection is exactly what pooled clients handle).
+                if ctx.shutdown.is_requested() {
+                    return;
+                }
+                // The request's budget starts now; its queue wait is
+                // zero, as it never went through admission.
+                Instant::now()
+            }
+        };
+        match serve_one(&mut conn, accepted_at, !on_worker, ctx) {
+            Served::Close => return,
+            Served::KeepAlive if on_worker => return keep_alive(conn, ctx),
+            Served::KeepAlive => {}
+        }
+    }));
+    if let Err(payload) = result {
+        report_panic(&ctx.metrics, None, payload.as_ref());
     }
 }
 
@@ -155,13 +203,9 @@ fn report_panic(metrics: &Metrics, request: Option<(&str, &str)>, payload: &(dyn
     }
 }
 
+/// The budget left before `deadline`; `None` once it has passed.
 fn remaining(deadline: Instant) -> Option<Duration> {
-    let now = Instant::now();
-    if now >= deadline {
-        None
-    } else {
-        Some(deadline - now)
-    }
+    (deadline.checked_duration_since(Instant::now())).filter(|left| !left.is_zero())
 }
 
 /// What [`serve_one`] decided about the connection after one request.
@@ -175,92 +219,25 @@ enum Served {
     KeepAlive,
 }
 
-fn handle_connection(job: Job, ctx: &Arc<WorkerContext>) {
-    let Job {
-        stream,
-        deadline,
-        accepted_at,
-        lane,
-    } = job;
-    let mut reader = BufReader::new(match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    });
-    match serve_one(
-        &stream,
-        &mut reader,
-        deadline,
-        accepted_at,
-        lane,
-        false,
-        ctx,
-    ) {
-        Served::Close => {}
-        // Hand the persistent connection to a dedicated thread and
-        // return this worker to the admission queue. A keep-alive
-        // connection parked on a pool worker would starve fresh
-        // connections outright: the pool is sized to CPU, persistent
-        // connections are sized to clients, and one idle client socket
-        // must never block admission (on a 1-core box the pool is a
-        // single worker).
-        Served::KeepAlive => persist_connection(stream, reader, lane, ctx),
-    }
-}
-
 /// Moves a kept-alive connection onto a `bepi-keepalive` thread, bounded
 /// by `ctx.keepalive_cap`. At the cap (or if the spawn fails) the stream
 /// is simply dropped — legal for a server at any idle point, and pooled
 /// clients retry on a fresh connection.
-fn persist_connection(
-    stream: TcpStream,
-    mut reader: BufReader<TcpStream>,
-    lane: Lane,
-    ctx: &Arc<WorkerContext>,
-) {
-    let mut current = ctx.keepalive_threads.load(Ordering::Relaxed);
-    loop {
-        if current >= ctx.keepalive_cap {
-            return;
-        }
-        match ctx.keepalive_threads.compare_exchange_weak(
-            current,
-            current + 1,
-            Ordering::AcqRel,
-            Ordering::Relaxed,
-        ) {
-            Ok(_) => break,
-            Err(now) => current = now,
-        }
+fn keep_alive(conn: Connection, ctx: &Arc<WorkerContext>) {
+    let reserved = ctx
+        .keepalive_threads
+        .fetch_update(Ordering::AcqRel, Ordering::Relaxed, |n| {
+            (n < ctx.keepalive_cap).then_some(n + 1)
+        });
+    if reserved.is_err() {
+        return;
     }
     let thread_ctx = Arc::clone(ctx);
     let spawned = std::thread::Builder::new()
         .name("bepi-keepalive".to_string())
         .spawn(move || {
-            let ctx = thread_ctx;
-            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                loop {
-                    // Keep-alive connections must not stall the graceful
-                    // drain: once shutdown is requested the connection is
-                    // dropped after the in-flight request (a dropped idle
-                    // connection is exactly what pooled clients handle).
-                    if ctx.shutdown.is_requested() {
-                        return;
-                    }
-                    // Each request on the connection gets a fresh budget;
-                    // queue wait is zero because it never went through
-                    // admission again.
-                    let now = Instant::now();
-                    let deadline = now + ctx.timeout;
-                    match serve_one(&stream, &mut reader, deadline, now, lane, true, &ctx) {
-                        Served::Close => return,
-                        Served::KeepAlive => {}
-                    }
-                }
-            }));
-            if let Err(payload) = result {
-                report_panic(&ctx.metrics, None, payload.as_ref());
-            }
-            ctx.keepalive_threads.fetch_sub(1, Ordering::AcqRel);
+            serve_connection(conn, None, &thread_ctx);
+            thread_ctx.keepalive_threads.fetch_sub(1, Ordering::AcqRel);
         });
     if spawned.is_err() {
         // The closure never ran, so its decrement never will: undo the
@@ -273,35 +250,35 @@ fn persist_connection(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Reads one request off `conn` and serves it by `accepted_at` plus the
+/// request timeout. `subsequent` marks a request after the connection's
+/// first, whose EOF or idle timeout is the normal end of the connection.
 fn serve_one(
-    stream: &TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    deadline: Instant,
+    conn: &mut Connection,
     accepted_at: Instant,
-    lane: Lane,
     subsequent: bool,
     ctx: &WorkerContext,
 ) -> Served {
     let started = Instant::now();
+    let deadline = accepted_at + ctx.timeout;
+    let stream = &conn.stream;
+    let metrics = &ctx.metrics;
 
     // Deadline may already have expired while the job sat in the queue.
     let Some(budget) = remaining(deadline) else {
-        Metrics::inc(&ctx.metrics.timeouts_total);
-        respond(
+        return reject(
             stream,
+            &metrics.timeouts_total,
             504,
-            "application/json",
             &[],
-            &http::json_error_body("deadline expired while queued"),
+            "deadline expired while queued",
         );
-        return Served::Close;
     };
     // The socket timeouts enforce the remaining budget on slow clients.
     let _ = stream.set_read_timeout(Some(budget));
     let _ = stream.set_write_timeout(Some(budget.max(Duration::from_secs(1))));
 
-    let request = match http::read_request(reader) {
+    let request = match http::read_request(&mut conn.reader) {
         Ok(r) => r,
         // On a kept-alive connection, EOF or an idle timeout before the
         // next request is the *normal* end of the connection — not a
@@ -311,49 +288,38 @@ fn serve_one(
             return Served::Close;
         }
         Err(ParseError::TooLarge) => {
-            Metrics::inc(&ctx.metrics.client_errors_total);
-            respond(
+            return reject(
                 stream,
+                &metrics.client_errors_total,
                 431,
-                "application/json",
                 &[],
-                &http::json_error_body("request head too large"),
+                "request head too large",
             );
-            return Served::Close;
         }
         Err(ParseError::BodyTooLarge) => {
-            Metrics::inc(&ctx.metrics.client_errors_total);
-            respond(
+            return reject(
                 stream,
+                &metrics.client_errors_total,
                 413,
-                "application/json",
                 &[],
-                &http::json_error_body("request body too large"),
+                "request body too large",
             );
-            return Served::Close;
         }
-        Err(ParseError::Malformed(m)) => {
-            Metrics::inc(&ctx.metrics.client_errors_total);
-            respond(
-                stream,
-                400,
-                "application/json",
-                &[],
-                &http::json_error_body(&m),
-            );
-            return Served::Close;
+        Err(ParseError::Malformed(message)) => {
+            return reject(stream, &metrics.client_errors_total, 400, &[], &message);
         }
         Err(ParseError::Io(_)) => {
             // Client vanished or stalled past its budget; nothing to say.
-            Metrics::inc(&ctx.metrics.timeouts_total);
+            Metrics::inc(&metrics.timeouts_total);
             return Served::Close;
         }
     };
-    Metrics::inc(&ctx.metrics.requests_total);
+    Metrics::inc(&metrics.requests_total);
 
     // Keep-alive is honored only on the normal lane: the single degraded
     // worker must never be pinned to one persistent connection while the
     // daemon is saturated.
+    let lane = conn.lane;
     let keep_alive = request.keep_alive && lane == Lane::Normal;
     // Adopt the caller's correlation id or mint one here. A `/query`
     // echoes it on the response, stamps it into the slowlog, and — for
@@ -364,7 +330,7 @@ fn serve_one(
         .as_deref()
         .and_then(RequestId::parse)
         .unwrap_or_else(RequestId::mint);
-    let timing = (deadline, accepted_at, started);
+    let timing = (accepted_at, started);
     serve_guarded(
         stream,
         &ctx.metrics,
@@ -377,7 +343,7 @@ fn serve_one(
 thread_local! {
     /// Whether this thread has written a response since
     /// [`serve_guarded`] began serving its current request ([`respond`]
-    /// and [`respond_conn`] set it).
+    /// sets it).
     static ANSWERED: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -418,15 +384,14 @@ fn answer_panic(
     if ANSWERED.with(Cell::get) {
         return Served::Close;
     }
-    respond_conn(
+    respond(
         stream,
         500,
         "application/json",
         &[("X-Request-Id", &rid_hex)],
         &http::json_error_body("internal error while serving the request"),
         keep_alive,
-    );
-    kept(keep_alive)
+    )
 }
 
 /// Serves one parsed request: routes it by lane, method and path.
@@ -435,7 +400,7 @@ fn dispatch(
     stream: &TcpStream,
     request: &Request,
     rid: RequestId,
-    timing: (Instant, Instant, Instant),
+    timing: (Instant, Instant),
     lane: Lane,
     keep_alive: bool,
     ctx: &WorkerContext,
@@ -446,120 +411,135 @@ fn dispatch(
     if lane == Lane::Degraded
         && (request.method.as_str(), request.path.as_str()) != ("GET", "/query")
     {
-        Metrics::inc(&ctx.metrics.rejected_total);
-        respond(
+        return reject(
             stream,
+            &ctx.metrics.rejected_total,
             503,
-            "application/json",
-            &[("Retry-After", "1")],
-            &http::json_error_body("overloaded: only GET /query is served on the degraded lane"),
+            RETRY_AFTER,
+            "overloaded: only GET /query is served on the degraded lane",
         );
-        return Served::Close;
     }
 
+    let json = "application/json";
     match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => {
-            respond_conn(stream, 200, "text/plain", &[], "ok\n", keep_alive);
-            kept(keep_alive)
-        }
+        ("GET", "/healthz") => respond(stream, 200, "text/plain", &[], "ok\n", keep_alive),
         ("GET", "/metrics") => {
             let mut body = ctx.metrics.render();
             body.push_str(&render_live_metrics(&ctx.engine.status()));
             body.push_str(&render_obs_metrics());
-            respond_conn(
-                stream,
-                200,
-                "text/plain; version=0.0.4",
-                &[],
-                &body,
-                keep_alive,
-            );
-            kept(keep_alive)
+            let content_type = "text/plain; version=0.0.4";
+            respond(stream, 200, content_type, &[], &body, keep_alive)
         }
         ("GET", "/query") => handle_query(stream, request, ctx, rid, timing, lane, keep_alive),
         ("GET", "/version") => handle_version(stream, ctx, keep_alive),
         ("GET", "/debug/slow") => {
-            respond_conn(
-                stream,
-                200,
-                "application/json",
-                &[],
-                &ctx.slow_log.render_slow_json(),
-                keep_alive,
-            );
-            kept(keep_alive)
+            let body = ctx.slow_log.render_slow_json();
+            respond(stream, 200, json, &[], &body, keep_alive)
         }
         ("GET", "/debug/trace") => {
-            respond_conn(
-                stream,
-                200,
-                "application/json",
-                &[],
-                &ctx.trace_log.render_trace_json(),
-                keep_alive,
-            );
-            kept(keep_alive)
+            let body = ctx.trace_log.render_trace_json();
+            respond(stream, 200, json, &[], &body, keep_alive)
         }
-        ("POST", "/edges") => {
-            handle_edges(stream, request, ctx);
-            Served::Close
-        }
-        ("POST", "/rebuild") => {
-            handle_rebuild(stream, ctx);
-            Served::Close
-        }
+        ("POST", "/edges") => handle_edges(stream, request, ctx),
+        ("POST", "/rebuild") => handle_rebuild(stream, ctx),
         (_, "/healthz" | "/metrics" | "/query" | "/version" | "/debug/slow" | "/debug/trace") => {
-            method_not_allowed(stream, ctx, "GET");
-            Served::Close
+            method_not_allowed(stream, ctx, "GET")
         }
-        (_, "/edges" | "/rebuild") => {
-            method_not_allowed(stream, ctx, "POST");
-            Served::Close
-        }
-        _ => {
-            Metrics::inc(&ctx.metrics.client_errors_total);
-            respond(
-                stream,
-                404,
-                "application/json",
-                &[],
-                &http::json_error_body(
-                    "unknown path (try /query, /healthz, /metrics, /version, /debug/slow, \
-                     /debug/trace, /edges, /rebuild)",
-                ),
-            );
-            Served::Close
-        }
+        (_, "/edges" | "/rebuild") => method_not_allowed(stream, ctx, "POST"),
+        _ => reject(
+            stream,
+            &ctx.metrics.client_errors_total,
+            404,
+            &[],
+            "unknown path (try /query, /healthz, /metrics, /version, /debug/slow, \
+             /debug/trace, /edges, /rebuild)",
+        ),
     }
 }
 
-fn kept(keep_alive: bool) -> Served {
-    if keep_alive {
-        Served::KeepAlive
-    } else {
-        Served::Close
+fn method_not_allowed(stream: &TcpStream, ctx: &WorkerContext, allow: &str) -> Served {
+    let message = format!("only {allow} is supported on this path");
+    let counter = &ctx.metrics.client_errors_total;
+    reject(stream, counter, 405, &[("Allow", allow)], &message)
+}
+
+/// The header every `503` carries: when to come back.
+const RETRY_AFTER: &[(&str, &str)] = &[("Retry-After", "1")];
+
+/// Answers a request the daemon will not serve: counts it on `counter`
+/// and writes `status` with `extra` headers and a JSON error body. The
+/// connection closes.
+fn reject(
+    stream: &TcpStream,
+    counter: &AtomicU64,
+    status: u16,
+    extra: &[(&str, &str)],
+    message: &str,
+) -> Served {
+    Metrics::inc(counter);
+    let body = http::json_error_body(message);
+    respond(stream, status, "application/json", extra, &body, false)
+}
+
+/// How a `/query` is answered once its mode is resolved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Answer<E> {
+    /// The exact BePI solve.
+    Exact,
+    /// The snapshot's approximate engine.
+    Approx(E),
+}
+
+/// Why mode resolution refuses a `/query`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Refusal {
+    /// `503` with `Retry-After`, counted as rejected: the overflow lane
+    /// sheds what it cannot answer approximately.
+    Shed(&'static str),
+    /// `400`, counted as a client error: `mode=approx` on an index
+    /// without an approximate engine.
+    Unavailable(&'static str),
+}
+
+/// Resolves the requested mode against the lane, the main queue's
+/// pressure and the snapshot's approximate engine (if any). The degraded
+/// lane counts as pressured.
+fn resolve_mode<E>(
+    requested: RequestMode,
+    lane: Lane,
+    pressured: bool,
+    engine: Option<E>,
+) -> Result<Answer<E>, Refusal> {
+    let degraded = lane == Lane::Degraded;
+    match (requested, engine) {
+        // Exact work is exactly what the saturated main queue could not
+        // absorb; the overflow lane must not do it.
+        (RequestMode::Exact, _) if degraded => Err(Refusal::Shed(
+            "overloaded: exact queries shed (retry, or use mode=auto)",
+        )),
+        (RequestMode::Exact, _) => Ok(Answer::Exact),
+        (RequestMode::Approx, Some(engine)) => Ok(Answer::Approx(engine)),
+        (RequestMode::Approx, None) => Err(Refusal::Unavailable(
+            "mode=approx unavailable: this index was started without an \
+             approximate engine (no graph embedded)",
+        )),
+        (RequestMode::Auto, Some(engine)) if pressured || degraded => Ok(Answer::Approx(engine)),
+        // Nothing to degrade to: shed like a full queue would.
+        (RequestMode::Auto, None) if degraded => Err(Refusal::Shed(
+            "overloaded and no approximate engine available",
+        )),
+        (RequestMode::Auto, _) => Ok(Answer::Exact),
     }
 }
 
-fn method_not_allowed(stream: &TcpStream, ctx: &WorkerContext, allow: &str) {
-    Metrics::inc(&ctx.metrics.client_errors_total);
-    respond(
-        stream,
-        405,
-        "application/json",
-        &[("Allow", allow)],
-        &http::json_error_body(&format!("only {allow} is supported on this path")),
-    );
-}
-
-/// `GET /query`. `timing` is the request's deadline, its admission and
-/// the start of its service.
+/// `GET /query`. `timing` is the request's admission and the start of its
+/// service.
 fn handle_query(
     stream: &TcpStream,
     request: &Request,
     ctx: &WorkerContext,
     rid: RequestId,
-    (deadline, accepted_at, started): (Instant, Instant, Instant),
+    (accepted_at, started): (Instant, Instant),
     lane: Lane,
     keep_alive: bool,
 ) -> Served {
@@ -573,88 +553,34 @@ fn handle_query(
     let version_header = snapshot.version.to_string();
     let parsed = match parse_query_params(request, snapshot.bepi.node_count()) {
         Ok(p) => p,
-        Err(msg) => {
-            Metrics::inc(&ctx.metrics.client_errors_total);
-            respond(
-                stream,
-                400,
-                "application/json",
-                &[],
-                &http::json_error_body(&msg),
-            );
-            return Served::Close;
-        }
+        Err(msg) => return reject(stream, &ctx.metrics.client_errors_total, 400, &[], &msg),
     };
 
     // Resolve the requested mode against the lane, the current pressure,
     // and whether this snapshot has an approximate engine at all. The
     // cache key always carries the *resolved* mode, so `auto` shares
     // entries with whichever explicit lane it lands on.
-    let approx_engine = snapshot.approx.as_deref();
-    let mode = match parsed.mode {
-        RequestMode::Exact => {
-            if lane == Lane::Degraded {
-                // Exact work is exactly what the saturated main queue
-                // could not absorb; the overflow lane must not do it.
-                Metrics::inc(&ctx.metrics.rejected_total);
-                respond(
-                    stream,
-                    503,
-                    "application/json",
-                    &[("Retry-After", "1")],
-                    &http::json_error_body(
-                        "overloaded: exact queries shed (retry, or use mode=auto)",
-                    ),
-                );
-                return Served::Close;
-            }
-            ResponseMode::Exact
+    let pressured = ctx.metrics.queue_depth.load(Ordering::Relaxed) >= ctx.pressure_slots;
+    let answer = match resolve_mode(parsed.mode, lane, pressured, snapshot.approx.as_deref()) {
+        Ok(answer) => answer,
+        Err(Refusal::Shed(msg)) => {
+            return reject(stream, &ctx.metrics.rejected_total, 503, RETRY_AFTER, msg)
         }
-        RequestMode::Approx => match approx_engine {
-            Some(_) => ResponseMode::Approx,
-            None => {
-                Metrics::inc(&ctx.metrics.client_errors_total);
-                respond(
-                    stream,
-                    400,
-                    "application/json",
-                    &[],
-                    &http::json_error_body(
-                        "mode=approx unavailable: this index was started without an \
-                         approximate engine (no graph embedded)",
-                    ),
-                );
-                return Served::Close;
-            }
-        },
-        RequestMode::Auto => {
-            let pressured = lane == Lane::Degraded
-                || ctx.metrics.queue_depth.load(Ordering::Relaxed) >= ctx.pressure_slots;
-            match approx_engine {
-                Some(_) if pressured => ResponseMode::Approx,
-                None if lane == Lane::Degraded => {
-                    // Nothing to degrade to: shed like a full queue would.
-                    Metrics::inc(&ctx.metrics.rejected_total);
-                    respond(
-                        stream,
-                        503,
-                        "application/json",
-                        &[("Retry-After", "1")],
-                        &http::json_error_body("overloaded and no approximate engine available"),
-                    );
-                    return Served::Close;
-                }
-                _ => ResponseMode::Exact,
-            }
+        Err(Refusal::Unavailable(msg)) => {
+            return reject(stream, &ctx.metrics.client_errors_total, 400, &[], msg)
         }
     };
+    let approx = matches!(answer, Answer::Approx(_));
     let key = QueryKey {
         seed: parsed.seed,
         top_k: parsed.top_k,
         version: snapshot.version,
-        mode,
+        mode: if approx {
+            ResponseMode::Approx
+        } else {
+            ResponseMode::Exact
+        },
     };
-    let approx = mode == ResponseMode::Approx;
     let mut headers: Vec<(&str, &str)> = Vec::with_capacity(5);
     headers.push(("X-Graph-Version", &version_header));
     headers.push(("X-Request-Id", &rid_hex));
@@ -690,38 +616,20 @@ fn handle_query(
     } else {
         // The solve is not interruptible; shed the request if its budget
         // is already gone rather than burning a worker on a dead client.
-        if remaining(deadline).is_none() {
-            Metrics::inc(&ctx.metrics.timeouts_total);
-            respond(
-                stream,
-                504,
-                "application/json",
-                &[],
-                &http::json_error_body("deadline expired before solve"),
-            );
-            return Served::Close;
+        if remaining(accepted_at + ctx.timeout).is_none() {
+            let message = "deadline expired before solve";
+            return reject(stream, &ctx.metrics.timeouts_total, 504, &[], message);
         }
         let solve_start = Instant::now();
-        let solved = match key.mode {
-            ResponseMode::Exact => snapshot.bepi.query(key.seed),
-            // `approx_engine` is always Some here: every path that
-            // resolves to Approx checked it above.
-            ResponseMode::Approx => approx_engine
-                .expect("approx mode resolved without an engine")
-                .query(key.seed, 0),
+        let solved = match answer {
+            Answer::Exact => snapshot.bepi.query(key.seed),
+            Answer::Approx(engine) => engine.query(key.seed, 0),
         };
         let scores = match solved {
             Ok(s) => s,
             Err(e) => {
-                Metrics::inc(&ctx.metrics.server_errors_total);
-                respond(
-                    stream,
-                    500,
-                    "application/json",
-                    &[],
-                    &http::json_error_body(&format!("solver failed: {e}")),
-                );
-                return Served::Close;
+                let message = format!("solver failed: {e}");
+                return reject(stream, &ctx.metrics.server_errors_total, 500, &[], &message);
             }
         };
         let solve_time = solve_start.elapsed();
@@ -746,21 +654,11 @@ fn handle_query(
     }
     record.total_us = accepted_at.elapsed().as_micros() as u64;
     headers.push(("X-Cache", if record.cache_hit { "hit" } else { "miss" }));
-    if trace {
-        // The cache stores the base body; the trace block is per-request
-        // and spliced in only for the response that asked for it.
-        let traced = with_trace(&body, &rid_hex, &record);
-        respond_conn(
-            stream,
-            200,
-            "application/json",
-            &headers,
-            &traced,
-            keep_alive,
-        );
-    } else {
-        respond_conn(stream, 200, "application/json", &headers, &body, keep_alive);
-    }
+    // The cache stores the base body; the trace block is per-request and
+    // spliced in only for the response that asked for it.
+    let traced = trace.then(|| with_trace(&body, &rid_hex, &record));
+    let body = traced.as_deref().unwrap_or(&body);
+    let served = respond(stream, 200, "application/json", &headers, body, keep_alive);
     ctx.metrics
         .query_latency
         .observe(started.elapsed().as_secs_f64());
@@ -768,7 +666,7 @@ fn handle_query(
     if trace {
         record_traced(ctx, &rid_hex, &record);
     }
-    kept(keep_alive)
+    served
 }
 
 /// Books a traced request into the trace ring, the structured log, and
@@ -829,7 +727,6 @@ fn record_traced(ctx: &WorkerContext, rid_hex: &str, q: &QueryRecord) {
 /// `tid` lane in exported traces (worker pool, degraded, and keep-alive
 /// threads each get their own lane in order of first export).
 fn trace_tid() -> u64 {
-    use std::cell::Cell;
     static NEXT_TID: AtomicUsize = AtomicUsize::new(1);
     thread_local! {
         static TID: Cell<u64> = const { Cell::new(0) };
@@ -884,15 +781,8 @@ fn handle_version(stream: &TcpStream, ctx: &WorkerContext, keep_alive: bool) -> 
         json_or_null(&status.last_error)
     );
     let version_header = status.version.to_string();
-    respond_conn(
-        stream,
-        200,
-        "application/json",
-        &[("X-Graph-Version", &version_header)],
-        &body,
-        keep_alive,
-    );
-    kept(keep_alive)
+    let headers = [("X-Graph-Version", version_header.as_str())];
+    respond(stream, 200, "application/json", &headers, &body, keep_alive)
 }
 
 /// `POST /edges`: a batch of JSON-lines edge updates, e.g.
@@ -904,20 +794,10 @@ fn handle_version(stream: &TcpStream, ctx: &WorkerContext, keep_alive: bool) -> 
 ///
 /// The whole batch is validated, WAL-logged, and buffered atomically;
 /// queries keep seeing the current snapshot until a rebuild completes.
-fn handle_edges(stream: &TcpStream, request: &Request, ctx: &WorkerContext) {
+fn handle_edges(stream: &TcpStream, request: &Request, ctx: &WorkerContext) -> Served {
     let updates = match parse_edge_lines(&request.body) {
         Ok(u) => u,
-        Err(msg) => {
-            Metrics::inc(&ctx.metrics.client_errors_total);
-            respond(
-                stream,
-                400,
-                "application/json",
-                &[],
-                &http::json_error_body(&msg),
-            );
-            return;
-        }
+        Err(msg) => return reject(stream, &ctx.metrics.client_errors_total, 400, &[], &msg),
     };
     match ctx.engine.submit(&updates) {
         Ok(out) => {
@@ -925,38 +805,28 @@ fn handle_edges(stream: &TcpStream, request: &Request, ctx: &WorkerContext) {
                 "{{\"accepted\":{},\"pending\":{},\"version\":{},\"rebuild_triggered\":{}}}",
                 out.accepted, out.pending, out.version, out.rebuild_triggered
             );
-            respond(
-                stream,
-                200,
-                "application/json",
-                &[("X-Graph-Version", &out.version.to_string())],
-                &body,
-            );
+            let version = out.version.to_string();
+            let headers = [("X-Graph-Version", version.as_str())];
+            respond(stream, 200, "application/json", &headers, &body, false)
         }
         Err(SparseError::IndexOutOfBounds { index, shape }) => {
-            Metrics::inc(&ctx.metrics.client_errors_total);
-            respond(
-                stream,
-                422,
-                "application/json",
-                &[],
-                &http::json_error_body(&format!(
-                    "edge ({}, {}) out of range (graph has {} nodes)",
-                    index.0, index.1, shape.0
-                )),
+            let message = format!(
+                "edge ({}, {}) out of range (graph has {} nodes)",
+                index.0, index.1, shape.0
             );
+            reject(stream, &ctx.metrics.client_errors_total, 422, &[], &message)
         }
+        // Parity with every other shed path: a 503 always tells the
+        // client when to come back.
         Err(e) => {
-            Metrics::inc(&ctx.metrics.server_errors_total);
-            // Parity with every other shed path: a 503 always tells the
-            // client when to come back.
-            respond(
+            let message = e.to_string();
+            reject(
                 stream,
+                &ctx.metrics.server_errors_total,
                 503,
-                "application/json",
-                &[("Retry-After", "1")],
-                &http::json_error_body(&e.to_string()),
-            );
+                RETRY_AFTER,
+                &message,
+            )
         }
     }
 }
@@ -965,7 +835,7 @@ fn handle_edges(stream: &TcpStream, request: &Request, ctx: &WorkerContext) {
 /// the hot-swap completes. An admin operation — the query deadline does
 /// not apply, so the socket budget is re-armed generously before the
 /// (potentially long) preprocessing run.
-fn handle_rebuild(stream: &TcpStream, ctx: &WorkerContext) {
+fn handle_rebuild(stream: &TcpStream, ctx: &WorkerContext) -> Served {
     let _ = stream.set_write_timeout(Some(Duration::from_secs(30)));
     match ctx.engine.rebuild_and_wait() {
         Ok(version) => {
@@ -974,23 +844,19 @@ fn handle_rebuild(stream: &TcpStream, ctx: &WorkerContext) {
                 version,
                 ctx.engine.status().pending
             );
-            respond(
-                stream,
-                200,
-                "application/json",
-                &[("X-Graph-Version", &version.to_string())],
-                &body,
-            );
+            let version = version.to_string();
+            let headers = [("X-Graph-Version", version.as_str())];
+            respond(stream, 200, "application/json", &headers, &body, false)
         }
         Err(e) => {
-            Metrics::inc(&ctx.metrics.server_errors_total);
-            respond(
+            let message = e.to_string();
+            reject(
                 stream,
+                &ctx.metrics.server_errors_total,
                 503,
-                "application/json",
-                &[("Retry-After", "1")],
-                &http::json_error_body(&e.to_string()),
-            );
+                RETRY_AFTER,
+                &message,
+            )
         }
     }
 }
@@ -1167,33 +1033,25 @@ pub(crate) fn fmt_f64(v: f64) -> String {
 }
 
 /// Best-effort response write; a failed write means the client is gone,
-/// which is not an error worth tracking separately.
+/// which is not an error worth tracking separately. `keep_alive` answers
+/// `Connection: keep-alive`, and the returned [`Served`] tells the caller
+/// to read the next request off the same stream.
 fn respond(
     mut stream: &TcpStream,
     status: u16,
     content_type: &str,
     extra: &[(&str, &str)],
     body: &str,
-) {
-    ANSWERED.with(|answered| answered.set(true));
-    let _ = http::write_response(&mut stream, status, content_type, extra, body);
-    let _ = stream.flush();
-}
-
-/// [`respond`] with an explicit connection disposition: `keep_alive`
-/// answers `Connection: keep-alive` so the caller can serve the next
-/// request off the same stream.
-fn respond_conn(
-    mut stream: &TcpStream,
-    status: u16,
-    content_type: &str,
-    extra: &[(&str, &str)],
-    body: &str,
     keep_alive: bool,
-) {
+) -> Served {
     ANSWERED.with(|answered| answered.set(true));
-    let _ = http::write_response_conn(&mut stream, status, content_type, extra, body, keep_alive);
+    let _ = http::write_response(&mut stream, status, content_type, extra, body, keep_alive);
     let _ = stream.flush();
+    if keep_alive {
+        Served::KeepAlive
+    } else {
+        Served::Close
+    }
 }
 
 /// Sheds one connection with `503 Service Unavailable` + `Retry-After`.
@@ -1202,19 +1060,13 @@ fn respond_conn(
 /// before writing so well-behaved clients get the response instead of a
 /// reset.
 pub fn shed_connection(stream: TcpStream, metrics: &Metrics) {
-    Metrics::inc(&metrics.rejected_total);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
     let mut sink = [0u8; 1024];
     let mut s = &stream;
     let _ = s.read(&mut sink);
-    respond(
-        &stream,
-        503,
-        "application/json",
-        &[("Retry-After", "1")],
-        &http::json_error_body("admission queue full, retry shortly"),
-    );
+    let message = "admission queue full, retry shortly";
+    reject(&stream, &metrics.rejected_total, 503, RETRY_AFTER, message);
 }
 
 #[cfg(test)]
@@ -1253,23 +1105,13 @@ mod tests {
         }
     }
 
+    /// A `GET /query` with the query string `q`.
+    fn req(q: &str) -> Request {
+        http::read_request(&mut format!("GET /query?{q} HTTP/1.1\r\n\r\n").as_bytes()).unwrap()
+    }
+
     #[test]
     fn param_parsing_validates_seed_and_top() {
-        let req = |q: &str| Request {
-            method: "GET".into(),
-            path: "/query".into(),
-            params: q
-                .split('&')
-                .filter(|p| !p.is_empty())
-                .map(|p| {
-                    let (k, v) = p.split_once('=').unwrap();
-                    (k.to_string(), v.to_string())
-                })
-                .collect(),
-            body: String::new(),
-            keep_alive: false,
-            request_id: None,
-        };
         assert_eq!(
             parse_query_params(&req("seed=3&top=4"), 10).unwrap(),
             ParsedQuery {
@@ -1293,21 +1135,6 @@ mod tests {
 
     #[test]
     fn param_parsing_validates_mode() {
-        let req = |q: &str| Request {
-            method: "GET".into(),
-            path: "/query".into(),
-            params: q
-                .split('&')
-                .filter(|p| !p.is_empty())
-                .map(|p| {
-                    let (k, v) = p.split_once('=').unwrap();
-                    (k.to_string(), v.to_string())
-                })
-                .collect(),
-            body: String::new(),
-            keep_alive: false,
-            request_id: None,
-        };
         let mode = |q: &str| parse_query_params(&req(q), 10).unwrap().mode;
         assert_eq!(mode("seed=1"), RequestMode::Auto);
         assert_eq!(mode("seed=1&mode=auto"), RequestMode::Auto);
@@ -1383,7 +1210,7 @@ mod tests {
         let before = serve_guarded(&server, &metrics, request, true, || panic!("before"));
         assert_eq!(before, Served::KeepAlive);
         let after = serve_guarded(&server, &metrics, request, true, || {
-            respond_conn(&server, 200, "text/plain", &[], "ok\n", true);
+            respond(&server, 200, "text/plain", &[], "ok\n", true);
             panic!("after the response")
         });
         assert_eq!(after, Served::Close);
@@ -1399,6 +1226,53 @@ mod tests {
             "{first}"
         );
         assert!(second.ends_with("ok\n"), "{second}");
+    }
+
+    /// Every combination of requested mode, lane, queue pressure and
+    /// engine presence, with the answer each gets.
+    #[test]
+    fn mode_resolution_covers_every_input() {
+        use RequestMode::{Approx, Auto, Exact};
+        const SHED: &str = "shed";
+        const UNAVAILABLE: &str = "unavailable";
+        let exact = Ok(Answer::Exact);
+        let approx = Ok(Answer::Approx("engine"));
+        for (mode, lane, pressured, engine, want) in [
+            (Exact, Lane::Normal, false, true, exact),
+            (Exact, Lane::Normal, false, false, exact),
+            (Exact, Lane::Normal, true, true, exact),
+            (Exact, Lane::Normal, true, false, exact),
+            (Exact, Lane::Degraded, false, true, Err(SHED)),
+            (Exact, Lane::Degraded, false, false, Err(SHED)),
+            (Exact, Lane::Degraded, true, true, Err(SHED)),
+            (Exact, Lane::Degraded, true, false, Err(SHED)),
+            (Approx, Lane::Normal, false, true, approx),
+            (Approx, Lane::Normal, false, false, Err(UNAVAILABLE)),
+            (Approx, Lane::Normal, true, true, approx),
+            (Approx, Lane::Normal, true, false, Err(UNAVAILABLE)),
+            (Approx, Lane::Degraded, false, true, approx),
+            (Approx, Lane::Degraded, false, false, Err(UNAVAILABLE)),
+            (Approx, Lane::Degraded, true, true, approx),
+            (Approx, Lane::Degraded, true, false, Err(UNAVAILABLE)),
+            (Auto, Lane::Normal, false, true, exact),
+            (Auto, Lane::Normal, false, false, exact),
+            (Auto, Lane::Normal, true, true, approx),
+            (Auto, Lane::Normal, true, false, exact),
+            (Auto, Lane::Degraded, false, true, approx),
+            (Auto, Lane::Degraded, false, false, Err(SHED)),
+            (Auto, Lane::Degraded, true, true, approx),
+            (Auto, Lane::Degraded, true, false, Err(SHED)),
+        ] {
+            let got = resolve_mode(mode, lane, pressured, engine.then_some("engine"));
+            let got = got.map_err(|refusal| match refusal {
+                Refusal::Shed(_) => SHED,
+                Refusal::Unavailable(_) => UNAVAILABLE,
+            });
+            assert_eq!(
+                got, want,
+                "{mode:?} on {lane:?}, pressured {pressured}, engine {engine}"
+            );
+        }
     }
 
     #[test]

@@ -350,6 +350,26 @@ for flags in "" "--embed-graph"; do
     || { echo "two preprocesses ${flags:+($flags) }of one graph wrote different files"; exit 1; }
   echo "preprocess ${flags:+$flags }twice: byte-identical index files"
 done
+
+# CLI error paths, end to end: a runtime error (here a corrupt index) is
+# one `error:` line without the usage text, and a flag the subcommand
+# does not read is an argument error.
+echo "==> CLI error paths (corrupt index, unread flag)"
+cp "$REPRO_TMP/index1.bepi" "$REPRO_TMP/corrupt.bepi"
+printf 'NOPE' | dd of="$REPRO_TMP/corrupt.bepi" bs=1 seek=0 conv=notrunc status=none
+if ./target/release/bepi serve "$REPRO_TMP/corrupt.bepi" 5 2> "$REPRO_TMP/serve.err"; then
+  echo "bepi serve answered from a corrupt index"; exit 1
+fi
+if grep -q "usage:" "$REPRO_TMP/serve.err"; then
+  echo "a runtime error printed the usage text:"; cat "$REPRO_TMP/serve.err"; exit 1
+fi
+if ./target/release/bepi preprocess "$REPRO_TMP/edges.txt" "$REPRO_TMP/out.bepi" --mmap \
+  2> "$REPRO_TMP/preprocess.err"; then
+  echo "bepi preprocess accepted --mmap, which it does not read"; exit 1
+fi
+grep -q "unknown flag: --mmap for bepi preprocess" "$REPRO_TMP/preprocess.err" \
+  || { echo "unexpected error for preprocess --mmap:"; cat "$REPRO_TMP/preprocess.err"; exit 1; }
+echo "runtime error without usage; unread flag rejected"
 rm -rf "$REPRO_TMP"
 
 # Approximate-serving degradation gate: boot a daemon whose index embeds

@@ -29,9 +29,12 @@ fn solver() -> Arc<BePi> {
     )
 }
 
-/// A frozen snapshot *with* its graph, so the approximate lane is live.
+/// A live engine over the index and its graph, so the approximate lane
+/// is up.
 fn start(config: &ServerConfig) -> ServerHandle {
-    let engine = bepi_live::LiveEngine::frozen_with_graph(solver(), graph());
+    let engine =
+        bepi_live::LiveEngine::start(solver(), graph().clone(), bepi_live::LiveConfig::default())
+            .expect("the graph matches the index");
     Server::start_live(engine, config).expect("server must bind an ephemeral port")
 }
 
