@@ -590,23 +590,16 @@ fn resident_bytes() -> Option<usize> {
 fn print_memory_report(solver: &BePi) {
     println!("--- index memory by section ---");
     println!("{:<10} {:>12} {:>12}", "section", "heap", "mapped");
-    let (mut heap, mut mapped) = (0usize, 0usize);
-    for s in solver.memory_report() {
-        heap += s.heap_bytes;
-        mapped += s.mapped_bytes;
+    let report = solver.memory_report();
+    let total = report.iter().map(|s| s.bytes).sum();
+    let rows = report.iter().map(|s| (s.name, s.bytes));
+    for (name, bytes) in rows.chain([("total", total)]) {
         println!(
-            "{:<10} {:>12} {:>12}",
-            s.name,
-            format_bytes(s.heap_bytes),
-            format_bytes(s.mapped_bytes)
+            "{name:<10} {:>12} {:>12}",
+            format_bytes(bytes.heap),
+            format_bytes(bytes.mapped)
         );
     }
-    println!(
-        "{:<10} {:>12} {:>12}",
-        "total",
-        format_bytes(heap),
-        format_bytes(mapped)
-    );
 }
 
 /// The partition's sizes and what the index stores per spoke and per
@@ -648,7 +641,6 @@ fn print_stored_forms(solver: &BePi) {
         "matrix", "pattern", "values", "rows", "nnz", "bytes"
     );
     for (name, m) in solver.stored_matrices() {
-        let own = m.mem_bytes() - m.table().map_or(0, |t| t.mem_bytes());
         let values = match m.values() {
             MatrixValues::Entries(CodedValues::Plain(_)) => "plain",
             MatrixValues::Entries(CodedValues::Coded { .. }) => "coded",
@@ -666,14 +658,14 @@ fn print_stored_forms(solver: &BePi) {
                 "wide"
             },
             m.nnz(),
-            format_bytes(own)
+            format_bytes(m.own_bytes().total())
         );
     }
     let h11 = solver.h11_factors();
     let singletons = h11.singletons();
-    let (form, bytes) = match singletons {
-        CodedValues::Plain(v) => ("plain", v.mem_bytes()),
-        CodedValues::Coded { codes, .. } => ("coded", codes.mem_bytes()),
+    let form = match singletons {
+        CodedValues::Plain(_) => "plain",
+        CodedValues::Coded { .. } => "coded",
     };
     println!(
         "{:<10} {:>8} {form:>8} {:>13} {:>12} {:>12}",
@@ -681,7 +673,7 @@ fn print_stored_forms(solver: &BePi) {
         "-",
         "-",
         singletons.len(),
-        format_bytes(bytes)
+        format_bytes(singletons.own_bytes().total())
     );
     let larger = h11.larger_blocks();
     println!(

@@ -29,7 +29,9 @@ use crate::{DEFAULT_RESTART_PROB, DEFAULT_TOLERANCE};
 use bepi_graph::Graph;
 use bepi_incr::SymbolicPlan;
 use bepi_solver::{gmres_block, BlockLu, FrozenBlockLu, GmresConfig, Ilu0, Preconditioner};
-use bepi_sparse::{CodedCsr, CodedValues, Csr, Permutation, Result, SparseError, Storage};
+use bepi_sparse::{
+    Bytes, CodedCsr, CodedValues, Csr, MemBytes, Permutation, Result, SparseError, Storage,
+};
 use std::time::{Duration, Instant};
 
 /// Which of the three BePI variants to run.
@@ -185,11 +187,8 @@ pub struct PreprocessStats {
 pub struct MemorySection {
     /// Component name (`perm`, `l1_inv`, `schur`, …).
     pub name: &'static str,
-    /// Bytes held on the process heap.
-    pub heap_bytes: usize,
-    /// Bytes served zero-copy from a memory-mapped index file (counted
-    /// against the shared page cache, not private anonymous memory).
-    pub mapped_bytes: usize,
+    /// Its bytes on the heap and served from a mapped index file.
+    pub bytes: Bytes,
 }
 
 /// Everything needed to assemble a [`BePi`] from persisted components —
@@ -542,19 +541,19 @@ impl BePi {
         })
     }
 
-    /// True when any component is served zero-copy from a mapped index.
-    pub fn is_mapped(&self) -> bool {
-        self.mapped_bytes() > 0
+    /// Bytes of index data, summed over [`BePi::memory_report`].
+    pub fn bytes(&self) -> Bytes {
+        self.memory_report().iter().map(|s| s.bytes).sum()
     }
 
     /// Total bytes of index data held on the process heap.
     pub fn heap_bytes(&self) -> usize {
-        self.memory_report().iter().map(|c| c.heap_bytes).sum()
+        self.bytes().heap
     }
 
     /// Total bytes of index data served zero-copy from a mapped file.
     pub fn mapped_bytes(&self) -> usize {
-        self.memory_report().iter().map(|c| c.mapped_bytes).sum()
+        self.bytes().mapped
     }
 
     /// Physical memory split of every index component: how many bytes
@@ -572,48 +571,24 @@ impl BePi {
     /// adds up to every section of the index file but META and the
     /// embedded graph.
     pub fn memory_report(&self) -> Vec<MemorySection> {
-        let table = |f: fn(&Storage<f64>) -> usize| self.value_table().map_or(0, f);
-        let matrix = |name, m: &CodedCsr| MemorySection {
-            name,
-            heap_bytes: m.heap_bytes() - m.table().map_or(0, Storage::heap_bytes),
-            mapped_bytes: m.mapped_bytes() - m.table().map_or(0, Storage::mapped_bytes),
-        };
-        let mut schur = matrix("schur", &self.s);
-        schur.heap_bytes += table(Storage::heap_bytes);
-        schur.mapped_bytes += table(Storage::mapped_bytes);
-        let mut u1_inv = matrix("u1_inv", self.h11_lu.u_inv());
-        let larger = self.h11_lu.larger_blocks();
-        u1_inv.heap_bytes += larger.heap_bytes();
-        u1_inv.mapped_bytes += larger.mapped_bytes();
-        match self.h11_lu.singletons() {
-            CodedValues::Plain(v) => {
-                u1_inv.heap_bytes += v.heap_bytes();
-                u1_inv.mapped_bytes += v.mapped_bytes();
-            }
-            CodedValues::Coded { codes, .. } => {
-                u1_inv.heap_bytes += codes.heap_bytes();
-                u1_inv.mapped_bytes += codes.mapped_bytes();
-            }
-        }
-        vec![
-            MemorySection {
-                name: "perm",
-                heap_bytes: self.perm.heap_bytes(),
-                mapped_bytes: self.perm.mapped_bytes(),
-            },
-            matrix("l1_inv", self.h11_lu.l_inv()),
-            u1_inv,
-            schur,
-            MemorySection {
-                name: "precond",
-                heap_bytes: self.ilu.as_ref().map_or(0, Ilu0::heap_bytes),
-                mapped_bytes: self.ilu.as_ref().map_or(0, Ilu0::mapped_bytes),
-            },
-            matrix("h12", &self.h12),
-            matrix("h21", &self.h21),
-            matrix("h31", &self.h31),
-            matrix("h32", &self.h32),
+        let h11 = &self.h11_lu;
+        let u1_inv =
+            h11.u_inv().own_bytes() + h11.larger_blocks().bytes() + h11.singletons().own_bytes();
+        let table = self.value_table().map_or(Bytes::default(), MemBytes::bytes);
+        [
+            ("perm", self.perm.bytes()),
+            ("l1_inv", h11.l_inv().own_bytes()),
+            ("u1_inv", u1_inv),
+            ("schur", self.s.own_bytes() + table),
+            ("precond", self.ilu.bytes()),
+            ("h12", self.h12.own_bytes()),
+            ("h21", self.h21.own_bytes()),
+            ("h31", self.h31.own_bytes()),
+            ("h32", self.h32.own_bytes()),
         ]
+        .into_iter()
+        .map(|(name, bytes)| MemorySection { name, bytes })
+        .collect()
     }
 
     /// The query phase (Algorithm 2 / 4) with full statistics.
@@ -746,7 +721,7 @@ impl RwrSolver for BePi {
         // Everything Algorithm 3 returns: L1^{-1}, U1^{-1}, S, (L̂2, Û2),
         // H12, H21, H31, H32 — plus the node relabeling, and the value
         // table once: the memory report, whichever backing holds it.
-        self.heap_bytes() + self.mapped_bytes()
+        self.bytes().total()
     }
 }
 
@@ -892,7 +867,7 @@ pub(crate) mod tests {
     pub(crate) fn precond_bytes(b: &BePi) -> (usize, usize) {
         let report = b.memory_report();
         let c = report.iter().find(|c| c.name == "precond").unwrap();
-        (c.heap_bytes, c.mapped_bytes)
+        (c.bytes.heap, c.bytes.mapped)
     }
 
     /// The memory invariant of the ILU(0) preconditioner: it holds its
@@ -1216,7 +1191,7 @@ pub(crate) mod tests {
         let path = dir.join("index.bepi");
         crate::persist::save_file_v6(&owned, Some(&g), &path).unwrap();
         let (mapped, _) = crate::persist::load_mapped_file(&path).unwrap();
-        assert!(mapped.is_mapped());
+        assert!(mapped.mapped_bytes() > 0);
         let edge = removable_edge(&g);
         let plan = owned.symbolic_plan();
         assert_eq!(mapped.symbolic_plan().n1, plan.n1);
@@ -1297,7 +1272,7 @@ pub(crate) mod tests {
             crate::persist::save_file_v6(&fresh, None, &path).unwrap();
             let heap = crate::persist::load_file(&path).unwrap();
             let (mapped, _) = crate::persist::load_mapped_file(&path).unwrap();
-            assert!(mapped.is_mapped());
+            assert!(mapped.mapped_bytes() > 0);
             let plan = fresh.symbolic_plan();
             let (g_new, rebuilt) = numeric_rebuild(&fresh, &g, removable_edge(&g));
             for (index, graph, what) in [
@@ -1356,8 +1331,14 @@ pub(crate) mod tests {
             (21_839, 20_439)
         );
         assert_eq!(h11.num_blocks(), 21_839);
-        assert_eq!(h11.larger_blocks().heap_bytes(), 8 * (21_839 - 20_439));
-        assert_eq!(index.permutation().heap_bytes(), 4 * index.node_count());
+        assert_eq!(
+            h11.larger_blocks().bytes(),
+            Bytes::heap(8 * (21_839 - 20_439))
+        );
+        assert_eq!(
+            index.permutation().bytes(),
+            Bytes::heap(4 * index.node_count())
+        );
         let (h12, h21, h31, h32) = index.coupling_blocks();
         assert!(h12.is_per_column() && h21.is_per_column());
         assert!(!h31.is_per_column() && !h32.is_per_column());

@@ -16,7 +16,7 @@
 use crate::rwr::check_restart_prob;
 use bepi_graph::Graph;
 use bepi_incr::SymbolicPlan;
-use bepi_sparse::{Csr, MemBytes, Permutation, Result};
+use bepi_sparse::{Bytes, Csr, MemBytes, Permutation, Result};
 use std::time::Duration;
 
 /// The reordered, partitioned `H` matrix.
@@ -124,14 +124,14 @@ impl HPartition {
 }
 
 impl MemBytes for HPartition {
-    fn mem_bytes(&self) -> usize {
-        self.perm.mem_bytes()
-            + self.h11.mem_bytes()
-            + self.h12.mem_bytes()
-            + self.h21.mem_bytes()
-            + self.h22.mem_bytes()
-            + self.h31.mem_bytes()
-            + self.h32.mem_bytes()
+    fn bytes(&self) -> Bytes {
+        self.perm.bytes()
+            + self.h11.bytes()
+            + self.h12.bytes()
+            + self.h21.bytes()
+            + self.h22.bytes()
+            + self.h31.bytes()
+            + self.h32.bytes()
     }
 }
 

@@ -1043,6 +1043,7 @@ mod tests {
     use crate::bepi::tests::{assert_precond_bytes, bits32, precond_bytes};
     use crate::prelude::*;
     use bepi_graph::generators;
+    use bepi_sparse::{Bytes, MemBytes as _};
 
     fn to_bytes(bepi: &BePi, graph: Option<&Graph>) -> Vec<u8> {
         let mut buf = Vec::new();
@@ -1288,7 +1289,6 @@ mod tests {
             assert_eq!(a.scores, b.scores, "v6 heap load must be bit-identical");
             assert_eq!(a.iterations, b.iterations);
         }
-        assert!(!restored.is_mapped());
         assert_eq!(restored.mapped_bytes(), 0);
     }
 
@@ -1301,7 +1301,6 @@ mod tests {
         let heap = load_file(&path).unwrap();
         let (mapped, graph) = load_mapped_file(&path).unwrap();
         assert_eq!(graph.unwrap().adjacency(), g.adjacency());
-        assert!(mapped.is_mapped());
         assert!(mapped.mapped_bytes() > 0);
         // The big arrays are all served from the file; only recomputed
         // preconditioners or small owned bits may sit on the heap.
@@ -1643,16 +1642,8 @@ mod tests {
             ["perm", "l1_inv", "u1_inv", "schur", "precond", "h12", "h21", "h31", "h32"]
         );
         for c in &report {
-            assert_eq!(
-                c.heap_bytes, 0,
-                "{} should be fully mapped (zero heap)",
-                c.name
-            );
+            assert_eq!(c.bytes.heap, 0, "{} should be fully mapped", c.name);
         }
-        assert_eq!(
-            report.iter().map(|c| c.mapped_bytes).sum::<usize>(),
-            mapped.mapped_bytes()
-        );
         // Logical accounting is backing-independent.
         assert_eq!(mapped.preprocessed_bytes(), original.preprocessed_bytes());
         std::fs::remove_file(&path).ok();
@@ -1767,16 +1758,15 @@ mod tests {
         assert_eq!(len_of(sec::S_VALUES), None);
         let heap = load_file(&path).unwrap();
         let (mapped, _) = load_mapped_file(&path).unwrap();
-        for (b, heap_bytes, mapped_bytes) in
-            [(&fresh, want, 0), (&heap, want, 0), (&mapped, 0, want)]
-        {
+        for (b, split) in [
+            (&fresh, Bytes::heap(want)),
+            (&heap, Bytes::heap(want)),
+            (&mapped, Bytes::mapped(want)),
+        ] {
             assert_eq!(coded_parts(b.schur()).0.len(), table.len());
             let report = b.memory_report();
             let schur = report.iter().find(|c| c.name == "schur").unwrap();
-            assert_eq!(
-                (schur.heap_bytes, schur.mapped_bytes),
-                (heap_bytes, mapped_bytes)
-            );
+            assert_eq!(schur.bytes, split);
             assert_eq!(b.preprocessed_bytes(), fresh.preprocessed_bytes());
         }
         drop(mapped);
@@ -1995,19 +1985,18 @@ mod tests {
         );
         let heap = load_file(&path).unwrap();
         let (mapped, _) = load_mapped_file(&path).unwrap();
-        for (b, heap_bytes, mapped_bytes) in
-            [(&fresh, want, 0), (&heap, want, 0), (&mapped, 0, want)]
-        {
+        for (b, split) in [
+            (&fresh, Bytes::heap(want)),
+            (&heap, Bytes::heap(want)),
+            (&mapped, Bytes::mapped(want)),
+        ] {
             let p = b.schur().pattern();
             assert!(p.is_narrow());
-            assert_eq!(
-                (p.heap_bytes(), p.mapped_bytes()),
-                (heap_bytes, mapped_bytes)
-            );
+            assert_eq!(p.bytes(), split);
             let values = bepi_sparse::MemBytes::mem_bytes(b.schur().values());
             let report = b.memory_report();
             let schur = report.iter().find(|c| c.name == "schur").unwrap();
-            assert_eq!(schur.heap_bytes + schur.mapped_bytes, want + values);
+            assert_eq!(schur.bytes.total(), want + values);
             // The factors share the narrow pattern: 4 bytes per non-zero
             // and 8 per row, nothing for the pattern.
             assert_precond_bytes(b);
@@ -2295,9 +2284,9 @@ mod tests {
             let report = b.memory_report();
             for (name, bytes) in &want {
                 let c = report.iter().find(|c| c.name == *name).unwrap();
-                assert_eq!(c.heap_bytes + c.mapped_bytes, *bytes, "{what}: {name}");
+                assert_eq!(c.bytes.total(), *bytes, "{what}: {name}");
             }
-            assert_eq!(b.heap_bytes() + b.mapped_bytes(), total, "{what}");
+            assert_eq!(b.bytes().total(), total, "{what}");
             assert_eq!(b.preprocessed_bytes(), total, "{what}");
         }
         assert_eq!(mapped.heap_bytes(), 0);

@@ -1,6 +1,6 @@
 //! The directed graph type all RWR methods consume.
 
-use bepi_sparse::{Coo, Csr, MemBytes, Result, SparseError};
+use bepi_sparse::{Bytes, Coo, Csr, MemBytes, Result, SparseError};
 
 /// A directed graph stored as a CSR adjacency matrix.
 ///
@@ -160,8 +160,8 @@ fn binarize(a: &Csr) -> Csr {
 }
 
 impl MemBytes for Graph {
-    fn mem_bytes(&self) -> usize {
-        self.adj.mem_bytes()
+    fn bytes(&self) -> Bytes {
+        self.adj.bytes()
     }
 }
 

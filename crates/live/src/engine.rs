@@ -16,7 +16,7 @@ use bepi_core::dynamic::{check_in_range, dedup_opposing, EdgeUpdate, RebuildKind
 use bepi_core::rwr::RwrSolver;
 use bepi_core::{persist, BePi};
 use bepi_graph::Graph;
-use bepi_sparse::{Result, SparseError};
+use bepi_sparse::{Bytes, Result, SparseError};
 use bepi_walk::{ApproxConfig, ApproxEngine};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -112,10 +112,9 @@ pub struct LiveStatus {
     /// from [`bepi_core::BePiVariant::name`]): whether queries pay for
     /// ILU(0).
     pub variant: &'static str,
-    /// Served index bytes on the process heap.
-    pub index_heap_bytes: usize,
-    /// Served index bytes backed by a shared file mapping.
-    pub index_mapped_bytes: usize,
+    /// Served index bytes on the process heap and backed by a shared
+    /// file mapping.
+    pub index_bytes: Bytes,
     /// Buffered, not-yet-visible updates.
     pub pending: usize,
     /// Whether this engine accepts updates at all.
@@ -156,8 +155,7 @@ impl LiveStatus {
         self.version = index.version;
         self.nodes = index.bepi.node_count();
         self.variant = index.bepi.config().variant.name();
-        self.index_heap_bytes = index.bepi.heap_bytes();
-        self.index_mapped_bytes = index.bepi.mapped_bytes();
+        self.index_bytes = index.bepi.bytes();
     }
 }
 
@@ -955,8 +953,9 @@ mod tests {
             ..LiveConfig::default()
         };
         let engine = LiveEngine::start(bepi, g.clone(), config).unwrap();
-        assert!(
-            !engine.current().bepi.is_mapped(),
+        assert_eq!(
+            engine.current().bepi.mapped_bytes(),
+            0,
             "nothing checkpointed yet: still the heap index"
         );
         // Remove(3,4) flips node 3 to a deadend — a structural batch, so
@@ -972,13 +971,15 @@ mod tests {
         assert!(persist::verify_mapped_file(&cp).is_ok());
         let served = engine.current();
         assert_eq!(served.version, 2);
-        assert!(served.bepi.is_mapped(), "post-rebuild snapshot is mapped");
+        assert!(
+            served.bepi.mapped_bytes() > 0,
+            "post-rebuild snapshot is mapped"
+        );
         // The remap re-describes the served index: its bytes now count
         // as mapped.
         let status = engine.status();
-        assert!(status.index_mapped_bytes > 0);
-        assert_eq!(status.index_mapped_bytes, served.bepi.mapped_bytes());
-        assert_eq!(status.index_heap_bytes, served.bepi.heap_bytes());
+        assert!(status.index_bytes.mapped > 0);
+        assert_eq!(status.index_bytes, served.bepi.bytes());
 
         // Bit-identical to a from-scratch heap preprocess of the updated
         // graph (the --mmap byte-identity acceptance bar).
@@ -993,7 +994,7 @@ mod tests {
         // the rebuild preprocesses on the heap, checkpoints, and re-maps.
         engine.submit(&[EdgeUpdate::Remove(5, 6)]).unwrap();
         assert_eq!(engine.rebuild_and_wait().unwrap(), 3);
-        assert!(engine.current().bepi.is_mapped());
+        assert!(engine.current().bepi.mapped_bytes() > 0);
         engine.shutdown();
         std::fs::remove_file(&wal).ok();
         std::fs::remove_file(&cp).ok();
@@ -1093,8 +1094,7 @@ mod tests {
         assert_eq!(status.rebuild_kind, RebuildKind::Initial);
         assert_eq!(status.rebuild_trigger, RebuildTrigger::None);
         let bepi = &engine.current().bepi;
-        assert_eq!(status.index_heap_bytes, bepi.heap_bytes());
-        assert_eq!(status.index_mapped_bytes, 0);
+        assert_eq!(status.index_bytes, Bytes::heap(bepi.heap_bytes()));
         engine.shutdown();
     }
 

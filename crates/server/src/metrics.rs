@@ -201,13 +201,13 @@ pub fn render_live_metrics(s: &LiveStatus) -> String {
         "bepi_index_heap_bytes",
         Gauge,
         "Served index bytes held on the process heap.",
-        s.index_heap_bytes as f64,
+        s.index_bytes.heap as f64,
     )
     .scalar(
         "bepi_index_mapped_bytes",
         Gauge,
         "Served index bytes backed by a shared file mapping (page cache).",
-        s.index_mapped_bytes as f64,
+        s.index_bytes.mapped as f64,
     )
     .scalar(
         "bepi_pending_updates",
@@ -329,6 +329,7 @@ pub fn parse_metric(rendered: &str, name: &str) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bepi_sparse::Bytes;
     use std::time::Duration;
 
     #[test]
@@ -490,8 +491,10 @@ mod tests {
             rebuilds: 2,
             updates: 40,
             last_rebuild_us: 125_000,
-            index_heap_bytes: 1024,
-            index_mapped_bytes: 4096,
+            index_bytes: Bytes {
+                heap: 1024,
+                mapped: 4096,
+            },
             numeric_rebuilds: 1,
             structural_rebuilds: 1,
             numeric_rebuild_us: 25_000,

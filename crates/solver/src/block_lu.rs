@@ -20,7 +20,9 @@
 
 use crate::dense_lu::{invert_unit_lower, invert_upper, lu_nopivot};
 use crate::sparse_lu::SparseLu;
-use bepi_sparse::{CodedCsr, CodedValues, Csr, Dense, MemBytes, Result, SparseError, Storage};
+use bepi_sparse::{
+    Bytes, CodedCsr, CodedValues, Csr, Dense, MemBytes, Result, SparseError, Storage,
+};
 
 /// Block size at or below which the dense per-block path is used.
 const DENSE_BLOCK_THRESHOLD: usize = 128;
@@ -197,8 +199,8 @@ impl BlockLu {
 }
 
 impl MemBytes for BlockLu {
-    fn mem_bytes(&self) -> usize {
-        self.l_inv.mem_bytes() + self.u_inv.mem_bytes()
+    fn bytes(&self) -> Bytes {
+        self.l_inv.bytes() + self.u_inv.bytes()
     }
 }
 

@@ -13,7 +13,7 @@
 
 use crate::linop::Preconditioner;
 use bepi_sparse::pattern::Idx;
-use bepi_sparse::{CodedCsr, Csr, MemBytes, Pattern, Result, SparseError, Storage};
+use bepi_sparse::{Bytes, CodedCsr, Csr, MemBytes, Pattern, Result, SparseError, Storage};
 
 /// An ILU(0) factorization stored in the pattern of the input matrix.
 ///
@@ -198,18 +198,6 @@ impl Ilu0 {
         self.pattern.shares(pattern)
     }
 
-    /// Bytes of heap memory held by the factorization (values and
-    /// diagonal positions; the pattern is the factored matrix's).
-    pub fn heap_bytes(&self) -> usize {
-        self.lu.heap_bytes() + self.diag_pos.heap_bytes()
-    }
-
-    /// Bytes served zero-copy from a mapped index file (values and
-    /// diagonal positions; the pattern is the factored matrix's).
-    pub fn mapped_bytes(&self) -> usize {
-        self.lu.mapped_bytes() + self.diag_pos.mapped_bytes()
-    }
-
     /// Solves `L̂ Û z = r` by forward then backward substitution into `z`,
     /// accumulating in f64.
     pub fn solve_into(&self, r: &[f64], z: &mut [f64]) {
@@ -263,8 +251,8 @@ impl Preconditioner for Ilu0 {
 
 impl MemBytes for Ilu0 {
     /// Values and diagonal positions: `4·nnz + 8·n` bytes.
-    fn mem_bytes(&self) -> usize {
-        self.lu.mem_bytes() + self.diag_pos.mem_bytes()
+    fn bytes(&self) -> Bytes {
+        self.lu.bytes() + self.diag_pos.bytes()
     }
 }
 
@@ -628,8 +616,7 @@ mod tests {
         let mut rng = TestRng::deterministic("mapped_input");
         let a = shaped_dd_matrix(40, &mut rng);
         let mapped = mapped_copy(&a, "factor");
-        assert!(mapped.is_mapped());
-        assert_eq!(mapped.heap_bytes(), 0);
+        assert_eq!(mapped.bytes(), Bytes::mapped(a.mem_bytes()));
         let ilu = Ilu0::factor(&mapped).unwrap();
         let (want, diag_pos) = factor_reference(&a).unwrap();
         assert_eq!(bits32(ilu.values()), rounded(&want, &a, &diag_pos));
@@ -638,8 +625,7 @@ mod tests {
         // mapped input still holds A, and the pattern is the mapped one.
         assert_eq!(bits(mapped.values()), bits(a.values()));
         assert!(ilu.shares_pattern(&mapped.pattern()));
-        assert_eq!(ilu.heap_bytes(), a.nnz() * 4 + a.nrows() * 8);
-        assert_eq!(ilu.mapped_bytes(), 0);
+        assert_eq!(ilu.bytes(), Bytes::heap(a.nnz() * 4 + a.nrows() * 8));
     }
 
     #[test]
@@ -750,9 +736,7 @@ mod tests {
         assert_eq!(ilu.values().len(), a.nnz());
         assert!(ilu.shares_pattern(&a.pattern()));
         // The pattern is `a`'s: only values and diagonal positions count.
-        assert_eq!(ilu.mem_bytes(), a.nnz() * 4 + a.nrows() * 8);
-        assert_eq!(ilu.heap_bytes(), ilu.mem_bytes());
-        assert_eq!(ilu.mapped_bytes(), 0);
+        assert_eq!(ilu.bytes(), Bytes::heap(a.nnz() * 4 + a.nrows() * 8));
         // Reassembling persisted parts shares the pattern it is given.
         let rebuilt =
             Ilu0::from_parts(&wide_coded(&a), ilu.lu.clone(), ilu.diag_pos.clone()).unwrap();

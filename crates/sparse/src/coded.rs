@@ -75,7 +75,7 @@
 
 use crate::csr::{check_block_dims, check_vec_dims, spmv_block, spmv_rows, spmv_stored_rows};
 use crate::error::SparseError;
-use crate::mem::MemBytes;
+use crate::mem::{Bytes, MemBytes};
 use crate::pattern::{Idx, Pattern};
 use crate::storage::Storage;
 use crate::{Csr, Result};
@@ -139,6 +139,12 @@ impl CodedValues {
         }
     }
 
+    /// Bytes of the values or codes: [`MemBytes::bytes`] less the value
+    /// table, which an index shares between its matrices and counts once.
+    pub fn own_bytes(&self) -> Bytes {
+        self.bytes() - table_bytes(self.coded_parts().map(|(table, _)| table))
+    }
+
     /// Runs `f` with a [`ValueReader`] over these values: the one way to
     /// read many of them fast. Coded values are read through this
     /// thread's widened copy of the table — the copy every coded SpMV
@@ -162,20 +168,6 @@ impl CodedValues {
         match self {
             CodedValues::Plain(_) => Ok(()),
             CodedValues::Coded { table, codes } => check_codes(table, codes, "non-zero"),
-        }
-    }
-
-    fn heap_bytes(&self) -> usize {
-        match self {
-            CodedValues::Plain(v) => v.heap_bytes(),
-            CodedValues::Coded { table, codes } => table.heap_bytes() + codes.heap_bytes(),
-        }
-    }
-
-    fn mapped_bytes(&self) -> usize {
-        match self {
-            CodedValues::Plain(v) => v.mapped_bytes(),
-            CodedValues::Coded { table, codes } => table.mapped_bytes() + codes.mapped_bytes(),
         }
     }
 
@@ -203,6 +195,11 @@ impl CodedValues {
             CodedValues::Coded { table, codes } => table[codes[k] as usize],
         }
     }
+}
+
+/// The bytes of a value table, if there is one.
+fn table_bytes(table: Option<&Storage<f64>>) -> Bytes {
+    table.map_or(Bytes::default(), MemBytes::bytes)
 }
 
 /// Checks that every one of `codes` indexes `table`; an error names the
@@ -248,10 +245,10 @@ impl ValueReader<'_> {
 }
 
 impl MemBytes for CodedValues {
-    fn mem_bytes(&self) -> usize {
+    fn bytes(&self) -> Bytes {
         match self {
-            CodedValues::Plain(v) => v.mem_bytes(),
-            CodedValues::Coded { table, codes } => table.mem_bytes() + codes.mem_bytes(),
+            CodedValues::Plain(v) => v.bytes(),
+            CodedValues::Coded { table, codes } => table.bytes() + codes.bytes(),
         }
     }
 }
@@ -294,27 +291,13 @@ impl MatrixValues {
             MatrixValues::Columns { table, codes } => check_codes(table, codes, "column"),
         }
     }
-
-    fn heap_bytes(&self) -> usize {
-        match self {
-            MatrixValues::Entries(values) => values.heap_bytes(),
-            MatrixValues::Columns { table, codes } => table.heap_bytes() + codes.heap_bytes(),
-        }
-    }
-
-    fn mapped_bytes(&self) -> usize {
-        match self {
-            MatrixValues::Entries(values) => values.mapped_bytes(),
-            MatrixValues::Columns { table, codes } => table.mapped_bytes() + codes.mapped_bytes(),
-        }
-    }
 }
 
 impl MemBytes for MatrixValues {
-    fn mem_bytes(&self) -> usize {
+    fn bytes(&self) -> Bytes {
         match self {
-            MatrixValues::Entries(values) => values.mem_bytes(),
-            MatrixValues::Columns { table, codes } => table.mem_bytes() + codes.mem_bytes(),
+            MatrixValues::Entries(values) => values.bytes(),
+            MatrixValues::Columns { table, codes } => table.bytes() + codes.bytes(),
         }
     }
 }
@@ -594,6 +577,13 @@ impl CodedCsr {
         self.values.table()
     }
 
+    /// Bytes of the row ids, pattern and codes or values:
+    /// [`MemBytes::bytes`] less the value table, which an index shares
+    /// between its matrices and counts once.
+    pub fn own_bytes(&self) -> Bytes {
+        self.bytes() - table_bytes(self.table())
+    }
+
     /// The positions of row `i`'s non-zeros (empty for a row that is not
     /// stored).
     pub fn entries(&self, i: usize) -> Range<usize> {
@@ -680,20 +670,6 @@ impl CodedCsr {
             }
         }
         Ok(())
-    }
-
-    /// Bytes of heap memory held.
-    pub fn heap_bytes(&self) -> usize {
-        self.rows.as_ref().map_or(0, Storage::heap_bytes)
-            + self.pattern.heap_bytes()
-            + self.values.heap_bytes()
-    }
-
-    /// Bytes served zero-copy from a mapped index file.
-    pub fn mapped_bytes(&self) -> usize {
-        self.rows.as_ref().map_or(0, Storage::mapped_bytes)
-            + self.pattern.mapped_bytes()
-            + self.values.mapped_bytes()
     }
 }
 
@@ -857,10 +833,8 @@ impl MemBytes for CodedCsr {
     /// that stores only its non-empty rows; `8·(stored+1) + 4·nnz` wide or
     /// `4·(stored+1) + 2·nnz` narrow; and then `8·nnz` plain, or
     /// `8·|table|` plus `2·nnz` coded or `2·ncols` per column.
-    fn mem_bytes(&self) -> usize {
-        self.rows.as_ref().map_or(0, MemBytes::mem_bytes)
-            + self.pattern.mem_bytes()
-            + self.values.mem_bytes()
+    fn bytes(&self) -> Bytes {
+        self.rows.bytes() + self.pattern.bytes() + self.values.bytes()
     }
 }
 
@@ -1051,8 +1025,7 @@ mod tests {
         let s = CodedCsr::encode(&a);
         // A narrow pattern, then two table entries and five codes.
         assert_eq!(s.mem_bytes(), 4 * 4 + 5 * 2 + 2 * 8 + 5 * 2);
-        assert_eq!(s.heap_bytes(), s.mem_bytes());
-        assert_eq!(s.mapped_bytes(), 0);
+        assert_eq!(s.bytes(), Bytes::heap(s.mem_bytes()));
         let row: Vec<_> = s.row_iter(2).collect();
         assert_eq!(row, [(0, -0.5), (2, 1.0)]);
     }

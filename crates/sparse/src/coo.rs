@@ -5,7 +5,7 @@
 //! [`Csc`](crate::Csc) for computation.
 
 use crate::error::SparseError;
-use crate::mem::MemBytes;
+use crate::mem::{Bytes, MemBytes};
 use crate::Result;
 
 /// A sparse matrix in coordinate format.
@@ -143,8 +143,8 @@ impl Coo {
 }
 
 impl MemBytes for Coo {
-    fn mem_bytes(&self) -> usize {
-        self.rows.mem_bytes() + self.cols.mem_bytes() + self.values.mem_bytes()
+    fn bytes(&self) -> Bytes {
+        self.rows.bytes() + self.cols.bytes() + self.values.bytes()
     }
 }
 

@@ -4,7 +4,7 @@
 //! (left-looking), so they consume CSC. Structurally a CSC matrix is the
 //! CSR of its transpose; we reuse [`Csr`]'s compression machinery.
 
-use crate::mem::MemBytes;
+use crate::mem::{Bytes, MemBytes};
 use crate::{Coo, Csr, Result};
 
 /// A sparse matrix in compressed sparse column format.
@@ -169,8 +169,8 @@ impl Csc {
 }
 
 impl MemBytes for Csc {
-    fn mem_bytes(&self) -> usize {
-        self.indptr.mem_bytes() + self.indices.mem_bytes() + self.values.mem_bytes()
+    fn bytes(&self) -> Bytes {
+        self.indptr.bytes() + self.indices.bytes() + self.values.bytes()
     }
 }
 

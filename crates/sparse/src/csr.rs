@@ -11,7 +11,7 @@
 
 use crate::coo::check_dims;
 use crate::error::SparseError;
-use crate::mem::MemBytes;
+use crate::mem::{Bytes, MemBytes};
 use crate::pattern::{Idx, Pattern};
 use crate::storage::Storage;
 use crate::{Coo, Dense, Result};
@@ -188,22 +188,6 @@ impl Csr {
         };
         debug_assert!(m.check_invariants().is_ok(), "CSR invariants violated");
         Ok(m)
-    }
-
-    /// True when any of the backing arrays is served from a mapped index
-    /// file rather than the heap.
-    pub fn is_mapped(&self) -> bool {
-        self.indptr.is_mapped() || self.indices.is_mapped() || self.values.is_mapped()
-    }
-
-    /// Bytes of heap memory held by the three arrays.
-    pub fn heap_bytes(&self) -> usize {
-        self.indptr.heap_bytes() + self.indices.heap_bytes() + self.values.heap_bytes()
-    }
-
-    /// Bytes served zero-copy from a mapped index file.
-    pub fn mapped_bytes(&self) -> usize {
-        self.indptr.mapped_bytes() + self.indices.mapped_bytes() + self.values.mapped_bytes()
     }
 
     /// Builds a CSR matrix from raw parts without validation.
@@ -802,8 +786,8 @@ fn stored_rows_fixed<P: Idx, C: Idx, V: Copy, const B: usize>(
 }
 
 impl MemBytes for Csr {
-    fn mem_bytes(&self) -> usize {
-        self.indptr.mem_bytes() + self.indices.mem_bytes() + self.values.mem_bytes()
+    fn bytes(&self) -> Bytes {
+        self.indptr.bytes() + self.indices.bytes() + self.values.bytes()
     }
 }
 
@@ -1062,7 +1046,7 @@ mod tests {
     fn lockstep_block_spmv_is_bit_identical_to_mul_vec_per_lane() {
         let owned = ragged(57, 43);
         let mapped = mapped_copy(&owned, "block_spmv");
-        assert!(mapped.is_mapped() && !owned.is_mapped());
+        assert_eq!(mapped.bytes(), Bytes::mapped(owned.bytes().heap));
         assert!((0..57).any(|r| owned.row_nnz(r) == 0));
         for a in [&owned, &mapped] {
             for width in 1..=BLOCK_WIDTH {

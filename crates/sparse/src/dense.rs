@@ -5,7 +5,7 @@
 //! explicit `S^{-1}`, and the small per-block factors of `H11`.
 
 use crate::error::SparseError;
-use crate::mem::MemBytes;
+use crate::mem::{Bytes, MemBytes};
 use crate::{Csr, Result};
 use std::ops::{Index, IndexMut};
 
@@ -196,8 +196,8 @@ impl IndexMut<(usize, usize)> for Dense {
 }
 
 impl MemBytes for Dense {
-    fn mem_bytes(&self) -> usize {
-        self.data.mem_bytes()
+    fn bytes(&self) -> Bytes {
+        self.data.bytes()
     }
 }
 

@@ -73,7 +73,7 @@ pub use csc::Csc;
 pub use csr::{Csr, BLOCK_WIDTH};
 pub use dense::Dense;
 pub use error::SparseError;
-pub use mem::MemBytes;
+pub use mem::{Bytes, MemBytes};
 pub use pattern::Pattern;
 pub use permute::Permutation;
 pub use spgemm::{spgemm, sub_spgemm};

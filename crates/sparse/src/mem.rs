@@ -6,46 +6,108 @@
 //! from serializing the compressed storage — so the harness can reproduce
 //! those figures without depending on allocator behaviour.
 
+/// Bytes of stored data, split by where they live: on the process heap,
+/// or served zero-copy from a memory-mapped index file (backed by the
+/// shared page cache, not private anonymous memory).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Bytes {
+    /// Bytes held on the process heap.
+    pub heap: usize,
+    /// Bytes served from a mapped index file.
+    pub mapped: usize,
+}
+
+impl Bytes {
+    /// Heap bytes.
+    pub const fn heap(heap: usize) -> Self {
+        Self { heap, mapped: 0 }
+    }
+
+    /// Mapped bytes.
+    pub const fn mapped(mapped: usize) -> Self {
+        Self { heap: 0, mapped }
+    }
+
+    /// Heap plus mapped bytes: the logical size, whatever the backing.
+    pub const fn total(self) -> usize {
+        self.heap + self.mapped
+    }
+}
+
+impl std::ops::Add for Bytes {
+    type Output = Self;
+
+    fn add(self, rhs: Self) -> Self {
+        Self {
+            heap: self.heap + rhs.heap,
+            mapped: self.mapped + rhs.mapped,
+        }
+    }
+}
+
+impl std::ops::Sub for Bytes {
+    type Output = Self;
+
+    fn sub(self, rhs: Self) -> Self {
+        Self {
+            heap: self.heap - rhs.heap,
+            mapped: self.mapped - rhs.mapped,
+        }
+    }
+}
+
+impl std::iter::Sum for Bytes {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, b| a + b)
+    }
+}
+
 /// Types that can report the logical size in bytes of their payload.
 pub trait MemBytes {
     /// Exact number of bytes of index + value storage (not allocator
-    /// capacity, not struct overhead).
-    fn mem_bytes(&self) -> usize;
+    /// capacity, not struct overhead), split into heap and mapped bytes.
+    fn bytes(&self) -> Bytes;
+
+    /// [`MemBytes::bytes`]' total: the same for a heap-loaded and a
+    /// mapped copy of one index.
+    fn mem_bytes(&self) -> usize {
+        self.bytes().total()
+    }
 }
 
 impl MemBytes for Vec<f64> {
-    fn mem_bytes(&self) -> usize {
-        self.len() * std::mem::size_of::<f64>()
+    fn bytes(&self) -> Bytes {
+        Bytes::heap(std::mem::size_of_val(self.as_slice()))
     }
 }
 
 impl MemBytes for Vec<u32> {
-    fn mem_bytes(&self) -> usize {
-        self.len() * std::mem::size_of::<u32>()
+    fn bytes(&self) -> Bytes {
+        Bytes::heap(std::mem::size_of_val(self.as_slice()))
     }
 }
 
 impl MemBytes for Vec<usize> {
-    fn mem_bytes(&self) -> usize {
-        self.len() * std::mem::size_of::<usize>()
+    fn bytes(&self) -> Bytes {
+        Bytes::heap(std::mem::size_of_val(self.as_slice()))
     }
 }
 
 impl<T: MemBytes> MemBytes for Option<T> {
-    fn mem_bytes(&self) -> usize {
-        self.as_ref().map_or(0, MemBytes::mem_bytes)
+    fn bytes(&self) -> Bytes {
+        self.as_ref().map_or(Bytes::default(), MemBytes::bytes)
     }
 }
 
 impl<T: MemBytes> MemBytes for [T] {
-    fn mem_bytes(&self) -> usize {
-        self.iter().map(MemBytes::mem_bytes).sum()
+    fn bytes(&self) -> Bytes {
+        self.iter().map(MemBytes::bytes).sum()
     }
 }
 
 impl<T: MemBytes> MemBytes for Vec<T> {
-    fn mem_bytes(&self) -> usize {
-        self.as_slice().mem_bytes()
+    fn bytes(&self) -> Bytes {
+        self.as_slice().bytes()
     }
 }
 

@@ -19,7 +19,7 @@
 //! is bit-identical.
 
 use crate::error::SparseError;
-use crate::mem::MemBytes;
+use crate::mem::{Bytes, MemBytes};
 use crate::storage::Storage;
 use crate::Result;
 use std::ops::Range;
@@ -212,22 +212,6 @@ impl Pattern {
             Pattern::Narrow { indptr, indices } => check_indices(indptr, indices, ncols),
         }
     }
-
-    /// Bytes of heap memory held.
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            Pattern::Wide { indptr, indices } => indptr.heap_bytes() + indices.heap_bytes(),
-            Pattern::Narrow { indptr, indices } => indptr.heap_bytes() + indices.heap_bytes(),
-        }
-    }
-
-    /// Bytes served zero-copy from a mapped index file.
-    pub fn mapped_bytes(&self) -> usize {
-        match self {
-            Pattern::Wide { indptr, indices } => indptr.mapped_bytes() + indices.mapped_bytes(),
-            Pattern::Narrow { indptr, indices } => indptr.mapped_bytes() + indices.mapped_bytes(),
-        }
-    }
 }
 
 /// [`Pattern::check_indptr`] on one form's row pointers.
@@ -281,10 +265,10 @@ fn check_indices<P: Idx, C: Idx>(indptr: &[P], indices: &[C], ncols: usize) -> R
 
 impl MemBytes for Pattern {
     /// `8·(nrows+1) + 4·nnz` wide, `4·(nrows+1) + 2·nnz` narrow.
-    fn mem_bytes(&self) -> usize {
+    fn bytes(&self) -> Bytes {
         match self {
-            Pattern::Wide { indptr, indices } => indptr.mem_bytes() + indices.mem_bytes(),
-            Pattern::Narrow { indptr, indices } => indptr.mem_bytes() + indices.mem_bytes(),
+            Pattern::Wide { indptr, indices } => indptr.bytes() + indices.bytes(),
+            Pattern::Narrow { indptr, indices } => indptr.bytes() + indices.bytes(),
         }
     }
 }

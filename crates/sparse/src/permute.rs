@@ -6,7 +6,7 @@
 //! structure of Figure 3.
 
 use crate::error::SparseError;
-use crate::mem::MemBytes;
+use crate::mem::{Bytes, MemBytes};
 use crate::storage::Storage;
 use crate::{Csr, Result};
 
@@ -45,21 +45,6 @@ impl Permutation {
             });
         }
         Ok(Self { new_of_old })
-    }
-
-    /// True when the map is served from a mapped index.
-    pub fn is_mapped(&self) -> bool {
-        self.new_of_old.is_mapped()
-    }
-
-    /// Bytes of heap memory held by the map.
-    pub fn heap_bytes(&self) -> usize {
-        self.new_of_old.heap_bytes()
-    }
-
-    /// Bytes served zero-copy from a mapped index file.
-    pub fn mapped_bytes(&self) -> usize {
-        self.new_of_old.mapped_bytes()
     }
 
     /// Builds a permutation from the forward map `new_of_old[old] = new`,
@@ -243,8 +228,8 @@ fn check_len(v: &[f64], n: usize) -> Result<()> {
 }
 
 impl MemBytes for Permutation {
-    fn mem_bytes(&self) -> usize {
-        self.new_of_old.mem_bytes()
+    fn bytes(&self) -> Bytes {
+        self.new_of_old.bytes()
     }
 }
 

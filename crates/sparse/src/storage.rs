@@ -17,7 +17,7 @@
 //! Read-mostly serving never triggers the copy, and two matrices built
 //! on one pattern (`S` and its ILU(0) factors) hold it once.
 
-use crate::mem::MemBytes;
+use crate::mem::{Bytes, MemBytes};
 use bepi_map::{Pod, Section};
 use std::sync::Arc;
 
@@ -76,24 +76,6 @@ impl<T: Pod> Storage<T> {
     pub fn to_vec(&self) -> Vec<T> {
         self.as_slice().to_vec()
     }
-
-    /// Bytes of heap memory held (zero for mapped storage). A clone that
-    /// shares the array reports it too: an owner that shares another's
-    /// pattern leaves it out of its own count.
-    pub fn heap_bytes(&self) -> usize {
-        match self {
-            Storage::Owned(v) => std::mem::size_of_val(v.as_slice()),
-            Storage::Mapped(_) => 0,
-        }
-    }
-
-    /// Bytes served from the mapped file (zero for owned storage).
-    pub fn mapped_bytes(&self) -> usize {
-        match self {
-            Storage::Owned(_) => 0,
-            Storage::Mapped(s) => s.byte_len(),
-        }
-    }
 }
 
 impl<T: Pod> std::ops::Deref for Storage<T> {
@@ -143,12 +125,17 @@ impl<T: Pod + PartialEq> PartialEq for Storage<T> {
 }
 
 impl<T: Pod> MemBytes for Storage<T> {
-    /// Logical bytes, matching `Vec<T>`'s accounting — mapped storage
-    /// reports the same logical size so the paper's Table 5 memory
-    /// numbers are backing-independent. Use [`Storage::heap_bytes`] /
-    /// [`Storage::mapped_bytes`] for the physical split.
-    fn mem_bytes(&self) -> usize {
-        self.len() * std::mem::size_of::<T>()
+    /// `len · size_of::<T>()` on the heap for an owned array, or from the
+    /// mapped file for a mapped one: the logical size is the same for
+    /// either backing, so the paper's Table 5 memory numbers are
+    /// backing-independent. A clone that shares an owned array reports it
+    /// too: an owner that shares another's pattern leaves it out of its
+    /// own count.
+    fn bytes(&self) -> Bytes {
+        match self {
+            Storage::Owned(v) => Bytes::heap(std::mem::size_of_val(v.as_slice())),
+            Storage::Mapped(s) => Bytes::mapped(s.byte_len()),
+        }
     }
 }
 
@@ -161,9 +148,7 @@ mod tests {
         let mut s: Storage<u32> = vec![1, 2, 3].into();
         assert!(!s.is_mapped());
         assert_eq!(&*s, &[1, 2, 3]);
-        assert_eq!(s.heap_bytes(), 12);
-        assert_eq!(s.mapped_bytes(), 0);
-        assert_eq!(s.mem_bytes(), 12);
+        assert_eq!(s.bytes(), Bytes::heap(12));
         s.to_mut().push(4);
         assert_eq!(s.len(), 4);
         assert_eq!(s.to_vec(), vec![1, 2, 3, 4]);

@@ -13,6 +13,7 @@ use bepi_graph::{generators, Graph};
 use bepi_live::{LiveConfig, LiveEngine, LiveStatus};
 use bepi_obs::trace::RequestId;
 use bepi_server::{render_live_metrics, Metrics, QueryLog, QueryRecord, Server, ServerConfig};
+use bepi_sparse::Bytes;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
@@ -83,8 +84,10 @@ fn golden_daemon_metrics_with_live_block() {
         rebuilds: 5,
         updates: 40,
         last_rebuild_us: 125_000,
-        index_heap_bytes: 1024,
-        index_mapped_bytes: 4096,
+        index_bytes: Bytes {
+            heap: 1024,
+            mapped: 4096,
+        },
         numeric_rebuilds: 4,
         structural_rebuilds: 1,
         numeric_rebuild_us: 25_000,
