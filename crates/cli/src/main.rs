@@ -511,14 +511,18 @@ fn cmd_ppr(path: &str, seed_specs: &[String], o: &Options) -> Outcome {
             .split_once(':')
             .ok_or_else(|| format!("seed spec must be node:weight, got {spec}"))?;
         let node = loaded.node_id(node_s)?;
-        let w: f64 = weight_s
-            .parse()
-            .map_err(|_| format!("bad weight in {spec}"))?;
+        let w = (weight_s.parse::<f64>().ok())
+            .filter(|w| w.is_finite() && *w >= 0.0)
+            .ok_or_else(|| format!("weight in seed spec {spec} must be a finite number >= 0"))?;
         q[node] += w;
     }
     let total: f64 = q.iter().sum();
-    if total <= 0.0 {
-        return Err("preference weights must sum to a positive value".into());
+    if !(total.is_finite() && total > 0.0) {
+        return Err(format!(
+            "weights in seed specs {} must sum to a finite positive value, got {total}",
+            seed_specs.join(" ")
+        )
+        .into());
     }
     for v in &mut q {
         *v /= total;

@@ -127,3 +127,39 @@ fn documented_invocations_still_parse() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A preference weight that is not a finite number ≥ 0, or weights whose
+/// sum is not finite and positive, fail before any solve: one `error:`
+/// line naming the spec, no ranking on stdout.
+#[test]
+fn ppr_rejects_weights_that_are_not_finite_and_non_negative() {
+    let dir = temp_dir("ppr-weights");
+    let graph = dir.join("g.txt");
+    std::fs::write(&graph, "0 1\n1 2\n2 0\n2 3\n3 0\n").unwrap();
+    let graph = graph.to_str().unwrap();
+    for (specs, named) in [
+        (&["0:nan"][..], "0:nan"),
+        (&["0:inf"][..], "0:inf"),
+        (&["0:1e308", "1:1e308"][..], "0:1e308 1:1e308"),
+        (&["0:-1", "1:2"][..], "0:-1"),
+    ] {
+        let args: Vec<&str> = ["ppr", graph].iter().chain(specs).copied().collect();
+        let out = bepi(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{specs:?}:\n{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{specs:?}:\n{stderr}");
+        assert!(stderr.starts_with("error: "), "{specs:?}:\n{stderr}");
+        assert!(
+            stderr.contains(named),
+            "{specs:?} must name {named}:\n{stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{specs:?} ranked something");
+    }
+    let out = bepi(&["ppr", graph, "0:0.5", "3:1.5", "--top", "2"]);
+    assert!(
+        out.status.success(),
+        "{:?}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
