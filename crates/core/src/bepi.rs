@@ -32,7 +32,6 @@ use bepi_solver::{gmres_block, BlockLu, FrozenBlockLu, GmresConfig, Ilu0, Precon
 use bepi_sparse::{
     Bytes, CodedCsr, CodedValues, Csr, MemBytes, Permutation, Result, SparseError, Storage,
 };
-use std::time::{Duration, Instant};
 
 /// Which of the three BePI variants to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,22 +145,12 @@ impl BePiConfig {
     }
 }
 
-/// Wall time of one named preprocessing phase (Table 3's time breakdown).
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseTiming {
-    /// Phase name (`deadend`, `slashburn`, `assemble`, `block_lu`,
-    /// `schur`, `precond`).
-    pub name: String,
-    /// Wall time of the phase in seconds.
-    pub seconds: f64,
-}
-
-/// Statistics recorded during preprocessing (Algorithm 1 / 3).
+/// Statistics recorded during preprocessing (Algorithm 1 / 3). The wall
+/// time of each phase (Table 3's time breakdown) goes to a
+/// `preprocess.<phase>` span of `bepi-obs`: `deadend`, `slashburn`,
+/// `assemble`, `block_lu`, `schur`, `precond`.
 #[derive(Debug, Clone)]
 pub struct PreprocessStats {
-    /// Wall-clock preprocessing time; zero on an index loaded from a file,
-    /// which stores no wall times.
-    pub elapsed: Duration,
     /// Spoke count `n1`.
     pub n1: usize,
     /// Hub count `n2`.
@@ -176,9 +165,6 @@ pub struct PreprocessStats {
     pub s_nnz: usize,
     /// Non-zeros of the inverted block factors `|L1^{-1}| + |U1^{-1}|`.
     pub h11_inv_nnz: usize,
-    /// Per-phase wall-time breakdown, in pipeline order; empty on an
-    /// index loaded from a file.
-    pub phases: Vec<PhaseTiming>,
 }
 
 /// One component of an index's physical memory split
@@ -280,10 +266,9 @@ impl BePi {
     /// Algorithm 3 for full BePI).
     pub fn preprocess(g: &Graph, config: &BePiConfig) -> Result<Self> {
         config.validate()?;
-        let start = Instant::now();
         let k = config.effective_hub_ratio();
         let part = HPartition::build(g, config.c, k)?;
-        Self::factor_partition(part, config, start)
+        Self::factor_partition(part, config)
     }
 
     /// Runs only the *numeric* half of preprocessing under a frozen
@@ -300,9 +285,8 @@ impl BePi {
         plan: &SymbolicPlan,
     ) -> Result<Self> {
         config.validate()?;
-        let start = Instant::now();
         let part = HPartition::from_plan(g, config.c, plan)?;
-        Self::factor_partition(part, config, start)
+        Self::factor_partition(part, config)
     }
 
     /// The symbolic plan captured by this instance's preprocessing run —
@@ -331,24 +315,19 @@ impl BePi {
         Self::preprocess_with_plan(g_new, &self.config, &self.symbolic_plan())
     }
 
-    fn factor_partition(part: HPartition, config: &BePiConfig, start: Instant) -> Result<Self> {
-        let t_lu = Instant::now();
+    fn factor_partition(part: HPartition, config: &BePiConfig) -> Result<Self> {
         let h11_lu = {
             let _span = bepi_obs::Span::enter("preprocess.block_lu");
             // The diagonal blocks are independent; factor them across the
             // kernel threads (bit-identical to the serial path).
             BlockLu::factor_parallel(&part.h11, &part.block_sizes, bepi_par::get_threads())?
         };
-        let block_lu_time = t_lu.elapsed();
-        let t_schur = Instant::now();
         let (s_csr, (s, h11_lu, [h12, h21, h31, h32])) = {
             let _span = bepi_obs::Span::enter("preprocess.schur");
             let s = schur_complement(&part, &h11_lu)?;
             let stored = freeze(&s, h11_lu, [&part.h12, &part.h21, &part.h31, &part.h32])?;
             (s, stored)
         };
-        let schur_time = t_schur.elapsed();
-        let t_precond = Instant::now();
         let ilu = {
             let _span = bepi_obs::Span::enter("preprocess.precond");
             match config.variant {
@@ -357,23 +336,7 @@ impl BePi {
             }
         };
         drop(s_csr);
-        let precond_time = t_precond.elapsed();
-        let phases = [
-            ("deadend", part.deadend_time),
-            ("slashburn", part.slashburn_time),
-            ("assemble", part.assemble_time),
-            ("block_lu", block_lu_time),
-            ("schur", schur_time),
-            ("precond", precond_time),
-        ]
-        .iter()
-        .map(|(name, d)| PhaseTiming {
-            name: (*name).to_string(),
-            seconds: d.as_secs_f64(),
-        })
-        .collect();
         let stats = PreprocessStats {
-            elapsed: start.elapsed(),
             n1: part.n1,
             n2: part.n2,
             n3: part.n3,
@@ -381,7 +344,6 @@ impl BePi {
             num_blocks: part.block_sizes.len(),
             s_nnz: s.nnz(),
             h11_inv_nnz: h11_lu.inverse_nnz(),
-            phases,
         };
         let HPartition {
             perm, n1, n2, n3, ..
@@ -514,7 +476,6 @@ impl BePi {
         // The factors read `S`'s pattern; they never hold a copy of it.
         debug_assert!(ilu.as_ref().map_or(true, |m| m.shares_pattern(s.pattern())));
         let stats = PreprocessStats {
-            elapsed: Duration::ZERO,
             n1,
             n2,
             n3,
@@ -522,7 +483,6 @@ impl BePi {
             num_blocks: h11_lu.num_blocks(),
             s_nnz: s.nnz(),
             h11_inv_nnz: h11_lu.inverse_nnz(),
-            phases: Vec::new(),
         };
         Ok(Self {
             config,

@@ -17,7 +17,6 @@ use crate::rwr::check_restart_prob;
 use bepi_graph::Graph;
 use bepi_incr::SymbolicPlan;
 use bepi_sparse::{Bytes, Csr, MemBytes, Permutation, Result};
-use std::time::Duration;
 
 /// The reordered, partitioned `H` matrix.
 #[derive(Debug, Clone)]
@@ -48,12 +47,6 @@ pub struct HPartition {
     pub slashburn_iterations: usize,
     /// Restart probability used to build `H`.
     pub c: f64,
-    /// Wall time of the deadend reordering step.
-    pub deadend_time: Duration,
-    /// Wall time of the SlashBurn reordering step.
-    pub slashburn_time: Duration,
-    /// Wall time spent assembling and partitioning `H` after reordering.
-    pub assemble_time: Duration,
 }
 
 impl HPartition {
@@ -63,31 +56,19 @@ impl HPartition {
     pub fn build(g: &Graph, c: f64, k: f64) -> Result<Self> {
         check_restart_prob(c)?;
         let analysis = bepi_incr::analyze(g, k)?;
-        Self::assemble_under(
-            g,
-            c,
-            analysis.plan,
-            analysis.deadend_time,
-            analysis.slashburn_time,
-        )
+        Self::assemble_under(g, c, analysis.plan)
     }
 
     /// Partitions `H` under a frozen [`SymbolicPlan`] — the numeric half
-    /// of [`HPartition::build`]. The reordering phases report zero time
-    /// because they are skipped entirely; this is what makes a numeric
-    /// rebuild cheaper than a full preprocess.
+    /// of [`HPartition::build`]. The reordering phases are skipped
+    /// entirely; this is what makes a numeric rebuild cheaper than a full
+    /// preprocess.
     pub fn from_plan(g: &Graph, c: f64, plan: &SymbolicPlan) -> Result<Self> {
         check_restart_prob(c)?;
-        Self::assemble_under(g, c, plan.clone(), Duration::ZERO, Duration::ZERO)
+        Self::assemble_under(g, c, plan.clone())
     }
 
-    fn assemble_under(
-        g: &Graph,
-        c: f64,
-        plan: SymbolicPlan,
-        deadend_time: Duration,
-        slashburn_time: Duration,
-    ) -> Result<Self> {
+    fn assemble_under(g: &Graph, c: f64, plan: SymbolicPlan) -> Result<Self> {
         let blocks = bepi_incr::assemble(g, c, &plan)?;
         let SymbolicPlan {
             perm,
@@ -111,9 +92,6 @@ impl HPartition {
             h32: blocks.h32,
             slashburn_iterations,
             c,
-            deadend_time,
-            slashburn_time,
-            assemble_time: blocks.assemble_time,
         })
     }
 
@@ -200,7 +178,6 @@ mod tests {
         assert_eq!(frozen.h22, full.h22);
         assert_eq!(frozen.h31, full.h31);
         assert_eq!(frozen.h32, full.h32);
-        assert_eq!(frozen.deadend_time, Duration::ZERO);
     }
 
     #[test]

@@ -61,7 +61,7 @@ pub mod rwr;
 pub mod schur;
 
 pub use bear::Bear;
-pub use bepi::{BePi, BePiConfig, BePiVariant, InnerSolver, MemorySection, PhaseTiming};
+pub use bepi::{BePi, BePiConfig, BePiVariant, InnerSolver, MemorySection};
 pub use bepi_incr::{classify, Classification, SymbolicPlan};
 pub use dynamic::{EdgeUpdate, RebuildKind, Rebuilt};
 pub use exact::DenseExact;
@@ -73,7 +73,7 @@ pub use rwr::{RwrScores, RwrSolver};
 /// Convenient glob-import surface.
 pub mod prelude {
     pub use crate::bear::Bear;
-    pub use crate::bepi::{BePi, BePiConfig, BePiVariant, InnerSolver, PhaseTiming};
+    pub use crate::bepi::{BePi, BePiConfig, BePiVariant, InnerSolver};
     pub use crate::exact::DenseExact;
     pub use crate::iterative::{GmresSolver, PowerSolver};
     pub use crate::lu_method::LuDecomp;

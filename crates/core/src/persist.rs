@@ -1248,8 +1248,7 @@ mod tests {
 
     /// An index file is a function of the graph and the config: two
     /// preprocesses of one graph write the same bytes, for every variant,
-    /// with and without the embedded graph. A fresh instance keeps its
-    /// phase timings for the CLI tables; a loaded one has none.
+    /// with and without the embedded graph.
     #[test]
     fn two_preprocesses_of_one_graph_save_identical_bytes() {
         let g = generators::rmat(8, 1200, generators::RmatParams::default(), 29).unwrap();
@@ -1257,13 +1256,10 @@ mod tests {
             let config = BePiConfig::for_variant(variant);
             let first = BePi::preprocess(&g, &config).unwrap();
             let second = BePi::preprocess(&g, &config).unwrap();
-            assert_eq!(first.stats().phases.len(), 6);
             for graph in [None, Some(&g)] {
                 let bytes = to_bytes(&first, graph);
                 assert!(bytes == to_bytes(&second, graph), "{variant:?}");
                 let restored = load(&bytes[..]).unwrap();
-                assert!(restored.stats().phases.is_empty());
-                assert_eq!(restored.stats().elapsed, std::time::Duration::ZERO);
                 assert!(to_bytes(&restored, graph) == bytes, "{variant:?} re-save");
             }
         }

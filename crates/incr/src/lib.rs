@@ -33,7 +33,7 @@
 use bepi_graph::Graph;
 use bepi_reorder::{reorder_deadends, slashburn, SlashBurnConfig};
 use bepi_sparse::{Csr, Permutation, Result, SparseError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The reusable output of the symbolic analysis phase: everything the
 /// numeric phase needs that depends only on graph *structure*.
@@ -79,16 +79,12 @@ impl SymbolicPlan {
     }
 }
 
-/// Output of [`analyze`]: the plan plus the phase wall times the caller
-/// folds into its preprocessing statistics.
+/// Output of [`analyze`]. The wall times of its two phases go to the
+/// `preprocess.deadend` and `preprocess.slashburn` spans of `bepi-obs`.
 #[derive(Debug, Clone)]
 pub struct Analysis {
     /// The symbolic plan.
     pub plan: SymbolicPlan,
-    /// Wall time of the deadend reordering step.
-    pub deadend_time: Duration,
-    /// Wall time of the SlashBurn reordering step.
-    pub slashburn_time: Duration,
 }
 
 /// Runs the symbolic analysis phase: deadend reordering, SlashBurn
@@ -102,8 +98,7 @@ pub fn analyze(g: &Graph, k: f64) -> Result<Analysis> {
     let dr = reorder_deadends(g);
     let l = dr.n_non_deadend;
     let n3 = dr.n_deadend;
-    let deadend_time = t0.elapsed();
-    bepi_obs::record_duration("preprocess.deadend", deadend_time);
+    bepi_obs::record_duration("preprocess.deadend", t0.elapsed());
 
     // 2. Hub-and-spoke reordering of Ann (Figure 3(c)); SlashBurn works
     //    on the symmetrized structure of the non-deadend block.
@@ -111,8 +106,7 @@ pub fn analyze(g: &Graph, k: f64) -> Result<Analysis> {
     let sym = slashburn_input(g, &dr.perm, l)?;
     let sb = slashburn(&sym, &SlashBurnConfig::with_ratio(k));
     let (n1, n2) = (sb.n_spokes, sb.n_hubs);
-    let slashburn_time = t1.elapsed();
-    bepi_obs::record_duration("preprocess.slashburn", slashburn_time);
+    bepi_obs::record_duration("preprocess.slashburn", t1.elapsed());
 
     // Extend the SlashBurn permutation to all n nodes (deadends fixed).
     let mut ext = vec![0u32; n];
@@ -134,12 +128,11 @@ pub fn analyze(g: &Graph, k: f64) -> Result<Analysis> {
             block_sizes: sb.block_sizes,
             slashburn_iterations: sb.iterations,
         },
-        deadend_time,
-        slashburn_time,
     })
 }
 
-/// The six `H` blocks assembled under a frozen plan.
+/// The six `H` blocks assembled under a frozen plan. The wall time of the
+/// assembly goes to the `preprocess.assemble` span of `bepi-obs`.
 #[derive(Debug, Clone)]
 pub struct HBlocks {
     /// `(n1 × n1)` block-diagonal spoke block.
@@ -154,8 +147,6 @@ pub struct HBlocks {
     pub h31: Csr,
     /// `(n3 × n2)` deadend rows against hubs.
     pub h32: Csr,
-    /// Wall time of the assembly.
-    pub assemble_time: Duration,
 }
 
 /// A distinguishable "the frozen plan no longer fits this graph" error,
@@ -319,8 +310,7 @@ pub fn assemble(g: &Graph, c: f64, plan: &SymbolicPlan) -> Result<HBlocks> {
         return Err(structural_error("H11 is no longer block diagonal"));
     }
 
-    let assemble_time = t0.elapsed();
-    bepi_obs::record_duration("preprocess.assemble", assemble_time);
+    bepi_obs::record_duration("preprocess.assemble", t0.elapsed());
 
     Ok(HBlocks {
         h11,
@@ -329,7 +319,6 @@ pub fn assemble(g: &Graph, c: f64, plan: &SymbolicPlan) -> Result<HBlocks> {
         h22,
         h31,
         h32,
-        assemble_time,
     })
 }
 

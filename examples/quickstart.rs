@@ -23,11 +23,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // sparsify the Schur complement (the paper's full BePI would also
     // compute the ILU(0) preconditioner).
     let config = BePiConfig::default(); // c = 0.05, ε = 1e-9, BePI-S
+    let start = std::time::Instant::now();
     let solver = BePi::preprocess(&graph, &config)?;
     let stats = solver.stats();
     println!(
         "preprocessed in {:?}: n1 = {} spokes, n2 = {} hubs, n3 = {} deadends, |S| = {}",
-        stats.elapsed, stats.n1, stats.n2, stats.n3, stats.s_nnz
+        start.elapsed(),
+        stats.n1,
+        stats.n2,
+        stats.n3,
+        stats.s_nnz
     );
     println!(
         "preprocessed data: {}",
