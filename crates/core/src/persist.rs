@@ -63,52 +63,33 @@ fn from_map_err(e: MapError) -> SparseError {
     }
 }
 
-fn write_u32s_section<W: Write>(cw: &mut ContainerWriter<W>, id: u32, s: &[u32]) -> Result<()> {
+/// Writes `s` as section `id`, each element as the little-endian bytes
+/// `le` gives for it.
+fn write_section<W: Write, T: Copy, const N: usize>(
+    cw: &mut ContainerWriter<W>,
+    id: u32,
+    s: &[T],
+    le: impl Fn(T) -> [u8; N],
+) -> Result<()> {
     cw.begin_section(id)?;
     for &v in s {
-        cw.write_all(&v.to_le_bytes())?;
+        cw.write_all(&le(v))?;
     }
     Ok(())
 }
 
-fn write_u16s_section<W: Write>(cw: &mut ContainerWriter<W>, id: u32, s: &[u16]) -> Result<()> {
-    cw.begin_section(id)?;
-    for &v in s {
-        cw.write_all(&v.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-fn write_u64s_section<W: Write>(cw: &mut ContainerWriter<W>, id: u32, s: &[usize]) -> Result<()> {
-    cw.begin_section(id)?;
-    for &v in s {
-        cw.write_all(&(v as u64).to_le_bytes())?;
-    }
-    Ok(())
-}
-
-fn write_f32s_section<W: Write>(cw: &mut ContainerWriter<W>, id: u32, s: &[f32]) -> Result<()> {
-    cw.begin_section(id)?;
-    for &v in s {
-        cw.write_all(&v.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-fn write_f64s_section<W: Write>(cw: &mut ContainerWriter<W>, id: u32, s: &[f64]) -> Result<()> {
-    cw.begin_section(id)?;
-    for &v in s {
-        cw.write_all(&v.to_le_bytes())?;
-    }
-    Ok(())
+/// A `usize` as the eight little-endian bytes of a `u64`: how every index
+/// file stores one.
+fn u64_le(v: usize) -> [u8; 8] {
+    (v as u64).to_le_bytes()
 }
 
 /// Writes the embedded graph's three arrays as three sections.
 fn write_graph_sections<W: Write>(cw: &mut ContainerWriter<W>, g: &Graph) -> Result<()> {
     let adj = g.adjacency();
-    write_u64s_section(cw, sec::GRAPH_INDPTR, adj.indptr())?;
-    write_u32s_section(cw, sec::GRAPH_INDICES, adj.indices())?;
-    write_f64s_section(cw, sec::GRAPH_VALUES, adj.values())
+    write_section(cw, sec::GRAPH_INDPTR, adj.indptr(), u64_le)?;
+    write_section(cw, sec::GRAPH_INDICES, adj.indices(), u32::to_le_bytes)?;
+    write_section(cw, sec::GRAPH_VALUES, adj.values(), f64::to_le_bytes)
 }
 
 /// The blocks of section ids of the stored matrices (see
@@ -140,30 +121,30 @@ fn write_matrix<W: Write>(
 ) -> Result<()> {
     match m.pattern() {
         Pattern::Wide { indptr, indices } => {
-            write_u64s_section(cw, base + sec::INDPTR, indptr)?;
-            write_u32s_section(cw, base + sec::INDICES, indices)?;
+            write_section(cw, base + sec::INDPTR, indptr, u64_le)?;
+            write_section(cw, base + sec::INDICES, indices, u32::to_le_bytes)?;
         }
         Pattern::Narrow { indptr, indices } => {
-            write_u32s_section(cw, base + sec::INDPTR32, indptr)?;
-            write_u16s_section(cw, base + sec::INDICES16, indices)?;
+            write_section(cw, base + sec::INDPTR32, indptr, u32::to_le_bytes)?;
+            write_section(cw, base + sec::INDICES16, indices, u16::to_le_bytes)?;
         }
     }
     if let Some(rows) = m.stored_rows() {
-        write_u32s_section(cw, base + sec::ROW_IDS, rows)?;
+        write_section(cw, base + sec::ROW_IDS, rows, u32::to_le_bytes)?;
     }
     if let MatrixValues::Entries(CodedValues::Plain(values)) = m.values() {
-        write_f64s_section(cw, base + sec::VALUES, values)?;
+        write_section(cw, base + sec::VALUES, values, f64::to_le_bytes)?;
     }
     if let Some(table) = table {
-        write_f64s_section(cw, sec::S_VALUE_TABLE, table)?;
+        write_section(cw, sec::S_VALUE_TABLE, table, f64::to_le_bytes)?;
     }
     match m.values() {
         MatrixValues::Entries(CodedValues::Plain(_)) => Ok(()),
         MatrixValues::Entries(CodedValues::Coded { codes, .. }) => {
-            write_u16s_section(cw, base + sec::VALUE_CODES, codes)
+            write_section(cw, base + sec::VALUE_CODES, codes, u16::to_le_bytes)
         }
         MatrixValues::Columns { codes, .. } => {
-            write_u16s_section(cw, base + sec::COLUMN_CODES, codes)
+            write_section(cw, base + sec::COLUMN_CODES, codes, u16::to_le_bytes)
         }
     }
 }
@@ -172,9 +153,11 @@ fn write_matrix<W: Write>(
 /// the index's value table, or plain values.
 fn write_singletons<W: Write>(cw: &mut ContainerWriter<W>, values: &CodedValues) -> Result<()> {
     match values {
-        CodedValues::Plain(v) => write_f64s_section(cw, sec::U_INV_SINGLETON_VALUES, v),
+        CodedValues::Plain(v) => {
+            write_section(cw, sec::U_INV_SINGLETON_VALUES, v, f64::to_le_bytes)
+        }
         CodedValues::Coded { codes, .. } => {
-            write_u16s_section(cw, sec::U_INV_SINGLETON_CODES, codes)
+            write_section(cw, sec::U_INV_SINGLETON_CODES, codes, u16::to_le_bytes)
         }
     }
 }
@@ -232,14 +215,20 @@ pub fn save_v6<W: Write>(bepi: &BePi, graph: Option<&Graph>, writer: W) -> Resul
 
     // One direction: the query permutes by scattering through the forward
     // map and unpermutes by gathering through it.
-    write_u32s_section(
+    write_section(
         &mut cw,
         sec::PERM_NEW_OF_OLD,
         bepi.permutation().new_of_old(),
+        u32::to_le_bytes,
     )?;
 
     let h11 = bepi.h11_factors();
-    write_u32s_section(&mut cw, sec::H11_LARGER_BLOCKS, h11.larger_blocks())?;
+    write_section(
+        &mut cw,
+        sec::H11_LARGER_BLOCKS,
+        h11.larger_blocks(),
+        u32::to_le_bytes,
+    )?;
     let table = bepi.value_table().map(Storage::as_slice);
     for ((base, _), (_, m)) in MATRICES.iter().zip(bepi.stored_matrices()) {
         write_matrix(&mut cw, *base, m, table.filter(|_| *base == sec::S))?;
@@ -253,8 +242,8 @@ pub fn save_v6<W: Write>(bepi: &BePi, graph: Option<&Graph>, writer: W) -> Resul
     // (8 bytes per row). Persisting them is what makes open time
     // independent of index size — a load never re-runs the elimination.
     if let Some(ilu) = bepi.preconditioner() {
-        write_f32s_section(&mut cw, sec::ILU_VALUES_F32, ilu.values())?;
-        write_u64s_section(&mut cw, sec::ILU_DIAG, ilu.diag_pos())?;
+        write_section(&mut cw, sec::ILU_VALUES_F32, ilu.values(), f32::to_le_bytes)?;
+        write_section(&mut cw, sec::ILU_DIAG, ilu.diag_pos(), u64_le)?;
     }
 
     if let Some(g) = graph {
@@ -1543,17 +1532,17 @@ mod tests {
         let s = bepi.schur().to_csr();
         let layout = |maps: bool, f64_ilu: bool| {
             rewrite_sections(buf, |cw, id, payload| match id {
-                sec::H11_LARGER_BLOCKS => write_u64s_section(cw, 0x04, &sizes).unwrap(),
+                sec::H11_LARGER_BLOCKS => write_section(cw, 0x04, &sizes, u64_le).unwrap(),
                 sec::PERM_NEW_OF_OLD if maps => {
                     cw.section_bytes(id, payload).unwrap();
                     let old_of_new = bepi.permutation().old_of_new();
-                    write_u32s_section(cw, 0x03, &old_of_new).unwrap();
+                    write_section(cw, 0x03, &old_of_new, u32::to_le_bytes).unwrap();
                 }
                 sec::U_INV_SINGLETON_CODES if maps => {}
                 sec::ILU_VALUES_F32 if f64_ilu => {
-                    write_u64s_section(cw, 0x80, s.indptr()).unwrap();
-                    write_u32s_section(cw, 0x81, s.indices()).unwrap();
-                    write_f64s_section(cw, 0x82, s.values()).unwrap();
+                    write_section(cw, 0x80, s.indptr(), u64_le).unwrap();
+                    write_section(cw, 0x81, s.indices(), u32::to_le_bytes).unwrap();
+                    write_section(cw, 0x82, s.values(), f64::to_le_bytes).unwrap();
                 }
                 _ => cw.section_bytes(id, payload).unwrap(),
             })
@@ -1662,7 +1651,7 @@ mod tests {
         let values = s.to_csr().values().to_vec();
         rewrite_sections(buf, |cw, id, payload| match id {
             sec::S_VALUE_TABLE => {
-                write_f64s_section(cw, sec::S_VALUES, &values).unwrap();
+                write_section(cw, sec::S_VALUES, &values, f64::to_le_bytes).unwrap();
                 cw.section_bytes(id, payload).unwrap();
             }
             sec::S_VALUE_CODES => {}
@@ -1793,7 +1782,7 @@ mod tests {
                 "both encodings",
                 Box::new(|cw, id, p| {
                     if id == sec::S_VALUE_TABLE {
-                        write_f64s_section(cw, sec::S_VALUES, &plain).unwrap();
+                        write_section(cw, sec::S_VALUES, &plain, f64::to_le_bytes).unwrap();
                     }
                     keep(cw, id, p)
                 }),
@@ -1830,7 +1819,7 @@ mod tests {
                 "oversized table",
                 Box::new(|cw, id, p| match id {
                     sec::S_VALUE_TABLE => {
-                        write_f64s_section(cw, id, &oversized).unwrap();
+                        write_section(cw, id, &oversized, f64::to_le_bytes).unwrap();
                     }
                     _ => keep(cw, id, p),
                 }),
@@ -1840,7 +1829,7 @@ mod tests {
                 "short codes",
                 Box::new(|cw, id, p| match id {
                     sec::S_VALUE_CODES => {
-                        write_u16s_section(cw, id, &codes[..codes.len() - 1]).unwrap();
+                        write_section(cw, id, &codes[..codes.len() - 1], u16::to_le_bytes).unwrap();
                     }
                     _ => keep(cw, id, p),
                 }),
@@ -1869,7 +1858,7 @@ mod tests {
         let mut past_end = codes.to_vec();
         past_end[codes.len() / 2] = table.len() as u16;
         let bad = rewrite_sections(&buf, |cw, id, p| match id {
-            sec::S_VALUE_CODES => write_u16s_section(cw, id, &past_end).unwrap(),
+            sec::S_VALUE_CODES => write_section(cw, id, &past_end, u16::to_le_bytes).unwrap(),
             _ => keep(cw, id, p),
         });
         let err = load(&bad[..]).unwrap_err().to_string();
@@ -1889,8 +1878,10 @@ mod tests {
     fn with_wide_s_pattern(buf: &[u8], s: &CodedCsr) -> Vec<u8> {
         let wide = s.to_csr();
         rewrite_sections(buf, |cw, id, payload| match id {
-            sec::S_INDPTR32 => write_u64s_section(cw, sec::S_INDPTR, wide.indptr()).unwrap(),
-            sec::S_INDICES16 => write_u32s_section(cw, sec::S_INDICES, wide.indices()).unwrap(),
+            sec::S_INDPTR32 => write_section(cw, sec::S_INDPTR, wide.indptr(), u64_le).unwrap(),
+            sec::S_INDICES16 => {
+                write_section(cw, sec::S_INDICES, wide.indices(), u32::to_le_bytes).unwrap()
+            }
             id => cw.section_bytes(id, payload).unwrap(),
         })
     }
@@ -2041,7 +2032,7 @@ mod tests {
                 "wide S column",
                 &wide,
                 Box::new(|cw, id, _| {
-                    id == sec::S_INDICES && write_u32s_section(cw, id, &s_cols).is_ok()
+                    id == sec::S_INDICES && write_section(cw, id, &s_cols, u32::to_le_bytes).is_ok()
                 }),
                 "section s.indices: column",
             ),
@@ -2049,7 +2040,7 @@ mod tests {
                 "wide S row pointer",
                 &wide,
                 Box::new(|cw, id, _| {
-                    id == sec::S_INDPTR && write_u64s_section(cw, id, &s_ptr).is_ok()
+                    id == sec::S_INDPTR && write_section(cw, id, &s_ptr, u64_le).is_ok()
                 }),
                 "section s.indptr: row pointers decrease",
             ),
@@ -2057,7 +2048,8 @@ mod tests {
                 "narrow S column",
                 &narrow,
                 Box::new(|cw, id, _| {
-                    id == sec::S_INDICES16 && write_u16s_section(cw, id, &narrow16(&s_cols)).is_ok()
+                    id == sec::S_INDICES16
+                        && write_section(cw, id, &narrow16(&s_cols), u16::to_le_bytes).is_ok()
                 }),
                 "section s.indices16: column",
             ),
@@ -2065,7 +2057,8 @@ mod tests {
                 "narrow S row pointer",
                 &narrow,
                 Box::new(|cw, id, _| {
-                    id == sec::S_INDPTR32 && write_u32s_section(cw, id, &narrow32(&s_ptr)).is_ok()
+                    id == sec::S_INDPTR32
+                        && write_section(cw, id, &narrow32(&s_ptr), u32::to_le_bytes).is_ok()
                 }),
                 "section s.indptr32: row pointers decrease",
             ),
@@ -2074,7 +2067,7 @@ mod tests {
                 &narrow,
                 Box::new(|cw, id, _| {
                     id == sec::H21 + sec::INDICES16
-                        && write_u16s_section(cw, id, &narrow16(&h21_cols)).is_ok()
+                        && write_section(cw, id, &narrow16(&h21_cols), u16::to_le_bytes).is_ok()
                 }),
                 "section h21.indices16: column",
             ),
@@ -2319,7 +2312,13 @@ mod tests {
         let mut h21_codes = coded_parts(h21).1.to_vec();
         h21_codes[h21.nnz() / 2] = table_len as u16;
         let past_table = edit(sec::H21 + sec::VALUE_CODES, &|cw, _| {
-            write_u16s_section(cw, sec::H21 + sec::VALUE_CODES, &h21_codes).unwrap()
+            write_section(
+                cw,
+                sec::H21 + sec::VALUE_CODES,
+                &h21_codes,
+                u16::to_le_bytes,
+            )
+            .unwrap()
         });
         let far_col = edit(sec::H12 + sec::INDICES16, &|cw, p| {
             let mut cols: Vec<u16> = p
@@ -2327,7 +2326,7 @@ mod tests {
                 .map(|b| u16::from_le_bytes([b[0], b[1]]))
                 .collect();
             cols[0] = fresh.stats().n2 as u16;
-            write_u16s_section(cw, sec::H12 + sec::INDICES16, &cols).unwrap()
+            write_section(cw, sec::H12 + sec::INDICES16, &cols, u16::to_le_bytes).unwrap()
         });
         let dip = edit(sec::L_INV + sec::INDPTR32, &|cw, p| {
             let mut ptr: Vec<u32> = p
@@ -2336,7 +2335,7 @@ mod tests {
                 .collect();
             let i = ptr.iter().position(|&x| x > 0).unwrap();
             ptr[i] = ptr[i + 1] + 1;
-            write_u32s_section(cw, sec::L_INV + sec::INDPTR32, &ptr).unwrap()
+            write_section(cw, sec::L_INV + sec::INDPTR32, &ptr, u32::to_le_bytes).unwrap()
         });
         let heap_only = [
             (
@@ -2364,7 +2363,13 @@ mod tests {
 
         let no_table = edit(sec::S_VALUE_TABLE, &|_, _| {});
         let both = edit(sec::H21 + sec::VALUE_CODES, &|cw, p| {
-            write_f64s_section(cw, sec::H21 + sec::VALUES, h21.to_csr().values()).unwrap();
+            write_section(
+                cw,
+                sec::H21 + sec::VALUES,
+                h21.to_csr().values(),
+                f64::to_le_bytes,
+            )
+            .unwrap();
             cw.section_bytes(sec::H21 + sec::VALUE_CODES, p).unwrap();
         });
         for (bad, want) in [
@@ -2517,7 +2522,7 @@ mod tests {
         let cases = [
             (
                 edit(sec::PERM_NEW_OF_OLD, &|cw| {
-                    write_u32s_section(cw, sec::PERM_NEW_OF_OLD, &fwd).unwrap()
+                    write_section(cw, sec::PERM_NEW_OF_OLD, &fwd, u32::to_le_bytes).unwrap()
                 }),
                 format!(
                     "section perm.new_of_old: entry 3 is {}, out of range",
@@ -2526,7 +2531,7 @@ mod tests {
             ),
             (
                 edit(sec::PERM_NEW_OF_OLD, &|cw| {
-                    write_u32s_section(cw, sec::PERM_NEW_OF_OLD, &twice).unwrap()
+                    write_section(cw, sec::PERM_NEW_OF_OLD, &twice, u32::to_le_bytes).unwrap()
                 }),
                 format!(
                     "section perm.new_of_old: invalid permutation: image {} hit twice (by 0 and 1)",
@@ -2535,7 +2540,7 @@ mod tests {
             ),
             (
                 edit(sec::ILU_DIAG, &|cw| {
-                    write_u64s_section(cw, sec::ILU_DIAG, &past).unwrap()
+                    write_section(cw, sec::ILU_DIAG, &past, u64_le).unwrap()
                 }),
                 format!(
                     "section ilu.diag_pos: diagonal position {} of row {row} is past",
@@ -2544,7 +2549,7 @@ mod tests {
             ),
             (
                 edit(sec::ILU_DIAG, &|cw| {
-                    write_u64s_section(cw, sec::ILU_DIAG, &off).unwrap()
+                    write_section(cw, sec::ILU_DIAG, &off, u64_le).unwrap()
                 }),
                 format!(
                     "section ilu.diag_pos: diagonal position {} of row {row} points at column",
@@ -2573,10 +2578,10 @@ mod tests {
                 .collect();
             f(&mut v);
             if wide {
-                write_u32s_section(cw, id, &v).unwrap()
+                write_section(cw, id, &v, u32::to_le_bytes).unwrap()
             } else {
                 let v: Vec<u16> = v.iter().map(|&x| x as u16).collect();
-                write_u16s_section(cw, id, &v).unwrap()
+                write_section(cw, id, &v, u16::to_le_bytes).unwrap()
             }
         })
     }
@@ -2702,7 +2707,13 @@ mod tests {
         });
         let both = rewrite_sections(&buf, |cw, id, payload| {
             if id == sec::U_INV_SINGLETON_CODES {
-                write_f64s_section(cw, sec::U_INV_SINGLETON_VALUES, &vec![1.0; ones]).unwrap();
+                write_section(
+                    cw,
+                    sec::U_INV_SINGLETON_VALUES,
+                    &vec![1.0; ones],
+                    f64::to_le_bytes,
+                )
+                .unwrap();
             }
             cw.section_bytes(id, payload).unwrap()
         });
