@@ -256,6 +256,11 @@ start_daemon() { # fifo_fd index log flags...
   done
   [ -n "$DAEMON_ADDR" ] || { echo "daemon never reported its address" >&2; cat "$log" >&2; return 1; }
 }
+# The rows of `bepi stats`' "index memory by section" table, and the same
+# rows with the heap and mapped columns swapped (the name takes 10
+# characters, each column 12, one space between).
+memory_table() { sed -n '/^--- index memory by section ---$/,/^total /p' "$1" | tail -n +3; }
+swap_columns() { awk '{ print substr($0, 1, 11) substr($0, 25, 12) " " substr($0, 12, 12) }'; }
 # "<--variant value, empty for the default>:<name /version reports>"
 for case in ":BePI-S" "full:BePI"; do
   VARIANT_FLAG=${case%%:*} VARIANT_NAME=${case#*:}
@@ -295,6 +300,13 @@ for case in ":BePI-S" "full:BePI"; do
   if grep -q "^perm.old_of_new " "$MMAP_TMP/stats.txt"; then
     echo "$VARIANT_NAME: a fresh index still stores perm.old_of_new"; cat "$MMAP_TMP/stats.txt"; exit 1
   fi
+  # Every byte is counted once, on the heap or in the mapping: the heap
+  # load's memory table is the --mmap table with its columns swapped.
+  ./target/release/bepi stats "$INDEX" > "$MMAP_TMP/stats-heap.txt"
+  memory_table "$MMAP_TMP/stats.txt" | swap_columns > "$MMAP_TMP/memory-swapped.txt"
+  grep -q '^total ' "$MMAP_TMP/memory-swapped.txt" \
+    && memory_table "$MMAP_TMP/stats-heap.txt" | diff - "$MMAP_TMP/memory-swapped.txt" \
+    || { echo "$VARIANT_NAME: heap and --mmap memory tables are not each other's swap"; exit 1; }
   start_daemon 7 "$INDEX" "$MMAP_TMP/heap.log"
   HEAP_ADDR=$DAEMON_ADDR HEAP_PID=$DAEMON_PID
   grep -q "heap index" "$MMAP_TMP/heap.log" \
