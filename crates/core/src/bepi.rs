@@ -534,12 +534,11 @@ impl BePi {
         let h11 = &self.h11_lu;
         let u1_inv =
             h11.u_inv().own_bytes() + h11.larger_blocks().bytes() + h11.singletons().own_bytes();
-        let table = self.value_table().map_or(Bytes::default(), MemBytes::bytes);
         [
             ("perm", self.perm.bytes()),
             ("l1_inv", h11.l_inv().own_bytes()),
             ("u1_inv", u1_inv),
-            ("schur", self.s.own_bytes() + table),
+            ("schur", self.s.own_bytes() + self.value_table().bytes()),
             ("precond", self.ilu.bytes()),
             ("h12", self.h12.own_bytes()),
             ("h21", self.h21.own_bytes()),

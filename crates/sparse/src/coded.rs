@@ -142,7 +142,7 @@ impl CodedValues {
     /// Bytes of the values or codes: [`MemBytes::bytes`] less the value
     /// table, which an index shares between its matrices and counts once.
     pub fn own_bytes(&self) -> Bytes {
-        self.bytes() - table_bytes(self.coded_parts().map(|(table, _)| table))
+        self.bytes() - self.coded_parts().map(|(table, _)| table).bytes()
     }
 
     /// Runs `f` with a [`ValueReader`] over these values: the one way to
@@ -195,11 +195,6 @@ impl CodedValues {
             CodedValues::Coded { table, codes } => table[codes[k] as usize],
         }
     }
-}
-
-/// The bytes of a value table, if there is one.
-fn table_bytes(table: Option<&Storage<f64>>) -> Bytes {
-    table.map_or(Bytes::default(), MemBytes::bytes)
 }
 
 /// Checks that every one of `codes` indexes `table`; an error names the
@@ -581,7 +576,7 @@ impl CodedCsr {
     /// [`MemBytes::bytes`] less the value table, which an index shares
     /// between its matrices and counts once.
     pub fn own_bytes(&self) -> Bytes {
-        self.bytes() - table_bytes(self.table())
+        self.bytes() - self.table().bytes()
     }
 
     /// The positions of row `i`'s non-zeros (empty for a row that is not

@@ -93,6 +93,12 @@ impl MemBytes for Vec<usize> {
     }
 }
 
+impl<T: MemBytes + ?Sized> MemBytes for &T {
+    fn bytes(&self) -> Bytes {
+        (**self).bytes()
+    }
+}
+
 impl<T: MemBytes> MemBytes for Option<T> {
     fn bytes(&self) -> Bytes {
         self.as_ref().map_or(Bytes::default(), MemBytes::bytes)
