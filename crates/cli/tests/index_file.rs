@@ -225,6 +225,28 @@ fn default_index_is_bepi_s_without_ilu_and_full_writes_its_factors() {
         }
         let output = cmd.output().expect("run bepi preprocess");
         assert!(output.status.success(), "preprocess --variant {variant:?}");
+        // The phase table is read from the process's `preprocess.*` spans:
+        // one row per phase, in pipeline order, whichever the variant.
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let phases: Vec<&str> = stdout
+            .lines()
+            .skip_while(|l| *l != "--- preprocessing phases ---")
+            .skip(2)
+            .take_while(|l| !l.starts_with("total (phased)"))
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        assert_eq!(
+            phases,
+            [
+                "deadend",
+                "slashburn",
+                "assemble",
+                "block_lu",
+                "schur",
+                "precond"
+            ],
+            "--variant {variant:?}:\n{stdout}"
+        );
         let table = bepi_map::parse_layout(&read(&index)).unwrap();
         for id in [ILU_VALUES_F32, ILU_DIAG] {
             assert_eq!(
